@@ -2,10 +2,17 @@
 Gaussian margins.
 
 Each pair (r, t), r < t, of response positions within a block contributes
-the log-density of a bivariate normal with correlation rho^(t-r) and
+the log-density of a bivariate normal with correlation c = rho^(t-r) and
 common variance sigma^2.  The per-subject estimating function is the
-average of the pair scores; the root is found by damped Newton on the
-unconstrained parameterization (theta, log sigma, atanh rho).
+average of the pair scores.
+
+Every pair at lag L = t - r shares c = rho^L, so the kernel sums over the
+m - 1 lags with sliced arrays instead of over the m(m-1)/2 pairs.  One
+evaluation returns the per-subject scores and, on request, the exact mean
+Hessian on the natural (theta, sigma^2, rho) scale; its theta-theta part
+is a design Gram per lag, computed once per block.  The root is found by
+damped Newton on the unconstrained parameterization
+(theta, log sigma, atanh rho) with the analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -17,12 +24,42 @@ from .errors import NumericDomainError, SolverError
 RHO_LIMIT = 0.999
 
 
-def cl_scores(block, theta, zeta) -> np.ndarray:
-    """Per-subject averaged pairwise score rows (n, p + 2).
+def _lag_gram(X) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lag design Grams (Gv, Gw), each (m - 1, p, p), averaged over subjects.
 
-    Columns are the gradient of the mean pairwise log-likelihood with
-    respect to (theta, sigma^2, rho).
+    For lag L, with (x_a, x_b) the design rows of a pair (r, r + L),
+    Gv[L-1] sums x_a x_a' + x_b x_b' and Gw[L-1] sums x_a x_b' + x_b x_a'.
     """
+    n, m, p = X.shape
+    flat = X.reshape(n, m * p)
+    gram = (flat.T @ flat).reshape(m, p, m, p) / n
+    # cum[k] = sum of the position Grams x_r x_r' over r < k
+    cum = np.zeros((m + 1, p, p))
+    np.cumsum(np.einsum("rprq->rpq", gram), axis=0, out=cum[1:])
+    lags = np.arange(1, m)
+    gv = cum[m - lags] + cum[m] - cum[lags]
+    gw = np.empty((m - 1, p, p))
+    for lag in lags:
+        cross = np.trace(gram, offset=lag, axis1=0, axis2=2)
+        gw[lag - 1] = cross + cross.T
+    return gv, gw
+
+
+def _pair_operator(diag, off, m) -> np.ndarray:
+    """m x m matrix summing E' [[diag_L, off_L], [off_L, diag_L]] E over all
+    pairs, with E selecting the pair's two positions and L its lag."""
+    pos = np.arange(m)
+    out = np.concatenate([[0.0], off])[np.abs(pos[:, None] - pos[None, :])]
+    # position r is the first member of the pairs with lag <= m-1-r and
+    # the second member of those with lag <= r
+    cum = np.concatenate([[0.0], np.cumsum(diag)])
+    out[pos, pos] = cum[m - 1 - pos] + cum[pos]
+    return out
+
+
+def _evaluate(X, y, theta, zeta, gram=None):
+    """Per-subject averaged pairwise scores (n, p + 2) and, when the lag
+    Gram of X is given, the exact Hessian of their mean (else ``None``)."""
     sigma2 = float(zeta[0])
     rho = float(zeta[1])
     if sigma2 <= 0:
@@ -30,60 +67,94 @@ def cl_scores(block, theta, zeta) -> np.ndarray:
     if abs(rho) >= 1.0:
         raise NumericDomainError(f"|rho| >= 1 (rho={rho})")
 
-    n, m, p = block.n, block.m, block.p
-    X = block.design
-    resid = block.y - X @ theta
-
-    grad_theta = np.zeros((n, p))
-    grad_v = np.zeros(n)
-    grad_rho = np.zeros(n)
+    n, m, p = X.shape
+    resid = y - X @ theta
+    lags = np.arange(1, m)
     npairs = m * (m - 1) // 2
-    for r in range(m - 1):
-        a = resid[:, r]
-        xa = X[:, r, :]
-        for t in range(r + 1, m):
-            b = resid[:, t]
-            xb = X[:, t, :]
-            lag = t - r
-            c = rho**lag
-            omc = 1.0 - c * c
-            q = a * a - 2.0 * c * a * b + b * b
-            grad_theta += ((a - c * b)[:, None] * xa + (b - c * a)[:, None] * xb) / (
-                sigma2 * omc
-            )
-            grad_v += -1.0 / sigma2 + q / (2.0 * sigma2 * sigma2 * omc)
-            dc = c / omc + a * b / (sigma2 * omc) - q * c / (sigma2 * omc * omc)
-            grad_rho += dc * lag * rho ** (lag - 1)
+    count = m - lags  # pairs per lag
+    power = rho ** np.arange(m)
+    c = power[1:]
+    dc = lags * power[:-1]  # dc/drho; rho^0 = 1 also at rho = 0
+    w = 1.0 - c * c
+
+    # per-subject lag sums over pairs (a, b) = (resid_r, resid_{r+L}):
+    # prod = sum a b, quad = sum a^2 - 2 c a b + b^2
+    cum2 = np.zeros((n, m + 1))
+    np.cumsum(resid * resid, axis=1, out=cum2[:, 1:])
+    prod = np.empty((n, m - 1))
+    for lag in lags:
+        prod[:, lag - 1] = np.einsum("nr,nr->n", resid[:, :-lag], resid[:, lag:])
+    quad = cum2[:, m - lags] + cum2[:, [m]] - cum2[:, lags] - 2.0 * c * prod
+
     out = np.empty((n, p + 2))
-    out[:, :p] = grad_theta / npairs
-    out[:, p] = grad_v / npairs
-    out[:, p + 1] = grad_rho / npairs
-    return out
+    coef = resid @ _pair_operator(1.0 / w, -c / w, m)
+    out[:, :p] = np.einsum("nrp,nr->np", X, coef) / sigma2
+    out[:, p] = quad @ (0.5 / (sigma2 * sigma2 * w)) - npairs / sigma2
+    # d loglik / dc summed over the pairs of each lag
+    dl_dc = count * c / w + (prod - quad * (c / w)) / (sigma2 * w)
+    out[:, p + 1] = dl_dc @ dc
+    out /= npairs
+    if gram is None:
+        return out, None
+
+    gv, gw = gram
+    prod_m = prod.mean(axis=0)
+    quad_m = quad.mean(axis=0)
+    s2 = sigma2 * sigma2
+    d2c = np.concatenate([[0.0], lags[1:] * (lags[1:] - 1) * power[:-2]])
+    hess = np.empty((p + 2, p + 2))
+    hess[:p, :p] = -(
+        np.einsum("l,lpq->pq", 1.0 / w, gv) - np.einsum("l,lpq->pq", c / w, gw)
+    ) / (sigma2 * npairs)
+    hess[:p, p] = -out[:, :p].mean(axis=0) / sigma2
+    coef_rho = resid @ _pair_operator(
+        2.0 * c * dc / (w * w), -(1.0 + c * c) * dc / (w * w), m
+    )
+    hess[:p, p + 1] = np.einsum("nrp,nr->p", X, coef_rho) / (n * sigma2 * npairs)
+    hess[p, p] = (npairs / s2 - quad_m @ (1.0 / w) / (s2 * sigma2)) / npairs
+    hess[p, p + 1] = ((quad_m * c / w - prod_m) / (s2 * w)) @ dc / npairs
+    dl_dc_m = dl_dc.mean(axis=0)
+    d2l_dc2 = (
+        count * (1.0 + c * c) / (w * w)
+        + (4.0 * c * prod_m - quad_m * (1.0 + 4.0 * c * c / w)) / (sigma2 * w * w)
+    )
+    hess[p + 1, p + 1] = (d2l_dc2 @ (dc * dc) + dl_dc_m @ d2c) / npairs
+    hess[p:, :p] = hess[:p, p:].T
+    hess[p + 1, p] = hess[p, p + 1]
+    return out, hess
 
 
-def _mean_score_u(block, u):
-    """Mean score in the unconstrained parameterization u = (theta, log sigma, atanh rho)."""
-    p = block.p
-    sigma = np.exp(u[p])
-    rho = np.tanh(u[p + 1])
-    zeta = np.array([sigma * sigma, rho])
-    s = cl_scores(block, u[:p], zeta).mean(axis=0)
-    # chain rule: d/d(log sigma) = 2 sigma^2 * d/d(sigma^2); d/d(atanh rho) = (1-rho^2) d/d(rho)
-    s[p] *= 2.0 * sigma * sigma
-    s[p + 1] *= 1.0 - rho * rho
-    return s
+def cl_scores(block, theta, zeta, hessian: bool = False):
+    """Per-subject averaged pairwise score rows (n, p + 2).
+
+    Columns are the gradient of the mean pairwise log-likelihood with
+    respect to (theta, sigma^2, rho).  With ``hessian=True`` the return
+    value is ``(scores, H)``, H the exact Jacobian of the mean score row.
+    """
+    X = block.design
+    scores, hess = _evaluate(X, block.y, theta, zeta, _lag_gram(X) if hessian else None)
+    return (scores, hess) if hessian else scores
 
 
-def _jacobian_fd(block, u, h=1e-6):
-    dim = u.size
-    jac = np.empty((dim, dim))
-    for a in range(dim):
-        step = h * max(1.0, abs(u[a]))
-        up, um = u.copy(), u.copy()
-        up[a] += step
-        um[a] -= step
-        jac[:, a] = (_mean_score_u(block, up) - _mean_score_u(block, um)) / (2.0 * step)
-    return jac
+def _u_terms(X, y, u, gram=None):
+    """Mean score, and with ``gram`` its Jacobian, in the unconstrained
+    parameterization u = (theta, log sigma, atanh rho)."""
+    p = X.shape[2]
+    sigma = float(np.exp(u[p]))
+    sigma2 = sigma * sigma
+    rho = float(np.tanh(u[p + 1]))
+    scores, hess = _evaluate(X, y, u[:p], np.array([sigma2, rho]), gram)
+    s = scores.mean(axis=0)
+    # d sigma^2 / d log sigma = 2 sigma^2, d rho / d atanh rho = 1 - rho^2
+    dparam = np.ones(p + 2)
+    dparam[p], dparam[p + 1] = 2.0 * sigma2, 1.0 - rho * rho
+    jac = None
+    if hess is not None:
+        jac = hess * np.outer(dparam, dparam)
+        # second derivatives of the reparameterization times the score
+        jac[p, p] += 4.0 * sigma2 * s[p]
+        jac[p + 1, p + 1] -= 2.0 * rho * (1.0 - rho * rho) * s[p + 1]
+    return s * dparam, jac
 
 
 def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
@@ -96,11 +167,10 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
             f"block ({block.j}, {block.k}): n={block.n} too small for "
             f"p+2={block.p + 2} parameters"
         )
+    X, y = block.design, block.y
     # start from OLS with moment estimates of (sigma^2, rho)
-    X = block.design.reshape(-1, block.p)
-    yv = block.y.reshape(-1)
-    theta, *_ = np.linalg.lstsq(X, yv, rcond=None)
-    resid = block.y - block.design @ theta
+    theta, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
+    resid = y - X @ theta
     sigma2 = float(np.mean(resid**2))
     if block.m > 1:
         rho = float(np.mean(resid[:, :-1] * resid[:, 1:]) / sigma2)
@@ -108,13 +178,14 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
         rho = 0.0
     rho = min(max(rho, -RHO_LIMIT), RHO_LIMIT)
 
+    gram = _lag_gram(X)
     u = np.concatenate([theta, [0.5 * np.log(sigma2), np.arctanh(rho)]])
-    score = _mean_score_u(block, u)
+    score, _ = _u_terms(X, y, u)
     converged = float(np.linalg.norm(score)) <= tol
     iterations = 0
     while not converged and iterations < max_iter:
         iterations += 1
-        jac = _jacobian_fd(block, u)
+        _, jac = _u_terms(X, y, u, gram)
         try:
             step = np.linalg.solve(jac, -score)
         except np.linalg.LinAlgError as exc:
@@ -126,7 +197,7 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
         while lam > 1e-8:
             u_new = u + lam * step
             try:
-                score_new = _mean_score_u(block, u_new)
+                score_new, _ = _u_terms(X, y, u_new)
             except (NumericDomainError, FloatingPointError):
                 lam *= 0.5
                 continue

@@ -26,7 +26,11 @@ DEFAULT_SCHEMA = {
 @dataclass(frozen=True)
 class Dataset:
     """Complete panel of N subjects, each with an M-vector of responses
-    and an M x q covariate matrix."""
+    and an M x q covariate matrix.
+
+    A non-finite response or covariate is a :class:`DataError` naming the
+    first bad cell by subject id and 1-based response position.
+    """
 
     responses: np.ndarray  # (N, M)
     covariates: np.ndarray  # (N, M, q)
@@ -53,6 +57,15 @@ class Dataset:
             raise DataError("need N >= 1, M >= 1, q >= 1")
         if len(self.subject_ids) != self.N:
             raise DataError("subject_ids length does not match N")
+        for name, values in (("y", self.responses), ("x", self.covariates)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                i, t = bad[0][:2]
+                label = name if name == "y" else f"x_{bad[0][2] + 1}"
+                raise DataError(
+                    f"non-finite {label} = {values[tuple(bad[0])]} at (subject "
+                    f"{self.subject_ids[i]}, response {t + 1})"
+                )
 
 
 def _sort_key(ids):

@@ -4,8 +4,10 @@ sensitivity for every supported estimation kernel.
 Kernels: ``gee-ar1``, ``gee-exchangeable``, ``gee-independence`` (weighted
 least squares with residual-moment nuisance equations) and ``cl-ar1``
 (pairwise composite likelihood).  The sensitivity matrix is the negative
-Jacobian of the averaged estimating function; the GEE theta-theta
-sub-block is analytic, everything else is central finite differences.
+Jacobian of the averaged estimating function.  For ``cl-ar1`` it is the
+exact negative Hessian of the mean pairwise log-likelihood.  For the GEE
+kernels the theta-theta sub-block is analytic and every other entry (the
+nuisance rows and columns) is a central finite difference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ KINDS = ("gee-ar1", "gee-exchangeable", "gee-independence", "cl-ar1")
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 100
-    fd_step: float = 1e-5  # relative central-difference step for sensitivities
+    fd_step: float = 1e-5  # relative central-difference step, GEE sensitivities only
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,27 @@ def sample_sensitivity(
 ) -> np.ndarray:
     """Negative Jacobian of the averaged estimating function at (theta, zeta).
 
-    Central finite differences on the natural (theta, sigma^2, rho) scale;
-    steps shrink near domain boundaries so evaluations stay valid.  The
-    GEE theta-theta sub-block is replaced by its analytic form.
+    ``cl-ar1``: the exact negative Hessian of the mean pairwise
+    log-likelihood.  GEE kernels: the theta-theta sub-block is analytic;
+    the other entries are central finite differences on the natural
+    (theta, sigma^2, rho) scale, with steps that shrink near domain
+    boundaries so evaluations stay valid.
     """
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
+    if kind == "cl-ar1":
+        sens = -composite.cl_scores(block, theta, zeta, hessian=True)[1]
+    else:
+        sens = _gee_sensitivity(block, theta, zeta, kind, fd_step)
+    bad = np.argwhere(~np.isfinite(sens))
+    if bad.size:
+        r, c = bad[0]
+        raise NumericDomainError(f"non-finite sensitivity entry at ({r}, {c})")
+    return sens
+
+
+def _gee_sensitivity(block, theta, zeta, kind, fd_step):
+    """Central-difference sensitivity with the analytic theta-theta block."""
     params = np.concatenate([theta, zeta])
     dim = params.size
     p = block.p
@@ -139,12 +156,7 @@ def sample_sensitivity(
         fp = eval_scores(block, up[:p], up[p:], kind).mean(axis=0)
         fm = eval_scores(block, um[:p], um[p:], kind).mean(axis=0)
         sens[:, a] = -(fp - fm) / (2.0 * h)
-    if kind.startswith("gee"):
-        sens[:p, :p] = gee.gee_theta_sensitivity(block, zeta, kind.split("-", 1)[1])
-    bad = np.argwhere(~np.isfinite(sens))
-    if bad.size:
-        r, c = bad[0]
-        raise NumericDomainError(f"non-finite sensitivity entry at ({r}, {c})")
+    sens[:p, :p] = gee.gee_theta_sensitivity(block, zeta, kind.split("-", 1)[1])
     return sens
 
 
@@ -163,6 +175,8 @@ def fit_block(
         theta, zeta, converged, iterations, clamped = gee.fit_gee_block(
             block, spec.working, tol=opts.tol, max_iter=opts.max_iter
         )
+    # a rho held at the clamp leaves its moment equation unsolved
+    converged = converged and not clamped
     scores = eval_scores(block, theta, zeta, spec.kind)
     final_norm = float(np.linalg.norm(scores.mean(axis=0)))
     sens = sample_sensitivity(block, theta, zeta, spec.kind, fd_step=opts.fd_step)

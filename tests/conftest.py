@@ -44,6 +44,21 @@ def random_dataset(N, M, p=3, seed=0, sigma=1.0):
     )
 
 
+def near_unit_root_dataset(N=100, M=6, rho=0.9995, seed=5):
+    """AR(1) errors with rho beyond the solvers' 0.999 clamp."""
+    data, theta0 = random_dataset(N=N, M=M, p=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    errors = np.empty((N, M))
+    errors[:, 0] = rng.standard_normal(N)
+    for t in range(1, M):
+        errors[:, t] = rho * errors[:, t - 1] + np.sqrt(1 - rho * rho) * rng.standard_normal(N)
+    return Dataset(
+        responses=data.covariates @ theta0 + errors,
+        covariates=data.covariates,
+        subject_ids=data.subject_ids,
+    )
+
+
 @pytest.fixture(scope="session")
 def ar1_dataset():
     return simstudy.generate(make_ar1_design(), rep=0)

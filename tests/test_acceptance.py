@@ -2,12 +2,14 @@
 single PASS/FAIL line with the measured quantity.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The Monte Carlo
-criteria (3, 4, 5, 7) take several minutes combined on one core.
+criteria (3, 4, 5, 7) take several minutes combined on one core and are
+marked ``slow``: ``pytest -m "not slow"`` leaves them out.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from blockgmm import gee, simstudy
 from blockgmm.combine import (
@@ -86,6 +88,7 @@ def test_criterion_2_single_block_reduction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_asymptotic_equivalence_trend():
     """The closed-form combined estimator and the iterative GMM minimizer
     must coincide at the sqrt(N) scale: median sqrt(N)*||difference||
@@ -116,6 +119,7 @@ def test_criterion_3_asymptotic_equivalence_trend():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_moderate_scale_ase_ese_pattern():
     """Moderate-scale calibration (N=1000, M=300, J=6, K=2, AR(1) errors
     with sigma=6, rho=0.8): per-component |ASE/ESE - 1| <= 0.15,
@@ -147,6 +151,7 @@ def test_criterion_4_moderate_scale_ase_ese_pattern():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_overid_chi2_calibration():
     """Correctly specified design (J=2, K=2, p=2, N=2000): the
     over-identification statistic must be chi-square calibrated — the
@@ -219,6 +224,7 @@ def test_criterion_6_sensitivity_finite_difference_agreement():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_ase_trends_with_dimension_and_groups():
     """Mean ASE must strictly decrease as the response dimension M grows
     (fixed K) and decrease from K=1 to K=5 (fixed M), on the nested-

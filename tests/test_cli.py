@@ -5,15 +5,20 @@ import pytest
 
 from blockgmm import cli, simstudy
 
-from conftest import make_ar1_design
+from conftest import make_ar1_design, near_unit_root_dataset
 
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     """Small long-format CSV written from a simulated dataset."""
     design = make_ar1_design(N=80, M=8, J=2, K=2, seed=55)
-    data = simstudy.generate(design, 0)
     path = tmp_path_factory.mktemp("data") / "panel.csv"
+    write_panel_csv(simstudy.generate(design, 0), path)
+    return path
+
+
+def write_panel_csv(data, path):
+    """Long-format CSV of a three-covariate dataset, round-trip precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -25,7 +30,6 @@ def data_csv(tmp_path_factory):
                     [sid, t + 1, "%.17g" % data.responses[i, t]]
                     + ["%.17g" % v for v in data.covariates[i, t]]
                 )
-    return path
 
 
 def run(argv):
@@ -117,6 +121,15 @@ class TestFitCommand:
             ["fit", "--config", cfg, "--J", 2, "--K", 2, "--out", out2,
              "--allow-unconverged"]
         ) == 0
+
+    def test_clamped_rho_is_exit_2(self, tmp_path):
+        # the GEE AR(1) moment estimate of rho lands beyond the 0.999 clamp
+        path = tmp_path / "unit-root.csv"
+        write_panel_csv(near_unit_root_dataset(), path)
+        args = ["fit", "--input", path, "--J", 1, "--K", 1, "--method", "gee",
+                "--working", "ar1"]
+        assert run(args + ["--out", tmp_path / "strict"]) == 2
+        assert run(args + ["--out", tmp_path / "lax", "--allow-unconverged"]) == 0
 
     def test_config_file_with_flag_override(self, data_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from blockgmm import composite, partition, simstudy
+from blockgmm.engines import sample_sensitivity
 from blockgmm.errors import NumericDomainError, SolverError
 
 from conftest import make_ar1_design, random_dataset
@@ -32,6 +33,170 @@ def pairwise_loglik(block, theta, sigma2, rho):
             )
             total += ll.mean()
     return total / npairs
+
+
+def pair_loop_scores(block, theta, zeta):
+    """Per-subject averaged pair scores by a loop over all m(m-1)/2 pairs
+    (oracle for the lag-vectorised kernel)."""
+    sigma2, rho = float(zeta[0]), float(zeta[1])
+    n, m, p = block.n, block.m, block.p
+    X = block.design
+    resid = block.y - X @ theta
+    grad_theta = np.zeros((n, p))
+    grad_v = np.zeros(n)
+    grad_rho = np.zeros(n)
+    npairs = m * (m - 1) // 2
+    for r in range(m - 1):
+        a = resid[:, r]
+        xa = X[:, r, :]
+        for t in range(r + 1, m):
+            b = resid[:, t]
+            xb = X[:, t, :]
+            lag = t - r
+            c = rho**lag
+            omc = 1.0 - c * c
+            q = a * a - 2.0 * c * a * b + b * b
+            grad_theta += ((a - c * b)[:, None] * xa + (b - c * a)[:, None] * xb) / (
+                sigma2 * omc
+            )
+            grad_v += -1.0 / sigma2 + q / (2.0 * sigma2 * sigma2 * omc)
+            dc = c / omc + a * b / (sigma2 * omc) - q * c / (sigma2 * omc * omc)
+            grad_rho += dc * lag * rho ** (lag - 1)
+    out = np.empty((n, p + 2))
+    out[:, :p] = grad_theta / npairs
+    out[:, p] = grad_v / npairs
+    out[:, p + 1] = grad_rho / npairs
+    return out
+
+
+def pair_loop_mean_score_u(block, u):
+    """Oracle mean score in u = (theta, log sigma, atanh rho)."""
+    p = block.p
+    sigma = np.exp(u[p])
+    rho = np.tanh(u[p + 1])
+    s = pair_loop_scores(block, u[:p], np.array([sigma * sigma, rho])).mean(axis=0)
+    s[p] *= 2.0 * sigma * sigma
+    s[p + 1] *= 1.0 - rho * rho
+    return s
+
+
+def jacobian_fd(block, u, h=1e-6):
+    """Central-difference Jacobian of the oracle u-scale mean score."""
+    dim = u.size
+    jac = np.empty((dim, dim))
+    for a in range(dim):
+        step = h * max(1.0, abs(u[a]))
+        up, um = u.copy(), u.copy()
+        up[a] += step
+        um[a] -= step
+        jac[:, a] = (
+            pair_loop_mean_score_u(block, up) - pair_loop_mean_score_u(block, um)
+        ) / (2.0 * step)
+    return jac
+
+
+def sensitivity_fd(block, theta, zeta, h=1e-6):
+    """Negative central-difference Jacobian of the oracle mean score on the
+    natural (theta, sigma^2, rho) scale."""
+    params = np.concatenate([theta, zeta])
+    dim = params.size
+    p = block.p
+    sens = np.empty((dim, dim))
+    for a in range(dim):
+        step = h * max(1.0, abs(params[a]))
+        up, um = params.copy(), params.copy()
+        up[a] += step
+        um[a] -= step
+        fp = pair_loop_scores(block, up[:p], up[p:]).mean(axis=0)
+        fm = pair_loop_scores(block, um[:p], um[p:]).mean(axis=0)
+        sens[:, a] = -(fp - fm) / (2.0 * step)
+    return sens
+
+
+def random_cl_blocks(count, seed):
+    """Single blocks of random size, variance and correlation with their
+    pairwise-CL fits (criterion 6's design ranges)."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        design = make_ar1_design(
+            N=int(rng.integers(40, 120)),
+            M=int(rng.integers(4, 12)),
+            J=1,
+            K=1,
+            sigma=float(rng.uniform(0.5, 3.0)),
+            rho=float(rng.uniform(-0.3, 0.7)),
+            seed=seed + trial,
+        )
+        block = one_block(simstudy.generate(design, 0))
+        theta, zeta, converged, _, _ = composite.fit_cl_block(block)
+        assert converged
+        yield block, theta, zeta
+
+
+def relative_error(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
+class TestLagVectorisedKernel:
+    @pytest.mark.parametrize(
+        "M, rho", [(2, 0.45), (7, -0.6), (6, 0.0), (12, 0.93), (9, -0.97)]
+    )
+    def test_scores_match_pair_loop(self, M, rho):
+        data, theta0 = random_dataset(N=35, M=M, p=3, seed=40 + M)
+        block = one_block(data)
+        theta, zeta = theta0 + 0.2, np.array([1.7, rho])
+        expected = pair_loop_scores(block, theta, zeta)
+        assert relative_error(composite.cl_scores(block, theta, zeta), expected) <= 1e-12
+        scores, _ = composite.cl_scores(block, theta, zeta, hessian=True)
+        np.testing.assert_array_equal(scores, composite.cl_scores(block, theta, zeta))
+
+    def test_scores_match_pair_loop_on_every_block_of_a_split(self, ar1_dataset):
+        plan = partition.make_plan(
+            ar1_dataset.M, ar1_dataset.N, 3, 2, strategy="seeded-random", seed=4
+        )
+        blocks = partition.split(ar1_dataset, plan, theta_cols=(0, 2))
+        assert len(blocks) == 6
+        for block in blocks.values():
+            theta, zeta = np.array([0.2, 0.9]), np.array([3.5, 0.45])
+            expected = pair_loop_scores(block, theta, zeta)
+            assert relative_error(composite.cl_scores(block, theta, zeta), expected) <= 1e-12
+
+    def test_hessian_at_rho_zero_is_finite_and_exact(self):
+        data, theta0 = random_dataset(N=40, M=5, p=2, seed=41)
+        block = one_block(data)
+        theta, zeta = theta0 - 0.1, np.array([0.8, 0.0])
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            _, hess = composite.cl_scores(block, theta, zeta, hessian=True)
+        assert relative_error(-hess, sensitivity_fd(block, theta, zeta)) <= 1e-5
+
+    def test_hessian_is_symmetric(self):
+        data, theta0 = random_dataset(N=40, M=8, p=3, seed=42)
+        block = one_block(data)
+        _, hess = composite.cl_scores(block, theta0, np.array([1.1, -0.4]), hessian=True)
+        np.testing.assert_array_equal(hess, hess.T)
+
+
+class TestAnalyticDerivatives:
+    def test_sensitivity_matches_finite_differences_on_random_blocks(self):
+        worst = 0.0
+        for block, theta, zeta in random_cl_blocks(20, seed=640):
+            analytic = sample_sensitivity(block, theta, zeta, "cl-ar1")
+            worst = max(worst, relative_error(analytic, sensitivity_fd(block, theta, zeta)))
+        assert worst <= 1e-5, worst
+
+    def test_newton_jacobian_matches_finite_differences_on_random_blocks(self):
+        rng = np.random.default_rng(660)
+        worst = 0.0
+        for block, theta, zeta in random_cl_blocks(20, seed=660):
+            # away from the root as well, where the reparameterization's
+            # second-derivative terms are non-zero
+            u = np.concatenate(
+                [theta, [0.5 * np.log(zeta[0]), np.arctanh(zeta[1])]]
+            ) + rng.uniform(-0.3, 0.3, block.p + 2)
+            X = block.design
+            _, jac = composite._u_terms(X, block.y, u, composite._lag_gram(X))
+            worst = max(worst, relative_error(jac, jacobian_fd(block, u)))
+        assert worst <= 1e-5, worst
 
 
 class TestClScores:

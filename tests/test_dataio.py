@@ -81,6 +81,19 @@ class TestLoadLongCsv:
         with pytest.raises(DataError, match="covariate"):
             load_long_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,2,nan,1.0,0.0", r"non-finite y = nan at \(subject 2, response 2\)"),
+            ("2,2,4.0,1.0,inf", r"non-finite x_2 = inf at \(subject 2, response 2\)"),
+        ],
+    )
+    def test_non_finite_cell_is_rejected_at_load(self, tmp_path, row, message):
+        path = tmp_path / "data.csv"
+        write_csv(path, ["1,1,1.0,1.0,0.0", "1,2,2.0,1.0,0.0", "2,1,3.0,1.0,0.0", row])
+        with pytest.raises(DataError, match=message):
+            load_long_csv(path)
+
     def test_covariate_columns_sorted_by_numeric_suffix(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(
@@ -107,4 +120,15 @@ class TestDataset:
                 responses=np.zeros((2, 3)),
                 covariates=np.zeros((2, 3, 1)),
                 subject_ids=("a",),
+            )
+
+    def test_first_non_finite_cell_is_named(self):
+        responses = np.zeros((3, 4))
+        responses[2, 0] = -np.inf
+        responses[1, 3] = np.nan
+        with pytest.raises(DataError, match=r"y = nan at \(subject b, response 4\)"):
+            Dataset(
+                responses=responses,
+                covariates=np.ones((3, 4, 2)),
+                subject_ids=("a", "b", "c"),
             )

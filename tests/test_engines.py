@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockgmm import gee, partition
+from blockgmm import composite, gee, partition
 from blockgmm.engines import (
     NuisanceSpec,
     SolverOptions,
@@ -11,7 +11,7 @@ from blockgmm.engines import (
 )
 from blockgmm.errors import SolverError
 
-from conftest import random_dataset
+from conftest import near_unit_root_dataset, random_dataset
 
 
 def one_block(data):
@@ -52,8 +52,8 @@ class TestFitBlock:
         )
 
     def test_theta_theta_subblock_is_symmetric_pd_for_gee(self, kind):
-        if kind.startswith("cl"):
-            pytest.skip("analytic PD guarantee applies to the GEE bread")
+        # GEE: X' R^-1 X / (n sigma^2); CL: sum_pairs X' Sigma_pair^-1 X /
+        # (n sigma^2 npairs); both analytic, exactly symmetric and PD
         data, _ = random_dataset(N=50, M=6, p=3, seed=18)
         fit = fit_block(one_block(data), NuisanceSpec(kind))
         tt = fit.sensitivity[:3, :3]
@@ -119,6 +119,27 @@ class TestSampleSensitivity:
             block, theta0, np.array([1e-16, 0.0]), "gee-ar1"
         )
         assert np.all(np.isfinite(sens))
+
+
+class TestRhoClamp:
+    def test_clamped_gee_fit_is_not_converged(self):
+        fit = fit_block(one_block(near_unit_root_dataset()), NuisanceSpec("gee-ar1"))
+        assert fit.rho_clamped
+        assert fit.zeta_hat[1] == gee.RHO_LIMIT
+        assert not fit.converged
+
+    def test_clamped_cl_fit_is_not_converged(self, monkeypatch):
+        # Newton does not reach a root beyond the clamp on such data, so the
+        # solver's clamped outcome is stubbed: (theta, zeta, converged,
+        # iterations, rho_clamped)
+        def clamped_solution(block, tol, max_iter):
+            theta = np.array([0.5, 1.0, 1.5])
+            return theta, np.array([1.0, composite.RHO_LIMIT]), True, 4, True
+
+        monkeypatch.setattr(composite, "fit_cl_block", clamped_solution)
+        fit = fit_block(one_block(near_unit_root_dataset()), NuisanceSpec("cl-ar1"))
+        assert fit.rho_clamped
+        assert not fit.converged
 
 
 class TestSolverOptions:
