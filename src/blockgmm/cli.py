@@ -14,13 +14,7 @@ import os
 import sys
 
 from . import inference, simstudy
-from .combine import (
-    assemble_vhat,
-    invert_vhat,
-    load_bundle,
-    merge_bundles,
-    save_bundle,
-)
+from .combine import load_bundle, merge_bundles, save_bundle
 from .combine import combine as combine_bundle
 from .dataio import load_long_csv
 from .engines import SolverOptions
@@ -140,9 +134,7 @@ def cmd_fit(args) -> int:
         return 2
 
     fit = combine_bundle(bundle, allow_unconverged=allow_unconverged)
-    vhat = assemble_vhat(bundle)
-    W = invert_vhat(vhat, bundle)
-    overid = inference.overid_test(blocks, bundle, fit, W)
+    overid = inference.overid_test(blocks, bundle, fit, fit.W)
     report = inference.godambe_cov(
         fit, inference.parameter_names(bundle), alpha=alpha
     )

@@ -12,15 +12,18 @@ fits were scheduled.
 from __future__ import annotations
 
 import io
+import re
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .engines import BlockFit
+from .engines import KINDS, BlockFit, NuisanceSpec
 from .errors import CombineError
-from .partition import PartitionPlan, load_plan, save_plan
+from .partition import PartitionPlan, format_plan, parse_plan
 
 # fixed archive member timestamp so bundles are byte-identical across runs
 _EPOCH = (1980, 1, 1, 0, 0, 0)
@@ -151,6 +154,7 @@ class CombinedFit:
     cov: np.ndarray  # (p+d, p+d) = godambe^{-1} / N
     N: int
     p: int
+    W: WeightBlocks | None = None  # the per-group weights the fit combined with
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -373,6 +377,7 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
         cov=cov,
         N=N,
         p=p,
+        W=W,
         diagnostics={
             "information_condition": float(np.linalg.cond(sym)),
             "ridge_repaired": W.ridge_repaired,
@@ -399,18 +404,9 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
 
 def save_bundle(bundle: SummaryBundle, path) -> None:
     """Write a bundle archive: plan + per-block arrays, byte-reproducible."""
-    import tempfile, os
-
     meta_lines = [f"blocks = {len(bundle.fits)}"]
     with zipfile.ZipFile(path, "w") as zf:
-        tmp = tempfile.NamedTemporaryFile("w", suffix=".plan", delete=False)
-        try:
-            tmp.close()
-            save_plan(bundle.plan, tmp.name)
-            with open(tmp.name) as fh:
-                _write_member(zf, "plan.txt", fh.read().encode())
-        finally:
-            os.unlink(tmp.name)
+        _write_member(zf, "plan.txt", format_plan(bundle.plan).encode())
         for (j, k) in sorted(bundle.fits):
             fit = bundle.fits[(j, k)]
             stem = f"block_{j}_{k}"
@@ -428,46 +424,112 @@ def save_bundle(bundle: SummaryBundle, path) -> None:
         _write_member(zf, "meta.txt", "\n".join(meta_lines).encode() + b"\n")
 
 
-def load_bundle(path) -> SummaryBundle:
-    import tempfile, os
+def _read_member(zf: zipfile.ZipFile, path, name: str) -> bytes:
+    try:
+        return zf.read(name)
+    except KeyError:
+        raise CombineError(f"{path}: bundle has no member {name}") from None
+    except (zipfile.BadZipFile, zlib.error) as exc:
+        raise CombineError(f"{path}: member {name} is corrupt ({exc})") from None
 
-    with zipfile.ZipFile(path) as zf:
-        tmp = tempfile.NamedTemporaryFile("wb", suffix=".plan", delete=False)
-        try:
-            tmp.write(zf.read("plan.txt"))
-            tmp.close()
-            plan = load_plan(tmp.name)
-        finally:
-            os.unlink(tmp.name)
+
+def _read_array(zf: zipfile.ZipFile, path, name: str, ndim: int) -> np.ndarray:
+    """A finite float64 array of ``ndim`` dimensions from a .npy member."""
+    try:
+        arr = np.load(io.BytesIO(_read_member(zf, path, name)))
+    # a damaged header reaches np.load's Python tokenizer and literal parser
+    except (ValueError, EOFError, SyntaxError, tokenize.TokenError) as exc:
+        raise CombineError(f"{path}: member {name} is not a .npy array ({exc})") from None
+    if arr.dtype != np.float64 or arr.ndim != ndim:
+        raise CombineError(
+            f"{path}: member {name} is a {arr.ndim}-d {arr.dtype} array, "
+            f"expected {ndim}-d float64"
+        )
+    if not np.isfinite(arr).all():
+        raise CombineError(f"{path}: member {name} holds non-finite values")
+    return arr
+
+
+def _read_block(zf: zipfile.ZipFile, path, stem: str, entry: str | None) -> BlockFit:
+    """One block's fit from its meta.txt entry and its four arrays."""
+    _, j, k = stem.split("_")
+    where = f"{path}: meta.txt entry {stem}"
+    if entry is None:
+        raise CombineError(f"{where} is missing")
+    fields = {}
+    for item in entry.split(" "):
+        key, sep, value = item.partition(":")
+        if not sep:
+            raise CombineError(f"{where} has malformed field {item!r}")
+        fields[key] = value
+    try:
+        kind = fields["kind"]
+        converged, iterations, rho_clamped = (
+            int(fields[name]) for name in ("converged", "iterations", "rho_clamped")
+        )
+        final_norm = float(fields["final_norm"])
+    except KeyError as exc:
+        raise CombineError(f"{where} lacks field {exc}") from None
+    except ValueError as exc:
+        raise CombineError(f"{where}: {exc}") from None
+    if kind not in KINDS:
+        raise CombineError(f"{where} names unknown solver kind {kind!r}")
+
+    theta = _read_array(zf, path, f"{stem}/theta.npy", 1)
+    zeta = _read_array(zf, path, f"{stem}/zeta.npy", 1)
+    scores = _read_array(zf, path, f"{stem}/scores.npy", 2)
+    sensitivity = _read_array(zf, path, f"{stem}/sensitivity.npy", 2)
+    dim = theta.size + zeta.size
+    if zeta.size != NuisanceSpec(kind).d or scores.shape[1] != dim or (
+        sensitivity.shape != (dim, dim)
+    ):
+        raise CombineError(
+            f"{path}: {stem} arrays do not fit a {kind} block: theta "
+            f"{theta.shape}, zeta {zeta.shape}, scores {scores.shape}, "
+            f"sensitivity {sensitivity.shape}"
+        )
+    return BlockFit(
+        j=int(j),
+        k=int(k),
+        kind=kind,
+        theta_hat=theta,
+        zeta_hat=zeta,
+        scores=scores,
+        sensitivity=sensitivity,
+        converged=bool(converged),
+        iterations=iterations,
+        final_norm=final_norm,
+        rho_clamped=bool(rho_clamped),
+    )
+
+
+def load_bundle(path) -> SummaryBundle:
+    """Read a bundle archive written by :func:`save_bundle`.
+
+    A malformed archive, plan, metadata entry or array is a
+    :class:`CombineError` or :class:`PlanError` naming the member.
+    """
+    try:
+        zf = zipfile.ZipFile(path)
+    except zipfile.BadZipFile as exc:
+        raise CombineError(f"{path}: not a bundle archive ({exc})") from None
+    with zf:
+        # undecodable bytes become U+FFFD and then fail the field checks
+        plan_text = _read_member(zf, path, "plan.txt").decode(errors="replace")
+        plan = parse_plan(plan_text, f"{path}: plan.txt")
         meta = {}
-        for line in zf.read("meta.txt").decode().splitlines():
+        for line in _read_member(zf, path, "meta.txt").decode(errors="replace").splitlines():
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
         fits = {}
         for name in zf.namelist():
-            if not name.endswith("/theta.npy"):
+            stem, _, member = name.rpartition("/")
+            if member != "theta.npy":
                 continue
-            stem = name.rsplit("/", 1)[0]
-            _, j, k = stem.split("_")
-            j, k = int(j), int(k)
-            fields = dict(
-                item.split(":", 1) for item in meta[stem].split(" ")
-            )
-            fits[(j, k)] = BlockFit(
-                j=j,
-                k=k,
-                kind=fields["kind"],
-                theta_hat=np.load(io.BytesIO(zf.read(f"{stem}/theta.npy"))),
-                zeta_hat=np.load(io.BytesIO(zf.read(f"{stem}/zeta.npy"))),
-                scores=np.load(io.BytesIO(zf.read(f"{stem}/scores.npy"))),
-                sensitivity=np.load(
-                    io.BytesIO(zf.read(f"{stem}/sensitivity.npy"))
-                ),
-                converged=bool(int(fields["converged"])),
-                iterations=int(fields["iterations"]),
-                final_norm=float(fields["final_norm"]),
-                rho_clamped=bool(int(fields["rho_clamped"])),
-            )
+            if re.fullmatch(r"block_\d+_\d+", stem) is None:
+                raise CombineError(f"{path}: unexpected member {name}")
+            fit = _read_block(zf, path, stem, meta.get(stem))
+            fits[(fit.j, fit.k)] = fit
     return SummaryBundle(plan=plan, fits=fits)
 
 

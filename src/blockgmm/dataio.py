@@ -4,11 +4,18 @@ Input files carry one row per (subject, response index) cell with columns
 ``subject_id,response_index,y,x_1,...,x_q``.  The ingest is order-insensitive:
 rows may arrive in any order, subjects are sorted ascending by id and
 responses by index, and missing or duplicated cells are hard errors.
+
+Accepted dialect: comma-delimited, a header line first, ``"`` quoting as
+the ``csv`` module writes it (doubled quotes inside a quoted field, which
+may hold commas and line breaks), no comment lines (``#`` is an ordinary
+character), blank lines skipped.  Columns outside the schema are ignored.
 """
 
 from __future__ import annotations
 
 import csv
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +75,44 @@ class Dataset:
                 )
 
 
-def _sort_key(ids):
-    """Ascending numeric order when every id parses as an integer,
+def _subject_order(ids) -> np.ndarray:
+    """Positions of distinct, lexicographically sorted ids in subject order:
+    ascending numeric order when every id parses as an integer,
     lexicographic otherwise."""
     try:
-        return sorted(ids, key=int)
-    except (TypeError, ValueError):
-        return sorted(ids, key=str)
+        keys = [int(sid) for sid in ids]
+    except ValueError:
+        return np.arange(len(ids))
+    return np.array(sorted(range(len(ids)), key=keys.__getitem__), dtype=np.intp)
+
+
+def _bad_row(path, exc: ValueError, header: list) -> DataError:
+    """A :class:`DataError` naming the line of the row ``np.loadtxt`` rejected.
+
+    Lines count data rows after the header, blank lines excluded (as
+    ``csv.reader`` counts them).  numpy numbers body rows from 0 in a
+    conversion error and from 1 in a field-count error.
+    """
+    text = str(exc)
+    m = re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", text)
+    if m:
+        return DataError(
+            f"{path}:{int(m[2]) + 2}: non-numeric field {header[int(m[3]) - 1]} = {m[1]}"
+        )
+    m = re.search(r"at row (\d+) with (\d+) columns", text)
+    if m:
+        return DataError(
+            f"{path}:{int(m[1]) + 1}: short row, {m[2]} of {len(header)} fields"
+        )
+    return DataError(f"{path}: unreadable data row ({text})")
 
 
 def load_long_csv(path, schema: dict | None = None) -> Dataset:
     """Read a long-format CSV into a :class:`Dataset`.
 
-    Raises :class:`DataError` on missing cells (incomplete panel),
+    The header is read with ``csv``; the body is parsed in one pass by
+    ``np.loadtxt`` and scattered into the panel by (subject, response)
+    codes.  Raises :class:`DataError` on missing cells (incomplete panel),
     duplicate (subject, response_index) pairs, or non-numeric fields.
     """
     cfg = dict(DEFAULT_SCHEMA)
@@ -90,13 +122,13 @@ def load_long_csv(path, schema: dict | None = None) -> Dataset:
     x_prefix = cfg["x_prefix"]
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise DataError(f"{path}: empty file")
         for col in (sid_col, ridx_col, y_col):
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise DataError(f"{path}: missing required column {col!r}")
-        x_cols = [c for c in reader.fieldnames if c.startswith(x_prefix)]
+        x_cols = [c for c in header if c.startswith(x_prefix)]
         # keep x_1..x_q in numeric suffix order
         try:
             x_cols.sort(key=lambda c: int(c[len(x_prefix):]))
@@ -105,41 +137,61 @@ def load_long_csv(path, schema: dict | None = None) -> Dataset:
         if not x_cols:
             raise DataError(f"{path}: no covariate columns with prefix {x_prefix!r}")
 
-        cells: dict[tuple, tuple] = {}
-        for lineno, row in enumerate(reader, start=2):
-            sid = row[sid_col]
-            try:
-                ridx = int(row[ridx_col])
-                y = float(row[y_col])
-                xs = tuple(float(row[c]) for c in x_cols)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            key = (sid, ridx)
-            if key in cells:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate (subject, response_index) = {key}"
+        # a repeated column name reads its last occurrence, as csv.DictReader does
+        position = {name: i for i, name in enumerate(header)}
+        q = len(x_cols)
+        row_dtype = np.dtype(
+            [("sid", object), ("ridx", np.int64), ("y", np.float64), ("x", np.float64, (q,))]
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(
+                    fh,
+                    dtype=row_dtype,
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    usecols=[position[c] for c in (sid_col, ridx_col, y_col, *x_cols)],
+                    ndmin=1,
                 )
-            cells[key] = (y, xs)
+        except ValueError as exc:
+            raise _bad_row(path, exc, header) from exc
 
-    if not cells:
+    if body.size == 0:
         raise DataError(f"{path}: no data rows")
 
-    subjects = _sort_key({sid for sid, _ in cells})
-    indices = sorted({ridx for _, ridx in cells})
-    q = len(x_cols)
-    N, M = len(subjects), len(indices)
+    # a subject's rows usually arrive together: code each run of equal ids once
+    sid = body["sid"]
+    head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
+    lex_ids, run_code = np.unique(sid[head], return_inverse=True)
+    lex_code = np.repeat(run_code, np.diff(np.r_[head, sid.size]))
+    indices, resp_code = np.unique(body["ridx"], return_inverse=True)
+    order = _subject_order(lex_ids)
+    subjects = lex_ids[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    N, M = subjects.size, indices.size
+
+    cell = rank[lex_code] * M + resp_code
+    counts = np.bincount(cell, minlength=N * M)
+    if counts.max() > 1:
+        by_cell = np.argsort(cell, kind="stable")
+        r = int(by_cell[1:][np.diff(cell[by_cell]) == 0].min())
+        key = (sid[r], int(body["ridx"][r]))
+        raise DataError(f"{path}:{r + 2}: duplicate (subject, response_index) = {key}")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        i, t = divmod(int(missing[0]), M)
+        raise DataError(
+            f"{path}: incomplete panel, missing (subject={subjects[i]}, "
+            f"response_index={indices[t]})"
+        )
 
     responses = np.empty((N, M))
     covariates = np.empty((N, M, q))
-    for i, sid in enumerate(subjects):
-        for t, ridx in enumerate(indices):
-            cell = cells.get((sid, ridx))
-            if cell is None:
-                raise DataError(
-                    f"{path}: incomplete panel, missing (subject={sid}, "
-                    f"response_index={ridx})"
-                )
-            responses[i, t] = cell[0]
-            covariates[i, t, :] = cell[1]
-
-    return Dataset(responses=responses, covariates=covariates, subject_ids=tuple(subjects))
+    responses.reshape(-1)[cell] = body["y"]
+    covariates.reshape(-1, q)[cell] = body["x"]
+    return Dataset(
+        responses=responses, covariates=covariates, subject_ids=tuple(subjects.tolist())
+    )

@@ -179,43 +179,83 @@ def reassemble(blocks: dict, plan: PartitionPlan) -> np.ndarray:
     return out
 
 
-def save_plan(plan: PartitionPlan, path) -> None:
-    """Serialize a plan to a plain-text key-value file."""
-    with open(path, "w") as fh:
-        fh.write(f"J = {plan.J}\n")
-        fh.write(f"K = {plan.K}\n")
-        fh.write(f"seed = {plan.seed}\n")
-        fh.write(f"strategy = {plan.strategy}\n")
-        fh.write(f"block_of_response = {','.join(map(str, plan.block_of_response))}\n")
-        fh.write(f"group_of_subject = {','.join(map(str, plan.group_of_subject))}\n")
+def format_plan(plan: PartitionPlan) -> str:
+    """Plain-text key-value form of a plan."""
+    return (
+        f"J = {plan.J}\n"
+        f"K = {plan.K}\n"
+        f"seed = {plan.seed}\n"
+        f"strategy = {plan.strategy}\n"
+        f"block_of_response = {','.join(map(str, plan.block_of_response))}\n"
+        f"group_of_subject = {','.join(map(str, plan.group_of_subject))}\n"
+    )
 
 
-def load_plan(path) -> PartitionPlan:
+def parse_plan(text: str, source) -> PartitionPlan:
+    """Inverse of :func:`format_plan`; ``source`` names the text in errors.
+
+    Every field must be present and integer-valued where integers are
+    expected, 1 <= J <= M and 1 <= K <= N, and every block and group index
+    must lie in 0..J-1 and 0..K-1.
+    """
     kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    try:
-        J, K = int(kv["J"]), int(kv["K"])
-        seed = int(kv["seed"])
-        strategy = kv["strategy"]
-        block_of_response = np.array([int(v) for v in kv["block_of_response"].split(",")])
-        group_of_subject = np.array([int(v) for v in kv["group_of_subject"].split(",")])
-    except KeyError as exc:
-        raise PlanError(f"{path}: missing plan field {exc}") from exc
-    block_sizes = tuple(int(np.sum(block_of_response == j)) for j in range(J))
-    group_sizes = tuple(int(np.sum(group_of_subject == k)) for k in range(K))
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        kv[key.strip()] = value.strip()
+
+    def integers(name, scalar=False):
+        if name not in kv:
+            raise PlanError(f"{source}: missing plan field {name!r}")
+        try:
+            values = [int(v) for v in kv[name].split(",")]
+        except ValueError:
+            values = []
+        if not values or (scalar and len(values) > 1):
+            what = "an integer" if scalar else "a list of integers"
+            raise PlanError(f"{source}: plan field {name} = {kv[name]!r} is not {what}")
+        return values[0] if scalar else np.array(values)
+
+    J, K, seed = (integers(name, scalar=True) for name in ("J", "K", "seed"))
+    if "strategy" not in kv:
+        raise PlanError(f"{source}: missing plan field 'strategy'")
+    block_of_response = integers("block_of_response")
+    group_of_subject = integers("group_of_subject")
+    if not (1 <= J <= block_of_response.size and 1 <= K <= group_of_subject.size):
+        raise PlanError(
+            f"{source}: J = {J} and K = {K} do not fit {block_of_response.size} "
+            f"responses and {group_of_subject.size} subjects"
+        )
+    for name, index, bound in (
+        ("block_of_response", block_of_response, J),
+        ("group_of_subject", group_of_subject, K),
+    ):
+        bad = (index < 0) | (index >= bound)
+        if bad.any():
+            raise PlanError(
+                f"{source}: {name} holds {index[bad][0]} at position "
+                f"{np.flatnonzero(bad)[0]}, outside 0..{bound - 1}"
+            )
     return PartitionPlan(
         J=J,
         K=K,
-        block_sizes=block_sizes,
-        group_sizes=group_sizes,
+        block_sizes=tuple(int(np.sum(block_of_response == j)) for j in range(J)),
+        group_sizes=tuple(int(np.sum(group_of_subject == k)) for k in range(K)),
         block_of_response=block_of_response,
         group_of_subject=group_of_subject,
-        strategy=strategy,
+        strategy=kv["strategy"],
         seed=seed,
     )
+
+
+def save_plan(plan: PartitionPlan, path) -> None:
+    """Serialize a plan to a plain-text key-value file."""
+    with open(path, "w") as fh:
+        fh.write(format_plan(plan))
+
+
+def load_plan(path) -> PartitionPlan:
+    with open(path) as fh:
+        return parse_plan(fh.read(), path)

@@ -21,7 +21,7 @@ import scipy.stats
 from .dataio import Dataset
 from .engines import NuisanceSpec, SolverOptions, fit_block
 from .errors import BlockGmmError, DataError
-from .combine import SummaryBundle, assemble_vhat, invert_vhat
+from .combine import SummaryBundle
 from .combine import combine as combine_bundle
 from . import inference, partition
 
@@ -223,9 +223,7 @@ def _one_rep(args):
             data, design.J, design.K, design.kind, strategy="contiguous"
         )
         fit = combine_bundle(bundle)
-        vhat = assemble_vhat(bundle)
-        W = invert_vhat(vhat, bundle)
-        stat, df, p_value = inference.overid_test(blocks, bundle, fit, W)
+        stat, df, p_value = inference.overid_test(blocks, bundle, fit, fit.W)
         ase = np.sqrt(np.diag(fit.cov)[: design.p])
         row = {
             "rep": rep,

@@ -2,9 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from blockgmm import simstudy
 from blockgmm.dataio import Dataset
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("blockgmm", derandomize=True, database=None)
+settings.load_profile("blockgmm")
+
+
+def pytest_configure(config):
+    # hypothesis still caches the constants it reads from local modules; keep
+    # that cache in pytest's cache directory rather than in .hypothesis/
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def make_ar1_design(**overrides):

@@ -1,4 +1,6 @@
 import csv
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -242,3 +244,69 @@ class TestCombineCommand:
         save_bundle(split_bundle(load_bundle(out_a / "bundle.zip"))[0], part_a)
         save_bundle(split_bundle(load_bundle(out_b / "bundle.zip"))[1], part_b)
         assert run(["combine", part_a, part_b, "--out", tmp_path / "bad"]) == 1
+
+
+@pytest.fixture(scope="module")
+def fitted_bundle_zip(data_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fit-out")
+    assert run(
+        ["fit", "--input", data_csv, "--J", 2, "--K", 2,
+         "--group-strategy", "contiguous", "--out", out]
+    ) == 0
+    return out / "bundle.zip"
+
+
+def rewrite_member(src, dst, name, edit):
+    """Copy a bundle archive with member ``name`` replaced by ``edit(bytes)``."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            payload = zin.read(info)
+            zout.writestr(info, edit(payload) if info.filename == name else payload)
+
+
+def nan_scores(payload):
+    scores = np.load(io.BytesIO(payload))
+    scores[3, 1] = np.nan
+    buf = io.BytesIO()
+    np.save(buf, scores)
+    return buf.getvalue()
+
+
+def replace_text(old, new):
+    def edit(payload):
+        text = payload.decode()
+        assert old in text
+        return text.replace(old, new, 1).encode()
+
+    return edit
+
+
+class TestTamperedBundles:
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("block_0_0/scores.npy", nan_scores,
+             "member block_0_0/scores.npy holds non-finite values"),
+            ("plan.txt", replace_text("J = 2", "J = two"),
+             "plan.txt: plan field J = 'two' is not an integer"),
+            ("meta.txt", replace_text("kind:gee-ar1", "kind: gee-ar1"),
+             "meta.txt entry block_0_0 has malformed field 'gee-ar1'"),
+            ("plan.txt", replace_text("block_of_response = 0,", "block_of_response = 2,"),
+             "plan.txt: block_of_response holds 2 at position 0, outside 0..1"),
+            ("plan.txt", replace_text("group_of_subject = 0,", "group_of_subject = 5,"),
+             "plan.txt: group_of_subject holds 5 at position 0, outside 0..1"),
+        ],
+        ids=["nan-scores", "non-integer-J", "split-meta-field", "block-index", "group-index"],
+    )
+    def test_combine_rejects_with_exit_1(self, fitted_bundle_zip, tmp_path, capsys,
+                                         name, edit, message):
+        bad = tmp_path / "bad.zip"
+        rewrite_member(fitted_bundle_zip, bad, name, edit)
+        assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_non_archive_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.zip"
+        bad.write_text("not a zip archive\n")
+        assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
+        assert "not a bundle archive" in capsys.readouterr().err

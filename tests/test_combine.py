@@ -1,5 +1,10 @@
+import io
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgmm import simstudy
 from blockgmm.combine import (
@@ -18,7 +23,7 @@ from blockgmm.combine import (
     subset_v,
 )
 from blockgmm.engines import BlockFit
-from blockgmm.errors import CombineError
+from blockgmm.errors import BlockGmmError, CombineError
 from blockgmm.partition import make_plan
 
 from conftest import make_ar1_design
@@ -222,6 +227,14 @@ class TestBuildC:
 
 
 class TestCombine:
+    def test_fit_carries_its_weights(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        rebuilt = invert_vhat(assemble_vhat(bundle), bundle)
+        W = combine(bundle).W
+        assert W.ridge_repaired == rebuilt.ridge_repaired
+        for mine, theirs in zip(W.w + W.vhat, rebuilt.w + rebuilt.vhat):
+            np.testing.assert_array_equal(mine, theirs)
+
     def test_degenerate_single_block(self):
         design = make_ar1_design(N=100, M=8, J=1, K=1)
         data = simstudy.generate(design, 0)
@@ -360,3 +373,33 @@ class TestBundleSerialization:
         part = split_bundle(bundle)[0]
         with pytest.raises(CombineError, match="duplicate"):
             merge_bundles([part, part])
+
+    @pytest.mark.filterwarnings("ignore:Reading `.npy`:UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(member=st.integers(0, 10**6), edit=st.integers(0, 10**6), byte=st.integers(0, 255),
+           mode=st.sampled_from(["overwrite", "truncate", "insert"]))
+    def test_damaged_archive_member_is_a_package_error(self, fitted_bundle, member, edit,
+                                                       byte, mode):
+        bundle, _ = fitted_bundle
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        with zipfile.ZipFile(buf) as zf:
+            members = {info.filename: zf.read(info) for info in zf.infolist()}
+        name = sorted(members)[member % len(members)]
+        payload = bytearray(members[name])
+        pos = edit % len(payload)
+        if mode == "overwrite":
+            payload[pos] = byte
+        elif mode == "truncate":
+            del payload[pos:]
+        else:
+            payload.insert(pos, byte)
+        damaged = io.BytesIO()
+        with zipfile.ZipFile(damaged, "w") as zf:
+            for other, data in members.items():
+                zf.writestr(other, bytes(payload) if other == name else data)
+        damaged.seek(0)
+        try:
+            load_bundle(damaged)
+        except BlockGmmError:
+            pass

@@ -146,6 +146,35 @@ class TestPlanSerialization:
             loaded.group_of_subject, plan.group_of_subject
         )
 
+    def test_file_holds_the_formatted_text(self, tmp_path):
+        plan = partition.make_plan(7, 9, J=2, K=3, strategy="seeded-random", seed=2)
+        path = tmp_path / "plan.txt"
+        partition.save_plan(plan, path)
+        text = path.read_text()
+        assert text == partition.format_plan(plan)
+        again = partition.parse_plan(text, "plan")
+        assert partition.format_plan(again) == text
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("J = 2", "J = two", "J = 'two' is not an integer"),
+            ("K = 3", "K = 1,2", "K = '1,2' is not an integer"),
+            ("block_of_response = 0,", "block_of_response = x,", "is not a list of integers"),
+            ("block_of_response = 0,", "block_of_response = -1,", "holds -1 at position 0"),
+            ("group_of_subject = ", "group_of_subject = 3,", "holds 3 at position 0, outside 0..2"),
+            ("J = 2", "J = 99", "J = 99 and K = 3 do not fit 7 responses"),
+            ("K = 3", "K = 0", "J = 2 and K = 0 do not fit"),
+        ],
+    )
+    def test_malformed_plan_text_is_an_error(self, old, new, message):
+        text = partition.format_plan(
+            partition.make_plan(7, 9, J=2, K=3, strategy="seeded-random", seed=2)
+        )
+        assert old in text
+        with pytest.raises(PlanError, match=message):
+            partition.parse_plan(text.replace(old, new, 1), "plan")
+
     def test_missing_field_is_an_error(self, tmp_path):
         path = tmp_path / "plan.txt"
         path.write_text("J = 2\nK = 1\n")
