@@ -29,7 +29,7 @@ from .errors import (
     PlanError,
     SolverError,
 )
-from .inference import InferenceReport, gmm_oracle, godambe_cov, overid_test
+from .inference import InferenceReport, godambe_cov, overid_test
 from .partition import BlockData, PartitionPlan, make_plan, split
 from .simstudy import SimDesign, SimSummary, fit_dataset, run_replications, summarize
 
@@ -59,7 +59,6 @@ __all__ = [
     "eval_scores",
     "fit_block",
     "fit_dataset",
-    "gmm_oracle",
     "godambe_cov",
     "invert_vhat",
     "load_bundle",

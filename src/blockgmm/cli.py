@@ -52,17 +52,51 @@ def read_config(path) -> dict:
     return cfg
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _ints(raw: str) -> list:
+    return [int(v) for v in raw.split(",")]
+
+
+_EXPECTED = {
+    _bool: "one of 1/0/true/false/yes/no",
+    int: "an integer",
+    float: "a number",
+    _floats: "a comma-separated list of numbers",
+    _ints: "a comma-separated list of integers",
+}
+
+
 def _setting(args, cfg, name, default=None, cast=str):
-    """Flag value if given, else config value, else default."""
+    """Flag value if given, else config value, else default.
+
+    A config value that ``cast`` rejects is a :class:`BlockGmmError`
+    naming the config file, the key and the raw value.
+    """
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in cfg:
-        raw = cfg[name]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
+    if name not in cfg:
+        return default
+    raw = cfg[name]
+    try:
         return cast(raw)
-    return default
+    except ValueError:
+        raise BlockGmmError(
+            f"{args.config}: config key {name} = {raw!r} is not {_EXPECTED[cast]}"
+        ) from None
 
 
 def _write_resolved_config(path, settings: dict) -> None:
@@ -113,9 +147,7 @@ def cmd_fit(args) -> int:
     tol = _setting(args, cfg, "tol", 1e-8, float)
     max_iter = _setting(args, cfg, "max_iter", 100, int)
     out_dir = _setting(args, cfg, "out", "blockgmm-out")
-    allow_unconverged = bool(
-        args.allow_unconverged or _setting(args, cfg, "allow_unconverged", False, bool)
-    )
+    allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
 
     os.makedirs(out_dir, exist_ok=True)
     data = load_long_csv(input_path)
@@ -166,14 +198,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_theta0(raw) -> tuple:
-    if raw is None:
-        return (0.3, 0.6, 0.8)
-    if isinstance(raw, tuple):
-        return raw
-    return tuple(float(v) for v in str(raw).split(","))
-
-
 def cmd_simulate(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     design = simstudy.SimDesign(
@@ -182,7 +206,7 @@ def cmd_simulate(args) -> int:
         M=_setting(args, cfg, "M", 60, int),
         J=_setting(args, cfg, "J", 3, int),
         K=_setting(args, cfg, "K", 2, int),
-        theta0=_parse_theta0(_setting(args, cfg, "theta0")),
+        theta0=_setting(args, cfg, "theta0", (0.3, 0.6, 0.8), _floats),
         sigma=_setting(args, cfg, "sigma", 4.0, float),
         rho=_setting(args, cfg, "rho", 0.8, float),
         method=_setting(args, cfg, "method", "gee"),
@@ -244,15 +268,10 @@ def cmd_simulate(args) -> int:
         ],
     )
 
-    m_list = _setting(args, cfg, "M_list")
-    k_list = _setting(args, cfg, "K_list")
+    m_list = _setting(args, cfg, "M_list", cast=_ints)
+    k_list = _setting(args, cfg, "K_list", cast=_ints)
     if m_list and k_list:
-        grid = simstudy.grid_plot_data(
-            design,
-            [int(v) for v in str(m_list).split(",")],
-            [int(v) for v in str(k_list).split(",")],
-            workers=workers,
-        )
+        grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers)
         _write_csv(
             os.path.join(out_dir, "plotdata.csv"),
             ["M", "K", "component", "ase", "ese", "rmse", "bias", "coverage"],
@@ -301,9 +320,7 @@ def cmd_combine(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     alpha = _setting(args, cfg, "alpha", 0.05, float)
     out_dir = _setting(args, cfg, "out", "blockgmm-combined")
-    allow_unconverged = bool(
-        args.allow_unconverged or _setting(args, cfg, "allow_unconverged", False, bool)
-    )
+    allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
     os.makedirs(out_dir, exist_ok=True)
 
     parts = [load_bundle(path) for path in args.bundles]
@@ -361,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="group_strategy",
         choices=("contiguous", "seeded-random"),
     )
-    fit.add_argument("--allow-unconverged", action="store_true")
+    # default None: an absent flag falls through to the config file
+    fit.add_argument("--allow-unconverged", action="store_true", default=None)
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser(
@@ -375,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--rho", type=float)
-    sim.add_argument("--theta0", help="comma-separated true coefficients")
+    sim.add_argument("--theta0", type=_floats, help="comma-separated true coefficients")
     sim.set_defaults(func=cmd_simulate)
 
     comb = sub.add_parser(
         "combine", parents=[common], help="merge saved bundles and combine"
     )
     comb.add_argument("bundles", nargs="+", help="bundle archive paths")
-    comb.add_argument("--allow-unconverged", action="store_true")
+    comb.add_argument("--allow-unconverged", action="store_true", default=None)
     comb.set_defaults(func=cmd_combine)
     return parser
 

@@ -1,12 +1,25 @@
 """Closed-form combination of block fits.
 
 The per-subject scores of the JK blocks are stacked group-wise into an
-empirical covariance V_hat (exactly block-diagonal over subject groups),
-inverted per group, and contracted with the block sensitivities into the
-C matrices whose weighted sum gives both the combined estimator and its
-information matrix.  All reductions run in a fixed (k-major, i-minor)
-order so results are bitwise reproducible regardless of how the block
-fits were scheduled.
+empirical covariance V_hat (exactly block-diagonal over subject groups)
+and inverted per group into the weights W_k.  Group k contributes the
+information I_k = S_k' W_k S_k and the right-hand side r_k = S_k' W_k v_k,
+where S_k stacks the group's block sensitivities over the parameter
+(theta, zeta_1k .. zeta_Jk) and v_k stacks each block's S_(j,k) applied
+to its own estimates.  I_k is the sum over i of the combination matrices
+C_{k,i} with the columns of other groups' nuisance parameters, which are
+zero, dropped.
+
+The combined information is therefore block-arrowhead: a dense theta
+row and column plus one nuisance block D_k per group, with no
+cross-group nuisance terms.  Each D_k is eliminated by Cholesky, the
+p x p theta Schur complement is solved for theta, and each group's zeta
+is back-substituted.  The theta covariance is N times the inverse Schur
+complement; the nuisance variances come per group from the diagonal of
+D_k^{-1} + D_k^{-1} B_k' Schur^{-1} B_k D_k^{-1}.  No (p+d) x (p+d)
+matrix is formed, so the cost is linear in K.  All reductions run in a
+fixed (k-major, j-minor) order so results are bitwise reproducible
+regardless of how the block fits were scheduled.
 """
 
 from __future__ import annotations
@@ -48,33 +61,9 @@ class SummaryBundle:
     def K(self) -> int:
         return self.plan.K
 
-    def d_jk(self, j: int, k: int) -> int:
-        return self.fits[(j, k)].d
-
-    def d_k(self, k: int) -> int:
-        return sum(self.d_jk(j, k) for j in range(self.J))
-
     @property
     def d(self) -> int:
-        return sum(self.d_k(k) for k in range(self.K))
-
-    def group_offset(self, k: int) -> int:
-        """Nuisance rows/columns consumed by groups before k (D^k)."""
-        return sum(self.d_k(l) for l in range(k))
-
-    def zeta_offset(self, j: int, k: int) -> int:
-        """Offset of zeta_jk in the global nuisance vector (D^{jk}),
-        ordered j-fast, k-slow."""
-        return self.group_offset(k) + sum(self.d_jk(l, k) for l in range(j))
-
-    def zeta_list(self) -> np.ndarray:
-        """All block nuisance estimates stacked j-fast, k-slow."""
-        parts = [
-            self.fits[(j, k)].zeta_hat
-            for k in range(self.K)
-            for j in range(self.J)
-        ]
-        return np.concatenate(parts)
+        return sum(fit.d for fit in self.fits.values())
 
     def validate(self, allow_unconverged: bool = False) -> None:
         expected = {(j, k) for k in range(self.K) for j in range(self.J)}
@@ -111,47 +100,17 @@ class WeightBlocks:
 
     p: int
     J: int
-    d_jk: dict  # (j, k) -> nuisance dimension
     vhat: tuple  # per-group V_k, each (Jp + d_k, Jp + d_k)
     w: tuple  # per-group W_k = V_k^{-1}
     ridge_repaired: tuple  # per-group flag
-
-    def _g_off(self, j: int, k: int) -> int:
-        return self.J * self.p + sum(self.d_jk[(l, k)] for l in range(j))
-
-    def psipsi(self, i: int, j: int, k: int) -> np.ndarray:
-        p = self.p
-        return self.w[k][i * p : (i + 1) * p, j * p : (j + 1) * p]
-
-    def psig(self, i: int, j: int, k: int) -> np.ndarray:
-        p = self.p
-        off = self._g_off(j, k)
-        return self.w[k][i * p : (i + 1) * p, off : off + self.d_jk[(j, k)]]
-
-    def gg(self, i: int, j: int, k: int) -> np.ndarray:
-        oi, oj = self._g_off(i, k), self._g_off(j, k)
-        return self.w[k][
-            oi : oi + self.d_jk[(i, k)], oj : oj + self.d_jk[(j, k)]
-        ]
-
-
-def subset_v(W: WeightBlocks, i: int, j: int, k: int, kind: str) -> np.ndarray:
-    """Submatrix of W_k for block pair (i, j) of group k."""
-    if kind == "psipsi":
-        return W.psipsi(i, j, k)
-    if kind == "psig":
-        return W.psig(i, j, k)
-    if kind == "gg":
-        return W.gg(i, j, k)
-    raise CombineError(f"unknown subset kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class CombinedFit:
     theta: np.ndarray  # (p,)
     zeta: np.ndarray  # (d,) combined nuisance, j-fast k-slow block order
-    godambe: np.ndarray  # (p+d, p+d) information matrix
-    cov: np.ndarray  # (p+d, p+d) = godambe^{-1} / N
+    cov_theta: np.ndarray  # (p, p) covariance of theta
+    variances: np.ndarray  # (p + d,) variances of (theta, zeta)
     N: int
     p: int
     W: WeightBlocks | None = None  # the per-group weights the fit combined with
@@ -205,181 +164,110 @@ def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> WeightBlocks:
     return WeightBlocks(
         p=bundle.p,
         J=bundle.J,
-        d_jk={key: fit.d for key, fit in bundle.fits.items()},
         vhat=tuple(vhat),
         w=tuple(w),
         ridge_repaired=tuple(repaired),
     )
 
 
-def _sens_parts(fit: BlockFit):
-    """Split the block sensitivity into its four sub-blocks.
+def build_C(bundle: SummaryBundle, W: WeightBlocks, k: int):
+    """Group k's information I_k = S_k' W_k S_k and right-hand side
+    r_k = S_k' W_k v_k.
 
-    Rows of the sensitivity follow the score layout (psi rows first),
-    columns the parameter layout (theta first).
+    S_k is (Jp + d_k) x (p + d_k): rows follow the :func:`group_scores`
+    layout (the psi rows of blocks 1..J, then their g rows), columns the
+    group's parameter (theta, zeta_1k .. zeta_Jk).  v_k stacks each
+    block's S_(j,k) (theta_hat_j, zeta_hat_j) in the same row layout.
+    I_k equals sum_i C_{k,i} without the all-zero columns of other groups.
     """
-    p = fit.p
-    s = fit.sensitivity
-    return (
-        s[:p, :p],  # S^theta_psi
-        s[:p, p:],  # S^zeta_psi
-        s[p:, :p],  # S^theta_g
-        s[p:, p:],  # S^zeta_g
-    )
+    p, J = bundle.p, bundle.J
+    fits = [bundle.fits[(j, k)] for j in range(J)]
+    d_k = sum(fit.d for fit in fits)
+    s = np.zeros((J * p + d_k, p + d_k))
+    v = np.empty(J * p + d_k)
+    off = 0  # offset of block j's g rows after the psi rows, and of its zeta columns
+    for j, fit in enumerate(fits):
+        sens, d = fit.sensitivity, fit.d
+        image = sens @ np.concatenate([fit.theta_hat, fit.zeta_hat])
+        psi = slice(j * p, (j + 1) * p)
+        g = slice(J * p + off, J * p + off + d)
+        zeta = slice(p + off, p + off + d)
+        s[psi, :p], s[psi, zeta], v[psi] = sens[:p, :p], sens[:p, p:], image[:p]
+        s[g, :p], s[g, zeta], v[g] = sens[p:, :p], sens[p:, p:], image[p:]
+        off += d
+    sw = s.T @ W.w[k]
+    return sw @ s, sw @ v
 
 
-def build_AB(bundle: SummaryBundle, W: WeightBlocks, k: int, i: int, j: int):
-    """Sensitivity-weighted cross terms between blocks i and j of group k.
-
-    Returns (A_theta, A_zeta, B_theta, B_zeta) with shapes
-    (p,p), (p,d_ik), (d_jk,p), (d_jk,d_ik).
-    """
-    s_psi_th_i, s_psi_ze_i, s_g_th_i, s_g_ze_i = _sens_parts(bundle.fits[(i, k)])
-    s_psi_th_j, s_psi_ze_j, s_g_th_j, s_g_ze_j = _sens_parts(bundle.fits[(j, k)])
-
-    v_psi = W.psipsi(j, i, k)  # [Vhat^psi]_{ji:k}
-    v_psig_T = W.psig(i, j, k).T  # [Vhat^{psi g T}]_{ji:k}
-    v_psig = W.psig(j, i, k)  # [Vhat^{psi g}]_{ji:k}
-    v_g = W.gg(j, i, k)  # [Vhat^g]_{ji:k}
-
-    left_psi_A = s_psi_th_j.T @ v_psi + s_g_th_j.T @ v_psig_T  # (p, p)
-    left_g_A = s_psi_th_j.T @ v_psig + s_g_th_j.T @ v_g  # (p, d_ik)
-    a_theta = left_psi_A @ s_psi_th_i + left_g_A @ s_g_th_i
-    a_zeta = left_psi_A @ s_psi_ze_i + left_g_A @ s_g_ze_i
-
-    left_psi_B = s_psi_ze_j.T @ v_psi + s_g_ze_j.T @ v_psig_T  # (d_jk, p)
-    left_g_B = s_psi_ze_j.T @ v_psig + s_g_ze_j.T @ v_g  # (d_jk, d_ik)
-    b_theta = left_psi_B @ s_psi_th_i + left_g_B @ s_g_th_i
-    b_zeta = left_psi_B @ s_psi_ze_i + left_g_B @ s_g_ze_i
-    return a_theta, a_zeta, b_theta, b_zeta
-
-
-def build_C(bundle: SummaryBundle, W: WeightBlocks, k: int, i: int):
-    """Zero-padded combination matrix for block (i, k) and its condensed form.
-
-    Returns (C, C_star): C is (p+d)x(p+d) with nonzero columns only at the
-    theta positions and the zeta positions of block (i, k); C_star drops
-    the zero columns, keeping (p + d_ik) columns.
-    """
-    p, d = bundle.p, bundle.d
-    d_ik = bundle.d_jk(i, k)
-    off_i = p + bundle.zeta_offset(i, k)
-
-    c = np.zeros((p + d, p + d))
-    a_theta_sum = np.zeros((p, p))
-    a_zeta_sum = np.zeros((p, d_ik))
-    for j in range(bundle.J):
-        a_theta, a_zeta, b_theta, b_zeta = build_AB(bundle, W, k, i, j)
-        a_theta_sum += a_theta
-        a_zeta_sum += a_zeta
-        row = p + bundle.zeta_offset(j, k)
-        d_jk = bundle.d_jk(j, k)
-        c[row : row + d_jk, :p] = b_theta
-        c[row : row + d_jk, off_i : off_i + d_ik] = b_zeta
-    c[:p, :p] = a_theta_sum
-    c[:p, off_i : off_i + d_ik] = a_zeta_sum
-
-    keep = list(range(p)) + list(range(off_i, off_i + d_ik))
-    c_star = c[:, keep].copy()
-    return c, c_star
-
-
-def combined_information(bundle: SummaryBundle, W: WeightBlocks) -> np.ndarray:
-    """(1/N^2) sum_k sum_i n_k^2 C_{k,i}, in fixed k-major i-minor order."""
-    N = bundle.plan.N
-    total = np.zeros((bundle.p + bundle.d, bundle.p + bundle.d))
-    for k in range(bundle.K):
-        nk2 = float(bundle.plan.group_sizes[k]) ** 2
-        for i in range(bundle.J):
-            c, _ = build_C(bundle, W, k, i)
-            total += nk2 * c
-    return total / (N * N)
-
-
-def stacked_sensitivity(bundle: SummaryBundle) -> np.ndarray:
-    """Dense weighted sensitivity: rows follow the group score stacking,
-    columns the combined parameter (theta, zeta_list)."""
-    p, d, J = bundle.p, bundle.d, bundle.J
-    N = bundle.plan.N
-    n_rows = sum(J * p + bundle.d_k(k) for k in range(bundle.K))
-    s = np.zeros((n_rows, p + d))
-    row = 0
-    for k in range(bundle.K):
-        wk = bundle.plan.group_sizes[k] / N
-        psi_base = row
-        g_base = row + J * p
-        for j in range(J):
-            fit = bundle.fits[(j, k)]
-            s_psi_th, s_psi_ze, s_g_th, s_g_ze = _sens_parts(fit)
-            col = p + bundle.zeta_offset(j, k)
-            r = psi_base + j * p
-            s[r : r + p, :p] = wk * s_psi_th
-            s[r : r + p, col : col + fit.d] = wk * s_psi_ze
-            r = g_base + sum(bundle.d_jk(l, k) for l in range(j))
-            s[r : r + fit.d, :p] = wk * s_g_th
-            s[r : r + fit.d, col : col + fit.d] = wk * s_g_ze
-        row += J * p + bundle.d_k(k)
-    return s
-
-
-def godambe_direct(bundle: SummaryBundle, W: WeightBlocks) -> np.ndarray:
-    """S' W S computed densely — cross-check for combined_information."""
-    s = stacked_sensitivity(bundle)
-    total = np.zeros((s.shape[1], s.shape[1]))
-    row = 0
-    for k in range(bundle.K):
-        dim = W.w[k].shape[0]
-        sk = s[row : row + dim, :]
-        total += sk.T @ W.w[k] @ sk
-        row += dim
-    return total
+def _condition(sym: np.ndarray) -> float:
+    """2-norm condition number of a symmetric positive definite matrix."""
+    if sym.size == 0:
+        return 1.0
+    eig = scipy.linalg.eigvalsh(sym)
+    return float(eig[-1] / eig[0])
 
 
 def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedFit:
-    """Closed-form combined estimator and Godambe information."""
+    """Closed-form combined estimator and its covariance, by eliminating
+    each group's nuisance block from the block-arrowhead information."""
     bundle.validate(allow_unconverged=allow_unconverged)
-    vhat = assemble_vhat(bundle)
-    W = invert_vhat(vhat, bundle)
-    p, d = bundle.p, bundle.d
-    N = bundle.plan.N
+    W = invert_vhat(assemble_vhat(bundle), bundle)
+    p, N = bundle.p, bundle.plan.N
 
-    total = np.zeros((p + d, p + d))
-    rhs = np.zeros(p + d)
-    zeta_list = bundle.zeta_list()
+    schur = np.zeros((p, p))
+    rhs = np.zeros(p)
+    groups = []
     for k in range(bundle.K):
+        info, r = build_C(bundle, W, k)
         nk2 = float(bundle.plan.group_sizes[k]) ** 2
-        for i in range(bundle.J):
-            c, _ = build_C(bundle, W, k, i)
-            point = np.concatenate([bundle.fits[(i, k)].theta_hat, zeta_list])
-            total += nk2 * c
-            rhs += nk2 * (c @ point)
+        info = nk2 * (0.5 * (info + info.T))
+        r = nk2 * r
+        b, nuisance = info[:p, p:], info[p:, p:]
+        try:
+            cho = scipy.linalg.cho_factor(nuisance)
+        except scipy.linalg.LinAlgError:
+            raise CombineError(
+                f"combined information is singular: the nuisance block of "
+                f"group {k} is not positive definite (its block sensitivities "
+                "do not identify its nuisance parameters)"
+            ) from None
+        dinv_bt = scipy.linalg.cho_solve(cho, b.T)  # D_k^{-1} B_k'
+        dinv_r = scipy.linalg.cho_solve(cho, r[p:])
+        schur += info[:p, :p] - b @ dinv_bt
+        rhs += r[:p] - b @ dinv_r
+        groups.append((nuisance, cho, dinv_bt, dinv_r))
 
-    sym = 0.5 * (total + total.T)
+    schur = 0.5 * (schur + schur.T)
     try:
-        cho = scipy.linalg.cho_factor(sym)
-    except scipy.linalg.LinAlgError as exc:
-        conds = {
-            key: float(np.linalg.cond(fit.sensitivity))
-            for key, fit in bundle.fits.items()
-        }
+        cho = scipy.linalg.cho_factor(schur)
+    except scipy.linalg.LinAlgError:
         raise CombineError(
-            f"combined information is singular; block sensitivity condition "
-            f"numbers: {conds}"
-        ) from exc
-    est = scipy.linalg.cho_solve(cho, rhs)
-    godambe = sym / (N * N)
-    cov = scipy.linalg.cho_solve(cho, np.eye(p + d)) * N
+            "combined information is singular: the theta Schur complement "
+            "is not positive definite (the block sensitivities do not "
+            "identify theta)"
+        ) from None
+    theta = scipy.linalg.cho_solve(cho, rhs)
+    schur_inv = scipy.linalg.cho_solve(cho, np.eye(p))
+
+    zeta, variances = [], [np.diag(schur_inv)]
+    for nuisance, cho_k, dinv_bt, dinv_r in groups:
+        zeta.append(dinv_r - dinv_bt @ theta)
+        dinv = scipy.linalg.cho_solve(cho_k, np.eye(nuisance.shape[0]))
+        variances.append(
+            np.diag(dinv) + np.einsum("ia,ab,ib->i", dinv_bt, schur_inv, dinv_bt)
+        )
 
     return CombinedFit(
-        theta=est[:p],
-        zeta=est[p:],
-        godambe=godambe,
-        cov=cov,
+        theta=theta,
+        zeta=np.concatenate(zeta),
+        cov_theta=N * schur_inv,
+        variances=N * np.concatenate(variances),
         N=N,
         p=p,
         W=W,
         diagnostics={
-            "information_condition": float(np.linalg.cond(sym)),
+            "theta_schur_condition": _condition(schur),
+            "nuisance_condition": tuple(_condition(g[0]) for g in groups),
             "ridge_repaired": W.ridge_repaired,
             "plan_seed": bundle.plan.seed,
         },

@@ -1,6 +1,5 @@
-"""Sandwich standard errors, confidence intervals, the over-identifying
-restrictions chi-square test, and a numeric GMM minimizer used as a
-verification oracle for the closed-form combiner.
+"""Sandwich standard errors, confidence intervals and the
+over-identifying restrictions chi-square test.
 """
 
 from __future__ import annotations
@@ -8,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.stats
 
 from .combine import CombinedFit, SummaryBundle, WeightBlocks
@@ -55,7 +53,7 @@ def parameter_names(bundle: SummaryBundle) -> tuple:
 
 def godambe_cov(fit: CombinedFit, names: tuple, alpha: float = 0.05) -> InferenceReport:
     """Per-parameter sandwich standard errors, Wald z, and normal CIs."""
-    variances = np.diag(fit.cov)
+    variances = fit.variances
     if np.any(variances <= 0):
         raise CombineError("non-positive variance on the covariance diagonal")
     est = np.concatenate([fit.theta, fit.zeta])
@@ -79,13 +77,14 @@ def _stacked_estfun(blocks: dict, bundle: SummaryBundle, theta, zeta_list):
     """T_N at arbitrary parameters: per-group (n_k/N)-weighted stacked means."""
     N = bundle.plan.N
     parts = []
+    off = 0  # offset of zeta_jk in zeta_list, which runs j-fast, k-slow
     for k in range(bundle.K):
         wk = bundle.plan.group_sizes[k] / N
         psi_means, g_means = [], []
         for j in range(bundle.J):
             fit = bundle.fits[(j, k)]
-            off = bundle.zeta_offset(j, k)
             zeta = zeta_list[off : off + fit.d]
+            off += fit.d
             scores = eval_scores(blocks[(j, k)], theta, zeta, fit.kind)
             mean = scores.mean(axis=0)
             psi_means.append(mean[: bundle.p])
@@ -111,65 +110,3 @@ def overid_test(
     df = (bundle.J * bundle.K - 1) * bundle.p
     p_value = float(scipy.stats.chi2.sf(stat, df)) if df > 0 else None
     return stat, df, p_value
-
-
-def _objective(blocks, bundle, W, theta, zeta_list):
-    parts = _stacked_estfun(blocks, bundle, theta, zeta_list)
-    return sum(float(tk @ W.w[k] @ tk) for k, tk in enumerate(parts))
-
-
-def gmm_oracle(
-    blocks: dict,
-    bundle: SummaryBundle,
-    W: WeightBlocks,
-    init_theta,
-    init_zeta,
-    gtol: float = 1e-7,
-):
-    """Numeric minimizer of Q_N = T_N' W T_N over all parameters.
-
-    Optimizes on the unconstrained scale (theta, log sigma, atanh rho per
-    block) starting from the supplied point.  Returns
-    (theta_opt, zeta_opt, success_flag).
-    """
-    p = bundle.p
-    order = [(j, k) for k in range(bundle.K) for j in range(bundle.J)]
-
-    def pack(theta, zeta_list):
-        u = [np.asarray(theta, dtype=float)]
-        for j, k in order:
-            fit = bundle.fits[(j, k)]
-            off = bundle.zeta_offset(j, k)
-            zeta = zeta_list[off : off + fit.d]
-            chunk = [0.5 * np.log(zeta[0])]
-            if fit.d > 1:
-                chunk.append(np.arctanh(np.clip(zeta[1], -0.999, 0.999)))
-            u.append(np.asarray(chunk))
-        return np.concatenate(u)
-
-    def unpack(u):
-        theta = u[:p]
-        zeta_parts = []
-        pos = p
-        for j, k in order:
-            fit = bundle.fits[(j, k)]
-            sigma2 = np.exp(2.0 * u[pos])
-            pos += 1
-            if fit.d > 1:
-                zeta_parts.extend([sigma2, np.tanh(u[pos])])
-                pos += 1
-            else:
-                zeta_parts.append(sigma2)
-        return theta, np.array(zeta_parts)
-
-    def fun(u):
-        theta, zeta_list = unpack(u)
-        return _objective(blocks, bundle, W, theta, zeta_list)
-
-    u0 = pack(init_theta, np.asarray(init_zeta, dtype=float))
-    res = scipy.optimize.minimize(
-        fun, u0, method="BFGS", options={"gtol": gtol, "maxiter": 500}
-    )
-    best = res.x if res.fun <= fun(u0) else u0
-    theta_opt, zeta_opt = unpack(best)
-    return theta_opt, zeta_opt, bool(res.success)

@@ -171,14 +171,6 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
     return blocks
 
 
-def reassemble(blocks: dict, plan: PartitionPlan) -> np.ndarray:
-    """Inverse of :func:`split` on the response matrix (round-trip check)."""
-    out = np.empty((plan.N, plan.M))
-    for (j, k), block in blocks.items():
-        out[np.ix_(plan.subject_indices(k), plan.response_indices(j))] = block.y
-    return out
-
-
 def format_plan(plan: PartitionPlan) -> str:
     """Plain-text key-value form of a plan."""
     return (
@@ -248,14 +240,3 @@ def parse_plan(text: str, source) -> PartitionPlan:
         strategy=kv["strategy"],
         seed=seed,
     )
-
-
-def save_plan(plan: PartitionPlan, path) -> None:
-    """Serialize a plan to a plain-text key-value file."""
-    with open(path, "w") as fh:
-        fh.write(format_plan(plan))
-
-
-def load_plan(path) -> PartitionPlan:
-    with open(path) as fh:
-        return parse_plan(fh.read(), path)

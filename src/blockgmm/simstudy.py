@@ -224,7 +224,7 @@ def _one_rep(args):
         )
         fit = combine_bundle(bundle)
         stat, df, p_value = inference.overid_test(blocks, bundle, fit, fit.W)
-        ase = np.sqrt(np.diag(fit.cov)[: design.p])
+        ase = np.sqrt(fit.variances[: design.p])
         row = {
             "rep": rep,
             "ok": 1,

@@ -1,0 +1,283 @@
+"""Dense and iterative verification oracles for the test suite.
+
+The arrowhead combiner in ``blockgmm.combine`` never forms a
+(p+d) x (p+d) matrix.  The oracles here do: they build every zero-padded
+combination matrix C_{k,i}, sum them into the full information, and solve
+the dense system, so the production solve can be checked against the
+combination identity and against a plain dense computation.  The numeric
+GMM minimizer and the plan/split helpers that only tests use live here too.
+"""
+
+import numpy as np
+import scipy.linalg
+import scipy.optimize
+
+from blockgmm.combine import assemble_vhat, invert_vhat
+from blockgmm.combine import build_C as group_information
+from blockgmm.inference import _stacked_estfun
+from blockgmm.partition import format_plan, parse_plan
+
+
+# ---------------------------------------------------------------------------
+# nuisance offsets in the global parameter (theta, zeta_list), j-fast k-slow
+
+
+def group_offset(bundle, k):
+    """Nuisance rows/columns consumed by groups before k."""
+    return sum(bundle.fits[(j, l)].d for l in range(k) for j in range(bundle.J))
+
+
+def zeta_offset(bundle, j, k):
+    """Offset of zeta_jk in the global nuisance vector."""
+    return group_offset(bundle, k) + sum(bundle.fits[(l, k)].d for l in range(j))
+
+
+def zeta_list(bundle):
+    """All block nuisance estimates stacked j-fast, k-slow."""
+    return np.concatenate(
+        [bundle.fits[(j, k)].zeta_hat for k in range(bundle.K) for j in range(bundle.J)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# the dense C-matrix sum
+
+
+def subset_v(bundle, W, i, j, k, kind):
+    """Submatrix of W_k for block pair (i, j) of group k."""
+    p, J = bundle.p, bundle.J
+
+    def g_off(b):
+        return J * p + sum(bundle.fits[(l, k)].d for l in range(b))
+
+    if kind == "psipsi":
+        return W.w[k][i * p : (i + 1) * p, j * p : (j + 1) * p]
+    if kind == "psig":
+        off = g_off(j)
+        return W.w[k][i * p : (i + 1) * p, off : off + bundle.fits[(j, k)].d]
+    if kind == "gg":
+        oi, oj = g_off(i), g_off(j)
+        return W.w[k][oi : oi + bundle.fits[(i, k)].d, oj : oj + bundle.fits[(j, k)].d]
+    raise ValueError(f"unknown subset kind {kind!r}")
+
+
+def sens_parts(fit):
+    """(S^theta_psi, S^zeta_psi, S^theta_g, S^zeta_g) of one block."""
+    p, s = fit.p, fit.sensitivity
+    return s[:p, :p], s[:p, p:], s[p:, :p], s[p:, p:]
+
+
+def build_AB(bundle, W, k, i, j):
+    """Sensitivity-weighted cross terms between blocks i and j of group k:
+    (A_theta, A_zeta, B_theta, B_zeta) with shapes (p,p), (p,d_ik),
+    (d_jk,p), (d_jk,d_ik)."""
+    s_psi_th_i, s_psi_ze_i, s_g_th_i, s_g_ze_i = sens_parts(bundle.fits[(i, k)])
+    s_psi_th_j, s_psi_ze_j, s_g_th_j, s_g_ze_j = sens_parts(bundle.fits[(j, k)])
+
+    v_psi = subset_v(bundle, W, j, i, k, "psipsi")
+    v_psig_T = subset_v(bundle, W, i, j, k, "psig").T
+    v_psig = subset_v(bundle, W, j, i, k, "psig")
+    v_g = subset_v(bundle, W, j, i, k, "gg")
+
+    left_psi_A = s_psi_th_j.T @ v_psi + s_g_th_j.T @ v_psig_T
+    left_g_A = s_psi_th_j.T @ v_psig + s_g_th_j.T @ v_g
+    a_theta = left_psi_A @ s_psi_th_i + left_g_A @ s_g_th_i
+    a_zeta = left_psi_A @ s_psi_ze_i + left_g_A @ s_g_ze_i
+
+    left_psi_B = s_psi_ze_j.T @ v_psi + s_g_ze_j.T @ v_psig_T
+    left_g_B = s_psi_ze_j.T @ v_psig + s_g_ze_j.T @ v_g
+    b_theta = left_psi_B @ s_psi_th_i + left_g_B @ s_g_th_i
+    b_zeta = left_psi_B @ s_psi_ze_i + left_g_B @ s_g_ze_i
+    return a_theta, a_zeta, b_theta, b_zeta
+
+
+def build_C(bundle, W, k, i):
+    """Zero-padded (p+d) x (p+d) combination matrix of block (i, k) and its
+    condensed form keeping the theta and zeta_ik columns."""
+    p, d = bundle.p, bundle.d
+    d_ik = bundle.fits[(i, k)].d
+    off_i = p + zeta_offset(bundle, i, k)
+
+    c = np.zeros((p + d, p + d))
+    a_theta_sum = np.zeros((p, p))
+    a_zeta_sum = np.zeros((p, d_ik))
+    for j in range(bundle.J):
+        a_theta, a_zeta, b_theta, b_zeta = build_AB(bundle, W, k, i, j)
+        a_theta_sum += a_theta
+        a_zeta_sum += a_zeta
+        row = p + zeta_offset(bundle, j, k)
+        d_jk = bundle.fits[(j, k)].d
+        c[row : row + d_jk, :p] = b_theta
+        c[row : row + d_jk, off_i : off_i + d_ik] = b_zeta
+    c[:p, :p] = a_theta_sum
+    c[:p, off_i : off_i + d_ik] = a_zeta_sum
+
+    keep = list(range(p)) + list(range(off_i, off_i + d_ik))
+    return c, c[:, keep].copy()
+
+
+def combined_information(bundle, W):
+    """(1/N^2) sum_k sum_i n_k^2 C_{k,i}, in fixed k-major i-minor order."""
+    N = bundle.plan.N
+    total = np.zeros((bundle.p + bundle.d, bundle.p + bundle.d))
+    for k in range(bundle.K):
+        nk2 = float(bundle.plan.group_sizes[k]) ** 2
+        for i in range(bundle.J):
+            c, _ = build_C(bundle, W, k, i)
+            total += nk2 * c
+    return total / (N * N)
+
+
+def stacked_sensitivity(bundle):
+    """Dense weighted sensitivity: rows follow the group score stacking,
+    columns the combined parameter (theta, zeta_list)."""
+    p, d, J = bundle.p, bundle.d, bundle.J
+    N = bundle.plan.N
+    dims = [J * p + sum(bundle.fits[(j, k)].d for j in range(J)) for k in range(bundle.K)]
+    s = np.zeros((sum(dims), p + d))
+    row = 0
+    for k in range(bundle.K):
+        wk = bundle.plan.group_sizes[k] / N
+        g_row = row + J * p
+        for j in range(J):
+            fit = bundle.fits[(j, k)]
+            s_psi_th, s_psi_ze, s_g_th, s_g_ze = sens_parts(fit)
+            col = p + zeta_offset(bundle, j, k)
+            r = row + j * p
+            s[r : r + p, :p] = wk * s_psi_th
+            s[r : r + p, col : col + fit.d] = wk * s_psi_ze
+            s[g_row : g_row + fit.d, :p] = wk * s_g_th
+            s[g_row : g_row + fit.d, col : col + fit.d] = wk * s_g_ze
+            g_row += fit.d
+        row += dims[k]
+    return s
+
+
+def godambe_direct(bundle, W):
+    """S' W S computed densely: the other side of the combination identity."""
+    s = stacked_sensitivity(bundle)
+    total = np.zeros((s.shape[1], s.shape[1]))
+    row = 0
+    for k in range(bundle.K):
+        dim = W.w[k].shape[0]
+        sk = s[row : row + dim, :]
+        total += sk.T @ W.w[k] @ sk
+        row += dim
+    return total
+
+
+def dense_combine(bundle):
+    """The dense combiner: sum every C_{k,i} and its right-hand side into
+    (p+d)^2, then solve.  Returns (theta, zeta, cov) with cov the full
+    (p+d) x (p+d) covariance."""
+    W = invert_vhat(assemble_vhat(bundle), bundle)
+    p, d, N = bundle.p, bundle.d, bundle.plan.N
+    total = np.zeros((p + d, p + d))
+    rhs = np.zeros(p + d)
+    zetas = zeta_list(bundle)
+    for k in range(bundle.K):
+        nk2 = float(bundle.plan.group_sizes[k]) ** 2
+        for i in range(bundle.J):
+            c, _ = build_C(bundle, W, k, i)
+            point = np.concatenate([bundle.fits[(i, k)].theta_hat, zetas])
+            total += nk2 * c
+            rhs += nk2 * (c @ point)
+    cho = scipy.linalg.cho_factor(0.5 * (total + total.T))
+    est = scipy.linalg.cho_solve(cho, rhs)
+    cov = scipy.linalg.cho_solve(cho, np.eye(p + d)) * N
+    return est[:p], est[p:], cov
+
+
+def arrowhead_information(bundle, W):
+    """The production per-group informations of :func:`blockgmm.combine.build_C`
+    scattered into (p+d)^2 and scaled like :func:`combined_information`."""
+    p, d, N = bundle.p, bundle.d, bundle.plan.N
+    total = np.zeros((p + d, p + d))
+    for k in range(bundle.K):
+        info, _ = group_information(bundle, W, k)
+        idx = np.r_[0:p, p + group_offset(bundle, k) : p + group_offset(bundle, k + 1)]
+        total[np.ix_(idx, idx)] += float(bundle.plan.group_sizes[k]) ** 2 * info
+    return total / (N * N)
+
+
+# ---------------------------------------------------------------------------
+# iterative GMM minimizer
+
+
+def gmm_objective(blocks, bundle, W, theta, zeta_list):
+    """Q_N = T_N' W T_N at arbitrary parameters."""
+    parts = _stacked_estfun(blocks, bundle, theta, zeta_list)
+    return sum(float(tk @ W.w[k] @ tk) for k, tk in enumerate(parts))
+
+
+def gmm_oracle(blocks, bundle, W, init_theta, init_zeta, gtol=1e-7):
+    """Numeric minimizer of Q_N over all parameters.
+
+    Optimizes on the unconstrained scale (theta, log sigma, atanh rho per
+    block) starting from the supplied point.  Returns
+    (theta_opt, zeta_opt, success_flag).
+    """
+    p = bundle.p
+    order = [(j, k) for k in range(bundle.K) for j in range(bundle.J)]
+
+    def pack(theta, zetas):
+        u = [np.asarray(theta, dtype=float)]
+        for j, k in order:
+            fit = bundle.fits[(j, k)]
+            off = zeta_offset(bundle, j, k)
+            zeta = zetas[off : off + fit.d]
+            chunk = [0.5 * np.log(zeta[0])]
+            if fit.d > 1:
+                chunk.append(np.arctanh(np.clip(zeta[1], -0.999, 0.999)))
+            u.append(np.asarray(chunk))
+        return np.concatenate(u)
+
+    def unpack(u):
+        theta = u[:p]
+        zeta_parts = []
+        pos = p
+        for j, k in order:
+            fit = bundle.fits[(j, k)]
+            sigma2 = np.exp(2.0 * u[pos])
+            pos += 1
+            if fit.d > 1:
+                zeta_parts.extend([sigma2, np.tanh(u[pos])])
+                pos += 1
+            else:
+                zeta_parts.append(sigma2)
+        return theta, np.array(zeta_parts)
+
+    def fun(u):
+        theta, zetas = unpack(u)
+        return gmm_objective(blocks, bundle, W, theta, zetas)
+
+    u0 = pack(init_theta, np.asarray(init_zeta, dtype=float))
+    res = scipy.optimize.minimize(
+        fun, u0, method="BFGS", options={"gtol": gtol, "maxiter": 500}
+    )
+    best = res.x if res.fun <= fun(u0) else u0
+    theta_opt, zeta_opt = unpack(best)
+    return theta_opt, zeta_opt, bool(res.success)
+
+
+# ---------------------------------------------------------------------------
+# partition helpers
+
+
+def reassemble(blocks, plan):
+    """Inverse of :func:`blockgmm.partition.split` on the response matrix."""
+    out = np.empty((plan.N, plan.M))
+    for (j, k), block in blocks.items():
+        out[np.ix_(plan.subject_indices(k), plan.response_indices(j))] = block.y
+    return out
+
+
+def save_plan(plan, path):
+    """Write a plan's plain-text form to a file."""
+    with open(path, "w") as fh:
+        fh.write(format_plan(plan))
+
+
+def load_plan(path):
+    with open(path) as fh:
+        return parse_plan(fh.read(), path)

@@ -15,15 +15,14 @@ from blockgmm import gee, simstudy
 from blockgmm.combine import (
     assemble_vhat,
     combine,
-    combined_information,
-    godambe_direct,
     invert_vhat,
     save_bundle,
 )
 from blockgmm.engines import NuisanceSpec, fit_block, sample_sensitivity
-from blockgmm.inference import gmm_oracle, overid_test
+from blockgmm.inference import overid_test
 from blockgmm.partition import make_plan, split
 
+import oracles
 from conftest import make_ar1_design
 
 
@@ -34,9 +33,11 @@ def report(criterion, ok, detail):
 
 
 def test_criterion_1_combined_information_identity():
-    """The summed per-block combination matrices must reproduce the
-    weighted-sensitivity information S'WS exactly (relative Frobenius
-    error <= 1e-8) on a spread of small fitted designs."""
+    """The per-group informations the combiner solves with, scattered into
+    (p+d)^2, must reproduce both the summed zero-padded combination
+    matrices and the weighted-sensitivity information S'WS exactly
+    (relative Frobenius error <= 1e-8) on a spread of small fitted
+    designs."""
     configs = [
         dict(J=1, K=1, M=8, N=120, kind="gee-ar1"),
         dict(J=2, K=2, M=12, N=200, kind="gee-ar1"),
@@ -56,9 +57,9 @@ def test_criterion_1_combined_information_identity():
             seed=idx,
         )
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        lhs = combined_information(bundle, W)
-        rhs = godambe_direct(bundle, W)
-        worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+        lhs = oracles.arrowhead_information(bundle, W)
+        for rhs in (oracles.combined_information(bundle, W), oracles.godambe_direct(bundle, W)):
+            worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     report(
         "criterion-1 combined-information identity",
         worst <= 1e-8,
@@ -105,7 +106,7 @@ def test_criterion_3_asymptotic_equivalence_trend():
             bundle, blocks = simstudy.fit_dataset(data, 2, 2, "gee-ar1")
             fit = combine(bundle)
             W = invert_vhat(assemble_vhat(bundle), bundle)
-            theta_opt, _, _ = gmm_oracle(blocks, bundle, W, fit.theta, fit.zeta)
+            theta_opt, _, _ = oracles.gmm_oracle(blocks, bundle, W, fit.theta, fit.zeta)
             diffs.append(
                 np.sqrt(n_subjects) * np.linalg.norm(fit.theta - theta_opt)
             )
@@ -276,7 +277,13 @@ def test_criterion_8_byte_determinism(tmp_path):
         path = tmp_path / f"bundle-{len(outputs)}.zip"
         save_bundle(bundle, path)
         outputs.append(
-            (fit.theta.tobytes(), fit.godambe.tobytes(), path.read_bytes())
+            (
+                fit.theta.tobytes(),
+                fit.zeta.tobytes(),
+                fit.cov_theta.tobytes(),
+                fit.variances.tobytes(),
+                path.read_bytes(),
+            )
         )
     rerun_ok = outputs[0] == outputs[1]
     workers_ok = outputs[0] == outputs[2]
@@ -284,7 +291,7 @@ def test_criterion_8_byte_determinism(tmp_path):
         "criterion-8 byte determinism",
         rerun_ok and workers_ok,
         f"rerun identical: {rerun_ok}, workers 1 vs 8 identical: {workers_ok} "
-        "(estimates, information matrix, bundle archive)",
+        "(estimates, covariance, variances, bundle archive)",
     )
 
 

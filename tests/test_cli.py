@@ -145,6 +145,40 @@ class TestFitCommand:
         assert "K = 2" in resolved and "J = 2" in resolved
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("fit", "J = two", "config key J = 'two' is not an integer"),
+            ("fit", "J = 1.5", "config key J = '1.5' is not an integer"),
+            ("fit", "tol = abc", "config key tol = 'abc' is not a number"),
+            ("simulate", "reps = 0x", "config key reps = '0x' is not an integer"),
+            ("fit", "allow_unconverged = maybe",
+             "config key allow_unconverged = 'maybe' is not one of 1/0/true/false/yes/no"),
+            ("simulate", "theta0 = 0.3,x", "config key theta0 = '0.3,x' is not a comma-separated"),
+            ("simulate", "M_list = 8,twelve", "config key M_list = '8,twelve' is not a comma-separated"),
+        ],
+        ids=["J-word", "J-float", "tol-word", "reps-hex", "bool-maybe", "theta0", "M_list"],
+    )
+    def test_bad_value_is_exit_1_naming_file_key_value(self, data_csv, tmp_path, capsys,
+                                                       command, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"input = {data_csv}\nN = 60\nM = 8\nJ = 2\nreps = 1\n{line}\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"{command}: {cfg}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw, expected", [("YES", True), ("1", True), ("no", False),
+                                               ("0", False), ("False", False)])
+    def test_boolean_spellings(self, data_csv, tmp_path, raw, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {data_csv}\nJ = 2\nK = 2\nallow_unconverged = {raw}\n")
+        out = tmp_path / "out"
+        assert run(["fit", "--config", cfg, "--out", out]) == 0
+        assert f"allow_unconverged = {expected}" in (out / "config.txt").read_text()
+
+
 class TestSimulateCommand:
     def test_smoke_run_outputs(self, tmp_path):
         out = tmp_path / "sim"

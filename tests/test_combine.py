@@ -12,20 +12,18 @@ from blockgmm.combine import (
     assemble_vhat,
     build_C,
     combine,
-    combined_information,
-    godambe_direct,
     group_scores,
     invert_vhat,
     load_bundle,
     merge_bundles,
     save_bundle,
     split_bundle,
-    subset_v,
 )
 from blockgmm.engines import BlockFit
 from blockgmm.errors import BlockGmmError, CombineError
-from blockgmm.partition import make_plan
+from blockgmm.partition import PartitionPlan, make_plan
 
+import oracles
 from conftest import make_ar1_design
 
 
@@ -53,6 +51,50 @@ def synthetic_bundle(scores_by_block, sens_by_block, theta_by_block,
             final_norm=0.0,
         )
     return SummaryBundle(plan=plan, fits=fits)
+
+
+def random_bundle(J, K, p, seed):
+    """Well-posed random bundle: unequal group sizes and a random mix of
+    d=1 and d=2 blocks, with diagonally dominant sensitivities."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["gee-independence", "gee-ar1"], size=(J, K))
+    sizes = []
+    for k in range(K):
+        dim = J * p + sum(1 if kind == "gee-independence" else 2 for kind in kinds[:, k])
+        sizes.append(dim + int(rng.integers(2, 40)))
+    plan = PartitionPlan(
+        J=J,
+        K=K,
+        block_sizes=(2,) * J,
+        group_sizes=tuple(sizes),
+        block_of_response=np.repeat(np.arange(J), 2),
+        group_of_subject=np.repeat(np.arange(K), sizes),
+        strategy="contiguous",
+        seed=seed,
+    )
+    fits = {}
+    for k in range(K):
+        for j in range(J):
+            kind = str(kinds[j, k])
+            dim = p + (1 if kind == "gee-independence" else 2)
+            fits[(j, k)] = BlockFit(
+                j=j,
+                k=k,
+                kind=kind,
+                theta_hat=rng.standard_normal(p),
+                zeta_hat=rng.uniform(0.5, 2.0, dim - p),
+                scores=rng.standard_normal((sizes[k], dim)),
+                sensitivity=np.eye(dim) * rng.uniform(1.0, 3.0, dim)
+                + 0.3 * rng.standard_normal((dim, dim)),
+                converged=True,
+                iterations=1,
+                final_norm=0.0,
+            )
+    return SummaryBundle(plan=plan, fits=fits)
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestAssembleVhat:
@@ -157,6 +199,7 @@ class TestInvertVhat:
 
 
 class TestSubsetV:
+    # the W_k accessor of the dense oracle
     def test_psipsi_tiling_reproduces_inverse_partition(self, fitted_bundle):
         bundle, _ = fitted_bundle
         W = invert_vhat(assemble_vhat(bundle), bundle)
@@ -164,7 +207,7 @@ class TestSubsetV:
         for k in range(bundle.K):
             tiled = np.block(
                 [
-                    [subset_v(W, i, j, k, "psipsi") for j in range(J)]
+                    [oracles.subset_v(bundle, W, i, j, k, "psipsi") for j in range(J)]
                     for i in range(J)
                 ]
             )
@@ -175,25 +218,44 @@ class TestSubsetV:
     def test_gg_diagonal_subset_is_principal_and_symmetric(self, fitted_bundle):
         bundle, _ = fitted_bundle
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        sub = subset_v(W, 1, 1, 0, "gg")
+        sub = oracles.subset_v(bundle, W, 1, 1, 0, "gg")
         assert sub.shape == (2, 2)
         np.testing.assert_allclose(sub, sub.T, atol=1e-10)
 
     def test_unknown_kind_rejected(self, fitted_bundle):
         bundle, _ = fitted_bundle
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        with pytest.raises(CombineError):
-            subset_v(W, 0, 0, 0, "pg")
+        with pytest.raises(ValueError):
+            oracles.subset_v(bundle, W, 0, 0, 0, "pg")
 
 
 class TestBuildC:
     def test_lemma_identity_on_fitted_bundle(self, fitted_bundle):
+        # the per-group informations, scattered into (p+d)^2, reproduce both
+        # the dense C-matrix sum and the weighted-sensitivity information
         bundle, _ = fitted_bundle
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        lhs = combined_information(bundle, W)
-        rhs = godambe_direct(bundle, W)
-        rel = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-        assert rel <= 1e-8
+        lhs = oracles.arrowhead_information(bundle, W)
+        for rhs in (oracles.combined_information(bundle, W), oracles.godambe_direct(bundle, W)):
+            rel = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+            assert rel <= 1e-8
+
+    def test_rhs_matches_dense_c_sum(self, fitted_bundle):
+        # r_k = sum_i C_{k,i} (theta_ik, zeta_list) on the rows of group k
+        bundle, _ = fitted_bundle
+        W = invert_vhat(assemble_vhat(bundle), bundle)
+        p, zetas = bundle.p, oracles.zeta_list(bundle)
+        for k in range(bundle.K):
+            dense = sum(
+                oracles.build_C(bundle, W, k, i)[0]
+                @ np.concatenate([bundle.fits[(i, k)].theta_hat, zetas])
+                for i in range(bundle.J)
+            )
+            rows = np.r_[0:p, p + oracles.group_offset(bundle, k) : p + oracles.group_offset(bundle, k + 1)]
+            _, r = build_C(bundle, W, k)
+            np.testing.assert_allclose(r, dense[rows], rtol=1e-10, atol=1e-12 * np.abs(dense).max())
+            outside = np.setdiff1d(np.arange(dense.size), rows)
+            assert np.all(dense[outside] == 0.0)
 
     def test_condensed_form_drops_only_zero_columns(self, fitted_bundle):
         bundle, _ = fitted_bundle
@@ -202,9 +264,9 @@ class TestBuildC:
         rng = np.random.default_rng(8)
         for k in range(bundle.K):
             for i in range(bundle.J):
-                c, c_star = build_C(bundle, W, k, i)
-                off = p + bundle.zeta_offset(i, k)
-                d_ik = bundle.d_jk(i, k)
+                c, c_star = oracles.build_C(bundle, W, k, i)
+                off = p + oracles.zeta_offset(bundle, i, k)
+                d_ik = bundle.fits[(i, k)].d
                 # any test vector: C @ v depends only on the kept coordinates
                 v = rng.standard_normal(p + d)
                 v_kept = np.concatenate([v[:p], v[off : off + d_ik]])
@@ -222,8 +284,8 @@ class TestBuildC:
         data = simstudy.generate(design, 0)
         bundle, _ = simstudy.fit_dataset(data, 1, 1, "gee-ar1")
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        c, _ = build_C(bundle, W, 0, 0)
-        np.testing.assert_allclose(c, godambe_direct(bundle, W), atol=1e-10)
+        info, _ = build_C(bundle, W, 0)
+        np.testing.assert_allclose(info, oracles.godambe_direct(bundle, W), atol=1e-10)
 
 
 class TestCombine:
@@ -269,13 +331,81 @@ class TestCombine:
         expected = (w1 * th1 + w2 * th2) / (w1 + w2)
         np.testing.assert_allclose(fit.theta, [expected], atol=1e-12)
 
-    def test_godambe_is_psd_and_cov_positive(self, fitted_bundle):
+    def test_cov_theta_is_psd_and_variances_positive(self, fitted_bundle):
         bundle, _ = fitted_bundle
         fit = combine(bundle)
-        sym = 0.5 * (fit.godambe + fit.godambe.T)
-        eigs = np.linalg.eigvalsh(sym)
-        assert eigs.min() >= -1e-10 * np.trace(sym)
-        assert np.all(np.diag(fit.cov) > 0)
+        np.testing.assert_allclose(fit.cov_theta, fit.cov_theta.T, rtol=1e-12)
+        eigs = np.linalg.eigvalsh(0.5 * (fit.cov_theta + fit.cov_theta.T))
+        assert eigs.min() >= -1e-10 * np.trace(fit.cov_theta)
+        assert fit.variances.shape == (bundle.p + bundle.d,)
+        assert np.all(fit.variances > 0)
+        np.testing.assert_array_equal(fit.variances[: bundle.p], np.diag(fit.cov_theta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(J=st.integers(1, 4), K=st.integers(1, 4), p=st.integers(1, 3),
+           seed=st.integers(0, 10**6))
+    def test_matches_dense_oracle_combine(self, J, K, p, seed):
+        bundle = random_bundle(J, K, p, seed)
+        fit = combine(bundle)
+        theta, zeta, cov = oracles.dense_combine(bundle)
+        assert max_rel(fit.theta, theta) <= 1e-12
+        assert max_rel(fit.zeta, zeta) <= 1e-12
+        assert max_rel(fit.variances, np.diag(cov)) <= 1e-12
+        assert max_rel(fit.cov_theta, cov[:p, :p]) <= 1e-12
+
+    def test_matches_dense_oracle_on_fitted_bundle(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        fit = combine(bundle)
+        theta, zeta, cov = oracles.dense_combine(bundle)
+        p = bundle.p
+        assert max_rel(fit.theta, theta) <= 1e-12
+        assert max_rel(fit.zeta, zeta) <= 1e-12
+        assert max_rel(fit.variances, np.diag(cov)) <= 1e-12
+        assert max_rel(fit.cov_theta, cov[:p, :p]) <= 1e-12
+
+    def test_diagnostics_condition_numbers(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        fit = combine(bundle)
+        _, _, cov = oracles.dense_combine(bundle)
+        p = bundle.p
+        # the theta Schur complement is N * cov_theta^{-1}
+        expected = np.linalg.cond(cov[:p, :p])
+        assert abs(fit.diagnostics["theta_schur_condition"] / expected - 1) <= 1e-8
+        info = oracles.combined_information(bundle, fit.W)
+        conds = fit.diagnostics["nuisance_condition"]
+        assert len(conds) == bundle.K
+        for k in range(bundle.K):
+            lo, hi = p + oracles.group_offset(bundle, k), p + oracles.group_offset(bundle, k + 1)
+            nuisance = info[lo:hi, lo:hi]
+            expected = np.linalg.cond(0.5 * (nuisance + nuisance.T))
+            assert abs(conds[k] / expected - 1) <= 1e-8
+        assert "information_condition" not in fit.diagnostics
+
+    def test_singular_nuisance_block_names_its_group(self):
+        bundle = random_bundle(2, 3, 2, seed=4)
+        fits = dict(bundle.fits)
+        bad = fits[(0, 1)]
+        fits[(0, 1)] = BlockFit(
+            j=0, k=1, kind=bad.kind, theta_hat=bad.theta_hat, zeta_hat=bad.zeta_hat,
+            scores=bad.scores, sensitivity=np.zeros_like(bad.sensitivity),
+            converged=True, iterations=1, final_norm=0.0,
+        )
+        with pytest.raises(CombineError, match="nuisance block of group 1 is not positive definite"):
+            combine(SummaryBundle(plan=bundle.plan, fits=fits))
+
+    def test_singular_theta_schur_complement_is_named(self):
+        bundle = random_bundle(2, 2, 2, seed=6)
+        fits = {}
+        for key, fit in bundle.fits.items():
+            sens = fit.sensitivity.copy()
+            sens[:, : fit.p] = 0.0  # no block informs theta
+            fits[key] = BlockFit(
+                j=fit.j, k=fit.k, kind=fit.kind, theta_hat=fit.theta_hat,
+                zeta_hat=fit.zeta_hat, scores=fit.scores, sensitivity=sens,
+                converged=True, iterations=1, final_norm=0.0,
+            )
+        with pytest.raises(CombineError, match="theta Schur complement is not positive definite"):
+            combine(SummaryBundle(plan=bundle.plan, fits=fits))
 
     def test_combined_estimates_near_block_estimates(self, fitted_bundle):
         bundle, _ = fitted_bundle
@@ -331,8 +461,9 @@ class TestBundleSerialization:
             assert other.final_norm == fit.final_norm
         combined_a = combine(bundle)
         combined_b = combine(loaded)
-        np.testing.assert_array_equal(combined_a.theta, combined_b.theta)
-        np.testing.assert_array_equal(combined_a.godambe, combined_b.godambe)
+        assert combined_a.theta.tobytes() == combined_b.theta.tobytes()
+        assert combined_a.cov_theta.tobytes() == combined_b.cov_theta.tobytes()
+        assert combined_a.variances.tobytes() == combined_b.variances.tobytes()
 
     def test_saved_archives_are_byte_identical(self, fitted_bundle, tmp_path):
         bundle, _ = fitted_bundle
@@ -353,9 +484,10 @@ class TestBundleSerialization:
         merged = merge_bundles([load_bundle(p) for p in paths])
         original = combine(bundle)
         recombined = combine(merged)
-        np.testing.assert_array_equal(original.theta, recombined.theta)
-        np.testing.assert_array_equal(original.zeta, recombined.zeta)
-        np.testing.assert_array_equal(original.godambe, recombined.godambe)
+        assert original.theta.tobytes() == recombined.theta.tobytes()
+        assert original.zeta.tobytes() == recombined.zeta.tobytes()
+        assert original.cov_theta.tobytes() == recombined.cov_theta.tobytes()
+        assert original.variances.tobytes() == recombined.variances.tobytes()
 
     def test_merge_rejects_mismatched_plans(self, fitted_bundle):
         bundle, _ = fitted_bundle

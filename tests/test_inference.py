@@ -6,11 +6,11 @@ from blockgmm import simstudy
 from blockgmm.combine import CombinedFit, assemble_vhat, combine, invert_vhat
 from blockgmm.inference import (
     overid_test,
-    gmm_oracle,
     godambe_cov,
     parameter_names,
 )
 
+import oracles
 from conftest import make_ar1_design
 
 
@@ -26,8 +26,8 @@ class TestGodambeCov:
         fit = CombinedFit(
             theta=np.zeros(2),
             zeta=np.zeros(2),
-            godambe=np.eye(dim),
-            cov=np.eye(dim) / 100,
+            cov_theta=np.eye(2) / 100,
+            variances=np.full(dim, 1 / 100),
             N=100,
             p=2,
         )
@@ -124,13 +124,11 @@ class TestGmmOracle:
     def test_descent_and_near_match(self, fitted_bundle):
         bundle, blocks = fitted_bundle
         fit, W = full_inference(bundle, blocks)
-        from blockgmm.inference import _objective
-
-        q_start = _objective(blocks, bundle, W, fit.theta, fit.zeta)
-        theta_opt, zeta_opt, _ = gmm_oracle(
+        q_start = oracles.gmm_objective(blocks, bundle, W, fit.theta, fit.zeta)
+        theta_opt, zeta_opt, _ = oracles.gmm_oracle(
             blocks, bundle, W, fit.theta, fit.zeta
         )
-        q_opt = _objective(blocks, bundle, W, theta_opt, zeta_opt)
+        q_opt = oracles.gmm_objective(blocks, bundle, W, theta_opt, zeta_opt)
         assert q_opt <= q_start + 1e-14
         assert np.linalg.norm(theta_opt - fit.theta) < 0.05
 
@@ -139,7 +137,7 @@ class TestGmmOracle:
         data = simstudy.generate(design, 0)
         bundle, blocks = simstudy.fit_dataset(data, 1, 1, "gee-ar1")
         fit, W = full_inference(bundle, blocks)
-        theta_opt, zeta_opt, _ = gmm_oracle(
+        theta_opt, zeta_opt, _ = oracles.gmm_oracle(
             blocks, bundle, W, fit.theta, fit.zeta
         )
         block_fit = bundle.fits[(0, 0)]
