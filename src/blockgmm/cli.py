@@ -99,6 +99,14 @@ def _setting(args, cfg, name, default=None, cast=str):
         ) from None
 
 
+def _alpha(args, cfg) -> float:
+    """The test level from ``--alpha`` or the config; it must lie in (0, 1)."""
+    alpha = _setting(args, cfg, "alpha", 0.05, float)
+    if not 0.0 < alpha < 1.0:  # false for nan as well
+        raise BlockGmmError(f"alpha = {alpha!r} is not a level inside (0, 1)")
+    return alpha
+
+
 def _write_resolved_config(path, settings: dict) -> None:
     with open(path, "w") as fh:
         for key in sorted(settings):
@@ -143,7 +151,7 @@ def cmd_fit(args) -> int:
     method = _setting(args, cfg, "method", "gee")
     working = _setting(args, cfg, "working", "ar1")
     workers = _setting(args, cfg, "workers", 1, int)
-    alpha = _setting(args, cfg, "alpha", 0.05, float)
+    alpha = _alpha(args, cfg)
     tol = _setting(args, cfg, "tol", 1e-8, float)
     max_iter = _setting(args, cfg, "max_iter", 100, int)
     out_dir = _setting(args, cfg, "out", "blockgmm-out")
@@ -318,7 +326,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_combine(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    alpha = _setting(args, cfg, "alpha", 0.05, float)
+    alpha = _alpha(args, cfg)
     out_dir = _setting(args, cfg, "out", "blockgmm-combined")
     allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
     os.makedirs(out_dir, exist_ok=True)

@@ -40,6 +40,7 @@ from .partition import PartitionPlan, format_plan, parse_plan
 
 # fixed archive member timestamp so bundles are byte-identical across runs
 _EPOCH = (1980, 1, 1, 0, 0, 0)
+BUNDLE_FORMAT = 1  # the meta.txt format field; load_bundle reads no other
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
 
 def save_bundle(bundle: SummaryBundle, path) -> None:
     """Write a bundle archive: plan + per-block arrays, byte-reproducible."""
-    meta_lines = [f"blocks = {len(bundle.fits)}"]
+    meta_lines = [f"format = {BUNDLE_FORMAT}", f"blocks = {len(bundle.fits)}"]
     with zipfile.ZipFile(path, "w") as zf:
         _write_member(zf, "plan.txt", format_plan(bundle.plan).encode())
         for (j, k) in sorted(bundle.fits):
@@ -409,6 +410,13 @@ def load_bundle(path) -> SummaryBundle:
         for line in _read_member(zf, path, "meta.txt").decode(errors="replace").splitlines():
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
+        if "format" not in meta:
+            raise CombineError(f"{path}: meta.txt has no format field")
+        if meta["format"] != str(BUNDLE_FORMAT):
+            raise CombineError(
+                f"{path}: meta.txt has format = {meta['format']!r}, "
+                f"this version reads format {BUNDLE_FORMAT}"
+            )
         fits = {}
         for name in zf.namelist():
             stem, _, member = name.rpartition("/")

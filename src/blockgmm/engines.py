@@ -6,8 +6,9 @@ least squares with residual-moment nuisance equations) and ``cl-ar1``
 (pairwise composite likelihood).  The sensitivity matrix is the negative
 Jacobian of the averaged estimating function.  For ``cl-ar1`` it is the
 exact negative Hessian of the mean pairwise log-likelihood.  For the GEE
-kernels the theta-theta sub-block is analytic and every other entry (the
-nuisance rows and columns) is a central finite difference.
+kernels every row and column is in closed form as well
+(:func:`blockgmm.gee.gee_sensitivity`), so no kernel differentiates
+numerically and there is no step size to choose.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from . import composite, gee
 from .errors import NumericDomainError, SolverError
 from .partition import BlockData
 
-KINDS = ("gee-ar1", "gee-exchangeable", "gee-independence", "cl-ar1")
+GEE_KINDS = ("gee-ar1", "gee-exchangeable", "gee-independence")
+KINDS = (*GEE_KINDS, "cl-ar1")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 100
-    fd_step: float = 1e-5  # relative central-difference step, GEE sensitivities only
 
 
 @dataclass(frozen=True)
@@ -89,74 +90,31 @@ def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     if kind == "cl-ar1":
         return composite.cl_scores(block, theta, zeta)
-    if kind in ("gee-ar1", "gee-exchangeable", "gee-independence"):
+    if kind in GEE_KINDS:
         return gee.gee_scores(block, theta, zeta, kind.split("-", 1)[1])
     raise SolverError(f"unknown solver kind {kind!r}")
 
 
-def _param_bounds(block: BlockData, kind: str, dim: int):
-    """(lo, hi) open-interval domain for each stacked parameter."""
-    lo = np.full(dim, -np.inf)
-    hi = np.full(dim, np.inf)
-    p = block.p
-    lo[p] = 0.0  # sigma^2 > 0
-    if dim > p + 1:
-        rho_lo = -1.0
-        if kind == "gee-exchangeable":
-            rho_lo = -1.0 / (block.m - 1)
-        lo[p + 1], hi[p + 1] = rho_lo, 1.0
-    return lo, hi
-
-
-def sample_sensitivity(
-    block: BlockData, theta, zeta, kind: str, fd_step: float = 1e-5
-) -> np.ndarray:
+def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     """Negative Jacobian of the averaged estimating function at (theta, zeta).
 
     ``cl-ar1``: the exact negative Hessian of the mean pairwise
-    log-likelihood.  GEE kernels: the theta-theta sub-block is analytic;
-    the other entries are central finite differences on the natural
-    (theta, sigma^2, rho) scale, with steps that shrink near domain
-    boundaries so evaluations stay valid.
+    log-likelihood.  GEE kernels: the closed form of
+    :func:`blockgmm.gee.gee_sensitivity`.  Both are on the natural
+    (theta, sigma^2, rho) scale.
     """
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if kind == "cl-ar1":
         sens = -composite.cl_scores(block, theta, zeta, hessian=True)[1]
+    elif kind in GEE_KINDS:
+        sens = gee.gee_sensitivity(block, theta, zeta, kind.split("-", 1)[1])
     else:
-        sens = _gee_sensitivity(block, theta, zeta, kind, fd_step)
+        raise SolverError(f"unknown solver kind {kind!r}")
     bad = np.argwhere(~np.isfinite(sens))
     if bad.size:
         r, c = bad[0]
         raise NumericDomainError(f"non-finite sensitivity entry at ({r}, {c})")
-    return sens
-
-
-def _gee_sensitivity(block, theta, zeta, kind, fd_step):
-    """Central-difference sensitivity with the analytic theta-theta block."""
-    params = np.concatenate([theta, zeta])
-    dim = params.size
-    p = block.p
-    lo, hi = _param_bounds(block, kind, dim)
-
-    sens = np.empty((dim, dim))
-    for a in range(dim):
-        h = fd_step * max(1.0, abs(params[a]))
-        if np.isfinite(lo[a]):
-            h = min(h, 0.49 * (params[a] - lo[a]))
-        if np.isfinite(hi[a]):
-            h = min(h, 0.49 * (hi[a] - params[a]))
-        if h <= 0:
-            raise NumericDomainError(
-                f"parameter {a} at domain boundary, cannot differentiate"
-            )
-        up, um = params.copy(), params.copy()
-        up[a] += h
-        um[a] -= h
-        fp = eval_scores(block, up[:p], up[p:], kind).mean(axis=0)
-        fm = eval_scores(block, um[:p], um[p:], kind).mean(axis=0)
-        sens[:, a] = -(fp - fm) / (2.0 * h)
-    sens[:p, :p] = gee.gee_theta_sensitivity(block, zeta, kind.split("-", 1)[1])
     return sens
 
 
@@ -179,7 +137,7 @@ def fit_block(
     converged = converged and not clamped
     scores = eval_scores(block, theta, zeta, spec.kind)
     final_norm = float(np.linalg.norm(scores.mean(axis=0)))
-    sens = sample_sensitivity(block, theta, zeta, spec.kind, fd_step=opts.fd_step)
+    sens = sample_sensitivity(block, theta, zeta, spec.kind)
     return BlockFit(
         j=block.j,
         k=block.k,

@@ -8,7 +8,7 @@ map can be supplied.  Group assignment is a deterministic function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,14 @@ class BlockData:
     X: np.ndarray  # (n_k, m_j, q)
     theta_cols: tuple  # columns of X tied to the shared parameter
     subject_indices: np.ndarray  # positions in the original Dataset
+    # (n_k, m_j, p) design for the shared parameter: X itself when theta
+    # uses every column in order, else one column-selected copy
+    design: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cols = list(self.theta_cols)
+        design = self.X if cols == list(range(self.X.shape[2])) else self.X[:, :, cols]
+        object.__setattr__(self, "design", design)
 
     @property
     def n(self) -> int:
@@ -73,11 +81,6 @@ class BlockData:
     @property
     def p(self) -> int:
         return len(self.theta_cols)
-
-    @property
-    def design(self) -> np.ndarray:
-        """(n_k, m_j, p) design for the shared parameter."""
-        return self.X[:, :, list(self.theta_cols)]
 
 
 def make_plan(

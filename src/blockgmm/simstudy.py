@@ -4,7 +4,8 @@ driver with deterministic parallelism, and RMSE/BIAS/ESE/ASE summaries.
 Two error families are supported: ``kronecker-nested`` (covariance
 S (x) A with S a random unit-diagonal positive-definite block matrix and
 A an AR(1) block) and ``global-ar1`` (one AR(1) process across all M
-responses).  Every subject draws from its own counter-based RNG stream
+responses, run for all subjects at once, one response position at a
+time).  Every subject draws from its own counter-based RNG stream
 derived from (master seed, replication, subject), so the generated data
 are bit-identical for any worker count or scheduling order.
 """
@@ -141,7 +142,13 @@ def gen_kronecker_mvn(design: SimDesign, rep: int = 0) -> Dataset:
 
 
 def gen_ar1_mvn(design: SimDesign, rep: int = 0) -> Dataset:
-    """Dataset with a single stationary AR(1) error process across responses."""
+    """Dataset with a single stationary AR(1) error process across responses.
+
+    Each subject draws its covariates and then M standard normals z from
+    its own stream.  The errors e_0 = sigma z_0 and
+    e_t = rho e_{t-1} + sigma sqrt(1 - rho^2) z_t are then run for all
+    subjects at once, one response position at a time.
+    """
     if design.family != "global-ar1":
         raise DataError("gen_ar1_mvn requires family=global-ar1")
     M, N, p = design.M, design.N, design.p
@@ -149,20 +156,18 @@ def gen_ar1_mvn(design: SimDesign, rep: int = 0) -> Dataset:
     innov = sigma * np.sqrt(1.0 - rho * rho)
     theta0 = np.asarray(design.theta0)
 
-    responses = np.empty((N, M))
+    z = np.empty((M, N))  # position-major, so each step reads one row
     covariates = np.empty((N, M, p))
     for i in range(N):
         rng = _subject_rng(design.seed, rep, i)
-        x = _covariates(rng, M, p)
-        z = rng.standard_normal(M)
-        err = np.empty(M)
-        err[0] = sigma * z[0]
-        for t in range(1, M):
-            err[t] = rho * err[t - 1] + innov * z[t]
-        covariates[i] = x
-        responses[i] = x @ theta0 + err
+        covariates[i] = _covariates(rng, M, p)
+        z[:, i] = rng.standard_normal(M)
+    err = np.empty((M, N))
+    err[0] = sigma * z[0]
+    for t in range(1, M):
+        err[t] = rho * err[t - 1] + innov * z[t]
     return Dataset(
-        responses=responses,
+        responses=covariates @ theta0 + err.T,
         covariates=covariates,
         subject_ids=tuple(range(1, N + 1)),
     )

@@ -4,7 +4,10 @@ The arrowhead combiner in ``blockgmm.combine`` never forms a
 (p+d) x (p+d) matrix.  The oracles here do: they build every zero-padded
 combination matrix C_{k,i}, sum them into the full information, and solve
 the dense system, so the production solve can be checked against the
-combination identity and against a plain dense computation.  The numeric
+combination identity and against a plain dense computation.  Likewise the
+GEE kernel never forms an m x m working-correlation inverse and never
+differentiates numerically; the dense GEE fit and the central-difference
+sensitivity here do.  The per-subject AR(1) generator loop, the numeric
 GMM minimizer and the plan/split helpers that only tests use live here too.
 """
 
@@ -12,8 +15,12 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from blockgmm import gee, simstudy
 from blockgmm.combine import assemble_vhat, invert_vhat
 from blockgmm.combine import build_C as group_information
+from blockgmm.dataio import Dataset
+from blockgmm.engines import eval_scores
+from blockgmm.errors import NumericDomainError, SolverError
 from blockgmm.inference import _stacked_estfun
 from blockgmm.partition import format_plan, parse_plan
 
@@ -281,3 +288,136 @@ def save_plan(plan, path):
 def load_plan(path):
     with open(path) as fh:
         return parse_plan(fh.read(), path)
+
+
+# ---------------------------------------------------------------------------
+# dense GEE kernel and central-difference sensitivity
+
+
+def corr_inverse(kind, rho, m):
+    """Inverse of the m x m working correlation matrix R(rho)."""
+    if kind == "independence":
+        return np.eye(m)
+    if abs(rho) >= 1.0:
+        raise NumericDomainError(f"|rho| >= 1 (rho={rho})")
+    if kind == "ar1":
+        if m == 1:
+            return np.eye(m)
+        inv = np.zeros((m, m))
+        c = 1.0 / (1.0 - rho * rho)
+        idx = np.arange(m)
+        inv[idx, idx] = (1.0 + rho * rho) * c
+        inv[0, 0] = inv[m - 1, m - 1] = c
+        inv[idx[:-1], idx[1:]] = -rho * c
+        inv[idx[1:], idx[:-1]] = -rho * c
+        return inv
+    if kind == "exchangeable":
+        denom = 1.0 + (m - 1) * rho
+        if denom <= 0 or rho >= 1.0:
+            raise NumericDomainError(f"exchangeable rho={rho} not PD for m={m}")
+        a = 1.0 / (1.0 - rho)
+        b = -rho / ((1.0 - rho) * denom)
+        return a * np.eye(m) + b * np.ones((m, m))
+    raise SolverError(f"unknown working structure {kind!r}")
+
+
+def dense_wls_theta(block, rho, structure, start):
+    """Weighted normal equations through the dense m x m R^-1, solved for
+    the correction to ``start`` from its residuals."""
+    X = block.design
+    rinv = corr_inverse(structure, rho, block.m)
+    XtR = np.einsum("nmp,mt->ntp", X, rinv)
+    A = np.einsum("ntp,ntq->pq", XtR, X)
+    b = np.einsum("ntp,nt->p", XtR, block.y - X @ start)
+    return start + np.linalg.solve(A, b)
+
+
+def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
+    """The GEE alternation with a dense R^-1 in every theta step; the
+    nuisance moments are the production ones.  Returns
+    (theta, zeta, converged, iterations, rho_clamped)."""
+    X = block.design
+    start = np.linalg.solve(
+        np.einsum("nmp,nmq->pq", X, X), np.einsum("nmp,nm->p", X, block.y)
+    )
+    theta = dense_wls_theta(block, 0.0, "independence", start)
+    zeta, clamped = gee._moment_zeta(block.y - X @ theta, structure, block.m)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        rho = float(zeta[1]) if structure != "independence" else 0.0
+        theta_new = dense_wls_theta(block, rho, structure, theta)
+        zeta_new, clamped = gee._moment_zeta(block.y - X @ theta_new, structure, block.m)
+        delta = max(np.max(np.abs(theta_new - theta)), np.max(np.abs(zeta_new - zeta)))
+        theta, zeta = theta_new, zeta_new
+        if delta < tol:
+            converged = True
+            break
+    return theta, zeta, converged, iterations, clamped
+
+
+def param_bounds(block, kind, dim):
+    """(lo, hi) open-interval domain for each stacked parameter."""
+    lo = np.full(dim, -np.inf)
+    hi = np.full(dim, np.inf)
+    p = block.p
+    lo[p] = 0.0  # sigma^2 > 0
+    if dim > p + 1:
+        rho_lo = -1.0
+        if kind == "gee-exchangeable":
+            rho_lo = -1.0 / (block.m - 1)
+        lo[p + 1], hi[p + 1] = rho_lo, 1.0
+    return lo, hi
+
+
+def fd_sensitivity(block, theta, zeta, kind, fd_step=1e-5):
+    """Central-difference negative Jacobian of the mean scores on the
+    natural (theta, sigma^2, rho) scale, every entry numeric; steps shrink
+    near domain boundaries so evaluations stay valid."""
+    params = np.concatenate([theta, zeta]).astype(float)
+    dim = params.size
+    p = block.p
+    lo, hi = param_bounds(block, kind, dim)
+    sens = np.empty((dim, dim))
+    for a in range(dim):
+        h = fd_step * max(1.0, abs(params[a]))
+        if np.isfinite(lo[a]):
+            h = min(h, 0.49 * (params[a] - lo[a]))
+        if np.isfinite(hi[a]):
+            h = min(h, 0.49 * (hi[a] - params[a]))
+        if h <= 0:
+            raise NumericDomainError(f"parameter {a} at domain boundary, cannot differentiate")
+        up, um = params.copy(), params.copy()
+        up[a] += h
+        um[a] -= h
+        fp = eval_scores(block, up[:p], up[p:], kind).mean(axis=0)
+        fm = eval_scores(block, um[:p], um[p:], kind).mean(axis=0)
+        sens[:, a] = -(fp - fm) / (2.0 * h)
+    return sens
+
+
+# ---------------------------------------------------------------------------
+# per-subject AR(1) generator loop
+
+
+def gen_ar1_loop(design, rep=0):
+    """Global AR(1) dataset with the error recursion run subject by subject."""
+    M, N, p = design.M, design.N, design.p
+    rho, sigma = design.rho, design.sigma
+    innov = sigma * np.sqrt(1.0 - rho * rho)
+    theta0 = np.asarray(design.theta0)
+    responses = np.empty((N, M))
+    covariates = np.empty((N, M, p))
+    for i in range(N):
+        rng = simstudy._subject_rng(design.seed, rep, i)
+        x = simstudy._covariates(rng, M, p)
+        z = rng.standard_normal(M)
+        err = np.empty(M)
+        err[0] = sigma * z[0]
+        for t in range(1, M):
+            err[t] = rho * err[t - 1] + innov * z[t]
+        covariates[i] = x
+        responses[i] = x @ theta0 + err
+    return Dataset(
+        responses=responses, covariates=covariates, subject_ids=tuple(range(1, N + 1))
+    )

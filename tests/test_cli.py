@@ -179,6 +179,27 @@ class TestConfigValues:
         assert f"allow_unconverged = {expected}" in (out / "config.txt").read_text()
 
 
+class TestAlpha:
+    @pytest.mark.parametrize("raw", ["nan", "0", "1", "1.5"])
+    @pytest.mark.parametrize("source", ["fit-config", "fit-flag", "combine-flag"])
+    def test_level_outside_unit_interval_is_exit_1(self, data_csv, fitted_bundle_zip,
+                                                   tmp_path, capsys, source, raw):
+        out = tmp_path / "out"
+        if source == "fit-config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"input = {data_csv}\nJ = 2\nK = 2\nalpha = {raw}\n")
+            argv = ["fit", "--config", cfg, "--out", out]
+        elif source == "fit-flag":
+            argv = ["fit", "--input", data_csv, "--J", 2, "--K", 2, "--alpha", raw, "--out", out]
+        else:
+            argv = ["combine", fitted_bundle_zip, "--alpha", raw, "--out", out]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"alpha = {float(raw)!r} is not a level inside (0, 1)" in err
+        assert "Traceback" not in err
+        assert not (out / "estimates.csv").exists()
+
+
 class TestSimulateCommand:
     def test_smoke_run_outputs(self, tmp_path):
         out = tmp_path / "sim"
@@ -329,8 +350,12 @@ class TestTamperedBundles:
              "plan.txt: block_of_response holds 2 at position 0, outside 0..1"),
             ("plan.txt", replace_text("group_of_subject = 0,", "group_of_subject = 5,"),
              "plan.txt: group_of_subject holds 5 at position 0, outside 0..1"),
+            ("meta.txt", replace_text("format = 1\n", ""), "meta.txt has no format field"),
+            ("meta.txt", replace_text("format = 1", "format = 2"),
+             "meta.txt has format = '2', this version reads format 1"),
         ],
-        ids=["nan-scores", "non-integer-J", "split-meta-field", "block-index", "group-index"],
+        ids=["nan-scores", "non-integer-J", "split-meta-field", "block-index", "group-index",
+             "no-format", "other-format"],
     )
     def test_combine_rejects_with_exit_1(self, fitted_bundle_zip, tmp_path, capsys,
                                          name, edit, message):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockgmm import composite, gee, partition
+from blockgmm import composite, gee, partition, simstudy
 from blockgmm.engines import (
     NuisanceSpec,
     SolverOptions,
@@ -11,7 +11,8 @@ from blockgmm.engines import (
 )
 from blockgmm.errors import SolverError
 
-from conftest import near_unit_root_dataset, random_dataset
+import oracles
+from conftest import make_ar1_design, near_unit_root_dataset, random_dataset
 
 
 def one_block(data):
@@ -104,8 +105,9 @@ class TestSampleSensitivity:
         np.testing.assert_allclose(fit.sensitivity[:2, :2], expected, rtol=1e-10)
 
     def test_fd_step_shrinks_near_tiny_variance(self):
-        # a noiseless block has sigma^2 ~ 1e-16; differentiation must not
-        # step the variance negative
+        # a noiseless block has sigma^2 ~ 1e-16; the central-difference
+        # oracle must not step the variance negative, and the closed form
+        # stays finite there too
         data, theta0 = random_dataset(N=30, M=5, p=3, seed=23)
         from blockgmm.dataio import Dataset
 
@@ -115,10 +117,36 @@ class TestSampleSensitivity:
             subject_ids=data.subject_ids,
         )
         block = one_block(clean)
-        sens = sample_sensitivity(
-            block, theta0, np.array([1e-16, 0.0]), "gee-ar1"
-        )
-        assert np.all(np.isfinite(sens))
+        zeta = np.array([1e-16, 0.0])
+        assert np.all(np.isfinite(oracles.fd_sensitivity(block, theta0, zeta, "gee-ar1")))
+        assert np.all(np.isfinite(sample_sensitivity(block, theta0, zeta, "gee-ar1")))
+
+    @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
+    def test_gee_matches_central_differences_everywhere(self, kind):
+        # every row and column of the closed form against the all-numeric
+        # oracle, on 20 random blocks at points off the root, where no
+        # column vanishes
+        rng = np.random.default_rng(610)
+        worst = 0.0
+        for trial in range(20):
+            p = int(rng.integers(1, 4))
+            design = make_ar1_design(
+                N=int(rng.integers(40, 120)),
+                M=int(rng.integers(2, 12)),
+                theta0=tuple(rng.uniform(-2.0, 2.0, p)),
+                sigma=float(rng.uniform(0.5, 3.0)),
+                rho=float(rng.uniform(-0.3, 0.7)),
+                seed=610 + trial,
+            )
+            block = one_block(simstudy.generate(design, 0))
+            fit = fit_block(block, NuisanceSpec(kind))
+            theta = fit.theta_hat + rng.normal(0.0, 0.3, p)
+            zeta = fit.zeta_hat * rng.uniform(0.7, 1.3, fit.d)
+            analytic = sample_sensitivity(block, theta, zeta, kind)
+            fd = oracles.fd_sensitivity(block, theta, zeta, kind)
+            rows = np.max(np.abs(fd), axis=1, keepdims=True)
+            worst = max(worst, float(np.max(np.abs(analytic - fd) / rows)))
+        assert worst <= 1e-5
 
 
 class TestRhoClamp:

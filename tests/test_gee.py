@@ -4,6 +4,7 @@ import pytest
 from blockgmm import gee, partition, simstudy
 from blockgmm.errors import NumericDomainError, SolverError
 
+import oracles
 from conftest import make_ar1_design, random_dataset
 
 
@@ -12,13 +13,25 @@ def one_block(data, theta_cols=None):
     return partition.split(data, plan, theta_cols=theta_cols)[(0, 0)]
 
 
+def rinv_matrix(structure, rho, m):
+    """The production R(rho)^-1, applied by slices to the rows of I_m."""
+    w, _ = gee._weights(structure, rho, m)
+    return gee._combine(w, gee._apply_basis(structure, np.eye(m)))
+
+
+def drinv_matrix(structure, rho, m):
+    """The production dR^-1/drho, applied the same way."""
+    _, dw = gee._weights(structure, rho, m)
+    return gee._combine(dw, gee._apply_basis(structure, np.eye(m)))
+
+
 class TestCorrInverse:
     @pytest.mark.parametrize("rho", [-0.7, 0.0, 0.3, 0.95])
     @pytest.mark.parametrize("m", [2, 3, 10])
     def test_ar1_matches_dense_inverse(self, rho, m):
         corr = rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
         np.testing.assert_allclose(
-            gee.corr_inverse("ar1", rho, m), np.linalg.inv(corr), atol=1e-10
+            rinv_matrix("ar1", rho, m), np.linalg.inv(corr), atol=1e-10
         )
 
     @pytest.mark.parametrize(
@@ -27,21 +40,48 @@ class TestCorrInverse:
     def test_exchangeable_matches_dense_inverse(self, rho, m):
         corr = np.full((m, m), rho) + (1 - rho) * np.eye(m)
         np.testing.assert_allclose(
-            gee.corr_inverse("exchangeable", rho, m),
+            rinv_matrix("exchangeable", rho, m),
             np.linalg.inv(corr),
             atol=1e-10,
         )
 
     def test_independence_is_identity(self):
-        np.testing.assert_array_equal(
-            gee.corr_inverse("independence", 0.4, 4), np.eye(4)
-        )
+        np.testing.assert_array_equal(rinv_matrix("independence", 0.4, 4), np.eye(4))
 
     def test_out_of_domain_rho_raises(self):
         with pytest.raises(NumericDomainError):
-            gee.corr_inverse("ar1", 1.0, 3)
+            rinv_matrix("ar1", 1.0, 3)
         with pytest.raises(NumericDomainError):
-            gee.corr_inverse("exchangeable", -0.9, 3)  # 1+(m-1)rho < 0
+            rinv_matrix("exchangeable", -0.9, 3)  # 1+(m-1)rho < 0
+
+    @pytest.mark.parametrize(
+        "structure,rho,m",
+        [("ar1", -0.6, 2), ("ar1", 0.0, 7), ("ar1", 0.8, 9),
+         ("exchangeable", -0.2, 5), ("exchangeable", 0.0, 3), ("exchangeable", 0.7, 8)],
+    )
+    def test_derivative_matches_dense_oracle(self, structure, rho, m):
+        h = 1e-6
+        fd = (
+            oracles.corr_inverse(structure, rho + h, m)
+            - oracles.corr_inverse(structure, rho - h, m)
+        ) / (2 * h)
+        np.testing.assert_allclose(drinv_matrix(structure, rho, m), fd, atol=1e-7)
+        np.testing.assert_allclose(
+            rinv_matrix(structure, rho, m), oracles.corr_inverse(structure, rho, m),
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_gram_forms_match_dense_quadratic_forms(self, structure):
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((7, 6, 3))
+        rho = 0.45
+        w, _ = gee._weights(structure, rho, 6)
+        rinv = oracles.corr_inverse(structure, rho, 6)
+        dense = np.einsum("ntp,ts,nsq->pq", Z, rinv, Z)
+        np.testing.assert_allclose(
+            np.tensordot(w, gee._grams(structure, Z), axes=1), dense, rtol=1e-12
+        )
 
 
 class TestFitGeeBlock:
@@ -119,6 +159,34 @@ class TestFitGeeBlock:
             assert converged
             scores = gee.gee_scores(block, theta, zeta, structure)
             assert np.linalg.norm(scores.mean(axis=0)) <= 1e-7
+
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_matches_dense_oracle_fit(self, structure):
+        # rho of both signs, M = 2 and a single-covariate design
+        for seed, (M, p, rho) in enumerate([(8, 3, 0.6), (2, 3, -0.4), (6, 1, 0.0), (11, 2, -0.7)]):
+            design = make_ar1_design(
+                N=120, M=M, theta0=(0.3, 0.6, 0.8)[:p], rho=rho, seed=900 + seed
+            )
+            block = one_block(simstudy.generate(design, 0))
+            theta, zeta, converged, iterations, clamped = gee.fit_gee_block(block, structure)
+            o_theta, o_zeta, o_converged, o_iterations, o_clamped = (
+                oracles.dense_fit_gee_block(block, structure)
+            )
+            np.testing.assert_allclose(theta, o_theta, rtol=1e-10)
+            np.testing.assert_allclose(zeta, o_zeta, rtol=1e-10)
+            assert (converged, iterations, clamped) == (o_converged, o_iterations, o_clamped)
+
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_small_sigma_nuisance_matches_dense_oracle(self, structure):
+        # residuals 1e-6 next to a mean near 100: moments taken from a Gram
+        # quadratic form in (-theta, 1) would cancel to noise here
+        design = make_ar1_design(N=200, M=10, J=1, K=1, theta0=(30.0, 60.0, 80.0),
+                                 sigma=1e-6, rho=0.5, seed=31)
+        block = one_block(simstudy.generate(design, 0))
+        _, zeta, converged, _, _ = gee.fit_gee_block(block, structure)
+        _, o_zeta, *_ = oracles.dense_fit_gee_block(block, structure)
+        assert converged
+        np.testing.assert_allclose(zeta, o_zeta, rtol=1e-8)
 
     def test_too_few_subjects_raises(self):
         data, _ = random_dataset(N=4, M=4, p=3, seed=7)

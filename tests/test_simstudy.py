@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockgmm import simstudy
+from blockgmm import partition, simstudy
+from blockgmm.combine import combine
+from blockgmm.dataio import Dataset
 from blockgmm.errors import DataError
 
+import oracles
 from conftest import make_ar1_design
 
 
@@ -54,6 +59,20 @@ class TestGenerators:
         np.testing.assert_array_equal(a.responses, b.responses)
         np.testing.assert_array_equal(a.covariates, b.covariates)
         assert not np.array_equal(a.responses, c.responses)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(rho=-0.6), dict(rho=0.0), dict(theta0=(0.7,)), dict(M=2, J=1)],
+        ids=["default", "negative-rho", "zero-rho", "p1", "M2"],
+    )
+    def test_ar1_filter_is_bit_identical_to_subject_loop(self, overrides):
+        design = make_ar1_design(N=40, **overrides)
+        for rep in (0, 3):
+            fast = simstudy.generate(design, rep)
+            loop = oracles.gen_ar1_loop(design, rep)
+            assert fast.responses.tobytes() == loop.responses.tobytes()
+            assert fast.covariates.tobytes() == loop.covariates.tobytes()
+            assert fast.subject_ids == loop.subject_ids
 
     def test_ar1_recursion_equals_dense_cholesky_construction(self):
         # generator fidelity against the dense covariance oracle (M <= 40):
@@ -131,6 +150,40 @@ class TestGenerators:
         # lag-1 within-block correlation ~ rho
         lag1 = np.corrcoef(err[:, 0], err[:, 1])[0, 1]
         assert abs(lag1 - 0.8) <= 4 / np.sqrt(design.N)
+
+
+class TestFitDataset:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        J=st.integers(1, 3),
+        K=st.integers(1, 3),
+        kind=st.sampled_from(["gee-ar1", "gee-exchangeable", "gee-independence", "cl-ar1"]),
+        strategy=st.sampled_from(["contiguous", "seeded-random"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_permuting_subjects_within_groups_keeps_estimates(
+        self, J, K, kind, strategy, seed
+    ):
+        design = make_ar1_design(N=30 * K, M=3 * J + 2, seed=seed)
+        data = simstudy.generate(design, 0)
+        plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
+        perm = np.arange(data.N)
+        rng = np.random.default_rng(seed)
+        for k in range(K):
+            rows = plan.subject_indices(k)
+            perm[rows] = rng.permutation(rows)
+        shuffled = Dataset(
+            responses=data.responses[perm],
+            covariates=data.covariates[perm],
+            subject_ids=tuple(data.subject_ids[i] for i in perm),
+        )
+        fits = []
+        for dataset in (data, shuffled):
+            bundle, _ = simstudy.fit_dataset(dataset, J, K, kind, strategy=strategy, seed=seed)
+            fit = combine(bundle)
+            fits.append((fit.theta, np.sqrt(fit.variances[: design.p])))
+        for a, b in zip(*fits):
+            np.testing.assert_allclose(b, a, rtol=1e-10, atol=0)
 
 
 class TestRunReplications:
