@@ -9,6 +9,7 @@ closed-form information-weighted combination with sandwich inference.
 
 from .combine import (
     CombinedFit,
+    GroupSummary,
     SummaryBundle,
     WeightBlocks,
     assemble_vhat,
@@ -20,7 +21,7 @@ from .combine import (
     split_bundle,
 )
 from .dataio import Dataset, load_long_csv
-from .engines import BlockFit, NuisanceSpec, SolverOptions, eval_scores, fit_block
+from .engines import BlockFit, BlockRecord, NuisanceSpec, SolverOptions, eval_scores, fit_block
 from .errors import (
     BlockGmmError,
     CombineError,
@@ -39,10 +40,12 @@ __all__ = [
     "BlockData",
     "BlockFit",
     "BlockGmmError",
+    "BlockRecord",
     "CombineError",
     "CombinedFit",
     "DataError",
     "Dataset",
+    "GroupSummary",
     "InferenceReport",
     "NuisanceSpec",
     "NumericDomainError",

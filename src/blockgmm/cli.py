@@ -223,6 +223,7 @@ def cmd_simulate(args) -> int:
         seed=_setting(args, cfg, "seed", 0, int),
     )
     workers = _setting(args, cfg, "workers", 1, int)
+    alpha = _alpha(args, cfg)
     out_dir = _setting(args, cfg, "out", "blockgmm-sim")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -257,7 +258,7 @@ def cmd_simulate(args) -> int:
     if not ok_rows:
         print("simulate: every replication failed", file=sys.stderr)
         return 1
-    summ = simstudy.summarize(rows, design.theta0)
+    summ = simstudy.summarize(rows, design.theta0, alpha=alpha)
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["component", "bias", "ese", "rmse", "ase", "coverage", "reps", "failures"],
@@ -279,7 +280,7 @@ def cmd_simulate(args) -> int:
     m_list = _setting(args, cfg, "M_list", cast=_ints)
     k_list = _setting(args, cfg, "K_list", cast=_ints)
     if m_list and k_list:
-        grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers)
+        grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers, alpha=alpha)
         _write_csv(
             os.path.join(out_dir, "plotdata.csv"),
             ["M", "K", "component", "ase", "ese", "rmse", "bias", "coverage"],
@@ -315,6 +316,7 @@ def cmd_simulate(args) -> int:
             "reps": design.reps,
             "seed": design.seed,
             "workers": workers,
+            "alpha": alpha,
             "out": out_dir,
         },
     )

@@ -10,11 +10,20 @@ to its own estimates.  I_k is the sum over i of the combination matrices
 C_{k,i} with the columns of other groups' nuisance parameters, which are
 zero, dropped.
 
-The combined information is therefore block-arrowhead: a dense theta
-row and column plus one nuisance block D_k per group, with no
-cross-group nuisance terms.  Each D_k is eliminated by Cholesky, the
-p x p theta Schur complement is solved for theta, and each group's zeta
-is back-substituted.  The theta covariance is N times the inverse Schur
+Everything combination needs from group k is therefore its summary:
+(I_k, r_k), its size n_k and its blocks' estimates and convergence
+records.  :func:`group_summary` builds it once per group from the
+group's block fits; a bundle archive (format 2) stores exactly these
+summaries, (p + d_k)^2 + (p + d_k) numbers per group whatever the number
+of subjects, and never a per-subject score.  Combining in memory and
+from archives runs the same arithmetic on the same summaries, so both
+give bit-identical results.
+
+The combined information is block-arrowhead: a dense theta row and
+column plus one nuisance block D_k per group, with no cross-group
+nuisance terms.  Each D_k is eliminated by Cholesky, the p x p theta
+Schur complement is solved for theta, and each group's zeta is
+back-substituted.  The theta covariance is N times the inverse Schur
 complement; the nuisance variances come per group from the diagonal of
 D_k^{-1} + D_k^{-1} B_k' Schur^{-1} B_k D_k^{-1}.  No (p+d) x (p+d)
 matrix is formed, so the cost is linear in K.  All reductions run in a
@@ -34,21 +43,47 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .engines import KINDS, BlockFit, NuisanceSpec
+from .engines import KINDS, BlockFit, BlockRecord, NuisanceSpec
 from .errors import CombineError
 from .partition import PartitionPlan, format_plan, parse_plan
 
 # fixed archive member timestamp so bundles are byte-identical across runs
 _EPOCH = (1980, 1, 1, 0, 0, 0)
-BUNDLE_FORMAT = 1  # the meta.txt format field; load_bundle reads no other
+BUNDLE_FORMAT = 2  # the meta.txt format field; load_bundle reads no other
+
+
+@dataclass(frozen=True)
+class GroupSummary:
+    """What combination needs from subject group k.
+
+    ``info`` = I_k = S_k' W_k S_k and ``rhs`` = r_k = S_k' W_k v_k, unscaled
+    (:func:`combine` multiplies both by n_k^2), with W_k the inverse of
+    V_k = tau_k' tau_k / N.  ``vhat`` and ``w`` are V_k and W_k; they are
+    kept in memory for the over-identification test and never saved.
+    """
+
+    n: int  # n_k
+    info: np.ndarray  # (p + d_k, p + d_k)
+    rhs: np.ndarray  # (p + d_k,)
+    ridge_repaired: bool
+    vhat: np.ndarray | None = None
+    w: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class SummaryBundle:
-    """All block fits plus the plan: the sufficient statistic for combination."""
+    """The plan, every block's record and one summary per subject group:
+    the sufficient statistic for combination.
+
+    In memory ``fits`` holds each block's :class:`BlockFit`, and a group's
+    summary is built from them on first use and kept in ``groups``.  A
+    bundle read from an archive holds block records (:class:`BlockRecord`)
+    and the stored summaries.
+    """
 
     plan: PartitionPlan
-    fits: dict  # (j, k) -> BlockFit
+    fits: dict  # (j, k) -> BlockFit, or BlockRecord when loaded
+    groups: dict = field(default_factory=dict, compare=False)  # k -> GroupSummary
 
     @property
     def p(self) -> int:
@@ -66,6 +101,12 @@ class SummaryBundle:
     def d(self) -> int:
         return sum(fit.d for fit in self.fits.values())
 
+    def summary(self, k: int) -> GroupSummary:
+        """Group k's summary, built by :func:`group_summary` at most once."""
+        if k not in self.groups:
+            self.groups[k] = group_summary(self, k)
+        return self.groups[k]
+
     def validate(self, allow_unconverged: bool = False) -> None:
         expected = {(j, k) for k in range(self.K) for j in range(self.J)}
         if set(self.fits) != expected:
@@ -77,11 +118,6 @@ class SummaryBundle:
         for (j, k), fit in self.fits.items():
             if fit.p != p:
                 raise CombineError(f"block ({j}, {k}) has p={fit.p}, expected {p}")
-            if fit.n != self.plan.group_sizes[k]:
-                raise CombineError(
-                    f"block ({j}, {k}) has n={fit.n}, plan says "
-                    f"{self.plan.group_sizes[k]}"
-                )
             if not fit.converged and not allow_unconverged:
                 raise CombineError(
                     f"block ({j}, {k}) did not converge "
@@ -114,15 +150,36 @@ class CombinedFit:
     variances: np.ndarray  # (p + d,) variances of (theta, zeta)
     N: int
     p: int
-    W: WeightBlocks | None = None  # the per-group weights the fit combined with
+    W: WeightBlocks | None = None  # the weights of an in-memory combination
     diagnostics: dict = field(default_factory=dict)
+
+
+def _group_fits(bundle: SummaryBundle, k: int) -> list:
+    """The J in-memory block fits of group k, each with n_k score rows."""
+    n = bundle.plan.group_sizes[k]
+    fits = []
+    for j in range(bundle.J):
+        fit = bundle.fits.get((j, k))
+        if fit is None:
+            raise CombineError(f"bundle has no block ({j}, {k}) for group {k}")
+        if not isinstance(fit, BlockFit):
+            raise CombineError(
+                f"block ({j}, {k}) carries no scores and the bundle has no "
+                f"summary of group {k}"
+            )
+        if fit.n != n:
+            raise CombineError(f"block ({j}, {k}) has n={fit.n}, plan says {n}")
+        fits.append(fit)
+    return fits
+
+
+def _stacked_scores(fits: list, p: int) -> np.ndarray:
+    return np.hstack([fit.scores[:, :p] for fit in fits] + [fit.scores[:, p:] for fit in fits])
 
 
 def group_scores(bundle: SummaryBundle, k: int) -> np.ndarray:
     """Stacked per-subject score rows of group k: (n_k, Jp + d_k)."""
-    psi = [bundle.fits[(j, k)].scores[:, : bundle.p] for j in range(bundle.J)]
-    g = [bundle.fits[(j, k)].scores[:, bundle.p :] for j in range(bundle.J)]
-    return np.hstack(psi + g)
+    return _stacked_scores(_group_fits(bundle, k), bundle.p)
 
 
 def assemble_vhat(bundle: SummaryBundle) -> tuple:
@@ -135,6 +192,27 @@ def assemble_vhat(bundle: SummaryBundle) -> tuple:
     return tuple(out)
 
 
+def _invert_group(vk: np.ndarray, k: int):
+    """(W_k, ridge_repaired) by Cholesky, with minimal ridge repair."""
+    vk = 0.5 * (vk + vk.T)
+    dim = vk.shape[0]
+    flag = False
+    try:
+        cho = scipy.linalg.cho_factor(vk)
+    except scipy.linalg.LinAlgError:
+        eigmin = float(scipy.linalg.eigvalsh(vk, subset_by_index=(0, 0))[0])
+        scale = float(np.trace(vk)) / dim
+        if eigmin <= -1e-10 * max(scale, 1.0):
+            raise CombineError(
+                f"group {k} score covariance is not positive definite "
+                f"(min eigenvalue {eigmin:.3e}); cannot form weights"
+            ) from None
+        vk = vk + (1e-8 * scale) * np.eye(dim)
+        flag = True
+        cho = scipy.linalg.cho_factor(vk)
+    return scipy.linalg.cho_solve(cho, np.eye(dim)), flag
+
+
 def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> WeightBlocks:
     """Cholesky inverse of each group block, with minimal ridge repair.
 
@@ -142,38 +220,15 @@ def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> WeightBlocks:
     lambda = 1e-8 * trace/dim added to the diagonal; anything genuinely
     indefinite is a hard error.
     """
-    w, repaired = [], []
-    for k, vk in enumerate(vhat):
-        vk = 0.5 * (vk + vk.T)
-        dim = vk.shape[0]
-        flag = False
-        try:
-            cho = scipy.linalg.cho_factor(vk)
-        except scipy.linalg.LinAlgError:
-            eigmin = float(scipy.linalg.eigvalsh(vk, subset_by_index=(0, 0))[0])
-            scale = float(np.trace(vk)) / dim
-            if eigmin <= -1e-10 * max(scale, 1.0):
-                raise CombineError(
-                    f"group {k} score covariance is not positive definite "
-                    f"(min eigenvalue {eigmin:.3e}); cannot form weights"
-                ) from None
-            vk = vk + (1e-8 * scale) * np.eye(dim)
-            flag = True
-            cho = scipy.linalg.cho_factor(vk)
-        w.append(scipy.linalg.cho_solve(cho, np.eye(dim)))
-        repaired.append(flag)
+    w, repaired = zip(*(_invert_group(vk, k) for k, vk in enumerate(vhat)))
     return WeightBlocks(
-        p=bundle.p,
-        J=bundle.J,
-        vhat=tuple(vhat),
-        w=tuple(w),
-        ridge_repaired=tuple(repaired),
+        p=bundle.p, J=bundle.J, vhat=tuple(vhat), w=w, ridge_repaired=repaired
     )
 
 
-def build_C(bundle: SummaryBundle, W: WeightBlocks, k: int):
-    """Group k's information I_k = S_k' W_k S_k and right-hand side
-    r_k = S_k' W_k v_k.
+def build_C(fits: list, w: np.ndarray):
+    """Group information I_k = S_k' W_k S_k and right-hand side
+    r_k = S_k' W_k v_k from the group's J block fits and its weights W_k.
 
     S_k is (Jp + d_k) x (p + d_k): rows follow the :func:`group_scores`
     layout (the psi rows of blocks 1..J, then their g rows), columns the
@@ -181,8 +236,7 @@ def build_C(bundle: SummaryBundle, W: WeightBlocks, k: int):
     block's S_(j,k) (theta_hat_j, zeta_hat_j) in the same row layout.
     I_k equals sum_i C_{k,i} without the all-zero columns of other groups.
     """
-    p, J = bundle.p, bundle.J
-    fits = [bundle.fits[(j, k)] for j in range(J)]
+    J, p = len(fits), fits[0].p
     d_k = sum(fit.d for fit in fits)
     s = np.zeros((J * p + d_k, p + d_k))
     v = np.empty(J * p + d_k)
@@ -196,8 +250,21 @@ def build_C(bundle: SummaryBundle, W: WeightBlocks, k: int):
         s[psi, :p], s[psi, zeta], v[psi] = sens[:p, :p], sens[:p, p:], image[:p]
         s[g, :p], s[g, zeta], v[g] = sens[p:, :p], sens[p:, p:], image[p:]
         off += d
-    sw = s.T @ W.w[k]
+    sw = s.T @ w
     return sw @ s, sw @ v
+
+
+def group_summary(bundle: SummaryBundle, k: int) -> GroupSummary:
+    """Group k's summary from its in-memory block fits: V_k, W_k, I_k, r_k."""
+    fits = _group_fits(bundle, k)
+    tau = _stacked_scores(fits, bundle.p)
+    vhat = tau.T @ tau / bundle.plan.N
+    w, repaired = _invert_group(vhat, k)
+    info, rhs = build_C(fits, w)
+    return GroupSummary(
+        n=bundle.plan.group_sizes[k], info=info, rhs=rhs,
+        ridge_repaired=repaired, vhat=vhat, w=w,
+    )
 
 
 def _condition(sym: np.ndarray) -> float:
@@ -212,71 +279,100 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
     """Closed-form combined estimator and its covariance, by eliminating
     each group's nuisance block from the block-arrowhead information."""
     bundle.validate(allow_unconverged=allow_unconverged)
-    W = invert_vhat(assemble_vhat(bundle), bundle)
+    summaries = [bundle.summary(k) for k in range(bundle.K)]
     p, N = bundle.p, bundle.plan.N
 
-    schur = np.zeros((p, p))
-    rhs = np.zeros(p)
-    groups = []
-    for k in range(bundle.K):
-        info, r = build_C(bundle, W, k)
-        nk2 = float(bundle.plan.group_sizes[k]) ** 2
-        info = nk2 * (0.5 * (info + info.T))
-        r = nk2 * r
-        b, nuisance = info[:p, p:], info[p:, p:]
+    # overflow is caught by the finiteness checks, which name where it happened
+    with np.errstate(over="ignore", invalid="ignore"):
+        schur = np.zeros((p, p))
+        rhs = np.zeros(p)
+        groups = []
+        for k, summary in enumerate(summaries):
+            nk2 = float(summary.n) ** 2
+            info = nk2 * (0.5 * (summary.info + summary.info.T))
+            r = nk2 * summary.rhs
+            if not (np.isfinite(info).all() and np.isfinite(r).all()):
+                raise CombineError(f"group {k} summary overflows once scaled by n_k^2")
+            b, nuisance = info[:p, p:], info[p:, p:]
+            try:
+                cho = scipy.linalg.cho_factor(nuisance)
+            except scipy.linalg.LinAlgError:
+                raise CombineError(
+                    f"combined information is singular: the nuisance block of "
+                    f"group {k} is not positive definite (its block sensitivities "
+                    "do not identify its nuisance parameters)"
+                ) from None
+            dinv_bt = scipy.linalg.cho_solve(cho, b.T)  # D_k^{-1} B_k'
+            dinv_r = scipy.linalg.cho_solve(cho, r[p:])
+            schur += info[:p, :p] - b @ dinv_bt
+            rhs += r[:p] - b @ dinv_r
+            groups.append((nuisance, cho, dinv_bt, dinv_r))
+
+        schur = 0.5 * (schur + schur.T)
+        if not (np.isfinite(schur).all() and np.isfinite(rhs).all()):
+            raise CombineError("the theta Schur complement overflows")
         try:
-            cho = scipy.linalg.cho_factor(nuisance)
+            cho = scipy.linalg.cho_factor(schur)
         except scipy.linalg.LinAlgError:
             raise CombineError(
-                f"combined information is singular: the nuisance block of "
-                f"group {k} is not positive definite (its block sensitivities "
-                "do not identify its nuisance parameters)"
+                "combined information is singular: the theta Schur complement "
+                "is not positive definite (the block sensitivities do not "
+                "identify theta)"
             ) from None
-        dinv_bt = scipy.linalg.cho_solve(cho, b.T)  # D_k^{-1} B_k'
-        dinv_r = scipy.linalg.cho_solve(cho, r[p:])
-        schur += info[:p, :p] - b @ dinv_bt
-        rhs += r[:p] - b @ dinv_r
-        groups.append((nuisance, cho, dinv_bt, dinv_r))
+        theta = scipy.linalg.cho_solve(cho, rhs)
+        schur_inv = scipy.linalg.cho_solve(cho, np.eye(p))
 
-    schur = 0.5 * (schur + schur.T)
-    try:
-        cho = scipy.linalg.cho_factor(schur)
-    except scipy.linalg.LinAlgError:
-        raise CombineError(
-            "combined information is singular: the theta Schur complement "
-            "is not positive definite (the block sensitivities do not "
-            "identify theta)"
-        ) from None
-    theta = scipy.linalg.cho_solve(cho, rhs)
-    schur_inv = scipy.linalg.cho_solve(cho, np.eye(p))
+        zeta, variances = [], [np.diag(schur_inv)]
+        for nuisance, cho_k, dinv_bt, dinv_r in groups:
+            zeta.append(dinv_r - dinv_bt @ theta)
+            dinv = scipy.linalg.cho_solve(cho_k, np.eye(nuisance.shape[0]))
+            variances.append(
+                np.diag(dinv) + np.einsum("ia,ab,ib->i", dinv_bt, schur_inv, dinv_bt)
+            )
 
-    zeta, variances = [], [np.diag(schur_inv)]
-    for nuisance, cho_k, dinv_bt, dinv_r in groups:
-        zeta.append(dinv_r - dinv_bt @ theta)
-        dinv = scipy.linalg.cho_solve(cho_k, np.eye(nuisance.shape[0]))
-        variances.append(
-            np.diag(dinv) + np.einsum("ia,ab,ib->i", dinv_bt, schur_inv, dinv_bt)
+        zeta, variances = np.concatenate(zeta), N * np.concatenate(variances)
+        if not all(np.isfinite(a).all() for a in (theta, zeta, variances)):
+            raise CombineError(
+                "combined estimates are not finite: the information is too ill-conditioned"
+            )
+
+    repaired = tuple(s.ridge_repaired for s in summaries)
+    W = None
+    if all(s.w is not None for s in summaries):
+        W = WeightBlocks(
+            p=p, J=bundle.J, vhat=tuple(s.vhat for s in summaries),
+            w=tuple(s.w for s in summaries), ridge_repaired=repaired,
         )
-
     return CombinedFit(
         theta=theta,
-        zeta=np.concatenate(zeta),
+        zeta=zeta,
         cov_theta=N * schur_inv,
-        variances=N * np.concatenate(variances),
+        variances=variances,
         N=N,
         p=p,
         W=W,
         diagnostics={
             "theta_schur_condition": _condition(schur),
             "nuisance_condition": tuple(_condition(g[0]) for g in groups),
-            "ridge_repaired": W.ridge_repaired,
+            "ridge_repaired": repaired,
             "plan_seed": bundle.plan.seed,
         },
     )
 
 
 # ---------------------------------------------------------------------------
-# bundle serialization: deterministic zip of plain-text metadata + .npy arrays
+# bundle serialization: a deterministic zip of the plan, meta.txt and, per
+# subject group, four .npy arrays:
+#   group_k/information.npy  I_k, (p + d_k, p + d_k)
+#   group_k/rhs.npy          r_k, (p + d_k,)
+#   group_k/theta.npy        the J block theta estimates, (J, p)
+#   group_k/zeta.npy         the block zeta estimates, j order, (d_k,)
+# meta.txt holds "format = 2", one "group_k = n:.. ridge_repaired:.." line
+# per group and one "block_j_k = kind:.. converged:.. iterations:..
+# final_norm:.. rho_clamped:.." line per block.
+
+_ARRAYS = (("information", 2), ("rhs", 1), ("theta", 2), ("zeta", 1))
+_MEMBER = re.compile(r"group_(0|[1-9][0-9]*)/(information|rhs|theta|zeta)\.npy")
 
 
 def _write_member(zf: zipfile.ZipFile, name: str, payload: bytes) -> None:
@@ -292,25 +388,43 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
 
 
 def save_bundle(bundle: SummaryBundle, path) -> None:
-    """Write a bundle archive: plan + per-block arrays, byte-reproducible."""
-    meta_lines = [f"format = {BUNDLE_FORMAT}", f"blocks = {len(bundle.fits)}"]
+    """Write a format-2 archive, byte-reproducible: the plan and, for each
+    subject group the bundle holds, its summary and its blocks' records.
+
+    Works for whole bundles, :func:`split_bundle` parts and loaded bundles
+    alike, because each group's summary stands alone.
+    """
+    meta_lines = [f"format = {BUNDLE_FORMAT}"]
     with zipfile.ZipFile(path, "w") as zf:
         _write_member(zf, "plan.txt", format_plan(bundle.plan).encode())
-        for (j, k) in sorted(bundle.fits):
-            fit = bundle.fits[(j, k)]
-            stem = f"block_{j}_{k}"
+        for k in sorted({k for _, k in bundle.fits}):
+            summary = bundle.summary(k)
+            fits = [bundle.fits[(j, k)] for j in range(bundle.J)]
+            stem = f"group_{k}"
             meta_lines.append(
-                f"{stem} = kind:{fit.kind} converged:{int(fit.converged)} "
+                f"{stem} = n:{summary.n} ridge_repaired:{int(summary.ridge_repaired)}"
+            )
+            meta_lines.extend(
+                f"block_{j}_{k} = kind:{fit.kind} converged:{int(fit.converged)} "
                 f"iterations:{fit.iterations} final_norm:{fit.final_norm!r} "
                 f"rho_clamped:{int(fit.rho_clamped)}"
+                for j, fit in enumerate(fits)
             )
-            _write_member(zf, f"{stem}/theta.npy", _npy_bytes(fit.theta_hat))
-            _write_member(zf, f"{stem}/zeta.npy", _npy_bytes(fit.zeta_hat))
-            _write_member(zf, f"{stem}/scores.npy", _npy_bytes(fit.scores))
-            _write_member(
-                zf, f"{stem}/sensitivity.npy", _npy_bytes(fit.sensitivity)
+            arrays = (
+                summary.info,
+                summary.rhs,
+                np.stack([fit.theta_hat for fit in fits]),
+                np.concatenate([fit.zeta_hat for fit in fits]),
             )
+            for (name, _), arr in zip(_ARRAYS, arrays):
+                _write_member(zf, f"{stem}/{name}.npy", _npy_bytes(arr))
         _write_member(zf, "meta.txt", "\n".join(meta_lines).encode() + b"\n")
+
+
+# what zipfile raises on damaged headers, offsets, flags or deflate streams
+_ZIP_DAMAGE = (
+    zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError, ValueError,
+)
 
 
 def _read_member(zf: zipfile.ZipFile, path, name: str) -> bytes:
@@ -318,8 +432,8 @@ def _read_member(zf: zipfile.ZipFile, path, name: str) -> bytes:
         return zf.read(name)
     except KeyError:
         raise CombineError(f"{path}: bundle has no member {name}") from None
-    except (zipfile.BadZipFile, zlib.error) as exc:
-        raise CombineError(f"{path}: member {name} is corrupt ({exc})") from None
+    except _ZIP_DAMAGE as exc:
+        raise CombineError(f"{path}: member {name} is corrupt ({exc!r})") from None
 
 
 def _read_array(zf: zipfile.ZipFile, path, name: str, ndim: int) -> np.ndarray:
@@ -339,68 +453,96 @@ def _read_array(zf: zipfile.ZipFile, path, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _read_block(zf: zipfile.ZipFile, path, stem: str, entry: str | None) -> BlockFit:
-    """One block's fit from its meta.txt entry and its four arrays."""
-    _, j, k = stem.split("_")
-    where = f"{path}: meta.txt entry {stem}"
+def _meta_entry(meta: dict, path, key: str, casts: dict) -> dict:
+    """The fields of meta.txt entry ``key``, each converted by its cast."""
+    where = f"{path}: meta.txt entry {key}"
+    entry = meta.get(key)
     if entry is None:
         raise CombineError(f"{where} is missing")
     fields = {}
     for item in entry.split(" "):
-        key, sep, value = item.partition(":")
+        name, sep, value = item.partition(":")
         if not sep:
             raise CombineError(f"{where} has malformed field {item!r}")
-        fields[key] = value
+        fields[name] = value
     try:
-        kind = fields["kind"]
-        converged, iterations, rho_clamped = (
-            int(fields[name]) for name in ("converged", "iterations", "rho_clamped")
-        )
-        final_norm = float(fields["final_norm"])
+        return {name: cast(fields[name]) for name, cast in casts.items()}
     except KeyError as exc:
         raise CombineError(f"{where} lacks field {exc}") from None
     except ValueError as exc:
         raise CombineError(f"{where}: {exc}") from None
-    if kind not in KINDS:
-        raise CombineError(f"{where} names unknown solver kind {kind!r}")
 
-    theta = _read_array(zf, path, f"{stem}/theta.npy", 1)
-    zeta = _read_array(zf, path, f"{stem}/zeta.npy", 1)
-    scores = _read_array(zf, path, f"{stem}/scores.npy", 2)
-    sensitivity = _read_array(zf, path, f"{stem}/sensitivity.npy", 2)
-    dim = theta.size + zeta.size
-    if zeta.size != NuisanceSpec(kind).d or scores.shape[1] != dim or (
-        sensitivity.shape != (dim, dim)
+
+_GROUP_FIELDS = {"n": int, "ridge_repaired": int}
+_BLOCK_FIELDS = {
+    "kind": str, "converged": int, "iterations": int, "final_norm": float, "rho_clamped": int,
+}
+
+
+def _read_group(zf: zipfile.ZipFile, path, plan: PartitionPlan, meta: dict, k: int):
+    """Group k's summary and its J block records."""
+    stem = f"group_{k}"
+    if k >= plan.K:
+        raise CombineError(f"{path}: {stem} is outside the plan's {plan.K} groups")
+    group = _meta_entry(meta, path, stem, _GROUP_FIELDS)
+    if group["n"] != plan.group_sizes[k]:
+        raise CombineError(
+            f"{path}: meta.txt entry {stem} has n={group['n']}, plan says "
+            f"{plan.group_sizes[k]}"
+        )
+    entries = []
+    for j in range(plan.J):
+        key = f"block_{j}_{k}"
+        entry = _meta_entry(meta, path, key, _BLOCK_FIELDS)
+        if entry["kind"] not in KINDS:
+            raise CombineError(
+                f"{path}: meta.txt entry {key} names unknown solver kind {entry['kind']!r}"
+            )
+        entries.append(entry)
+    info, rhs, theta, zeta = (
+        _read_array(zf, path, f"{stem}/{name}.npy", ndim) for name, ndim in _ARRAYS
+    )
+    ds = [NuisanceSpec(entry["kind"]).d for entry in entries]
+    p = theta.shape[1]
+    dim = p + sum(ds)
+    if p < 1 or theta.shape[0] != plan.J or zeta.shape != (sum(ds),) or (
+        info.shape != (dim, dim) or rhs.shape != (dim,)
     ):
         raise CombineError(
-            f"{path}: {stem} arrays do not fit a {kind} block: theta "
-            f"{theta.shape}, zeta {zeta.shape}, scores {scores.shape}, "
-            f"sensitivity {sensitivity.shape}"
+            f"{path}: {stem} arrays do not fit its blocks' kinds: information "
+            f"{info.shape}, rhs {rhs.shape}, theta {theta.shape}, zeta {zeta.shape}"
         )
-    return BlockFit(
-        j=int(j),
-        k=int(k),
-        kind=kind,
-        theta_hat=theta,
-        zeta_hat=zeta,
-        scores=scores,
-        sensitivity=sensitivity,
-        converged=bool(converged),
-        iterations=iterations,
-        final_norm=final_norm,
-        rho_clamped=bool(rho_clamped),
+    bounds = np.cumsum([0] + ds)
+    records = {
+        (j, k): BlockRecord(
+            j=j,
+            k=k,
+            kind=entry["kind"],
+            theta_hat=theta[j],
+            zeta_hat=zeta[bounds[j] : bounds[j + 1]],
+            converged=bool(entry["converged"]),
+            iterations=entry["iterations"],
+            final_norm=entry["final_norm"],
+            rho_clamped=bool(entry["rho_clamped"]),
+        )
+        for j, entry in enumerate(entries)
+    }
+    summary = GroupSummary(
+        n=group["n"], info=info, rhs=rhs, ridge_repaired=bool(group["ridge_repaired"])
     )
+    return summary, records
 
 
 def load_bundle(path) -> SummaryBundle:
-    """Read a bundle archive written by :func:`save_bundle`.
+    """Read a format-2 bundle archive written by :func:`save_bundle`.
 
-    A malformed archive, plan, metadata entry or array is a
-    :class:`CombineError` or :class:`PlanError` naming the member.
+    Any other format, and a malformed archive, plan, metadata entry or
+    array, is a :class:`CombineError` or :class:`PlanError` naming the
+    member.
     """
     try:
         zf = zipfile.ZipFile(path)
-    except zipfile.BadZipFile as exc:
+    except _ZIP_DAMAGE as exc:
         raise CombineError(f"{path}: not a bundle archive ({exc})") from None
     with zf:
         # undecodable bytes become U+FFFD and then fail the field checks
@@ -414,29 +556,33 @@ def load_bundle(path) -> SummaryBundle:
             raise CombineError(f"{path}: meta.txt has no format field")
         if meta["format"] != str(BUNDLE_FORMAT):
             raise CombineError(
-                f"{path}: meta.txt has format = {meta['format']!r}, "
-                f"this version reads format {BUNDLE_FORMAT}"
+                f"{path}: meta.txt has format = {meta['format']!r}, this version "
+                f"reads format {BUNDLE_FORMAT} only (refit with blockgmm fit to "
+                "regenerate the bundle)"
             )
-        fits = {}
+        present = set()
         for name in zf.namelist():
-            stem, _, member = name.rpartition("/")
-            if member != "theta.npy":
+            if name in ("plan.txt", "meta.txt"):
                 continue
-            if re.fullmatch(r"block_\d+_\d+", stem) is None:
+            match = _MEMBER.fullmatch(name)
+            if match is None:
                 raise CombineError(f"{path}: unexpected member {name}")
-            fit = _read_block(zf, path, stem, meta.get(stem))
-            fits[(fit.j, fit.k)] = fit
-    return SummaryBundle(plan=plan, fits=fits)
+            present.add(int(match[1]))
+        fits, groups = {}, {}
+        for k in sorted(present):
+            groups[k], records = _read_group(zf, path, plan, meta, k)
+            fits.update(records)
+    return SummaryBundle(plan=plan, fits=fits, groups=groups)
 
 
 def split_bundle(bundle: SummaryBundle) -> list:
-    """One partial bundle per subject group (same plan, that group's fits)."""
+    """One partial bundle per subject group (same plan, that group's fits
+    and, when built already, its summary)."""
     return [
         SummaryBundle(
             plan=bundle.plan,
-            fits={
-                (j, k): fit for (j, k), fit in bundle.fits.items() if k == g
-            },
+            fits={(j, k): fit for (j, k), fit in bundle.fits.items() if k == g},
+            groups={k: s for k, s in bundle.groups.items() if k == g},
         )
         for g in range(bundle.K)
     ]
@@ -447,7 +593,7 @@ def merge_bundles(parts: list) -> SummaryBundle:
     if not parts:
         raise CombineError("no bundles to merge")
     plan = parts[0].plan
-    fits = {}
+    fits, groups = {}, {}
     for part in parts:
         if (
             part.plan.J != plan.J
@@ -464,4 +610,5 @@ def merge_bundles(parts: list) -> SummaryBundle:
         if overlap:
             raise CombineError(f"duplicate blocks across bundles: {sorted(overlap)}")
         fits.update(part.fits)
-    return SummaryBundle(plan=plan, fits=fits)
+        groups.update(part.groups)
+    return SummaryBundle(plan=plan, fits=fits, groups=groups)

@@ -65,14 +65,15 @@ class Dataset:
         if len(self.subject_ids) != self.N:
             raise DataError("subject_ids length does not match N")
         for name, values in (("y", self.responses), ("x", self.covariates)):
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                i, t = bad[0][:2]
-                label = name if name == "y" else f"x_{bad[0][2] + 1}"
-                raise DataError(
-                    f"non-finite {label} = {values[tuple(bad[0])]} at (subject "
-                    f"{self.subject_ids[i]}, response {t + 1})"
-                )
+            if np.isfinite(values).all():
+                continue
+            first = tuple(np.argwhere(~np.isfinite(values))[0])
+            i, t = first[:2]
+            label = name if name == "y" else f"x_{first[2] + 1}"
+            raise DataError(
+                f"non-finite {label} = {values[first]} at (subject "
+                f"{self.subject_ids[i]}, response {t + 1})"
+            )
 
 
 def _subject_order(ids) -> np.ndarray:

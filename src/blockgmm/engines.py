@@ -13,7 +13,7 @@ numerically and there is no step size to choose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,21 +55,19 @@ class NuisanceSpec:
 
 
 @dataclass(frozen=True)
-class BlockFit:
-    """Solved block: estimates, per-subject scores, and sample sensitivity."""
+class BlockRecord:
+    """A solved block's estimates and convergence record: all that a bundle
+    archive keeps of it."""
 
     j: int
     k: int
     kind: str
     theta_hat: np.ndarray  # (p,)
     zeta_hat: np.ndarray  # (d_jk,) as (sigma^2,) or (sigma^2, rho)
-    scores: np.ndarray  # (n_k, p + d_jk), row i = (psi_i, g_i)
-    sensitivity: np.ndarray  # (p + d_jk, p + d_jk)
     converged: bool
     iterations: int
     final_norm: float
     rho_clamped: bool = False
-    extras: dict = field(default_factory=dict)
 
     @property
     def p(self) -> int:
@@ -78,6 +76,15 @@ class BlockFit:
     @property
     def d(self) -> int:
         return self.zeta_hat.shape[0]
+
+
+@dataclass(frozen=True, kw_only=True)
+class BlockFit(BlockRecord):
+    """Solved block in memory: its record plus per-subject scores and the
+    sample sensitivity, from which its group's summary is built."""
+
+    scores: np.ndarray  # (n_k, p + d_jk), row i = (psi_i, g_i)
+    sensitivity: np.ndarray  # (p + d_jk, p + d_jk)
 
     @property
     def n(self) -> int:
@@ -111,6 +118,10 @@ def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
         sens = gee.gee_sensitivity(block, theta, zeta, kind.split("-", 1)[1])
     else:
         raise SolverError(f"unknown solver kind {kind!r}")
+    return _finite(sens)
+
+
+def _finite(sens: np.ndarray) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(sens))
     if bad.size:
         r, c = bad[0]
@@ -130,14 +141,17 @@ def fit_block(
             block, tol=opts.tol, max_iter=opts.max_iter
         )
     else:
-        theta, zeta, converged, iterations, clamped = gee.fit_gee_block(
+        theta, zeta, converged, iterations, clamped, grams = gee._fit_gee_block(
             block, spec.working, tol=opts.tol, max_iter=opts.max_iter
         )
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
     scores = eval_scores(block, theta, zeta, spec.kind)
     final_norm = float(np.linalg.norm(scores.mean(axis=0)))
-    sens = sample_sensitivity(block, theta, zeta, spec.kind)
+    if spec.method == "cl":
+        sens = sample_sensitivity(block, theta, zeta, spec.kind)
+    else:  # the fit's design Grams give the theta-theta block
+        sens = _finite(gee._gee_sensitivity(block, theta, zeta, spec.working, grams))
     return BlockFit(
         j=block.j,
         k=block.k,

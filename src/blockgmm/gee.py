@@ -165,15 +165,23 @@ def gee_scores(block, theta, zeta, structure) -> np.ndarray:
 
 def gee_theta_sensitivity(block, zeta, structure) -> np.ndarray:
     """Analytic theta-theta sensitivity (1/n) sum_i D_i' Sigma_i^-1 D_i."""
+    return _theta_sensitivity(block, zeta, structure, _grams(structure, block.design))
+
+
+def _theta_sensitivity(block, zeta, structure, grams) -> np.ndarray:
     sigma2, rho = _nuisance(zeta, structure)
     w, _ = _weights(structure, rho, block.m)
-    gram = np.tensordot(w, _grams(structure, block.design), axes=1)
-    return gram / (block.n * sigma2)
+    return np.tensordot(w, grams, axes=1) / (block.n * sigma2)
 
 
 def gee_sensitivity(block, theta, zeta, structure) -> np.ndarray:
     """Negative Jacobian of the mean estimating function at (theta, zeta),
     in closed form, rows (psi, g) and columns (theta, sigma^2[, rho])."""
+    return _gee_sensitivity(block, theta, zeta, structure, _grams(structure, block.design))
+
+
+def _gee_sensitivity(block, theta, zeta, structure, grams) -> np.ndarray:
+    """:func:`gee_sensitivity` with the block's design Grams already built."""
     sigma2, rho = _nuisance(zeta, structure)
     X = block.design
     n, m, p = X.shape
@@ -183,7 +191,7 @@ def gee_sensitivity(block, theta, zeta, structure) -> np.ndarray:
     basis = _apply_basis(structure, resid)
 
     sens = np.zeros((p + d, p + d))
-    sens[:p, :p] = gee_theta_sensitivity(block, zeta, structure)
+    sens[:p, :p] = _theta_sensitivity(block, zeta, structure, grams)
     # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2
     sens[:p, p] = _xt(X, _combine(w, basis)) / (n * sigma2 * sigma2)
     # g1 = mean_t r_t^2 - sigma^2
@@ -210,6 +218,12 @@ def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100)
 
     Returns (theta, zeta, converged, iterations, rho_clamped).
     """
+    return _fit_gee_block(block, structure, tol, max_iter)[:5]
+
+
+def _fit_gee_block(block, structure, tol, max_iter):
+    """:func:`fit_gee_block`, also returning the design Grams it built, so
+    the sensitivity at the solution needs no second pass over the design."""
     d = nuisance_dim(structure)
     if block.n <= block.p + d:
         raise SolverError(
@@ -239,4 +253,4 @@ def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100)
         if delta < tol:
             converged = True
             break
-    return theta, zeta, converged, iterations, clamped
+    return theta, zeta, converged, iterations, clamped, grams

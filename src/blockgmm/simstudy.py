@@ -295,9 +295,10 @@ def summarize(rows, theta0, alpha: float = 0.05) -> SimSummary:
 
 
 def grid_plot_data(
-    design: SimDesign, m_values, k_values, workers: int = 1
+    design: SimDesign, m_values, k_values, workers: int = 1, alpha: float = 0.05
 ) -> list:
-    """Mean-ASE grid over (M, K) for external plotting.
+    """Mean-ASE grid over (M, K) for external plotting; coverage is of
+    the level-``alpha`` intervals.
 
     Returns rows (M, K, component, ase, ese, rmse, bias, coverage).
     """
@@ -306,7 +307,7 @@ def grid_plot_data(
         for k in k_values:
             d = replace(design, M=int(m), K=int(k))
             rows = run_replications(d, workers=workers)
-            summ = summarize(rows, d.theta0)
+            summ = summarize(rows, d.theta0, alpha)
             for idx, name in enumerate(summ.components):
                 out.append(
                     {

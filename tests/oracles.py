@@ -17,7 +17,6 @@ import scipy.optimize
 
 from blockgmm import gee, simstudy
 from blockgmm.combine import assemble_vhat, invert_vhat
-from blockgmm.combine import build_C as group_information
 from blockgmm.dataio import Dataset
 from blockgmm.engines import eval_scores
 from blockgmm.errors import NumericDomainError, SolverError
@@ -195,15 +194,16 @@ def dense_combine(bundle):
     return est[:p], est[p:], cov
 
 
-def arrowhead_information(bundle, W):
-    """The production per-group informations of :func:`blockgmm.combine.build_C`
-    scattered into (p+d)^2 and scaled like :func:`combined_information`."""
+def arrowhead_information(bundle):
+    """The production group summaries' informations I_k (what a bundle
+    archive stores) scattered into (p+d)^2 and scaled like
+    :func:`combined_information`."""
     p, d, N = bundle.p, bundle.d, bundle.plan.N
     total = np.zeros((p + d, p + d))
     for k in range(bundle.K):
-        info, _ = group_information(bundle, W, k)
+        summary = bundle.summary(k)
         idx = np.r_[0:p, p + group_offset(bundle, k) : p + group_offset(bundle, k + 1)]
-        total[np.ix_(idx, idx)] += float(bundle.plan.group_sizes[k]) ** 2 * info
+        total[np.ix_(idx, idx)] += float(summary.n) ** 2 * summary.info
     return total / (N * N)
 
 

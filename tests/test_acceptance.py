@@ -57,7 +57,7 @@ def test_criterion_1_combined_information_identity():
             seed=idx,
         )
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        lhs = oracles.arrowhead_information(bundle, W)
+        lhs = oracles.arrowhead_information(bundle)
         for rhs in (oracles.combined_information(bundle, W), oracles.godambe_direct(bundle, W)):
             worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     report(

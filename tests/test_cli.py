@@ -181,7 +181,8 @@ class TestConfigValues:
 
 class TestAlpha:
     @pytest.mark.parametrize("raw", ["nan", "0", "1", "1.5"])
-    @pytest.mark.parametrize("source", ["fit-config", "fit-flag", "combine-flag"])
+    @pytest.mark.parametrize("source", ["fit-config", "fit-flag", "combine-flag",
+                                        "simulate-flag"])
     def test_level_outside_unit_interval_is_exit_1(self, data_csv, fitted_bundle_zip,
                                                    tmp_path, capsys, source, raw):
         out = tmp_path / "out"
@@ -191,13 +192,31 @@ class TestAlpha:
             argv = ["fit", "--config", cfg, "--out", out]
         elif source == "fit-flag":
             argv = ["fit", "--input", data_csv, "--J", 2, "--K", 2, "--alpha", raw, "--out", out]
-        else:
+        elif source == "combine-flag":
             argv = ["combine", fitted_bundle_zip, "--alpha", raw, "--out", out]
+        else:
+            argv = ["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
+                    "--K", 2, "--reps", 1, "--alpha", raw, "--out", out]
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"alpha = {float(raw)!r} is not a level inside (0, 1)" in err
         assert "Traceback" not in err
         assert not (out / "estimates.csv").exists()
+        assert not (out / "summary.csv").exists()
+
+    def test_simulate_coverage_follows_alpha(self, tmp_path):
+        args = ["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
+                "--K", 2, "--sigma", 2, "--rho", 0.5, "--reps", 6]
+        coverage = {}
+        for alpha in ("0.05", "0.5"):
+            out = tmp_path / alpha
+            assert run(args + ["--alpha", alpha, "--out", out]) == 0
+            with open(out / "summary.csv") as fh:
+                coverage[alpha] = [float(r["coverage"]) for r in csv.DictReader(fh)]
+            assert f"alpha = {alpha}" in (out / "config.txt").read_text()
+        # wider intervals cover at least as often, and here strictly more
+        assert all(a >= b for a, b in zip(coverage["0.05"], coverage["0.5"]))
+        assert coverage["0.05"] != coverage["0.5"]
 
 
 class TestSimulateCommand:
@@ -319,11 +338,11 @@ def rewrite_member(src, dst, name, edit):
             zout.writestr(info, edit(payload) if info.filename == name else payload)
 
 
-def nan_scores(payload):
-    scores = np.load(io.BytesIO(payload))
-    scores[3, 1] = np.nan
+def nan_information(payload):
+    info = np.load(io.BytesIO(payload))
+    info[3, 1] = np.nan
     buf = io.BytesIO()
-    np.save(buf, scores)
+    np.save(buf, info)
     return buf.getvalue()
 
 
@@ -340,8 +359,8 @@ class TestTamperedBundles:
     @pytest.mark.parametrize(
         "name, edit, message",
         [
-            ("block_0_0/scores.npy", nan_scores,
-             "member block_0_0/scores.npy holds non-finite values"),
+            ("group_0/information.npy", nan_information,
+             "member group_0/information.npy holds non-finite values"),
             ("plan.txt", replace_text("J = 2", "J = two"),
              "plan.txt: plan field J = 'two' is not an integer"),
             ("meta.txt", replace_text("kind:gee-ar1", "kind: gee-ar1"),
@@ -350,12 +369,16 @@ class TestTamperedBundles:
              "plan.txt: block_of_response holds 2 at position 0, outside 0..1"),
             ("plan.txt", replace_text("group_of_subject = 0,", "group_of_subject = 5,"),
              "plan.txt: group_of_subject holds 5 at position 0, outside 0..1"),
-            ("meta.txt", replace_text("format = 1\n", ""), "meta.txt has no format field"),
-            ("meta.txt", replace_text("format = 1", "format = 2"),
-             "meta.txt has format = '2', this version reads format 1"),
+            ("meta.txt", replace_text("group_0 = n:40", "group_0 = n:41"),
+             "meta.txt entry group_0 has n=41, plan says 40"),
+            ("meta.txt", replace_text("format = 2\n", ""), "meta.txt has no format field"),
+            ("meta.txt", replace_text("format = 2", "format = 1"),
+             "meta.txt has format = '1', this version reads format 2 only"),
+            ("meta.txt", replace_text("format = 2", "format = 3"),
+             "meta.txt has format = '3', this version reads format 2 only"),
         ],
-        ids=["nan-scores", "non-integer-J", "split-meta-field", "block-index", "group-index",
-             "no-format", "other-format"],
+        ids=["nan-information", "non-integer-J", "split-meta-field", "block-index",
+             "group-index", "group-size", "no-format", "format-1", "format-3"],
     )
     def test_combine_rejects_with_exit_1(self, fitted_bundle_zip, tmp_path, capsys,
                                          name, edit, message):

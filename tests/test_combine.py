@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from blockgmm import simstudy
 from blockgmm.combine import (
+    GroupSummary,
     SummaryBundle,
     assemble_vhat,
-    build_C,
     combine,
     group_scores,
     invert_vhat,
@@ -19,7 +19,7 @@ from blockgmm.combine import (
     save_bundle,
     split_bundle,
 )
-from blockgmm.engines import BlockFit
+from blockgmm.engines import BlockFit, BlockRecord
 from blockgmm.errors import BlockGmmError, CombineError
 from blockgmm.partition import PartitionPlan, make_plan
 
@@ -235,7 +235,7 @@ class TestBuildC:
         # the dense C-matrix sum and the weighted-sensitivity information
         bundle, _ = fitted_bundle
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        lhs = oracles.arrowhead_information(bundle, W)
+        lhs = oracles.arrowhead_information(bundle)
         for rhs in (oracles.combined_information(bundle, W), oracles.godambe_direct(bundle, W)):
             rel = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
             assert rel <= 1e-8
@@ -252,7 +252,7 @@ class TestBuildC:
                 for i in range(bundle.J)
             )
             rows = np.r_[0:p, p + oracles.group_offset(bundle, k) : p + oracles.group_offset(bundle, k + 1)]
-            _, r = build_C(bundle, W, k)
+            r = bundle.summary(k).rhs
             np.testing.assert_allclose(r, dense[rows], rtol=1e-10, atol=1e-12 * np.abs(dense).max())
             outside = np.setdiff1d(np.arange(dense.size), rows)
             assert np.all(dense[outside] == 0.0)
@@ -284,7 +284,7 @@ class TestBuildC:
         data = simstudy.generate(design, 0)
         bundle, _ = simstudy.fit_dataset(data, 1, 1, "gee-ar1")
         W = invert_vhat(assemble_vhat(bundle), bundle)
-        info, _ = build_C(bundle, W, 0)
+        info = bundle.summary(0).info
         np.testing.assert_allclose(info, oracles.godambe_direct(bundle, W), atol=1e-10)
 
 
@@ -452,18 +452,97 @@ class TestBundleSerialization:
         assert set(loaded.fits) == set(bundle.fits)
         for key, fit in bundle.fits.items():
             other = loaded.fits[key]
-            np.testing.assert_array_equal(other.theta_hat, fit.theta_hat)
-            np.testing.assert_array_equal(other.zeta_hat, fit.zeta_hat)
-            np.testing.assert_array_equal(other.scores, fit.scores)
-            np.testing.assert_array_equal(other.sensitivity, fit.sensitivity)
-            assert other.kind == fit.kind
-            assert other.converged == fit.converged
-            assert other.final_norm == fit.final_norm
+            assert isinstance(other, BlockRecord) and not isinstance(other, BlockFit)
+            assert other.theta_hat.tobytes() == fit.theta_hat.tobytes()
+            assert other.zeta_hat.tobytes() == fit.zeta_hat.tobytes()
+            for name in ("j", "k", "kind", "converged", "iterations", "final_norm",
+                         "rho_clamped"):
+                assert getattr(other, name) == getattr(fit, name)
+        assert sorted(loaded.groups) == list(range(bundle.K))
+        for k, summary in loaded.groups.items():
+            built = bundle.summary(k)
+            assert summary.n == built.n == bundle.plan.group_sizes[k]
+            assert summary.info.tobytes() == built.info.tobytes()
+            assert summary.rhs.tobytes() == built.rhs.tobytes()
+            assert summary.ridge_repaired == built.ridge_repaired
+            assert summary.vhat is None and summary.w is None
         combined_a = combine(bundle)
         combined_b = combine(loaded)
         assert combined_a.theta.tobytes() == combined_b.theta.tobytes()
+        assert combined_a.zeta.tobytes() == combined_b.zeta.tobytes()
         assert combined_a.cov_theta.tobytes() == combined_b.cov_theta.tobytes()
         assert combined_a.variances.tobytes() == combined_b.variances.tobytes()
+        assert combined_b.W is None
+
+    def test_ridge_repair_flag_round_trips(self):
+        # a zero score column makes V_k singular, so its inverse is ridge-repaired
+        bundle = random_bundle(2, 2, 2, seed=3)
+        fits = dict(bundle.fits)
+        fit = fits[(1, 1)]
+        scores = fit.scores.copy()
+        scores[:, -1] = 0.0
+        fits[(1, 1)] = BlockFit(
+            j=1, k=1, kind=fit.kind, theta_hat=fit.theta_hat, zeta_hat=fit.zeta_hat,
+            scores=scores, sensitivity=fit.sensitivity, converged=True, iterations=1,
+            final_norm=0.0,
+        )
+        bundle = SummaryBundle(plan=bundle.plan, fits=fits)
+        assert combine(bundle).diagnostics["ridge_repaired"] == (False, True)
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        loaded = load_bundle(buf)
+        assert combine(loaded).diagnostics["ridge_repaired"] == (False, True)
+
+    def test_archive_holds_group_summaries_and_no_scores(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        with zipfile.ZipFile(buf) as zf:
+            names = sorted(zf.namelist())
+            meta = zf.read("meta.txt").decode()
+        assert names == sorted(
+            ["plan.txt", "meta.txt"]
+            + [f"group_{k}/{name}.npy" for k in range(bundle.K)
+               for name in ("information", "rhs", "theta", "zeta")]
+        )
+        assert meta.startswith("format = 2\n")
+
+    def test_archive_size_does_not_grow_with_n(self):
+        # only plan.txt, which lists every subject's group, depends on N
+        sizes = []
+        for N in (60, 600):
+            design = make_ar1_design(N=N, M=8, J=2, K=3, seed=21)
+            bundle, _ = simstudy.fit_dataset(simstudy.generate(design, 0), 2, 3, "gee-ar1")
+            buf = io.BytesIO()
+            save_bundle(bundle, buf)
+            with zipfile.ZipFile(buf) as zf:
+                sizes.append({info.filename: info.file_size for info in zf.infolist()
+                              if info.filename.endswith(".npy")})
+        assert len(sizes[0]) == 4 * 3  # four arrays per group
+        assert sizes[0] == sizes[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        J=st.integers(1, 3),
+        K=st.integers(1, 3),
+        kind=st.sampled_from(["gee-ar1", "gee-exchangeable", "gee-independence", "cl-ar1"]),
+        strategy=st.sampled_from(["contiguous", "seeded-random"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_file_round_trip_combines_bit_equal_to_memory(self, J, K, kind, strategy, seed):
+        design = make_ar1_design(N=30 * K, M=3 * J + 2, seed=seed)
+        bundle, _ = simstudy.fit_dataset(
+            simstudy.generate(design, 0), J, K, kind, strategy=strategy, seed=seed
+        )
+        loaded = []
+        for part in split_bundle(bundle):  # each part builds its own summary
+            buf = io.BytesIO()
+            save_bundle(part, buf)
+            loaded.append(load_bundle(buf))
+        from_files = combine(merge_bundles(loaded))
+        in_memory = combine(bundle)
+        for name in ("theta", "zeta", "cov_theta", "variances"):
+            assert getattr(from_files, name).tobytes() == getattr(in_memory, name).tobytes()
 
     def test_saved_archives_are_byte_identical(self, fitted_bundle, tmp_path):
         bundle, _ = fitted_bundle
@@ -535,3 +614,30 @@ class TestBundleSerialization:
             load_bundle(damaged)
         except BlockGmmError:
             pass
+
+    @pytest.mark.filterwarnings("ignore:Reading `.npy`:UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(edit=st.integers(0, 10**6), byte=st.integers(0, 255))
+    def test_damaged_archive_bytes_are_a_package_error(self, fitted_bundle, edit, byte):
+        # headers, offsets and flags of the zip container itself
+        bundle, _ = fitted_bundle
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        payload = bytearray(buf.getvalue())
+        payload[edit % len(payload)] = byte
+        try:
+            combine(load_bundle(io.BytesIO(bytes(payload))))
+        except BlockGmmError:
+            pass
+
+    def test_summary_overflowing_at_scale_is_a_combine_error(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        loaded = load_bundle(buf)
+        big = loaded.groups[1]
+        loaded.groups[1] = GroupSummary(
+            n=big.n, info=big.info * 1e305, rhs=big.rhs, ridge_repaired=False
+        )
+        with pytest.raises(CombineError, match="group 1 summary overflows"):
+            combine(loaded)

@@ -61,6 +61,19 @@ class TestFitBlock:
         np.testing.assert_allclose(tt, tt.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(tt)) > 0
 
+    def test_sensitivity_equals_sample_sensitivity_bitwise(self, kind, monkeypatch):
+        # a GEE fit hands its design Grams to the sensitivity: one Gram pass
+        # per block, and the same bits as the standalone sensitivity
+        data, _ = random_dataset(N=40, M=5, p=3, seed=20)
+        block = one_block(data)
+        calls = []
+        grams = gee._grams
+        monkeypatch.setattr(gee, "_grams", lambda *args: calls.append(1) or grams(*args))
+        fit = fit_block(block, NuisanceSpec(kind))
+        assert len(calls) == (0 if kind == "cl-ar1" else 1)
+        standalone = sample_sensitivity(block, fit.theta_hat, fit.zeta_hat, kind)
+        assert fit.sensitivity.tobytes() == standalone.tobytes()
+
 
 class TestSampleSensitivity:
     def test_gee_theta_block_matches_finite_differences(self):
