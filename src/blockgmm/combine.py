@@ -13,10 +13,11 @@ zero, dropped.
 Everything combination needs from group k is therefore its summary:
 (I_k, r_k), its size n_k and its blocks' estimates and convergence
 records.  :func:`group_summary` builds it once per group from the
-group's block fits; a bundle archive (format 2) stores exactly these
-summaries, (p + d_k)^2 + (p + d_k) numbers per group whatever the number
-of subjects, and never a per-subject score.  Combining in memory and
-from archives runs the same arithmetic on the same summaries, so both
+group's block fits; a bundle archive (format 3) stores exactly these
+summaries, (p + d_k)^2 + (p + d_k) numbers per group, and a plan of
+J + K + 1 integers and a strategy.  Nothing in it grows with the number
+of subjects: it holds no per-subject score or label.  Combining in memory
+and from archives runs the same arithmetic on the same summaries, so both
 give bit-identical results.
 
 The combined information is block-arrowhead: a dense theta row and
@@ -49,7 +50,7 @@ from .partition import PartitionPlan, format_plan, parse_plan
 
 # fixed archive member timestamp so bundles are byte-identical across runs
 _EPOCH = (1980, 1, 1, 0, 0, 0)
-BUNDLE_FORMAT = 2  # the meta.txt format field; load_bundle reads no other
+BUNDLE_FORMAT = 3  # the meta.txt format field; load_bundle reads no other
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,15 @@ def _invert_group(vk: np.ndarray, k: int):
                 f"group {k} score covariance is not positive definite "
                 f"(min eigenvalue {eigmin:.3e}); cannot form weights"
             ) from None
-        vk = vk + (1e-8 * scale) * np.eye(dim)
         flag = True
-        cho = scipy.linalg.cho_factor(vk)
+        try:
+            cho = scipy.linalg.cho_factor(vk + (1e-8 * scale) * np.eye(dim))
+        except scipy.linalg.LinAlgError:
+            raise CombineError(
+                f"group {k} score covariance is singular beyond ridge repair "
+                f"(min eigenvalue {eigmin:.3e}, ridge {1e-8 * scale:.3e}); "
+                "cannot form weights"
+            ) from None
     return scipy.linalg.cho_solve(cho, np.eye(dim)), flag
 
 
@@ -367,7 +374,7 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
 #   group_k/rhs.npy          r_k, (p + d_k,)
 #   group_k/theta.npy        the J block theta estimates, (J, p)
 #   group_k/zeta.npy         the block zeta estimates, j order, (d_k,)
-# meta.txt holds "format = 2", one "group_k = n:.. ridge_repaired:.." line
+# meta.txt holds "format = 3", one "group_k = n:.. ridge_repaired:.." line
 # per group and one "block_j_k = kind:.. converged:.. iterations:..
 # final_norm:.. rho_clamped:.." line per block.
 
@@ -388,7 +395,7 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
 
 
 def save_bundle(bundle: SummaryBundle, path) -> None:
-    """Write a format-2 archive, byte-reproducible: the plan and, for each
+    """Write a format-3 archive, byte-reproducible: the plan and, for each
     subject group the bundle holds, its summary and its blocks' records.
 
     Works for whole bundles, :func:`split_bundle` parts and loaded bundles
@@ -534,7 +541,7 @@ def _read_group(zf: zipfile.ZipFile, path, plan: PartitionPlan, meta: dict, k: i
 
 
 def load_bundle(path) -> SummaryBundle:
-    """Read a format-2 bundle archive written by :func:`save_bundle`.
+    """Read a format-3 bundle archive written by :func:`save_bundle`.
 
     Any other format, and a malformed archive, plan, metadata entry or
     array, is a :class:`CombineError` or :class:`PlanError` naming the
@@ -546,8 +553,6 @@ def load_bundle(path) -> SummaryBundle:
         raise CombineError(f"{path}: not a bundle archive ({exc})") from None
     with zf:
         # undecodable bytes become U+FFFD and then fail the field checks
-        plan_text = _read_member(zf, path, "plan.txt").decode(errors="replace")
-        plan = parse_plan(plan_text, f"{path}: plan.txt")
         meta = {}
         for line in _read_member(zf, path, "meta.txt").decode(errors="replace").splitlines():
             key, _, value = line.partition("=")
@@ -560,6 +565,8 @@ def load_bundle(path) -> SummaryBundle:
                 f"reads format {BUNDLE_FORMAT} only (refit with blockgmm fit to "
                 "regenerate the bundle)"
             )
+        plan_text = _read_member(zf, path, "plan.txt").decode(errors="replace")
+        plan = parse_plan(plan_text, f"{path}: plan.txt")
         present = set()
         for name in zf.namelist():
             if name in ("plan.txt", "meta.txt"):
@@ -595,16 +602,7 @@ def merge_bundles(parts: list) -> SummaryBundle:
     plan = parts[0].plan
     fits, groups = {}, {}
     for part in parts:
-        if (
-            part.plan.J != plan.J
-            or part.plan.K != plan.K
-            or not np.array_equal(
-                part.plan.group_of_subject, plan.group_of_subject
-            )
-            or not np.array_equal(
-                part.plan.block_of_response, plan.block_of_response
-            )
-        ):
+        if part.plan != plan:
             raise CombineError("cannot merge bundles with different plans")
         overlap = set(fits) & set(part.fits)
         if overlap:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericDomainError, SolverError
-
-RHO_LIMIT = 0.999
+from .gee import RHO_LIMIT
 
 
 def _lag_gram(X) -> tuple[np.ndarray, np.ndarray]:

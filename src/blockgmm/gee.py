@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericDomainError, SolverError
 
-RHO_LIMIT = 0.999
+RHO_LIMIT = 0.999  # |rho| clamp of every block solver, CL included
 
 
 def nuisance_dim(kind: str) -> int:

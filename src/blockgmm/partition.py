@@ -1,13 +1,16 @@
 """Double split of a panel: responses into J contiguous blocks, subjects
 into K groups (contiguous or seeded-random).
 
-Block membership follows entry order by default; a custom response->block
-map can be supplied.  Group assignment is a deterministic function of
-(seed, N, K) so a plan can be reproduced from its serialized form.
+A plan is its block sizes, group sizes, group strategy and seed.  Block j
+is the next m_j responses in entry order; group k is the next n_k subjects
+of the subject order, which is entry order or, for seeded-random,
+``default_rng(seed).permutation(N)``.  Its serialized form is therefore
+J + K + 1 integers and the strategy, whatever the number of subjects.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,29 +29,66 @@ def _near_equal_sizes(total: int, parts: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    J: int
-    K: int
+    """Block sizes, group sizes, group strategy and seed: every index of the
+    split derives from these, and :meth:`__post_init__` is the one check of
+    a plan, however it was built."""
+
     block_sizes: tuple  # m_1..m_J, sum = M
     group_sizes: tuple  # n_1..n_K, sum = N
-    block_of_response: np.ndarray  # (M,) int, block index 0..J-1
-    group_of_subject: np.ndarray  # (N,) int, group index 0..K-1
     strategy: str
     seed: int
 
+    def __post_init__(self):
+        try:
+            for name in ("block_sizes", "group_sizes"):
+                sizes = tuple(operator.index(size) for size in getattr(self, name))
+                object.__setattr__(self, name, sizes)
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise PlanError(
+                f"plan sizes and seed must be integers, got block_sizes="
+                f"{self.block_sizes!r}, group_sizes={self.group_sizes!r}, "
+                f"seed={self.seed!r}"
+            ) from None
+        if self.J < 1 or self.K < 1:
+            raise PlanError(f"need J >= 1 and K >= 1, got J={self.J}, K={self.K}")
+        if min(self.block_sizes) < 2:
+            raise PlanError(f"every block needs >= 2 responses, sizes={self.block_sizes}")
+        if min(self.group_sizes) < 1:
+            raise PlanError(f"every group needs >= 1 subject, sizes={self.group_sizes}")
+        if self.strategy not in GROUP_STRATEGIES:
+            raise PlanError(f"unknown group strategy {self.strategy!r}")
+        if self.seed < 0:
+            raise PlanError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def J(self) -> int:
+        return len(self.block_sizes)
+
+    @property
+    def K(self) -> int:
+        return len(self.group_sizes)
+
     @property
     def M(self) -> int:
-        return int(self.block_of_response.shape[0])
+        return sum(self.block_sizes)
 
     @property
     def N(self) -> int:
-        return int(self.group_of_subject.shape[0])
+        return sum(self.group_sizes)
 
     def response_indices(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.block_of_response == j)
+        start = sum(self.block_sizes[:j])
+        return np.arange(start, start + self.block_sizes[j])
 
     def subject_indices(self, k: int) -> np.ndarray:
-        # ascending original order: identical across all J blocks of group k
-        return np.flatnonzero(self.group_of_subject == k)
+        """Group k: the subject order cut at the group sizes, ascending, so
+        it is identical across all J blocks of group k."""
+        start = sum(self.group_sizes[:k])
+        stop = start + self.group_sizes[k]
+        if self.strategy == "contiguous":
+            return np.arange(start, stop)
+        return np.sort(np.random.default_rng(self.seed).permutation(self.N)[start:stop])
 
 
 @dataclass(frozen=True)
@@ -90,51 +130,15 @@ def make_plan(
     K: int,
     strategy: str = "seeded-random",
     seed: int = 0,
-    block_map=None,
 ) -> PartitionPlan:
-    """Build a partition plan with near-equal block and group sizes.
-
-    ``block_map`` optionally gives an explicit response->block assignment
-    (length M, values 0..J-1); every block must still have >= 2 responses.
-    """
-    if J < 1 or K < 1:
-        raise PlanError(f"need J >= 1 and K >= 1, got J={J}, K={K}")
-    if K > N:
-        raise PlanError(f"K={K} groups exceed N={N} subjects")
-    if strategy not in GROUP_STRATEGIES:
-        raise PlanError(f"unknown group strategy {strategy!r}")
-
-    if block_map is not None:
-        block_of_response = np.asarray(block_map, dtype=int)
-        if block_of_response.shape != (M,):
-            raise PlanError("block_map length must equal M")
-        if sorted(set(block_of_response.tolist())) != list(range(J)):
-            raise PlanError("block_map must use every block index 0..J-1")
-        block_sizes = tuple(
-            int(np.sum(block_of_response == j)) for j in range(J)
-        )
-    else:
-        if 2 * J > M:
-            raise PlanError(f"J={J} blocks need M >= {2 * J}, got M={M}")
-        block_sizes = _near_equal_sizes(M, J)
-        block_of_response = np.repeat(np.arange(J), block_sizes)
-    if min(block_sizes) < 2:
-        raise PlanError(f"every block needs >= 2 responses, sizes={block_sizes}")
-
-    group_sizes = _near_equal_sizes(N, K)
-    order = np.arange(N)
-    if strategy == "seeded-random":
-        order = np.random.default_rng(seed).permutation(N)
-    group_of_subject = np.empty(N, dtype=int)
-    group_of_subject[order] = np.repeat(np.arange(K), group_sizes)
-
+    """Build a partition plan with near-equal block and group sizes."""
+    if not 1 <= J <= M // 2:
+        raise PlanError(f"J={J} blocks of >= 2 responses need 1 <= J <= M/2, got M={M}")
+    if not 1 <= K <= N:
+        raise PlanError(f"K={K} groups need 1 <= K <= N, got N={N}")
     return PartitionPlan(
-        J=J,
-        K=K,
-        block_sizes=block_sizes,
-        group_sizes=group_sizes,
-        block_of_response=block_of_response,
-        group_of_subject=group_of_subject,
+        block_sizes=_near_equal_sizes(M, J),
+        group_sizes=_near_equal_sizes(N, K),
         strategy=strategy,
         seed=seed,
     )
@@ -175,23 +179,20 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
 
 
 def format_plan(plan: PartitionPlan) -> str:
-    """Plain-text key-value form of a plan."""
+    """Plain-text key-value form of a plan: J + K + 1 integers and the strategy."""
     return (
-        f"J = {plan.J}\n"
-        f"K = {plan.K}\n"
-        f"seed = {plan.seed}\n"
         f"strategy = {plan.strategy}\n"
-        f"block_of_response = {','.join(map(str, plan.block_of_response))}\n"
-        f"group_of_subject = {','.join(map(str, plan.group_of_subject))}\n"
+        f"seed = {plan.seed}\n"
+        f"block_sizes = {','.join(map(str, plan.block_sizes))}\n"
+        f"group_sizes = {','.join(map(str, plan.group_sizes))}\n"
     )
 
 
 def parse_plan(text: str, source) -> PartitionPlan:
-    """Inverse of :func:`format_plan`; ``source`` names the text in errors.
+    """Inverse of :func:`format_plan`; ``source`` prefixes every error.
 
     Every field must be present and integer-valued where integers are
-    expected, 1 <= J <= M and 1 <= K <= N, and every block and group index
-    must lie in 0..J-1 and 0..K-1.
+    expected; the values are then checked by :class:`PartitionPlan`.
     """
     kv = {}
     for line in text.splitlines():
@@ -201,45 +202,24 @@ def parse_plan(text: str, source) -> PartitionPlan:
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
 
-    def integers(name, scalar=False):
+    def field(name, cast):
         if name not in kv:
-            raise PlanError(f"{source}: missing plan field {name!r}")
+            raise PlanError(f"missing plan field {name!r}")
         try:
-            values = [int(v) for v in kv[name].split(",")]
+            return cast(kv[name])
         except ValueError:
-            values = []
-        if not values or (scalar and len(values) > 1):
-            what = "an integer" if scalar else "a list of integers"
-            raise PlanError(f"{source}: plan field {name} = {kv[name]!r} is not {what}")
-        return values[0] if scalar else np.array(values)
+            what = "an integer" if cast is int else "a list of integers"
+            raise PlanError(f"plan field {name} = {kv[name]!r} is not {what}") from None
 
-    J, K, seed = (integers(name, scalar=True) for name in ("J", "K", "seed"))
-    if "strategy" not in kv:
-        raise PlanError(f"{source}: missing plan field 'strategy'")
-    block_of_response = integers("block_of_response")
-    group_of_subject = integers("group_of_subject")
-    if not (1 <= J <= block_of_response.size and 1 <= K <= group_of_subject.size):
-        raise PlanError(
-            f"{source}: J = {J} and K = {K} do not fit {block_of_response.size} "
-            f"responses and {group_of_subject.size} subjects"
+    def sizes(value):
+        return tuple(int(v) for v in value.split(","))
+
+    try:
+        return PartitionPlan(
+            block_sizes=field("block_sizes", sizes),
+            group_sizes=field("group_sizes", sizes),
+            strategy=field("strategy", str),
+            seed=field("seed", int),
         )
-    for name, index, bound in (
-        ("block_of_response", block_of_response, J),
-        ("group_of_subject", group_of_subject, K),
-    ):
-        bad = (index < 0) | (index >= bound)
-        if bad.any():
-            raise PlanError(
-                f"{source}: {name} holds {index[bad][0]} at position "
-                f"{np.flatnonzero(bad)[0]}, outside 0..{bound - 1}"
-            )
-    return PartitionPlan(
-        J=J,
-        K=K,
-        block_sizes=tuple(int(np.sum(block_of_response == j)) for j in range(J)),
-        group_sizes=tuple(int(np.sum(group_of_subject == k)) for k in range(K)),
-        block_of_response=block_of_response,
-        group_of_subject=group_of_subject,
-        strategy=kv["strategy"],
-        seed=seed,
-    )
+    except PlanError as exc:
+        raise PlanError(f"{source}: {exc}") from None

@@ -57,6 +57,8 @@ class SimDesign:
             raise DataError(f"sigma must be positive, got {self.sigma}")
         if self.reps < 1:
             raise DataError(f"reps must be >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not all(np.isfinite(self.theta0)):
             raise DataError("theta0 must be finite")
 

@@ -279,6 +279,20 @@ def reassemble(blocks, plan):
     return out
 
 
+def plan_labels(plan):
+    """Reference (block_of_response, group_of_subject) label arrays of a plan,
+    built the way plans once stored them: group labels
+    ``repeat(arange(K), group_sizes)`` scattered to the subject order
+    (entry order, or ``default_rng(seed).permutation(N)`` for seeded-random).
+    """
+    order = np.arange(plan.N)
+    if plan.strategy == "seeded-random":
+        order = np.random.default_rng(plan.seed).permutation(plan.N)
+    group_of_subject = np.empty(plan.N, dtype=int)
+    group_of_subject[order] = np.repeat(np.arange(plan.K), plan.group_sizes)
+    return np.repeat(np.arange(plan.J), plan.block_sizes), group_of_subject
+
+
 def save_plan(plan, path):
     """Write a plan's plain-text form to a file."""
     with open(path, "w") as fh:

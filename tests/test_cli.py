@@ -113,6 +113,14 @@ class TestFitCommand:
             ["fit", "--input", tmp_path / "nope.csv", "--out", tmp_path / "y"]
         ) == 1
 
+    @pytest.mark.parametrize("strategy", ["contiguous", "seeded-random"])
+    def test_negative_seed_is_exit_1(self, data_csv, tmp_path, capsys, strategy):
+        assert run(
+            ["fit", "--input", data_csv, "--J", 2, "--K", 2, "--group-strategy", strategy,
+             "--seed", -1, "--out", tmp_path / "out"]
+        ) == 1
+        assert "fit: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_unconverged_block_is_exit_2(self, data_csv, tmp_path):
         cfg = tmp_path / "strict.cfg"
         cfg.write_text(f"input = {data_csv}\ntol = 1e-16\nmax_iter = 1\n")
@@ -251,6 +259,13 @@ class TestSimulateCommand:
              "--M", 10, "--J", 3, "--reps", 1, "--out", tmp_path / "bad"]
         ) == 1
 
+    def test_negative_seed_is_exit_1(self, tmp_path, capsys):
+        assert run(
+            ["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
+             "--K", 2, "--reps", 1, "--seed", -1, "--out", tmp_path / "bad"]
+        ) == 1
+        assert "simulate: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_plotdata_grid(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
@@ -361,24 +376,29 @@ class TestTamperedBundles:
         [
             ("group_0/information.npy", nan_information,
              "member group_0/information.npy holds non-finite values"),
-            ("plan.txt", replace_text("J = 2", "J = two"),
-             "plan.txt: plan field J = 'two' is not an integer"),
+            ("plan.txt", replace_text("seed = 0", "seed = zero"),
+             "plan.txt: plan field seed = 'zero' is not an integer"),
             ("meta.txt", replace_text("kind:gee-ar1", "kind: gee-ar1"),
              "meta.txt entry block_0_0 has malformed field 'gee-ar1'"),
-            ("plan.txt", replace_text("block_of_response = 0,", "block_of_response = 2,"),
-             "plan.txt: block_of_response holds 2 at position 0, outside 0..1"),
-            ("plan.txt", replace_text("group_of_subject = 0,", "group_of_subject = 5,"),
-             "plan.txt: group_of_subject holds 5 at position 0, outside 0..1"),
+            ("plan.txt", replace_text("strategy = contiguous", "strategy = alphabetical"),
+             "plan.txt: unknown group strategy 'alphabetical'"),
+            ("plan.txt", replace_text("block_sizes = 4,4", "block_sizes = 7,1"),
+             "plan.txt: every block needs >= 2 responses, sizes=(7, 1)"),
+            ("plan.txt", replace_text("group_sizes = 40,40", "group_sizes = 80,0"),
+             "plan.txt: every group needs >= 1 subject, sizes=(80, 0)"),
+            ("plan.txt", replace_text("block_sizes = 4,4", "block_sizes = 4,4.0"),
+             "plan.txt: plan field block_sizes = '4,4.0' is not a list of integers"),
             ("meta.txt", replace_text("group_0 = n:40", "group_0 = n:41"),
              "meta.txt entry group_0 has n=41, plan says 40"),
-            ("meta.txt", replace_text("format = 2\n", ""), "meta.txt has no format field"),
-            ("meta.txt", replace_text("format = 2", "format = 1"),
-             "meta.txt has format = '1', this version reads format 2 only"),
-            ("meta.txt", replace_text("format = 2", "format = 3"),
-             "meta.txt has format = '3', this version reads format 2 only"),
+            ("meta.txt", replace_text("format = 3\n", ""), "meta.txt has no format field"),
+            ("meta.txt", replace_text("format = 3", "format = 1"),
+             "meta.txt has format = '1', this version reads format 3 only"),
+            ("meta.txt", replace_text("format = 3", "format = 2"),
+             "meta.txt has format = '2', this version reads format 3 only"),
         ],
-        ids=["nan-information", "non-integer-J", "split-meta-field", "block-index",
-             "group-index", "group-size", "no-format", "format-1", "format-3"],
+        ids=["nan-information", "non-integer-seed", "split-meta-field", "unknown-strategy",
+             "block-size-1", "group-size-0", "non-integer-size", "group-size", "no-format",
+             "format-1", "format-2"],
     )
     def test_combine_rejects_with_exit_1(self, fitted_bundle_zip, tmp_path, capsys,
                                          name, edit, message):
@@ -386,6 +406,21 @@ class TestTamperedBundles:
         rewrite_member(fitted_bundle_zip, bad, name, edit)
         assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_format_2_archive_is_exit_1(self, fitted_bundle_zip, tmp_path, capsys):
+        # a format-2 plan listed every response's block and subject's group
+        labels = tmp_path / "labels.zip"
+        rewrite_member(fitted_bundle_zip, labels, "plan.txt", lambda _: (
+            "J = 2\nK = 2\nseed = 0\nstrategy = contiguous\n"
+            f"block_of_response = {','.join(['0'] * 4 + ['1'] * 4)}\n"
+            f"group_of_subject = {','.join(['0'] * 40 + ['1'] * 40)}\n"
+        ).encode())
+        bad = tmp_path / "bad.zip"
+        rewrite_member(labels, bad, "meta.txt", replace_text("format = 3", "format = 2"))
+        assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
+        assert "meta.txt has format = '2', this version reads format 3 only" in (
+            capsys.readouterr().err
+        )
 
     def test_non_archive_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.zip"

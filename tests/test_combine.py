@@ -1,4 +1,5 @@
 import io
+import re
 import zipfile
 
 import numpy as np
@@ -63,14 +64,7 @@ def random_bundle(J, K, p, seed):
         dim = J * p + sum(1 if kind == "gee-independence" else 2 for kind in kinds[:, k])
         sizes.append(dim + int(rng.integers(2, 40)))
     plan = PartitionPlan(
-        J=J,
-        K=K,
-        block_sizes=(2,) * J,
-        group_sizes=tuple(sizes),
-        block_of_response=np.repeat(np.arange(J), 2),
-        group_of_subject=np.repeat(np.arange(K), sizes),
-        strategy="contiguous",
-        seed=seed,
+        block_sizes=(2,) * J, group_sizes=tuple(sizes), strategy="contiguous", seed=seed
     )
     fits = {}
     for k in range(K):
@@ -186,6 +180,15 @@ class TestInvertVhat:
         bad = np.diag([1.0, -0.5])
         with pytest.raises(CombineError, match="not positive definite"):
             invert_vhat((bad,) * bundle.K, bundle)
+
+    @pytest.mark.parametrize(
+        "vk", [np.zeros((3, 3)), np.diag([1e-4, 1e-4, -1e-11])], ids=["zero", "tiny-negative"]
+    )
+    def test_block_beyond_ridge_repair_names_its_group(self, fitted_bundle, vk):
+        bundle, _ = fitted_bundle
+        good = np.eye(3)
+        with pytest.raises(CombineError, match="group 1 score covariance is singular beyond"):
+            invert_vhat((good, vk) + (good,) * (bundle.K - 2), bundle)
 
     def test_fitted_vhat_inverts_cleanly(self, fitted_bundle):
         bundle, _ = fitted_bundle
@@ -505,20 +508,22 @@ class TestBundleSerialization:
             + [f"group_{k}/{name}.npy" for k in range(bundle.K)
                for name in ("information", "rhs", "theta", "zeta")]
         )
-        assert meta.startswith("format = 2\n")
+        assert meta.startswith("format = 3\n")
 
     def test_archive_size_does_not_grow_with_n(self):
-        # only plan.txt, which lists every subject's group, depends on N
+        # N enters the archive only as group sizes, which have the same digits here
         sizes = []
-        for N in (60, 600):
+        for N in (300, 900):
             design = make_ar1_design(N=N, M=8, J=2, K=3, seed=21)
             bundle, _ = simstudy.fit_dataset(simstudy.generate(design, 0), 2, 3, "gee-ar1")
             buf = io.BytesIO()
             save_bundle(bundle, buf)
             with zipfile.ZipFile(buf) as zf:
-                sizes.append({info.filename: info.file_size for info in zf.infolist()
-                              if info.filename.endswith(".npy")})
-        assert len(sizes[0]) == 4 * 3  # four arrays per group
+                # a final norm's repr varies in length with its value, not with N
+                meta = re.sub(r"final_norm:\S+", "final_norm:", zf.read("meta.txt").decode())
+                sizes.append({info.filename: info.file_size for info in zf.infolist()}
+                             | {"meta.txt": len(meta)})
+        assert len(sizes[0]) == 2 + 4 * 3  # plan, meta and four arrays per group
         assert sizes[0] == sizes[1]
 
     @settings(max_examples=25, deadline=None)

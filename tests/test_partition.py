@@ -18,36 +18,29 @@ class TestMakePlan:
 
     def test_blocks_are_contiguous_in_entry_order(self):
         plan = partition.make_plan(M=7, N=4, J=2, K=1, strategy="contiguous")
-        np.testing.assert_array_equal(
-            plan.block_of_response, [0, 0, 0, 0, 1, 1, 1]
-        )
+        np.testing.assert_array_equal(plan.response_indices(0), [0, 1, 2, 3])
+        np.testing.assert_array_equal(plan.response_indices(1), [4, 5, 6])
 
     def test_contiguous_groups(self):
         plan = partition.make_plan(M=4, N=5, J=1, K=2, strategy="contiguous")
-        np.testing.assert_array_equal(plan.group_of_subject, [0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(plan.subject_indices(0), [0, 1, 2])
+        np.testing.assert_array_equal(plan.subject_indices(1), [3, 4])
 
     def test_seeded_random_groups_are_reproducible(self):
         a = partition.make_plan(M=4, N=50, J=1, K=3, strategy="seeded-random", seed=9)
         b = partition.make_plan(M=4, N=50, J=1, K=3, strategy="seeded-random", seed=9)
         c = partition.make_plan(M=4, N=50, J=1, K=3, strategy="seeded-random", seed=10)
-        np.testing.assert_array_equal(a.group_of_subject, b.group_of_subject)
-        assert not np.array_equal(a.group_of_subject, c.group_of_subject)
-
-    def test_explicit_block_map(self):
-        plan = partition.make_plan(
-            M=4, N=2, J=2, K=1, block_map=[1, 0, 1, 0], strategy="contiguous"
-        )
-        assert plan.block_sizes == (2, 2)
-        np.testing.assert_array_equal(plan.response_indices(0), [1, 3])
+        assert a == b and a != c
+        for k in range(3):
+            np.testing.assert_array_equal(a.subject_indices(k), b.subject_indices(k))
+        assert not np.array_equal(a.subject_indices(0), c.subject_indices(0))
 
     def test_rejects_blocks_smaller_than_two(self):
-        with pytest.raises(PlanError, match="M >= 6"):
+        with pytest.raises(PlanError, match="J=3 blocks of >= 2 responses"):
             partition.make_plan(M=5, N=4, J=3, K=1)
-        with pytest.raises(PlanError, match=">= 2 responses"):
-            partition.make_plan(M=3, N=4, J=2, K=1, block_map=[0, 0, 1])
 
     def test_rejects_more_groups_than_subjects(self):
-        with pytest.raises(PlanError, match="exceed"):
+        with pytest.raises(PlanError, match="K=3 groups need 1 <= K <= N"):
             partition.make_plan(M=4, N=2, J=1, K=3)
 
     def test_rejects_unknown_strategy(self):
@@ -137,14 +130,14 @@ class TestPlanSerialization:
         path = tmp_path / "plan.txt"
         oracles.save_plan(plan, path)
         loaded = oracles.load_plan(path)
-        assert loaded.J == plan.J and loaded.K == plan.K
-        assert loaded.block_sizes == plan.block_sizes
-        assert loaded.group_sizes == plan.group_sizes
-        np.testing.assert_array_equal(
-            loaded.block_of_response, plan.block_of_response
-        )
-        np.testing.assert_array_equal(
-            loaded.group_of_subject, plan.group_of_subject
+        assert loaded == plan
+        for k in range(plan.K):
+            np.testing.assert_array_equal(loaded.subject_indices(k), plan.subject_indices(k))
+
+    def test_text_holds_sizes_strategy_and_seed_only(self):
+        plan = partition.make_plan(7, 9, J=2, K=3, strategy="seeded-random", seed=2)
+        assert partition.format_plan(plan) == (
+            "strategy = seeded-random\nseed = 2\nblock_sizes = 4,3\ngroup_sizes = 3,3,3\n"
         )
 
     def test_file_holds_the_formatted_text(self, tmp_path):
@@ -159,13 +152,16 @@ class TestPlanSerialization:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            ("J = 2", "J = two", "J = 'two' is not an integer"),
-            ("K = 3", "K = 1,2", "K = '1,2' is not an integer"),
-            ("block_of_response = 0,", "block_of_response = x,", "is not a list of integers"),
-            ("block_of_response = 0,", "block_of_response = -1,", "holds -1 at position 0"),
-            ("group_of_subject = ", "group_of_subject = 3,", "holds 3 at position 0, outside 0..2"),
-            ("J = 2", "J = 99", "J = 99 and K = 3 do not fit 7 responses"),
-            ("K = 3", "K = 0", "J = 2 and K = 0 do not fit"),
+            ("seed = 2", "seed = two", "plan: plan field seed = 'two' is not an integer"),
+            ("seed = 2", "seed = 1,2", "plan: plan field seed = '1,2' is not an integer"),
+            ("seed = 2", "seed = -1", "plan: seed must be >= 0, got -1"),
+            ("block_sizes = 4,3", "block_sizes = 4,x", "block_sizes = '4,x' is not a list"),
+            ("block_sizes = 4,3", "block_sizes = 4,2.5", "block_sizes = '4,2.5' is not a list"),
+            ("group_sizes = 3,3,3", "group_sizes = 3,3.0,3", "group_sizes = '3,3.0,3' is not"),
+            ("block_sizes = 4,3", "block_sizes = 6,1", "every block needs >= 2 responses"),
+            ("group_sizes = 3,3,3", "group_sizes = 9,0", "every group needs >= 1 subject"),
+            ("strategy = seeded-random", "strategy = alphabetical",
+             "plan: unknown group strategy 'alphabetical'"),
         ],
     )
     def test_malformed_plan_text_is_an_error(self, old, new, message):
@@ -178,6 +174,58 @@ class TestPlanSerialization:
 
     def test_missing_field_is_an_error(self, tmp_path):
         path = tmp_path / "plan.txt"
-        path.write_text("J = 2\nK = 1\n")
-        with pytest.raises(PlanError, match="missing plan field"):
+        path.write_text("strategy = contiguous\nseed = 0\nblock_sizes = 2\n")
+        with pytest.raises(PlanError, match="missing plan field 'group_sizes'"):
             oracles.load_plan(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        block_sizes=st.lists(st.integers(2, 9), min_size=1, max_size=6),
+        group_sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        strategy=st.sampled_from(partition.GROUP_STRATEGIES),
+        seed=st.integers(0, 2**40),
+    )
+    def test_round_trip_and_label_oracle(self, block_sizes, group_sizes, strategy, seed):
+        plan = partition.PartitionPlan(
+            block_sizes=tuple(block_sizes), group_sizes=tuple(group_sizes),
+            strategy=strategy, seed=seed,
+        )
+        assert partition.parse_plan(partition.format_plan(plan), "plan") == plan
+        subjects = [plan.subject_indices(k) for k in range(plan.K)]
+        assert [idx.size for idx in subjects] == group_sizes
+        np.testing.assert_array_equal(np.sort(np.concatenate(subjects)), np.arange(plan.N))
+        block_of_response, group_of_subject = oracles.plan_labels(plan)
+        for k, idx in enumerate(subjects):
+            np.testing.assert_array_equal(idx, np.flatnonzero(group_of_subject == k))
+        for j in range(plan.J):
+            np.testing.assert_array_equal(
+                plan.response_indices(j), np.flatnonzero(block_of_response == j)
+            )
+
+
+class TestPlanCheck:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(block_sizes=()), "need J >= 1 and K >= 1, got J=0, K=2"),
+            (dict(group_sizes=()), "need J >= 1 and K >= 1, got J=2, K=0"),
+            (dict(block_sizes=(3, 1)), "every block needs >= 2 responses"),
+            (dict(group_sizes=(4, 0)), "every group needs >= 1 subject"),
+            (dict(group_sizes=(4, 2.5)), "sizes and seed must be integers"),
+            (dict(seed=1.0), "sizes and seed must be integers"),
+            (dict(strategy="alphabetical"), "unknown group strategy"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_hand_built_plan_is_checked(self, fields, message):
+        base = dict(block_sizes=(3, 3), group_sizes=(4, 4), strategy="contiguous", seed=0)
+        with pytest.raises(PlanError, match=message):
+            partition.PartitionPlan(**{**base, **fields})
+
+    def test_numpy_integers_become_plain_ints(self):
+        plan = partition.PartitionPlan(
+            block_sizes=np.array([2, 3]), group_sizes=(np.int64(4),),
+            strategy="contiguous", seed=np.int64(7),
+        )
+        assert plan == partition.PartitionPlan((2, 3), (4,), "contiguous", 7)
+        assert (plan.J, plan.K, plan.M, plan.N) == (2, 1, 5, 4)
