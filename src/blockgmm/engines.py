@@ -140,18 +140,19 @@ def fit_block(
         theta, zeta, converged, iterations, clamped = composite.fit_cl_block(
             block, tol=opts.tol, max_iter=opts.max_iter
         )
+        scores = eval_scores(block, theta, zeta, spec.kind)
+        sens = sample_sensitivity(block, theta, zeta, spec.kind)
     else:
-        theta, zeta, converged, iterations, clamped, grams = gee._fit_gee_block(
+        theta, zeta, converged, iterations, clamped, grams = gee.fit_gee_block(
             block, spec.working, tol=opts.tol, max_iter=opts.max_iter
         )
+        # one residual pass at the solution gives the scores and, with the
+        # fit's design Grams, the sensitivity
+        scores, sens = gee.gee_evaluate(block, theta, zeta, spec.working, grams)
+        sens = _finite(sens)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
-    scores = eval_scores(block, theta, zeta, spec.kind)
     final_norm = float(np.linalg.norm(scores.mean(axis=0)))
-    if spec.method == "cl":
-        sens = sample_sensitivity(block, theta, zeta, spec.kind)
-    else:  # the fit's design Grams give the theta-theta block
-        sens = _finite(gee._gee_sensitivity(block, theta, zeta, spec.working, grams))
     return BlockFit(
         j=block.j,
         k=block.k,

@@ -9,18 +9,29 @@ convergence.
 Every working-correlation inverse is a short linear combination
 R(rho)^-1 = sum_k w_k(rho) B_k of fixed sparse operators: I, the two end
 positions and the lag-1 shift for AR(1); I and 11' for exchangeable; I
-alone for independence.  So the Grams sum_i X_i' B_k X_i of the design
-and the cross sums sum_i X_i' B_k r0, with r0 the residuals of the
-ordinary least-squares start, built once per block, turn the weighted
-normal equations at any rho into a p x p solve for the correction to
-that start.  Solving from r0 rather than y keeps the right-hand side
-free of cancellation when the residuals are small next to X theta.  For
-the same reason the nuisance moments always come from the residuals
-r = y - X theta of each iterate, never from a quadratic form in Grams.
-Per-subject scores apply each B_k to the residuals by shifted slices or
-a row sum, and the sensitivity (the negative Jacobian of the mean
-estimating function) is in closed form in every row and column; no
-m x m matrix is ever formed and nothing is differentiated numerically.
+alone for independence.  So the Grams G_k = sum_i X_i' B_k X_i of the
+design and the cross sums c_k = sum_i X_i' B_k r0, with r0 the residuals
+of the ordinary least-squares start, built once per block, turn the
+weighted normal equations at any rho into a p x p solve for the
+correction delta to that start.  The nuisance moments need only the
+totals sum_i r_i' B_k r_i, and at theta = start + delta these are the
+quadratic forms r0' B_k r0 - 2 delta' c_k + delta' G_k delta, one dot
+product per operator at set-up.  So after set-up the alternation touches
+no n x m data: each iteration is a p x p solve and one quadratic form.
+
+Both forms work from r0 rather than y to stay free of cancellation when
+the residuals are small next to X theta.  A quadratic form in the Grams
+of (X, y) subtracts totals of the size of y' y to leave one of the size
+of r' r, and cancels to noise there; r0 and r are the same size, and
+since X' r0 is about 0 at the least-squares start the delta terms are
+small corrections to r0' B_k r0, not a difference of large numbers.
+
+At the solution one residual pass applies each B_k to r by shifted
+slices or a row sum; it gives the per-subject scores and, with the
+fit's Grams, the sensitivity (the negative Jacobian of the mean
+estimating function), which is in closed form in every row and column.
+No m x m matrix is ever formed and nothing is differentiated
+numerically.
 """
 
 from __future__ import annotations
@@ -82,7 +93,8 @@ def _apply_basis(structure: str, r: np.ndarray) -> tuple:
         return (r,)
     if structure == "ar1":
         ends = np.zeros_like(r)
-        ends[:, [0, -1]] = r[:, [0, -1]]
+        ends[:, 0] = r[:, 0]
+        ends[:, -1] = r[:, -1]
         shift = np.zeros_like(r)
         shift[:, :-1] = r[:, 1:]
         shift[:, 1:] += r[:, :-1]
@@ -99,6 +111,11 @@ def _xt(X, a) -> np.ndarray:
     return X.reshape(-1, X.shape[2]).T @ a.reshape(-1)
 
 
+def _basis_cross(X, basis) -> np.ndarray:
+    """(K, p) cross sums sum_i X_i' B_k r_i, one row per applied operator."""
+    return np.stack([_xt(X, b) for b in basis])
+
+
 def _residuals(block, theta) -> np.ndarray:
     X = block.design
     return block.y - (X.reshape(-1, X.shape[2]) @ theta).reshape(block.y.shape)
@@ -113,19 +130,17 @@ def _solve(block, A, b):
         ) from exc
 
 
-def _moment_zeta(resid, structure, m):
-    """Closed-form roots of the residual-product moment equations."""
-    sigma2 = float(np.mean(resid**2))
+def _moment_roots(totals, structure, n, m):
+    """Closed-form roots of the residual-product moment equations, from
+    the totals sum_i r_i' B_k r_i over the basis operators."""
+    sigma2 = float(totals[0] / (n * m))
     if structure == "independence":
         return np.array([sigma2]), False
     if structure == "ar1":
-        lag1 = np.mean(np.mean(resid[:, :-1] * resid[:, 1:], axis=1))
-        rho = float(lag1 / sigma2)
-    else:  # exchangeable
-        total = resid.sum(axis=1)
-        cross = (total**2 - np.sum(resid**2, axis=1)) / 2.0
-        npairs = m * (m - 1) / 2.0
-        rho = float(np.mean(cross / npairs) / sigma2)
+        # the lag-1 shift counts each of the m - 1 neighbour pairs twice
+        rho = float(totals[2] / (2.0 * n * (m - 1)) / sigma2)
+    else:  # exchangeable: 11' - I counts each of the m(m-1)/2 pairs twice
+        rho = float((totals[1] - totals[0]) / (n * m * (m - 1)) / sigma2)
     lo = -RHO_LIMIT
     if structure == "exchangeable":
         lo = max(lo, -1.0 / (m - 1) + 1e-6)
@@ -144,113 +159,105 @@ def _nuisance(zeta, structure):
 
 def gee_scores(block, theta, zeta, structure) -> np.ndarray:
     """Per-subject score rows (psi_i, g_i) at (theta, zeta)."""
-    sigma2, rho = _nuisance(zeta, structure)
-    resid = _residuals(block, theta)
-    w, _ = _weights(structure, rho, block.m)
-    rinv_r = _combine(w, _apply_basis(structure, resid))
-    psi = np.matmul(rinv_r[:, None, :], block.design)[:, 0, :] / sigma2
-
-    g1 = np.mean(resid**2, axis=1) - sigma2
-    if structure == "independence":
-        return np.hstack([psi, g1[:, None]])
-    if structure == "ar1":
-        g2 = np.mean(resid[:, :-1] * resid[:, 1:], axis=1) - rho * sigma2
-    else:
-        total = resid.sum(axis=1)
-        cross = (total**2 - np.sum(resid**2, axis=1)) / 2.0
-        npairs = block.m * (block.m - 1) / 2.0
-        g2 = cross / npairs - rho * sigma2
-    return np.hstack([psi, g1[:, None], g2[:, None]])
-
-
-def gee_theta_sensitivity(block, zeta, structure) -> np.ndarray:
-    """Analytic theta-theta sensitivity (1/n) sum_i D_i' Sigma_i^-1 D_i."""
-    return _theta_sensitivity(block, zeta, structure, _grams(structure, block.design))
-
-
-def _theta_sensitivity(block, zeta, structure, grams) -> np.ndarray:
-    sigma2, rho = _nuisance(zeta, structure)
-    w, _ = _weights(structure, rho, block.m)
-    return np.tensordot(w, grams, axes=1) / (block.n * sigma2)
+    return gee_evaluate(block, theta, zeta, structure)[0]
 
 
 def gee_sensitivity(block, theta, zeta, structure) -> np.ndarray:
     """Negative Jacobian of the mean estimating function at (theta, zeta),
     in closed form, rows (psi, g) and columns (theta, sigma^2[, rho])."""
-    return _gee_sensitivity(block, theta, zeta, structure, _grams(structure, block.design))
+    return gee_evaluate(block, theta, zeta, structure, _grams(structure, block.design))[1]
 
 
-def _gee_sensitivity(block, theta, zeta, structure, grams) -> np.ndarray:
-    """:func:`gee_sensitivity` with the block's design Grams already built."""
+def gee_evaluate(block, theta, zeta, structure, grams=None):
+    """(scores, sensitivity) at (theta, zeta) from one residual pass.
+
+    The per-subject score rows (psi_i, g_i) always; the sensitivity only
+    when the block's design Grams are given (else None), as
+    :func:`fit_gee_block` returns them.
+    """
     sigma2, rho = _nuisance(zeta, structure)
     X = block.design
     n, m, p = X.shape
-    d = nuisance_dim(structure)
     resid = _residuals(block, theta)
-    w, dw = _weights(structure, rho, m)
     basis = _apply_basis(structure, resid)
+    w, dw = _weights(structure, rho, m)
+    psi = np.matmul(_combine(w, basis)[:, None, :], X)[:, 0, :] / sigma2
 
+    squares = (resid**2).sum(axis=1)
+    columns = [psi, squares / m - sigma2]
+    if structure == "ar1":
+        lag1 = (resid[:, :-1] * resid[:, 1:]).sum(axis=1)
+        columns.append(lag1 / (m - 1) - rho * sigma2)
+    elif structure == "exchangeable":
+        pairs = (resid.sum(axis=1) ** 2 - squares) / 2.0
+        columns.append(pairs / (m * (m - 1) / 2.0) - rho * sigma2)
+    scores = np.column_stack(columns)
+    if grams is None:
+        return scores, None
+
+    d = nuisance_dim(structure)
+    cross = _basis_cross(X, basis)  # sum_i X_i' B_k r_i
     sens = np.zeros((p + d, p + d))
-    sens[:p, :p] = _theta_sensitivity(block, zeta, structure, grams)
+    sens[:p, :p] = (w @ grams.reshape(len(grams), -1)).reshape(p, p) / (n * sigma2)
     # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2
-    sens[:p, p] = _xt(X, _combine(w, basis)) / (n * sigma2 * sigma2)
+    sens[:p, p] = w @ cross / (n * sigma2 * sigma2)
     # g1 = mean_t r_t^2 - sigma^2
-    sens[p, :p] = 2.0 * _xt(X, resid) / (n * m)
+    sens[p, :p] = 2.0 * cross[0] / (n * m)
     sens[p, p] = 1.0
     if d == 1:
-        return sens
-    sens[:p, p + 1] = -_xt(X, _combine(dw, basis)) / (n * sigma2)
+        return scores, sens
+    sens[:p, p + 1] = -(dw @ cross) / (n * sigma2)
     if structure == "ar1":
         # g2 = mean_t r_t r_{t+1} - rho sigma^2; the lag-1 shift pairs x_t
         # with r_{t+1} and x_{t+1} with r_t
-        sens[p + 1, :p] = _xt(X, basis[2]) / (n * (m - 1))
+        sens[p + 1, :p] = cross[2] / (n * (m - 1))
     else:
-        # g2 = sum_{s<t} r_s r_t / npairs - rho sigma^2
-        cross = X.sum(axis=1).T @ resid.sum(axis=1) - _xt(X, resid)
-        sens[p + 1, :p] = cross / (n * m * (m - 1) / 2.0)
+        # g2 = sum_{s<t} r_s r_t / npairs - rho sigma^2, and 11' - I pairs
+        # every x_s with every other r_t
+        sens[p + 1, :p] = (cross[1] - cross[0]) / (n * m * (m - 1) / 2.0)
     sens[p + 1, p] = rho
     sens[p + 1, p + 1] = sigma2
-    return sens
+    return scores, sens
 
 
 def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100):
     """Alternate theta / zeta updates to joint convergence.
 
-    Returns (theta, zeta, converged, iterations, rho_clamped).
+    Returns (theta, zeta, converged, iterations, rho_clamped, grams), the
+    last the block's design Grams, so that :func:`gee_evaluate` needs no
+    second pass over the design for the sensitivity at the solution.
     """
-    return _fit_gee_block(block, structure, tol, max_iter)[:5]
-
-
-def _fit_gee_block(block, structure, tol, max_iter):
-    """:func:`fit_gee_block`, also returning the design Grams it built, so
-    the sensitivity at the solution needs no second pass over the design."""
     d = nuisance_dim(structure)
     if block.n <= block.p + d:
         raise SolverError(
             f"block ({block.j}, {block.k}): n={block.n} too small for "
             f"p+d={block.p + d} parameters"
         )
-    X, m = block.design, block.m
+    X, n, m, p = block.design, block.n, block.m, block.p
     grams = _grams(structure, X)
+    flat = grams.reshape(len(grams), -1)
     # independence start; each weighted step then solves for a correction
-    # from its residuals r0 (see the module docstring)
+    # delta from its residuals r0, and the moment totals at start + delta
+    # are quadratic forms in delta (see the module docstring)
     start = _solve(block, grams[0], _xt(X, block.y))
     resid = _residuals(block, start)
-    cross = np.stack([_xt(X, b) for b in _apply_basis(structure, resid)])
+    basis = _apply_basis(structure, resid)
+    cross = _basis_cross(X, basis)
+    base = np.array([np.vdot(resid, b) for b in basis])
     theta = start
-    zeta, clamped = _moment_zeta(resid, structure, m)
+    zeta, clamped = _moment_roots(base, structure, n, m)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         rho = float(zeta[1]) if structure != "independence" else 0.0
         w, _ = _weights(structure, rho, m)
-        theta_new = start + _solve(block, np.tensordot(w, grams, axes=1), w @ cross)
-        zeta_new, clamped = _moment_zeta(_residuals(block, theta_new), structure, m)
-        delta = max(
-            np.max(np.abs(theta_new - theta)), np.max(np.abs(zeta_new - zeta))
-        )
+        delta = _solve(block, (w @ flat).reshape(p, p), w @ cross)
+        totals = base - 2.0 * (cross @ delta) + flat @ np.outer(delta, delta).reshape(-1)
+        theta_new = start + delta
+        zeta_new, clamped = _moment_roots(totals, structure, n, m)
+        step = max(np.abs(theta_new - theta).max(), np.abs(zeta_new - zeta).max())
         theta, zeta = theta_new, zeta_new
-        if delta < tol:
+        if step < tol:
             converged = True
             break
     return theta, zeta, converged, iterations, clamped, grams

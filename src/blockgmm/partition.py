@@ -148,34 +148,48 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
     """Split a dataset into JK blocks keyed by (j, k), 0-based.
 
     Subject rows within a group keep their original ascending order, so
-    rows align across the J blocks of each group.
+    rows align across the J blocks of each group.  ``theta_cols`` names
+    distinct covariate columns for the shared parameter (default: all).
     """
     if plan.M != data.M or plan.N != data.N:
         raise PlanError(
             f"plan dimensions (M={plan.M}, N={plan.N}) do not match data "
             f"(M={data.M}, N={data.N})"
         )
-    if theta_cols is None:
-        theta_cols = tuple(range(data.q))
-    else:
-        theta_cols = tuple(int(c) for c in theta_cols)
-        if any(c < 0 or c >= data.q for c in theta_cols):
-            raise PlanError(f"theta_cols out of range for q={data.q}")
-
+    theta_cols = _theta_cols(theta_cols, data.q)
     blocks = {}
     for k in range(plan.K):
         rows = plan.subject_indices(k)
         for j in range(plan.J):
-            cols = plan.response_indices(j)
+            # a block's responses are contiguous, and a column slice is a
+            # view, so each block is one gather of rows
+            first, last = plan.response_indices(j)[[0, -1]]
+            cols = slice(first, last + 1)
             blocks[(j, k)] = BlockData(
                 j=j,
                 k=k,
-                y=data.responses[np.ix_(rows, cols)],
-                X=data.covariates[np.ix_(rows, cols)],
+                y=data.responses[:, cols][rows],
+                X=data.covariates[:, cols][rows],
                 theta_cols=theta_cols,
                 subject_indices=rows,
             )
     return blocks
+
+
+def _theta_cols(theta_cols, q: int) -> tuple:
+    if theta_cols is None:
+        return tuple(range(q))
+    try:
+        cols = tuple(operator.index(c) for c in theta_cols)
+    except TypeError:
+        raise PlanError(f"theta_cols must be integers, got {theta_cols!r}") from None
+    if not cols:
+        raise PlanError("theta_cols is empty: the shared parameter needs a column")
+    if len(set(cols)) != len(cols):
+        raise PlanError(f"theta_cols {cols} repeats a column")
+    if any(c < 0 or c >= q for c in cols):
+        raise PlanError(f"theta_cols {cols} out of range for q={q}")
+    return cols
 
 
 def format_plan(plan: PartitionPlan) -> str:

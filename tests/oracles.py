@@ -7,7 +7,9 @@ the dense system, so the production solve can be checked against the
 combination identity and against a plain dense computation.  Likewise the
 GEE kernel never forms an m x m working-correlation inverse and never
 differentiates numerically; the dense GEE fit and the central-difference
-sensitivity here do.  The per-subject AR(1) generator loop, the numeric
+sensitivity here do, and the residual-moment alternation takes the
+nuisance moments from a pass over the residuals of every iterate, where
+the kernel uses quadratic forms in the start residuals.  The per-subject AR(1) generator loop, the numeric
 GMM minimizer and the plan/split helpers that only tests use live here too.
 """
 
@@ -279,6 +281,20 @@ def reassemble(blocks, plan):
     return out
 
 
+def ix_split(data, plan, theta_cols=None):
+    """Blocks of :func:`blockgmm.partition.split`, each gathered by one
+    ``np.ix_`` double fancy index: {(j, k): (y, X, design)}."""
+    cols_q = list(range(data.q)) if theta_cols is None else list(theta_cols)
+    blocks = {}
+    for k in range(plan.K):
+        rows = plan.subject_indices(k)
+        for j in range(plan.J):
+            cols = plan.response_indices(j)
+            X = data.covariates[np.ix_(rows, cols)]
+            blocks[(j, k)] = (data.responses[np.ix_(rows, cols)], X, X[:, :, cols_q])
+    return blocks
+
+
 def plan_labels(plan):
     """Reference (block_of_response, group_of_subject) label arrays of a plan,
     built the way plans once stored them: group labels
@@ -335,6 +351,63 @@ def corr_inverse(kind, rho, m):
     raise SolverError(f"unknown working structure {kind!r}")
 
 
+def moment_zeta(resid, structure, m):
+    """Closed-form roots of the residual-product moment equations, taken
+    from the residuals (n, m) themselves."""
+    sigma2 = float(np.mean(resid**2))
+    if structure == "independence":
+        return np.array([sigma2]), False
+    if structure == "ar1":
+        lag1 = np.mean(np.mean(resid[:, :-1] * resid[:, 1:], axis=1))
+        rho = float(lag1 / sigma2)
+    else:  # exchangeable
+        total = resid.sum(axis=1)
+        cross = (total**2 - np.sum(resid**2, axis=1)) / 2.0
+        npairs = m * (m - 1) / 2.0
+        rho = float(np.mean(cross / npairs) / sigma2)
+    lo = -gee.RHO_LIMIT
+    if structure == "exchangeable":
+        lo = max(lo, -1.0 / (m - 1) + 1e-6)
+    clamped = rho < lo or rho > gee.RHO_LIMIT
+    rho = min(max(rho, lo), gee.RHO_LIMIT)
+    return np.array([sigma2, rho]), clamped
+
+
+def residual_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
+    """The Gram-solve GEE alternation with the nuisance moments taken from
+    the residuals of every iterate, a full pass over the block per
+    iteration.  Returns (theta, zeta, converged, iterations, rho_clamped)."""
+    X, m = block.design, block.m
+    grams = gee._grams(structure, X)
+    start = np.linalg.solve(grams[0], gee._xt(X, block.y))
+    resid = gee._residuals(block, start)
+    cross = np.stack([gee._xt(X, b) for b in gee._apply_basis(structure, resid)])
+    theta = start
+    zeta, clamped = moment_zeta(resid, structure, m)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        rho = float(zeta[1]) if structure != "independence" else 0.0
+        w, _ = gee._weights(structure, rho, m)
+        theta_new = start + np.linalg.solve(np.tensordot(w, grams, axes=1), w @ cross)
+        zeta_new, clamped = moment_zeta(gee._residuals(block, theta_new), structure, m)
+        delta = max(np.max(np.abs(theta_new - theta)), np.max(np.abs(zeta_new - zeta)))
+        theta, zeta = theta_new, zeta_new
+        if delta < tol:
+            converged = True
+            break
+    return theta, zeta, converged, iterations, clamped
+
+
+def gee_theta_sensitivity(block, zeta, structure):
+    """Theta-theta sensitivity (1/n) sum_i X_i' R^-1 X_i / sigma^2 from the
+    design Grams alone."""
+    sigma2 = float(zeta[0])
+    rho = float(zeta[1]) if structure != "independence" else 0.0
+    w, _ = gee._weights(structure, rho, block.m)
+    return np.tensordot(w, gee._grams(structure, block.design), axes=1) / (block.n * sigma2)
+
+
 def dense_wls_theta(block, rho, structure, start):
     """Weighted normal equations through the dense m x m R^-1, solved for
     the correction to ``start`` from its residuals."""
@@ -347,21 +420,21 @@ def dense_wls_theta(block, rho, structure, start):
 
 
 def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
-    """The GEE alternation with a dense R^-1 in every theta step; the
-    nuisance moments are the production ones.  Returns
+    """The GEE alternation with a dense R^-1 in every theta step and the
+    nuisance moments taken from the residuals of every iterate.  Returns
     (theta, zeta, converged, iterations, rho_clamped)."""
     X = block.design
     start = np.linalg.solve(
         np.einsum("nmp,nmq->pq", X, X), np.einsum("nmp,nm->p", X, block.y)
     )
     theta = dense_wls_theta(block, 0.0, "independence", start)
-    zeta, clamped = gee._moment_zeta(block.y - X @ theta, structure, block.m)
+    zeta, clamped = moment_zeta(block.y - X @ theta, structure, block.m)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         rho = float(zeta[1]) if structure != "independence" else 0.0
         theta_new = dense_wls_theta(block, rho, structure, theta)
-        zeta_new, clamped = gee._moment_zeta(block.y - X @ theta_new, structure, block.m)
+        zeta_new, clamped = moment_zeta(block.y - X @ theta_new, structure, block.m)
         delta = max(np.max(np.abs(theta_new - theta)), np.max(np.abs(zeta_new - zeta)))
         theta, zeta = theta_new, zeta_new
         if delta < tol:

@@ -202,7 +202,7 @@ def test_criterion_6_sensitivity_finite_difference_agreement():
         plan = make_plan(data.M, data.N, 1, 1, strategy="contiguous")
         block = split(data, plan)[(0, 0)]
         fit = fit_block(block, NuisanceSpec(f"gee-{structure}"))
-        analytic = gee.gee_theta_sensitivity(block, fit.zeta_hat, structure)
+        analytic = oracles.gee_theta_sensitivity(block, fit.zeta_hat, structure)
 
         p = block.p
         params = np.concatenate([fit.theta_hat, fit.zeta_hat])

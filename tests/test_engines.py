@@ -80,7 +80,7 @@ class TestSampleSensitivity:
         data, _ = random_dataset(N=50, M=6, p=3, seed=19)
         block = one_block(data)
         fit = fit_block(block, NuisanceSpec("gee-ar1"))
-        analytic = gee.gee_theta_sensitivity(block, fit.zeta_hat, "ar1")
+        analytic = oracles.gee_theta_sensitivity(block, fit.zeta_hat, "ar1")
 
         h = 1e-6
         fd = np.empty((5, 3))

@@ -99,14 +99,14 @@ class TestFitGeeBlock:
                 subject_ids=data.subject_ids,
             )
         )
-        theta, _, converged, _, _ = gee.fit_gee_block(block, "ar1")
+        theta, _, converged, _, _, _ = gee.fit_gee_block(block, "ar1")
         assert converged
         np.testing.assert_allclose(theta, theta0, atol=1e-6)
 
     def test_independence_equals_ols_closed_form(self):
         data, _ = random_dataset(N=30, M=5, p=3, seed=6)
         block = one_block(data)
-        theta, zeta, converged, _, _ = gee.fit_gee_block(block, "independence")
+        theta, zeta, converged, _, _, _ = gee.fit_gee_block(block, "independence")
         assert converged
         x = block.design.reshape(-1, 3)
         y = block.y.reshape(-1)
@@ -121,7 +121,7 @@ class TestFitGeeBlock:
         rhos, sig2s = [], []
         for rep in range(60):
             block = one_block(simstudy.generate(design, rep))
-            _, zeta, converged, _, _ = gee.fit_gee_block(block, "ar1")
+            _, zeta, converged, _, _, _ = gee.fit_gee_block(block, "ar1")
             assert converged
             sig2s.append(zeta[0])
             rhos.append(zeta[1])
@@ -146,7 +146,7 @@ class TestFitGeeBlock:
             Dataset(responses=responses, covariates=covariates,
                     subject_ids=tuple(range(N)))
         )
-        theta, zeta, converged, _, _ = gee.fit_gee_block(block, "exchangeable")
+        theta, zeta, converged, _, _, _ = gee.fit_gee_block(block, "exchangeable")
         assert converged
         np.testing.assert_allclose(theta, theta0, atol=0.1)
         assert abs(zeta[0] - sigma2) < 0.3
@@ -155,7 +155,7 @@ class TestFitGeeBlock:
     def test_root_property_at_solution(self, ar1_dataset):
         block = one_block(ar1_dataset)
         for structure in ("ar1", "exchangeable", "independence"):
-            theta, zeta, converged, _, _ = gee.fit_gee_block(block, structure)
+            theta, zeta, converged, _, _, _ = gee.fit_gee_block(block, structure)
             assert converged
             scores = gee.gee_scores(block, theta, zeta, structure)
             assert np.linalg.norm(scores.mean(axis=0)) <= 1e-7
@@ -168,7 +168,7 @@ class TestFitGeeBlock:
                 N=120, M=M, theta0=(0.3, 0.6, 0.8)[:p], rho=rho, seed=900 + seed
             )
             block = one_block(simstudy.generate(design, 0))
-            theta, zeta, converged, iterations, clamped = gee.fit_gee_block(block, structure)
+            theta, zeta, converged, iterations, clamped, _ = gee.fit_gee_block(block, structure)
             o_theta, o_zeta, o_converged, o_iterations, o_clamped = (
                 oracles.dense_fit_gee_block(block, structure)
             )
@@ -183,10 +183,41 @@ class TestFitGeeBlock:
         design = make_ar1_design(N=200, M=10, J=1, K=1, theta0=(30.0, 60.0, 80.0),
                                  sigma=1e-6, rho=0.5, seed=31)
         block = one_block(simstudy.generate(design, 0))
-        _, zeta, converged, _, _ = gee.fit_gee_block(block, structure)
+        _, zeta, converged, _, _, _ = gee.fit_gee_block(block, structure)
         _, o_zeta, *_ = oracles.dense_fit_gee_block(block, structure)
         assert converged
         np.testing.assert_allclose(zeta, o_zeta, rtol=1e-8)
+
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # 20 blocks of n = 200 subjects by m = 5 responses
+            dict(family="kronecker-nested", N=800, M=25, J=5, K=4, sigma=4.0, rho=0.8),
+            # 12 blocks of n = 500 by m = 50
+            dict(family="global-ar1", N=1000, M=300, J=6, K=2, sigma=6.0, rho=0.8),
+        ],
+        ids=["many-small", "paper-scale"],
+    )
+    def test_quadratic_form_moments_match_residual_moments(self, structure, shape):
+        # moment totals from the r0 quadratic forms against the alternation
+        # that takes them from the residuals of every iterate
+        design = simstudy.SimDesign(reps=1, seed=1100, **shape)
+        data = simstudy.generate(design, 0)
+        plan = partition.make_plan(data.M, data.N, design.J, design.K, strategy="contiguous")
+        for block in partition.split(data, plan).values():
+            theta, zeta, converged, iterations, clamped, _ = gee.fit_gee_block(block, structure)
+            o_theta, o_zeta, o_converged, o_iterations, o_clamped = (
+                oracles.residual_fit_gee_block(block, structure)
+            )
+            np.testing.assert_allclose(theta, o_theta, rtol=1e-12)
+            np.testing.assert_allclose(zeta, o_zeta, rtol=1e-12)
+            assert (converged, iterations, clamped) == (o_converged, o_iterations, o_clamped)
+
+    def test_returns_the_design_grams(self, ar1_dataset):
+        block = one_block(ar1_dataset)
+        *_, grams = gee.fit_gee_block(block, "ar1")
+        assert grams.tobytes() == gee._grams("ar1", block.design).tobytes()
 
     def test_too_few_subjects_raises(self):
         data, _ = random_dataset(N=4, M=4, p=3, seed=7)
