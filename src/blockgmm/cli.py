@@ -107,6 +107,14 @@ def _alpha(args, cfg) -> float:
     return alpha
 
 
+def _workers(args, cfg) -> int:
+    """The worker count from ``--workers`` or the config; at least 1."""
+    workers = _setting(args, cfg, "workers", 1, int)
+    if workers < 1:
+        raise BlockGmmError(f"workers = {workers!r} is not a count >= 1")
+    return workers
+
+
 def _write_resolved_config(path, settings: dict) -> None:
     with open(path, "w") as fh:
         for key in sorted(settings):
@@ -150,10 +158,12 @@ def cmd_fit(args) -> int:
     seed = _setting(args, cfg, "seed", 0, int)
     method = _setting(args, cfg, "method", "gee")
     working = _setting(args, cfg, "working", "ar1")
-    workers = _setting(args, cfg, "workers", 1, int)
+    workers = _workers(args, cfg)
     alpha = _alpha(args, cfg)
-    tol = _setting(args, cfg, "tol", 1e-8, float)
-    max_iter = _setting(args, cfg, "max_iter", 100, int)
+    opts = SolverOptions(
+        tol=_setting(args, cfg, "tol", 1e-8, float),
+        max_iter=_setting(args, cfg, "max_iter", 100, int),
+    )
     out_dir = _setting(args, cfg, "out", "blockgmm-out")
     allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
 
@@ -162,7 +172,7 @@ def cmd_fit(args) -> int:
     kind = _solver_kind(method, working)
     bundle, blocks = simstudy.fit_dataset(
         data, J, K, kind, strategy=strategy, seed=seed,
-        opts=SolverOptions(tol=tol, max_iter=max_iter), workers=workers,
+        opts=opts, workers=workers,
     )
     unconverged = [key for key, fit in bundle.fits.items() if not fit.converged]
     if unconverged and not allow_unconverged:
@@ -193,8 +203,8 @@ def cmd_fit(args) -> int:
             "working": working,
             "workers": workers,
             "alpha": alpha,
-            "tol": tol,
-            "max_iter": max_iter,
+            "tol": opts.tol,
+            "max_iter": opts.max_iter,
             "out": out_dir,
             "allow_unconverged": allow_unconverged,
         },
@@ -222,7 +232,7 @@ def cmd_simulate(args) -> int:
         reps=_setting(args, cfg, "reps", 100, int),
         seed=_setting(args, cfg, "seed", 0, int),
     )
-    workers = _setting(args, cfg, "workers", 1, int)
+    workers = _workers(args, cfg)
     alpha = _alpha(args, cfg)
     out_dir = _setting(args, cfg, "out", "blockgmm-sim")
     os.makedirs(out_dir, exist_ok=True)

@@ -13,6 +13,8 @@ numerically and there is no step size to choose.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,13 @@ KINDS = (*GEE_KINDS, "cl-ar1")
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 100
+
+    def __post_init__(self):
+        tol, max_iter = self.tol, self.max_iter
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+            raise SolverError(f"tol = {tol!r} is not a finite number > 0")
+        if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+            raise SolverError(f"max_iter = {max_iter!r} is not an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,9 +131,8 @@ def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
 
 
 def _finite(sens: np.ndarray) -> np.ndarray:
-    bad = np.argwhere(~np.isfinite(sens))
-    if bad.size:
-        r, c = bad[0]
+    if not np.isfinite(sens).all():
+        r, c = np.argwhere(~np.isfinite(sens))[0]
         raise NumericDomainError(f"non-finite sensitivity entry at ({r}, {c})")
     return sens
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .combine import CombinedFit, SummaryBundle, WeightBlocks
 from .engines import eval_scores
@@ -59,8 +59,11 @@ def godambe_cov(fit: CombinedFit, names: tuple, alpha: float = 0.05) -> Inferenc
     est = np.concatenate([fit.theta, fit.zeta])
     ase = np.sqrt(variances)
     z = est / ase
-    p_values = 2.0 * scipy.stats.norm.sf(np.abs(z))
-    q = scipy.stats.norm.ppf(1.0 - alpha / 2.0)
+    # ndtr(-|z|) and ndtri are the normal survival function and quantile
+    # (chdtrc in overid_test is the chi-square one), taken from
+    # scipy.special, which imports in a fraction of the statistics package's time
+    p_values = 2.0 * scipy.special.ndtr(-np.abs(z))
+    q = scipy.special.ndtri(1.0 - alpha / 2.0)
     return InferenceReport(
         names=tuple(names),
         estimates=est,
@@ -108,5 +111,5 @@ def overid_test(
         stat += float(tk @ W.w[k] @ tk)
     stat *= fit.N
     df = (bundle.J * bundle.K - 1) * bundle.p
-    p_value = float(scipy.stats.chi2.sf(stat, df)) if df > 0 else None
+    p_value = float(scipy.special.chdtrc(df, stat)) if df > 0 else None
     return stat, df, p_value

@@ -1,10 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
 import pytest
 
+import blockgmm
 from blockgmm import cli, simstudy
 
 from conftest import make_ar1_design, near_unit_root_dataset
@@ -227,6 +231,48 @@ class TestAlpha:
         assert coverage["0.05"] != coverage["0.5"]
 
 
+
+class TestSolverSettings:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("tol = nan", "tol = nan is not a finite number > 0"),
+            ("tol = -1", "tol = -1.0 is not a finite number > 0"),
+            ("max_iter = 0", "max_iter = 0 is not an integer >= 1"),
+            ("max_iter = -5", "max_iter = -5 is not an integer >= 1"),
+        ],
+        ids=["tol-nan", "tol-negative", "max_iter-0", "max_iter-negative"],
+    )
+    def test_bad_solver_option_is_exit_1(self, data_csv, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {data_csv}\nJ = 2\nK = 2\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["fit", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"fit: {message}" in err
+        assert "did not converge" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["fit-flag", "fit-config", "simulate-flag"])
+    def test_zero_workers_is_exit_1(self, data_csv, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        if source == "fit-flag":
+            argv = ["fit", "--input", data_csv, "--J", 2, "--K", 2, "--workers", 0,
+                    "--out", out]
+        elif source == "fit-config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"input = {data_csv}\nJ = 2\nK = 2\nworkers = 0\n")
+            argv = ["fit", "--config", cfg, "--out", out]
+        else:
+            argv = ["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
+                    "--K", 2, "--reps", 1, "--workers", 0, "--out", out]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{argv[0]}: workers = 0 is not a count >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_smoke_run_outputs(self, tmp_path):
         out = tmp_path / "sim"
@@ -427,3 +473,32 @@ class TestTamperedBundles:
         bad.write_text("not a zip archive\n")
         assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
         assert "not a bundle archive" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    # scipy.stats takes about two thirds of a cold start; the package needs
+    # only scipy.special's tail functions.  A fresh interpreter is used
+    # because this test process imports scipy.stats as an oracle.
+    SCRIPT = """
+import sys
+import blockgmm, blockgmm.cli
+data_csv, out = sys.argv[1:]
+run = lambda *argv: blockgmm.cli.main([str(a) for a in argv])
+assert run("fit", "--input", data_csv, "--J", 2, "--K", 2, "--out", out + "/fit") == 0
+assert run("simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2, "--K", 2,
+           "--reps", 1, "--out", out + "/sim") == 0
+assert run("combine", out + "/fit/bundle.zip", "--out", out + "/comb") == 0
+print(",".join(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
+"""
+
+    def test_no_command_imports_scipy_stats(self, data_csv, tmp_path):
+        src = os.path.dirname(os.path.dirname(blockgmm.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(data_csv), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == ""
+        assert (tmp_path / "comb" / "estimates.csv").exists()

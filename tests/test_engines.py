@@ -9,7 +9,7 @@ from blockgmm.engines import (
     fit_block,
     sample_sensitivity,
 )
-from blockgmm.errors import SolverError
+from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
 from conftest import make_ar1_design, near_unit_root_dataset, random_dataset
@@ -162,6 +162,32 @@ class TestSampleSensitivity:
         assert worst <= 1e-5
 
 
+
+class TestFiniteSensitivity:
+    @pytest.mark.parametrize("kind", ["gee-ar1", "cl-ar1"])
+    def test_first_non_finite_entry_is_named(self, kind, monkeypatch):
+        # the sensitivity is poisoned at (3, 0) and at (1, 2); the message names
+        # the first in row-major order
+        evaluate, cl_scores = gee.gee_evaluate, composite.cl_scores
+
+        def poison(pair):
+            first, sens = pair
+            sens = sens.copy()
+            sens[3, 0], sens[1, 2] = np.inf, np.nan
+            return first, sens
+
+        def poisoned_cl_scores(*args, hessian=False):
+            out = cl_scores(*args, hessian=hessian)
+            return poison(out) if hessian else out
+
+        monkeypatch.setattr(gee, "gee_evaluate", lambda *args: poison(evaluate(*args)))
+        monkeypatch.setattr(composite, "cl_scores", poisoned_cl_scores)
+        block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
+        message = r"non-finite sensitivity entry at \(1, 2\)"
+        with pytest.raises(NumericDomainError, match=message):
+            fit_block(block, NuisanceSpec(kind))
+
+
 class TestRhoClamp:
     def test_clamped_gee_fit_is_not_converged(self):
         fit = fit_block(one_block(near_unit_root_dataset()), NuisanceSpec("gee-ar1"))
@@ -192,3 +218,28 @@ class TestSolverOptions:
         )
         assert not fit.converged
         assert fit.iterations == 1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tol", float("nan"), "tol = nan is not a finite number > 0"),
+            ("tol", float("inf"), "tol = inf is not a finite number > 0"),
+            ("tol", -1.0, "tol = -1.0 is not a finite number > 0"),
+            ("tol", 0.0, "tol = 0.0 is not a finite number > 0"),
+            ("tol", "1e-8", "tol = '1e-8' is not a finite number > 0"),
+            ("max_iter", 0, "max_iter = 0 is not an integer >= 1"),
+            ("max_iter", -5, "max_iter = -5 is not an integer >= 1"),
+            ("max_iter", 2.5, "max_iter = 2.5 is not an integer >= 1"),
+            ("max_iter", 100.0, "max_iter = 100.0 is not an integer >= 1"),
+        ],
+        ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "tol-string", "max_iter-0",
+             "max_iter-negative", "max_iter-fraction", "max_iter-float"],
+    )
+    def test_bad_option_is_a_solver_error_naming_it(self, field, value, message):
+        with pytest.raises(SolverError) as info:
+            SolverOptions(**{field: value})
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_accepted(self):
+        opts = SolverOptions(tol=np.float64(1e-10), max_iter=np.int64(5))
+        assert (opts.tol, opts.max_iter) == (1e-10, 5)

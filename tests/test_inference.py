@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from blockgmm import simstudy
-from blockgmm.combine import CombinedFit, assemble_vhat, combine, invert_vhat
+from blockgmm.combine import CombinedFit, WeightBlocks, assemble_vhat, combine, invert_vhat
 from blockgmm.inference import (
     overid_test,
     godambe_cov,
@@ -75,10 +75,9 @@ class TestGodambeCov:
         assert np.all(report.ci_lower <= report.estimates)
         assert np.all(report.estimates <= report.ci_upper)
         assert np.all((report.p_values >= 0) & (report.p_values <= 1))
-        half = report.ci_upper - report.estimates
-        np.testing.assert_allclose(
-            half, scipy.stats.norm.ppf(0.975) * report.ase, atol=1e-12
-        )
+        q = scipy.stats.norm.ppf(0.975)
+        assert np.array_equal(report.ci_upper, report.estimates + q * report.ase)
+        assert np.array_equal(report.ci_lower, report.estimates - q * report.ase)
 
     def test_names_align_with_estimates(self, fitted_bundle):
         bundle, _ = fitted_bundle
@@ -143,3 +142,52 @@ class TestGmmOracle:
         block_fit = bundle.fits[(0, 0)]
         np.testing.assert_allclose(theta_opt, block_fit.theta_hat, atol=1e-5)
         np.testing.assert_allclose(zeta_opt, block_fit.zeta_hat, atol=1e-5)
+
+
+class TestScipyStatsOracle:
+    """The package takes its normal and chi-square tail values from
+    scipy.special; they must equal scipy.stats' own to the bit."""
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
+    def test_godambe_p_values_and_ci_bounds(self, alpha):
+        # z from 0 through the region where the two-sided p-value underflows
+        z = np.concatenate([[0.0, -0.0, 1e-300, 1.959963984540054, -40.0, 40.0],
+                            np.linspace(-39.0, 39.0, 997)])
+        ase = np.full(z.size, 0.01)
+        est = z * ase
+        fit = CombinedFit(theta=est[:3], zeta=est[3:], cov_theta=np.diag(ase[:3] ** 2),
+                          variances=ase**2, N=100, p=3)
+        report = godambe_cov(fit, tuple(range(z.size)), alpha=alpha)
+        norm = scipy.stats.norm
+        q = norm.ppf(1.0 - alpha / 2.0)
+        assert np.array_equal(report.p_values, 2.0 * norm.sf(np.abs(report.z)))
+        assert np.array_equal(report.ci_lower, report.estimates - q * report.ase)
+        assert np.array_equal(report.ci_upper, report.estimates + q * report.ase)
+        assert np.array_equal(report.p_values[4:6], [0.0, 0.0])  # |z| = 40 underflows
+
+    def test_godambe_on_a_fitted_bundle(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        report = godambe_cov(combine(bundle), parameter_names(bundle))
+        assert np.array_equal(report.p_values, 2.0 * scipy.stats.norm.sf(np.abs(report.z)))
+
+    # p-values from about 1 through 0.03, 8e-10 and 9e-35 to an underflowed 0
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 10.0, 30.0, 1e6])
+    def test_overid_p_value(self, fitted_bundle, scale):
+        bundle, blocks = fitted_bundle
+        fit, W = full_inference(bundle, blocks)
+        scaled = WeightBlocks(p=W.p, J=W.J, vhat=W.vhat, w=tuple(scale * w for w in W.w),
+                              ridge_repaired=W.ridge_repaired)
+        stat, df, p_value = overid_test(blocks, bundle, fit, scaled)
+        assert p_value == float(scipy.stats.chi2.sf(stat, df))
+        if scale == 1e6:
+            assert p_value == 0.0  # the statistic is far past the chi-square tail
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
+    def test_summarize_coverage_quantile(self, alpha):
+        # replications just inside, on and just outside the oracle's interval:
+        # coverage is 2/3 only if the quantile is the oracle's to the bit
+        q = scipy.stats.norm.ppf(1.0 - alpha / 2.0)
+        offsets = [np.nextafter(q, 0.0), q, np.nextafter(q, np.inf)]
+        rows = [{"ok": 1, "theta": [d, -d], "ase": [1.0, 1.0]} for d in offsets]
+        summ = simstudy.summarize(rows, (0.0, 0.0), alpha=alpha)
+        assert np.array_equal(summ.coverage, [2 / 3, 2 / 3])
