@@ -109,10 +109,7 @@ def _alpha(args, cfg) -> float:
 
 def _workers(args, cfg) -> int:
     """The worker count from ``--workers`` or the config; at least 1."""
-    workers = _setting(args, cfg, "workers", 1, int)
-    if workers < 1:
-        raise BlockGmmError(f"workers = {workers!r} is not a count >= 1")
-    return workers
+    return simstudy.check_workers(_setting(args, cfg, "workers", 1, int))
 
 
 def _write_resolved_config(path, settings: dict) -> None:
@@ -167,7 +164,6 @@ def cmd_fit(args) -> int:
     out_dir = _setting(args, cfg, "out", "blockgmm-out")
     allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
 
-    os.makedirs(out_dir, exist_ok=True)
     data = load_long_csv(input_path)
     kind = _solver_kind(method, working)
     bundle, blocks = simstudy.fit_dataset(
@@ -188,6 +184,7 @@ def cmd_fit(args) -> int:
     report = inference.godambe_cov(
         fit, inference.parameter_names(bundle), alpha=alpha
     )
+    os.makedirs(out_dir, exist_ok=True)
     _write_inference_outputs(out_dir, report, overid)
     save_bundle(bundle, os.path.join(out_dir, "bundle.zip"))
     _write_resolved_config(
@@ -341,7 +338,6 @@ def cmd_combine(args) -> int:
     alpha = _alpha(args, cfg)
     out_dir = _setting(args, cfg, "out", "blockgmm-combined")
     allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
-    os.makedirs(out_dir, exist_ok=True)
 
     parts = [load_bundle(path) for path in args.bundles]
     bundle = parts[0] if len(parts) == 1 else merge_bundles(parts)
@@ -350,6 +346,7 @@ def cmd_combine(args) -> int:
         fit, inference.parameter_names(bundle), alpha=alpha
     )
     # the over-identification test needs raw data, which bundles do not carry
+    os.makedirs(out_dir, exist_ok=True)
     _write_inference_outputs(out_dir, report, None)
     _write_resolved_config(
         os.path.join(out_dir, "config.txt"),

@@ -5,9 +5,13 @@ Two error families are supported: ``kronecker-nested`` (covariance
 S (x) A with S a random unit-diagonal positive-definite block matrix and
 A an AR(1) block) and ``global-ar1`` (one AR(1) process across all M
 responses, run for all subjects at once, one response position at a
-time).  Every subject draws from its own counter-based RNG stream
-derived from (master seed, replication, subject), so the generated data
-are bit-identical for any worker count or scheduling order.
+time).  Every subject draws from its own stream,
+``default_rng(SeedSequence([master seed, replication, subject]))``, so
+the generated data are bit-identical for any worker count or scheduling
+order.  The seed states of all subjects are hashed at once by
+``subject_states``, numpy's SeedSequence algorithm run over the subject
+axis, so the streams are exactly those of per-subject SeedSequences;
+each subject then takes one draw of M*p standard normals.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.special
+from numpy.random.bit_generator import ISeedSequence
 
 from .dataio import Dataset
 from .engines import NuisanceSpec, SolverOptions, fit_block
@@ -103,17 +108,91 @@ def _ar1_chol(m: int, rho: float) -> np.ndarray:
     return np.linalg.cholesky(corr)
 
 
-def _covariates(rng, M: int, p: int) -> np.ndarray:
-    """Intercept plus p-1 independent M-dimensional standard-normal columns."""
-    x = np.empty((M, p))
-    x[:, 0] = 1.0
-    if p > 1:
-        x[:, 1:] = rng.standard_normal((M, p - 1))
-    return x
+# SeedSequence constants (numpy/random/bit_generator.pyx); NEP 19 keeps
+# the SeedSequence algorithm, and so these, stable across numpy versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
 
 
-def _subject_rng(seed: int, rep: int, i: int):
-    return np.random.default_rng(np.random.SeedSequence([seed, rep, i]))
+def _uint32_words(value: int) -> list:
+    """The little-endian 32-bit words SeedSequence makes of an int >= 0."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def subject_states(seed: int, rep: int, n: int) -> np.ndarray:
+    """Every subject's ``SeedSequence([seed, rep, i]).generate_state(4,
+    np.uint64)`` for i < n <= 2**32, as an (n, 4) uint64 array.
+
+    The hash constants advance the same way whatever the entropy values
+    are, so numpy's pool mixing and output hash run once over the subject
+    axis in uint32 arithmetic (products wrap modulo 2**32, as in C).
+    """
+    words = _uint32_words(int(seed)) + _uint32_words(int(rep))
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[a] if a < len(entropy) else zero) for a in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    state = np.empty((n, 2 * _POOL), dtype=np.uint32)
+    const = _INIT_B
+    for a in range(2 * _POOL):
+        value = pool[a % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        state[:, a] = value ^ (value >> np.uint32(16))
+    # consecutive words pair up little-endian, as generate_state's uint64 view
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PresetState(ISeedSequence):
+    """A seed sequence whose state is already known: hands PCG64 its row
+    (PCG64 asks for exactly 4 uint64 words)."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _subject_draws(design: SimDesign, rep: int):
+    """Yield (i, draws): subject i's M*p standard normals from its stream,
+    which is ``default_rng(SeedSequence([seed, rep, i]))``.  The first
+    M*(p-1) are its non-intercept covariates (M x (p-1), row-major), the
+    last M its error innovations."""
+    size = design.M * design.p
+    for i, row in enumerate(subject_states(design.seed, rep, design.N)):
+        rng = np.random.Generator(np.random.PCG64(_PresetState(row)))
+        yield i, rng.standard_normal(size)
 
 
 def gen_kronecker_mvn(design: SimDesign, rep: int = 0) -> Dataset:
@@ -126,16 +205,20 @@ def gen_kronecker_mvn(design: SimDesign, rep: int = 0) -> Dataset:
     a_factor = design.sigma * _ar1_chol(m, design.rho)
     theta0 = np.asarray(design.theta0)
 
-    responses = np.empty((N, M))
+    split = M * (p - 1)
+    z = np.empty((N, J, m))
     covariates = np.empty((N, M, p))
-    for i in range(N):
-        rng = _subject_rng(design.seed, rep, i)
-        x = _covariates(rng, M, p)
-        z = rng.standard_normal((J, m))
-        # (L_S (x) L_A) z, laid out with the J outer blocks contiguous
-        err = (s_factor @ z @ a_factor.T).reshape(M)
-        covariates[i] = x
-        responses[i] = x @ theta0 + err
+    covariates[:, :, 0] = 1.0
+    slopes = covariates[:, :, 1:]
+    for i, draws in _subject_draws(design, rep):
+        slopes[i] = draws[:split].reshape(M, p - 1)
+        z[i] = draws[split:].reshape(J, m)
+    # (L_S (x) L_A) z per subject, laid out with the J outer blocks
+    # contiguous; rebinding z keeps at most two N x M arrays alive
+    z = s_factor @ z
+    z = z @ a_factor.T
+    responses = covariates @ theta0
+    responses += z.reshape(N, M)
     return Dataset(
         responses=responses,
         covariates=covariates,
@@ -158,12 +241,14 @@ def gen_ar1_mvn(design: SimDesign, rep: int = 0) -> Dataset:
     innov = sigma * np.sqrt(1.0 - rho * rho)
     theta0 = np.asarray(design.theta0)
 
+    split = M * (p - 1)
     z = np.empty((M, N))  # position-major, so each step reads one row
     covariates = np.empty((N, M, p))
-    for i in range(N):
-        rng = _subject_rng(design.seed, rep, i)
-        covariates[i] = _covariates(rng, M, p)
-        z[:, i] = rng.standard_normal(M)
+    covariates[:, :, 0] = 1.0
+    slopes = covariates[:, :, 1:]
+    for i, draws in _subject_draws(design, rep):
+        slopes[i] = draws[:split].reshape(M, p - 1)
+        z[:, i] = draws[split:]
     err = np.empty((M, N))
     err[0] = sigma * z[0]
     for t in range(1, M):
@@ -179,6 +264,13 @@ def generate(design: SimDesign, rep: int = 0) -> Dataset:
     if design.family == "kronecker-nested":
         return gen_kronecker_mvn(design, rep)
     return gen_ar1_mvn(design, rep)
+
+
+def check_workers(workers) -> int:
+    """``workers`` if it is a worker count >= 1; otherwise a BlockGmmError."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise BlockGmmError(f"workers = {workers!r} is not a count >= 1")
+    return workers
 
 
 def _fit_one_block(args):
@@ -202,6 +294,7 @@ def fit_dataset(
     Results are keyed by (j, k), so the bundle is identical for any
     worker count.
     """
+    check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
     blocks = partition.split(data, plan, theta_cols=theta_cols)
     keys = sorted(blocks)
@@ -259,6 +352,7 @@ def _one_rep(args):
 def run_replications(design: SimDesign, workers: int = 1):
     """All replications, sorted by index so output order never depends on
     scheduling.  Returns a list of per-rep dicts."""
+    check_workers(workers)
     jobs = [(design, rep) for rep in range(design.reps)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

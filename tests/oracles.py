@@ -9,8 +9,9 @@ GEE kernel never forms an m x m working-correlation inverse and never
 differentiates numerically; the dense GEE fit and the central-difference
 sensitivity here do, and the residual-moment alternation takes the
 nuisance moments from a pass over the residuals of every iterate, where
-the kernel uses quadratic forms in the start residuals.  The per-subject AR(1) generator loop, the numeric
-GMM minimizer and the plan/split helpers that only tests use live here too.
+the kernel uses quadratic forms in the start residuals.  The simulation
+generators with one numpy SeedSequence per subject, the numeric GMM
+minimizer and the plan/split helpers that only tests use live here too.
 """
 
 import numpy as np
@@ -484,7 +485,41 @@ def fd_sensitivity(block, theta, zeta, kind, fd_step=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# per-subject AR(1) generator loop
+# per-subject generator loops, each subject seeding its own SeedSequence
+
+
+def subject_rng(seed, rep, i):
+    """Subject i's stream, seeded by numpy's own SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence([seed, rep, i]))
+
+
+def subject_covariates(rng, M, p):
+    """Intercept plus p-1 independent M-dimensional standard-normal columns."""
+    x = np.empty((M, p))
+    x[:, 0] = 1.0
+    if p > 1:
+        x[:, 1:] = rng.standard_normal((M, p - 1))
+    return x
+
+
+def gen_kronecker_loop(design, rep=0):
+    """Kronecker-nested dataset with (L_S (x) L_A) z formed subject by subject."""
+    J, M, N, p = design.J, design.M, design.N, design.p
+    m = M // J
+    s_factor = np.linalg.cholesky(simstudy.random_pd_matrix(J, design.seed))
+    a_factor = design.sigma * simstudy._ar1_chol(m, design.rho)
+    theta0 = np.asarray(design.theta0)
+    responses = np.empty((N, M))
+    covariates = np.empty((N, M, p))
+    for i in range(N):
+        rng = subject_rng(design.seed, rep, i)
+        x = subject_covariates(rng, M, p)
+        z = rng.standard_normal((J, m))
+        covariates[i] = x
+        responses[i] = x @ theta0 + (s_factor @ z @ a_factor.T).reshape(M)
+    return Dataset(
+        responses=responses, covariates=covariates, subject_ids=tuple(range(1, N + 1))
+    )
 
 
 def gen_ar1_loop(design, rep=0):
@@ -496,8 +531,8 @@ def gen_ar1_loop(design, rep=0):
     responses = np.empty((N, M))
     covariates = np.empty((N, M, p))
     for i in range(N):
-        rng = simstudy._subject_rng(design.seed, rep, i)
-        x = simstudy._covariates(rng, M, p)
+        rng = subject_rng(design.seed, rep, i)
+        x = subject_covariates(rng, M, p)
         z = rng.standard_normal(M)
         err = np.empty(M)
         err[0] = sigma * z[0]

@@ -313,8 +313,8 @@ def test_criterion_9_generator_fidelity():
     theta0 = np.asarray(design.theta0)
     dense_ok = True
     for i in range(design.N):
-        rng = simstudy._subject_rng(design.seed, 0, i)
-        x = simstudy._covariates(rng, m, design.p)
+        rng = oracles.subject_rng(design.seed, 0, i)
+        x = oracles.subject_covariates(rng, m, design.p)
         z = rng.standard_normal(m)
         dense_ok = dense_ok and np.allclose(
             data.responses[i], x @ theta0 + chol @ z, atol=1e-10
@@ -334,8 +334,8 @@ def test_criterion_9_generator_fidelity():
     dense_factor = np.kron(s_factor, a_factor)
     kron_ok = True
     for i in range(kron.N):
-        rng = simstudy._subject_rng(kron.seed, 0, i)
-        x = simstudy._covariates(rng, kron.M, kron.p)
+        rng = oracles.subject_rng(kron.seed, 0, i)
+        x = oracles.subject_covariates(rng, kron.M, kron.p)
         z = rng.standard_normal((kron.J, mb))
         kron_ok = kron_ok and np.allclose(
             kdata.responses[i], x @ theta0 + dense_factor @ z.reshape(-1),

@@ -475,6 +475,29 @@ class TestTamperedBundles:
         assert "not a bundle archive" in capsys.readouterr().err
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("fit", None, "No such file or directory"),
+            ("fit", "subject_id,y\n1,2.0\n", "missing required column"),
+            ("combine", None, "No such file or directory"),
+            ("combine", "not a zip archive\n", "not a bundle archive"),
+        ],
+        ids=["fit-missing", "fit-malformed", "combine-missing", "combine-non-archive"],
+    )
+    def test_failed_read_leaves_no_out_dir(self, tmp_path, capsys, command, content, message):
+        source = tmp_path / "input"
+        if content is not None:
+            source.write_text(content)
+        out = tmp_path / "leftover"
+        argv = (["fit", "--input", source] if command == "fit" else ["combine", source])
+        assert run(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestImportFootprint:
     # scipy.stats takes about two thirds of a cold start; the package needs
     # only scipy.special's tail functions.  A fresh interpreter is used

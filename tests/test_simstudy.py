@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from blockgmm import partition, simstudy
 from blockgmm.combine import combine
 from blockgmm.dataio import Dataset
-from blockgmm.errors import DataError
+from blockgmm.errors import BlockGmmError, DataError
 
 import oracles
 from conftest import make_ar1_design
@@ -61,18 +63,78 @@ class TestGenerators:
         assert not np.array_equal(a.responses, c.responses)
 
     @pytest.mark.parametrize(
-        "overrides",
-        [dict(), dict(rho=-0.6), dict(rho=0.0), dict(theta0=(0.7,)), dict(M=2, J=1)],
-        ids=["default", "negative-rho", "zero-rho", "p1", "M2"],
+        "seed, reps",
+        [(12345, (0, 3)), (2**32, (2**32, 2**32 + 7)), (2**64 - 1, (1, 2**64 + 5))],
+        ids=["small", "two-word", "wide"],
     )
-    def test_ar1_filter_is_bit_identical_to_subject_loop(self, overrides):
-        design = make_ar1_design(N=40, **overrides)
-        for rep in (0, 3):
+    @pytest.mark.parametrize(
+        "family, overrides",
+        [
+            ("global-ar1", dict()),
+            ("global-ar1", dict(rho=-0.6)),
+            ("global-ar1", dict(rho=0.0)),
+            ("global-ar1", dict(theta0=(0.7,))),
+            ("global-ar1", dict(M=2, J=1)),
+            ("kronecker-nested", dict()),
+            ("kronecker-nested", dict(theta0=(0.7,), M=20, J=4)),
+            ("kronecker-nested", dict(theta0=(0.2, 0.4), M=9, J=3, rho=-0.3)),
+            ("kronecker-nested", dict(M=5, J=5)),
+        ],
+        ids=["ar1", "ar1-negative-rho", "ar1-zero-rho", "ar1-p1", "ar1-M2",
+             "kron", "kron-p1", "kron-p2", "kron-m1"],
+    )
+    def test_generator_is_bit_identical_to_subject_loop(self, family, overrides, seed, reps):
+        design = make_ar1_design(N=40, family=family, seed=seed, **overrides)
+        loop_gen = {"global-ar1": oracles.gen_ar1_loop,
+                    "kronecker-nested": oracles.gen_kronecker_loop}[family]
+        for rep in reps:
             fast = simstudy.generate(design, rep)
-            loop = oracles.gen_ar1_loop(design, rep)
+            loop = loop_gen(design, rep)
             assert fast.responses.tobytes() == loop.responses.tobytes()
             assert fast.covariates.tobytes() == loop.covariates.tobytes()
             assert fast.subject_ids == loop.subject_ids
+
+    # SHA-256 of responses then covariates (little-endian float64), recorded
+    # from the per-subject SeedSequence generators: a stream change shows
+    # here even if the oracle loops above change along with the generators
+    @pytest.mark.parametrize(
+        "design, rep, digest",
+        [
+            (simstudy.SimDesign(family="kronecker-nested", N=25, M=12, J=3, K=1,
+                                seed=7, reps=1), 2,
+             "ba777b78d7fba1f73901ef1dc5365dd7bb8c19ec12578e3ade91bcf3be132932"),
+            (simstudy.SimDesign(family="global-ar1", N=25, M=10, J=2, K=1,
+                                seed=2**33 + 5, reps=1), 2**32 + 1,
+             "7c86d648d22bb1f521fe19c73085f7ea0ba1b611768c27297e398ab5547f824d"),
+        ],
+        ids=["kronecker-nested", "global-ar1"],
+    )
+    def test_generated_bytes_are_pinned(self, design, rep, digest):
+        data = simstudy.generate(design, rep)
+        sha = hashlib.sha256()
+        for values in (data.responses, data.covariates):
+            sha.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        rep=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_subject_states_equal_numpy_seed_sequences(self, seed, rep, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        i = data.draw(st.integers(0, n - 1), label="i")
+        states = simstudy.subject_states(seed, rep, n)
+        assert states.shape == (n, 4) and states.dtype == np.uint64
+        for k in {0, n - 1, i}:
+            seq = np.random.SeedSequence([seed, rep, k])
+            np.testing.assert_array_equal(states[k], seq.generate_state(4, np.uint64))
+        # and the subject's stream is numpy's default_rng for that sequence
+        design = make_ar1_design(N=n, M=3, theta0=(0.1, 0.2), seed=seed)
+        expected = np.random.default_rng(np.random.SeedSequence([seed, rep, i])).standard_normal(6)
+        draws = dict(simstudy._subject_draws(design, rep))
+        np.testing.assert_array_equal(draws[i], expected)
 
     def test_ar1_recursion_equals_dense_cholesky_construction(self):
         # generator fidelity against the dense covariance oracle (M <= 40):
@@ -90,8 +152,8 @@ class TestGenerators:
         chol = np.linalg.cholesky(cov)
         theta0 = np.asarray(design.theta0)
         for i in range(design.N):
-            rng = simstudy._subject_rng(design.seed, 0, i)
-            x = simstudy._covariates(rng, m, design.p)
+            rng = oracles.subject_rng(design.seed, 0, i)
+            x = oracles.subject_covariates(rng, m, design.p)
             z = rng.standard_normal(m)
             expected = x @ theta0 + chol @ z
             np.testing.assert_allclose(data.responses[i], expected, atol=1e-10)
@@ -113,8 +175,8 @@ class TestGenerators:
         dense_factor = np.kron(s_factor, a_factor)
         theta0 = np.asarray(design.theta0)
         for i in range(design.N):
-            rng = simstudy._subject_rng(design.seed, 0, i)
-            x = simstudy._covariates(rng, design.M, design.p)
+            rng = oracles.subject_rng(design.seed, 0, i)
+            x = oracles.subject_covariates(rng, design.M, design.p)
             z = rng.standard_normal((design.J, m))
             expected = x @ theta0 + dense_factor @ z.reshape(-1)
             np.testing.assert_allclose(data.responses[i], expected, atol=1e-10)
@@ -202,6 +264,20 @@ class TestRunReplications:
         rows = simstudy.run_replications(design)
         assert all(r["ok"] for r in rows)
         assert [r["rep"] for r in rows] == [0, 1]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, None, True])
+    def test_fit_dataset_rejects_non_count(self, workers):
+        data = simstudy.generate(make_ar1_design(N=40, M=4), 0)
+        with pytest.raises(BlockGmmError, match=f"workers = {workers!r} is not a count >= 1"):
+            simstudy.fit_dataset(data, 2, 2, "gee-ar1", workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_run_replications_rejects_non_count(self, workers):
+        design = make_ar1_design(N=40, M=4, reps=1)
+        with pytest.raises(BlockGmmError, match=f"workers = {workers} is not a count >= 1"):
+            simstudy.run_replications(design, workers=workers)
 
 
 class TestSummarize:
