@@ -112,6 +112,16 @@ def _workers(args, cfg) -> int:
     return simstudy.check_workers(_setting(args, cfg, "workers", 1, int))
 
 
+def _out_dir(args, cfg, default: str) -> str:
+    """The output directory from ``--out`` or the config: a directory or an
+    absent path, checked before any input is read and created only once
+    the outputs are ready."""
+    out_dir = _setting(args, cfg, "out", default)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise BlockGmmError(f"out = {out_dir!r} exists and is not a directory")
+    return out_dir
+
+
 def _write_resolved_config(path, settings: dict) -> None:
     with open(path, "w") as fh:
         for key in sorted(settings):
@@ -161,7 +171,7 @@ def cmd_fit(args) -> int:
         tol=_setting(args, cfg, "tol", 1e-8, float),
         max_iter=_setting(args, cfg, "max_iter", 100, int),
     )
-    out_dir = _setting(args, cfg, "out", "blockgmm-out")
+    out_dir = _out_dir(args, cfg, "blockgmm-out")
     allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
 
     data = load_long_csv(input_path)
@@ -336,7 +346,7 @@ def cmd_simulate(args) -> int:
 def cmd_combine(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     alpha = _alpha(args, cfg)
-    out_dir = _setting(args, cfg, "out", "blockgmm-combined")
+    out_dir = _out_dir(args, cfg, "blockgmm-combined")
     allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
 
     parts = [load_bundle(path) for path in args.bundles]

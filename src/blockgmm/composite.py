@@ -7,15 +7,31 @@ common variance sigma^2.  The per-subject estimating function is the
 average of the pair scores.
 
 Every pair at lag L = t - r shares c = rho^L, so the kernel sums over the
-m - 1 lags with sliced arrays instead of over the m(m-1)/2 pairs.  One
-evaluation returns the per-subject scores and, on request, the exact mean
-Hessian on the natural (theta, sigma^2, rho) scale; its theta-theta part
-is a design Gram per lag, computed once per block.  The root is found by
-damped Newton on the unconstrained parameterization
-(theta, log sigma, atanh rho) with the analytic Jacobian.
+m - 1 lags instead of over the m(m-1)/2 pairs.  For the mean score and
+the exact mean Hessian on the (theta, sigma^2, rho) scale it needs, per
+lag, only sums over subjects and over the pairs (a, b) = (r_t, r_{t+L})
+of residuals with design rows (x_a, x_b): the design Grams
+sum x_a x_a' + x_b x_b' and sum x_a x_b' + x_b x_a', the cross vectors
+sum x_a a + x_b b and sum x_a b + x_b a, and the residual sums
+sum a^2 + b^2 and sum a b.  All of them are blocks of the per-lag Grams
+of the augmented per-subject array z = [X, r0], with r0 the residuals of
+the ordinary least-squares start, and those come from one Gram of z per
+block.  At theta = start + delta the residual is z e with
+e = (-delta, 1), so each residual lag sum is its r0 value minus a term
+linear in delta plus a quadratic form in delta.  The mean score and its
+Jacobian are then O(m p^2) algebra: damped Newton on the unconstrained
+parameterization (theta, log sigma, atanh rho), its analytic Jacobian and
+its line search touch no n x m data after set-up.  As in
+:mod:`blockgmm.gee`, working from r0 rather than y keeps the residual
+sums free of cancellation when the residuals are small next to X theta.
+
+At the solution one residual pass gives the per-subject scores, and the
+fit's lag sums give the sensitivity (the negative mean Hessian).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,25 +39,45 @@ from .errors import NumericDomainError, SolverError
 from .gee import RHO_LIMIT
 
 
-def _lag_gram(X) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lag design Grams (Gv, Gw), each (m - 1, p, p), averaged over subjects.
+class LagMoments(NamedTuple):
+    """A block's least-squares start and the per-lag Grams of z = [X, r0]
+    averaged over subjects, each (m - 1, p + 1, p + 1) (see
+    :func:`_lag_gram`)."""
 
-    For lag L, with (x_a, x_b) the design rows of a pair (r, r + L),
-    Gv[L-1] sums x_a x_a' + x_b x_b' and Gw[L-1] sums x_a x_b' + x_b x_a'.
+    start: np.ndarray
+    gv: np.ndarray
+    gw: np.ndarray
+
+
+def _lag_gram(Z) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lag Grams (Gv, Gw), each (m - 1, q, q), of Z (n, m, q) averaged
+    over subjects.
+
+    For lag L, with (z_a, z_b) the rows of a pair (r, r + L),
+    Gv[L-1] sums z_a z_a' + z_b z_b' and Gw[L-1] sums z_a z_b' + z_b z_a'.
     """
-    n, m, p = X.shape
-    flat = X.reshape(n, m * p)
-    gram = (flat.T @ flat).reshape(m, p, m, p) / n
-    # cum[k] = sum of the position Grams x_r x_r' over r < k
-    cum = np.zeros((m + 1, p, p))
+    n, m, q = Z.shape
+    flat = Z.reshape(n, m * q)
+    gram = (flat.T @ flat).reshape(m, q, m, q) / n
+    # cum[k] = sum of the position Grams z_r z_r' over r < k
+    cum = np.zeros((m + 1, q, q))
     np.cumsum(np.einsum("rprq->rpq", gram), axis=0, out=cum[1:])
     lags = np.arange(1, m)
     gv = cum[m - lags] + cum[m] - cum[lags]
-    gw = np.empty((m - 1, p, p))
+    gw = np.empty((m - 1, q, q))
     for lag in lags:
         cross = np.trace(gram, offset=lag, axis1=0, axis2=2)
         gw[lag - 1] = cross + cross.T
     return gv, gw
+
+
+def _lag_moments(block) -> tuple[LagMoments, np.ndarray]:
+    """The block's lag moments and the start residuals r0 (n, m)."""
+    X, y = block.design, block.y
+    start, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
+    resid = y - X @ start
+    gv, gw = _lag_gram(np.concatenate([X, resid[:, :, None]], axis=2))
+    return LagMoments(start, gv, gw), resid
 
 
 def _pair_operator(diag, off, m) -> np.ndarray:
@@ -56,25 +92,33 @@ def _pair_operator(diag, off, m) -> np.ndarray:
     return out
 
 
-def _evaluate(X, y, theta, zeta, gram=None):
-    """Per-subject averaged pairwise scores (n, p + 2) and, when the lag
-    Gram of X is given, the exact Hessian of their mean (else ``None``)."""
+def _nuisance(zeta) -> tuple[float, float]:
     sigma2 = float(zeta[0])
     rho = float(zeta[1])
     if sigma2 <= 0:
         raise NumericDomainError(f"sigma^2 must be positive, got {sigma2}")
     if abs(rho) >= 1.0:
         raise NumericDomainError(f"|rho| >= 1 (rho={rho})")
+    return sigma2, rho
 
-    n, m, p = X.shape
-    resid = y - X @ theta
+
+def _lag_coefficients(rho, m):
+    """Per lag L = 1 .. m-1: the lags, pair counts, c = rho^L, dc/drho and
+    w = 1 - c^2, and the powers rho^0 .. rho^(m-1)."""
     lags = np.arange(1, m)
-    npairs = m * (m - 1) // 2
-    count = m - lags  # pairs per lag
     power = rho ** np.arange(m)
     c = power[1:]
-    dc = lags * power[:-1]  # dc/drho; rho^0 = 1 also at rho = 0
-    w = 1.0 - c * c
+    dc = lags * power[:-1]  # rho^0 = 1 also at rho = 0
+    return lags, m - lags, c, dc, 1.0 - c * c, power
+
+
+def _subject_scores(X, y, theta, zeta) -> np.ndarray:
+    """Per-subject averaged pairwise scores (n, p + 2): one residual pass."""
+    sigma2, rho = _nuisance(zeta)
+    n, m, p = X.shape
+    resid = y - X @ theta
+    npairs = m * (m - 1) // 2
+    lags, count, c, dc, w, _ = _lag_coefficients(rho, m)
 
     # per-subject lag sums over pairs (a, b) = (resid_r, resid_{r+L}):
     # prod = sum a b, quad = sum a^2 - 2 c a b + b^2
@@ -93,34 +137,69 @@ def _evaluate(X, y, theta, zeta, gram=None):
     dl_dc = count * c / w + (prod - quad * (c / w)) / (sigma2 * w)
     out[:, p + 1] = dl_dc @ dc
     out /= npairs
-    if gram is None:
-        return out, None
+    return out
 
-    gv, gw = gram
-    prod_m = prod.mean(axis=0)
-    quad_m = quad.mean(axis=0)
+
+def _mean_terms(moments: LagMoments, theta, zeta, hessian: bool = False):
+    """Mean score row (p + 2,) at (theta, zeta) and, with ``hessian``, its
+    exact Jacobian (else ``None``), from the lag moments alone."""
+    sigma2, rho = _nuisance(zeta)
+    start, gv, gw = moments
+    p = start.shape[0]
+    m = gv.shape[0] + 1
+    npairs = m * (m - 1) // 2
+    lags, count, c, dc, w, power = _lag_coefficients(rho, m)
+
+    # the residual at theta is z e; per lag, (Gv e)[:p] = sum x_a a + x_b b,
+    # (Gw e)[:p] = sum x_a b + x_b a, e'Gv e = sum a^2 + b^2, e'Gw e = 2 sum a b
+    e = np.append(start - theta, 1.0)
+    gv_e = gv @ e
+    gw_e = gw @ e
+    cross_v, cross_w = gv_e[:, :p], gw_e[:, :p]
+    prod = 0.5 * (gw_e @ e)
+    quad = gv_e @ e - 2.0 * c * prod
+
+    score = np.empty(p + 2)
+    score[:p] = ((1.0 / w) @ cross_v - (c / w) @ cross_w) / sigma2
+    score[p] = quad @ (0.5 / (sigma2 * sigma2 * w)) - npairs / sigma2
+    dl_dc = count * c / w + (prod - quad * (c / w)) / (sigma2 * w)
+    score[p + 1] = dl_dc @ dc
+    score /= npairs
+    if not hessian:
+        return score, None
+
     s2 = sigma2 * sigma2
     d2c = np.concatenate([[0.0], lags[1:] * (lags[1:] - 1) * power[:-2]])
     hess = np.empty((p + 2, p + 2))
     hess[:p, :p] = -(
-        np.einsum("l,lpq->pq", 1.0 / w, gv) - np.einsum("l,lpq->pq", c / w, gw)
+        np.einsum("l,lpq->pq", 1.0 / w, gv[:, :p, :p])
+        - np.einsum("l,lpq->pq", c / w, gw[:, :p, :p])
     ) / (sigma2 * npairs)
-    hess[:p, p] = -out[:, :p].mean(axis=0) / sigma2
-    coef_rho = resid @ _pair_operator(
-        2.0 * c * dc / (w * w), -(1.0 + c * c) * dc / (w * w), m
-    )
-    hess[:p, p + 1] = np.einsum("nrp,nr->p", X, coef_rho) / (n * sigma2 * npairs)
-    hess[p, p] = (npairs / s2 - quad_m @ (1.0 / w) / (s2 * sigma2)) / npairs
-    hess[p, p + 1] = ((quad_m * c / w - prod_m) / (s2 * w)) @ dc / npairs
-    dl_dc_m = dl_dc.mean(axis=0)
+    hess[:p, p] = -score[:p] / sigma2
+    hess[:p, p + 1] = (
+        (2.0 * c * dc / (w * w)) @ cross_v - ((1.0 + c * c) * dc / (w * w)) @ cross_w
+    ) / (sigma2 * npairs)
+    hess[p, p] = (npairs / s2 - quad @ (1.0 / w) / (s2 * sigma2)) / npairs
+    hess[p, p + 1] = ((quad * c / w - prod) / (s2 * w)) @ dc / npairs
     d2l_dc2 = (
         count * (1.0 + c * c) / (w * w)
-        + (4.0 * c * prod_m - quad_m * (1.0 + 4.0 * c * c / w)) / (sigma2 * w * w)
+        + (4.0 * c * prod - quad * (1.0 + 4.0 * c * c / w)) / (sigma2 * w * w)
     )
-    hess[p + 1, p + 1] = (d2l_dc2 @ (dc * dc) + dl_dc_m @ d2c) / npairs
+    hess[p + 1, p + 1] = (d2l_dc2 @ (dc * dc) + dl_dc @ d2c) / npairs
     hess[p:, :p] = hess[:p, p:].T
     hess[p + 1, p] = hess[p, p + 1]
-    return out, hess
+    return score, hess
+
+
+def cl_evaluate(block, theta, zeta, moments: LagMoments | None = None):
+    """(scores, H) at (theta, zeta): the per-subject score rows (n, p + 2)
+    from one residual pass and, when the block's lag moments are given (as
+    :func:`fit_cl_block` returns them), H the exact Jacobian of the mean
+    score row on the (theta, sigma^2, rho) scale (else None)."""
+    scores = _subject_scores(block.design, block.y, theta, zeta)
+    if moments is None:
+        return scores, None
+    return scores, _mean_terms(moments, theta, zeta, hessian=True)[1]
 
 
 def cl_scores(block, theta, zeta, hessian: bool = False):
@@ -128,22 +207,22 @@ def cl_scores(block, theta, zeta, hessian: bool = False):
 
     Columns are the gradient of the mean pairwise log-likelihood with
     respect to (theta, sigma^2, rho).  With ``hessian=True`` the return
-    value is ``(scores, H)``, H the exact Jacobian of the mean score row.
+    value is ``(scores, H)``, H the exact Jacobian of the mean score row,
+    from the block's lag moments.
     """
-    X = block.design
-    scores, hess = _evaluate(X, block.y, theta, zeta, _lag_gram(X) if hessian else None)
-    return (scores, hess) if hessian else scores
+    if not hessian:
+        return _subject_scores(block.design, block.y, theta, zeta)
+    return cl_evaluate(block, theta, zeta, _lag_moments(block)[0])
 
 
-def _u_terms(X, y, u, gram=None):
-    """Mean score, and with ``gram`` its Jacobian, in the unconstrained
+def _u_terms(moments: LagMoments, u, hessian: bool = False):
+    """Mean score, and with ``hessian`` its Jacobian, in the unconstrained
     parameterization u = (theta, log sigma, atanh rho)."""
-    p = X.shape[2]
+    p = moments.start.shape[0]
     sigma = float(np.exp(u[p]))
     sigma2 = sigma * sigma
     rho = float(np.tanh(u[p + 1]))
-    scores, hess = _evaluate(X, y, u[:p], np.array([sigma2, rho]), gram)
-    s = scores.mean(axis=0)
+    s, hess = _mean_terms(moments, u[:p], np.array([sigma2, rho]), hessian)
     # d sigma^2 / d log sigma = 2 sigma^2, d rho / d atanh rho = 1 - rho^2
     dparam = np.ones(p + 2)
     dparam[p], dparam[p + 1] = 2.0 * sigma2, 1.0 - rho * rho
@@ -159,17 +238,17 @@ def _u_terms(X, y, u, gram=None):
 def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
     """Damped Newton root of the mean pairwise score.
 
-    Returns (theta, zeta, converged, iterations, rho_clamped).
+    Returns (theta, zeta, converged, iterations, rho_clamped, moments), the
+    last the block's lag moments, so that :func:`cl_evaluate` needs no
+    second pass over the data for the Hessian at the solution.
     """
     if block.n <= block.p + 2:
         raise SolverError(
             f"block ({block.j}, {block.k}): n={block.n} too small for "
             f"p+2={block.p + 2} parameters"
         )
-    X, y = block.design, block.y
     # start from OLS with moment estimates of (sigma^2, rho)
-    theta, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
-    resid = y - X @ theta
+    moments, resid = _lag_moments(block)
     sigma2 = float(np.mean(resid**2))
     if block.m > 1:
         rho = float(np.mean(resid[:, :-1] * resid[:, 1:]) / sigma2)
@@ -177,14 +256,13 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
         rho = 0.0
     rho = min(max(rho, -RHO_LIMIT), RHO_LIMIT)
 
-    gram = _lag_gram(X)
-    u = np.concatenate([theta, [0.5 * np.log(sigma2), np.arctanh(rho)]])
-    score, _ = _u_terms(X, y, u)
+    u = np.concatenate([moments.start, [0.5 * np.log(sigma2), np.arctanh(rho)]])
+    score, _ = _u_terms(moments, u)
     converged = float(np.linalg.norm(score)) <= tol
     iterations = 0
     while not converged and iterations < max_iter:
         iterations += 1
-        _, jac = _u_terms(X, y, u, gram)
+        _, jac = _u_terms(moments, u, hessian=True)
         try:
             step = np.linalg.solve(jac, -score)
         except np.linalg.LinAlgError as exc:
@@ -196,7 +274,7 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
         while lam > 1e-8:
             u_new = u + lam * step
             try:
-                score_new, _ = _u_terms(X, y, u_new)
+                score_new, _ = _u_terms(moments, u_new)
             except (NumericDomainError, FloatingPointError):
                 lam *= 0.5
                 continue
@@ -216,4 +294,4 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
     clamped = abs(rho) > RHO_LIMIT
     rho = min(max(rho, -RHO_LIMIT), RHO_LIMIT)
     zeta = np.array([sigma * sigma, rho])
-    return u[:p].copy(), zeta, bool(converged), iterations, clamped
+    return u[:p].copy(), zeta, bool(converged), iterations, clamped, moments

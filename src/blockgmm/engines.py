@@ -115,9 +115,10 @@ def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     """Negative Jacobian of the averaged estimating function at (theta, zeta).
 
     ``cl-ar1``: the exact negative Hessian of the mean pairwise
-    log-likelihood.  GEE kernels: the closed form of
-    :func:`blockgmm.gee.gee_sensitivity`.  Both are on the natural
-    (theta, sigma^2, rho) scale.
+    log-likelihood, from lag moments rebuilt from the block.  GEE kernels:
+    the closed form of :func:`blockgmm.gee.gee_sensitivity`.  Both are on
+    the natural (theta, sigma^2, rho) scale, and at a fit's estimates both
+    have the bits of :func:`fit_block`'s sensitivity.
     """
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
@@ -145,11 +146,13 @@ def fit_block(
     if spec.method == "cl":
         if block.m < 2:
             raise SolverError(f"cl-ar1 needs m >= 2, block has m={block.m}")
-        theta, zeta, converged, iterations, clamped = composite.fit_cl_block(
+        theta, zeta, converged, iterations, clamped, moments = composite.fit_cl_block(
             block, tol=opts.tol, max_iter=opts.max_iter
         )
-        scores = eval_scores(block, theta, zeta, spec.kind)
-        sens = sample_sensitivity(block, theta, zeta, spec.kind)
+        # one residual pass at the solution gives the scores; the fit's lag
+        # moments give the Hessian
+        scores, hess = composite.cl_evaluate(block, theta, zeta, moments)
+        sens = -hess
     else:
         theta, zeta, converged, iterations, clamped, grams = gee.fit_gee_block(
             block, spec.working, tol=opts.tol, max_iter=opts.max_iter
@@ -157,7 +160,7 @@ def fit_block(
         # one residual pass at the solution gives the scores and, with the
         # fit's design Grams, the sensitivity
         scores, sens = gee.gee_evaluate(block, theta, zeta, spec.working, grams)
-        sens = _finite(sens)
+    sens = _finite(sens)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
     final_norm = float(np.linalg.norm(scores.mean(axis=0)))

@@ -88,7 +88,9 @@ def _grams(structure: str, X: np.ndarray) -> np.ndarray:
 
 
 def _apply_basis(structure: str, r: np.ndarray) -> tuple:
-    """Each B_k applied to every subject's row of r (n, m)."""
+    """Each B_k applied to every subject's row of r (n, m).  The
+    exchangeable 11' gives every position its subject's row sum, returned
+    as one (n, 1) column that broadcasts over the positions."""
     if structure == "independence":
         return (r,)
     if structure == "ar1":
@@ -99,7 +101,7 @@ def _apply_basis(structure: str, r: np.ndarray) -> tuple:
         shift[:, :-1] = r[:, 1:]
         shift[:, 1:] += r[:, :-1]
         return r, ends, shift
-    return r, np.broadcast_to(r.sum(axis=1, keepdims=True), r.shape)
+    return r, r.sum(axis=1, keepdims=True)
 
 
 def _combine(coefs, terms) -> np.ndarray:
@@ -107,8 +109,18 @@ def _combine(coefs, terms) -> np.ndarray:
 
 
 def _xt(X, a) -> np.ndarray:
-    """sum_i X_i' a_i over every subject and position: (p,)."""
+    """sum_i X_i' a_i over every subject and position: (p,); an (n, 1)
+    column a holds one value for all of a subject's positions."""
+    if a.shape[1] == 1:
+        return X.sum(axis=1).T @ a[:, 0]
     return X.reshape(-1, X.shape[2]).T @ a.reshape(-1)
+
+
+def _total(r, a) -> float:
+    """sum_i r_i' a_i, with an (n, 1) column a as in :func:`_xt`."""
+    if a.shape[1] == 1:
+        return float(r.sum(axis=1) @ a[:, 0])
+    return float(np.vdot(r, a))
 
 
 def _basis_cross(X, basis) -> np.ndarray:
@@ -243,7 +255,7 @@ def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100)
     resid = _residuals(block, start)
     basis = _apply_basis(structure, resid)
     cross = _basis_cross(X, basis)
-    base = np.array([np.vdot(resid, b) for b in basis])
+    base = np.array([_total(resid, b) for b in basis])
     theta = start
     zeta, clamped = _moment_roots(base, structure, n, m)
     converged = False

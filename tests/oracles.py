@@ -9,7 +9,9 @@ GEE kernel never forms an m x m working-correlation inverse and never
 differentiates numerically; the dense GEE fit and the central-difference
 sensitivity here do, and the residual-moment alternation takes the
 nuisance moments from a pass over the residuals of every iterate, where
-the kernel uses quadratic forms in the start residuals.  The simulation
+the kernel uses quadratic forms in the start residuals.  The pairwise-CL
+mean score and Hessian here come from a pass over the residuals at every
+point, where the kernel uses the lag sums of [X, r0].  The simulation
 generators with one numpy SeedSequence per subject, the numeric GMM
 minimizer and the plan/split helpers that only tests use live here too.
 """
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from blockgmm import gee, simstudy
+from blockgmm import composite, gee, simstudy
 from blockgmm.combine import assemble_vhat, invert_vhat
 from blockgmm.dataio import Dataset
 from blockgmm.engines import eval_scores
@@ -442,6 +444,67 @@ def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
             converged = True
             break
     return theta, zeta, converged, iterations, clamped
+
+
+# ---------------------------------------------------------------------------
+# pairwise-CL mean score and Hessian from a pass over the data
+
+
+def cl_pass_terms(block, theta, zeta):
+    """Mean pairwise score row and its exact Hessian on the (theta, sigma^2,
+    rho) scale from per-subject lag sums of the residuals at theta and the
+    per-lag Grams of the design: a full pass over the block, where the
+    kernel works from the lag sums of [X, r0] at the start."""
+    X, y = block.design, block.y
+    sigma2, rho = float(zeta[0]), float(zeta[1])
+    n, m, p = X.shape
+    resid = y - X @ theta
+    lags = np.arange(1, m)
+    npairs = m * (m - 1) // 2
+    count = m - lags
+    power = rho ** np.arange(m)
+    c = power[1:]
+    dc = lags * power[:-1]
+    w = 1.0 - c * c
+
+    cum2 = np.zeros((n, m + 1))
+    np.cumsum(resid * resid, axis=1, out=cum2[:, 1:])
+    prod = np.empty((n, m - 1))
+    for lag in lags:
+        prod[:, lag - 1] = np.einsum("nr,nr->n", resid[:, :-lag], resid[:, lag:])
+    quad = cum2[:, m - lags] + cum2[:, [m]] - cum2[:, lags] - 2.0 * c * prod
+    coef = resid @ composite._pair_operator(1.0 / w, -c / w, m)
+    dl_dc = count * c / w + (prod - quad * (c / w)) / (sigma2 * w)
+    score = np.empty(p + 2)
+    score[:p] = np.einsum("nrp,nr->p", X, coef) / (n * sigma2)
+    score[p] = (quad @ (0.5 / (sigma2 * sigma2 * w))).mean() - npairs / sigma2
+    score[p + 1] = (dl_dc @ dc).mean()
+    score /= npairs
+
+    gv, gw = composite._lag_gram(X)
+    prod_m = prod.mean(axis=0)
+    quad_m = quad.mean(axis=0)
+    s2 = sigma2 * sigma2
+    d2c = np.concatenate([[0.0], lags[1:] * (lags[1:] - 1) * power[:-2]])
+    hess = np.empty((p + 2, p + 2))
+    hess[:p, :p] = -(
+        np.einsum("l,lpq->pq", 1.0 / w, gv) - np.einsum("l,lpq->pq", c / w, gw)
+    ) / (sigma2 * npairs)
+    hess[:p, p] = -score[:p] / sigma2
+    coef_rho = resid @ composite._pair_operator(
+        2.0 * c * dc / (w * w), -(1.0 + c * c) * dc / (w * w), m
+    )
+    hess[:p, p + 1] = np.einsum("nrp,nr->p", X, coef_rho) / (n * sigma2 * npairs)
+    hess[p, p] = (npairs / s2 - quad_m @ (1.0 / w) / (s2 * sigma2)) / npairs
+    hess[p, p + 1] = ((quad_m * c / w - prod_m) / (s2 * w)) @ dc / npairs
+    d2l_dc2 = (
+        count * (1.0 + c * c) / (w * w)
+        + (4.0 * c * prod_m - quad_m * (1.0 + 4.0 * c * c / w)) / (sigma2 * w * w)
+    )
+    hess[p + 1, p + 1] = (d2l_dc2 @ (dc * dc) + dl_dc.mean(axis=0) @ d2c) / npairs
+    hess[p:, :p] = hess[:p, p:].T
+    hess[p + 1, p] = hess[p, p + 1]
+    return score, hess
 
 
 def param_bounds(block, kind, dim):

@@ -1,0 +1,43 @@
+"""Every per-layer timing or call count that BENCHMARK.json declares names
+a public function of a package layer, so a traced run reports it.
+
+The tracer wraps the public functions defined in each layer module and
+reports ``<layer>.<function>.s`` and ``.calls`` for those alone; a
+declared metric whose function was removed or renamed drops out of the
+traced result line instead of reading 0.
+"""
+
+import importlib
+import inspect
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def declared_functions():
+    """(layer, function) of every declared ``<layer>.<function>.s|.calls``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    names = []
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("s", "calls"):
+            names.append((parts[0], parts[1]))
+    return names
+
+
+def test_every_timed_or_counted_metric_names_a_public_layer_function():
+    names = declared_functions()
+    assert ("composite", "fit_cl_block") in names
+    missing = []
+    for layer, function in names:
+        module = importlib.import_module(f"blockgmm.{layer}")
+        obj = vars(module).get(function)
+        if (
+            function.startswith("_")
+            or not inspect.isfunction(obj)
+            or obj.__module__ != module.__name__
+        ):
+            missing.append(f"{layer}.{function}")
+    assert not missing, missing

@@ -498,6 +498,25 @@ class TestUnreadableInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["fit", "combine"])
+    def test_out_that_is_a_file_is_rejected_before_reading(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        reads = []
+        monkeypatch.setattr(cli, "load_long_csv", lambda *args: reads.append(args))
+        monkeypatch.setattr(cli, "load_bundle", lambda *args: reads.append(args))
+        source = tmp_path / "input"
+        argv = (["fit", "--input", source] if command == "fit" else ["combine", source])
+        assert run(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{command}: out = {str(out)!r} exists and is not a directory" in err
+        assert reads == [] and "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+
 class TestImportFootprint:
     # scipy.stats takes about two thirds of a cold start; the package needs
     # only scipy.special's tail functions.  A fresh interpreter is used

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgmm import composite, partition, simstudy
 from blockgmm.engines import sample_sensitivity
 from blockgmm.errors import NumericDomainError, SolverError
 
+import oracles
 from conftest import make_ar1_design, random_dataset
 
 
@@ -128,7 +131,7 @@ def random_cl_blocks(count, seed):
             seed=seed + trial,
         )
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, _, _ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = composite.fit_cl_block(block)
         assert converged
         yield block, theta, zeta
 
@@ -176,6 +179,57 @@ class TestLagVectorisedKernel:
         np.testing.assert_array_equal(hess, hess.T)
 
 
+@st.composite
+def cl_points(draw):
+    """A one-block split (M in [2, 12], 1 to 3 covariates, all of them or a
+    theta_cols subset) and a point (theta, sigma^2, rho) off the root."""
+    M = draw(st.integers(2, 12))
+    q = draw(st.integers(1, 3))
+    cols = draw(
+        st.none()
+        | st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True).map(
+            lambda c: tuple(sorted(c))
+        )
+    )
+    N = draw(st.integers(4, 40))
+    data, _ = random_dataset(
+        N=N, M=M, p=q, seed=draw(st.integers(0, 2**16)), sigma=draw(st.floats(0.2, 3.0))
+    )
+    plan = partition.make_plan(M, N, 1, 1, strategy="contiguous")
+    block = partition.split(data, plan, theta_cols=cols)[(0, 0)]
+    moments, _ = composite._lag_moments(block)
+    offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=block.p, max_size=block.p))
+    theta = moments.start + np.array(offset)
+    rho = draw(st.just(0.0) | st.floats(-0.97, 0.97))
+    zeta = np.array([draw(st.floats(0.2, 5.0)), rho])
+    return block, moments, theta, zeta
+
+
+class TestLagSumTerms:
+    # The lag-sum terms and the data-pass oracle add the same pair terms in
+    # a different order: lag sums of [X, r0] with corrections in delta
+    # against residual sums at theta.  So they agree to round-off: at most
+    # 66 pair terms (M = 12) of float64 (eps 2.2e-16), amplified by at most
+    # 1 / (1 - rho^2)^2, about 300 at |rho| = 0.97, in the rho entries, or
+    # 66 * 300 * eps = 4.4e-12; hence 1e-11.  The worst seen over 3 000
+    # random points was 5e-15 (score, relative to its largest entry) and
+    # 1.1e-13 (Hessian, relative to each row's largest entry), while a
+    # wrong term would move an entry at order one.
+    TOL = 1e-11
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=cl_points())
+    def test_mean_score_and_hessian_match_the_data_pass(self, point):
+        block, moments, theta, zeta = point
+        score, hess = composite._mean_terms(moments, theta, zeta, hessian=True)
+        expected_score, expected_hess = oracles.cl_pass_terms(block, theta, zeta)
+        assert np.max(np.abs(score - expected_score)) <= self.TOL * np.max(
+            np.abs(expected_score)
+        )
+        rows = np.max(np.abs(expected_hess), axis=1, keepdims=True)
+        assert np.max(np.abs(hess - expected_hess) / rows) <= self.TOL
+
+
 class TestAnalyticDerivatives:
     def test_sensitivity_matches_finite_differences_on_random_blocks(self):
         worst = 0.0
@@ -193,8 +247,8 @@ class TestAnalyticDerivatives:
             u = np.concatenate(
                 [theta, [0.5 * np.log(zeta[0]), np.arctanh(zeta[1])]]
             ) + rng.uniform(-0.3, 0.3, block.p + 2)
-            X = block.design
-            _, jac = composite._u_terms(X, block.y, u, composite._lag_gram(X))
+            moments, _ = composite._lag_moments(block)
+            _, jac = composite._u_terms(moments, u, hessian=True)
             worst = max(worst, relative_error(jac, jacobian_fd(block, u)))
         assert worst <= 1e-5, worst
 
@@ -235,7 +289,7 @@ class TestFitClBlock:
     def test_m2_matches_exact_bivariate_mle(self):
         design = make_ar1_design(N=120, M=2, J=1, K=1, sigma=1.5, rho=0.4, seed=31)
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, _, _ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = composite.fit_cl_block(block)
         assert converged
 
         # oracle: direct maximization of the exact bivariate log-likelihood
@@ -256,7 +310,7 @@ class TestFitClBlock:
     def test_rho_zero_data_agrees_with_ols(self):
         design = make_ar1_design(N=400, M=6, J=1, K=1, sigma=2.0, rho=0.0, seed=32)
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, _, _ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = composite.fit_cl_block(block)
         assert converged
         x = block.design.reshape(-1, 3)
         y = block.y.reshape(-1)
@@ -269,7 +323,7 @@ class TestFitClBlock:
 
     def test_root_property_at_solution(self, ar1_dataset):
         block = one_block(ar1_dataset)
-        theta, zeta, converged, _, _ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = composite.fit_cl_block(block)
         assert converged
         scores = composite.cl_scores(block, theta, zeta)
         # the solver works on the rescaled (log sigma, atanh rho) score;
@@ -279,7 +333,7 @@ class TestFitClBlock:
     def test_recovers_true_parameters(self):
         design = make_ar1_design(N=300, M=8, J=1, K=1, sigma=2.0, rho=0.6, seed=33)
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, _, _ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = composite.fit_cl_block(block)
         assert converged
         np.testing.assert_allclose(theta, design.theta0, atol=0.15)
         assert abs(zeta[0] - 4.0) < 0.6

@@ -63,14 +63,22 @@ class TestFitBlock:
 
     def test_sensitivity_equals_sample_sensitivity_bitwise(self, kind, monkeypatch):
         # a GEE fit hands its design Grams to the sensitivity: one Gram pass
-        # per block, and the same bits as the standalone sensitivity
+        # per block.  CL Newton works from the lag moments of [X, r0], so the
+        # per-subject scores at the solution are its one residual pass.  Both
+        # give the same bits as the standalone sensitivity
         data, _ = random_dataset(N=40, M=5, p=3, seed=20)
         block = one_block(data)
         calls = []
-        grams = gee._grams
-        monkeypatch.setattr(gee, "_grams", lambda *args: calls.append(1) or grams(*args))
+        grams, subject_scores = gee._grams, composite._subject_scores
+        monkeypatch.setattr(gee, "_grams", lambda *args: calls.append("grams") or grams(*args))
+        monkeypatch.setattr(
+            composite,
+            "_subject_scores",
+            lambda *args: calls.append("residual pass") or subject_scores(*args),
+        )
         fit = fit_block(block, NuisanceSpec(kind))
-        assert len(calls) == (0 if kind == "cl-ar1" else 1)
+        assert kind != "cl-ar1" or fit.iterations > 1
+        assert calls == (["residual pass"] if kind == "cl-ar1" else ["grams"])
         standalone = sample_sensitivity(block, fit.theta_hat, fit.zeta_hat, kind)
         assert fit.sensitivity.tobytes() == standalone.tobytes()
 
@@ -168,7 +176,8 @@ class TestFiniteSensitivity:
     def test_first_non_finite_entry_is_named(self, kind, monkeypatch):
         # the sensitivity is poisoned at (3, 0) and at (1, 2); the message names
         # the first in row-major order
-        evaluate, cl_scores = gee.gee_evaluate, composite.cl_scores
+        # (the CL fit negates its Hessian, which keeps both entries non-finite)
+        gee_evaluate, cl_evaluate = gee.gee_evaluate, composite.cl_evaluate
 
         def poison(pair):
             first, sens = pair
@@ -176,12 +185,8 @@ class TestFiniteSensitivity:
             sens[3, 0], sens[1, 2] = np.inf, np.nan
             return first, sens
 
-        def poisoned_cl_scores(*args, hessian=False):
-            out = cl_scores(*args, hessian=hessian)
-            return poison(out) if hessian else out
-
-        monkeypatch.setattr(gee, "gee_evaluate", lambda *args: poison(evaluate(*args)))
-        monkeypatch.setattr(composite, "cl_scores", poisoned_cl_scores)
+        monkeypatch.setattr(gee, "gee_evaluate", lambda *args: poison(gee_evaluate(*args)))
+        monkeypatch.setattr(composite, "cl_evaluate", lambda *args: poison(cl_evaluate(*args)))
         block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
         message = r"non-finite sensitivity entry at \(1, 2\)"
         with pytest.raises(NumericDomainError, match=message):
@@ -198,10 +203,11 @@ class TestRhoClamp:
     def test_clamped_cl_fit_is_not_converged(self, monkeypatch):
         # Newton does not reach a root beyond the clamp on such data, so the
         # solver's clamped outcome is stubbed: (theta, zeta, converged,
-        # iterations, rho_clamped)
+        # iterations, rho_clamped, moments)
         def clamped_solution(block, tol, max_iter):
             theta = np.array([0.5, 1.0, 1.5])
-            return theta, np.array([1.0, composite.RHO_LIMIT]), True, 4, True
+            moments, _ = composite._lag_moments(block)
+            return theta, np.array([1.0, composite.RHO_LIMIT]), True, 4, True, moments
 
         monkeypatch.setattr(composite, "fit_cl_block", clamped_solution)
         fit = fit_block(one_block(near_unit_root_dataset()), NuisanceSpec("cl-ar1"))
