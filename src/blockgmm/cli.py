@@ -355,7 +355,8 @@ def cmd_combine(args) -> int:
     report = inference.godambe_cov(
         fit, inference.parameter_names(bundle), alpha=alpha
     )
-    # the over-identification test needs raw data, which bundles do not carry
+    # the over-identification test needs every block's moments and every
+    # group's W_k, which format-3 bundles do not carry
     os.makedirs(out_dir, exist_ok=True)
     _write_inference_outputs(out_dir, report, None)
     _write_resolved_config(

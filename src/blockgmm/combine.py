@@ -362,6 +362,10 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
             "theta_schur_condition": _condition(schur),
             "nuisance_condition": tuple(_condition(g[0]) for g in groups),
             "ridge_repaired": repaired,
+            # dim_k / n_k: W_k is estimated in dim_k dimensions from n_k subjects
+            "weight_dim_ratio": tuple(
+                (bundle.J * p + s.info.shape[0] - p) / s.n for s in summaries
+            ),
             "plan_seed": bundle.plan.seed,
         },
     )

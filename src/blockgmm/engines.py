@@ -1,14 +1,20 @@
-"""Uniform block-solver interface: fit, score evaluation, and sample
-sensitivity for every supported estimation kernel.
+"""Uniform block-solver interface over every supported estimation kernel.
 
 Kernels: ``gee-ar1``, ``gee-exchangeable``, ``gee-independence`` (weighted
 least squares with residual-moment nuisance equations) and ``cl-ar1``
-(pairwise composite likelihood).  The sensitivity matrix is the negative
-Jacobian of the averaged estimating function.  For ``cl-ar1`` it is the
-exact negative Hessian of the mean pairwise log-likelihood.  For the GEE
-kernels every row and column is in closed form as well
-(:func:`blockgmm.gee.gee_sensitivity`), so no kernel differentiates
-numerically and there is no step size to choose.
+(pairwise composite likelihood).  Each kernel reduces a block to a few
+p-sized moments (:func:`block_moments`): for GEE the least-squares start,
+the design Grams and the cross sums and totals of the start residuals
+over the working-correlation basis; for CL the start and the per-lag
+Grams of [X, r0].  The mean estimating function and its exact Jacobian at
+any (theta, zeta) are closed-form algebra on those moments
+(:func:`mean_terms`), so the block solvers iterate, the sensitivity (the
+negative Jacobian) is formed and the over-identification test is taken
+without another pass over the data.  :func:`fit_block` keeps the moments
+on its :class:`BlockFit`; its only pass over the data after the fit makes
+the per-subject scores, which the weights of the combination need.
+Nothing is differentiated numerically and there is no step size to
+choose.
 """
 
 from __future__ import annotations
@@ -89,15 +95,41 @@ class BlockRecord:
 
 @dataclass(frozen=True, kw_only=True)
 class BlockFit(BlockRecord):
-    """Solved block in memory: its record plus per-subject scores and the
-    sample sensitivity, from which its group's summary is built."""
+    """Solved block in memory: its record plus per-subject scores, the
+    sample sensitivity and the block's moments, from which its group's
+    summary and its share of the over-identification test are built."""
 
     scores: np.ndarray  # (n_k, p + d_jk), row i = (psi_i, g_i)
     sensitivity: np.ndarray  # (p + d_jk, p + d_jk)
+    moments: tuple | None = None  # gee.GeeMoments or composite.LagMoments
 
     @property
     def n(self) -> int:
         return self.scores.shape[0]
+
+
+def _working(kind: str) -> str:
+    if kind not in KINDS:
+        raise SolverError(f"unknown solver kind {kind!r}")
+    return kind.split("-", 1)[1]
+
+
+def block_moments(block: BlockData, kind: str) -> tuple:
+    """The block's moments under ``kind``, as :func:`fit_block` keeps them."""
+    if kind == "cl-ar1":
+        return composite._lag_moments(block)[0]
+    return gee.gee_moments(block, _working(kind))
+
+
+def mean_terms(moments: tuple, theta, zeta, kind: str, jacobian: bool = False):
+    """Mean estimating function row (p + d_jk,) at (theta, zeta) and, with
+    ``jacobian``, its exact Jacobian on the natural (theta, sigma^2, rho)
+    scale (else None), from a block's moments alone."""
+    theta = np.asarray(theta, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    if kind == "cl-ar1":
+        return composite._mean_terms(moments, theta, zeta, hessian=jacobian)
+    return gee.mean_terms(moments, theta, zeta, _working(kind), jacobian)
 
 
 def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
@@ -106,29 +138,21 @@ def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     if kind == "cl-ar1":
         return composite.cl_scores(block, theta, zeta)
-    if kind in GEE_KINDS:
-        return gee.gee_scores(block, theta, zeta, kind.split("-", 1)[1])
-    raise SolverError(f"unknown solver kind {kind!r}")
+    return gee.gee_scores(block, theta, zeta, _working(kind))
 
 
 def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
-    """Negative Jacobian of the averaged estimating function at (theta, zeta).
+    """Negative Jacobian of the averaged estimating function at (theta, zeta),
+    from moments rebuilt from the block by :func:`block_moments`.
 
     ``cl-ar1``: the exact negative Hessian of the mean pairwise
-    log-likelihood, from lag moments rebuilt from the block.  GEE kernels:
-    the closed form of :func:`blockgmm.gee.gee_sensitivity`.  Both are on
-    the natural (theta, sigma^2, rho) scale, and at a fit's estimates both
-    have the bits of :func:`fit_block`'s sensitivity.
+    log-likelihood; GEE kernels: the closed form of
+    :func:`blockgmm.gee.mean_terms`.  Both are on the natural
+    (theta, sigma^2, rho) scale, and at a fit's estimates both have the
+    bits of :func:`fit_block`'s sensitivity.
     """
-    theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if kind == "cl-ar1":
-        sens = -composite.cl_scores(block, theta, zeta, hessian=True)[1]
-    elif kind in GEE_KINDS:
-        sens = gee.gee_sensitivity(block, theta, zeta, kind.split("-", 1)[1])
-    else:
-        raise SolverError(f"unknown solver kind {kind!r}")
-    return _finite(sens)
+    _, jac = mean_terms(block_moments(block, kind), theta, zeta, kind, jacobian=True)
+    return _finite(-jac)
 
 
 def _finite(sens: np.ndarray) -> np.ndarray:
@@ -141,7 +165,11 @@ def _finite(sens: np.ndarray) -> np.ndarray:
 def fit_block(
     block: BlockData, spec: NuisanceSpec, opts: SolverOptions | None = None
 ) -> BlockFit:
-    """Fit one block and package estimates, scores, and sensitivity."""
+    """Fit one block and package estimates, scores, sensitivity and moments.
+
+    The solver works from the block's moments; one residual pass at the
+    solution gives the scores, and the moments give the Jacobian.
+    """
     opts = opts or SolverOptions()
     if spec.method == "cl":
         if block.m < 2:
@@ -149,18 +177,13 @@ def fit_block(
         theta, zeta, converged, iterations, clamped, moments = composite.fit_cl_block(
             block, tol=opts.tol, max_iter=opts.max_iter
         )
-        # one residual pass at the solution gives the scores; the fit's lag
-        # moments give the Hessian
-        scores, hess = composite.cl_evaluate(block, theta, zeta, moments)
-        sens = -hess
+        scores, jac = composite.cl_evaluate(block, theta, zeta, moments)
     else:
-        theta, zeta, converged, iterations, clamped, grams = gee.fit_gee_block(
+        theta, zeta, converged, iterations, clamped, moments = gee.fit_gee_block(
             block, spec.working, tol=opts.tol, max_iter=opts.max_iter
         )
-        # one residual pass at the solution gives the scores and, with the
-        # fit's design Grams, the sensitivity
-        scores, sens = gee.gee_evaluate(block, theta, zeta, spec.working, grams)
-    sens = _finite(sens)
+        scores, jac = gee.gee_evaluate(block, theta, zeta, spec.working, moments)
+    sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
     final_norm = float(np.linalg.norm(scores.mean(axis=0)))
@@ -172,6 +195,7 @@ def fit_block(
         zeta_hat=zeta,
         scores=scores,
         sensitivity=sens,
+        moments=moments,
         converged=converged,
         iterations=iterations,
         final_norm=final_norm,

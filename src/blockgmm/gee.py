@@ -9,32 +9,35 @@ convergence.
 Every working-correlation inverse is a short linear combination
 R(rho)^-1 = sum_k w_k(rho) B_k of fixed sparse operators: I, the two end
 positions and the lag-1 shift for AR(1); I and 11' for exchangeable; I
-alone for independence.  So the Grams G_k = sum_i X_i' B_k X_i of the
-design and the cross sums c_k = sum_i X_i' B_k r0, with r0 the residuals
-of the ordinary least-squares start, built once per block, turn the
-weighted normal equations at any rho into a p x p solve for the
-correction delta to that start.  The nuisance moments need only the
-totals sum_i r_i' B_k r_i, and at theta = start + delta these are the
-quadratic forms r0' B_k r0 - 2 delta' c_k + delta' G_k delta, one dot
-product per operator at set-up.  So after set-up the alternation touches
-no n x m data: each iteration is a p x p solve and one quadratic form.
+alone for independence.  A block's moments (:class:`GeeMoments`) are
+the ordinary least-squares start, the Grams G_k = sum_i X_i' B_k X_i of
+the design, and the cross sums c_k = sum_i X_i' B_k r0 and totals
+r0' B_k r0 of the start residuals r0: one Gram build and one pass over
+r0 (:func:`gee_moments`).  At theta = start + delta the cross sums are
+c_k - G_k delta and the totals sum_i r_i' B_k r_i the quadratic forms
+r0' B_k r0 - 2 delta' c_k + delta' G_k delta.  So the weighted normal
+equations at any rho are a p x p solve for delta, the nuisance moments
+are these totals, and the mean estimating function and its Jacobian at
+any (theta, zeta) are O(p^2) algebra on the moments
+(:func:`mean_terms`).  The alternation, the sensitivity and the
+over-identification test touch no n x m data after set-up.
 
-Both forms work from r0 rather than y to stay free of cancellation when
+The moments work from r0 rather than y to stay free of cancellation when
 the residuals are small next to X theta.  A quadratic form in the Grams
 of (X, y) subtracts totals of the size of y' y to leave one of the size
 of r' r, and cancels to noise there; r0 and r are the same size, and
 since X' r0 is about 0 at the least-squares start the delta terms are
 small corrections to r0' B_k r0, not a difference of large numbers.
 
-At the solution one residual pass applies each B_k to r by shifted
-slices or a row sum; it gives the per-subject scores and, with the
-fit's Grams, the sensitivity (the negative Jacobian of the mean
-estimating function), which is in closed form in every row and column.
-No m x m matrix is ever formed and nothing is differentiated
-numerically.
+The per-subject scores, which the weights of the combination need, take
+the one residual pass at the solution (:func:`gee_evaluate`); it applies
+each B_k to r by shifted slices or a row sum.  No m x m matrix is ever
+formed and nothing is differentiated numerically.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,30 +172,100 @@ def _nuisance(zeta, structure):
     return sigma2, rho
 
 
+class GeeMoments(NamedTuple):
+    """A block's least-squares start and its sums over the basis operators
+    B_k: the design Grams G_k = sum_i X_i' B_k X_i (K, p, p), the cross
+    sums c_k = sum_i X_i' B_k r0_i (K, p) and the totals r0' B_k r0 (K,)
+    of the start residuals r0, with the block's n subjects and m
+    positions."""
+
+    start: np.ndarray
+    grams: np.ndarray
+    cross: np.ndarray
+    totals: np.ndarray
+    n: int
+    m: int
+
+
+def gee_moments(block, structure: str) -> GeeMoments:
+    """The block's moments: one Gram build and one pass over the start
+    residuals."""
+    X = block.design
+    grams = _grams(structure, X)
+    start = _solve(block, grams[0], _xt(X, block.y))
+    resid = _residuals(block, start)
+    basis = _apply_basis(structure, resid)
+    totals = np.array([_total(resid, b) for b in basis])
+    return GeeMoments(start, grams, _basis_cross(X, basis), totals, block.n, block.m)
+
+
+def mean_terms(moments: GeeMoments, theta, zeta, structure: str, jacobian: bool = False):
+    """Mean estimating function row (psi, g) at (theta, zeta) and, with
+    ``jacobian``, its Jacobian on (theta, sigma^2[, rho]) (else None),
+    from the block's moments alone: with delta = theta - start the cross
+    sums are c_k - G_k delta and the totals the quadratic forms
+    r0' B_k r0 - 2 delta' c_k + delta' G_k delta.  Every entry is in
+    closed form."""
+    sigma2, rho = _nuisance(zeta, structure)
+    start, grams, cross0, totals0, n, m = moments
+    p = start.shape[0]
+    d = nuisance_dim(structure)
+    delta = theta - start
+    g_delta = grams @ delta  # (K, p): G_k delta
+    cross = cross0 - g_delta  # sum_i X_i' B_k r_i
+    # as Python floats: the g entries are a few scalar operations each
+    totals = (totals0 - 2.0 * (cross0 @ delta) + g_delta @ delta).tolist()
+    w, dw = _weights(structure, rho, m)
+
+    row = np.empty(p + d)
+    row[:p] = w @ cross / (n * sigma2)
+    row[p] = totals[0] / (n * m) - sigma2
+    if structure == "ar1":
+        # g2 = mean_t r_t r_{t+1} - rho sigma^2; the lag-1 shift counts each
+        # of the m - 1 neighbour pairs twice
+        row[p + 1] = totals[2] / (2.0 * n * (m - 1)) - rho * sigma2
+    elif structure == "exchangeable":
+        # g2 = sum_{s<t} r_s r_t / npairs - rho sigma^2; 11' - I counts each
+        # pair twice
+        row[p + 1] = (totals[1] - totals[0]) / (n * m * (m - 1)) - rho * sigma2
+    if not jacobian:
+        return row, None
+
+    jac = np.zeros((p + d, p + d))
+    jac[:p, :p] = -(w @ grams.reshape(len(grams), -1)).reshape(p, p) / (n * sigma2)
+    # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2
+    jac[:p, p] = -(w @ cross) / (n * sigma2 * sigma2)
+    # d r' B r / d theta = -2 X' B r for every symmetric B
+    jac[p, :p] = -2.0 * cross[0] / (n * m)
+    jac[p, p] = -1.0
+    if d == 1:
+        return row, jac
+    jac[:p, p + 1] = (dw @ cross) / (n * sigma2)
+    if structure == "ar1":
+        jac[p + 1, :p] = -cross[2] / (n * (m - 1))
+    else:
+        jac[p + 1, :p] = -(cross[1] - cross[0]) / (n * m * (m - 1) / 2.0)
+    jac[p + 1, p] = -rho
+    jac[p + 1, p + 1] = -sigma2
+    return row, jac
+
+
 def gee_scores(block, theta, zeta, structure) -> np.ndarray:
     """Per-subject score rows (psi_i, g_i) at (theta, zeta)."""
     return gee_evaluate(block, theta, zeta, structure)[0]
 
 
-def gee_sensitivity(block, theta, zeta, structure) -> np.ndarray:
-    """Negative Jacobian of the mean estimating function at (theta, zeta),
-    in closed form, rows (psi, g) and columns (theta, sigma^2[, rho])."""
-    return gee_evaluate(block, theta, zeta, structure, _grams(structure, block.design))[1]
-
-
-def gee_evaluate(block, theta, zeta, structure, grams=None):
-    """(scores, sensitivity) at (theta, zeta) from one residual pass.
-
-    The per-subject score rows (psi_i, g_i) always; the sensitivity only
-    when the block's design Grams are given (else None), as
-    :func:`fit_gee_block` returns them.
-    """
+def gee_evaluate(block, theta, zeta, structure, moments: GeeMoments | None = None):
+    """(scores, H) at (theta, zeta): the per-subject score rows
+    (psi_i, g_i) from one residual pass and, when the block's moments are
+    given (as :func:`fit_gee_block` returns them), H the Jacobian of the
+    mean row from :func:`mean_terms` (else None)."""
     sigma2, rho = _nuisance(zeta, structure)
     X = block.design
-    n, m, p = X.shape
+    m = X.shape[1]
     resid = _residuals(block, theta)
     basis = _apply_basis(structure, resid)
-    w, dw = _weights(structure, rho, m)
+    w, _ = _weights(structure, rho, m)
     psi = np.matmul(_combine(w, basis)[:, None, :], X)[:, 0, :] / sigma2
 
     squares = (resid**2).sum(axis=1)
@@ -204,40 +277,17 @@ def gee_evaluate(block, theta, zeta, structure, grams=None):
         pairs = (resid.sum(axis=1) ** 2 - squares) / 2.0
         columns.append(pairs / (m * (m - 1) / 2.0) - rho * sigma2)
     scores = np.column_stack(columns)
-    if grams is None:
+    if moments is None:
         return scores, None
-
-    d = nuisance_dim(structure)
-    cross = _basis_cross(X, basis)  # sum_i X_i' B_k r_i
-    sens = np.zeros((p + d, p + d))
-    sens[:p, :p] = (w @ grams.reshape(len(grams), -1)).reshape(p, p) / (n * sigma2)
-    # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2
-    sens[:p, p] = w @ cross / (n * sigma2 * sigma2)
-    # g1 = mean_t r_t^2 - sigma^2
-    sens[p, :p] = 2.0 * cross[0] / (n * m)
-    sens[p, p] = 1.0
-    if d == 1:
-        return scores, sens
-    sens[:p, p + 1] = -(dw @ cross) / (n * sigma2)
-    if structure == "ar1":
-        # g2 = mean_t r_t r_{t+1} - rho sigma^2; the lag-1 shift pairs x_t
-        # with r_{t+1} and x_{t+1} with r_t
-        sens[p + 1, :p] = cross[2] / (n * (m - 1))
-    else:
-        # g2 = sum_{s<t} r_s r_t / npairs - rho sigma^2, and 11' - I pairs
-        # every x_s with every other r_t
-        sens[p + 1, :p] = (cross[1] - cross[0]) / (n * m * (m - 1) / 2.0)
-    sens[p + 1, p] = rho
-    sens[p + 1, p + 1] = sigma2
-    return scores, sens
+    return scores, mean_terms(moments, theta, zeta, structure, jacobian=True)[1]
 
 
 def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100):
     """Alternate theta / zeta updates to joint convergence.
 
-    Returns (theta, zeta, converged, iterations, rho_clamped, grams), the
-    last the block's design Grams, so that :func:`gee_evaluate` needs no
-    second pass over the design for the sensitivity at the solution.
+    Returns (theta, zeta, converged, iterations, rho_clamped, moments), the
+    last the block's :class:`GeeMoments`, so that :func:`gee_evaluate`
+    needs no second pass over the design for the Jacobian at the solution.
     """
     d = nuisance_dim(structure)
     if block.n <= block.p + d:
@@ -245,17 +295,13 @@ def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100)
             f"block ({block.j}, {block.k}): n={block.n} too small for "
             f"p+d={block.p + d} parameters"
         )
-    X, n, m, p = block.design, block.n, block.m, block.p
-    grams = _grams(structure, X)
-    flat = grams.reshape(len(grams), -1)
-    # independence start; each weighted step then solves for a correction
-    # delta from its residuals r0, and the moment totals at start + delta
+    n, m, p = block.n, block.m, block.p
+    # each weighted step solves for a correction delta to the independence
+    # start from its residuals r0, and the moment totals at start + delta
     # are quadratic forms in delta (see the module docstring)
-    start = _solve(block, grams[0], _xt(X, block.y))
-    resid = _residuals(block, start)
-    basis = _apply_basis(structure, resid)
-    cross = _basis_cross(X, basis)
-    base = np.array([_total(resid, b) for b in basis])
+    moments = gee_moments(block, structure)
+    flat = moments.grams.reshape(len(moments.grams), -1)
+    start, cross, base = moments.start, moments.cross, moments.totals
     theta = start
     zeta, clamped = _moment_roots(base, structure, n, m)
     converged = False
@@ -272,4 +318,4 @@ def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100)
         if step < tol:
             converged = True
             break
-    return theta, zeta, converged, iterations, clamped, grams
+    return theta, zeta, converged, iterations, clamped, moments

@@ -1,5 +1,11 @@
 """Sandwich standard errors, confidence intervals and the
 over-identifying restrictions chi-square test.
+
+The test statistic N * T_N' W T_N needs each block's mean estimating
+function at the combined estimates.  Every in-memory block fit carries
+its moments, and the mean is closed-form algebra on them
+(:func:`blockgmm.engines.mean_terms`), so the test reads no data: it
+costs at most O(J K m p^2), however many subjects there are.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ import numpy as np
 import scipy.special
 
 from .combine import CombinedFit, SummaryBundle, WeightBlocks
-from .engines import eval_scores
+from .engines import mean_terms
 from .errors import CombineError
 
 
@@ -76,9 +82,10 @@ def godambe_cov(fit: CombinedFit, names: tuple, alpha: float = 0.05) -> Inferenc
     )
 
 
-def _stacked_estfun(blocks: dict, bundle: SummaryBundle, theta, zeta_list):
-    """T_N at arbitrary parameters: per-group (n_k/N)-weighted stacked means."""
-    N = bundle.plan.N
+def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
+    """T_N at arbitrary parameters: per-group (n_k/N)-weighted stacked means,
+    each block's mean from its moments."""
+    N, p = bundle.plan.N, bundle.p
     parts = []
     off = 0  # offset of zeta_jk in zeta_list, which runs j-fast, k-slow
     for k in range(bundle.K):
@@ -88,23 +95,58 @@ def _stacked_estfun(blocks: dict, bundle: SummaryBundle, theta, zeta_list):
             fit = bundle.fits[(j, k)]
             zeta = zeta_list[off : off + fit.d]
             off += fit.d
-            scores = eval_scores(blocks[(j, k)], theta, zeta, fit.kind)
-            mean = scores.mean(axis=0)
-            psi_means.append(mean[: bundle.p])
-            g_means.append(mean[bundle.p :])
+            mean, _ = mean_terms(fit.moments, theta, zeta, fit.kind)
+            psi_means.append(mean[:p])
+            g_means.append(mean[p:])
         parts.append(wk * np.concatenate(psi_means + g_means))
     return parts
 
 
-def overid_test(
-    blocks: dict, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks
-):
+def _check_overid_input(bundle: SummaryBundle, fit: CombinedFit, W) -> None:
+    """A CombineError naming the first group or block whose input the test
+    cannot use."""
+    if fit.theta.shape != (bundle.p,) or fit.zeta.shape != (bundle.d,):
+        raise CombineError(
+            f"combined fit has {fit.theta.size} + {fit.zeta.size} parameters, "
+            f"the bundle needs {bundle.p} + {bundle.d}"
+        )
+    if W is None:
+        raise CombineError(
+            f"no weights W_k for groups 0..{bundle.K - 1} (a combination from "
+            "bundle archives keeps none); the over-identification test needs them"
+        )
+    if len(W.w) != bundle.K:
+        raise CombineError(f"weights hold {len(W.w)} group(s), the bundle has {bundle.K}")
+    for k in range(bundle.K):
+        fits = [bundle.fits[(j, k)] for j in range(bundle.J)]
+        for j, block_fit in enumerate(fits):
+            if getattr(block_fit, "moments", None) is None:
+                raise CombineError(
+                    f"block ({j}, {k}) carries no moments (a block record read "
+                    "from a bundle archive has none); the over-identification "
+                    "test needs the block fits in memory"
+                )
+        dim = bundle.J * bundle.p + sum(block_fit.d for block_fit in fits)
+        if np.shape(W.w[k]) != (dim, dim):
+            raise CombineError(
+                f"weights of group {k} are {np.shape(W.w[k])}, the group stacks "
+                f"{dim} estimating functions"
+            )
+
+
+def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks):
     """Over-identifying restrictions test N * T_N' W T_N at the combined
     estimates, with W frozen at the block-estimate inverse covariance.
 
+    Each block's mean is taken from the moments on its in-memory fit, so
+    ``blocks`` is not read; it is accepted so that existing callers keep
+    working.  A bundle of block records (read from an archive), a missing
+    W or one that does not match the bundle raises a CombineError.
+
     Returns (statistic, df, p_value); p_value is None when df = 0.
     """
-    parts = _stacked_estfun(blocks, bundle, fit.theta, fit.zeta)
+    _check_overid_input(bundle, fit, W)
+    parts = _stacked_estfun(bundle, fit.theta, fit.zeta)
     stat = 0.0
     for k in range(bundle.K):
         tk = parts[k]

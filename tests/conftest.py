@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from blockgmm import simstudy
+from blockgmm import composite, gee, simstudy
 from blockgmm.dataio import Dataset
 
 # the same examples on every run, and no example database on disk
@@ -70,6 +70,25 @@ def near_unit_root_dataset(N=100, M=6, rho=0.9995, seed=5):
         covariates=data.covariates,
         subject_ids=data.subject_ids,
     )
+
+
+def record_passes(monkeypatch) -> list:
+    """Record every Gram build and pass over a block's data that either
+    kernel makes; returns the list the calls are appended to."""
+    calls = []
+    for module, name, label in (
+        (gee, "_grams", "grams"),
+        (gee, "_residuals", "residual pass"),
+        (composite, "_lag_moments", "lag moments"),
+        (composite, "_subject_scores", "residual pass"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module,
+            name,
+            lambda *args, _f=original, _l=label: calls.append(_l) or _f(*args),
+        )
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,13 @@ GEE kernel never forms an m x m working-correlation inverse and never
 differentiates numerically; the dense GEE fit and the central-difference
 sensitivity here do, and the residual-moment alternation takes the
 nuisance moments from a pass over the residuals of every iterate, where
-the kernel uses quadratic forms in the start residuals.  The pairwise-CL
-mean score and Hessian here come from a pass over the residuals at every
-point, where the kernel uses the lag sums of [X, r0].  The simulation
-generators with one numpy SeedSequence per subject, the numeric GMM
-minimizer and the plan/split helpers that only tests use live here too.
+the kernel uses quadratic forms in the start residuals.  The GEE and
+pairwise-CL mean estimating functions and their Jacobians here come from
+a pass over the residuals at every point, where the kernels use their
+block moments; so does the data-pass T_N of the over-identification
+test.  The simulation generators with one numpy SeedSequence per
+subject, the numeric GMM minimizer and the plan/split helpers that only
+tests use live here too.
 """
 
 import numpy as np
@@ -216,13 +218,33 @@ def arrowhead_information(bundle):
 # iterative GMM minimizer
 
 
-def gmm_objective(blocks, bundle, W, theta, zeta_list):
-    """Q_N = T_N' W T_N at arbitrary parameters."""
-    parts = _stacked_estfun(blocks, bundle, theta, zeta_list)
+def stacked_estfun_pass(blocks, bundle, theta, zeta_list):
+    """T_N at arbitrary parameters from a pass over every block: per-group
+    (n_k/N)-weighted stacked means of the per-subject scores."""
+    N = bundle.plan.N
+    parts = []
+    off = 0  # offset of zeta_jk in zeta_list, which runs j-fast, k-slow
+    for k in range(bundle.K):
+        wk = bundle.plan.group_sizes[k] / N
+        psi_means, g_means = [], []
+        for j in range(bundle.J):
+            fit = bundle.fits[(j, k)]
+            zeta = zeta_list[off : off + fit.d]
+            off += fit.d
+            mean = eval_scores(blocks[(j, k)], theta, zeta, fit.kind).mean(axis=0)
+            psi_means.append(mean[: bundle.p])
+            g_means.append(mean[bundle.p :])
+        parts.append(wk * np.concatenate(psi_means + g_means))
+    return parts
+
+
+def gmm_objective(bundle, W, theta, zeta_list):
+    """Q_N = T_N' W T_N at arbitrary parameters, T_N from the block moments."""
+    parts = _stacked_estfun(bundle, theta, zeta_list)
     return sum(float(tk @ W.w[k] @ tk) for k, tk in enumerate(parts))
 
 
-def gmm_oracle(blocks, bundle, W, init_theta, init_zeta, gtol=1e-7):
+def gmm_oracle(bundle, W, init_theta, init_zeta, gtol=1e-7):
     """Numeric minimizer of Q_N over all parameters.
 
     Optimizes on the unconstrained scale (theta, log sigma, atanh rho per
@@ -261,7 +283,7 @@ def gmm_oracle(blocks, bundle, W, init_theta, init_zeta, gtol=1e-7):
 
     def fun(u):
         theta, zetas = unpack(u)
-        return gmm_objective(blocks, bundle, W, theta, zetas)
+        return gmm_objective(bundle, W, theta, zetas)
 
     u0 = pack(init_theta, np.asarray(init_zeta, dtype=float))
     res = scipy.optimize.minimize(
@@ -447,7 +469,46 @@ def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
 
 
 # ---------------------------------------------------------------------------
-# pairwise-CL mean score and Hessian from a pass over the data
+# GEE and pairwise-CL mean terms from a pass over the data
+
+
+def gee_pass_terms(block, theta, zeta, structure):
+    """Mean GEE estimating function row and its closed-form Jacobian at
+    (theta, zeta), with the cross sums sum_i X_i' B_k r_i taken from the
+    residuals at theta: a full pass over the block, where the kernel works
+    from its moments at the start."""
+    sigma2 = float(zeta[0])
+    rho = float(zeta[1]) if structure != "independence" else 0.0
+    X = block.design
+    n, m, p = X.shape
+    basis = gee._apply_basis(structure, gee._residuals(block, theta))
+    w, dw = gee._weights(structure, rho, m)
+    mean = gee.gee_scores(block, theta, zeta, structure).mean(axis=0)
+    d = gee.nuisance_dim(structure)
+    grams = gee._grams(structure, X)
+    cross = gee._basis_cross(X, basis)
+    jac = np.zeros((p + d, p + d))
+    jac[:p, :p] = -np.tensordot(w, grams, axes=1) / (n * sigma2)
+    jac[:p, p] = -(w @ cross) / (n * sigma2 * sigma2)
+    jac[p, :p] = -2.0 * cross[0] / (n * m)
+    jac[p, p] = -1.0
+    if d == 1:
+        return mean, jac
+    jac[:p, p + 1] = (dw @ cross) / (n * sigma2)
+    if structure == "ar1":
+        jac[p + 1, :p] = -cross[2] / (n * (m - 1))
+    else:
+        jac[p + 1, :p] = -(cross[1] - cross[0]) / (n * m * (m - 1) / 2.0)
+    jac[p + 1, p] = -rho
+    jac[p + 1, p + 1] = -sigma2
+    return mean, jac
+
+
+def pass_terms(block, theta, zeta, kind):
+    """The data-pass mean row and Jacobian of any kernel."""
+    if kind == "cl-ar1":
+        return cl_pass_terms(block, theta, zeta)
+    return gee_pass_terms(block, theta, zeta, kind.split("-", 1)[1])
 
 
 def cl_pass_terms(block, theta, zeta):

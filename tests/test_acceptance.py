@@ -103,10 +103,10 @@ def test_criterion_3_asymptotic_equivalence_trend():
                 N=n_subjects, M=8, J=2, K=2, sigma=2.0, rho=0.5, seed=300
             )
             data = simstudy.generate(design, rep)
-            bundle, blocks = simstudy.fit_dataset(data, 2, 2, "gee-ar1")
+            bundle, _ = simstudy.fit_dataset(data, 2, 2, "gee-ar1")
             fit = combine(bundle)
             W = invert_vhat(assemble_vhat(bundle), bundle)
-            theta_opt, _, _ = oracles.gmm_oracle(blocks, bundle, W, fit.theta, fit.zeta)
+            theta_opt, _, _ = oracles.gmm_oracle(bundle, W, fit.theta, fit.zeta)
             diffs.append(
                 np.sqrt(n_subjects) * np.linalg.norm(fit.theta - theta_opt)
             )

@@ -5,12 +5,20 @@ The tracer wraps the public functions defined in each layer module and
 reports ``<layer>.<function>.s`` and ``.calls`` for those alone; a
 declared metric whose function was removed or renamed drops out of the
 traced result line instead of reading 0.
+
+The benchmark's own self-test runs here too: it drives the package the
+way the benchmark does (``fit_dataset``, ``fit_block``, ``overid_test``
+and the traced run) at tiny scale.
 """
 
 import importlib
 import inspect
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -41,3 +49,13 @@ def test_every_timed_or_counted_metric_names_a_public_layer_function():
         ):
             missing.append(f"{layer}.{function}")
     assert not missing, missing
+
+
+@pytest.mark.slow
+def test_benchmark_self_test_passes():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "0 failure(s)" in done.stdout.splitlines()[-1], done.stdout

@@ -384,6 +384,18 @@ class TestCombine:
             assert abs(conds[k] / expected - 1) <= 1e-8
         assert "information_condition" not in fit.diagnostics
 
+    def test_diagnostics_weight_dimension_ratio(self, ar1_dataset):
+        # 3 groups of 67, 67 and 66 subjects; each W_k weights J * p + d_k =
+        # 2 * 3 + 2 * 1 estimating functions under gee-independence
+        bundle, _ = simstudy.fit_dataset(ar1_dataset, 2, 3, "gee-independence")
+        fit = combine(bundle)
+        assert fit.diagnostics["weight_dim_ratio"] == (8 / 67, 8 / 67, 8 / 66)
+        assert [w.shape[0] for w in fit.W.w] == [8, 8, 8]
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        loaded = combine(load_bundle(buf))
+        assert loaded.diagnostics["weight_dim_ratio"] == fit.diagnostics["weight_dim_ratio"]
+
     def test_singular_nuisance_block_names_its_group(self):
         bundle = random_bundle(2, 3, 2, seed=4)
         fits = dict(bundle.fits)

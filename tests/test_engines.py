@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgmm import composite, gee, partition, simstudy
 from blockgmm.engines import (
+    KINDS,
     NuisanceSpec,
     SolverOptions,
+    block_moments,
     eval_scores,
     fit_block,
+    mean_terms,
     sample_sensitivity,
 )
 from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
-from conftest import make_ar1_design, near_unit_root_dataset, random_dataset
+from conftest import make_ar1_design, near_unit_root_dataset, random_dataset, record_passes
 
 
 def one_block(data):
@@ -62,25 +67,78 @@ class TestFitBlock:
         assert np.min(np.linalg.eigvalsh(tt)) > 0
 
     def test_sensitivity_equals_sample_sensitivity_bitwise(self, kind, monkeypatch):
-        # a GEE fit hands its design Grams to the sensitivity: one Gram pass
-        # per block.  CL Newton works from the lag moments of [X, r0], so the
-        # per-subject scores at the solution are its one residual pass.  Both
-        # give the same bits as the standalone sensitivity
+        # both kernels iterate on their block moments and take the
+        # sensitivity from them, so the per-subject scores at the solution
+        # are the one residual pass after the start: a GEE fit makes one
+        # Gram build and one pass over the start residuals r0 for its
+        # moments, CL builds its lag moments with r0 in one step.  Both give
+        # the same bits as the standalone sensitivity
         data, _ = random_dataset(N=40, M=5, p=3, seed=20)
         block = one_block(data)
-        calls = []
-        grams, subject_scores = gee._grams, composite._subject_scores
-        monkeypatch.setattr(gee, "_grams", lambda *args: calls.append("grams") or grams(*args))
-        monkeypatch.setattr(
-            composite,
-            "_subject_scores",
-            lambda *args: calls.append("residual pass") or subject_scores(*args),
-        )
+        calls = record_passes(monkeypatch)
         fit = fit_block(block, NuisanceSpec(kind))
         assert kind != "cl-ar1" or fit.iterations > 1
-        assert calls == (["residual pass"] if kind == "cl-ar1" else ["grams"])
+        if kind == "cl-ar1":
+            assert calls == ["lag moments", "residual pass"]
+        else:
+            assert calls == ["grams", "residual pass", "residual pass"]
         standalone = sample_sensitivity(block, fit.theta_hat, fit.zeta_hat, kind)
         assert fit.sensitivity.tobytes() == standalone.tobytes()
+
+
+@st.composite
+def kernel_points(draw):
+    """A kind, a one-block split (M in [2, 12], 1 to 3 covariates, all of
+    them or a theta_cols subset) and a point (theta, zeta) off the root."""
+    kind = draw(st.sampled_from(KINDS))
+    M = draw(st.integers(2, 12))
+    q = draw(st.integers(1, 3))
+    cols = draw(
+        st.none()
+        | st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True).map(
+            lambda c: tuple(sorted(c))
+        )
+    )
+    N = draw(st.integers(4, 40))
+    data, _ = random_dataset(
+        N=N, M=M, p=q, seed=draw(st.integers(0, 2**16)), sigma=draw(st.floats(0.2, 3.0))
+    )
+    plan = partition.make_plan(M, N, 1, 1, strategy="contiguous")
+    block = partition.split(data, plan, theta_cols=cols)[(0, 0)]
+    moments = block_moments(block, kind)
+    offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=block.p, max_size=block.p))
+    theta = moments.start + np.array(offset)
+    rho = draw(st.just(0.0) | st.floats(-0.97, 0.97))
+    if kind == "gee-exchangeable":
+        rho = max(rho, -0.9 / (M - 1))  # keeps 1 + (M - 1) rho >= 0.1
+    zeta = np.array([draw(st.floats(0.2, 5.0)), rho][: NuisanceSpec(kind).d])
+    return kind, block, moments, theta, zeta
+
+
+class TestMeanTerms:
+    # The moments and the data pass add the same terms in a different
+    # order: sums at the start with corrections in delta = theta - start
+    # against sums of the residuals at theta.  So they agree to round-off.
+    # For GEE a sum runs over at most N * M = 480 products; its weights are
+    # at most (1 + rho^2) / (1 - rho^2), about 33 at |rho| = 0.97, and its
+    # rho column carries dw, at most about (1 / (1 - rho^2))^2 = 300 (1 / 0.1^2
+    # = 100 for exchangeable); 480 * 300 * eps (2.2e-16) = 3.2e-11, hence
+    # 1e-10.  For CL the TestLagSumTerms bound of 4.4e-12 is below it.  A
+    # wrong term would move an entry at order one.
+    TOL = 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=kernel_points())
+    def test_mean_and_jacobian_match_the_data_pass(self, point):
+        kind, block, moments, theta, zeta = point
+        mean, jac = mean_terms(moments, theta, zeta, kind, jacobian=True)
+        expected_mean, expected_jac = oracles.pass_terms(block, theta, zeta, kind)
+        assert np.max(np.abs(mean - expected_mean)) <= self.TOL * np.max(
+            np.abs(expected_mean)
+        )
+        rows = np.max(np.abs(expected_jac), axis=1, keepdims=True)
+        assert np.max(np.abs(jac - expected_jac) / rows) <= self.TOL
+        assert mean_terms(moments, theta, zeta, kind)[0].tobytes() == mean.tobytes()
 
 
 class TestSampleSensitivity:

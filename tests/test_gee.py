@@ -214,10 +214,14 @@ class TestFitGeeBlock:
             np.testing.assert_allclose(zeta, o_zeta, rtol=1e-12)
             assert (converged, iterations, clamped) == (o_converged, o_iterations, o_clamped)
 
-    def test_returns_the_design_grams(self, ar1_dataset):
+    def test_returns_the_block_moments(self, ar1_dataset):
         block = one_block(ar1_dataset)
-        *_, grams = gee.fit_gee_block(block, "ar1")
-        assert grams.tobytes() == gee._grams("ar1", block.design).tobytes()
+        *_, moments = gee.fit_gee_block(block, "ar1")
+        rebuilt = gee.gee_moments(block, "ar1")
+        for field in ("start", "grams", "cross", "totals"):
+            assert getattr(moments, field).tobytes() == getattr(rebuilt, field).tobytes()
+        assert moments.grams.tobytes() == gee._grams("ar1", block.design).tobytes()
+        assert (moments.n, moments.m) == (block.n, block.m)
 
     def test_too_few_subjects_raises(self):
         data, _ = random_dataset(N=4, M=4, p=3, seed=7)

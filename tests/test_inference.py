@@ -1,17 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from blockgmm import simstudy
-from blockgmm.combine import CombinedFit, WeightBlocks, assemble_vhat, combine, invert_vhat
+from blockgmm.combine import (
+    CombinedFit,
+    SummaryBundle,
+    WeightBlocks,
+    assemble_vhat,
+    combine,
+    invert_vhat,
+    load_bundle,
+    save_bundle,
+)
+from blockgmm.engines import KINDS
+from blockgmm.errors import CombineError
 from blockgmm.inference import (
+    _stacked_estfun,
     overid_test,
     godambe_cov,
     parameter_names,
 )
 
 import oracles
-from conftest import make_ar1_design
+from conftest import make_ar1_design, record_passes
 
 
 def full_inference(bundle, blocks):
@@ -118,16 +132,82 @@ class TestOveridTest:
         assert df == 0
         assert p_value is None
 
+    @pytest.fixture(scope="class", params=KINDS)
+    def kind_fit(self, request):
+        data = simstudy.generate(make_ar1_design(N=120, M=10, J=2, K=2), 0)
+        bundle, blocks = simstudy.fit_dataset(data, 2, 2, request.param)
+        return bundle, blocks, combine(bundle)
+
+    def test_moments_match_the_data_pass(self, kind_fit):
+        # the same sums in another order (see test_engines.TestMeanTerms),
+        # at the combined estimates and at a point away from them
+        bundle, blocks, fit = kind_fit
+        for shift in (0.0, 0.2):
+            theta, zeta = fit.theta + shift, fit.zeta * (1.0 - shift)
+            got = _stacked_estfun(bundle, theta, zeta)
+            expected = oracles.stacked_estfun_pass(blocks, bundle, theta, zeta)
+            for tk, ek in zip(got, expected):
+                assert np.max(np.abs(tk - ek)) <= 1e-10 * np.max(np.abs(ek))
+
+    def test_makes_no_pass_over_the_data(self, kind_fit, monkeypatch):
+        bundle, blocks, fit = kind_fit
+        calls = record_passes(monkeypatch)
+        stat, _, _ = overid_test(blocks, bundle, fit, fit.W)
+        assert calls == []
+        assert stat == overid_test(None, bundle, fit, fit.W)[0]
+
+
+class TestOveridRejectsBadInput:
+    @pytest.fixture(scope="class")
+    def fitted(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        return bundle, combine(bundle)
+
+    def test_missing_weights(self, fitted):
+        # what a combination from bundle archives hands over
+        bundle, fit = fitted
+        with pytest.raises(CombineError, match=r"no weights W_k for groups 0\.\.1"):
+            overid_test(None, bundle, fit, None)
+
+    def test_weights_for_too_few_groups(self, fitted):
+        bundle, fit = fitted
+        W = dataclasses.replace(fit.W, w=fit.W.w[:1])
+        with pytest.raises(CombineError, match=r"weights hold 1 group\(s\), the bundle has 2"):
+            overid_test(None, bundle, fit, W)
+
+    def test_weights_of_the_wrong_shape(self, fitted):
+        bundle, fit = fitted
+        W = dataclasses.replace(fit.W, w=(fit.W.w[0], fit.W.w[1][:-1, :-1]))
+        with pytest.raises(CombineError, match=r"weights of group 1 are \(9, 9\), the group stacks 10"):
+            overid_test(None, bundle, fit, W)
+
+    def test_block_records_from_an_archive(self, fitted, tmp_path):
+        bundle, fit = fitted
+        save_bundle(bundle, tmp_path / "bundle.zip")
+        loaded = load_bundle(tmp_path / "bundle.zip")
+        with pytest.raises(CombineError, match=r"block \(0, 0\) carries no moments"):
+            overid_test(None, loaded, fit, fit.W)
+        # one record among in-memory fits is named by its own key
+        fits = dict(bundle.fits)
+        fits[(1, 1)] = loaded.fits[(1, 1)]
+        mixed = SummaryBundle(plan=bundle.plan, fits=fits)
+        with pytest.raises(CombineError, match=r"block \(1, 1\) carries no moments"):
+            overid_test(None, mixed, fit, fit.W)
+
+    def test_combined_fit_of_another_bundle(self, fitted):
+        bundle, fit = fitted
+        short = dataclasses.replace(fit, zeta=fit.zeta[:-1])
+        with pytest.raises(CombineError, match=r"combined fit has 3 \+ 7 parameters, the bundle needs 3 \+ 8"):
+            overid_test(None, bundle, short, fit.W)
+
 
 class TestGmmOracle:
     def test_descent_and_near_match(self, fitted_bundle):
         bundle, blocks = fitted_bundle
         fit, W = full_inference(bundle, blocks)
-        q_start = oracles.gmm_objective(blocks, bundle, W, fit.theta, fit.zeta)
-        theta_opt, zeta_opt, _ = oracles.gmm_oracle(
-            blocks, bundle, W, fit.theta, fit.zeta
-        )
-        q_opt = oracles.gmm_objective(blocks, bundle, W, theta_opt, zeta_opt)
+        q_start = oracles.gmm_objective(bundle, W, fit.theta, fit.zeta)
+        theta_opt, zeta_opt, _ = oracles.gmm_oracle(bundle, W, fit.theta, fit.zeta)
+        q_opt = oracles.gmm_objective(bundle, W, theta_opt, zeta_opt)
         assert q_opt <= q_start + 1e-14
         assert np.linalg.norm(theta_opt - fit.theta) < 0.05
 
@@ -136,9 +216,7 @@ class TestGmmOracle:
         data = simstudy.generate(design, 0)
         bundle, blocks = simstudy.fit_dataset(data, 1, 1, "gee-ar1")
         fit, W = full_inference(bundle, blocks)
-        theta_opt, zeta_opt, _ = oracles.gmm_oracle(
-            blocks, bundle, W, fit.theta, fit.zeta
-        )
+        theta_opt, zeta_opt, _ = oracles.gmm_oracle(bundle, W, fit.theta, fit.zeta)
         block_fit = bundle.fits[(0, 0)]
         np.testing.assert_allclose(theta_opt, block_fit.theta_hat, atol=1e-5)
         np.testing.assert_allclose(zeta_opt, block_fit.zeta_hat, atol=1e-5)
