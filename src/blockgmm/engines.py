@@ -10,11 +10,18 @@ Grams of [X, r0].  The mean estimating function and its exact Jacobian at
 any (theta, zeta) are closed-form algebra on those moments
 (:func:`mean_terms`), so the block solvers iterate, the sensitivity (the
 negative Jacobian) is formed and the over-identification test is taken
-without another pass over the data.  :func:`fit_block` keeps the moments
-on its :class:`BlockFit`; its only pass over the data after the fit makes
-the per-subject scores, which the weights of the combination need.
-Nothing is differentiated numerically and there is no step size to
-choose.
+without another pass over the data.
+
+:func:`solve_blocks` solves a list of blocks of one kind.  For GEE it
+makes one pass over each block's data for its moments and then runs one
+stacked alternation over all of them and one stacked Jacobian at the
+solution; CL runs each block's damped Newton on its lag moments.  Each
+block's row of that solve (:class:`BlockSolution`) goes to
+:func:`fit_block`, which keeps the moments on its :class:`BlockFit`; its
+only pass over the data makes the per-subject scores, which the weights
+of the combination need.  Without a row, :func:`fit_block` solves its
+block as a stack of one, with the same bits.  Nothing is differentiated
+numerically and there is no step size to choose.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +137,25 @@ def mean_terms(moments: tuple, theta, zeta, kind: str, jacobian: bool = False):
     zeta = np.asarray(zeta, dtype=float)
     if kind == "cl-ar1":
         return composite._mean_terms(moments, theta, zeta, hessian=jacobian)
-    return gee.mean_terms(moments, theta, zeta, _working(kind), jacobian)
+    row, jac = gee.mean_terms(
+        gee.stack_moments([moments]), theta[None], zeta[None], _working(kind), jacobian
+    )
+    return row[0], None if jac is None else jac[0]
+
+
+def block_means(moments: list, theta, zetas, kind: str) -> np.ndarray:
+    """Mean estimating function rows (B, p + d_jk) of B blocks of one kind,
+    all at theta (p,) and block b at zetas[b], from their moments alone:
+    the GEE blocks in one stacked :func:`blockgmm.gee.mean_terms` call, CL
+    blocks one by one."""
+    theta = np.asarray(theta, dtype=float)
+    zetas = np.asarray(zetas, dtype=float)
+    if kind == "cl-ar1":
+        return np.array(
+            [composite._mean_terms(mom, theta, zeta)[0] for mom, zeta in zip(moments, zetas)]
+        )
+    thetas = np.broadcast_to(theta, (len(moments), theta.shape[0]))
+    return gee.mean_terms(gee.stack_moments(moments), thetas, zetas, _working(kind))[0]
 
 
 def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
@@ -162,27 +188,75 @@ def _finite(sens: np.ndarray) -> np.ndarray:
     return sens
 
 
+class BlockSolution(NamedTuple):
+    """A block's row of a solve: its estimates, convergence record and
+    moments, and the Jacobian of its mean estimating function at the
+    estimates."""
+
+    theta: np.ndarray
+    zeta: np.ndarray
+    converged: bool
+    iterations: int
+    clamped: bool
+    moments: tuple
+    jacobian: np.ndarray
+
+
+def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = None) -> list:
+    """Solve blocks of one kind; returns one :class:`BlockSolution` per block.
+
+    GEE: one pass over each block's data for its moments, then one stacked
+    alternation over all of them and one stacked Jacobian at the solution.
+    A block's row has the same bits in any stack, a stack of one included.
+    CL: each block's damped Newton, on its lag moments.
+    """
+    opts = opts or SolverOptions()
+    rows = []
+    if spec.method == "cl":
+        for block in blocks:
+            if block.m < 2:
+                raise SolverError(f"cl-ar1 needs m >= 2, block has m={block.m}")
+            theta, zeta, converged, iterations, clamped, moments = composite.fit_cl_block(
+                block, tol=opts.tol, max_iter=opts.max_iter
+            )
+            _, jac = composite._mean_terms(moments, theta, zeta, hessian=True)
+            rows.append(BlockSolution(theta, zeta, converged, iterations, clamped, moments, jac))
+        return rows
+    moments = [gee.gee_moments(block, spec.working) for block in blocks]
+    stack = gee.stack_moments(moments)
+    sol = gee.fit_gee_block(
+        stack, spec.working, [(block.j, block.k) for block in blocks],
+        tol=opts.tol, max_iter=opts.max_iter,
+    )
+    _, jac = gee.mean_terms(stack, sol.theta, sol.zeta, spec.working, jacobian=True)
+    for b, mom in enumerate(moments):
+        rows.append(BlockSolution(
+            sol.theta[b], sol.zeta[b], bool(sol.converged[b]), int(sol.iterations[b]),
+            bool(sol.clamped[b]), mom, jac[b],
+        ))
+    return rows
+
+
 def fit_block(
-    block: BlockData, spec: NuisanceSpec, opts: SolverOptions | None = None
+    block: BlockData,
+    spec: NuisanceSpec,
+    opts: SolverOptions | None = None,
+    solution: BlockSolution | None = None,
 ) -> BlockFit:
     """Fit one block and package estimates, scores, sensitivity and moments.
 
-    The solver works from the block's moments; one residual pass at the
-    solution gives the scores, and the moments give the Jacobian.
+    ``solution`` is the block's row of :func:`solve_blocks`; without it the
+    block is solved alone, as a stack of one.  One residual pass at the
+    solution gives the scores, and the sensitivity is the row's negative
+    Jacobian.
     """
-    opts = opts or SolverOptions()
+    if solution is None:
+        solution = solve_blocks([block], spec, opts)[0]
+    theta, zeta, converged, iterations, clamped, moments, jac = solution
     if spec.method == "cl":
-        if block.m < 2:
-            raise SolverError(f"cl-ar1 needs m >= 2, block has m={block.m}")
-        theta, zeta, converged, iterations, clamped, moments = composite.fit_cl_block(
-            block, tol=opts.tol, max_iter=opts.max_iter
-        )
-        scores, jac = composite.cl_evaluate(block, theta, zeta, moments)
+        scores, _ = composite.cl_evaluate(block, theta, zeta)
     else:
-        theta, zeta, converged, iterations, clamped, moments = gee.fit_gee_block(
-            block, spec.working, tol=opts.tol, max_iter=opts.max_iter
-        )
-        scores, jac = gee.gee_evaluate(block, theta, zeta, spec.working, moments)
+        scores = gee.gee_evaluate(block, theta, zeta, spec.working)
     sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped

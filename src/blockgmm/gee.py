@@ -22,6 +22,16 @@ any (theta, zeta) are O(p^2) algebra on the moments
 (:func:`mean_terms`).  The alternation, the sensitivity and the
 over-identification test touch no n x m data after set-up.
 
+Since every iteration is p x p algebra, the solver works on a stack of
+blocks at once: :func:`stack_moments` lays the blocks' moments along a
+leading axis (their m may differ), and :func:`fit_gee_block` alternates
+all of them together, with one (b, p, p) solve per iteration over the b
+blocks not yet converged; :func:`mean_terms` takes the same stack.  The
+weighted sums over the basis are written out term by term and every
+other sum runs along a block's own row, so a block's bits, its iteration
+count and its flags do not depend on the stack it is in; a block fitted
+alone is a stack of one.
+
 The moments work from r0 rather than y to stay free of cancellation when
 the residuals are small next to X theta.  A quadratic form in the Grams
 of (X, y) subtracts totals of the size of y' y to leave one of the size
@@ -50,27 +60,35 @@ def nuisance_dim(kind: str) -> int:
     return 1 if kind == "independence" else 2
 
 
-def _weights(structure: str, rho: float, m: int):
-    """Coefficients w and dw/drho of R(rho)^-1 = sum_k w_k B_k."""
+def _weights(structure: str, rho, m):
+    """Coefficients w and dw/drho of R(rho)^-1 = sum_k w_k B_k along the
+    last axis, for a scalar rho and m or for (B,) arrays of them."""
+    rho, m = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(m))
     if structure == "independence":
-        return np.ones(1), np.zeros(1)
+        return np.ones(rho.shape + (1,)), np.zeros(rho.shape + (1,))
     if structure not in ("ar1", "exchangeable"):
         raise SolverError(f"unknown working structure {structure!r}")
-    if abs(rho) >= 1.0:
-        raise NumericDomainError(f"|rho| >= 1 (rho={rho})")
+    bad = np.abs(rho) >= 1.0
+    if bad.any():
+        raise NumericDomainError(f"|rho| >= 1 (rho={float(rho[bad][0])})")
     if structure == "ar1":
         # tridiagonal: (1 + rho^2) c inside, c at both ends, -rho c off the diagonal
         c = 1.0 / (1.0 - rho * rho)
-        w = np.array([(1.0 + rho * rho) * c, -rho * rho * c, -rho * c])
-        dw = c * c * np.array([4.0 * rho, -2.0 * rho, -(1.0 + rho * rho)])
-        return w, dw
+        w = np.stack([(1.0 + rho * rho) * c, -rho * rho * c, -rho * c], axis=-1)
+        dw = np.stack([4.0 * rho, -2.0 * rho, -(1.0 + rho * rho)], axis=-1)
+        return w, (c * c)[..., None] * dw
     denom = 1.0 + (m - 1) * rho
-    if denom <= 0:
-        raise NumericDomainError(f"exchangeable rho={rho} not PD for m={m}")
+    bad = denom <= 0
+    if bad.any():
+        raise NumericDomainError(
+            f"exchangeable rho={float(rho[bad][0])} not PD for m={int(m[bad][0])}"
+        )
     # Sherman-Morrison: R^-1 = a I + b 11'
     scale = (1.0 - rho) * denom
-    w = np.array([1.0 / (1.0 - rho), -rho / scale])
-    dw = np.array([1.0 / (1.0 - rho) ** 2, -(1.0 + (m - 1) * rho * rho) / scale**2])
+    w = np.stack([1.0 / (1.0 - rho), -rho / scale], axis=-1)
+    dw = np.stack(
+        [1.0 / (1.0 - rho) ** 2, -(1.0 + (m - 1) * rho * rho) / scale**2], axis=-1
+    )
     return w, dw
 
 
@@ -136,39 +154,69 @@ def _residuals(block, theta) -> np.ndarray:
     return block.y - (X.reshape(-1, X.shape[2]) @ theta).reshape(block.y.shape)
 
 
-def _solve(block, A, b):
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"singular weighted normal equations in block ({block.j}, {block.k})"
-        ) from exc
+def _singular(key) -> SolverError:
+    j, k = key
+    return SolverError(f"singular weighted normal equations in block ({j}, {k})")
+
+
+def _first_singular(A) -> int:
+    """Index of the first matrix of a (B, p, p) stack that LAPACK rejects."""
+    for i, a in enumerate(A):
+        try:
+            np.linalg.solve(a, a[0])
+        except np.linalg.LinAlgError:
+            return i
+    return 0
+
+
+def _wsum(w, terms) -> np.ndarray:
+    """sum_k w_k T_k of stacked terms (B, K, ...) with w (B, K), written out
+    term by term so that a block's sum has the same bits in any stack."""
+    w = w.reshape(w.shape + (1,) * (terms.ndim - 2))
+    out = w[:, 0] * terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        out += w[:, k] * terms[:, k]
+    return out
+
+
+def _shifted(grams, cross0, totals0, delta):
+    """Stacked cross sums c_k - G_k delta and totals
+    r0' B_k r0 - 2 delta' c_k + delta' G_k delta at start + delta, with
+    every sum over the p coordinates taken along the last axis."""
+    g_delta = (grams * delta[:, None, None, :]).sum(axis=-1)  # (B, K, p)
+    dd = delta[:, None, :]
+    totals = totals0 - 2.0 * (cross0 * dd).sum(axis=-1) + (g_delta * dd).sum(axis=-1)
+    return cross0 - g_delta, totals
 
 
 def _moment_roots(totals, structure, n, m):
-    """Closed-form roots of the residual-product moment equations, from
-    the totals sum_i r_i' B_k r_i over the basis operators."""
-    sigma2 = float(totals[0] / (n * m))
+    """Closed-form roots (B, d) of the residual-product moment equations
+    from the stacked totals sum_i r_i' B_k r_i (B, K) over the basis
+    operators, and whether each block's rho was clamped."""
+    sigma2 = totals[:, 0] / (n * m)
     if structure == "independence":
-        return np.array([sigma2]), False
+        return sigma2[:, None], np.zeros(len(sigma2), dtype=bool)
     if structure == "ar1":
         # the lag-1 shift counts each of the m - 1 neighbour pairs twice
-        rho = float(totals[2] / (2.0 * n * (m - 1)) / sigma2)
+        rho = totals[:, 2] / (2.0 * n * (m - 1)) / sigma2
     else:  # exchangeable: 11' - I counts each of the m(m-1)/2 pairs twice
-        rho = float((totals[1] - totals[0]) / (n * m * (m - 1)) / sigma2)
-    lo = -RHO_LIMIT
+        rho = (totals[:, 1] - totals[:, 0]) / (n * m * (m - 1)) / sigma2
+    lo = np.full(len(rho), -RHO_LIMIT)
     if structure == "exchangeable":
-        lo = max(lo, -1.0 / (m - 1) + 1e-6)
-    clamped = rho < lo or rho > RHO_LIMIT
-    rho = min(max(rho, lo), RHO_LIMIT)
-    return np.array([sigma2, rho]), clamped
+        lo = np.maximum(lo, -1.0 / (m - 1) + 1e-6)
+    clamped = (rho < lo) | (rho > RHO_LIMIT)
+    rho = np.minimum(np.maximum(rho, lo), RHO_LIMIT)
+    return np.stack([sigma2, rho], axis=-1), clamped
 
 
 def _nuisance(zeta, structure):
-    sigma2 = float(zeta[0])
-    if sigma2 <= 0:
-        raise NumericDomainError(f"sigma^2 must be positive, got {sigma2}")
-    rho = float(zeta[1]) if structure != "independence" else 0.0
+    """sigma^2 and rho (0 for independence) of zeta (..., d)."""
+    zeta = np.asarray(zeta, dtype=float)
+    sigma2 = zeta[..., 0]
+    bad = sigma2 <= 0
+    if bad.any():
+        raise NumericDomainError(f"sigma^2 must be positive, got {float(sigma2[bad][0])}")
+    rho = zeta[..., 1] if structure != "independence" else np.zeros_like(sigma2)
     return sigma2, rho
 
 
@@ -177,7 +225,8 @@ class GeeMoments(NamedTuple):
     B_k: the design Grams G_k = sum_i X_i' B_k X_i (K, p, p), the cross
     sums c_k = sum_i X_i' B_k r0_i (K, p) and the totals r0' B_k r0 (K,)
     of the start residuals r0, with the block's n subjects and m
-    positions."""
+    positions.  :func:`stack_moments` stacks blocks' moments along a
+    leading axis, n and m included."""
 
     start: np.ndarray
     grams: np.ndarray
@@ -192,74 +241,81 @@ def gee_moments(block, structure: str) -> GeeMoments:
     residuals."""
     X = block.design
     grams = _grams(structure, X)
-    start = _solve(block, grams[0], _xt(X, block.y))
+    try:
+        start = np.linalg.solve(grams[0], _xt(X, block.y))
+    except np.linalg.LinAlgError as exc:
+        raise _singular((block.j, block.k)) from exc
     resid = _residuals(block, start)
     basis = _apply_basis(structure, resid)
     totals = np.array([_total(resid, b) for b in basis])
     return GeeMoments(start, grams, _basis_cross(X, basis), totals, block.n, block.m)
 
 
+def stack_moments(moments) -> GeeMoments:
+    """Blocks' moments of one structure stacked along a leading axis: start
+    (B, p), grams (B, K, p, p), cross (B, K, p), totals (B, K), n and m
+    (B,).  The blocks may differ in m."""
+    return GeeMoments(*map(np.array, zip(*moments)))
+
+
 def mean_terms(moments: GeeMoments, theta, zeta, structure: str, jacobian: bool = False):
-    """Mean estimating function row (psi, g) at (theta, zeta) and, with
-    ``jacobian``, its Jacobian on (theta, sigma^2[, rho]) (else None),
-    from the block's moments alone: with delta = theta - start the cross
-    sums are c_k - G_k delta and the totals the quadratic forms
-    r0' B_k r0 - 2 delta' c_k + delta' G_k delta.  Every entry is in
-    closed form."""
+    """Mean estimating function rows (psi, g) (B, p + d) of a stack of
+    blocks (:func:`stack_moments`), block b at (theta[b], zeta[b]), and,
+    with ``jacobian``, their Jacobians (B, p + d, p + d) on
+    (theta, sigma^2[, rho]) (else None), from the moments alone: with
+    delta = theta - start the cross sums are c_k - G_k delta and the
+    totals the quadratic forms r0' B_k r0 - 2 delta' c_k + delta' G_k delta.
+    Every entry is in closed form, and a block's bits do not depend on
+    the stack it is in."""
     sigma2, rho = _nuisance(zeta, structure)
     start, grams, cross0, totals0, n, m = moments
-    p = start.shape[0]
+    B, p = start.shape
     d = nuisance_dim(structure)
-    delta = theta - start
-    g_delta = grams @ delta  # (K, p): G_k delta
-    cross = cross0 - g_delta  # sum_i X_i' B_k r_i
-    # as Python floats: the g entries are a few scalar operations each
-    totals = (totals0 - 2.0 * (cross0 @ delta) + g_delta @ delta).tolist()
+    cross, totals = _shifted(grams, cross0, totals0, theta - start)
     w, dw = _weights(structure, rho, m)
+    scale = n * sigma2  # n sigma^2 per block
 
-    row = np.empty(p + d)
-    row[:p] = w @ cross / (n * sigma2)
-    row[p] = totals[0] / (n * m) - sigma2
+    row = np.empty((B, p + d))
+    row[:, :p] = _wsum(w, cross) / scale[:, None]
+    row[:, p] = totals[:, 0] / (n * m) - sigma2
     if structure == "ar1":
         # g2 = mean_t r_t r_{t+1} - rho sigma^2; the lag-1 shift counts each
         # of the m - 1 neighbour pairs twice
-        row[p + 1] = totals[2] / (2.0 * n * (m - 1)) - rho * sigma2
+        row[:, p + 1] = totals[:, 2] / (2.0 * n * (m - 1)) - rho * sigma2
     elif structure == "exchangeable":
         # g2 = sum_{s<t} r_s r_t / npairs - rho sigma^2; 11' - I counts each
         # pair twice
-        row[p + 1] = (totals[1] - totals[0]) / (n * m * (m - 1)) - rho * sigma2
+        row[:, p + 1] = (totals[:, 1] - totals[:, 0]) / (n * m * (m - 1)) - rho * sigma2
     if not jacobian:
         return row, None
 
-    jac = np.zeros((p + d, p + d))
-    jac[:p, :p] = -(w @ grams.reshape(len(grams), -1)).reshape(p, p) / (n * sigma2)
+    jac = np.zeros((B, p + d, p + d))
+    jac[:, :p, :p] = -_wsum(w, grams) / scale[:, None, None]
     # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2
-    jac[:p, p] = -(w @ cross) / (n * sigma2 * sigma2)
+    jac[:, :p, p] = -_wsum(w, cross) / (scale * sigma2)[:, None]
     # d r' B r / d theta = -2 X' B r for every symmetric B
-    jac[p, :p] = -2.0 * cross[0] / (n * m)
-    jac[p, p] = -1.0
+    jac[:, p, :p] = -2.0 * cross[:, 0] / (n * m)[:, None]
+    jac[:, p, p] = -1.0
     if d == 1:
         return row, jac
-    jac[:p, p + 1] = (dw @ cross) / (n * sigma2)
+    jac[:, :p, p + 1] = _wsum(dw, cross) / scale[:, None]
     if structure == "ar1":
-        jac[p + 1, :p] = -cross[2] / (n * (m - 1))
+        jac[:, p + 1, :p] = -cross[:, 2] / (n * (m - 1))[:, None]
     else:
-        jac[p + 1, :p] = -(cross[1] - cross[0]) / (n * m * (m - 1) / 2.0)
-    jac[p + 1, p] = -rho
-    jac[p + 1, p + 1] = -sigma2
+        jac[:, p + 1, :p] = -(cross[:, 1] - cross[:, 0]) / (n * m * (m - 1) / 2.0)[:, None]
+    jac[:, p + 1, p] = -rho
+    jac[:, p + 1, p + 1] = -sigma2
     return row, jac
 
 
 def gee_scores(block, theta, zeta, structure) -> np.ndarray:
     """Per-subject score rows (psi_i, g_i) at (theta, zeta)."""
-    return gee_evaluate(block, theta, zeta, structure)[0]
+    return gee_evaluate(block, theta, zeta, structure)
 
 
-def gee_evaluate(block, theta, zeta, structure, moments: GeeMoments | None = None):
-    """(scores, H) at (theta, zeta): the per-subject score rows
-    (psi_i, g_i) from one residual pass and, when the block's moments are
-    given (as :func:`fit_gee_block` returns them), H the Jacobian of the
-    mean row from :func:`mean_terms` (else None)."""
+def gee_evaluate(block, theta, zeta, structure) -> np.ndarray:
+    """The per-subject score rows (psi_i, g_i) at (theta, zeta), from one
+    residual pass."""
     sigma2, rho = _nuisance(zeta, structure)
     X = block.design
     m = X.shape[1]
@@ -276,46 +332,76 @@ def gee_evaluate(block, theta, zeta, structure, moments: GeeMoments | None = Non
     elif structure == "exchangeable":
         pairs = (resid.sum(axis=1) ** 2 - squares) / 2.0
         columns.append(pairs / (m * (m - 1) / 2.0) - rho * sigma2)
-    scores = np.column_stack(columns)
-    if moments is None:
-        return scores, None
-    return scores, mean_terms(moments, theta, zeta, structure, jacobian=True)[1]
+    return np.column_stack(columns)
 
 
-def fit_gee_block(block, structure: str, tol: float = 1e-8, max_iter: int = 100):
-    """Alternate theta / zeta updates to joint convergence.
+class GeeSolution(NamedTuple):
+    """A stacked solve: estimates theta (B, p) and zeta (B, d), and per
+    block whether the alternation converged, its iteration count and
+    whether its rho ended at the clamp."""
 
-    Returns (theta, zeta, converged, iterations, rho_clamped, moments), the
-    last the block's :class:`GeeMoments`, so that :func:`gee_evaluate`
-    needs no second pass over the design for the Jacobian at the solution.
+    theta: np.ndarray
+    zeta: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    clamped: np.ndarray
+
+
+def fit_gee_block(moments: GeeMoments, structure: str, keys, tol: float = 1e-8,
+                  max_iter: int = 100) -> GeeSolution:
+    """Alternate theta / zeta updates to joint convergence, for every block
+    of a stack (:func:`stack_moments`) at once; ``keys`` names the blocks
+    (j, k) in stack order for the errors.
+
+    Each iteration makes one (b, p, p) solve over the b blocks still
+    active.  A block leaves the active set in the iteration where its step
+    falls below ``tol``, so its iterates and its iteration count are those
+    it would have alone, bit for bit.
     """
+    start, grams, cross, base, n, m = moments
+    B, p = start.shape
     d = nuisance_dim(structure)
-    if block.n <= block.p + d:
+    small = n <= p + d
+    if small.any():
+        b = int(np.argmax(small))
+        j, k = keys[b]
         raise SolverError(
-            f"block ({block.j}, {block.k}): n={block.n} too small for "
-            f"p+d={block.p + d} parameters"
+            f"block ({j}, {k}): n={n[b]} too small for p+d={p + d} parameters"
         )
-    n, m, p = block.n, block.m, block.p
     # each weighted step solves for a correction delta to the independence
     # start from its residuals r0, and the moment totals at start + delta
     # are quadratic forms in delta (see the module docstring)
-    moments = gee_moments(block, structure)
-    flat = moments.grams.reshape(len(moments.grams), -1)
-    start, cross, base = moments.start, moments.cross, moments.totals
-    theta = start
+    theta = start.copy()
     zeta, clamped = _moment_roots(base, structure, n, m)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        rho = float(zeta[1]) if structure != "independence" else 0.0
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.zeros(B, dtype=int)
+    active = np.arange(B)
+    for it in range(1, max_iter + 1):
+        iterations[active] = it
+        zeta_a = zeta[active]
+        rho = zeta_a[:, 1] if structure != "independence" else 0.0
         w, _ = _weights(structure, rho, m)
-        delta = _solve(block, (w @ flat).reshape(p, p), w @ cross)
-        totals = base - 2.0 * (cross @ delta) + flat @ np.outer(delta, delta).reshape(-1)
+        A = _wsum(w, grams)
+        try:
+            delta = np.linalg.solve(A, _wsum(w, cross)[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise _singular(keys[active[_first_singular(A)]]) from exc
+        _, totals = _shifted(grams, cross, base, delta)
         theta_new = start + delta
-        zeta_new, clamped = _moment_roots(totals, structure, n, m)
-        step = max(np.abs(theta_new - theta).max(), np.abs(zeta_new - zeta).max())
-        theta, zeta = theta_new, zeta_new
-        if step < tol:
-            converged = True
-            break
-    return theta, zeta, converged, iterations, clamped, moments
+        zeta_new, clamped[active] = _moment_roots(totals, structure, n, m)
+        # the larger of the two steps, where a nan zeta step leaves the theta
+        # step, as Python's max(theta step, zeta step) does
+        t_step = np.abs(theta_new - theta[active]).max(axis=1)
+        z_step = np.abs(zeta_new - zeta_a).max(axis=1)
+        step = np.where(z_step > t_step, z_step, t_step)
+        theta[active], zeta[active] = theta_new, zeta_new
+        done = step < tol
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            start, grams, cross, base = start[keep], grams[keep], cross[keep], base[keep]
+            n, m = n[keep], m[keep]
+    return GeeSolution(theta, zeta, converged, iterations, clamped)

@@ -3,8 +3,9 @@ over-identifying restrictions chi-square test.
 
 The test statistic N * T_N' W T_N needs each block's mean estimating
 function at the combined estimates.  Every in-memory block fit carries
-its moments, and the mean is closed-form algebra on them
-(:func:`blockgmm.engines.mean_terms`), so the test reads no data: it
+its moments, and the mean is closed-form algebra on them, taken for all
+GEE blocks of a kind in one stacked call
+(:func:`blockgmm.engines.block_means`), so the test reads no data: it
 costs at most O(J K m p^2), however many subjects there are.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.special
 
 from .combine import CombinedFit, SummaryBundle, WeightBlocks
-from .engines import mean_terms
+from .engines import block_means
 from .errors import CombineError
 
 
@@ -84,21 +85,29 @@ def godambe_cov(fit: CombinedFit, names: tuple, alpha: float = 0.05) -> Inferenc
 
 def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
     """T_N at arbitrary parameters: per-group (n_k/N)-weighted stacked means,
-    each block's mean from its moments."""
+    each block's mean from its moments, all blocks of a kind in one
+    stacked call."""
     N, p = bundle.plan.N, bundle.p
-    parts = []
+    zetas = {}
     off = 0  # offset of zeta_jk in zeta_list, which runs j-fast, k-slow
+    by_kind = {}
     for k in range(bundle.K):
-        wk = bundle.plan.group_sizes[k] / N
-        psi_means, g_means = [], []
         for j in range(bundle.J):
             fit = bundle.fits[(j, k)]
-            zeta = zeta_list[off : off + fit.d]
+            zetas[(j, k)] = zeta_list[off : off + fit.d]
             off += fit.d
-            mean, _ = mean_terms(fit.moments, theta, zeta, fit.kind)
-            psi_means.append(mean[:p])
-            g_means.append(mean[p:])
-        parts.append(wk * np.concatenate(psi_means + g_means))
+            by_kind.setdefault(fit.kind, []).append((j, k))
+    means = {}
+    for kind, keys in by_kind.items():
+        rows = block_means(
+            [bundle.fits[key].moments for key in keys], theta, [zetas[key] for key in keys], kind
+        )
+        means.update(zip(keys, rows))
+    parts = []
+    for k in range(bundle.K):
+        wk = bundle.plan.group_sizes[k] / N
+        rows = [means[(j, k)] for j in range(bundle.J)]
+        parts.append(wk * np.concatenate([row[:p] for row in rows] + [row[p:] for row in rows]))
     return parts
 
 

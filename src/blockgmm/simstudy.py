@@ -1,5 +1,13 @@
-"""Monte Carlo harness: correlated-response data generators, a replication
-driver with deterministic parallelism, and RMSE/BIAS/ESE/ASE summaries.
+"""Monte Carlo harness: correlated-response data generators, the one
+split-and-fit driver (:func:`fit_dataset`, which the CLI and the library
+call too), a replication driver with deterministic parallelism, and
+RMSE/BIAS/ESE/ASE summaries.
+
+:func:`fit_dataset` solves all blocks of a fit as one stack (one
+stacked GEE alternation) and then fits each block from its row; with
+``workers > 1`` each worker process solves one contiguous chunk of the
+sorted block keys as its own stack.  A block's bits do not depend on its
+stack, so the bundle is byte-identical for any worker count.
 
 Two error families are supported: ``kronecker-nested`` (covariance
 S (x) A with S a random unit-diagonal positive-definite block matrix and
@@ -25,7 +33,7 @@ import scipy.special
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataio import Dataset
-from .engines import NuisanceSpec, SolverOptions, fit_block
+from .engines import NuisanceSpec, SolverOptions, fit_block, solve_blocks
 from .errors import BlockGmmError, DataError
 from .combine import SummaryBundle
 from .combine import combine as combine_bundle
@@ -273,9 +281,13 @@ def check_workers(workers) -> int:
     return workers
 
 
-def _fit_one_block(args):
-    block, kind, opts = args
-    return fit_block(block, NuisanceSpec(kind), opts)
+def _fit_chunk(args):
+    """Fit a chunk of blocks: one stacked solve, then each block's fit from
+    its row."""
+    chunk, kind, opts = args
+    spec = NuisanceSpec(kind)
+    rows = solve_blocks(chunk, spec, opts)
+    return [fit_block(block, spec, opts, row) for block, row in zip(chunk, rows)]
 
 
 def fit_dataset(
@@ -289,28 +301,29 @@ def fit_dataset(
     theta_cols=None,
     workers: int = 1,
 ):
-    """Split, fit every block (optionally in parallel), return (bundle, blocks).
+    """Split, fit every block, return (bundle, blocks).
 
-    Results are keyed by (j, k), so the bundle is identical for any
-    worker count.
+    The blocks, in sorted (j, k) order, are solved as one stack
+    (:func:`blockgmm.engines.solve_blocks`: one pass over each block's data
+    for its moments, then one alternation over all of them) and each is
+    then fitted from its row.  With ``workers > 1`` the sorted keys are cut
+    into ``workers`` contiguous chunks, and each worker process solves its
+    chunk as one stack.  A block's fit has the same bits in any stack, so
+    the bundle is identical for any worker count.
     """
     check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
     blocks = partition.split(data, plan, theta_cols=theta_cols)
     keys = sorted(blocks)
-    if workers > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fitted = list(
-                pool.map(
-                    _fit_one_block,
-                    [(blocks[key], kind, opts) for key in keys],
-                )
-            )
-        fits = dict(zip(keys, fitted))
+    chunks = min(workers, len(keys))
+    if chunks > 1:
+        cuts = [len(keys) * c // chunks for c in range(chunks + 1)]
+        jobs = [([blocks[key] for key in keys[a:b]], kind, opts) for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            fitted = [fit for part in pool.map(_fit_chunk, jobs) for fit in part]
     else:
-        spec = NuisanceSpec(kind)
-        fits = {key: fit_block(blocks[key], spec, opts) for key in keys}
-    return SummaryBundle(plan=plan, fits=fits), blocks
+        fitted = _fit_chunk(([blocks[key] for key in keys], kind, opts))
+    return SummaryBundle(plan=plan, fits=dict(zip(keys, fitted))), blocks
 
 
 def _one_rep(args):

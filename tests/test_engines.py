@@ -13,6 +13,7 @@ from blockgmm.engines import (
     fit_block,
     mean_terms,
     sample_sensitivity,
+    solve_blocks,
 )
 from blockgmm.errors import NumericDomainError, SolverError
 
@@ -231,24 +232,17 @@ class TestSampleSensitivity:
 
 class TestFiniteSensitivity:
     @pytest.mark.parametrize("kind", ["gee-ar1", "cl-ar1"])
-    def test_first_non_finite_entry_is_named(self, kind, monkeypatch):
-        # the sensitivity is poisoned at (3, 0) and at (1, 2); the message names
-        # the first in row-major order
-        # (the CL fit negates its Hessian, which keeps both entries non-finite)
-        gee_evaluate, cl_evaluate = gee.gee_evaluate, composite.cl_evaluate
-
-        def poison(pair):
-            first, sens = pair
-            sens = sens.copy()
-            sens[3, 0], sens[1, 2] = np.inf, np.nan
-            return first, sens
-
-        monkeypatch.setattr(gee, "gee_evaluate", lambda *args: poison(gee_evaluate(*args)))
-        monkeypatch.setattr(composite, "cl_evaluate", lambda *args: poison(cl_evaluate(*args)))
+    def test_first_non_finite_entry_is_named(self, kind):
+        # the solution row's Jacobian is poisoned at (3, 0) and at (1, 2); the
+        # message names the first in row-major order
         block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
+        spec = NuisanceSpec(kind)
+        row = solve_blocks([block], spec)[0]
+        jac = row.jacobian.copy()
+        jac[3, 0], jac[1, 2] = np.inf, np.nan
         message = r"non-finite sensitivity entry at \(1, 2\)"
         with pytest.raises(NumericDomainError, match=message):
-            fit_block(block, NuisanceSpec(kind))
+            fit_block(block, spec, solution=row._replace(jacobian=jac))
 
 
 class TestRhoClamp:

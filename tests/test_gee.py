@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockgmm import gee, partition, simstudy
+from blockgmm import engines, gee, partition, simstudy
 from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
@@ -11,6 +11,15 @@ from conftest import make_ar1_design, random_dataset
 def one_block(data, theta_cols=None):
     plan = partition.make_plan(data.M, data.N, 1, 1, strategy="contiguous")
     return partition.split(data, plan, theta_cols=theta_cols)[(0, 0)]
+
+
+def fit_alone(block, structure):
+    """The stacked solver on a stack of one block: (theta, zeta, converged,
+    iterations, rho_clamped)."""
+    moments = gee.stack_moments([gee.gee_moments(block, structure)])
+    sol = gee.fit_gee_block(moments, structure, [(block.j, block.k)])
+    return (sol.theta[0], sol.zeta[0], bool(sol.converged[0]), int(sol.iterations[0]),
+            bool(sol.clamped[0]))
 
 
 def rinv_matrix(structure, rho, m):
@@ -99,14 +108,14 @@ class TestFitGeeBlock:
                 subject_ids=data.subject_ids,
             )
         )
-        theta, _, converged, _, _, _ = gee.fit_gee_block(block, "ar1")
+        theta, _, converged, _, _ = fit_alone(block, "ar1")
         assert converged
         np.testing.assert_allclose(theta, theta0, atol=1e-6)
 
     def test_independence_equals_ols_closed_form(self):
         data, _ = random_dataset(N=30, M=5, p=3, seed=6)
         block = one_block(data)
-        theta, zeta, converged, _, _, _ = gee.fit_gee_block(block, "independence")
+        theta, zeta, converged, _, _ = fit_alone(block, "independence")
         assert converged
         x = block.design.reshape(-1, 3)
         y = block.y.reshape(-1)
@@ -121,7 +130,7 @@ class TestFitGeeBlock:
         rhos, sig2s = [], []
         for rep in range(60):
             block = one_block(simstudy.generate(design, rep))
-            _, zeta, converged, _, _, _ = gee.fit_gee_block(block, "ar1")
+            _, zeta, converged, _, _ = fit_alone(block, "ar1")
             assert converged
             sig2s.append(zeta[0])
             rhos.append(zeta[1])
@@ -146,7 +155,7 @@ class TestFitGeeBlock:
             Dataset(responses=responses, covariates=covariates,
                     subject_ids=tuple(range(N)))
         )
-        theta, zeta, converged, _, _, _ = gee.fit_gee_block(block, "exchangeable")
+        theta, zeta, converged, _, _ = fit_alone(block, "exchangeable")
         assert converged
         np.testing.assert_allclose(theta, theta0, atol=0.1)
         assert abs(zeta[0] - sigma2) < 0.3
@@ -155,7 +164,7 @@ class TestFitGeeBlock:
     def test_root_property_at_solution(self, ar1_dataset):
         block = one_block(ar1_dataset)
         for structure in ("ar1", "exchangeable", "independence"):
-            theta, zeta, converged, _, _, _ = gee.fit_gee_block(block, structure)
+            theta, zeta, converged, _, _ = fit_alone(block, structure)
             assert converged
             scores = gee.gee_scores(block, theta, zeta, structure)
             assert np.linalg.norm(scores.mean(axis=0)) <= 1e-7
@@ -168,7 +177,7 @@ class TestFitGeeBlock:
                 N=120, M=M, theta0=(0.3, 0.6, 0.8)[:p], rho=rho, seed=900 + seed
             )
             block = one_block(simstudy.generate(design, 0))
-            theta, zeta, converged, iterations, clamped, _ = gee.fit_gee_block(block, structure)
+            theta, zeta, converged, iterations, clamped = fit_alone(block, structure)
             o_theta, o_zeta, o_converged, o_iterations, o_clamped = (
                 oracles.dense_fit_gee_block(block, structure)
             )
@@ -183,7 +192,7 @@ class TestFitGeeBlock:
         design = make_ar1_design(N=200, M=10, J=1, K=1, theta0=(30.0, 60.0, 80.0),
                                  sigma=1e-6, rho=0.5, seed=31)
         block = one_block(simstudy.generate(design, 0))
-        _, zeta, converged, _, _, _ = gee.fit_gee_block(block, structure)
+        _, zeta, converged, _, _ = fit_alone(block, structure)
         _, o_zeta, *_ = oracles.dense_fit_gee_block(block, structure)
         assert converged
         np.testing.assert_allclose(zeta, o_zeta, rtol=1e-8)
@@ -206,7 +215,7 @@ class TestFitGeeBlock:
         data = simstudy.generate(design, 0)
         plan = partition.make_plan(data.M, data.N, design.J, design.K, strategy="contiguous")
         for block in partition.split(data, plan).values():
-            theta, zeta, converged, iterations, clamped, _ = gee.fit_gee_block(block, structure)
+            theta, zeta, converged, iterations, clamped = fit_alone(block, structure)
             o_theta, o_zeta, o_converged, o_iterations, o_clamped = (
                 oracles.residual_fit_gee_block(block, structure)
             )
@@ -214,9 +223,9 @@ class TestFitGeeBlock:
             np.testing.assert_allclose(zeta, o_zeta, rtol=1e-12)
             assert (converged, iterations, clamped) == (o_converged, o_iterations, o_clamped)
 
-    def test_returns_the_block_moments(self, ar1_dataset):
+    def test_fit_keeps_the_block_moments(self, ar1_dataset):
         block = one_block(ar1_dataset)
-        *_, moments = gee.fit_gee_block(block, "ar1")
+        moments = engines.fit_block(block, engines.NuisanceSpec("gee-ar1")).moments
         rebuilt = gee.gee_moments(block, "ar1")
         for field in ("start", "grams", "cross", "totals"):
             assert getattr(moments, field).tobytes() == getattr(rebuilt, field).tobytes()
@@ -227,7 +236,30 @@ class TestFitGeeBlock:
         data, _ = random_dataset(N=4, M=4, p=3, seed=7)
         block = one_block(data)
         with pytest.raises(SolverError, match="too small"):
-            gee.fit_gee_block(block, "ar1")
+            fit_alone(block, "ar1")
+
+    def test_too_few_subjects_in_a_stack_names_the_block(self):
+        # the second of three stacked blocks has n = 5 = p + d
+        blocks = [
+            one_block(random_dataset(N=n, M=4, p=3, seed=7 + n)[0]) for n in (30, 5, 6)
+        ]
+        moments = gee.stack_moments([gee.gee_moments(b, "ar1") for b in blocks])
+        with pytest.raises(SolverError) as info:
+            gee.fit_gee_block(moments, "ar1", [(0, 0), (3, 1), (0, 2)])
+        assert str(info.value) == "block (3, 1): n=5 too small for p+d=5 parameters"
+
+    def test_singular_block_in_a_stack_names_the_block(self):
+        # the second block's Gram loses its last row and column after its
+        # start was taken, so the stacked solve, not the start, meets it
+        blocks = [one_block(random_dataset(N=30, M=4, p=3, seed=s)[0]) for s in (1, 2)]
+        moments = [gee.gee_moments(b, "independence") for b in blocks]
+        grams = moments[1].grams.copy()
+        grams[0, :, 2] = grams[0, 2, :] = 0.0
+        moments[1] = moments[1]._replace(grams=grams)
+        with pytest.raises(SolverError) as info:
+            gee.fit_gee_block(gee.stack_moments(moments), "independence", [(0, 0), (2, 1)])
+        assert str(info.value) == "singular weighted normal equations in block (2, 1)"
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestGeeScores:
@@ -278,7 +310,7 @@ class TestGeeScores:
 
     def test_permuting_subjects_permutes_score_rows(self, ar1_dataset):
         block = one_block(ar1_dataset)
-        theta, zeta, *_ = gee.fit_gee_block(block, "ar1")
+        theta, zeta, *_ = fit_alone(block, "ar1")
         scores = gee.gee_scores(block, theta, zeta, "ar1")
         perm = np.random.default_rng(3).permutation(block.n)
         permuted = partition.BlockData(
@@ -289,7 +321,7 @@ class TestGeeScores:
             theta_cols=block.theta_cols,
             subject_indices=block.subject_indices[perm],
         )
-        theta2, zeta2, *_ = gee.fit_gee_block(permuted, "ar1")
+        theta2, zeta2, *_ = fit_alone(permuted, "ar1")
         np.testing.assert_allclose(theta2, theta, atol=1e-9)
         np.testing.assert_allclose(zeta2, zeta, atol=1e-9)
         scores2 = gee.gee_scores(permuted, theta2, zeta2, "ar1")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgmm import partition, simstudy
-from blockgmm.combine import combine
+from blockgmm.combine import combine, save_bundle
 from blockgmm.dataio import Dataset
-from blockgmm.errors import BlockGmmError, DataError
+from blockgmm.engines import KINDS, NuisanceSpec, fit_block
+from blockgmm.errors import BlockGmmError, DataError, SolverError
 
 import oracles
-from conftest import make_ar1_design
+from conftest import make_ar1_design, near_unit_root_dataset
 
 
 class TestRandomPdMatrix:
@@ -246,6 +248,162 @@ class TestFitDataset:
             fits.append((fit.theta, np.sqrt(fit.variances[: design.p])))
         for a, b in zip(*fits):
             np.testing.assert_allclose(b, a, rtol=1e-10, atol=0)
+
+
+def _bundle_bytes(bundle) -> bytes:
+    buf = io.BytesIO()
+    save_bundle(bundle, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def stacked_fits(draw):
+    """A kind and a dataset whose J response blocks differ in size (M not a
+    multiple of J); in some GEE cases block 0 is a near-unit-root process
+    that the solver clamps, so the stack's blocks stop at different
+    iterations (CL Newton finds no root on such data)."""
+    kind = draw(st.sampled_from(KINDS))
+    J = draw(st.integers(2, 4))
+    K = draw(st.integers(1, 3))
+    M = J * draw(st.integers(2, 3)) + draw(st.integers(1, J - 1))
+    N = K * draw(st.integers(12, 30))
+    seed = draw(st.integers(0, 10**6))
+    data = simstudy.generate(make_ar1_design(N=N, M=M, J=J, K=K, seed=seed), 0)
+    if kind != "cl-ar1" and draw(st.booleans()):
+        m0 = partition.make_plan(M, N, J, K).block_sizes[0]
+        near = near_unit_root_dataset(N=N, M=m0, seed=seed % 1000)
+        responses, covariates = data.responses.copy(), data.covariates.copy()
+        responses[:, :m0], covariates[:, :m0] = near.responses, near.covariates
+        data = Dataset(responses=responses, covariates=covariates, subject_ids=data.subject_ids)
+    return kind, data, J, K, draw(st.sampled_from(["contiguous", "seeded-random"])), seed
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestStackedSolve:
+    @settings(max_examples=30, deadline=None)
+    @given(case=stacked_fits())
+    def test_a_block_fit_does_not_depend_on_its_stack(self, case):
+        kind, data, J, K, strategy, seed = case
+        bundle, blocks = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
+        spec = NuisanceSpec(kind)
+        for key, fit in bundle.fits.items():
+            alone = fit_block(blocks[key], spec)
+            for field in ("theta_hat", "zeta_hat", "scores", "sensitivity"):
+                assert _same_bits(getattr(fit, field), getattr(alone, field)), (key, field)
+            assert len(fit.moments) == len(alone.moments)
+            for ours, theirs in zip(fit.moments, alone.moments):
+                assert _same_bits(ours, theirs), key
+            assert (fit.iterations, fit.converged, fit.rho_clamped) == (
+                alone.iterations, alone.converged, alone.rho_clamped
+            )
+
+    @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable"])
+    def test_blocks_leave_the_stack_at_different_iterations(self, kind):
+        # block 0 holds a near-unit-root process; every block still has its
+        # solo bits, iteration count and flags (an independence alternation
+        # stops after its first step on every block)
+        N, m0 = 100, 6
+        data = simstudy.generate(make_ar1_design(N=N, M=11, seed=9), 0)
+        near = near_unit_root_dataset(N=N, M=m0)
+        responses, covariates = data.responses.copy(), data.covariates.copy()
+        responses[:, :m0], covariates[:, :m0] = near.responses, near.covariates
+        data = Dataset(responses=responses, covariates=covariates, subject_ids=data.subject_ids)
+        bundle, blocks = simstudy.fit_dataset(data, 2, 2, kind)
+        spec = NuisanceSpec(kind)
+        records = set()
+        for key, fit in bundle.fits.items():
+            alone = fit_block(blocks[key], spec)
+            assert _same_bits(fit.theta_hat, alone.theta_hat)
+            assert _same_bits(fit.zeta_hat, alone.zeta_hat)
+            assert _same_bits(fit.sensitivity, alone.sensitivity)
+            records.add((fit.iterations, fit.rho_clamped))
+            assert (fit.iterations, fit.rho_clamped) == (alone.iterations, alone.rho_clamped)
+        assert len(records) > 1
+        if kind == "gee-ar1":
+            assert bundle.fits[(0, 0)].rho_clamped and not bundle.fits[(1, 0)].rho_clamped
+
+
+class TestBadBlockInAStack:
+    """A bad block among good ones raises the SolverError its solo fit
+    raises, naming it, and no numpy error escapes."""
+
+    @staticmethod
+    def _solo_error(data, J, K, key, kind):
+        plan = partition.make_plan(data.M, data.N, J, K, strategy="contiguous")
+        with pytest.raises(SolverError) as info:
+            fit_block(partition.split(data, plan)[key], NuisanceSpec(kind))
+        return str(info.value)
+
+    @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
+    def test_singular_normal_equations(self, kind):
+        data = simstudy.generate(make_ar1_design(N=60, M=8, seed=3), 0)
+        covariates = data.covariates.copy()
+        covariates[30:, :, 2] = 0.0  # a zero covariate column in group 1
+        data = Dataset(
+            responses=data.responses, covariates=covariates, subject_ids=data.subject_ids
+        )
+        with pytest.raises(SolverError) as info:
+            simstudy.fit_dataset(data, 2, 2, kind)
+        assert str(info.value) == "singular weighted normal equations in block (0, 1)"
+        assert str(info.value) == self._solo_error(data, 2, 2, (0, 1), kind)
+
+    @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
+    def test_too_few_subjects(self, kind):
+        # groups of 6 and 5 subjects: group 1 has n = 5 <= p + d for d = 2,
+        # and for d = 1 a third group of 4 = p + d does
+        K = 2 if NuisanceSpec(kind).d == 2 else 3
+        N = 11 if K == 2 else 14
+        data = simstudy.generate(make_ar1_design(N=N, M=8, seed=4), 0)
+        sizes = partition.make_plan(data.M, N, 2, K, strategy="contiguous").group_sizes
+        bad = max(k for k in range(K) if sizes[k] <= 3 + NuisanceSpec(kind).d)
+        with pytest.raises(SolverError) as info:
+            simstudy.fit_dataset(data, 2, K, kind)
+        assert str(info.value).startswith(f"block (0, {bad}): n={sizes[bad]} too small")
+        assert str(info.value) == self._solo_error(data, 2, K, (0, bad), kind)
+
+
+class TestWorkerInvariance:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        J=st.integers(1, 3),
+        K=st.integers(1, 3),
+        kind=st.sampled_from(KINDS),
+        strategy=st.sampled_from(["contiguous", "seeded-random"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_bundle_bytes_equal_for_one_and_two_workers(self, J, K, kind, strategy, seed):
+        data = simstudy.generate(make_ar1_design(N=20 * K, M=3 * J + 1, seed=seed), 0)
+        serial, _ = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
+        parallel, _ = simstudy.fit_dataset(
+            data, J, K, kind, strategy=strategy, seed=seed, workers=2
+        )
+        assert _bundle_bytes(parallel) == _bundle_bytes(serial)
+
+    def test_one_group_is_still_cut_into_two_chunks(self, monkeypatch):
+        # K = 1, J = 3: the three blocks go to two worker processes as
+        # chunks of one and two blocks
+        mapped = []
+
+        class Pool(simstudy.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                mapped.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                mapped.append([len(chunk) for chunk, _, _ in jobs])
+                return super().map(fn, jobs)
+
+        monkeypatch.setattr(simstudy, "ProcessPoolExecutor", Pool)
+        data = simstudy.generate(make_ar1_design(N=40, M=9, seed=8), 0)
+        serial, _ = simstudy.fit_dataset(data, 3, 1, "gee-ar1")
+        assert mapped == []
+        parallel, _ = simstudy.fit_dataset(data, 3, 1, "gee-ar1", workers=2)
+        assert mapped == [2, [1, 2]]
+        assert _bundle_bytes(parallel) == _bundle_bytes(serial)
 
 
 class TestRunReplications:
