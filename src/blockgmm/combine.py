@@ -174,22 +174,20 @@ def _group_fits(bundle: SummaryBundle, k: int) -> list:
     return fits
 
 
-def _stacked_scores(fits: list, p: int) -> np.ndarray:
-    return np.hstack([fit.scores[:, :p] for fit in fits] + [fit.scores[:, p:] for fit in fits])
-
-
-def group_scores(bundle: SummaryBundle, k: int) -> np.ndarray:
-    """Stacked per-subject score rows of group k: (n_k, Jp + d_k)."""
-    return _stacked_scores(_group_fits(bundle, k), bundle.p)
-
-
 def assemble_vhat(bundle: SummaryBundle) -> tuple:
-    """Empirical score covariance (1/N) sum_i tau_i tau_i', one block per group."""
-    N = bundle.plan.N
+    """Empirical score covariance (1/N) sum_i tau_i tau_i', one block per
+    group: each group summary's V_k (:func:`group_summary`).  A summary read
+    from a bundle archive keeps none, and is a CombineError."""
     out = []
     for k in range(bundle.K):
-        tau = group_scores(bundle, k)
-        out.append(tau.T @ tau / N)
+        vhat = bundle.summary(k).vhat
+        if vhat is None:
+            raise CombineError(
+                f"the summary of group {k} keeps no score covariance V_k (a "
+                "summary read from a bundle archive has none); V_k needs the "
+                "block fits in memory"
+            )
+        out.append(vhat)
     return tuple(out)
 
 
@@ -237,8 +235,9 @@ def build_C(fits: list, w: np.ndarray):
     """Group information I_k = S_k' W_k S_k and right-hand side
     r_k = S_k' W_k v_k from the group's J block fits and its weights W_k.
 
-    S_k is (Jp + d_k) x (p + d_k): rows follow the :func:`group_scores`
-    layout (the psi rows of blocks 1..J, then their g rows), columns the
+    S_k is (Jp + d_k) x (p + d_k): rows follow the layout of the group's
+    stacked scores (the psi rows of blocks 1..J, then their g rows, as
+    :func:`group_summary` stacks them), columns the
     group's parameter (theta, zeta_1k .. zeta_Jk).  v_k stacks each
     block's S_(j,k) (theta_hat_j, zeta_hat_j) in the same row layout.
     I_k equals sum_i C_{k,i} without the all-zero columns of other groups.
@@ -263,8 +262,8 @@ def build_C(fits: list, w: np.ndarray):
 
 def group_summary(bundle: SummaryBundle, k: int) -> GroupSummary:
     """Group k's summary from its in-memory block fits: V_k, W_k, I_k, r_k."""
-    fits = _group_fits(bundle, k)
-    tau = _stacked_scores(fits, bundle.p)
+    fits, p = _group_fits(bundle, k), bundle.p
+    tau = np.hstack([fit.scores[:, :p] for fit in fits] + [fit.scores[:, p:] for fit in fits])
     vhat = tau.T @ tau / bundle.plan.N
     w, repaired = _invert_group(vhat, k)
     info, rhs = build_C(fits, w)

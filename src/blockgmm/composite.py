@@ -25,8 +25,9 @@ its line search touch no n x m data after set-up.  As in
 :mod:`blockgmm.gee`, working from r0 rather than y keeps the residual
 sums free of cancellation when the residuals are small next to X theta.
 
-At the solution one residual pass gives the per-subject scores, and the
-fit's lag sums give the sensitivity (the negative mean Hessian).
+At the solution one residual pass gives the per-subject scores
+(:func:`cl_scores`), and the fit's lag moments give the sensitivity (the
+negative mean Hessian, :func:`blockgmm.engines.block_means`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericDomainError, SolverError
-from .gee import RHO_LIMIT
+from .gee import RHO_LIMIT, _reject_exact_fit
 
 
 class LagMoments(NamedTuple):
@@ -72,10 +73,13 @@ def _lag_gram(Z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lag_moments(block) -> tuple[LagMoments, np.ndarray]:
-    """The block's lag moments and the start residuals r0 (n, m)."""
+    """The block's lag moments and the start residuals r0 (n, m).  A block
+    whose responses are an exact linear fit of its covariates is a
+    SolverError."""
     X, y = block.design, block.y
     start, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
     resid = y - X @ start
+    _reject_exact_fit(block, float(np.vdot(resid, resid)))
     gv, gw = _lag_gram(np.concatenate([X, resid[:, :, None]], axis=2))
     return LagMoments(start, gv, gw), resid
 
@@ -112,11 +116,17 @@ def _lag_coefficients(rho, m):
     return lags, m - lags, c, dc, 1.0 - c * c, power
 
 
-def _subject_scores(X, y, theta, zeta) -> np.ndarray:
-    """Per-subject averaged pairwise scores (n, p + 2): one residual pass."""
+def cl_scores(block, theta, zeta) -> np.ndarray:
+    """Per-subject averaged pairwise score rows (n, p + 2), from one
+    residual pass.
+
+    Columns are the gradient of the mean pairwise log-likelihood with
+    respect to (theta, sigma^2, rho).
+    """
     sigma2, rho = _nuisance(zeta)
+    X = block.design
     n, m, p = X.shape
-    resid = y - X @ theta
+    resid = block.y - X @ theta
     npairs = m * (m - 1) // 2
     lags, count, c, dc, w, _ = _lag_coefficients(rho, m)
 
@@ -191,30 +201,6 @@ def _mean_terms(moments: LagMoments, theta, zeta, hessian: bool = False):
     return score, hess
 
 
-def cl_evaluate(block, theta, zeta, moments: LagMoments | None = None):
-    """(scores, H) at (theta, zeta): the per-subject score rows (n, p + 2)
-    from one residual pass and, when the block's lag moments are given (as
-    :func:`fit_cl_block` returns them), H the exact Jacobian of the mean
-    score row on the (theta, sigma^2, rho) scale (else None)."""
-    scores = _subject_scores(block.design, block.y, theta, zeta)
-    if moments is None:
-        return scores, None
-    return scores, _mean_terms(moments, theta, zeta, hessian=True)[1]
-
-
-def cl_scores(block, theta, zeta, hessian: bool = False):
-    """Per-subject averaged pairwise score rows (n, p + 2).
-
-    Columns are the gradient of the mean pairwise log-likelihood with
-    respect to (theta, sigma^2, rho).  With ``hessian=True`` the return
-    value is ``(scores, H)``, H the exact Jacobian of the mean score row,
-    from the block's lag moments.
-    """
-    if not hessian:
-        return _subject_scores(block.design, block.y, theta, zeta)
-    return cl_evaluate(block, theta, zeta, _lag_moments(block)[0])
-
-
 def _u_terms(moments: LagMoments, u, hessian: bool = False):
     """Mean score, and with ``hessian`` its Jacobian, in the unconstrained
     parameterization u = (theta, log sigma, atanh rho)."""
@@ -239,8 +225,9 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
     """Damped Newton root of the mean pairwise score.
 
     Returns (theta, zeta, converged, iterations, rho_clamped, moments), the
-    last the block's lag moments, so that :func:`cl_evaluate` needs no
-    second pass over the data for the Hessian at the solution.
+    last the block's lag moments, from which the Hessian at the solution
+    is taken without another pass over the data
+    (:func:`blockgmm.engines.block_means`).
     """
     if block.n <= block.p + 2:
         raise SolverError(

@@ -2,25 +2,27 @@
 
 Kernels: ``gee-ar1``, ``gee-exchangeable``, ``gee-independence`` (weighted
 least squares with residual-moment nuisance equations) and ``cl-ar1``
-(pairwise composite likelihood).  Each kernel reduces a block to a few
-p-sized moments (:func:`block_moments`): for GEE the least-squares start,
-the design Grams and the cross sums and totals of the start residuals
-over the working-correlation basis; for CL the start and the per-lag
-Grams of [X, r0].  The mean estimating function and its exact Jacobian at
-any (theta, zeta) are closed-form algebra on those moments
-(:func:`mean_terms`), so the block solvers iterate, the sensitivity (the
-negative Jacobian) is formed and the over-identification test is taken
-without another pass over the data.
+(pairwise composite likelihood).  A kernel is three operations, and only
+these three functions dispatch on the kind.  :func:`block_moments`
+reduces a block to a few p-sized moments: for GEE the least-squares
+start, the design Grams and the cross sums and totals of the start
+residuals over the working-correlation basis; for CL the start and the
+per-lag Grams of [X, r0].  :func:`block_means` gives the mean estimating
+functions of a list of blocks and their exact Jacobians at any
+(theta, zeta) by closed-form algebra on the moments, so the solvers
+iterate, the sensitivity (the negative Jacobian) is formed and the
+over-identification test is taken without another pass over the data.
+:func:`eval_scores` makes the per-subject scores, which the weights of
+the combination need, in one residual pass.
 
-:func:`solve_blocks` solves a list of blocks of one kind.  For GEE it
-makes one pass over each block's data for its moments and then runs one
-stacked alternation over all of them and one stacked Jacobian at the
-solution; CL runs each block's damped Newton on its lag moments.  Each
-block's row of that solve (:class:`BlockSolution`) goes to
-:func:`fit_block`, which keeps the moments on its :class:`BlockFit`; its
-only pass over the data makes the per-subject scores, which the weights
-of the combination need.  Without a row, :func:`fit_block` solves its
-block as a stack of one, with the same bits.  Nothing is differentiated
+:func:`solve_blocks` solves a list of blocks of one kind: GEE in one
+stacked alternation over their moments, CL by each block's damped Newton
+on its lag moments, and the Jacobians at the solution in one
+:func:`block_means` call.  Each block's row of that solve
+(:class:`BlockSolution`) goes to :func:`fit_block`, which keeps the
+moments on its :class:`BlockFit`; its only pass over the data is
+:func:`eval_scores`.  Without a row, :func:`fit_block` solves its block as
+a stack of one, with the same bits.  Nothing is differentiated
 numerically and there is no step size to choose.
 """
 
@@ -48,9 +50,12 @@ class SolverOptions:
 
     def __post_init__(self):
         tol, max_iter = self.tol, self.max_iter
-        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        # a bool is an Integral, and so a Real, but neither a tolerance nor a count
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol > 0):
             raise SolverError(f"tol = {tol!r} is not a finite number > 0")
-        if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        count = isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
+        if not (count and max_iter >= 1):
             raise SolverError(f"max_iter = {max_iter!r} is not an integer >= 1")
 
 
@@ -116,55 +121,42 @@ class BlockFit(BlockRecord):
         return self.scores.shape[0]
 
 
-def _working(kind: str) -> str:
-    if kind not in KINDS:
-        raise SolverError(f"unknown solver kind {kind!r}")
-    return kind.split("-", 1)[1]
-
-
 def block_moments(block: BlockData, kind: str) -> tuple:
     """The block's moments under ``kind``, as :func:`fit_block` keeps them."""
     if kind == "cl-ar1":
         return composite._lag_moments(block)[0]
-    return gee.gee_moments(block, _working(kind))
+    return gee.gee_moments(block, NuisanceSpec(kind).working)
 
 
-def mean_terms(moments: tuple, theta, zeta, kind: str, jacobian: bool = False):
-    """Mean estimating function row (p + d_jk,) at (theta, zeta) and, with
-    ``jacobian``, its exact Jacobian on the natural (theta, sigma^2, rho)
-    scale (else None), from a block's moments alone."""
+def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
+    """(rows, jacobians) of B blocks of one kind from their moments alone:
+    the mean estimating function rows (B, p + d_jk), block b at zetas[b]
+    and at theta, shared (p,) or row b of (B, p), and with ``jacobian``
+    their exact Jacobians on the natural (theta, sigma^2, rho) scale (else
+    None).  GEE blocks take one stacked :func:`blockgmm.gee.mean_terms`
+    call, CL blocks one call each."""
     theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if kind == "cl-ar1":
-        return composite._mean_terms(moments, theta, zeta, hessian=jacobian)
-    row, jac = gee.mean_terms(
-        gee.stack_moments([moments]), theta[None], zeta[None], _working(kind), jacobian
-    )
-    return row[0], None if jac is None else jac[0]
-
-
-def block_means(moments: list, theta, zetas, kind: str) -> np.ndarray:
-    """Mean estimating function rows (B, p + d_jk) of B blocks of one kind,
-    all at theta (p,) and block b at zetas[b], from their moments alone:
-    the GEE blocks in one stacked :func:`blockgmm.gee.mean_terms` call, CL
-    blocks one by one."""
-    theta = np.asarray(theta, dtype=float)
+    thetas = np.broadcast_to(theta, (len(moments), theta.shape[-1]))
     zetas = np.asarray(zetas, dtype=float)
     if kind == "cl-ar1":
-        return np.array(
-            [composite._mean_terms(mom, theta, zeta)[0] for mom, zeta in zip(moments, zetas)]
-        )
-    thetas = np.broadcast_to(theta, (len(moments), theta.shape[0]))
-    return gee.mean_terms(gee.stack_moments(moments), thetas, zetas, _working(kind))[0]
+        rows, jacs = zip(*(
+            composite._mean_terms(mom, th, zeta, hessian=jacobian)
+            for mom, th, zeta in zip(moments, thetas, zetas)
+        ))
+        return np.array(rows), np.array(jacs) if jacobian else None
+    return gee.mean_terms(
+        gee.stack_moments(moments), thetas, zetas, NuisanceSpec(kind).working, jacobian
+    )
 
 
 def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
-    """Per-subject score matrix (n_k, p + d_jk) at arbitrary (theta, zeta)."""
+    """Per-subject score matrix (n_k, p + d_jk) at arbitrary (theta, zeta),
+    from one residual pass."""
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if kind == "cl-ar1":
         return composite.cl_scores(block, theta, zeta)
-    return gee.gee_scores(block, theta, zeta, _working(kind))
+    return gee.gee_scores(block, theta, zeta, NuisanceSpec(kind).working)
 
 
 def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
@@ -177,8 +169,8 @@ def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     (theta, sigma^2, rho) scale, and at a fit's estimates both have the
     bits of :func:`fit_block`'s sensitivity.
     """
-    _, jac = mean_terms(block_moments(block, kind), theta, zeta, kind, jacobian=True)
-    return _finite(-jac)
+    _, jac = block_means([block_moments(block, kind)], theta, [zeta], kind, jacobian=True)
+    return _finite(-jac[0])
 
 
 def _finite(sens: np.ndarray) -> np.ndarray:
@@ -206,35 +198,33 @@ def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = 
     """Solve blocks of one kind; returns one :class:`BlockSolution` per block.
 
     GEE: one pass over each block's data for its moments, then one stacked
-    alternation over all of them and one stacked Jacobian at the solution.
-    A block's row has the same bits in any stack, a stack of one included.
-    CL: each block's damped Newton, on its lag moments.
+    alternation over all of them.  CL: each block's damped Newton, on its
+    lag moments.  The Jacobians at the solution take one
+    :func:`block_means` call.  A block's row has the same bits in any
+    stack, a stack of one included.
     """
     opts = opts or SolverOptions()
-    rows = []
     if spec.method == "cl":
+        solved = []
         for block in blocks:
             if block.m < 2:
                 raise SolverError(f"cl-ar1 needs m >= 2, block has m={block.m}")
-            theta, zeta, converged, iterations, clamped, moments = composite.fit_cl_block(
-                block, tol=opts.tol, max_iter=opts.max_iter
-            )
-            _, jac = composite._mean_terms(moments, theta, zeta, hessian=True)
-            rows.append(BlockSolution(theta, zeta, converged, iterations, clamped, moments, jac))
-        return rows
-    moments = [gee.gee_moments(block, spec.working) for block in blocks]
-    stack = gee.stack_moments(moments)
-    sol = gee.fit_gee_block(
-        stack, spec.working, [(block.j, block.k) for block in blocks],
-        tol=opts.tol, max_iter=opts.max_iter,
-    )
-    _, jac = gee.mean_terms(stack, sol.theta, sol.zeta, spec.working, jacobian=True)
-    for b, mom in enumerate(moments):
-        rows.append(BlockSolution(
-            sol.theta[b], sol.zeta[b], bool(sol.converged[b]), int(sol.iterations[b]),
-            bool(sol.clamped[b]), mom, jac[b],
-        ))
-    return rows
+            solved.append(composite.fit_cl_block(block, tol=opts.tol, max_iter=opts.max_iter))
+        theta, zeta, converged, iterations, clamped, moments = zip(*solved)
+    else:
+        moments = [block_moments(block, spec.kind) for block in blocks]
+        theta, zeta, converged, iterations, clamped = gee.fit_gee_block(
+            gee.stack_moments(moments), spec.working, [(block.j, block.k) for block in blocks],
+            tol=opts.tol, max_iter=opts.max_iter,
+        )
+    _, jac = block_means(moments, theta, zeta, spec.kind, jacobian=True)
+    return [
+        BlockSolution(
+            theta[b], zeta[b], bool(converged[b]), int(iterations[b]), bool(clamped[b]),
+            moments[b], jac[b],
+        )
+        for b in range(len(blocks))
+    ]
 
 
 def fit_block(
@@ -253,10 +243,7 @@ def fit_block(
     if solution is None:
         solution = solve_blocks([block], spec, opts)[0]
     theta, zeta, converged, iterations, clamped, moments, jac = solution
-    if spec.method == "cl":
-        scores, _ = composite.cl_evaluate(block, theta, zeta)
-    else:
-        scores = gee.gee_evaluate(block, theta, zeta, spec.working)
+    scores = eval_scores(block, theta, zeta, spec.kind)
     sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped

@@ -4,9 +4,9 @@ over-identifying restrictions chi-square test.
 The test statistic N * T_N' W T_N needs each block's mean estimating
 function at the combined estimates.  Every in-memory block fit carries
 its moments, and the mean is closed-form algebra on them, taken for all
-GEE blocks of a kind in one stacked call
-(:func:`blockgmm.engines.block_means`), so the test reads no data: it
-costs at most O(J K m p^2), however many subjects there are.
+blocks of a kind in one :func:`blockgmm.engines.block_means` call (the
+one that gives the block solvers their Jacobians), so the test reads no
+data: it costs at most O(J K m p^2), however many subjects there are.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
             by_kind.setdefault(fit.kind, []).append((j, k))
     means = {}
     for kind, keys in by_kind.items():
-        rows = block_means(
+        rows, _ = block_means(
             [bundle.fits[key].moments for key in keys], theta, [zetas[key] for key in keys], kind
         )
         means.update(zip(keys, rows))

@@ -80,7 +80,7 @@ def record_passes(monkeypatch) -> list:
         (gee, "_grams", "grams"),
         (gee, "_residuals", "residual pass"),
         (composite, "_lag_moments", "lag moments"),
-        (composite, "_subject_scores", "residual pass"),
+        (composite, "cl_scores", "residual pass"),
     ):
         original = getattr(module, name)
         monkeypatch.setattr(

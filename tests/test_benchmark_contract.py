@@ -6,6 +6,10 @@ reports ``<layer>.<function>.s`` and ``.calls`` for those alone; a
 declared metric whose function was removed or renamed drops out of the
 traced result line instead of reading 0.
 
+The declared residual-pass metrics (``engines.eval_scores`` and the
+kernels' ``gee.gee_scores`` and ``composite.cl_scores``) count the calls
+of the functions a fit really makes: once per block.
+
 The benchmark's own self-test runs here too: it drives the package the
 way the benchmark does (``fit_dataset``, ``fit_block``, ``overid_test``
 and the traced run) at tiny scale.
@@ -19,6 +23,10 @@ import subprocess
 import sys
 
 import pytest
+
+from blockgmm import composite, engines, gee, simstudy
+
+from conftest import random_dataset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,6 +57,29 @@ def test_every_timed_or_counted_metric_names_a_public_layer_function():
         ):
             missing.append(f"{layer}.{function}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("kind", engines.KINDS)
+def test_a_fit_makes_one_scores_pass_per_block_through_the_declared_names(kind, monkeypatch):
+    calls = []
+    for module, name in (
+        (engines, "eval_scores"),
+        (gee, "gee_scores"),
+        (composite, "cl_scores"),
+    ):
+        original = getattr(module, name)
+        label = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        monkeypatch.setattr(
+            module, name, lambda *args, _f=original, _l=label: calls.append(_l) or _f(*args)
+        )
+    data, _ = random_dataset(N=40, M=6, p=2, seed=3)
+    J, K = 3, 2
+    bundle, _ = simstudy.fit_dataset(data, J, K, kind)
+    assert len(bundle.fits) == J * K
+    kernel = "composite.cl_scores" if kind == "cl-ar1" else "gee.gee_scores"
+    assert calls.count("engines.eval_scores") == J * K
+    assert calls.count(kernel) == J * K
+    assert len(calls) == 2 * J * K
 
 
 @pytest.mark.slow

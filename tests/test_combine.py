@@ -13,7 +13,6 @@ from blockgmm.combine import (
     SummaryBundle,
     assemble_vhat,
     combine,
-    group_scores,
     invert_vhat,
     load_bundle,
     merge_bundles,
@@ -87,6 +86,14 @@ def random_bundle(J, K, p, seed):
     return SummaryBundle(plan=plan, fits=fits)
 
 
+def stacked_scores(bundle, k):
+    """Group k's per-subject score rows stacked as V_k lays them out:
+    (n_k, Jp + d_k), the psi columns of blocks 1..J, then their g columns."""
+    fits = [bundle.fits[(j, k)] for j in range(bundle.J)]
+    p = bundle.p
+    return np.hstack([fit.scores[:, :p] for fit in fits] + [fit.scores[:, p:] for fit in fits])
+
+
 def max_rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -104,7 +111,8 @@ class TestAssembleVhat:
         vhat = assemble_vhat(bundle)
         np.testing.assert_allclose(vhat[0], [[1.0]])
 
-    def test_all_zero_scores_give_zero_matrix(self):
+    def test_all_zero_scores_are_singular_beyond_ridge_repair(self):
+        # V_k is the zero matrix, which its group summary cannot invert
         bundle = synthetic_bundle(
             {(0, 0): np.zeros((3, 2))},
             {(0, 0): np.eye(2)},
@@ -113,20 +121,36 @@ class TestAssembleVhat:
             J=1,
             K=1,
         )
-        np.testing.assert_array_equal(assemble_vhat(bundle)[0], np.zeros((2, 2)))
+        with pytest.raises(CombineError, match="group 0 score covariance is singular beyond"):
+            assemble_vhat(bundle)
+
+    def test_loaded_bundle_has_no_vhat_and_names_the_group(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        buf = io.BytesIO()
+        save_bundle(bundle, buf)
+        buf.seek(0)
+        with pytest.raises(CombineError, match="the summary of group 0 keeps no score covariance"):
+            assemble_vhat(load_bundle(buf))
+
+    def test_is_the_group_summary_vhat(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        for k, vhat in enumerate(assemble_vhat(bundle)):
+            tau = stacked_scores(bundle, k)
+            assert vhat is bundle.summary(k).vhat
+            np.testing.assert_array_equal(vhat, tau.T @ tau / bundle.plan.N)
 
     def test_matches_dense_brute_force(self, fitted_bundle):
         # group-blocked storage equals the dense (1/N) sum tau tau' with
         # group-masked rows, computed naively
         bundle, _ = fitted_bundle
         N = bundle.plan.N
-        dims = [group_scores(bundle, k).shape[1] for k in range(bundle.K)]
+        dims = [stacked_scores(bundle, k).shape[1] for k in range(bundle.K)]
         total_dim = sum(dims)
         tau = np.zeros((N, total_dim))
         for k in range(bundle.K):
             rows = bundle.plan.subject_indices(k)
             off = sum(dims[:k])
-            tau[rows, off : off + dims[k]] = group_scores(bundle, k)
+            tau[rows, off : off + dims[k]] = stacked_scores(bundle, k)
         dense = tau.T @ tau / N
         vhat = assemble_vhat(bundle)
         for k in range(bundle.K):

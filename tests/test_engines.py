@@ -1,17 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgmm import composite, gee, partition, simstudy
+from blockgmm.dataio import Dataset
 from blockgmm.engines import (
     KINDS,
     NuisanceSpec,
     SolverOptions,
+    block_means,
     block_moments,
     eval_scores,
     fit_block,
-    mean_terms,
     sample_sensitivity,
     solve_blocks,
 )
@@ -24,6 +27,21 @@ from conftest import make_ar1_design, near_unit_root_dataset, random_dataset, re
 def one_block(data):
     plan = partition.make_plan(data.M, data.N, 1, 1, strategy="contiguous")
     return partition.split(data, plan)[(0, 0)]
+
+
+def signal_block(data, theta0, noise, seed=2):
+    """One block of data's design with responses X theta0 plus normal noise
+    at ``noise`` times the root mean square of the signal."""
+    signal = data.covariates @ theta0
+    rng = np.random.default_rng(seed)
+    scale = noise * np.sqrt(np.mean(signal**2))
+    return one_block(
+        Dataset(
+            responses=signal + scale * rng.standard_normal(signal.shape),
+            covariates=data.covariates,
+            subject_ids=data.subject_ids,
+        )
+    )
 
 
 class TestNuisanceSpec:
@@ -132,14 +150,17 @@ class TestMeanTerms:
     @given(point=kernel_points())
     def test_mean_and_jacobian_match_the_data_pass(self, point):
         kind, block, moments, theta, zeta = point
-        mean, jac = mean_terms(moments, theta, zeta, kind, jacobian=True)
+        means, jacs = block_means([moments], theta, [zeta], kind, jacobian=True)
+        mean, jac = means[0], jacs[0]
         expected_mean, expected_jac = oracles.pass_terms(block, theta, zeta, kind)
         assert np.max(np.abs(mean - expected_mean)) <= self.TOL * np.max(
             np.abs(expected_mean)
         )
         rows = np.max(np.abs(expected_jac), axis=1, keepdims=True)
         assert np.max(np.abs(jac - expected_jac) / rows) <= self.TOL
-        assert mean_terms(moments, theta, zeta, kind)[0].tobytes() == mean.tobytes()
+        means, none = block_means([moments], theta, [zeta], kind)
+        assert none is None
+        assert means[0].tobytes() == mean.tobytes()
 
 
 class TestSampleSensitivity:
@@ -185,21 +206,17 @@ class TestSampleSensitivity:
         np.testing.assert_allclose(fit.sensitivity[:2, :2], expected, rtol=1e-10)
 
     def test_fd_step_shrinks_near_tiny_variance(self):
-        # a noiseless block has sigma^2 ~ 1e-16; the central-difference
-        # oracle must not step the variance negative, and the closed form
-        # stays finite there too
+        # at sigma^2 = 1e-16 the central-difference oracle must not step the
+        # variance negative on a noiseless block, and the closed form stays
+        # finite there too.  The closed form builds the block's moments,
+        # which reject an exact fit (TestExactFit), so it is taken on the
+        # same design with noise at 1e-6 of the signal
         data, theta0 = random_dataset(N=30, M=5, p=3, seed=23)
-        from blockgmm.dataio import Dataset
-
-        clean = Dataset(
-            responses=data.covariates @ theta0,
-            covariates=data.covariates,
-            subject_ids=data.subject_ids,
-        )
-        block = one_block(clean)
         zeta = np.array([1e-16, 0.0])
-        assert np.all(np.isfinite(oracles.fd_sensitivity(block, theta0, zeta, "gee-ar1")))
-        assert np.all(np.isfinite(sample_sensitivity(block, theta0, zeta, "gee-ar1")))
+        clean = signal_block(data, theta0, 0.0)
+        assert np.all(np.isfinite(oracles.fd_sensitivity(clean, theta0, zeta, "gee-ar1")))
+        near = signal_block(data, theta0, 1e-6)
+        assert np.all(np.isfinite(sample_sensitivity(near, theta0, zeta, "gee-ar1")))
 
     @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
     def test_gee_matches_central_differences_everywhere(self, kind):
@@ -228,6 +245,36 @@ class TestSampleSensitivity:
             worst = max(worst, float(np.max(np.abs(analytic - fd) / rows)))
         assert worst <= 1e-5
 
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestExactFit:
+    # responses that are an exact linear fit of the covariates leave start
+    # residuals at round-off: the moments reject the block before any
+    # iteration can report a fit with sigma^2 ~ 1e-32 or overflow
+    def test_exact_fit_is_rejected_without_a_warning(self, kind):
+        data, theta0 = random_dataset(N=30, M=5, p=3, seed=1)
+        block = signal_block(data, theta0, 0.0)
+        message = r"block \(0, 0\): the responses are an exact linear fit of the covariates"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=message):
+                fit_block(block, NuisanceSpec(kind))
+
+    def test_noisy_fit_is_accepted(self, kind):
+        # noise at 1e-6 of the signal is far above the bound: every kind
+        # builds its moments, and the GEE kinds converge.  The CL Newton
+        # tests its score against an absolute tolerance that round-off in
+        # its 1 / sigma^2 terms keeps it from meeting at this sigma^2 (about
+        # 3e-12), so CL is fitted at 1e-4
+        data, theta0 = random_dataset(N=30, M=5, p=3, seed=1)
+        block_moments(signal_block(data, theta0, 1e-6), kind)
+        noise = 1e-4 if kind == "cl-ar1" else 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_block(signal_block(data, theta0, noise), NuisanceSpec(kind))
+        assert fit.converged
+        np.testing.assert_allclose(fit.theta_hat, theta0, atol=1e-3)
 
 
 class TestFiniteSensitivity:
@@ -289,9 +336,12 @@ class TestSolverOptions:
             ("max_iter", -5, "max_iter = -5 is not an integer >= 1"),
             ("max_iter", 2.5, "max_iter = 2.5 is not an integer >= 1"),
             ("max_iter", 100.0, "max_iter = 100.0 is not an integer >= 1"),
+            ("tol", True, "tol = True is not a finite number > 0"),
+            ("max_iter", True, "max_iter = True is not an integer >= 1"),
         ],
         ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "tol-string", "max_iter-0",
-             "max_iter-negative", "max_iter-fraction", "max_iter-float"],
+             "max_iter-negative", "max_iter-fraction", "max_iter-float", "tol-bool",
+             "max_iter-bool"],
     )
     def test_bad_option_is_a_solver_error_naming_it(self, field, value, message):
         with pytest.raises(SolverError) as info:
