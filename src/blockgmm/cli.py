@@ -1,9 +1,12 @@
 """Command-line interface: ``fit`` a dataset, ``simulate`` a Monte Carlo
 design, or ``combine`` previously saved block-summary bundles.
 
-Settings come from an optional plain-text key-value config file; explicit
-command-line flags win.  Every run writes its resolved configuration next
-to the outputs so results can be reproduced bit-exactly from that file.
+Each command's settings are one table of (name, default, cast, choices)
+rows, from which its flags, its config keys and its ``config.txt`` all
+follow.  Settings come from an optional plain-text key-value config file;
+explicit command-line flags win.  Every run writes its resolved
+configuration next to the outputs so results can be reproduced bit-exactly
+from that file.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 
 from . import inference, simstudy
 from .combine import load_bundle, merge_bundles, save_bundle
 from .combine import combine as combine_bundle
 from .dataio import load_long_csv
-from .engines import SolverOptions
+from .engines import METHODS, WORKINGS, SolverOptions, solver_kind
 from .errors import BlockGmmError
+from .partition import GROUP_STRATEGIES
 
 FLOAT_FMT = "%.17g"
 
@@ -70,6 +75,10 @@ def _ints(raw: str) -> list:
     return [int(v) for v in raw.split(",")]
 
 
+def _paths(raw: str) -> list:
+    return raw.split(",")
+
+
 _EXPECTED = {
     _bool: "one of 1/0/true/false/yes/no",
     int: "an integer",
@@ -78,60 +87,115 @@ _EXPECTED = {
     _ints: "a comma-separated list of integers",
 }
 
+# Each command's settings, one (name, default, cast, choices) row each.  The
+# name is the config key and, as --name with "_" spelt "-", the flag; a flag
+# given wins over the config file, which wins over the default.
+_ALPHA = ("alpha", 0.05, float, None)
+_WORKERS = ("workers", 1, int, None)
+_ALLOW_UNCONVERGED = ("allow_unconverged", False, _bool, None)
+FIT = (
+    ("input", None, str, None),
+    ("J", 1, int, None),
+    ("K", 1, int, None),
+    ("group_strategy", "seeded-random", str, GROUP_STRATEGIES),
+    ("seed", 0, int, None),
+    ("method", "gee", str, METHODS),
+    ("working", "ar1", str, WORKINGS),
+    _WORKERS,
+    _ALPHA,
+    ("tol", SolverOptions.tol, float, None),
+    ("max_iter", SolverOptions.max_iter, int, None),
+    ("out", "blockgmm-out", str, None),
+    _ALLOW_UNCONVERGED,
+)
+_DESIGN = simstudy.SimDesign
+SIMULATE = (
+    ("family", _DESIGN.family, str, simstudy.FAMILIES),
+    ("N", _DESIGN.N, int, None),
+    ("M", _DESIGN.M, int, None),
+    ("J", _DESIGN.J, int, None),
+    ("K", _DESIGN.K, int, None),
+    ("theta0", _DESIGN.theta0, _floats, None),
+    ("sigma", _DESIGN.sigma, float, None),
+    ("rho", _DESIGN.rho, float, None),
+    ("method", _DESIGN.method, str, METHODS),
+    ("working", _DESIGN.working, str, WORKINGS),
+    ("reps", _DESIGN.reps, int, None),
+    ("seed", _DESIGN.seed, int, None),
+    _WORKERS,
+    _ALPHA,
+    ("out", "blockgmm-sim", str, None),
+    ("M_list", None, _ints, None),
+    ("K_list", None, _ints, None),
+)
+COMBINE = (
+    ("bundles", None, _paths, None),  # positional on the command line
+    _ALPHA,
+    ("out", "blockgmm-combined", str, None),
+    _ALLOW_UNCONVERGED,
+)
+# every command accepts the keys of the others, so one file can serve them all
+_CONFIG_KEYS = {"command"} | {row[0] for table in (FIT, SIMULATE, COMBINE) for row in table}
 
-def _setting(args, cfg, name, default=None, cast=str):
-    """Flag value if given, else config value, else default.
 
-    A config value that ``cast`` rejects is a :class:`BlockGmmError`
-    naming the config file, the key and the raw value.
-    """
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name not in cfg:
-        return default
-    raw = cfg[name]
+def _config_value(path, name: str, raw: str, cast, choices):
+    """``cast(raw)``; a value that ``cast`` rejects or that is not one of
+    ``choices`` is a :class:`BlockGmmError` naming the config file, the key
+    and the raw value."""
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise BlockGmmError(
-            f"{args.config}: config key {name} = {raw!r} is not {_EXPECTED[cast]}"
+            f"{path}: config key {name} = {raw!r} is not {_EXPECTED[cast]}"
         ) from None
+    if choices is not None and value not in choices:
+        raise BlockGmmError(
+            f"{path}: config key {name} = {raw!r} is not one of {'/'.join(choices)}"
+        )
+    return value
 
 
-def _alpha(args, cfg) -> float:
-    """The test level from ``--alpha`` or the config; it must lie in (0, 1)."""
-    alpha = _setting(args, cfg, "alpha", 0.05, float)
+def _settings(args, table) -> dict:
+    """Every setting of ``table``: its flag if given, else its config value,
+    else its default, each checked where it enters.
+
+    A config key that no command reads is a :class:`BlockGmmError` naming
+    the file and the key.  ``out`` must be a directory or an absent path;
+    it is created only once the outputs are ready.
+    """
+    cfg = read_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
+            raise BlockGmmError(f"{args.config}: unknown config key {key!r}")
+    settings = {}
+    for name, default, cast, choices in table:
+        value = getattr(args, name)
+        if value in (None, []):  # no flag given; an absent positional list is []
+            value = (
+                _config_value(args.config, name, cfg[name], cast, choices)
+                if name in cfg else default
+            )
+        settings[name] = value
+    alpha = settings["alpha"]
     if not 0.0 < alpha < 1.0:  # false for nan as well
         raise BlockGmmError(f"alpha = {alpha!r} is not a level inside (0, 1)")
-    return alpha
+    out = settings["out"]
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise BlockGmmError(f"out = {out!r} exists and is not a directory")
+    if "workers" in settings:
+        simstudy.check_workers(settings["workers"])
+    return settings
 
 
-def _workers(args, cfg) -> int:
-    """The worker count from ``--workers`` or the config; at least 1."""
-    return simstudy.check_workers(_setting(args, cfg, "workers", 1, int))
-
-
-def _out_dir(args, cfg, default: str) -> str:
-    """The output directory from ``--out`` or the config: a directory or an
-    absent path, checked before any input is read and created only once
-    the outputs are ready."""
-    out_dir = _setting(args, cfg, "out", default)
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise BlockGmmError(f"out = {out_dir!r} exists and is not a directory")
-    return out_dir
-
-
-def _write_resolved_config(path, settings: dict) -> None:
+def _write_resolved_config(path, command: str, settings: dict) -> None:
+    """The settings as a config file that reruns the command: lists
+    comma-joined, unset settings left out."""
     with open(path, "w") as fh:
-        for key in sorted(settings):
-            fh.write(f"{key} = {settings[key]}\n")
-
-
-def _solver_kind(method: str, working: str) -> str:
-    if method == "cl":
-        return "cl-ar1"
-    return f"gee-{working}"
+        for key, value in sorted({"command": command, **settings}.items()):
+            if isinstance(value, (list, tuple)):
+                value = ",".join(_fmt(v) for v in value)
+            if value is not None:
+                fh.write(f"{key} = {value}\n")
 
 
 def _write_inference_outputs(out_dir, report, overid) -> None:
@@ -153,33 +217,17 @@ def _write_inference_outputs(out_dir, report, overid) -> None:
                 fh.write(f"p_value = {_fmt(p_value)}\n")
 
 
-def cmd_fit(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    input_path = _setting(args, cfg, "input")
-    if input_path is None:
-        print("fit: --input is required", file=sys.stderr)
-        return 1
-    J = _setting(args, cfg, "J", 1, int)
-    K = _setting(args, cfg, "K", 1, int)
-    strategy = _setting(args, cfg, "group_strategy", "seeded-random")
-    seed = _setting(args, cfg, "seed", 0, int)
-    method = _setting(args, cfg, "method", "gee")
-    working = _setting(args, cfg, "working", "ar1")
-    workers = _workers(args, cfg)
-    alpha = _alpha(args, cfg)
-    opts = SolverOptions(
-        tol=_setting(args, cfg, "tol", 1e-8, float),
-        max_iter=_setting(args, cfg, "max_iter", 100, int),
-    )
-    out_dir = _out_dir(args, cfg, "blockgmm-out")
-    allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
-
-    data = load_long_csv(input_path)
-    kind = _solver_kind(method, working)
+def cmd_fit(s: dict) -> int:
+    if s["input"] is None:
+        raise BlockGmmError("--input is required")
+    opts = SolverOptions(tol=s["tol"], max_iter=s["max_iter"])
+    kind = solver_kind(s["method"], s["working"])
+    data = load_long_csv(s["input"])
     bundle, blocks = simstudy.fit_dataset(
-        data, J, K, kind, strategy=strategy, seed=seed,
-        opts=opts, workers=workers,
+        data, s["J"], s["K"], kind, strategy=s["group_strategy"], seed=s["seed"],
+        opts=opts, workers=s["workers"],
     )
+    allow_unconverged = s["allow_unconverged"]
     unconverged = [key for key, fit in bundle.fits.items() if not fit.converged]
     if unconverged and not allow_unconverged:
         print(
@@ -192,59 +240,25 @@ def cmd_fit(args) -> int:
     fit = combine_bundle(bundle, allow_unconverged=allow_unconverged)
     overid = inference.overid_test(blocks, bundle, fit, fit.W)
     report = inference.godambe_cov(
-        fit, inference.parameter_names(bundle), alpha=alpha
+        fit, inference.parameter_names(bundle), alpha=s["alpha"]
     )
+    out_dir = s["out"]
     os.makedirs(out_dir, exist_ok=True)
     _write_inference_outputs(out_dir, report, overid)
     save_bundle(bundle, os.path.join(out_dir, "bundle.zip"))
-    _write_resolved_config(
-        os.path.join(out_dir, "config.txt"),
-        {
-            "command": "fit",
-            "input": input_path,
-            "J": J,
-            "K": K,
-            "group_strategy": strategy,
-            "seed": seed,
-            "method": method,
-            "working": working,
-            "workers": workers,
-            "alpha": alpha,
-            "tol": opts.tol,
-            "max_iter": opts.max_iter,
-            "out": out_dir,
-            "allow_unconverged": allow_unconverged,
-        },
-    )
+    _write_resolved_config(os.path.join(out_dir, "config.txt"), "fit", s)
     print(
-        f"fit: {J}x{K} blocks combined over N={data.N} subjects, "
+        f"fit: {s['J']}x{s['K']} blocks combined over N={data.N} subjects, "
         f"M={data.M} responses -> {out_dir}"
     )
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    design = simstudy.SimDesign(
-        family=_setting(args, cfg, "family", "kronecker-nested"),
-        N=_setting(args, cfg, "N", 500, int),
-        M=_setting(args, cfg, "M", 60, int),
-        J=_setting(args, cfg, "J", 3, int),
-        K=_setting(args, cfg, "K", 2, int),
-        theta0=_setting(args, cfg, "theta0", (0.3, 0.6, 0.8), _floats),
-        sigma=_setting(args, cfg, "sigma", 4.0, float),
-        rho=_setting(args, cfg, "rho", 0.8, float),
-        method=_setting(args, cfg, "method", "gee"),
-        working=_setting(args, cfg, "working", "ar1"),
-        reps=_setting(args, cfg, "reps", 100, int),
-        seed=_setting(args, cfg, "seed", 0, int),
-    )
-    workers = _workers(args, cfg)
-    alpha = _alpha(args, cfg)
-    out_dir = _setting(args, cfg, "out", "blockgmm-sim")
-    os.makedirs(out_dir, exist_ok=True)
-
+def cmd_simulate(s: dict) -> int:
+    design = simstudy.SimDesign(**{f.name: s[f.name] for f in fields(simstudy.SimDesign)})
+    workers, alpha, out_dir = s["workers"], s["alpha"], s["out"]
     rows = simstudy.run_replications(design, workers=workers)
+    os.makedirs(out_dir, exist_ok=True)
     p = design.p
     per_rep_header = (
         ["rep", "ok"]
@@ -294,8 +308,7 @@ def cmd_simulate(args) -> int:
         ],
     )
 
-    m_list = _setting(args, cfg, "M_list", cast=_ints)
-    k_list = _setting(args, cfg, "K_list", cast=_ints)
+    m_list, k_list = s["M_list"], s["K_list"]
     if m_list and k_list:
         grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers, alpha=alpha)
         _write_csv(
@@ -316,59 +329,28 @@ def cmd_simulate(args) -> int:
             ],
         )
 
-    _write_resolved_config(
-        os.path.join(out_dir, "config.txt"),
-        {
-            "command": "simulate",
-            "family": design.family,
-            "N": design.N,
-            "M": design.M,
-            "J": design.J,
-            "K": design.K,
-            "theta0": ",".join(_fmt(v) for v in design.theta0),
-            "sigma": design.sigma,
-            "rho": design.rho,
-            "method": design.method,
-            "working": design.working,
-            "reps": design.reps,
-            "seed": design.seed,
-            "workers": workers,
-            "alpha": alpha,
-            "out": out_dir,
-        },
-    )
+    _write_resolved_config(os.path.join(out_dir, "config.txt"), "simulate", s)
     print(
         f"simulate: {summ.reps} replications ({summ.failures} failed) -> {out_dir}"
     )
     return 0
 
 
-def cmd_combine(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    alpha = _alpha(args, cfg)
-    out_dir = _out_dir(args, cfg, "blockgmm-combined")
-    allow_unconverged = _setting(args, cfg, "allow_unconverged", False, _bool)
-
-    parts = [load_bundle(path) for path in args.bundles]
+def cmd_combine(s: dict) -> int:
+    if s["bundles"] is None:
+        raise BlockGmmError("no bundle paths given")
+    parts = [load_bundle(path) for path in s["bundles"]]
     bundle = parts[0] if len(parts) == 1 else merge_bundles(parts)
-    fit = combine_bundle(bundle, allow_unconverged=allow_unconverged)
+    fit = combine_bundle(bundle, allow_unconverged=s["allow_unconverged"])
     report = inference.godambe_cov(
-        fit, inference.parameter_names(bundle), alpha=alpha
+        fit, inference.parameter_names(bundle), alpha=s["alpha"]
     )
     # the over-identification test needs every block's moments and every
     # group's W_k, which format-3 bundles do not carry
+    out_dir = s["out"]
     os.makedirs(out_dir, exist_ok=True)
     _write_inference_outputs(out_dir, report, None)
-    _write_resolved_config(
-        os.path.join(out_dir, "config.txt"),
-        {
-            "command": "combine",
-            "bundles": ",".join(args.bundles),
-            "alpha": alpha,
-            "out": out_dir,
-            "allow_unconverged": allow_unconverged,
-        },
-    )
+    _write_resolved_config(os.path.join(out_dir, "config.txt"), "combine", s)
     print(
         f"combine: merged {len(parts)} bundle(s), "
         f"{bundle.J}x{bundle.K} blocks -> {out_dir}"
@@ -385,63 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="plain-text key=value settings file")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--workers", type=int, help="parallel worker count")
-    common.add_argument("--J", type=int, help="number of response blocks")
-    common.add_argument("--K", type=int, help="number of subject groups")
-    common.add_argument("--method", choices=("gee", "cl"))
-    common.add_argument(
-        "--working", choices=("ar1", "exchangeable", "independence")
-    )
-    common.add_argument("--alpha", type=float, help="CI / test level")
-
-    fit = sub.add_parser("fit", parents=[common], help="fit a long-format CSV")
-    fit.add_argument("--input", help="long-format CSV path")
-    fit.add_argument(
-        "--group-strategy",
-        dest="group_strategy",
-        choices=("contiguous", "seeded-random"),
-    )
-    # default None: an absent flag falls through to the config file
-    fit.add_argument("--allow-unconverged", action="store_true", default=None)
-    fit.set_defaults(func=cmd_fit)
-
-    sim = sub.add_parser(
-        "simulate", parents=[common], help="run a Monte Carlo design"
-    )
-    sim.add_argument("--reps", type=int, help="replication count")
-    sim.add_argument("--N", type=int, help="subjects per replication")
-    sim.add_argument("--M", type=int, help="responses per subject")
-    sim.add_argument(
-        "--family", choices=("kronecker-nested", "global-ar1")
-    )
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--rho", type=float)
-    sim.add_argument("--theta0", type=_floats, help="comma-separated true coefficients")
-    sim.set_defaults(func=cmd_simulate)
-
-    comb = sub.add_parser(
-        "combine", parents=[common], help="merge saved bundles and combine"
-    )
-    comb.add_argument("bundles", nargs="+", help="bundle archive paths")
-    comb.add_argument("--allow-unconverged", action="store_true", default=None)
-    comb.set_defaults(func=cmd_combine)
+    for command, table, func, about in (
+        ("fit", FIT, cmd_fit, "fit a long-format CSV"),
+        ("simulate", SIMULATE, cmd_simulate, "run a Monte Carlo design"),
+        ("combine", COMBINE, cmd_combine, "merge saved bundles and combine"),
+    ):
+        cmd = sub.add_parser(command, help=about)
+        cmd.add_argument("--config", help="plain-text key = value settings file")
+        for name, _, cast, choices in table:
+            flag = "--" + name.replace("_", "-")
+            if name == "bundles":
+                cmd.add_argument(name, nargs="*", help="bundle archive paths")
+            elif cast is _bool:
+                # default None: an absent flag falls through to the config file
+                cmd.add_argument(flag, action="store_true", default=None)
+            else:
+                cmd.add_argument(flag, type=cast, choices=choices)
+        cmd.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except BlockGmmError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code == 0 else 1
+    try:
+        return args.func(_settings(args, args.table))
+    except (BlockGmmError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

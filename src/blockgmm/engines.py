@@ -41,6 +41,18 @@ from .partition import BlockData
 
 GEE_KINDS = ("gee-ar1", "gee-exchangeable", "gee-independence")
 KINDS = (*GEE_KINDS, "cl-ar1")
+METHODS = ("gee", "cl")
+WORKINGS = ("ar1", "exchangeable", "independence")
+
+
+def solver_kind(method: str, working: str) -> str:
+    """The kernel of an estimation method and a working structure; CL has
+    only its AR(1) kernel, whatever the working structure."""
+    if method not in METHODS:
+        raise SolverError(f"unknown method {method!r}, expected one of {METHODS}")
+    if working not in WORKINGS:
+        raise SolverError(f"unknown working structure {working!r}, expected one of {WORKINGS}")
+    return "cl-ar1" if method == "cl" else f"gee-{working}"
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,7 @@ class NuisanceSpec:
 
     @property
     def d(self) -> int:
-        return 1 if self.kind == "gee-independence" else 2
+        return gee.nuisance_dim(self.working)
 
     @property
     def method(self) -> str:

@@ -58,8 +58,8 @@ from .errors import NumericDomainError, SolverError
 RHO_LIMIT = 0.999  # |rho| clamp of every block solver, CL included
 
 
-def nuisance_dim(kind: str) -> int:
-    return 1 if kind == "independence" else 2
+def nuisance_dim(structure: str) -> int:
+    return 1 if structure == "independence" else 2
 
 
 def _weights(structure: str, rho, m):

@@ -31,9 +31,6 @@ class InferenceReport:
     ci_lower: np.ndarray
     ci_upper: np.ndarray
     alpha: float
-    overid_stat: float | None = None
-    overid_df: int | None = None
-    overid_p: float | None = None
 
     def rows(self):
         for idx, name in enumerate(self.names):

@@ -33,7 +33,7 @@ import scipy.special
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataio import Dataset
-from .engines import NuisanceSpec, SolverOptions, fit_block, solve_blocks
+from .engines import NuisanceSpec, SolverOptions, fit_block, solve_blocks, solver_kind
 from .errors import BlockGmmError, DataError
 from .combine import SummaryBundle
 from .combine import combine as combine_bundle
@@ -74,6 +74,7 @@ class SimDesign:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not all(np.isfinite(self.theta0)):
             raise DataError("theta0 must be finite")
+        solver_kind(self.method, self.working)
 
     @property
     def p(self) -> int:
@@ -81,7 +82,7 @@ class SimDesign:
 
     @property
     def kind(self) -> str:
-        return "cl-ar1" if self.method == "cl" else f"gee-{self.working}"
+        return solver_kind(self.method, self.working)
 
 
 @dataclass(frozen=True)

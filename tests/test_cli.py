@@ -169,11 +169,22 @@ class TestConfigValues:
              "config key allow_unconverged = 'maybe' is not one of 1/0/true/false/yes/no"),
             ("simulate", "theta0 = 0.3,x", "config key theta0 = '0.3,x' is not a comma-separated"),
             ("simulate", "M_list = 8,twelve", "config key M_list = '8,twelve' is not a comma-separated"),
+            ("fit", "method = foo", "config key method = 'foo' is not one of gee/cl"),
+            ("simulate", "working = bar",
+             "config key working = 'bar' is not one of ar1/exchangeable/independence"),
+            ("fit", "group_strategy = random",
+             "config key group_strategy = 'random' is not one of contiguous/seeded-random"),
+            ("simulate", "family = normal",
+             "config key family = 'normal' is not one of kronecker-nested/global-ar1"),
+            ("fit", "max_iters = 1", "unknown config key 'max_iters'"),
         ],
-        ids=["J-word", "J-float", "tol-word", "reps-hex", "bool-maybe", "theta0", "M_list"],
+        ids=["J-word", "J-float", "tol-word", "reps-hex", "bool-maybe", "theta0", "M_list",
+             "method-choice", "working-choice", "strategy-choice", "family-choice",
+             "unknown-key"],
     )
     def test_bad_value_is_exit_1_naming_file_key_value(self, data_csv, tmp_path, capsys,
                                                        command, line, message):
+        # keys of the other command (input for simulate; N, M, reps for fit) are accepted
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"input = {data_csv}\nN = 60\nM = 8\nJ = 2\nreps = 1\n{line}\n")
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
@@ -189,6 +200,31 @@ class TestConfigValues:
         out = tmp_path / "out"
         assert run(["fit", "--config", cfg, "--out", out]) == 0
         assert f"allow_unconverged = {expected}" in (out / "config.txt").read_text()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--bogus"], "unrecognized arguments: --bogus"),
+            (["fit", "--J", "two"], "argument --J: invalid int value: 'two'"),
+            (["fit", "--method", "foo"], "argument --method: invalid choice: 'foo'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ],
+        ids=["unknown-flag", "bad-int", "bad-choice", "unknown-command"],
+    )
+    def test_usage_error_is_exit_1(self, capsys, argv, message):
+        # exit 2 is kept for unconverged blocks
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_is_exit_0(self, capsys):
+        assert run(["fit", "--help"]) == 0
+        assert "--group-strategy" in capsys.readouterr().out
+
+    def test_combine_without_bundles_is_exit_1(self, tmp_path, capsys):
+        assert run(["combine", "--out", tmp_path / "out"]) == 1
+        assert "combine: no bundle paths given" in capsys.readouterr().err
 
 
 class TestAlpha:
@@ -381,6 +417,63 @@ class TestCombineCommand:
         assert run(["combine", part_a, part_b, "--out", tmp_path / "bad"]) == 1
 
 
+    @pytest.mark.parametrize("flag, value", [("--J", 2), ("--K", 2), ("--seed", 1),
+                                             ("--workers", 1), ("--method", "gee"),
+                                             ("--working", "ar1")])
+    def test_flags_of_a_fit_are_rejected(self, fitted_bundle_zip, tmp_path, capsys,
+                                         flag, value):
+        out = tmp_path / "out"
+        assert run(["combine", fitted_bundle_zip, flag, value, "--out", out]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def assert_same_outputs(a, b):
+    """Every output of two runs is byte-identical; config.txt up to its out line."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        if name == "timings.csv":  # wall times
+            continue
+        left, right = (a / name).read_bytes(), (b / name).read_bytes()
+        if name == "config.txt":
+            left = left.replace(f"out = {a}\n".encode(), b"")
+            right = right.replace(f"out = {b}\n".encode(), b"")
+        assert left == right, name
+
+
+class TestRerunFromConfig:
+    def test_fit(self, data_csv, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["fit", "--input", data_csv, "--J", 2, "--K", 2, "--group-strategy",
+                    "contiguous", "--seed", 3, "--working", "exchangeable", "--alpha", 0.1,
+                    "--tol", 1e-9, "--max-iter", 50, "--out", a]) == 0
+        assert run(["fit", "--config", a / "config.txt", "--out", b]) == 0
+        assert_same_outputs(a, b)
+
+    def test_simulate_with_grid(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
+                    "--K", 2, "--sigma", 2, "--rho", 0.5, "--theta0", "0.1,0.2,0.3",
+                    "--reps", 2, "--M-list", "8,12", "--K-list", "1,2", "--out", a]) == 0
+        assert "M_list = 8,12" in (a / "config.txt").read_text()
+        assert run(["simulate", "--config", a / "config.txt", "--out", b]) == 0
+        assert (b / "plotdata.csv").exists()
+        assert_same_outputs(a, b)
+
+    def test_combine_of_split_bundles(self, fitted_bundle_zip, tmp_path):
+        from blockgmm.combine import load_bundle, save_bundle, split_bundle
+
+        paths = []
+        for idx, part in enumerate(split_bundle(load_bundle(fitted_bundle_zip))):
+            paths.append(tmp_path / f"part{idx}.zip")
+            save_bundle(part, paths[-1])
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["combine", *paths, "--alpha", 0.2, "--out", a]) == 0
+        assert run(["combine", "--config", a / "config.txt", "--out", b]) == 0
+        assert_same_outputs(a, b)
+
+
 @pytest.fixture(scope="module")
 def fitted_bundle_zip(data_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("fit-out")
@@ -498,7 +591,7 @@ class TestUnreadableInput:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["fit", "combine"])
+    @pytest.mark.parametrize("command", ["fit", "combine", "simulate"])
     def test_out_that_is_a_file_is_rejected_before_reading(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -507,8 +600,10 @@ class TestUnreadableInput:
         reads = []
         monkeypatch.setattr(cli, "load_long_csv", lambda *args: reads.append(args))
         monkeypatch.setattr(cli, "load_bundle", lambda *args: reads.append(args))
+        monkeypatch.setattr(simstudy, "run_replications", lambda *args, **kw: reads.append(args))
         source = tmp_path / "input"
-        argv = (["fit", "--input", source] if command == "fit" else ["combine", source])
+        argv = {"fit": ["fit", "--input", source], "combine": ["combine", source],
+                "simulate": ["simulate", "--reps", 1]}[command]
         assert run(argv + ["--out", out]) == 1
         err = capsys.readouterr().err
         assert f"{command}: out = {str(out)!r} exists and is not a directory" in err

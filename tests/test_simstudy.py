@@ -53,6 +53,24 @@ class TestSimDesignValidation:
         with pytest.raises(DataError, match="family"):
             simstudy.SimDesign(family="toeplitz")
 
+    @pytest.mark.parametrize("field, message", [
+        ("method", "unknown method 'foo'"),
+        ("working", "unknown working structure 'foo'"),
+    ])
+    def test_unknown_method_or_working(self, field, message):
+        # rejected when the design is built, not by every replication
+        with pytest.raises(SolverError, match=message):
+            simstudy.SimDesign(family="global-ar1", **{field: "foo"})
+
+    @pytest.mark.parametrize("method, working, kind", [
+        ("gee", "ar1", "gee-ar1"),
+        ("gee", "independence", "gee-independence"),
+        ("cl", "ar1", "cl-ar1"),
+        ("cl", "exchangeable", "cl-ar1"),
+    ])
+    def test_kind(self, method, working, kind):
+        assert simstudy.SimDesign(method=method, working=working).kind == kind
+
 
 class TestGenerators:
     def test_seed_stability(self):
