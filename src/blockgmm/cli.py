@@ -159,14 +159,21 @@ def _settings(args, table) -> dict:
     """Every setting of ``table``: its flag if given, else its config value,
     else its default, each checked where it enters.
 
-    A config key that no command reads is a :class:`BlockGmmError` naming
-    the file and the key.  ``out`` must be a directory or an absent path;
-    it is created only once the outputs are ready.
+    A config key that no command reads, or a ``command`` key naming another
+    command, is a :class:`BlockGmmError` naming the file.  ``out`` must be
+    a directory or an absent path; it is created only once the outputs are
+    ready.  A bundle path may not hold a comma, which ``config.txt`` could
+    not hold.
     """
     cfg = read_config(args.config) if args.config else {}
     for key in cfg:
         if key not in _CONFIG_KEYS:
             raise BlockGmmError(f"{args.config}: unknown config key {key!r}")
+    if cfg.get("command", args.command) != args.command:
+        raise BlockGmmError(
+            f"{args.config}: config is of command {cfg['command']!r}, "
+            f"not {args.command!r}"
+        )
     settings = {}
     for name, default, cast, choices in table:
         value = getattr(args, name)
@@ -184,14 +191,26 @@ def _settings(args, table) -> dict:
         raise BlockGmmError(f"out = {out!r} exists and is not a directory")
     if "workers" in settings:
         simstudy.check_workers(settings["workers"])
+    for path in settings.get("bundles") or ():
+        if "," in os.path.abspath(path):
+            raise BlockGmmError(
+                f"bundle path {os.path.abspath(path)!r} holds a comma, "
+                "which config.txt cannot hold"
+            )
     return settings
 
 
 def _write_resolved_config(path, command: str, settings: dict) -> None:
-    """The settings as a config file that reruns the command: lists
-    comma-joined, unset settings left out."""
+    """The settings as a config file that reruns the command from any
+    directory: ``input`` and ``bundles`` paths made absolute (``out`` as
+    given), lists comma-joined, unset settings left out."""
+    settings = {"command": command, **settings}
+    if "input" in settings:
+        settings["input"] = os.path.abspath(settings["input"])
+    if "bundles" in settings:
+        settings["bundles"] = [os.path.abspath(p) for p in settings["bundles"]]
     with open(path, "w") as fh:
-        for key, value in sorted({"command": command, **settings}.items()):
+        for key, value in sorted(settings.items()):
             if isinstance(value, (list, tuple)):
                 value = ",".join(_fmt(v) for v in value)
             if value is not None:
@@ -223,7 +242,7 @@ def cmd_fit(s: dict) -> int:
     opts = SolverOptions(tol=s["tol"], max_iter=s["max_iter"])
     kind = solver_kind(s["method"], s["working"])
     data = load_long_csv(s["input"])
-    bundle, blocks = simstudy.fit_dataset(
+    bundle, _ = simstudy.fit_dataset(
         data, s["J"], s["K"], kind, strategy=s["group_strategy"], seed=s["seed"],
         opts=opts, workers=s["workers"],
     )
@@ -238,7 +257,7 @@ def cmd_fit(s: dict) -> int:
         return 2
 
     fit = combine_bundle(bundle, allow_unconverged=allow_unconverged)
-    overid = inference.overid_test(blocks, bundle, fit, fit.W)
+    overid = inference.overid_test(None, bundle, fit, fit.W)
     report = inference.godambe_cov(
         fit, inference.parameter_names(bundle), alpha=s["alpha"]
     )
@@ -258,6 +277,11 @@ def cmd_simulate(s: dict) -> int:
     design = simstudy.SimDesign(**{f.name: s[f.name] for f in fields(simstudy.SimDesign)})
     workers, alpha, out_dir = s["workers"], s["alpha"], s["out"]
     rows = simstudy.run_replications(design, workers=workers)
+    ok = any(r["ok"] for r in rows)
+    m_list, k_list = s["M_list"], s["K_list"]
+    grid = None
+    if ok and m_list and k_list:  # before any output: a failed cell leaves no directory
+        grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers, alpha=alpha)
     os.makedirs(out_dir, exist_ok=True)
     p = design.p
     per_rep_header = (
@@ -267,14 +291,8 @@ def cmd_simulate(s: dict) -> int:
         + ["overid_stat", "overid_df", "overid_p"]
     )
     per_rep_rows = [
-        [r["rep"], r["ok"]]
-        + list(r["theta"])
-        + list(r["ase"])
-        + [
-            r["overid_stat"],
-            r["overid_df"],
-            r["overid_p"] if r["overid_p"] is not None else float("nan"),
-        ]
+        [r["rep"], r["ok"], *r["theta"], *r["ase"], r["overid_stat"], r["overid_df"],
+         float("nan") if r["overid_p"] is None else r["overid_p"]]
         for r in rows
     ]
     _write_csv(os.path.join(out_dir, "reps.csv"), per_rep_header, per_rep_rows)
@@ -285,48 +303,22 @@ def cmd_simulate(s: dict) -> int:
         [[r["rep"], r["walltime"]] for r in rows],
     )
 
-    ok_rows = [r for r in rows if r["ok"]]
-    if not ok_rows:
+    if not ok:
         print("simulate: every replication failed", file=sys.stderr)
         return 1
     summ = simstudy.summarize(rows, design.theta0, alpha=alpha)
+    header = ["component", "bias", "ese", "rmse", "ase", "coverage", "reps", "failures"]
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
-        ["component", "bias", "ese", "rmse", "ase", "coverage", "reps", "failures"],
-        [
-            [
-                summ.components[idx],
-                summ.bias[idx],
-                summ.ese[idx],
-                summ.rmse[idx],
-                summ.ase[idx],
-                summ.coverage[idx],
-                summ.reps,
-                summ.failures,
-            ]
-            for idx in range(len(summ.components))
-        ],
+        header,
+        [[row[h] for h in header] for row in summ.rows()],
     )
-
-    m_list, k_list = s["M_list"], s["K_list"]
-    if m_list and k_list:
-        grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers, alpha=alpha)
+    if grid is not None:
+        header = ["M", "K", "component", "ase", "ese", "rmse", "bias", "coverage"]
         _write_csv(
             os.path.join(out_dir, "plotdata.csv"),
-            ["M", "K", "component", "ase", "ese", "rmse", "bias", "coverage"],
-            [
-                [
-                    g["M"],
-                    g["K"],
-                    g["component"],
-                    g["ase"],
-                    g["ese"],
-                    g["rmse"],
-                    g["bias"],
-                    g["coverage"],
-                ]
-                for g in grid
-            ],
+            header,
+            [[row[h] for h in header] for row in grid],
         )
 
     _write_resolved_config(os.path.join(out_dir, "config.txt"), "simulate", s)

@@ -9,6 +9,12 @@ stacked GEE alternation) and then fits each block from its row; with
 sorted block keys as its own stack.  A block's bits do not depend on its
 stack, so the bundle is byte-identical for any worker count.
 
+The unit of a study is one generated dataset: a replication generates
+its (M, rep) dataset once and then fits, combines and tests it under
+each of its designs, which differ only in K (no generator reads K).
+:func:`run_replications` gives it one design and :func:`grid_plot_data`
+every K, both through one :func:`_fan_out` in job order.
+
 Two error families are supported: ``kronecker-nested`` (covariance
 S (x) A with S a random unit-diagonal positive-definite block matrix and
 A an AR(1) block) and ``global-ar1`` (one AR(1) process across all M
@@ -99,6 +105,13 @@ class SimSummary:
     @property
     def failure_rate(self) -> float:
         return self.failures / (self.reps + self.failures)
+
+    def rows(self) -> list:
+        """One dict per component, keyed by the ``summary.csv`` column names."""
+        stats = ("bias", "ese", "rmse", "ase", "coverage")
+        return [{"component": name, **{s: float(getattr(self, s)[a]) for s in stats},
+                 "reps": self.reps, "failures": self.failures}
+                for a, name in enumerate(self.components)]
 
 
 def random_pd_matrix(J: int, seed: int) -> np.ndarray:
@@ -282,6 +295,17 @@ def check_workers(workers) -> int:
     return workers
 
 
+def _fan_out(func, jobs, workers: int) -> list:
+    """``[func(job) for job in jobs]``: in this process for one worker or
+    one job, otherwise over a pool of at most ``workers`` processes, in job
+    order."""
+    workers = min(check_workers(workers), len(jobs))
+    if workers <= 1:
+        return [func(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, jobs))
+
+
 def _fit_chunk(args):
     """Fit a chunk of blocks: one stacked solve, then each block's fit from
     its row."""
@@ -317,64 +341,46 @@ def fit_dataset(
     blocks = partition.split(data, plan, theta_cols=theta_cols)
     keys = sorted(blocks)
     chunks = min(workers, len(keys))
-    if chunks > 1:
-        cuts = [len(keys) * c // chunks for c in range(chunks + 1)]
-        jobs = [([blocks[key] for key in keys[a:b]], kind, opts) for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            fitted = [fit for part in pool.map(_fit_chunk, jobs) for fit in part]
-    else:
-        fitted = _fit_chunk(([blocks[key] for key in keys], kind, opts))
+    cuts = [len(keys) * c // chunks for c in range(chunks + 1)]
+    jobs = [([blocks[key] for key in keys[a:b]], kind, opts) for a, b in zip(cuts, cuts[1:])]
+    fitted = [fit for part in _fan_out(_fit_chunk, jobs, chunks) for fit in part]
     return SummaryBundle(plan=plan, fits=dict(zip(keys, fitted))), blocks
 
 
 def _one_rep(args):
-    """One replication: generate, fit, combine, test.  Returns a plain dict."""
-    design, rep = args
+    """One replication: generate the dataset once, then fit, combine and
+    test it under each design of the list (the designs differ only in K).
+
+    Returns one plain dict per design; a failure fails only its own row.
+    A row's wall time is its fit's, the first row's including generation.
+    """
+    designs, rep = args
+    data, rows, nan = None, [], float("nan")
     start = time.perf_counter()
-    try:
-        data = generate(design, rep)
-        bundle, blocks = fit_dataset(
-            data, design.J, design.K, design.kind, strategy="contiguous"
-        )
-        fit = combine_bundle(bundle)
-        stat, df, p_value = inference.overid_test(blocks, bundle, fit, fit.W)
-        ase = np.sqrt(fit.variances[: design.p])
-        row = {
-            "rep": rep,
-            "ok": 1,
-            "theta": fit.theta.tolist(),
-            "ase": ase.tolist(),
-            "overid_stat": stat,
-            "overid_df": df,
-            "overid_p": p_value,
-        }
-    except BlockGmmError as exc:
-        row = {
-            "rep": rep,
-            "ok": 0,
-            "theta": [float("nan")] * design.p,
-            "ase": [float("nan")] * design.p,
-            "overid_stat": float("nan"),
-            "overid_df": 0,
-            "overid_p": float("nan"),
-            "error": str(exc),
-        }
-    row["walltime"] = time.perf_counter() - start
-    return row
+    for design in designs:
+        try:  # a failed generation fails the rows, as a failed fit does
+            if data is None:
+                data = generate(design, rep)
+            bundle, _ = fit_dataset(data, design.J, design.K, design.kind)
+            fit = combine_bundle(bundle)
+            stat, df, p_value = inference.overid_test(None, bundle, fit, fit.W)
+            row = {"ok": 1, "theta": fit.theta.tolist(),
+                   "ase": np.sqrt(fit.variances[: design.p]).tolist(),
+                   "overid_stat": stat, "overid_df": df, "overid_p": p_value}
+        except BlockGmmError as exc:
+            row = {"ok": 0, "theta": [nan] * design.p, "ase": [nan] * design.p,
+                   "overid_stat": nan, "overid_df": 0, "overid_p": nan, "error": str(exc)}
+        now = time.perf_counter()
+        rows.append({"rep": rep, **row, "walltime": now - start})
+        start = now
+    return rows
 
 
 def run_replications(design: SimDesign, workers: int = 1):
-    """All replications, sorted by index so output order never depends on
+    """All replications of one design, in replication order whatever the
     scheduling.  Returns a list of per-rep dicts."""
-    check_workers(workers)
-    jobs = [(design, rep) for rep in range(design.reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_one_rep, jobs, chunksize=1))
-    else:
-        rows = [_one_rep(job) for job in jobs]
-    rows.sort(key=lambda r: r["rep"])
-    return rows
+    jobs = [([design], rep) for rep in range(design.reps)]
+    return [rows[0] for rows in _fan_out(_one_rep, jobs, workers)]
 
 
 def summarize(rows, theta0, alpha: float = 0.05) -> SimSummary:
@@ -410,25 +416,20 @@ def grid_plot_data(
     """Mean-ASE grid over (M, K) for external plotting; coverage is of
     the level-``alpha`` intervals.
 
-    Returns rows (M, K, component, ase, ese, rmse, bias, coverage).
+    Each (M, rep) dataset is generated once and fitted for every K.
+    Returns, cell by cell, ``M``, ``K`` and the cell's summary rows; a
+    cell whose replications all failed is a :class:`DataError` naming it.
     """
+    cells = [[replace(design, M=int(m), K=int(k)) for k in k_values] for m in m_values]
+    jobs = [(designs, rep) for designs in cells for rep in range(design.reps)]
+    results = _fan_out(_one_rep, jobs, workers)
     out = []
-    for m in m_values:
-        for k in k_values:
-            d = replace(design, M=int(m), K=int(k))
-            rows = run_replications(d, workers=workers)
-            summ = summarize(rows, d.theta0, alpha)
-            for idx, name in enumerate(summ.components):
-                out.append(
-                    {
-                        "M": int(m),
-                        "K": int(k),
-                        "component": name,
-                        "ase": float(summ.ase[idx]),
-                        "ese": float(summ.ese[idx]),
-                        "rmse": float(summ.rmse[idx]),
-                        "bias": float(summ.bias[idx]),
-                        "coverage": float(summ.coverage[idx]),
-                    }
-                )
+    for a, designs in enumerate(cells):
+        reps = results[a * design.reps : (a + 1) * design.reps]
+        for b, d in enumerate(designs):
+            try:
+                summ = summarize([rows[b] for rows in reps], d.theta0, alpha)
+            except DataError as exc:
+                raise DataError(f"grid cell M={d.M}, K={d.K}: {exc}") from None
+            out += [{"M": d.M, "K": d.K, **r} for r in summ.rows()]
     return out

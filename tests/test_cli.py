@@ -361,6 +361,25 @@ class TestSimulateCommand:
         cells = {(r["M"], r["K"]) for r in rows}
         assert cells == {("8", "1"), ("8", "2"), ("12", "1"), ("12", "2")}
 
+    def test_plotdata_is_the_same_for_any_worker_count(self, tmp_path):
+        args = ["simulate", "--family", "kronecker-nested", "--N", 120, "--M", 12, "--J", 3,
+                "--K", 2, "--reps", 4, "--seed", 3, "--M-list", "6,12", "--K-list", "1,2,3"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(args + ["--out", a]) == 0
+        assert run(args + ["--out", b, "--workers", 2]) == 0
+        for name in ("reps.csv", "summary.csv", "plotdata.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_grid_cell_without_successes_is_exit_1_naming_it(self, tmp_path, capsys):
+        # K = 50 > N = 20 subjects fails every replication of that cell
+        out = tmp_path / "out"
+        assert run(["simulate", "--family", "global-ar1", "--N", 20, "--M", 6, "--J", 2,
+                    "--K", 1, "--reps", 2, "--M-list", 6, "--K-list", "1,50",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "simulate: grid cell M=6, K=50: no successful replications to summarize" in err
+        assert not out.exists()
+
 
 class TestCombineCommand:
     def test_split_bundles_recombine_identically(self, data_csv, tmp_path):
@@ -427,6 +446,14 @@ class TestCombineCommand:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bundle_path_with_a_comma_is_rejected(self, fitted_bundle_zip, tmp_path, capsys):
+        path = tmp_path / "a,b.zip"
+        path.write_bytes(fitted_bundle_zip.read_bytes())
+        out = tmp_path / "out"
+        assert run(["combine", path, "--out", out]) == 1
+        assert f"bundle path {str(path)!r} holds a comma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def assert_same_outputs(a, b):
     """Every output of two runs is byte-identical; config.txt up to its out line."""
@@ -472,6 +499,43 @@ class TestRerunFromConfig:
         assert run(["combine", *paths, "--alpha", 0.2, "--out", a]) == 0
         assert run(["combine", "--config", a / "config.txt", "--out", b]) == 0
         assert_same_outputs(a, b)
+
+    def test_combine_from_another_directory(self, fitted_bundle_zip, tmp_path, monkeypatch):
+        from blockgmm.combine import load_bundle, save_bundle, split_bundle
+
+        first, second = tmp_path / "first", tmp_path / "second"
+        (first / "parts").mkdir(parents=True)
+        second.mkdir()
+        monkeypatch.chdir(first)
+        paths = []
+        for idx, part in enumerate(split_bundle(load_bundle(fitted_bundle_zip))):
+            paths.append(os.path.join("parts", f"part{idx}.zip"))
+            save_bundle(part, paths[-1])
+        assert run(["combine", *paths, "--out", "a"]) == 0
+        config = first / "a" / "config.txt"
+        assert f"bundles = {','.join(str(first / p) for p in paths)}\n" in config.read_text()
+        monkeypatch.chdir(second)
+        assert run(["combine", "--config", config, "--out", "b"]) == 0
+        assert (second / "b" / "estimates.csv").read_bytes() == (
+            first / "a" / "estimates.csv"
+        ).read_bytes()
+
+    def test_fit_config_holds_an_absolute_input(self, data_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(data_csv.parent)
+        assert run(["fit", "--input", data_csv.name, "--J", 2, "--K", 2,
+                    "--out", tmp_path / "a"]) == 0
+        assert f"input = {data_csv}\n" in (tmp_path / "a" / "config.txt").read_text()
+
+    def test_config_of_another_command_is_rejected(self, data_csv, tmp_path, capsys):
+        fitout = tmp_path / "fitout"
+        assert run(["fit", "--input", data_csv, "--J", 2, "--K", 2, "--out", fitout]) == 0
+        before = {name: (fitout / name).read_bytes() for name in os.listdir(fitout)}
+        config = fitout / "config.txt"
+        assert run(["simulate", "--config", config, "--family", "global-ar1", "--N", 60,
+                    "--M", 8, "--reps", 1]) == 1
+        err = capsys.readouterr().err
+        assert f"simulate: {config}: config is of command 'fit', not 'simulate'" in err
+        assert {name: (fitout / name).read_bytes() for name in os.listdir(fitout)} == before
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,6 +441,67 @@ class TestRunReplications:
         rows = simstudy.run_replications(design)
         assert all(r["ok"] for r in rows)
         assert [r["rep"] for r in rows] == [0, 1]
+
+
+class TestGridPlotData:
+    M_VALUES, K_VALUES = (4, 6), (1, 2, 3)
+
+    @staticmethod
+    def _design(family):
+        return simstudy.SimDesign(
+            family=family, N=60, M=4, J=2, K=1, sigma=2.0, rho=0.5, reps=3, seed=21
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family", simstudy.FAMILIES)
+    def test_rows_equal_one_study_per_cell(self, family, workers):
+        design = self._design(family)
+        grid = simstudy.grid_plot_data(design, self.M_VALUES, self.K_VALUES, workers=workers)
+        expected = []
+        for m in self.M_VALUES:
+            for k in self.K_VALUES:
+                cell = replace(design, M=m, K=k)
+                summ = simstudy.summarize(simstudy.run_replications(cell), cell.theta0)
+                expected += [{"M": m, "K": k, **row} for row in summ.rows()]
+        assert grid == expected
+
+    def test_each_dataset_is_generated_once_for_every_k(self, monkeypatch):
+        calls = []
+        generate = simstudy.generate
+
+        def counted(design, rep=0):
+            calls.append((design.M, rep))
+            return generate(design, rep)
+
+        monkeypatch.setattr(simstudy, "generate", counted)
+        design = self._design("global-ar1")
+        simstudy.grid_plot_data(design, self.M_VALUES, self.K_VALUES)
+        assert calls == [(m, rep) for m in self.M_VALUES for rep in range(design.reps)]
+
+    def test_one_pool_for_the_whole_grid(self, monkeypatch):
+        opened = []
+
+        class Pool(simstudy.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simstudy, "ProcessPoolExecutor", Pool)
+        simstudy.grid_plot_data(self._design("global-ar1"), self.M_VALUES, self.K_VALUES,
+                                workers=2)
+        assert opened == [2]
+
+    def test_a_failed_fit_fails_only_its_own_cell(self):
+        # K = 50 > N = 20 subjects: every replication of that cell fails
+        design = make_ar1_design(N=20, M=6, J=2, K=1, reps=2)
+        rows = simstudy._one_rep(([replace(design, K=1), replace(design, K=50)], 0))
+        assert [r["ok"] for r in rows] == [1, 0]
+        assert rows[1]["error"].startswith("K=50")
+        with pytest.raises(DataError) as info:
+            simstudy.grid_plot_data(design, [6], [1, 50])
+        assert str(info.value) == (
+            "grid cell M=6, K=50: no successful replications to summarize"
+        )
 
 
 class TestWorkerCount:
