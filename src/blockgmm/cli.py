@@ -276,12 +276,11 @@ def cmd_fit(s: dict) -> int:
 def cmd_simulate(s: dict) -> int:
     design = simstudy.SimDesign(**{f.name: s[f.name] for f in fields(simstudy.SimDesign)})
     workers, alpha, out_dir = s["workers"], s["alpha"], s["out"]
-    rows = simstudy.run_replications(design, workers=workers)
+    # before any output: a failed cell leaves no directory
+    rows, grid = simstudy.run_study(
+        design, s["M_list"] or (), s["K_list"] or (), workers=workers, alpha=alpha
+    )
     ok = any(r["ok"] for r in rows)
-    m_list, k_list = s["M_list"], s["K_list"]
-    grid = None
-    if ok and m_list and k_list:  # before any output: a failed cell leaves no directory
-        grid = simstudy.grid_plot_data(design, m_list, k_list, workers=workers, alpha=alpha)
     os.makedirs(out_dir, exist_ok=True)
     p = design.p
     per_rep_header = (

@@ -79,7 +79,8 @@ def _lag_moments(block) -> tuple[LagMoments, np.ndarray]:
     X, y = block.design, block.y
     start, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
     resid = y - X @ start
-    _reject_exact_fit(block, float(np.vdot(resid, resid)))
+    _reject_exact_fit([(block.j, block.k)], [float(np.vdot(resid, resid))],
+                      [float(np.vdot(y, y))])
     gv, gw = _lag_gram(np.concatenate([X, resid[:, :, None]], axis=2))
     return LagMoments(start, gv, gw), resid
 

@@ -16,9 +16,13 @@ over-identification test is taken without another pass over the data.
 the combination need, in one residual pass.
 
 :func:`solve_blocks` solves a list of blocks of one kind: GEE in one
-stacked alternation over their moments, CL by each block's damped Newton
-on its lag moments, and the Jacobians at the solution in one
-:func:`block_means` call.  Each block's row of that solve
+stacked alternation over their moments, taken by one
+:func:`blockgmm.gee.gee_moments` call per bucket (the blocks of a subject
+group's run of equal-size response blocks, which
+:func:`blockgmm.partition.split` gathers into one array, a block alone
+being a bucket of one), CL by each block's damped Newton on its lag
+moments, and the Jacobians at the solution in one :func:`block_means`
+call.  Each block's row of that solve
 (:class:`BlockSolution`) goes to :func:`fit_block`, which keeps the
 moments on its :class:`BlockFit`; its only pass over the data is
 :func:`eval_scores`.  Without a row, :func:`fit_block` solves its block as
@@ -137,7 +141,28 @@ def block_moments(block: BlockData, kind: str) -> tuple:
     """The block's moments under ``kind``, as :func:`fit_block` keeps them."""
     if kind == "cl-ar1":
         return composite._lag_moments(block)[0]
-    return gee.gee_moments(block, NuisanceSpec(kind).working)
+    return _gee_moments([block], NuisanceSpec(kind).working)[0]
+
+
+def _gee_moments(blocks: list, structure: str) -> list:
+    """Each block's :class:`blockgmm.gee.GeeMoments`, in list order, from
+    one :func:`blockgmm.gee.gee_moments` call per bucket over the slots of
+    it that the list holds (a slice of the bucket when they run in order,
+    as a chunk of sorted keys does)."""
+    members = {}
+    for pos, block in enumerate(blocks):
+        members.setdefault(id(block.bucket), (block.bucket, []))[1].append((pos, block.slot))
+    moments = [None] * len(blocks)
+    for bucket, held in members.values():
+        positions, slots = zip(*held)
+        run = range(slots[0], slots[0] + len(slots))
+        index = slice(run.start, run.stop) if slots == tuple(run) else list(slots)
+        rows = gee.gee_moments(
+            bucket.y[index], bucket.design[index], structure, [bucket.keys[s] for s in slots]
+        )
+        for pos, row in zip(positions, rows):
+            moments[pos] = row
+    return moments
 
 
 def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
@@ -209,11 +234,14 @@ class BlockSolution(NamedTuple):
 def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = None) -> list:
     """Solve blocks of one kind; returns one :class:`BlockSolution` per block.
 
-    GEE: one pass over each block's data for its moments, then one stacked
-    alternation over all of them.  CL: each block's damped Newton, on its
-    lag moments.  The Jacobians at the solution take one
+    GEE: the moments of the blocks that share a bucket in one batched
+    pass, over the slice of the bucket that the list holds, then one
+    stacked alternation over all of them.  CL: each block's damped Newton,
+    on its lag moments.  The Jacobians at the solution take one
     :func:`block_means` call.  A block's row has the same bits in any
-    stack, a stack of one included.
+    stack or bucket, a stack of one included.  Of several blocks with a
+    singular design or an exact fit, the error names the first in list
+    order.
     """
     opts = opts or SolverOptions()
     if spec.method == "cl":
@@ -224,7 +252,13 @@ def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = 
             solved.append(composite.fit_cl_block(block, tol=opts.tol, max_iter=opts.max_iter))
         theta, zeta, converged, iterations, clamped, moments = zip(*solved)
     else:
-        moments = [block_moments(block, spec.kind) for block in blocks]
+        try:
+            moments = _gee_moments(blocks, spec.working)
+        except SolverError:
+            # of several bad blocks, name the first in list order, as alone
+            for block in blocks:
+                _gee_moments([block], spec.working)
+            raise
         theta, zeta, converged, iterations, clamped = gee.fit_gee_block(
             gee.stack_moments(moments), spec.working, [(block.j, block.k) for block in blocks],
             tol=opts.tol, max_iter=opts.max_iter,

@@ -13,14 +13,21 @@ alone for independence.  A block's moments (:class:`GeeMoments`) are
 the ordinary least-squares start, the Grams G_k = sum_i X_i' B_k X_i of
 the design, and the cross sums c_k = sum_i X_i' B_k r0 and totals
 r0' B_k r0 of the start residuals r0: one Gram build and one pass over
-r0 (:func:`gee_moments`).  At theta = start + delta the cross sums are
-c_k - G_k delta and the totals sum_i r_i' B_k r_i the quadratic forms
+r0.  At theta = start + delta the cross sums are c_k - G_k delta and the
+totals sum_i r_i' B_k r_i the quadratic forms
 r0' B_k r0 - 2 delta' c_k + delta' G_k delta.  So the weighted normal
 equations at any rho are a p x p solve for delta, the nuisance moments
 are these totals, and the mean estimating function and its Jacobian at
 any (theta, zeta) are O(p^2) algebra on the moments
 (:func:`mean_terms`).  The alternation, the sensitivity and the
 over-identification test touch no n x m data after set-up.
+
+:func:`gee_moments` takes a bucket of blocks of one shape at once, the
+(B, n, m, p) design and (B, n, m) responses that
+:func:`blockgmm.partition.split` gathers for a subject group's run of
+equal-size response blocks, and builds every block's moments in a few
+batched passes; each product and reduction still runs over one block's
+own rows, with the bits it has for the block alone.
 
 Since every iteration is p x p algebra, the solver works on a stack of
 blocks at once: :func:`stack_moments` lays the blocks' moments along a
@@ -42,9 +49,10 @@ Start residuals at round-off next to y, an exact linear fit, carry no
 variance, and :func:`gee_moments` rejects such a block.
 
 The per-subject scores, which the weights of the combination need, take
-the one residual pass at the solution (:func:`gee_scores`); it applies
-each B_k to r by shifted slices or a row sum.  No m x m matrix is ever
-formed and nothing is differentiated numerically.
+one residual pass per block at the solution (:func:`gee_scores`); it
+builds R^-1 r from scalar weights as w_0 r plus the other operators,
+applied by shifted slices or a row sum, in place.  No m x m matrix is
+ever formed and nothing is differentiated numerically.
 """
 
 from __future__ import annotations
@@ -62,98 +70,141 @@ def nuisance_dim(structure: str) -> int:
     return 1 if structure == "independence" else 2
 
 
-def _weights(structure: str, rho, m):
-    """Coefficients w and dw/drho of R(rho)^-1 = sum_k w_k B_k along the
-    last axis, for a scalar rho and m or for (B,) arrays of them."""
-    rho, m = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(m))
+def _weight_terms(structure: str, rho, m):
+    """Coefficients w and dw/drho of R(rho)^-1 = sum_k w_k B_k, one term per
+    basis operator, for a scalar rho and m or for broadcastable arrays of
+    them."""
     if structure == "independence":
-        return np.ones(rho.shape + (1,)), np.zeros(rho.shape + (1,))
+        return (1.0,), (0.0,)
     if structure not in ("ar1", "exchangeable"):
         raise SolverError(f"unknown working structure {structure!r}")
     bad = np.abs(rho) >= 1.0
     if bad.any():
-        raise NumericDomainError(f"|rho| >= 1 (rho={float(rho[bad][0])})")
+        raise NumericDomainError(f"|rho| >= 1 (rho={_first(rho, bad)})")
     if structure == "ar1":
         # tridiagonal: (1 + rho^2) c inside, c at both ends, -rho c off the diagonal
         c = 1.0 / (1.0 - rho * rho)
-        w = np.stack([(1.0 + rho * rho) * c, -rho * rho * c, -rho * c], axis=-1)
-        dw = np.stack([4.0 * rho, -2.0 * rho, -(1.0 + rho * rho)], axis=-1)
-        return w, (c * c)[..., None] * dw
+        cc = c * c
+        w = ((1.0 + rho * rho) * c, -rho * rho * c, -rho * c)
+        return w, (cc * (4.0 * rho), cc * (-2.0 * rho), cc * -(1.0 + rho * rho))
     denom = 1.0 + (m - 1) * rho
-    bad = denom <= 0
+    bad = np.less_equal(denom, 0.0)
     if bad.any():
         raise NumericDomainError(
-            f"exchangeable rho={float(rho[bad][0])} not PD for m={int(m[bad][0])}"
+            f"exchangeable rho={_first(rho, bad)} not PD for m={int(_first(m, bad))}"
         )
     # Sherman-Morrison: R^-1 = a I + b 11'
     scale = (1.0 - rho) * denom
-    w = np.stack([1.0 / (1.0 - rho), -rho / scale], axis=-1)
-    dw = np.stack(
-        [1.0 / (1.0 - rho) ** 2, -(1.0 + (m - 1) * rho * rho) / scale**2], axis=-1
-    )
-    return w, dw
+    w = (1.0 / (1.0 - rho), -rho / scale)
+    return w, (1.0 / (1.0 - rho) ** 2, -(1.0 + (m - 1) * rho * rho) / scale**2)
+
+
+def _first(values, bad) -> float:
+    """The first of ``values`` (broadcast to ``bad``) where ``bad`` holds."""
+    return float(np.broadcast_to(values, np.shape(bad))[bad][0])
+
+
+def _weights(structure: str, rho, m):
+    """The terms of :func:`_weight_terms` stacked along the last axis, for
+    a scalar rho and m or for (B,) arrays of them."""
+    rho, m = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(m))
+    out = []
+    for terms in _weight_terms(structure, rho, m):
+        stacked = np.empty(rho.shape + (len(terms),))
+        for k, term in enumerate(terms):
+            stacked[..., k] = term
+        out.append(stacked)
+    return tuple(out)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def _grams(structure: str, X: np.ndarray) -> np.ndarray:
-    """(K, p, p) Grams sum_i X_i' B_k X_i of X (n, m, p) over the basis B_k."""
-    n, m, p = X.shape
-    flat = X.reshape(n * m, p)
-    g0 = flat.T @ flat
+    """(..., K, p, p) Grams sum_i X_i' B_k X_i of X (..., n, m, p) over the
+    basis B_k, one block per leading index."""
+    *lead, n, m, p = X.shape
+    flat = X.reshape(*lead, n * m, p)
+    g0 = _t(flat) @ flat
     if structure == "independence":
-        return g0[None]
+        return g0[..., None, :, :]
     if structure == "ar1":
-        ends = X[:, 0].T @ X[:, 0] + X[:, -1].T @ X[:, -1]
+        first, last = X[..., 0, :], X[..., -1, :]
+        ends = _t(first) @ first + _t(last) @ last
         # consecutive flat rows, less the pairs that straddle two subjects
-        lag = flat[:-1].T @ flat[1:] - X[:-1, -1].T @ X[1:, 0]
-        return np.stack([g0, ends, lag + lag.T])
-    total = X.sum(axis=1)
-    return np.stack([g0, total.T @ total])
+        lag = _t(flat[..., :-1, :]) @ flat[..., 1:, :] - _t(X[..., :-1, -1, :]) @ X[..., 1:, 0, :]
+        return np.stack([g0, ends, lag + _t(lag)], axis=-3)
+    total = X.sum(axis=-2)
+    return np.stack([g0, _t(total) @ total], axis=-3)
 
 
 def _apply_basis(structure: str, r: np.ndarray) -> tuple:
-    """Each B_k applied to every subject's row of r (n, m).  The
+    """Each B_k applied to every subject's row of r (..., n, m).  The
     exchangeable 11' gives every position its subject's row sum, returned
-    as one (n, 1) column that broadcasts over the positions."""
+    as one (..., n, 1) column that broadcasts over the positions."""
     if structure == "independence":
         return (r,)
     if structure == "ar1":
         ends = np.zeros_like(r)
-        ends[:, 0] = r[:, 0]
-        ends[:, -1] = r[:, -1]
-        shift = np.zeros_like(r)
-        shift[:, :-1] = r[:, 1:]
-        shift[:, 1:] += r[:, :-1]
-        return r, ends, shift
-    return r, r.sum(axis=1, keepdims=True)
+        ends[..., 0] = r[..., 0]
+        ends[..., -1] = r[..., -1]
+        return r, ends, _shift(r)
+    return r, r.sum(axis=-1, keepdims=True)
 
 
-def _combine(coefs, terms) -> np.ndarray:
-    return sum(c * t for c, t in zip(coefs, terms))
+def _shift(r: np.ndarray) -> np.ndarray:
+    """The lag-1 shift applied to every subject's row of r (..., n, m)."""
+    shift = np.empty_like(r)
+    shift[..., :-1] = r[..., 1:]
+    shift[..., -1] = 0.0
+    shift[..., 1:] += r[..., :-1]
+    return shift
+
+
+def _apply_inverse(structure: str, w, r: np.ndarray) -> np.ndarray:
+    """sum_k w_k B_k r for scalar coefficients w, every subject's row of r
+    (n, m) at once: w_0 r, then the other terms added in place, with the
+    bits of the sum of the applied operators of :func:`_apply_basis`."""
+    out = w[0] * r
+    if structure == "ar1":
+        out[:, 0] += w[1] * r[:, 0]
+        out[:, -1] += w[1] * r[:, -1]
+        out += w[2] * _shift(r)
+    elif structure == "exchangeable":
+        out += w[1] * r.sum(axis=1, keepdims=True)
+    return out
 
 
 def _xt(X, a) -> np.ndarray:
-    """sum_i X_i' a_i over every subject and position: (p,); an (n, 1)
-    column a holds one value for all of a subject's positions."""
-    if a.shape[1] == 1:
-        return X.sum(axis=1).T @ a[:, 0]
-    return X.reshape(-1, X.shape[2]).T @ a.reshape(-1)
+    """sum_i X_i' a_i over every subject and position, (..., p) for X
+    (..., n, m, p) and a (..., n, m); an (..., n, 1) column a holds one
+    value for all of a subject's positions."""
+    if a.shape[-1] == 1:
+        return (_t(X.sum(axis=-2)) @ a)[..., 0]
+    *lead, n, m, p = X.shape
+    return (_t(X.reshape(*lead, n * m, p)) @ a.reshape(*lead, n * m, 1))[..., 0]
 
 
-def _total(r, a) -> float:
-    """sum_i r_i' a_i, with an (n, 1) column a as in :func:`_xt`."""
-    if a.shape[1] == 1:
-        return float(r.sum(axis=1) @ a[:, 0])
-    return float(np.vdot(r, a))
+def _total(r, a) -> np.ndarray:
+    """sum_i r_i' a_i, (...,) for r (..., n, m), with an (..., n, 1)
+    column a as in :func:`_xt`."""
+    if a.shape[-1] == 1:
+        r = r.sum(axis=-1, keepdims=True)
+    # a (1, nm) @ (nm, 1) product per block is numpy's dot, with the bits of np.vdot
+    lead = r.shape[:-2]
+    return np.matmul(r.reshape(*lead, 1, -1), a.reshape(*lead, -1, 1))[..., 0, 0]
 
 
 def _basis_cross(X, basis) -> np.ndarray:
-    """(K, p) cross sums sum_i X_i' B_k r_i, one row per applied operator."""
-    return np.stack([_xt(X, b) for b in basis])
+    """(..., K, p) cross sums sum_i X_i' B_k r_i, one row per applied operator."""
+    return np.stack([_xt(X, b) for b in basis], axis=-2)
 
 
-def _residuals(block, theta) -> np.ndarray:
-    X = block.design
-    return block.y - (X.reshape(-1, X.shape[2]) @ theta).reshape(block.y.shape)
+def _residuals(y, X, theta) -> np.ndarray:
+    """y - X theta of y (..., n, m) and X (..., n, m, p) at theta (..., p)."""
+    *lead, n, m, p = X.shape
+    return y - (X.reshape(*lead, n * m, p) @ theta[..., None]).reshape(y.shape)
 
 
 def _singular(key) -> SolverError:
@@ -161,20 +212,23 @@ def _singular(key) -> SolverError:
     return SolverError(f"singular weighted normal equations in block ({j}, {k})")
 
 
-def _reject_exact_fit(block, rss: float) -> None:
-    """A SolverError naming the block when its start residual sum of
-    squares ``rss`` is round-off next to y' y."""
+def _reject_exact_fit(keys, rss, yy) -> None:
+    """A SolverError naming the first block whose start residual sum of
+    squares ``rss`` is round-off next to its y'y ``yy`` (one entry per
+    key)."""
     # a float64 least-squares residual is known to about eps kappa(X) |y|
     # (eps = 2.2e-16), so r0' r0 <= 1e-20 y' y, a relative norm below 1e-10,
     # is round-off for any design with kappa below about 4e5.  An exact fit
     # measured at most 1e-28 on this ratio over 200 random designs, and
     # noise at 1e-6 of the signal about 1e-12: eight orders either side
-    yy = float(np.vdot(block.y, block.y))
-    if rss <= 1e-20 * yy:
+    exact = np.asarray(rss) <= 1e-20 * np.asarray(yy)
+    if exact.any():
+        b = int(np.argmax(exact))
+        j, k = keys[b]
         raise SolverError(
-            f"block ({block.j}, {block.k}): the responses are an exact linear fit "
-            f"of the covariates (start residual sum of squares {rss:.3e}, "
-            f"y'y {yy:.3e}); there is no residual variance to estimate"
+            f"block ({j}, {k}): the responses are an exact linear fit "
+            f"of the covariates (start residual sum of squares {rss[b]:.3e}, "
+            f"y'y {yy[b]:.3e}); there is no residual variance to estimate"
         )
 
 
@@ -255,21 +309,53 @@ class GeeMoments(NamedTuple):
     m: int
 
 
-def gee_moments(block, structure: str) -> GeeMoments:
-    """The block's moments: one Gram build and one pass over the start
-    residuals.  A block whose responses are an exact linear fit of its
-    covariates is a SolverError."""
-    X = block.design
+# design bytes of the blocks that one batched pass of gee_moments takes.
+# A pass holds the start residuals and two applied operators of all its
+# blocks at once; slabs this size keep that memory at one large block's
+# (a 600 kB design is a slab of its own: one pass per 6-block bucket
+# raised an mc-gee replication's peak RSS by about 2 MB), while small
+# blocks, whose cost is per-call overhead, still go many to a pass (400
+# blocks of 24 kB took 20 ms one bucket per pass, 55 ms one block per pass)
+_SLAB_BYTES = 1 << 20
+
+
+def gee_moments(y, X, structure: str, keys) -> list:
+    """The moments of a bucket of B blocks of one shape, y (B, n, m) and
+    design X (B, n, m, p): one :class:`GeeMoments` per block, whose arrays
+    are views of the bucket's; ``keys`` names the blocks (j, k) for the
+    errors.
+
+    One Gram build and one pass over the start residuals, a slab of about
+    1 MB of design at a time.  Every product and reduction runs over one
+    block's own rows, so a block's moments have the same bits in any
+    bucket, a bucket of one included.  A singular design is a SolverError
+    naming the first such block, and then a block whose responses are an
+    exact linear fit of its covariates; one block at a time, as
+    :func:`blockgmm.engines.solve_blocks` retries a failed bucket, names
+    the first bad block of either kind.
+    """
+    B, n, m, p = X.shape
+    step = max(1, _SLAB_BYTES // X[0].nbytes)
+    rows = []
+    for a in range(0, B, step):
+        slab = _slab_moments(y[a : a + step], X[a : a + step], structure, keys[a : a + step])
+        rows += [GeeMoments(*(part[b] for part in slab), n, m) for b in range(len(slab[0]))]
+    return rows
+
+
+def _slab_moments(y, X, structure, keys) -> tuple:
     grams = _grams(structure, X)
     try:
-        start = np.linalg.solve(grams[0], _xt(X, block.y))
+        start = np.linalg.solve(grams[:, 0], _xt(X, y)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise _singular((block.j, block.k)) from exc
-    resid = _residuals(block, start)
+        raise _singular(keys[_first_singular(grams[:, 0])]) from exc
+    resid = _residuals(y, X, start)
     basis = _apply_basis(structure, resid)
-    totals = np.array([_total(resid, b) for b in basis])
-    _reject_exact_fit(block, totals[0])
-    return GeeMoments(start, grams, _basis_cross(X, basis), totals, block.n, block.m)
+    totals = np.empty((len(y), len(basis)))
+    for k, b in enumerate(basis):
+        totals[:, k] = _total(resid, b)
+    _reject_exact_fit(keys, totals[:, 0], _total(y, y))
+    return start, grams, _basis_cross(X, basis), totals
 
 
 def stack_moments(moments) -> GeeMoments:
@@ -331,24 +417,25 @@ def mean_terms(moments: GeeMoments, theta, zeta, structure: str, jacobian: bool 
 
 def gee_scores(block, theta, zeta, structure) -> np.ndarray:
     """The per-subject score rows (psi_i, g_i) at (theta, zeta), from one
-    residual pass."""
-    sigma2, rho = _nuisance(zeta, structure)
+    residual pass over the block, with scalar weights."""
+    sigma2, rho = map(float, _nuisance(zeta, structure))
     X = block.design
-    m = X.shape[1]
-    resid = _residuals(block, theta)
-    basis = _apply_basis(structure, resid)
-    w, _ = _weights(structure, rho, m)
-    psi = np.matmul(_combine(w, basis)[:, None, :], X)[:, 0, :] / sigma2
+    n, m, p = X.shape
+    resid = _residuals(block.y, X, theta)
+    w, _ = _weight_terms(structure, rho, m)
+    scores = np.empty((n, p + nuisance_dim(structure)))
+    psi = np.matmul(_apply_inverse(structure, w, resid)[:, None, :], X)[:, 0, :]
+    np.divide(psi, sigma2, out=scores[:, :p])
 
     squares = (resid**2).sum(axis=1)
-    columns = [psi, squares / m - sigma2]
+    scores[:, p] = squares / m - sigma2
     if structure == "ar1":
         lag1 = (resid[:, :-1] * resid[:, 1:]).sum(axis=1)
-        columns.append(lag1 / (m - 1) - rho * sigma2)
+        scores[:, p + 1] = lag1 / (m - 1) - rho * sigma2
     elif structure == "exchangeable":
         pairs = (resid.sum(axis=1) ** 2 - squares) / 2.0
-        columns.append(pairs / (m * (m - 1) / 2.0) - rho * sigma2)
-    return np.column_stack(columns)
+        scores[:, p + 1] = pairs / (m * (m - 1) / 2.0) - rho * sigma2
+    return scores
 
 
 class GeeSolution(NamedTuple):

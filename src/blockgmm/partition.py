@@ -6,12 +6,21 @@ is the next m_j responses in entry order; group k is the next n_k subjects
 of the subject order, which is entry order or, for seeded-random,
 ``default_rng(seed).permutation(N)``.  Its serialized form is therefore
 J + K + 1 integers and the strategy, whatever the number of subjects.
+
+:func:`split` gathers each subject group once per bucket: a run of
+consecutive response blocks of one size (near-equal sizes make at most
+two runs), stacked in one C-contiguous array each for y (B, n_k, m),
+X (B, n_k, m, q) and the shared parameter's design (B, n_k, m, p)
+(:class:`Bucket`).  A block's y, X and design are the views bucket[b],
+with the layout a copy of the block would have, so per-block code reads
+the same bits; the GEE moments are taken over a bucket at once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,19 +90,62 @@ class PartitionPlan:
         start = sum(self.block_sizes[:j])
         return np.arange(start, start + self.block_sizes[j])
 
-    def subject_indices(self, k: int) -> np.ndarray:
-        """Group k: the subject order cut at the group sizes, ascending, so
-        it is identical across all J blocks of group k."""
-        start = sum(self.group_sizes[:k])
-        stop = start + self.group_sizes[k]
+    def subject_groups(self) -> list:
+        """Every group's subjects: the subject order cut at the group sizes,
+        each group ascending, so it is identical across all J blocks of the
+        group.  The seeded-random order is one ``permutation(N)``."""
         if self.strategy == "contiguous":
-            return np.arange(start, stop)
-        return np.sort(np.random.default_rng(self.seed).permutation(self.N)[start:stop])
+            order = np.arange(self.N)
+        else:
+            order = np.random.default_rng(self.seed).permutation(self.N)
+        return [np.sort(group) for group in np.split(order, np.cumsum(self.group_sizes[:-1]))]
+
+    def subject_indices(self, k: int) -> np.ndarray:
+        """Group k of :meth:`subject_groups`."""
+        return self.subject_groups()[k]
+
+
+class Bucket(NamedTuple):
+    """The blocks of one subject group over a run of consecutive response
+    blocks of one size, stacked along a leading axis: y (B, n, m),
+    X (B, n, m, q) and the design (B, n, m, p) are one C-contiguous array
+    each, and ``keys`` names the block (j, k) of every slot."""
+
+    y: np.ndarray
+    X: np.ndarray
+    design: np.ndarray
+    keys: tuple
+
+    def __reduce__(self):
+        # a column-selected design is a view of (B, p, n, m) planes: pickle
+        # the planes, so that a worker's blocks keep this layout, and with
+        # it the bits of their fits
+        planes = None if self.design is self.X else np.moveaxis(self.design, -1, 1)
+        return _unpickle_bucket, (self.y, self.X, planes, self.keys)
+
+
+def _unpickle_bucket(y, X, planes, keys) -> Bucket:
+    return Bucket(y, X, X if planes is None else np.moveaxis(planes, 1, -1), keys)
+
+
+def _design(X: np.ndarray, theta_cols) -> np.ndarray:
+    """The shared parameter's columns of a bucket's X (B, n, m, q): X
+    itself when theta uses every column in order, else one copy with a
+    C-contiguous (n, m) plane per column, the layout numpy's
+    ``X[:, :, cols]`` gives a block alone."""
+    cols = list(theta_cols)
+    if cols == list(range(X.shape[-1])):
+        return X
+    return np.moveaxis(np.stack([X[..., c] for c in cols], axis=1), 1, -1)
 
 
 @dataclass(frozen=True)
 class BlockData:
-    """Data of block (j, k): group-k subjects restricted to response block j."""
+    """Data of block (j, k): group-k subjects restricted to response block j.
+
+    y, X and design are the views bucket[slot] of the block's
+    :class:`Bucket`; a block built on its own is a bucket of one.
+    """
 
     j: int
     k: int
@@ -101,14 +153,21 @@ class BlockData:
     X: np.ndarray  # (n_k, m_j, q)
     theta_cols: tuple  # columns of X tied to the shared parameter
     subject_indices: np.ndarray  # positions in the original Dataset
-    # (n_k, m_j, p) design for the shared parameter: X itself when theta
-    # uses every column in order, else one column-selected copy
+    bucket: Bucket = field(default=None, repr=False, compare=False)
+    slot: int = field(default=0, repr=False, compare=False)
+    # (n_k, m_j, p) design for the shared parameter (see _design)
     design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cols = list(self.theta_cols)
-        design = self.X if cols == list(range(self.X.shape[2])) else self.X[:, :, cols]
-        object.__setattr__(self, "design", design)
+        if self.bucket is None:
+            X = self.X[None]
+            bucket = Bucket(self.y[None], X, _design(X, self.theta_cols), ((self.j, self.k),))
+            object.__setattr__(self, "bucket", bucket)
+        object.__setattr__(self, "design", self.bucket.design[self.slot])
+
+    def __reduce__(self):
+        # a pickle carries the bucket once, and the arrays come back as its views
+        return _bucket_block, (self.bucket, self.slot, self.theta_cols, self.subject_indices)
 
     @property
     def n(self) -> int:
@@ -121,6 +180,12 @@ class BlockData:
     @property
     def p(self) -> int:
         return len(self.theta_cols)
+
+
+def _bucket_block(bucket: Bucket, slot: int, theta_cols, subject_indices) -> BlockData:
+    j, k = bucket.keys[slot]
+    return BlockData(j, k, bucket.y[slot], bucket.X[slot], theta_cols, subject_indices,
+                     bucket=bucket, slot=slot)
 
 
 def make_plan(
@@ -150,6 +215,9 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
     Subject rows within a group keep their original ascending order, so
     rows align across the J blocks of each group.  ``theta_cols`` names
     distinct covariate columns for the shared parameter (default: all).
+    Each group is gathered once per :class:`Bucket`, the column selection
+    is made once per bucket, and every block's arrays are views of its
+    bucket.
     """
     if plan.M != data.M or plan.N != data.N:
         raise PlanError(
@@ -157,22 +225,32 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
             f"(M={data.M}, N={data.N})"
         )
     theta_cols = _theta_cols(theta_cols, data.q)
+    # runs of consecutive blocks of one size: (first response, block indices, size)
+    runs, first = [], 0
+    for j, m in enumerate(plan.block_sizes):
+        if runs and runs[-1][2] == m:
+            runs[-1][1].append(j)
+        else:
+            runs.append((first, [j], m))
+        first += m
+    groups = plan.subject_groups()
+    buckets = {}
+    for first, js, m in runs:
+        # row i B + b of these holds subject i's responses in the run's
+        # block b: a view when the run spans the responses, else one copy
+        B, cols = len(js), slice(first, first + len(js) * m)
+        y_rows = data.responses[:, cols].reshape(data.N * B, m)
+        X_rows = data.covariates[:, cols].reshape(data.N * B, m * data.q)
+        for k, rows in enumerate(groups):
+            pick = (rows[None, :] * B + np.arange(B)[:, None]).reshape(-1)
+            y = np.take(y_rows, pick, axis=0).reshape(B, rows.size, m)
+            X = np.take(X_rows, pick, axis=0).reshape(B, rows.size, m, data.q)
+            bucket = Bucket(y, X, _design(X, theta_cols), tuple((j, k) for j in js))
+            buckets.update((key, (bucket, slot)) for slot, key in enumerate(bucket.keys))
     blocks = {}
-    for k in range(plan.K):
-        rows = plan.subject_indices(k)
+    for k, rows in enumerate(groups):
         for j in range(plan.J):
-            # a block's responses are contiguous, and a column slice is a
-            # view, so each block is one gather of rows
-            first, last = plan.response_indices(j)[[0, -1]]
-            cols = slice(first, last + 1)
-            blocks[(j, k)] = BlockData(
-                j=j,
-                k=k,
-                y=data.responses[:, cols][rows],
-                X=data.covariates[:, cols][rows],
-                theta_cols=theta_cols,
-                subject_indices=rows,
-            )
+            blocks[(j, k)] = _bucket_block(*buckets[(j, k)], theta_cols, rows)
     return blocks
 
 

@@ -3,17 +3,21 @@ split-and-fit driver (:func:`fit_dataset`, which the CLI and the library
 call too), a replication driver with deterministic parallelism, and
 RMSE/BIAS/ESE/ASE summaries.
 
-:func:`fit_dataset` solves all blocks of a fit as one stack (one
-stacked GEE alternation) and then fits each block from its row; with
-``workers > 1`` each worker process solves one contiguous chunk of the
-sorted block keys as its own stack.  A block's bits do not depend on its
-stack, so the bundle is byte-identical for any worker count.
+:func:`fit_dataset` splits the data with one gather per subject group
+and block-size bucket (:func:`blockgmm.partition.split`), solves all
+blocks of a fit as one stack (the GEE moments one batched pass per
+bucket, then one stacked GEE alternation) and then fits each block from
+its row; with ``workers > 1`` each worker process solves one contiguous
+chunk of the sorted block keys as its own stack, over the slices of the
+buckets that the chunk holds.  A block's bits do not depend on its stack
+or bucket, so the bundle is byte-identical for any worker count.
 
 The unit of a study is one generated dataset: a replication generates
 its (M, rep) dataset once and then fits, combines and tests it under
 each of its designs, which differ only in K (no generator reads K).
-:func:`run_replications` gives it one design and :func:`grid_plot_data`
-every K, both through one :func:`_fan_out` in job order.
+:func:`run_replications` gives it one design, :func:`grid_plot_data`
+every K of the grid, and :func:`run_study` the main design along with
+the grid's K of its M, all through one :func:`_fan_out` in job order.
 
 Two error families are supported: ``kronecker-nested`` (covariance
 S (x) A with S a random unit-diagonal positive-definite block matrix and
@@ -328,13 +332,17 @@ def fit_dataset(
 ):
     """Split, fit every block, return (bundle, blocks).
 
-    The blocks, in sorted (j, k) order, are solved as one stack
-    (:func:`blockgmm.engines.solve_blocks`: one pass over each block's data
-    for its moments, then one alternation over all of them) and each is
-    then fitted from its row.  With ``workers > 1`` the sorted keys are cut
-    into ``workers`` contiguous chunks, and each worker process solves its
-    chunk as one stack.  A block's fit has the same bits in any stack, so
-    the bundle is identical for any worker count.
+    The split gathers each subject group once per block-size bucket, and
+    every block's arrays are views of its bucket.  The blocks, in sorted
+    (j, k) order, are solved as one stack
+    (:func:`blockgmm.engines.solve_blocks`: the moments of each bucket's
+    blocks in one batched pass, then one alternation over all of them) and
+    each is then fitted from its row, with one scores pass per block.  With
+    ``workers > 1`` the sorted keys are cut into ``workers`` contiguous
+    chunks, and each worker process solves its chunk as one stack, taking
+    the matching slice of each bucket; a pickled block carries its bucket
+    once per chunk.  A block's fit has the same bits in any stack or
+    bucket, so the bundle is identical for any worker count.
     """
     check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
@@ -376,11 +384,30 @@ def _one_rep(args):
     return rows
 
 
+def _run_designs(designs, workers: int) -> dict:
+    """Every replication of each distinct design of the list (the designs
+    differ only in M and K): one job per (M, rep) generates the dataset once
+    and fits it under each design of that M.  Returns each design's rows,
+    in replication order."""
+    by_m = {}
+    for design in designs:
+        group = by_m.setdefault(design.M, [])
+        if design not in group:
+            group.append(design)
+    reps = designs[0].reps
+    jobs = [(group, rep) for group in by_m.values() for rep in range(reps)]
+    results = _fan_out(_one_rep, jobs, workers)
+    out = {}
+    for a, group in enumerate(by_m.values()):
+        for b, design in enumerate(group):
+            out[design] = [rows[b] for rows in results[a * reps : (a + 1) * reps]]
+    return out
+
+
 def run_replications(design: SimDesign, workers: int = 1):
     """All replications of one design, in replication order whatever the
     scheduling.  Returns a list of per-rep dicts."""
-    jobs = [([design], rep) for rep in range(design.reps)]
-    return [rows[0] for rows in _fan_out(_one_rep, jobs, workers)]
+    return _run_designs([design], workers)[design]
 
 
 def summarize(rows, theta0, alpha: float = 0.05) -> SimSummary:
@@ -420,16 +447,34 @@ def grid_plot_data(
     Returns, cell by cell, ``M``, ``K`` and the cell's summary rows; a
     cell whose replications all failed is a :class:`DataError` naming it.
     """
-    cells = [[replace(design, M=int(m), K=int(k)) for k in k_values] for m in m_values]
-    jobs = [(designs, rep) for designs in cells for rep in range(design.reps)]
-    results = _fan_out(_one_rep, jobs, workers)
+    cells = _cells(design, m_values, k_values)
+    return _grid(cells, _run_designs(cells, workers), alpha)
+
+
+def run_study(design: SimDesign, m_values=(), k_values=(), workers: int = 1,
+              alpha: float = 0.05):
+    """The main design's replications and the (M, K) grid of
+    :func:`grid_plot_data`, from one fan-out: the main design rides in the
+    jobs of its M, so its datasets are generated once, and a grid cell equal
+    to it reuses its rows.  Returns (rows, grid); the grid is None without
+    M or K values, or when every main replication failed."""
+    cells = _cells(design, m_values, k_values)
+    results = _run_designs([design, *cells], workers)
+    rows = results[design]
+    grid = _grid(cells, results, alpha) if cells and any(r["ok"] for r in rows) else None
+    return rows, grid
+
+
+def _cells(design: SimDesign, m_values, k_values) -> list:
+    return [replace(design, M=int(m), K=int(k)) for m in m_values for k in k_values]
+
+
+def _grid(cells, results: dict, alpha: float) -> list:
     out = []
-    for a, designs in enumerate(cells):
-        reps = results[a * design.reps : (a + 1) * design.reps]
-        for b, d in enumerate(designs):
-            try:
-                summ = summarize([rows[b] for rows in reps], d.theta0, alpha)
-            except DataError as exc:
-                raise DataError(f"grid cell M={d.M}, K={d.K}: {exc}") from None
-            out += [{"M": d.M, "K": d.K, **r} for r in summ.rows()]
+    for d in cells:
+        try:
+            summ = summarize(results[d], d.theta0, alpha)
+        except DataError as exc:
+            raise DataError(f"grid cell M={d.M}, K={d.K}: {exc}") from None
+        out += [{"M": d.M, "K": d.K, **r} for r in summ.rows()]
     return out

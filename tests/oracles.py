@@ -405,7 +405,7 @@ def residual_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
     X, m = block.design, block.m
     grams = gee._grams(structure, X)
     start = np.linalg.solve(grams[0], gee._xt(X, block.y))
-    resid = gee._residuals(block, start)
+    resid = gee._residuals(block.y, X, start)
     cross = np.stack([gee._xt(X, b) for b in gee._apply_basis(structure, resid)])
     theta = start
     zeta, clamped = moment_zeta(resid, structure, m)
@@ -415,7 +415,7 @@ def residual_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
         rho = float(zeta[1]) if structure != "independence" else 0.0
         w, _ = gee._weights(structure, rho, m)
         theta_new = start + np.linalg.solve(np.tensordot(w, grams, axes=1), w @ cross)
-        zeta_new, clamped = moment_zeta(gee._residuals(block, theta_new), structure, m)
+        zeta_new, clamped = moment_zeta(gee._residuals(block.y, X, theta_new), structure, m)
         delta = max(np.max(np.abs(theta_new - theta)), np.max(np.abs(zeta_new - zeta)))
         theta, zeta = theta_new, zeta_new
         if delta < tol:
@@ -481,7 +481,7 @@ def gee_pass_terms(block, theta, zeta, structure):
     rho = float(zeta[1]) if structure != "independence" else 0.0
     X = block.design
     n, m, p = X.shape
-    basis = gee._apply_basis(structure, gee._residuals(block, theta))
+    basis = gee._apply_basis(structure, gee._residuals(block.y, X, theta))
     w, dw = gee._weights(structure, rho, m)
     mean = gee.gee_scores(block, theta, zeta, structure).mean(axis=0)
     d = gee.nuisance_dim(structure)

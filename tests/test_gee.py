@@ -16,7 +16,7 @@ def one_block(data, theta_cols=None):
 def fit_alone(block, structure):
     """The stacked solver on a stack of one block: (theta, zeta, converged,
     iterations, rho_clamped)."""
-    moments = gee.stack_moments([gee.gee_moments(block, structure)])
+    moments = gee.stack_moments([engines.block_moments(block, f"gee-{structure}")])
     sol = gee.fit_gee_block(moments, structure, [(block.j, block.k)])
     return (sol.theta[0], sol.zeta[0], bool(sol.converged[0]), int(sol.iterations[0]),
             bool(sol.clamped[0]))
@@ -25,13 +25,13 @@ def fit_alone(block, structure):
 def rinv_matrix(structure, rho, m):
     """The production R(rho)^-1, applied by slices to the rows of I_m."""
     w, _ = gee._weights(structure, rho, m)
-    return gee._combine(w, gee._apply_basis(structure, np.eye(m)))
+    return gee._apply_inverse(structure, w, np.eye(m))
 
 
 def drinv_matrix(structure, rho, m):
     """The production dR^-1/drho, applied the same way."""
     _, dw = gee._weights(structure, rho, m)
-    return gee._combine(dw, gee._apply_basis(structure, np.eye(m)))
+    return gee._apply_inverse(structure, dw, np.eye(m))
 
 
 class TestCorrInverse:
@@ -226,7 +226,7 @@ class TestFitGeeBlock:
     def test_fit_keeps_the_block_moments(self, ar1_dataset):
         block = one_block(ar1_dataset)
         moments = engines.fit_block(block, engines.NuisanceSpec("gee-ar1")).moments
-        rebuilt = gee.gee_moments(block, "ar1")
+        rebuilt = engines.block_moments(block, "gee-ar1")
         for field in ("start", "grams", "cross", "totals"):
             assert getattr(moments, field).tobytes() == getattr(rebuilt, field).tobytes()
         assert moments.grams.tobytes() == gee._grams("ar1", block.design).tobytes()
@@ -243,7 +243,7 @@ class TestFitGeeBlock:
         blocks = [
             one_block(random_dataset(N=n, M=4, p=3, seed=7 + n)[0]) for n in (30, 5, 6)
         ]
-        moments = gee.stack_moments([gee.gee_moments(b, "ar1") for b in blocks])
+        moments = gee.stack_moments([engines.block_moments(b, "gee-ar1") for b in blocks])
         with pytest.raises(SolverError) as info:
             gee.fit_gee_block(moments, "ar1", [(0, 0), (3, 1), (0, 2)])
         assert str(info.value) == "block (3, 1): n=5 too small for p+d=5 parameters"
@@ -252,7 +252,7 @@ class TestFitGeeBlock:
         # the second block's Gram loses its last row and column after its
         # start was taken, so the stacked solve, not the start, meets it
         blocks = [one_block(random_dataset(N=30, M=4, p=3, seed=s)[0]) for s in (1, 2)]
-        moments = [gee.gee_moments(b, "independence") for b in blocks]
+        moments = [engines.block_moments(b, "gee-independence") for b in blocks]
         grams = moments[1].grams.copy()
         grams[0, :, 2] = grams[0, 2, :] = 0.0
         moments[1] = moments[1]._replace(grams=grams)

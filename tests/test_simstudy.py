@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockgmm import partition, simstudy
@@ -392,12 +392,18 @@ class TestWorkerInvariance:
         kind=st.sampled_from(KINDS),
         strategy=st.sampled_from(["contiguous", "seeded-random"]),
         seed=st.integers(0, 10**6),
+        theta_cols=st.sampled_from([None, (2, 0), (1,)]),
     )
-    def test_bundle_bytes_equal_for_one_and_two_workers(self, J, K, kind, strategy, seed):
+    @example(J=3, K=2, kind="cl-ar1", strategy="contiguous", seed=1, theta_cols=(2, 0))
+    def test_bundle_bytes_equal_for_one_and_two_workers(
+        self, J, K, kind, strategy, seed, theta_cols
+    ):
         data = simstudy.generate(make_ar1_design(N=20 * K, M=3 * J + 1, seed=seed), 0)
-        serial, _ = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
+        serial, _ = simstudy.fit_dataset(
+            data, J, K, kind, strategy=strategy, seed=seed, theta_cols=theta_cols
+        )
         parallel, _ = simstudy.fit_dataset(
-            data, J, K, kind, strategy=strategy, seed=seed, workers=2
+            data, J, K, kind, strategy=strategy, seed=seed, theta_cols=theta_cols, workers=2
         )
         assert _bundle_bytes(parallel) == _bundle_bytes(serial)
 
@@ -477,6 +483,32 @@ class TestGridPlotData:
         design = self._design("global-ar1")
         simstudy.grid_plot_data(design, self.M_VALUES, self.K_VALUES)
         assert calls == [(m, rep) for m in self.M_VALUES for rep in range(design.reps)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_main_study_rides_in_the_grid(self, monkeypatch, workers):
+        # the main M = 4 is in the grid and (4, 2) is a cell: its datasets
+        # are generated once, and the cell's summary is the main study's
+        calls = []
+        generate = simstudy.generate
+
+        def counted(design, rep=0):
+            calls.append((design.M, rep))
+            return generate(design, rep)
+
+        monkeypatch.setattr(simstudy, "generate", counted)
+        design = replace(self._design("kronecker-nested"), K=2)
+        rows, grid = simstudy.run_study(design, self.M_VALUES, self.K_VALUES, workers=workers)
+        if workers == 1:
+            assert calls == [(m, rep) for m in self.M_VALUES for rep in range(design.reps)]
+        strip = [{**row, "walltime": None} for row in rows]
+        assert strip == [{**row, "walltime": None}
+                         for row in simstudy.run_replications(design, workers=workers)]
+        assert grid == simstudy.grid_plot_data(design, self.M_VALUES, self.K_VALUES)
+        main = simstudy.summarize(rows, design.theta0).rows()
+        assert [row for row in grid if (row["M"], row["K"]) == (4, 2)] == [
+            {"M": 4, "K": 2, **row} for row in main
+        ]
+        assert simstudy.run_study(design, self.M_VALUES, ())[1] is None
 
     def test_one_pool_for_the_whole_grid(self, monkeypatch):
         opened = []
