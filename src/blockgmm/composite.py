@@ -76,7 +76,7 @@ def _lag_moments(block) -> tuple[LagMoments, np.ndarray]:
     """The block's lag moments and the start residuals r0 (n, m).  A block
     whose responses are an exact linear fit of its covariates is a
     SolverError."""
-    X, y = block.design, block.y
+    X, y = block.X, block.y
     start, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
     resid = y - X @ start
     _reject_exact_fit([(block.j, block.k)], [float(np.vdot(resid, resid))],
@@ -125,7 +125,7 @@ def cl_scores(block, theta, zeta) -> np.ndarray:
     respect to (theta, sigma^2, rho).
     """
     sigma2, rho = _nuisance(zeta)
-    X = block.design
+    X = block.X
     n, m, p = X.shape
     resid = block.y - X @ theta
     npairs = m * (m - 1) // 2

@@ -8,7 +8,9 @@ responses by index, and missing or duplicated cells are hard errors.
 Accepted dialect: comma-delimited, a header line first, ``"`` quoting as
 the ``csv`` module writes it (doubled quotes inside a quoted field, which
 may hold commas and line breaks), no comment lines (``#`` is an ordinary
-character), blank lines skipped.  Columns outside the schema are ignored.
+character), blank lines skipped.  The column names are fixed
+(:data:`SUBJECT_ID`, :data:`RESPONSE_INDEX`, :data:`Y` and the covariate
+prefix :data:`X_PREFIX`); other columns are ignored.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ import numpy as np
 
 from .errors import DataError
 
-DEFAULT_SCHEMA = {
-    "subject_id": "subject_id",
-    "response_index": "response_index",
-    "y": "y",
-    "x_prefix": "x_",
-}
+SUBJECT_ID = "subject_id"
+RESPONSE_INDEX = "response_index"
+Y = "y"
+X_PREFIX = "x_"
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _bad_row(path, exc: ValueError, header: list) -> DataError:
     return DataError(f"{path}: unreadable data row ({text})")
 
 
-def load_long_csv(path, schema: dict | None = None) -> Dataset:
+def load_long_csv(path) -> Dataset:
     """Read a long-format CSV into a :class:`Dataset`.
 
     The header is read with ``csv``; the body is parsed in one pass by
@@ -116,27 +116,21 @@ def load_long_csv(path, schema: dict | None = None) -> Dataset:
     codes.  Raises :class:`DataError` on missing cells (incomplete panel),
     duplicate (subject, response_index) pairs, or non-numeric fields.
     """
-    cfg = dict(DEFAULT_SCHEMA)
-    if schema:
-        cfg.update(schema)
-    sid_col, ridx_col, y_col = cfg["subject_id"], cfg["response_index"], cfg["y"]
-    x_prefix = cfg["x_prefix"]
-
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise DataError(f"{path}: empty file")
-        for col in (sid_col, ridx_col, y_col):
+        for col in (SUBJECT_ID, RESPONSE_INDEX, Y):
             if col not in header:
                 raise DataError(f"{path}: missing required column {col!r}")
-        x_cols = [c for c in header if c.startswith(x_prefix)]
+        x_cols = [c for c in header if c.startswith(X_PREFIX)]
         # keep x_1..x_q in numeric suffix order
         try:
-            x_cols.sort(key=lambda c: int(c[len(x_prefix):]))
+            x_cols.sort(key=lambda c: int(c[len(X_PREFIX):]))
         except ValueError:
             x_cols.sort()
         if not x_cols:
-            raise DataError(f"{path}: no covariate columns with prefix {x_prefix!r}")
+            raise DataError(f"{path}: no covariate columns with prefix {X_PREFIX!r}")
 
         # a repeated column name reads its last occurrence, as csv.DictReader does
         position = {name: i for i, name in enumerate(header)}
@@ -153,7 +147,7 @@ def load_long_csv(path, schema: dict | None = None) -> Dataset:
                     delimiter=",",
                     comments=None,
                     quotechar='"',
-                    usecols=[position[c] for c in (sid_col, ridx_col, y_col, *x_cols)],
+                    usecols=[position[c] for c in (SUBJECT_ID, RESPONSE_INDEX, Y, *x_cols)],
                     ndmin=1,
                 )
         except ValueError as exc:

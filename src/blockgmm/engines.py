@@ -158,7 +158,7 @@ def _gee_moments(blocks: list, structure: str) -> list:
         run = range(slots[0], slots[0] + len(slots))
         index = slice(run.start, run.stop) if slots == tuple(run) else list(slots)
         rows = gee.gee_moments(
-            bucket.y[index], bucket.design[index], structure, [bucket.keys[s] for s in slots]
+            bucket.y[index], bucket.X[index], structure, [bucket.keys[s] for s in slots]
         )
         for pos, row in zip(positions, rows):
             moments[pos] = row

@@ -23,7 +23,7 @@ any (theta, zeta) are O(p^2) algebra on the moments
 over-identification test touch no n x m data after set-up.
 
 :func:`gee_moments` takes a bucket of blocks of one shape at once, the
-(B, n, m, p) design and (B, n, m) responses that
+(B, n, m, p) covariates and (B, n, m) responses that
 :func:`blockgmm.partition.split` gathers for a subject group's run of
 equal-size response blocks, and builds every block's moments in a few
 batched passes; each product and reduction still runs over one block's
@@ -321,7 +321,7 @@ _SLAB_BYTES = 1 << 20
 
 def gee_moments(y, X, structure: str, keys) -> list:
     """The moments of a bucket of B blocks of one shape, y (B, n, m) and
-    design X (B, n, m, p): one :class:`GeeMoments` per block, whose arrays
+    covariates X (B, n, m, p): one :class:`GeeMoments` per block, whose arrays
     are views of the bucket's; ``keys`` names the blocks (j, k) for the
     errors.
 
@@ -419,7 +419,7 @@ def gee_scores(block, theta, zeta, structure) -> np.ndarray:
     """The per-subject score rows (psi_i, g_i) at (theta, zeta), from one
     residual pass over the block, with scalar weights."""
     sigma2, rho = map(float, _nuisance(zeta, structure))
-    X = block.design
+    X = block.X
     n, m, p = X.shape
     resid = _residuals(block.y, X, theta)
     w, _ = _weight_terms(structure, rho, m)

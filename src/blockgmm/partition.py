@@ -9,11 +9,13 @@ J + K + 1 integers and the strategy, whatever the number of subjects.
 
 :func:`split` gathers each subject group once per bucket: a run of
 consecutive response blocks of one size (near-equal sizes make at most
-two runs), stacked in one C-contiguous array each for y (B, n_k, m),
-X (B, n_k, m, q) and the shared parameter's design (B, n_k, m, p)
-(:class:`Bucket`).  A block's y, X and design are the views bucket[b],
-with the layout a copy of the block would have, so per-block code reads
-the same bits; the GEE moments are taken over a bucket at once.
+two runs), stacked in one C-contiguous array each for y (B, n_k, m) and
+X (B, n_k, m, q) (:class:`Bucket`).  A block's y and X are the views
+bucket[b], with the layout a copy of the block would have, so per-block
+code reads the same bits; the GEE moments are taken over a bucket at once.
+The covariates of the shared parameter are the columns of the
+:class:`Dataset`: a model on a subset of them is a Dataset built from
+those columns.
 """
 
 from __future__ import annotations
@@ -107,67 +109,39 @@ class PartitionPlan:
 
 class Bucket(NamedTuple):
     """The blocks of one subject group over a run of consecutive response
-    blocks of one size, stacked along a leading axis: y (B, n, m),
-    X (B, n, m, q) and the design (B, n, m, p) are one C-contiguous array
-    each, and ``keys`` names the block (j, k) of every slot."""
+    blocks of one size, stacked along a leading axis: y (B, n, m) and
+    X (B, n, m, q) are one C-contiguous array each, and ``keys`` names the
+    block (j, k) of every slot."""
 
     y: np.ndarray
     X: np.ndarray
-    design: np.ndarray
     keys: tuple
-
-    def __reduce__(self):
-        # a column-selected design is a view of (B, p, n, m) planes: pickle
-        # the planes, so that a worker's blocks keep this layout, and with
-        # it the bits of their fits
-        planes = None if self.design is self.X else np.moveaxis(self.design, -1, 1)
-        return _unpickle_bucket, (self.y, self.X, planes, self.keys)
-
-
-def _unpickle_bucket(y, X, planes, keys) -> Bucket:
-    return Bucket(y, X, X if planes is None else np.moveaxis(planes, 1, -1), keys)
-
-
-def _design(X: np.ndarray, theta_cols) -> np.ndarray:
-    """The shared parameter's columns of a bucket's X (B, n, m, q): X
-    itself when theta uses every column in order, else one copy with a
-    C-contiguous (n, m) plane per column, the layout numpy's
-    ``X[:, :, cols]`` gives a block alone."""
-    cols = list(theta_cols)
-    if cols == list(range(X.shape[-1])):
-        return X
-    return np.moveaxis(np.stack([X[..., c] for c in cols], axis=1), 1, -1)
 
 
 @dataclass(frozen=True)
 class BlockData:
     """Data of block (j, k): group-k subjects restricted to response block j.
 
-    y, X and design are the views bucket[slot] of the block's
-    :class:`Bucket`; a block built on its own is a bucket of one.
+    y and X are the views bucket[slot] of the block's :class:`Bucket`; a
+    block built on its own is a bucket of one.
     """
 
     j: int
     k: int
     y: np.ndarray  # (n_k, m_j)
-    X: np.ndarray  # (n_k, m_j, q)
-    theta_cols: tuple  # columns of X tied to the shared parameter
+    X: np.ndarray  # (n_k, m_j, p): every covariate column
     subject_indices: np.ndarray  # positions in the original Dataset
     bucket: Bucket = field(default=None, repr=False, compare=False)
     slot: int = field(default=0, repr=False, compare=False)
-    # (n_k, m_j, p) design for the shared parameter (see _design)
-    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bucket is None:
-            X = self.X[None]
-            bucket = Bucket(self.y[None], X, _design(X, self.theta_cols), ((self.j, self.k),))
+            bucket = Bucket(self.y[None], self.X[None], ((self.j, self.k),))
             object.__setattr__(self, "bucket", bucket)
-        object.__setattr__(self, "design", self.bucket.design[self.slot])
 
     def __reduce__(self):
         # a pickle carries the bucket once, and the arrays come back as its views
-        return _bucket_block, (self.bucket, self.slot, self.theta_cols, self.subject_indices)
+        return _bucket_block, (self.bucket, self.slot, self.subject_indices)
 
     @property
     def n(self) -> int:
@@ -179,12 +153,12 @@ class BlockData:
 
     @property
     def p(self) -> int:
-        return len(self.theta_cols)
+        return self.X.shape[-1]
 
 
-def _bucket_block(bucket: Bucket, slot: int, theta_cols, subject_indices) -> BlockData:
+def _bucket_block(bucket: Bucket, slot: int, subject_indices) -> BlockData:
     j, k = bucket.keys[slot]
-    return BlockData(j, k, bucket.y[slot], bucket.X[slot], theta_cols, subject_indices,
+    return BlockData(j, k, bucket.y[slot], bucket.X[slot], subject_indices,
                      bucket=bucket, slot=slot)
 
 
@@ -209,14 +183,12 @@ def make_plan(
     )
 
 
-def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
+def split(data: Dataset, plan: PartitionPlan) -> dict:
     """Split a dataset into JK blocks keyed by (j, k), 0-based.
 
     Subject rows within a group keep their original ascending order, so
-    rows align across the J blocks of each group.  ``theta_cols`` names
-    distinct covariate columns for the shared parameter (default: all).
-    Each group is gathered once per :class:`Bucket`, the column selection
-    is made once per bucket, and every block's arrays are views of its
+    rows align across the J blocks of each group.  Each group is gathered
+    once per :class:`Bucket`, and every block's arrays are views of its
     bucket.
     """
     if plan.M != data.M or plan.N != data.N:
@@ -224,7 +196,6 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
             f"plan dimensions (M={plan.M}, N={plan.N}) do not match data "
             f"(M={data.M}, N={data.N})"
         )
-    theta_cols = _theta_cols(theta_cols, data.q)
     # runs of consecutive blocks of one size: (first response, block indices, size)
     runs, first = [], 0
     for j, m in enumerate(plan.block_sizes):
@@ -245,29 +216,13 @@ def split(data: Dataset, plan: PartitionPlan, theta_cols=None) -> dict:
             pick = (rows[None, :] * B + np.arange(B)[:, None]).reshape(-1)
             y = np.take(y_rows, pick, axis=0).reshape(B, rows.size, m)
             X = np.take(X_rows, pick, axis=0).reshape(B, rows.size, m, data.q)
-            bucket = Bucket(y, X, _design(X, theta_cols), tuple((j, k) for j in js))
+            bucket = Bucket(y, X, tuple((j, k) for j in js))
             buckets.update((key, (bucket, slot)) for slot, key in enumerate(bucket.keys))
     blocks = {}
     for k, rows in enumerate(groups):
         for j in range(plan.J):
-            blocks[(j, k)] = _bucket_block(*buckets[(j, k)], theta_cols, rows)
+            blocks[(j, k)] = _bucket_block(*buckets[(j, k)], rows)
     return blocks
-
-
-def _theta_cols(theta_cols, q: int) -> tuple:
-    if theta_cols is None:
-        return tuple(range(q))
-    try:
-        cols = tuple(operator.index(c) for c in theta_cols)
-    except TypeError:
-        raise PlanError(f"theta_cols must be integers, got {theta_cols!r}") from None
-    if not cols:
-        raise PlanError("theta_cols is empty: the shared parameter needs a column")
-    if len(set(cols)) != len(cols):
-        raise PlanError(f"theta_cols {cols} repeats a column")
-    if any(c < 0 or c >= q for c in cols):
-        raise PlanError(f"theta_cols {cols} out of range for q={q}")
-    return cols
 
 
 def format_plan(plan: PartitionPlan) -> str:

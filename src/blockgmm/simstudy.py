@@ -70,18 +70,23 @@ class SimDesign:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataError(f"unknown simulation family {self.family!r}")
+        for name in ("N", "M", "J", "K"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.family == "kronecker-nested" and self.M % self.J != 0:
             raise DataError(
                 f"kronecker-nested needs M divisible by J, got M={self.M}, J={self.J}"
             )
         if not -1.0 < self.rho < 1.0:
             raise DataError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.sigma <= 0:
-            raise DataError(f"sigma must be positive, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise DataError(f"sigma must be finite and positive, got {self.sigma}")
         if self.reps < 1:
             raise DataError(f"reps must be >= 1, got {self.reps}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
+        if len(self.theta0) == 0:
+            raise DataError("theta0 is empty: the shared parameter needs a component")
         if not all(np.isfinite(self.theta0)):
             raise DataError("theta0 must be finite")
         solver_kind(self.method, self.working)
@@ -327,14 +332,15 @@ def fit_dataset(
     strategy: str = "contiguous",
     seed: int = 0,
     opts: SolverOptions | None = None,
-    theta_cols=None,
     workers: int = 1,
 ):
     """Split, fit every block, return (bundle, blocks).
 
-    The split gathers each subject group once per block-size bucket, and
-    every block's arrays are views of its bucket.  The blocks, in sorted
-    (j, k) order, are solved as one stack
+    Every covariate column of ``data`` belongs to the shared parameter; a
+    fit on a subset of them takes a :class:`Dataset` built from those
+    columns.  The split gathers each subject group once per block-size
+    bucket, and every block's arrays are views of its bucket.  The blocks,
+    in sorted (j, k) order, are solved as one stack
     (:func:`blockgmm.engines.solve_blocks`: the moments of each bucket's
     blocks in one batched pass, then one alternation over all of them) and
     each is then fitted from its row, with one scores pass per block.  With
@@ -346,7 +352,7 @@ def fit_dataset(
     """
     check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
-    blocks = partition.split(data, plan, theta_cols=theta_cols)
+    blocks = partition.split(data, plan)
     keys = sorted(blocks)
     chunks = min(workers, len(keys))
     cuts = [len(keys) * c // chunks for c in range(chunks + 1)]

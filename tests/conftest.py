@@ -38,6 +38,14 @@ def make_ar1_design(**overrides):
     return simstudy.SimDesign(**base)
 
 
+def column_subset(data, cols=None):
+    """The dataset on covariate columns ``cols``, in that order (all of
+    them for None): a model of the shared parameter on those columns."""
+    if cols is None:
+        return data
+    return Dataset(data.responses, data.covariates[:, :, list(cols)], data.subject_ids)
+
+
 def random_dataset(N, M, p=3, seed=0, sigma=1.0):
     """Independent-error dataset with known coefficients (no correlation)."""
     rng = np.random.default_rng(seed)

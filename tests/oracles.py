@@ -306,17 +306,16 @@ def reassemble(blocks, plan):
     return out
 
 
-def ix_split(data, plan, theta_cols=None):
+def ix_split(data, plan):
     """Blocks of :func:`blockgmm.partition.split`, each gathered by one
-    ``np.ix_`` double fancy index: {(j, k): (y, X, design)}."""
-    cols_q = list(range(data.q)) if theta_cols is None else list(theta_cols)
+    ``np.ix_`` double fancy index: {(j, k): (y, X)}."""
     blocks = {}
     for k in range(plan.K):
         rows = plan.subject_indices(k)
         for j in range(plan.J):
             cols = plan.response_indices(j)
-            X = data.covariates[np.ix_(rows, cols)]
-            blocks[(j, k)] = (data.responses[np.ix_(rows, cols)], X, X[:, :, cols_q])
+            blocks[(j, k)] = (data.responses[np.ix_(rows, cols)],
+                              data.covariates[np.ix_(rows, cols)])
     return blocks
 
 
@@ -402,7 +401,7 @@ def residual_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
     """The Gram-solve GEE alternation with the nuisance moments taken from
     the residuals of every iterate, a full pass over the block per
     iteration.  Returns (theta, zeta, converged, iterations, rho_clamped)."""
-    X, m = block.design, block.m
+    X, m = block.X, block.m
     grams = gee._grams(structure, X)
     start = np.linalg.solve(grams[0], gee._xt(X, block.y))
     resid = gee._residuals(block.y, X, start)
@@ -430,13 +429,13 @@ def gee_theta_sensitivity(block, zeta, structure):
     sigma2 = float(zeta[0])
     rho = float(zeta[1]) if structure != "independence" else 0.0
     w, _ = gee._weights(structure, rho, block.m)
-    return np.tensordot(w, gee._grams(structure, block.design), axes=1) / (block.n * sigma2)
+    return np.tensordot(w, gee._grams(structure, block.X), axes=1) / (block.n * sigma2)
 
 
 def dense_wls_theta(block, rho, structure, start):
     """Weighted normal equations through the dense m x m R^-1, solved for
     the correction to ``start`` from its residuals."""
-    X = block.design
+    X = block.X
     rinv = corr_inverse(structure, rho, block.m)
     XtR = np.einsum("nmp,mt->ntp", X, rinv)
     A = np.einsum("ntp,ntq->pq", XtR, X)
@@ -448,7 +447,7 @@ def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
     """The GEE alternation with a dense R^-1 in every theta step and the
     nuisance moments taken from the residuals of every iterate.  Returns
     (theta, zeta, converged, iterations, rho_clamped)."""
-    X = block.design
+    X = block.X
     start = np.linalg.solve(
         np.einsum("nmp,nmq->pq", X, X), np.einsum("nmp,nm->p", X, block.y)
     )
@@ -479,7 +478,7 @@ def gee_pass_terms(block, theta, zeta, structure):
     from its moments at the start."""
     sigma2 = float(zeta[0])
     rho = float(zeta[1]) if structure != "independence" else 0.0
-    X = block.design
+    X = block.X
     n, m, p = X.shape
     basis = gee._apply_basis(structure, gee._residuals(block.y, X, theta))
     w, dw = gee._weights(structure, rho, m)
@@ -516,7 +515,7 @@ def cl_pass_terms(block, theta, zeta):
     rho) scale from per-subject lag sums of the residuals at theta and the
     per-lag Grams of the design: a full pass over the block, where the
     kernel works from the lag sums of [X, r0] at the start."""
-    X, y = block.design, block.y
+    X, y = block.X, block.y
     sigma2, rho = float(zeta[0]), float(zeta[1])
     n, m, p = X.shape
     resid = y - X @ theta

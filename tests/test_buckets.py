@@ -25,7 +25,7 @@ from blockgmm.engines import (
 )
 from blockgmm.errors import SolverError
 
-from conftest import make_ar1_design
+from conftest import column_subset, make_ar1_design
 
 
 def _same_bits(a, b) -> bool:
@@ -36,7 +36,7 @@ def _alone(block) -> partition.BlockData:
     """The block rebuilt from copies of its arrays: a bucket of one."""
     return partition.BlockData(
         j=block.j, k=block.k, y=block.y.copy(), X=block.X.copy(),
-        theta_cols=block.theta_cols, subject_indices=block.subject_indices,
+        subject_indices=block.subject_indices,
     )
 
 
@@ -47,8 +47,8 @@ def _buckets(blocks) -> list:
 
 @st.composite
 def two_bucket_fits(draw):
-    """A kind, a strategy, a theta_cols subset (or all columns) and a
-    dataset whose M is not a multiple of J, so that every group has two
+    """A kind, a strategy and a dataset on a column subset (or all
+    columns) whose M is not a multiple of J, so that every group has two
     buckets."""
     kind = draw(st.sampled_from(KINDS))
     J = draw(st.integers(2, 4))
@@ -56,20 +56,18 @@ def two_bucket_fits(draw):
     M = J * draw(st.integers(2, 3)) + draw(st.integers(1, J - 1))
     N = K * draw(st.integers(14, 30))
     seed = draw(st.integers(0, 10**6))
-    theta_cols = draw(st.sampled_from([None, (0, 2), (2, 1, 0), (1, 0)]))
+    cols = draw(st.sampled_from([None, (0, 2), (2, 1, 0), (1, 0)]))
     strategy = draw(st.sampled_from(partition.GROUP_STRATEGIES))
     data = simstudy.generate(make_ar1_design(N=N, M=M, J=J, K=K, seed=seed), 0)
-    return kind, data, J, K, strategy, seed, theta_cols
+    return kind, column_subset(data, cols), J, K, strategy, seed
 
 
 class TestBucketBits:
     @settings(max_examples=25, deadline=None)
     @given(case=two_bucket_fits())
     def test_alone_in_its_bucket_and_in_fit_dataset(self, case):
-        kind, data, J, K, strategy, seed, theta_cols = case
-        bundle, blocks = simstudy.fit_dataset(
-            data, J, K, kind, strategy=strategy, seed=seed, theta_cols=theta_cols
-        )
+        kind, data, J, K, strategy, seed = case
+        bundle, blocks = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
         spec = NuisanceSpec(kind)
         in_bucket = {}
         for bucket in _buckets(blocks):
@@ -102,11 +100,11 @@ class TestBucketBits:
     def test_a_chunk_holding_part_of_a_bucket(self, case):
         # the blocks of a sorted-key chunk, as a worker gets them: each
         # bucket's share of the chunk is a slice of it
-        kind, data, J, K, strategy, seed, theta_cols = case
+        kind, data, J, K, strategy, seed = case
         if kind == "cl-ar1":
             kind = "gee-ar1"
         plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
-        blocks = partition.split(data, plan, theta_cols=theta_cols)
+        blocks = partition.split(data, plan)
         keys = sorted(blocks)
         spec = NuisanceSpec(kind)
         whole = dict(zip(keys, solve_blocks([blocks[key] for key in keys], spec)))
@@ -121,19 +119,19 @@ class TestBucketBits:
 
 
 class TestBucketMemory:
-    @pytest.mark.parametrize("theta_cols", [None, (2, 0)])
+    @pytest.mark.parametrize("cols", [None, (2, 0)])
     @pytest.mark.parametrize("strategy", partition.GROUP_STRATEGIES)
-    def test_a_group_shares_one_bucket_per_size(self, strategy, theta_cols):
+    def test_a_group_shares_one_bucket_per_size(self, strategy, cols):
         data = simstudy.generate(make_ar1_design(N=45, M=11, seed=5), 0)
         plan = partition.make_plan(11, 45, 3, 3, strategy=strategy, seed=5)
         assert plan.block_sizes == (4, 4, 3)
-        blocks = partition.split(data, plan, theta_cols=theta_cols)
+        blocks = partition.split(column_subset(data, cols), plan)
         for k in range(plan.K):
             group = [blocks[(j, k)] for j in range(plan.J)]
             by_size = {}
             for block in group:
                 by_size.setdefault(block.m, set()).add(id(block.bucket))
-                for name in ("y", "X", "design"):
+                for name in ("y", "X"):
                     assert np.shares_memory(getattr(block, name), getattr(block.bucket, name))
                 assert block.y.flags.c_contiguous and block.X.flags.c_contiguous
             assert {m: len(ids) for m, ids in by_size.items()} == {4: 1, 3: 1}
@@ -143,20 +141,18 @@ class TestBucketMemory:
             assert not np.shares_memory(group[0].bucket.y, group[2].bucket.y)
         assert not np.shares_memory(blocks[(0, 0)].bucket.X, blocks[(0, 1)].bucket.X)
 
-    @pytest.mark.parametrize("theta_cols", [None, (2, 0)])
-    def test_a_pickled_block_keeps_its_views_and_layout(self, theta_cols):
+    def test_a_pickled_block_keeps_its_views_and_layout(self):
         # a worker's blocks have the strides, and so the fits, of the serial ones
         import pickle
 
         data = simstudy.generate(make_ar1_design(N=30, M=8, seed=6), 0)
         plan = partition.make_plan(8, 30, 2, 2, strategy="contiguous")
-        blocks = partition.split(data, plan, theta_cols=theta_cols)
+        blocks = partition.split(data, plan)
         a, b = pickle.loads(pickle.dumps([blocks[(0, 1)], blocks[(1, 1)]]))
         assert a.bucket is b.bucket
         assert np.shares_memory(a.y, b.bucket.y) and np.shares_memory(b.X, a.bucket.X)
-        assert np.shares_memory(a.design, b.bucket.design)
         for ours, theirs in ((a, blocks[(0, 1)]), (b, blocks[(1, 1)])):
-            for name in ("y", "X", "design"):
+            for name in ("y", "X"):
                 got, want = getattr(ours, name), getattr(theirs, name)
                 assert _same_bits(got, want) and got.strides == want.strides, name
 

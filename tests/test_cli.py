@@ -341,6 +341,20 @@ class TestSimulateCommand:
              "--M", 10, "--J", 3, "--reps", 1, "--out", tmp_path / "bad"]
         ) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--J", 0, "simulate: J must be >= 1, got 0"),
+        ("--sigma", "nan", "simulate: sigma must be finite and positive, got nan"),
+    ], ids=["J-zero", "sigma-nan"])
+    def test_bad_design_value_is_rejected_at_start(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bad"
+        assert run(
+            ["simulate", "--family", "kronecker-nested", "--N", 40, "--M", 12, "--J", 3,
+             "--reps", 1, flag, value, "--out", out]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == message + "\n" and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_is_exit_1(self, tmp_path, capsys):
         assert run(
             ["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
@@ -664,7 +678,7 @@ class TestUnreadableInput:
         reads = []
         monkeypatch.setattr(cli, "load_long_csv", lambda *args: reads.append(args))
         monkeypatch.setattr(cli, "load_bundle", lambda *args: reads.append(args))
-        monkeypatch.setattr(simstudy, "run_replications", lambda *args, **kw: reads.append(args))
+        monkeypatch.setattr(simstudy, "run_study", lambda *args, **kw: reads.append(args))
         source = tmp_path / "input"
         argv = {"fit": ["fit", "--input", source], "combine": ["combine", source],
                 "simulate": ["simulate", "--reps", 1]}[command]

@@ -9,7 +9,7 @@ from blockgmm.engines import sample_sensitivity
 from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
-from conftest import make_ar1_design, random_dataset
+from conftest import column_subset, make_ar1_design, random_dataset
 
 
 def one_block(data):
@@ -19,7 +19,7 @@ def one_block(data):
 
 def pairwise_loglik(block, theta, sigma2, rho):
     """Direct mean pairwise bivariate-normal log-likelihood (oracle)."""
-    resid = block.y - block.design @ theta
+    resid = block.y - block.X @ theta
     total = 0.0
     m = block.m
     npairs = m * (m - 1) / 2
@@ -43,7 +43,7 @@ def pair_loop_scores(block, theta, zeta):
     (oracle for the lag-vectorised kernel)."""
     sigma2, rho = float(zeta[0]), float(zeta[1])
     n, m, p = block.n, block.m, block.p
-    X = block.design
+    X = block.X
     resid = block.y - X @ theta
     grad_theta = np.zeros((n, p))
     grad_v = np.zeros(n)
@@ -161,7 +161,7 @@ class TestLagVectorisedKernel:
         plan = partition.make_plan(
             ar1_dataset.M, ar1_dataset.N, 3, 2, strategy="seeded-random", seed=4
         )
-        blocks = partition.split(ar1_dataset, plan, theta_cols=(0, 2))
+        blocks = partition.split(column_subset(ar1_dataset, (0, 2)), plan)
         assert len(blocks) == 6
         for block in blocks.values():
             theta, zeta = np.array([0.2, 0.9]), np.array([3.5, 0.45])
@@ -186,7 +186,7 @@ class TestLagVectorisedKernel:
 @st.composite
 def cl_points(draw):
     """A one-block split (M in [2, 12], 1 to 3 covariates, all of them or a
-    theta_cols subset) and a point (theta, sigma^2, rho) off the root."""
+    column subset) and a point (theta, sigma^2, rho) off the root."""
     M = draw(st.integers(2, 12))
     q = draw(st.integers(1, 3))
     cols = draw(
@@ -200,7 +200,7 @@ def cl_points(draw):
         N=N, M=M, p=q, seed=draw(st.integers(0, 2**16)), sigma=draw(st.floats(0.2, 3.0))
     )
     plan = partition.make_plan(M, N, 1, 1, strategy="contiguous")
-    block = partition.split(data, plan, theta_cols=cols)[(0, 0)]
+    block = partition.split(column_subset(data, cols), plan)[(0, 0)]
     moments, _ = composite._lag_moments(block)
     offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=block.p, max_size=block.p))
     theta = moments.start + np.array(offset)
@@ -316,7 +316,7 @@ class TestFitClBlock:
         block = one_block(simstudy.generate(design, 0))
         theta, zeta, converged, *_ = composite.fit_cl_block(block)
         assert converged
-        x = block.design.reshape(-1, 3)
+        x = block.X.reshape(-1, 3)
         y = block.y.reshape(-1)
         ols = np.linalg.solve(x.T @ x, x.T @ y)
         se = np.sqrt(

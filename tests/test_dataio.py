@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockgmm.dataio import DEFAULT_SCHEMA, Dataset, load_long_csv
+from blockgmm.dataio import Dataset, load_long_csv
 from blockgmm.errors import DataError
 
 
@@ -26,12 +26,8 @@ def _oracle_sort_key(ids):
         return sorted(ids, key=str)
 
 
-def oracle_load_long_csv(path, schema=None):
-    cfg = dict(DEFAULT_SCHEMA)
-    if schema:
-        cfg.update(schema)
-    sid_col, ridx_col, y_col = cfg["subject_id"], cfg["response_index"], cfg["y"]
-    x_prefix = cfg["x_prefix"]
+def oracle_load_long_csv(path):
+    sid_col, ridx_col, y_col, x_prefix = "subject_id", "response_index", "y", "x_"
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -21,7 +21,13 @@ from blockgmm.engines import (
 from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
-from conftest import make_ar1_design, near_unit_root_dataset, random_dataset, record_passes
+from conftest import (
+    column_subset,
+    make_ar1_design,
+    near_unit_root_dataset,
+    random_dataset,
+    record_passes,
+)
 
 
 def one_block(data):
@@ -108,7 +114,7 @@ class TestFitBlock:
 @st.composite
 def kernel_points(draw):
     """A kind, a one-block split (M in [2, 12], 1 to 3 covariates, all of
-    them or a theta_cols subset) and a point (theta, zeta) off the root."""
+    them or a column subset) and a point (theta, zeta) off the root."""
     kind = draw(st.sampled_from(KINDS))
     M = draw(st.integers(2, 12))
     q = draw(st.integers(1, 3))
@@ -123,7 +129,7 @@ def kernel_points(draw):
         N=N, M=M, p=q, seed=draw(st.integers(0, 2**16)), sigma=draw(st.floats(0.2, 3.0))
     )
     plan = partition.make_plan(M, N, 1, 1, strategy="contiguous")
-    block = partition.split(data, plan, theta_cols=cols)[(0, 0)]
+    block = partition.split(column_subset(data, cols), plan)[(0, 0)]
     moments = block_moments(block, kind)
     offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=block.p, max_size=block.p))
     theta = moments.start + np.array(offset)
@@ -201,7 +207,7 @@ class TestSampleSensitivity:
         block = one_block(data)
         fit = fit_block(block, NuisanceSpec("gee-independence"))
         expected = np.einsum(
-            "nmp,nmq->pq", block.design, block.design
+            "nmp,nmq->pq", block.X, block.X
         ) / (block.n * fit.zeta_hat[0])
         np.testing.assert_allclose(fit.sensitivity[:2, :2], expected, rtol=1e-10)
 

@@ -8,9 +8,9 @@ import oracles
 from conftest import make_ar1_design, random_dataset
 
 
-def one_block(data, theta_cols=None):
+def one_block(data):
     plan = partition.make_plan(data.M, data.N, 1, 1, strategy="contiguous")
-    return partition.split(data, plan, theta_cols=theta_cols)[(0, 0)]
+    return partition.split(data, plan)[(0, 0)]
 
 
 def fit_alone(block, structure):
@@ -117,7 +117,7 @@ class TestFitGeeBlock:
         block = one_block(data)
         theta, zeta, converged, _, _ = fit_alone(block, "independence")
         assert converged
-        x = block.design.reshape(-1, 3)
+        x = block.X.reshape(-1, 3)
         y = block.y.reshape(-1)
         ols = np.linalg.solve(x.T @ x, x.T @ y)
         np.testing.assert_allclose(theta, ols, atol=1e-10)
@@ -229,7 +229,7 @@ class TestFitGeeBlock:
         rebuilt = engines.block_moments(block, "gee-ar1")
         for field in ("start", "grams", "cross", "totals"):
             assert getattr(moments, field).tobytes() == getattr(rebuilt, field).tobytes()
-        assert moments.grams.tobytes() == gee._grams("ar1", block.design).tobytes()
+        assert moments.grams.tobytes() == gee._grams("ar1", block.X).tobytes()
         assert (moments.n, moments.m) == (block.n, block.m)
 
     def test_too_few_subjects_raises(self):
@@ -268,8 +268,8 @@ class TestGeeScores:
         block = one_block(data)
         theta = np.array([0.5, -0.2])
         scores = gee.gee_scores(block, theta, np.array([1.0]), "independence")
-        resid = block.y - block.design @ theta
-        expected = np.einsum("nmp,nm->np", block.design, resid)
+        resid = block.y - block.X @ theta
+        expected = np.einsum("nmp,nm->np", block.X, resid)
         np.testing.assert_allclose(scores[:, :2], expected, atol=1e-12)
 
     def test_invalid_sigma2_raises(self):
@@ -318,7 +318,6 @@ class TestGeeScores:
             k=0,
             y=block.y[perm],
             X=block.X[perm],
-            theta_cols=block.theta_cols,
             subject_indices=block.subject_indices[perm],
         )
         theta2, zeta2, *_ = fit_alone(permuted, "ar1")

@@ -60,7 +60,7 @@ class TestGodambeCov:
         # oracle: joint (theta, sigma^2) sandwich j = S' V^{-1} S, cov = j^{-1}/N
         block = blocks[(0, 0)]
         bf = bundle.fits[(0, 0)]
-        x, resid = block.design, block.y - block.design @ bf.theta_hat
+        x, resid = block.X, block.y - block.X @ bf.theta_hat
         sigma2 = bf.zeta_hat[0]
         n, m, p = block.n, block.m, block.p
         scores = np.empty((n, p + 1))

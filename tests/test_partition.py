@@ -7,7 +7,7 @@ from blockgmm import partition, simstudy
 from blockgmm.errors import PlanError
 
 import oracles
-from conftest import random_dataset
+from conftest import column_subset, random_dataset
 
 
 class TestMakePlan:
@@ -108,15 +108,6 @@ class TestSplit:
             oracles.reassemble(blocks, plan), data.responses
         )
 
-    def test_theta_cols_selects_design_columns(self):
-        data, _ = random_dataset(N=6, M=4, p=3, seed=3)
-        plan = partition.make_plan(4, 6, J=1, K=1, strategy="contiguous")
-        blocks = partition.split(data, plan, theta_cols=(0, 2))
-        assert blocks[(0, 0)].p == 2
-        np.testing.assert_array_equal(
-            blocks[(0, 0)].design, data.covariates[:, :, [0, 2]]
-        )
-
     @settings(max_examples=60, deadline=None)
     @given(
         block_sizes=st.lists(st.integers(2, 7), min_size=1, max_size=5),
@@ -129,7 +120,7 @@ class TestSplit:
     def test_blocks_equal_ix_gather_oracle(
         self, block_sizes, group_sizes, strategy, seed, q, data
     ):
-        theta_cols = data.draw(
+        cols = data.draw(
             st.none() | st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True)
         )
         plan = partition.PartitionPlan(
@@ -137,36 +128,15 @@ class TestSplit:
             strategy=strategy, seed=seed,
         )
         dataset, _ = random_dataset(N=plan.N, M=plan.M, p=q, seed=seed % 97)
-        blocks = partition.split(dataset, plan, theta_cols=theta_cols)
-        expected = oracles.ix_split(dataset, plan, theta_cols)
+        dataset = column_subset(dataset, cols)
+        blocks = partition.split(dataset, plan)
+        expected = oracles.ix_split(dataset, plan)
         assert blocks.keys() == expected.keys()
-        for key, (y, X, design) in expected.items():
+        for key, (y, X) in expected.items():
             block = blocks[key]
-            for got, want in ((block.y, y), (block.X, X), (block.design, design)):
+            for got, want in ((block.y, y), (block.X, X)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert block.y.flags.c_contiguous and block.X.flags.c_contiguous
-
-    @pytest.mark.parametrize(
-        "theta_cols, message",
-        [
-            ((), "theta_cols is empty"),
-            ((0, 0), r"theta_cols \(0, 0\) repeats a column"),
-            ((1.5,), r"theta_cols must be integers, got \(1.5,\)"),
-            ((0, 3), r"theta_cols \(0, 3\) out of range for q=3"),
-        ],
-        ids=["empty", "duplicated", "non-integer", "out-of-range"],
-    )
-    def test_bad_theta_cols_are_a_plan_error(self, theta_cols, message):
-        data, _ = random_dataset(N=20, M=4, p=3, seed=3)
-        with pytest.raises(PlanError, match=message):
-            simstudy.fit_dataset(data, 2, 2, "gee-ar1", theta_cols=theta_cols)
-
-    def test_numpy_integer_theta_cols_are_accepted(self):
-        data, _ = random_dataset(N=6, M=4, p=3, seed=3)
-        plan = partition.make_plan(4, 6, J=1, K=1, strategy="contiguous")
-        block = partition.split(data, plan, theta_cols=np.array([2, 0]))[(0, 0)]
-        assert block.theta_cols == (2, 0)
-        np.testing.assert_array_equal(block.design, data.covariates[:, :, [2, 0]])
 
     def test_dimension_mismatch_is_an_error(self):
         data, _ = random_dataset(N=6, M=4, p=2, seed=3)

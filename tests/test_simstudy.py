@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgmm import partition, simstudy
@@ -14,7 +14,7 @@ from blockgmm.engines import KINDS, NuisanceSpec, fit_block
 from blockgmm.errors import BlockGmmError, DataError, SolverError
 
 import oracles
-from conftest import make_ar1_design, near_unit_root_dataset
+from conftest import column_subset, make_ar1_design, near_unit_root_dataset
 
 
 class TestRandomPdMatrix:
@@ -53,6 +53,22 @@ class TestSimDesignValidation:
     def test_unknown_family(self):
         with pytest.raises(DataError, match="family"):
             simstudy.SimDesign(family="toeplitz")
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(N=0), "N must be >= 1, got 0"),
+        (dict(M=-2), "M must be >= 1, got -2"),
+        (dict(J=0), "J must be >= 1, got 0"),
+        (dict(K=0), "K must be >= 1, got 0"),
+        (dict(theta0=()), "theta0 is empty"),
+        (dict(sigma=0.0), "sigma must be finite and positive, got 0.0"),
+        (dict(sigma=float("nan")), "sigma must be finite and positive, got nan"),
+        (dict(sigma=float("inf")), "sigma must be finite and positive, got inf"),
+    ], ids=["N", "M", "J", "K", "theta0", "sigma-zero", "sigma-nan", "sigma-inf"])
+    @pytest.mark.parametrize("family", simstudy.FAMILIES)
+    def test_bad_field_is_named_when_the_design_is_built(self, family, overrides, message):
+        # not a ZeroDivisionError, an IndexError or a failure of every replication
+        with pytest.raises(DataError, match=f"^{message}"):
+            simstudy.SimDesign(family=family, **overrides)
 
     @pytest.mark.parametrize("field, message", [
         ("method", "unknown method 'foo'"),
@@ -392,18 +408,14 @@ class TestWorkerInvariance:
         kind=st.sampled_from(KINDS),
         strategy=st.sampled_from(["contiguous", "seeded-random"]),
         seed=st.integers(0, 10**6),
-        theta_cols=st.sampled_from([None, (2, 0), (1,)]),
+        cols=st.sampled_from([None, (2, 0), (1,)]),
     )
-    @example(J=3, K=2, kind="cl-ar1", strategy="contiguous", seed=1, theta_cols=(2, 0))
-    def test_bundle_bytes_equal_for_one_and_two_workers(
-        self, J, K, kind, strategy, seed, theta_cols
-    ):
+    def test_bundle_bytes_equal_for_one_and_two_workers(self, J, K, kind, strategy, seed, cols):
         data = simstudy.generate(make_ar1_design(N=20 * K, M=3 * J + 1, seed=seed), 0)
-        serial, _ = simstudy.fit_dataset(
-            data, J, K, kind, strategy=strategy, seed=seed, theta_cols=theta_cols
-        )
+        data = column_subset(data, cols)
+        serial, _ = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
         parallel, _ = simstudy.fit_dataset(
-            data, J, K, kind, strategy=strategy, seed=seed, theta_cols=theta_cols, workers=2
+            data, J, K, kind, strategy=strategy, seed=seed, workers=2
         )
         assert _bundle_bytes(parallel) == _bundle_bytes(serial)
 
