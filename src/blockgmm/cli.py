@@ -218,11 +218,14 @@ def _write_resolved_config(path, command: str, settings: dict) -> None:
 
 
 def _write_inference_outputs(out_dir, report, overid) -> None:
-    _write_csv(
-        os.path.join(out_dir, "estimates.csv"),
-        ["name", "estimate", "ase", "z", "p_value", "ci_lower", "ci_upper"],
-        report.rows(),
-    )
+    # one formatted line per parameter: the bytes of _write_csv, whose
+    # quoting no parameter name needs, without a csv.writer call per row
+    columns = (report.estimates, report.ase, report.z, report.p_values,
+               report.ci_lower, report.ci_upper)
+    line = "%s" + f",{FLOAT_FMT}" * len(columns) + "\n"
+    with open(os.path.join(out_dir, "estimates.csv"), "w", newline="") as fh:
+        fh.write("name,estimate,ase,z,p_value,ci_lower,ci_upper\n")
+        fh.writelines(line % row for row in zip(report.names, *(c.tolist() for c in columns)))
     with open(os.path.join(out_dir, "overid.txt"), "w") as fh:
         if overid is None:
             fh.write("over-identification test: skipped (raw data unavailable)\n")

@@ -75,11 +75,12 @@ def _lag_gram(Z) -> tuple[np.ndarray, np.ndarray]:
 def _lag_moments(block) -> tuple[LagMoments, np.ndarray]:
     """The block's lag moments and the start residuals r0 (n, m).  A block
     whose responses are an exact linear fit of its covariates is a
-    SolverError."""
+    SolverError, and one whose sums of squares overflow a
+    NumericDomainError."""
     X, y = block.X, block.y
     start, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
     resid = y - X @ start
-    _reject_exact_fit([(block.j, block.k)], [float(np.vdot(resid, resid))],
+    _reject_exact_fit([(block.j, block.k)], [[float(np.vdot(resid, resid))]],
                       [float(np.vdot(y, y))])
     gv, gw = _lag_gram(np.concatenate([X, resid[:, :, None]], axis=2))
     return LagMoments(start, gv, gw), resid

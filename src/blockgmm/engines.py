@@ -254,7 +254,7 @@ def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = 
     else:
         try:
             moments = _gee_moments(blocks, spec.working)
-        except SolverError:
+        except (SolverError, NumericDomainError):
             # of several bad blocks, name the first in list order, as alone
             for block in blocks:
                 _gee_moments([block], spec.working)
@@ -293,7 +293,9 @@ def fit_block(
     sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
-    final_norm = float(np.linalg.norm(scores.mean(axis=0)))
+    # a norm that overflows is recorded as inf
+    with np.errstate(over="ignore"):
+        final_norm = float(np.linalg.norm(scores.mean(axis=0)))
     return BlockFit(
         j=block.j,
         k=block.k,

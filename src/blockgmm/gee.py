@@ -212,16 +212,30 @@ def _singular(key) -> SolverError:
     return SolverError(f"singular weighted normal equations in block ({j}, {k})")
 
 
-def _reject_exact_fit(keys, rss, yy) -> None:
-    """A SolverError naming the first block whose start residual sum of
-    squares ``rss`` is round-off next to its y'y ``yy`` (one entry per
-    key)."""
+def _reject_exact_fit(keys, totals, yy) -> None:
+    """Check the start residuals' sums of squares, one row of ``totals``
+    (the residual sum of squares rss first) and one y'y ``yy`` per key.
+
+    A block with a non-finite sum, which overflowed, is a
+    NumericDomainError, and then a block whose rss is round-off next to
+    its y'y a SolverError; each names the first such block."""
+    totals, yy = np.asarray(totals), np.asarray(yy)
+    rss = totals[:, 0]
+    overflow = ~(np.isfinite(totals).all(axis=1) & np.isfinite(yy))
+    if overflow.any():
+        b = int(np.argmax(overflow))
+        j, k = keys[b]
+        raise NumericDomainError(
+            f"block ({j}, {k}): the sums of squares of the responses overflow "
+            f"(start residual sum of squares {rss[b]:.3e}, y'y {yy[b]:.3e}); "
+            "rescale the responses"
+        )
     # a float64 least-squares residual is known to about eps kappa(X) |y|
     # (eps = 2.2e-16), so r0' r0 <= 1e-20 y' y, a relative norm below 1e-10,
     # is round-off for any design with kappa below about 4e5.  An exact fit
     # measured at most 1e-28 on this ratio over 200 random designs, and
     # noise at 1e-6 of the signal about 1e-12: eight orders either side
-    exact = np.asarray(rss) <= 1e-20 * np.asarray(yy)
+    exact = rss <= 1e-20 * yy
     if exact.any():
         b = int(np.argmax(exact))
         j, k = keys[b]
@@ -329,10 +343,11 @@ def gee_moments(y, X, structure: str, keys) -> list:
     1 MB of design at a time.  Every product and reduction runs over one
     block's own rows, so a block's moments have the same bits in any
     bucket, a bucket of one included.  A singular design is a SolverError
-    naming the first such block, and then a block whose responses are an
-    exact linear fit of its covariates; one block at a time, as
-    :func:`blockgmm.engines.solve_blocks` retries a failed bucket, names
-    the first bad block of either kind.
+    naming the first such block, then a block whose sums of squares
+    overflow a NumericDomainError, and then a block whose responses are an
+    exact linear fit of its covariates a SolverError; one block at a time,
+    as :func:`blockgmm.engines.solve_blocks` retries a failed bucket,
+    names the first bad block of any kind.
     """
     B, n, m, p = X.shape
     step = max(1, _SLAB_BYTES // X[0].nbytes)
@@ -352,9 +367,12 @@ def _slab_moments(y, X, structure, keys) -> tuple:
     resid = _residuals(y, X, start)
     basis = _apply_basis(structure, resid)
     totals = np.empty((len(y), len(basis)))
-    for k, b in enumerate(basis):
-        totals[:, k] = _total(resid, b)
-    _reject_exact_fit(keys, totals[:, 0], _total(y, y))
+    # an overflowing sum is named by _reject_exact_fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, b in enumerate(basis):
+            totals[:, k] = _total(resid, b)
+        yy = _total(y, y)
+    _reject_exact_fit(keys, totals, yy)
     return start, grams, _basis_cross(X, basis), totals
 
 
@@ -398,8 +416,10 @@ def mean_terms(moments: GeeMoments, theta, zeta, structure: str, jacobian: bool 
 
     jac = np.zeros((B, p + d, p + d))
     jac[:, :p, :p] = -_wsum(w, grams) / scale[:, None, None]
-    # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2
-    jac[:, :p, p] = -_wsum(w, cross) / (scale * sigma2)[:, None]
+    # psi = X' R^-1 r / sigma^2 scales as 1 / sigma^2; where n sigma^4
+    # overflows, this entry (about m / sigma^3) reads 0
+    with np.errstate(over="ignore"):
+        jac[:, :p, p] = -_wsum(w, cross) / (scale * sigma2)[:, None]
     # d r' B r / d theta = -2 X' B r for every symmetric B
     jac[:, p, :p] = -2.0 * cross[:, 0] / (n * m)[:, None]
     jac[:, p, p] = -1.0

@@ -4,7 +4,9 @@ The arrowhead combiner in ``blockgmm.combine`` never forms a
 (p+d) x (p+d) matrix.  The oracles here do: they build every zero-padded
 combination matrix C_{k,i}, sum them into the full information, and solve
 the dense system, so the production solve can be checked against the
-combination identity and against a plain dense computation.  Likewise the
+combination identity and against a plain dense computation; the
+per-block loop that assembles a group's stacked sensitivity S_k is here
+as the reference for the production one-scatter assembly.  Likewise the
 GEE kernel never forms an m x m working-correlation inverse and never
 differentiates numerically; the dense GEE fit and the central-difference
 sensitivity here do, and the residual-moment alternation takes the
@@ -212,6 +214,29 @@ def arrowhead_information(bundle):
         idx = np.r_[0:p, p + group_offset(bundle, k) : p + group_offset(bundle, k + 1)]
         total[np.ix_(idx, idx)] += float(summary.n) ** 2 * summary.info
     return total / (N * N)
+
+
+def group_information(fits, w):
+    """(I_k, r_k, S_k, v_k) of one group by a loop over its blocks, six
+    slice assignments each: the reference for
+    :func:`blockgmm.combine.build_C`'s one-scatter assembly, which must
+    give the same bits."""
+    J, p = len(fits), fits[0].p
+    d_k = sum(fit.d for fit in fits)
+    s = np.zeros((J * p + d_k, p + d_k))
+    v = np.empty(J * p + d_k)
+    off = 0  # offset of block j's g rows after the psi rows, and of its zeta columns
+    for j, fit in enumerate(fits):
+        sens, d = fit.sensitivity, fit.d
+        image = sens @ np.concatenate([fit.theta_hat, fit.zeta_hat])
+        psi = slice(j * p, (j + 1) * p)
+        g = slice(J * p + off, J * p + off + d)
+        zeta = slice(p + off, p + off + d)
+        s[psi, :p], s[psi, zeta], v[psi] = sens[:p, :p], sens[:p, p:], image[:p]
+        s[g, :p], s[g, zeta], v[g] = sens[p:, :p], sens[p:, p:], image[p:]
+        off += d
+    sw = s.T @ w
+    return sw @ s, sw @ v, s, v
 
 
 # ---------------------------------------------------------------------------

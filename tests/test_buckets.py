@@ -23,7 +23,7 @@ from blockgmm.engines import (
     sample_sensitivity,
     solve_blocks,
 )
-from blockgmm.errors import SolverError
+from blockgmm.errors import NumericDomainError, SolverError
 
 from conftest import column_subset, make_ar1_design
 
@@ -161,7 +161,7 @@ class TestBadBlockInABucket:
     """J = 3, K = 2 on M = 9: each group's three blocks share one bucket."""
 
     @staticmethod
-    def _data(exact=(), zero=()):
+    def _data(exact=(), zero=(), huge=()):
         data = simstudy.generate(make_ar1_design(N=60, M=9, seed=3), 0)
         plan = partition.make_plan(9, 60, 3, 2, strategy="contiguous")
         responses, covariates = data.responses.copy(), data.covariates.copy()
@@ -172,12 +172,16 @@ class TestBadBlockInABucket:
             rows, cols = plan.subject_indices(k), plan.response_indices(j)
             block = covariates[np.ix_(rows, cols)]
             responses[np.ix_(rows, cols)] = block @ np.array([0.3, 0.6, 0.8])
+        for j, k in huge:
+            # finite responses whose squares overflow
+            rows, cols = plan.subject_indices(k), plan.response_indices(j)
+            responses[np.ix_(rows, cols)] *= 1e156
         data = Dataset(responses=responses, covariates=covariates, subject_ids=data.subject_ids)
         return data, plan
 
     @staticmethod
-    def _error(call) -> str:
-        with pytest.raises(SolverError) as info:
+    def _error(call, error=SolverError) -> str:
+        with pytest.raises(error) as info:
             call()
         return str(info.value)
 
@@ -192,6 +196,26 @@ class TestBadBlockInABucket:
         assert fitted == self._error(lambda: fit_block(_alone(blocks[(1, 1)]), spec))
         bucket = [blocks[key] for key in blocks[(1, 1)].bucket.keys]
         assert fitted == self._error(lambda: solve_blocks(bucket, spec))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_sums_of_squares_are_named(self, kind):
+        # inf <= 1e-20 * inf holds, so the overflow is checked before the exact fit
+        data, plan = self._data(huge=[(1, 1)])
+        blocks = partition.split(data, plan)
+        fitted = self._error(lambda: simstudy.fit_dataset(data, 3, 2, kind), NumericDomainError)
+        assert fitted.startswith("block (1, 1): the sums of squares of the responses overflow")
+        spec = NuisanceSpec(kind)
+        alone = self._error(lambda: fit_block(_alone(blocks[(1, 1)]), spec), NumericDomainError)
+        assert fitted == alone
+        bucket = [blocks[key] for key in blocks[(1, 1)].bucket.keys]
+        assert fitted == self._error(lambda: solve_blocks(bucket, spec), NumericDomainError)
+
+    def test_an_overflow_in_an_earlier_bucket_names_the_first_bad_block(self):
+        # group 0's bucket is passed first and overflows in block (1, 0), but
+        # block (0, 1) comes first in sorted order
+        data, _ = self._data(exact=[(0, 1)], huge=[(1, 0)])
+        fitted = self._error(lambda: simstudy.fit_dataset(data, 3, 2, "gee-ar1"))
+        assert fitted.startswith("block (0, 1): the responses are an exact linear fit")
 
     @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
     def test_singular_design_is_named(self, kind):

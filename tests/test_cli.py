@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import blockgmm
-from blockgmm import cli, simstudy
+from blockgmm import cli, inference, simstudy
+from blockgmm.dataio import Dataset
 
 from conftest import make_ar1_design, near_unit_root_dataset
 
@@ -155,6 +156,40 @@ class TestFitCommand:
         assert run(["fit", "--config", cfg, "--K", 2, "--out", out]) == 0
         resolved = (out / "config.txt").read_text()
         assert "K = 2" in resolved and "J = 2" in resolved
+
+
+class TestOverflowingResponses:
+    """Finite responses on a scale whose scores or squares overflow."""
+
+    @staticmethod
+    def _fit(tmp_path, capsys, top, method):
+        data = simstudy.generate(make_ar1_design(N=80, M=8, J=2, K=2, seed=55), 0)
+        scale = top / np.abs(data.responses).max()
+        path, out = tmp_path / "huge.csv", tmp_path / "out"
+        write_panel_csv(Dataset(data.responses * scale, data.covariates, data.subject_ids), path)
+        code = run(["fit", "--input", path, "--J", 2, "--K", 2, "--method", method,
+                    "--allow-unconverged", "--out", out])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_overflowing_score_covariance_is_exit_1(self, tmp_path, capsys):
+        # the scores' squares overflow in V_k; the sums of squares do not
+        code, err = self._fit(tmp_path, capsys, 6.6e150, "gee")
+        assert code == 1
+        assert err == (
+            "fit: group 0 score covariance is not finite (the block scores "
+            "overflow); cannot form weights\n"
+        )
+
+    @pytest.mark.parametrize("method", ["gee", "cl"])
+    def test_overflowing_sums_of_squares_are_exit_1(self, tmp_path, capsys, method):
+        # y'y overflows: an error of its own, not an exact linear fit
+        code, err = self._fit(tmp_path, capsys, 1.4e156, method)
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(
+            "fit: block (0, 0): the sums of squares of the responses overflow"
+        )
 
 
 class TestConfigValues:
@@ -393,6 +428,34 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "simulate: grid cell M=6, K=50: no successful replications to summarize" in err
         assert not out.exists()
+
+
+class TestEstimatesFile:
+    @staticmethod
+    def _csv_writer_bytes(report) -> bytes:
+        """estimates.csv as csv.writer writes it: every float as %.17g."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["name", "estimate", "ase", "z", "p_value", "ci_lower", "ci_upper"])
+        for row in report.rows():
+            writer.writerow([row[0]] + ["%.17g" % v for v in row[1:]])
+        return buf.getvalue().encode()
+
+    def test_bytes_equal_a_csv_writer_of_the_report(self, fitted_bundle, tmp_path):
+        bundle, _ = fitted_bundle
+        fit = blockgmm.combine(bundle)
+        report = inference.godambe_cov(fit, inference.parameter_names(bundle))
+        edges = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1])
+        odd = inference.InferenceReport(
+            names=tuple(f"theta_{a + 1}" for a in range(edges.size)),
+            estimates=edges, ase=edges[::-1].copy(), z=-edges, p_values=edges * 0.5,
+            ci_lower=edges - 1.0, ci_upper=np.roll(edges, 3), alpha=0.05,
+        )
+        for name, rep in (("real", report), ("odd", odd)):
+            out = tmp_path / name
+            out.mkdir()
+            cli._write_inference_outputs(out, rep, None)
+            assert (out / "estimates.csv").read_bytes() == self._csv_writer_bytes(rep)
 
 
 class TestCombineCommand:

@@ -4,14 +4,18 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockgmm import simstudy
 from blockgmm.combine import (
     GroupSummary,
     SummaryBundle,
+    _invert_group,
+    _stack_sensitivities,
     assemble_vhat,
+    build_C,
     combine,
     invert_vhat,
     load_bundle,
@@ -224,6 +228,45 @@ class TestInvertVhat:
             assert np.linalg.norm(resid) / np.sqrt(dim) <= 1e-8
             np.testing.assert_allclose(W.w[k], W.w[k].T, atol=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), extra=st.integers(1, 60), seed=st.integers(0, 10**6))
+    def test_matches_scipy_cholesky_inverse(self, dim, extra, seed):
+        # a score covariance tau' tau / n with columns on scales 1e-4 .. 1e4;
+        # scipy's cho_factor / cho_solve is the oracle, in the tests only
+        rng = np.random.default_rng(seed)
+        n = dim + extra
+        tau = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-4, 4, dim)
+        vk = tau.T @ tau / n
+        w, repaired = _invert_group(vk, 0)
+        assert not repaired
+        assert np.array_equal(w, w.T)
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (vk + vk.T)), np.eye(dim))
+        assert max_rel(w, expected) <= 3e-15
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_block_names_its_group(self, fitted_bundle, bad):
+        bundle, _ = fitted_bundle
+        vk = np.eye(3)
+        vk[1, 2] = vk[2, 1] = bad
+        with pytest.raises(CombineError, match="group 1 score covariance is not finite"):
+            invert_vhat((np.eye(3), vk) + (np.eye(3),) * (bundle.K - 2), bundle)
+
+    @pytest.mark.parametrize("score", [np.inf, np.nan, 1e200], ids=["inf", "nan", "1e200"])
+    def test_non_finite_or_overflowing_score_names_its_group(self, score):
+        # 1e200 squared overflows in V_k = tau' tau / N
+        bundle = random_bundle(2, 3, 2, seed=5)
+        fits = dict(bundle.fits)
+        fit = fits[(1, 2)]
+        scores = fit.scores.copy()
+        scores[4, -1] = score
+        fits[(1, 2)] = BlockFit(
+            j=1, k=2, kind=fit.kind, theta_hat=fit.theta_hat, zeta_hat=fit.zeta_hat,
+            scores=scores, sensitivity=fit.sensitivity, converged=True, iterations=1,
+            final_norm=0.0,
+        )
+        with pytest.raises(CombineError, match="group 2 score covariance is not finite"):
+            combine(SummaryBundle(plan=bundle.plan, fits=fits))
+
 
 class TestSubsetV:
     # the W_k accessor of the dense oracle
@@ -305,6 +348,33 @@ class TestBuildC:
                     if not off <= col < off + d_ik
                 ]
                 assert np.all(c[:, dropped] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ds=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        p=st.integers(1, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_one_scatter_is_bit_equal_to_the_block_loop(self, ds, p, seed):
+        # mixed d_jk, d = 0 and J = 1 included
+        rng = np.random.default_rng(seed)
+        fits = [
+            BlockFit(
+                j=j, k=0, kind="gee-ar1", theta_hat=rng.standard_normal(p),
+                zeta_hat=rng.standard_normal(d), scores=np.zeros((1, p + d)),
+                sensitivity=rng.standard_normal((p + d, p + d)), converged=True,
+                iterations=1, final_norm=0.0,
+            )
+            for j, d in enumerate(ds)
+        ]
+        dim = len(ds) * p + sum(ds)
+        g = rng.standard_normal((dim, dim))
+        w = g @ g.T + dim * np.eye(dim)
+        info, rhs, s, v = oracles.group_information(fits, w)
+        mine_s, mine_v = _stack_sensitivities(fits)
+        mine_info, mine_rhs = build_C(fits, w)
+        for mine, theirs in ((mine_s, s), (mine_v, v), (mine_info, info), (mine_rhs, rhs)):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
 
     def test_single_block_c_is_whole_information(self):
         design = make_ar1_design(N=80, M=6, J=1, K=1)
@@ -539,12 +609,16 @@ class TestBundleSerialization:
         with zipfile.ZipFile(buf) as zf:
             names = sorted(zf.namelist())
             meta = zf.read("meta.txt").decode()
+            methods = {info.compress_type for info in zf.infolist()}
         assert names == sorted(
             ["plan.txt", "meta.txt"]
             + [f"group_{k}/{name}.npy" for k in range(bundle.K)
                for name in ("information", "rhs", "theta", "zeta")]
         )
         assert meta.startswith("format = 3\n")
+        # members are stored, not deflated: the summaries are float64
+        # arrays that deflate barely shrinks
+        assert methods == {zipfile.ZIP_STORED}
 
     def test_archive_size_does_not_grow_with_n(self):
         # N enters the archive only as group sizes, which have the same digits here
@@ -659,13 +733,28 @@ class TestBundleSerialization:
     @pytest.mark.filterwarnings("ignore:Reading `.npy`:UserWarning")
     @settings(max_examples=150, deadline=None)
     @given(edit=st.integers(0, 10**6), byte=st.integers(0, 255))
+    # a byte of group_0/information.npy's float data, past its 128-byte .npy header
+    @example(edit=362, byte=0)
     def test_damaged_archive_bytes_are_a_package_error(self, fitted_bundle, edit, byte):
-        # headers, offsets and flags of the zip container itself
+        # headers, offsets and flags of the zip container itself, and the
+        # stored member payloads, whose every changed byte fails the CRC-32
         bundle, _ = fitted_bundle
         buf = io.BytesIO()
         save_bundle(bundle, buf)
         payload = bytearray(buf.getvalue())
-        payload[edit % len(payload)] = byte
+        pos = edit % len(payload)
+        with zipfile.ZipFile(buf) as zf:
+            hit = [
+                info.filename for info in zf.infolist()
+                if 0 <= pos - (info.header_offset + 30 + len(info.filename) + len(info.extra))
+                < info.compress_size
+            ]
+        changed = payload[pos] != byte
+        payload[pos] = byte
+        if hit and changed:
+            with pytest.raises(CombineError, match=f"member {hit[0]} is corrupt.*Bad CRC-32"):
+                load_bundle(io.BytesIO(bytes(payload)))
+            return
         try:
             combine(load_bundle(io.BytesIO(bytes(payload))))
         except BlockGmmError:
