@@ -25,12 +25,13 @@ from .engines import BlockFit, BlockRecord, NuisanceSpec, SolverOptions, eval_sc
 from .errors import (
     BlockGmmError,
     CombineError,
+    ConvergenceError,
     DataError,
     NumericDomainError,
     PlanError,
     SolverError,
 )
-from .inference import InferenceReport, godambe_cov, overid_test
+from .inference import InferenceReport, godambe_cov, infer, overid_test
 from .partition import BlockData, PartitionPlan, make_plan, split
 from .simstudy import SimDesign, SimSummary, fit_dataset, run_replications, summarize
 
@@ -43,6 +44,7 @@ __all__ = [
     "BlockRecord",
     "CombineError",
     "CombinedFit",
+    "ConvergenceError",
     "DataError",
     "Dataset",
     "GroupSummary",
@@ -63,6 +65,7 @@ __all__ = [
     "fit_block",
     "fit_dataset",
     "godambe_cov",
+    "infer",
     "invert_vhat",
     "load_bundle",
     "load_long_csv",

@@ -1,6 +1,10 @@
 """Command-line interface: ``fit`` a dataset, ``simulate`` a Monte Carlo
 design, or ``combine`` previously saved block-summary bundles.
 
+``fit`` and ``combine`` take their results from
+:func:`blockgmm.inference.infer`, as the simulation driver does.  A
+ConvergenceError is exit 2, any other package error exit 1.
+
 Each command's settings are one table of (name, default, cast, choices)
 rows, from which its flags, its config keys and its ``config.txt`` all
 follow.  Settings come from an optional plain-text key-value config file;
@@ -12,17 +16,15 @@ from that file.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields
 
 from . import inference, simstudy
 from .combine import load_bundle, merge_bundles, save_bundle
-from .combine import combine as combine_bundle
 from .dataio import load_long_csv
 from .engines import METHODS, WORKINGS, SolverOptions, solver_kind
-from .errors import BlockGmmError
+from .errors import BlockGmmError, ConvergenceError
 from .partition import GROUP_STRATEGIES
 
 FLOAT_FMT = "%.17g"
@@ -34,12 +36,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows: list) -> None:
+    """Each value as :func:`_fmt` gives it, in a line format taken from the
+    first row (each column holds one type).  No value needs quoting, so the
+    bytes are those of ``csv.writer``, without its call per row."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        line = ",".join(FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_config(path) -> dict:
@@ -218,14 +222,8 @@ def _write_resolved_config(path, command: str, settings: dict) -> None:
 
 
 def _write_inference_outputs(out_dir, report, overid) -> None:
-    # one formatted line per parameter: the bytes of _write_csv, whose
-    # quoting no parameter name needs, without a csv.writer call per row
-    columns = (report.estimates, report.ase, report.z, report.p_values,
-               report.ci_lower, report.ci_upper)
-    line = "%s" + f",{FLOAT_FMT}" * len(columns) + "\n"
-    with open(os.path.join(out_dir, "estimates.csv"), "w", newline="") as fh:
-        fh.write("name,estimate,ase,z,p_value,ci_lower,ci_upper\n")
-        fh.writelines(line % row for row in zip(report.names, *(c.tolist() for c in columns)))
+    header = ["name", "estimate", "ase", "z", "p_value", "ci_lower", "ci_upper"]
+    _write_csv(os.path.join(out_dir, "estimates.csv"), header, list(report.rows()))
     with open(os.path.join(out_dir, "overid.txt"), "w") as fh:
         if overid is None:
             fh.write("over-identification test: skipped (raw data unavailable)\n")
@@ -249,20 +247,8 @@ def cmd_fit(s: dict) -> int:
         data, s["J"], s["K"], kind, strategy=s["group_strategy"], seed=s["seed"],
         opts=opts, workers=s["workers"],
     )
-    allow_unconverged = s["allow_unconverged"]
-    unconverged = [key for key, fit in bundle.fits.items() if not fit.converged]
-    if unconverged and not allow_unconverged:
-        print(
-            f"fit: blocks {sorted(unconverged)} did not converge "
-            "(rerun with --allow-unconverged to proceed)",
-            file=sys.stderr,
-        )
-        return 2
-
-    fit = combine_bundle(bundle, allow_unconverged=allow_unconverged)
-    overid = inference.overid_test(None, bundle, fit, fit.W)
-    report = inference.godambe_cov(
-        fit, inference.parameter_names(bundle), alpha=s["alpha"]
+    _, report, overid = inference.infer(
+        bundle, alpha=s["alpha"], allow_unconverged=s["allow_unconverged"]
     )
     out_dir = s["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -335,15 +321,12 @@ def cmd_combine(s: dict) -> int:
         raise BlockGmmError("no bundle paths given")
     parts = [load_bundle(path) for path in s["bundles"]]
     bundle = parts[0] if len(parts) == 1 else merge_bundles(parts)
-    fit = combine_bundle(bundle, allow_unconverged=s["allow_unconverged"])
-    report = inference.godambe_cov(
-        fit, inference.parameter_names(bundle), alpha=s["alpha"]
+    _, report, overid = inference.infer(
+        bundle, alpha=s["alpha"], allow_unconverged=s["allow_unconverged"]
     )
-    # the over-identification test needs every block's moments and every
-    # group's W_k, which format-3 bundles do not carry
     out_dir = s["out"]
     os.makedirs(out_dir, exist_ok=True)
-    _write_inference_outputs(out_dir, report, None)
+    _write_inference_outputs(out_dir, report, overid)
     _write_resolved_config(os.path.join(out_dir, "config.txt"), "combine", s)
     print(
         f"combine: merged {len(parts)} bundle(s), "
@@ -390,7 +373,7 @@ def main(argv=None) -> int:
         return args.func(_settings(args, args.table))
     except (BlockGmmError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConvergenceError) else 1
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .engines import KINDS, BlockFit, BlockRecord, NuisanceSpec
-from .errors import CombineError
+from .errors import CombineError, ConvergenceError
 from .partition import PartitionPlan, format_plan, parse_plan
 
 # fixed archive member timestamp so bundles are byte-identical across runs
@@ -109,6 +109,9 @@ class SummaryBundle:
         return self.groups[k]
 
     def validate(self, allow_unconverged: bool = False) -> None:
+        """A CombineError for a missing block or a mismatched p, and the
+        package's one convergence check: a ConvergenceError naming every
+        unconverged block unless ``allow_unconverged``."""
         expected = {(j, k) for k in range(self.K) for j in range(self.J)}
         if set(self.fits) != expected:
             raise CombineError(
@@ -119,12 +122,12 @@ class SummaryBundle:
         for (j, k), fit in self.fits.items():
             if fit.p != p:
                 raise CombineError(f"block ({j}, {k}) has p={fit.p}, expected {p}")
-            if not fit.converged and not allow_unconverged:
-                raise CombineError(
-                    f"block ({j}, {k}) did not converge "
-                    f"(final norm {fit.final_norm:.3e}); "
-                    "pass allow_unconverged to combine anyway"
-                )
+        unconverged = sorted(key for key, fit in self.fits.items() if not fit.converged)
+        if unconverged and not allow_unconverged:
+            raise ConvergenceError(
+                f"blocks {unconverged} did not converge (pass allow_unconverged, "
+                "or --allow-unconverged on the command line, to combine anyway)"
+            )
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,9 @@ def _condition(sym: np.ndarray) -> float:
     if sym.size == 0:
         return 1.0
     eig = scipy.linalg.eigvalsh(sym)
-    return float(eig[-1] / eig[0])
+    # round-off can put the smallest eigenvalue of a matrix that Cholesky
+    # accepted at or below zero: the condition is then unbounded
+    return float(eig[-1] / eig[0]) if eig[0] > 0 else float("inf")
 
 
 def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedFit:

@@ -251,7 +251,13 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
     iterations = 0
     while not converged and iterations < max_iter:
         iterations += 1
-        _, jac = _u_terms(moments, u, hessian=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, jac = _u_terms(moments, u, hessian=True)
+        if not np.isfinite(jac).all():  # (2 sigma^2)^2 overflows from |y| near 1e77
+            raise NumericDomainError(
+                f"block ({block.j}, {block.k}): the score Jacobian overflows; "
+                "rescale the responses"
+            )
         try:
             step = np.linalg.solve(jac, -score)
         except np.linalg.LinAlgError as exc:

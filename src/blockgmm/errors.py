@@ -23,3 +23,7 @@ class NumericDomainError(BlockGmmError):
 
 class CombineError(BlockGmmError):
     """Combination-stage failure (singular weights, incompatible bundles)."""
+
+
+class ConvergenceError(CombineError):
+    """Unconverged blocks in a combination that does not allow them."""

@@ -1,5 +1,6 @@
 """Sandwich standard errors, confidence intervals and the
-over-identifying restrictions chi-square test.
+over-identifying restrictions chi-square test, chained after the
+combination by :func:`infer`, which the CLI and the simulation driver call.
 
 The test statistic N * T_N' W T_N needs each block's mean estimating
 function at the combined estimates.  Every in-memory block fit carries
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .combine import CombinedFit, SummaryBundle, WeightBlocks
+from .combine import CombinedFit, SummaryBundle, WeightBlocks, combine
 from .engines import block_means
 from .errors import CombineError
 
@@ -33,16 +34,9 @@ class InferenceReport:
     alpha: float
 
     def rows(self):
-        for idx, name in enumerate(self.names):
-            yield (
-                name,
-                self.estimates[idx],
-                self.ase[idx],
-                self.z[idx],
-                self.p_values[idx],
-                self.ci_lower[idx],
-                self.ci_upper[idx],
-            )
+        """(name, estimate, ase, z, p_value, ci_lower, ci_upper) per parameter."""
+        columns = (self.estimates, self.ase, self.z, self.p_values, self.ci_lower, self.ci_upper)
+        return zip(self.names, *(c.tolist() for c in columns))
 
 
 def parameter_names(bundle: SummaryBundle) -> tuple:
@@ -161,3 +155,13 @@ def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks
     df = (bundle.J * bundle.K - 1) * bundle.p
     p_value = float(scipy.special.chdtrc(df, stat)) if df > 0 else None
     return stat, df, p_value
+
+
+def infer(bundle: SummaryBundle, alpha: float = 0.05, allow_unconverged: bool = False):
+    """(fit, report, overid): the combination (a ConvergenceError on
+    unconverged blocks unless ``allow_unconverged``), its Godambe report and,
+    when it kept its weights, the over-identification test; a bundle read
+    from archives keeps none, and ``overid`` is then None."""
+    fit = combine(bundle, allow_unconverged=allow_unconverged)
+    overid = None if fit.W is None else overid_test(None, bundle, fit, fit.W)
+    return fit, godambe_cov(fit, parameter_names(bundle), alpha=alpha), overid

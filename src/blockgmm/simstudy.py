@@ -3,18 +3,14 @@ split-and-fit driver (:func:`fit_dataset`, which the CLI and the library
 call too), a replication driver with deterministic parallelism, and
 RMSE/BIAS/ESE/ASE summaries.
 
-:func:`fit_dataset` splits the data with one gather per subject group
-and block-size bucket (:func:`blockgmm.partition.split`), solves all
-blocks of a fit as one stack (the GEE moments one batched pass per
-bucket, then one stacked GEE alternation) and then fits each block from
-its row; with ``workers > 1`` each worker process solves one contiguous
-chunk of the sorted block keys as its own stack, over the slices of the
-buckets that the chunk holds.  A block's bits do not depend on its stack
-or bucket, so the bundle is byte-identical for any worker count.
+:func:`fit_dataset` solves the blocks of a fit as one stack, or one per
+worker process, and its bundle is byte-identical for any worker count.
 
 The unit of a study is one generated dataset: a replication generates
-its (M, rep) dataset once and then fits, combines and tests it under
-each of its designs, which differ only in K (no generator reads K).
+its (M, rep) dataset once and then fits it under each of its designs,
+which differ only in K (no generator reads K), and takes each design's
+results from one :func:`blockgmm.inference.infer` call, the chain that
+the CLI and the library run too.
 :func:`run_replications` gives it one design, :func:`grid_plot_data`
 every K of the grid, and :func:`run_study` the main design along with
 the grid's K of its M, all through one :func:`_fan_out` in job order.
@@ -46,7 +42,6 @@ from .dataio import Dataset
 from .engines import NuisanceSpec, SolverOptions, fit_block, solve_blocks, solver_kind
 from .errors import BlockGmmError, DataError
 from .combine import SummaryBundle
-from .combine import combine as combine_bundle
 from . import inference, partition
 
 FAMILIES = ("kronecker-nested", "global-ar1")
@@ -362,8 +357,8 @@ def fit_dataset(
 
 
 def _one_rep(args):
-    """One replication: generate the dataset once, then fit, combine and
-    test it under each design of the list (the designs differ only in K).
+    """One replication: generate the dataset once, then fit it and infer
+    from it under each design of the list (the designs differ only in K).
 
     Returns one plain dict per design; a failure fails only its own row.
     A row's wall time is its fit's, the first row's including generation.
@@ -376,10 +371,9 @@ def _one_rep(args):
             if data is None:
                 data = generate(design, rep)
             bundle, _ = fit_dataset(data, design.J, design.K, design.kind)
-            fit = combine_bundle(bundle)
-            stat, df, p_value = inference.overid_test(None, bundle, fit, fit.W)
-            row = {"ok": 1, "theta": fit.theta.tolist(),
-                   "ase": np.sqrt(fit.variances[: design.p]).tolist(),
+            _, report, (stat, df, p_value) = inference.infer(bundle)
+            row = {"ok": 1, "theta": report.estimates[: design.p].tolist(),
+                   "ase": report.ase[: design.p].tolist(),
                    "overid_stat": stat, "overid_df": df, "overid_p": p_value}
         except BlockGmmError as exc:
             row = {"ok": 0, "theta": [nan] * design.p, "ase": [nan] * design.p,

@@ -43,6 +43,10 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+# every block of data_csv at J = K = 2 after one iteration towards tol 1e-16
+UNCONVERGED = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 class TestFitCommand:
     def test_fit_writes_expected_outputs(self, data_csv, tmp_path):
         out = tmp_path / "out"
@@ -126,11 +130,16 @@ class TestFitCommand:
         ) == 1
         assert "fit: seed must be >= 0, got -1" in capsys.readouterr().err
 
-    def test_unconverged_block_is_exit_2(self, data_csv, tmp_path):
+    def test_unconverged_block_is_exit_2(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "strict.cfg"
         cfg.write_text(f"input = {data_csv}\ntol = 1e-16\nmax_iter = 1\n")
         out = tmp_path / "strict-out"
         assert run(["fit", "--config", cfg, "--J", 2, "--K", 2, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"fit: blocks {UNCONVERGED} did not converge (pass allow_unconverged, "
+            "or --allow-unconverged on the command line, to combine anyway)\n"
+        )
+        assert not out.exists()
         out2 = tmp_path / "strict-out2"
         assert run(
             ["fit", "--config", cfg, "--J", 2, "--K", 2, "--out", out2,
@@ -180,6 +189,13 @@ class TestOverflowingResponses:
             "fit: group 0 score covariance is not finite (the block scores "
             "overflow); cannot form weights\n"
         )
+
+    @pytest.mark.parametrize("top", [1e78, 1e100, 1e150])
+    def test_overflowing_cl_jacobian_is_exit_1(self, tmp_path, capsys, top):
+        # (2 sigma^2)^2 in the Newton Jacobian overflows before the start's sums
+        code, err = self._fit(tmp_path, capsys, top, "cl")
+        assert code == 1
+        assert err == "fit: block (0, 0): the score Jacobian overflows; rescale the responses\n"
 
     @pytest.mark.parametrize("method", ["gee", "cl"])
     def test_overflowing_sums_of_squares_are_exit_1(self, tmp_path, capsys, method):
@@ -430,6 +446,31 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+class TestOneChain:
+    """fit, combine and simulate take their results from inference.infer."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        infer = inference.infer
+        monkeypatch.setattr(inference, "infer", lambda *a, **kw: calls.append(1) or infer(*a, **kw))
+        return calls
+
+    def test_fit_and_combine_call_infer_once(self, data_csv, tmp_path, calls):
+        out = tmp_path / "fit"
+        assert run(["fit", "--input", data_csv, "--J", 2, "--K", 2, "--out", out]) == 0
+        assert len(calls) == 1
+        assert run(["combine", out / "bundle.zip", "--out", tmp_path / "comb"]) == 0
+        assert len(calls) == 2
+
+    def test_simulate_calls_infer_once_per_replication_and_design(self, tmp_path, calls):
+        # the main design (M=8, K=2) is also the grid cell (8, 2): 4 designs
+        assert run(["simulate", "--family", "global-ar1", "--N", 60, "--M", 8, "--J", 2,
+                    "--K", 2, "--reps", 3, "--M-list", "8,12", "--K-list", "1,2",
+                    "--out", tmp_path / "sim"]) == 0
+        assert len(calls) == 3 * 4
+
+
 class TestEstimatesFile:
     @staticmethod
     def _csv_writer_bytes(report) -> bytes:
@@ -493,6 +534,23 @@ class TestCombineCommand:
         assert (out / "estimates.csv").read_bytes() == (
             re_out / "estimates.csv"
         ).read_bytes()
+
+    def test_unconverged_bundle_is_exit_2_naming_every_block(self, data_csv, tmp_path,
+                                                             capsys):
+        fit_out = tmp_path / "fit-out"
+        assert run(["fit", "--input", data_csv, "--J", 2, "--K", 2, "--tol", 1e-16,
+                    "--max-iter", 1, "--allow-unconverged", "--out", fit_out]) == 0
+        capsys.readouterr()
+        out = tmp_path / "strict"
+        assert run(["combine", fit_out / "bundle.zip", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"combine: blocks {UNCONVERGED} did not converge (pass allow_unconverged, "
+            "or --allow-unconverged on the command line, to combine anyway)\n"
+        )
+        assert not out.exists()
+        lax = tmp_path / "lax"
+        assert run(["combine", fit_out / "bundle.zip", "--allow-unconverged", "--out", lax]) == 0
+        assert (lax / "estimates.csv").read_bytes() == (fit_out / "estimates.csv").read_bytes()
 
     def test_incompatible_bundles_exit_1(self, data_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -12,6 +12,7 @@ from blockgmm import simstudy
 from blockgmm.combine import (
     GroupSummary,
     SummaryBundle,
+    _condition,
     _invert_group,
     _stack_sensitivities,
     assemble_vhat,
@@ -23,6 +24,7 @@ from blockgmm.combine import (
     save_bundle,
     split_bundle,
 )
+from blockgmm.dataio import Dataset
 from blockgmm.engines import BlockFit, BlockRecord
 from blockgmm.errors import BlockGmmError, CombineError
 from blockgmm.partition import PartitionPlan, make_plan
@@ -543,6 +545,26 @@ class TestCombine:
             combine(broken)
         fit = combine(broken, allow_unconverged=True)
         assert np.all(np.isfinite(fit.theta))
+
+    @pytest.mark.parametrize("kind, top", [
+        *(("gee-ar1", top) for top in (1e40, 1e60, 1e75)),
+        *(("gee-exchangeable", top) for top in (1e40, 1e60, 1e75)),
+        ("cl-ar1", 1e40),
+    ])
+    def test_nuisance_condition_of_huge_responses_is_never_negative(self, kind, top):
+        # D_k passes Cholesky, yet eigvalsh puts its smallest eigenvalue at 0 or
+        # just below: the condition is then inf, without a divide-by-zero warning
+        data = simstudy.generate(make_ar1_design(N=80, M=8, J=2, K=2, seed=55), 0)
+        scale = top / np.abs(data.responses).max()
+        huge = Dataset(data.responses * scale, data.covariates, data.subject_ids)
+        bundle, _ = simstudy.fit_dataset(huge, 2, 2, kind)
+        conditions = combine(bundle, allow_unconverged=True).diagnostics["nuisance_condition"]
+        assert all(c >= 1.0 for c in conditions)
+
+    @pytest.mark.parametrize("smallest", [0.0, -5e-14])
+    def test_condition_without_a_positive_eigenvalue_is_inf(self, smallest):
+        assert _condition(np.diag([smallest, 1.0])) == np.inf
+        assert _condition(np.diag([2.0, 1.0])) == 2.0
 
     def test_missing_block_is_an_error(self, fitted_bundle):
         bundle, _ = fitted_bundle

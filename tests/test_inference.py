@@ -16,9 +16,10 @@ from blockgmm.combine import (
     save_bundle,
 )
 from blockgmm.engines import KINDS
-from blockgmm.errors import CombineError
+from blockgmm.errors import CombineError, ConvergenceError
 from blockgmm.inference import (
     _stacked_estfun,
+    infer,
     overid_test,
     godambe_cov,
     parameter_names,
@@ -155,6 +156,48 @@ class TestOveridTest:
         stat, _, _ = overid_test(blocks, bundle, fit, fit.W)
         assert calls == []
         assert stat == overid_test(None, bundle, fit, fit.W)[0]
+
+
+class TestInfer:
+    def test_is_the_chain_of_its_steps(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        fit, report, overid = infer(bundle, alpha=0.1)
+        chained = combine(bundle)
+        np.testing.assert_array_equal(fit.theta, chained.theta)
+        np.testing.assert_array_equal(fit.variances, chained.variances)
+        assert overid == overid_test(None, bundle, chained, chained.W)
+        expected = godambe_cov(chained, parameter_names(bundle), alpha=0.1)
+        assert report.names == expected.names and report.alpha == 0.1
+        for name in ("estimates", "ase", "z", "p_values", "ci_lower", "ci_upper"):
+            np.testing.assert_array_equal(getattr(report, name), getattr(expected, name))
+        # what the simulation driver reads: the bits of theta and sqrt(variances)
+        p = bundle.p
+        assert report.estimates[:p].tobytes() == fit.theta.tobytes()
+        assert report.ase[:p].tobytes() == np.sqrt(fit.variances[:p]).tobytes()
+
+    def test_no_overid_for_a_bundle_from_an_archive(self, fitted_bundle, tmp_path):
+        bundle, _ = fitted_bundle
+        save_bundle(bundle, tmp_path / "bundle.zip")
+        fit, report, overid = infer(load_bundle(tmp_path / "bundle.zip"))
+        assert fit.W is None and overid is None
+        np.testing.assert_array_equal(report.estimates, infer(bundle)[1].estimates)
+
+    def test_unconverged_blocks_are_named_in_sorted_order(self, fitted_bundle):
+        bundle, _ = fitted_bundle
+        fits = dict(bundle.fits)
+        for key in ((1, 1), (0, 1)):
+            fits[key] = dataclasses.replace(fits[key], converged=False)
+        broken = SummaryBundle(plan=bundle.plan, fits=fits)
+        with pytest.raises(ConvergenceError) as info:
+            infer(broken)
+        assert isinstance(info.value, CombineError)
+        assert str(info.value) == (
+            "blocks [(0, 1), (1, 1)] did not converge (pass allow_unconverged, "
+            "or --allow-unconverged on the command line, to combine anyway)"
+        )
+        fit, _, overid = infer(broken, allow_unconverged=True)
+        np.testing.assert_array_equal(fit.theta, combine(bundle).theta)
+        assert overid is not None
 
 
 class TestOveridRejectsBadInput:
