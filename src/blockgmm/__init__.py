@@ -21,7 +21,7 @@ from .combine import (
     split_bundle,
 )
 from .dataio import Dataset, load_long_csv
-from .engines import BlockFit, BlockRecord, NuisanceSpec, SolverOptions, eval_scores, fit_block
+from .engines import BlockFit, BlockRecord, SolverOptions, eval_scores, fit_block
 from .errors import (
     BlockGmmError,
     CombineError,
@@ -49,7 +49,6 @@ __all__ = [
     "Dataset",
     "GroupSummary",
     "InferenceReport",
-    "NuisanceSpec",
     "NumericDomainError",
     "PartitionPlan",
     "PlanError",

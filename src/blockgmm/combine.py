@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .engines import KINDS, BlockFit, BlockRecord, NuisanceSpec
+from .engines import KINDS, BlockFit, BlockRecord, nuisance_dim
 from .errors import CombineError, ConvergenceError
 from .partition import PartitionPlan, format_plan, parse_plan
 
@@ -567,7 +567,7 @@ def _read_group(zf: zipfile.ZipFile, path, plan: PartitionPlan, meta: dict, k: i
     info, rhs, theta, zeta = (
         _read_array(zf, path, f"{stem}/{name}.npy", ndim) for name, ndim in _ARRAYS
     )
-    ds = [NuisanceSpec(entry["kind"]).d for entry in entries]
+    ds = [nuisance_dim(entry["kind"]) for entry in entries]
     p = theta.shape[1]
     dim = p + sum(ds)
     if p < 1 or theta.shape[0] != plan.J or zeta.shape != (sum(ds),) or (

@@ -19,9 +19,12 @@ the ordinary least-squares start, and those come from one Gram of z per
 block.  At theta = start + delta the residual is z e with
 e = (-delta, 1), so each residual lag sum is its r0 value minus a term
 linear in delta plus a quadratic form in delta.  The mean score and its
-Jacobian are then O(m p^2) algebra: damped Newton on the unconstrained
-parameterization (theta, log sigma, atanh rho), its analytic Jacobian and
-its line search touch no n x m data after set-up.  As in
+Jacobian are then O(m p^2) algebra.  The lag moments
+(:class:`LagMoments`, built by :func:`blockgmm.engines.block_moments`)
+also hold the moment estimates of sigma^2 and rho from r0, and
+:func:`fit_cl_block` solves on them alone: damped Newton on the
+unconstrained parameterization (theta, log sigma, atanh rho), its
+analytic Jacobian and its line search touch no n x m data.  As in
 :mod:`blockgmm.gee`, working from r0 rather than y keeps the residual
 sums free of cancellation when the residuals are small next to X theta.
 
@@ -41,13 +44,16 @@ from .gee import RHO_LIMIT, _reject_exact_fit
 
 
 class LagMoments(NamedTuple):
-    """A block's least-squares start and the per-lag Grams of z = [X, r0]
+    """A block's least-squares start, the per-lag Grams of z = [X, r0]
     averaged over subjects, each (m - 1, p + 1, p + 1) (see
-    :func:`_lag_gram`)."""
+    :func:`_lag_gram`), and the moment estimates of sigma^2 and rho from
+    r0 that start the Newton iteration."""
 
     start: np.ndarray
     gv: np.ndarray
     gw: np.ndarray
+    sigma2: float
+    rho: float
 
 
 def _lag_gram(Z) -> tuple[np.ndarray, np.ndarray]:
@@ -72,18 +78,20 @@ def _lag_gram(Z) -> tuple[np.ndarray, np.ndarray]:
     return gv, gw
 
 
-def _lag_moments(block) -> tuple[LagMoments, np.ndarray]:
-    """The block's lag moments and the start residuals r0 (n, m).  A block
-    whose responses are an exact linear fit of its covariates is a
-    SolverError, and one whose sums of squares overflow a
-    NumericDomainError."""
+def _lag_moments(block) -> LagMoments:
+    """The block's lag moments.  A block whose responses are an exact
+    linear fit of its covariates is a SolverError, and one whose sums of
+    squares overflow a NumericDomainError."""
     X, y = block.X, block.y
     start, *_ = np.linalg.lstsq(X.reshape(-1, block.p), y.reshape(-1), rcond=None)
     resid = y - X @ start
     _reject_exact_fit([(block.j, block.k)], [[float(np.vdot(resid, resid))]],
                       [float(np.vdot(y, y))])
+    sigma2 = float(np.mean(resid**2))
+    rho = float(np.mean(resid[:, :-1] * resid[:, 1:]) / sigma2)
+    rho = min(max(rho, -RHO_LIMIT), RHO_LIMIT)
     gv, gw = _lag_gram(np.concatenate([X, resid[:, :, None]], axis=2))
-    return LagMoments(start, gv, gw), resid
+    return LagMoments(start, gv, gw, sigma2, rho)
 
 
 def _pair_operator(diag, off, m) -> np.ndarray:
@@ -156,7 +164,7 @@ def _mean_terms(moments: LagMoments, theta, zeta, hessian: bool = False):
     """Mean score row (p + 2,) at (theta, zeta) and, with ``hessian``, its
     exact Jacobian (else ``None``), from the lag moments alone."""
     sigma2, rho = _nuisance(zeta)
-    start, gv, gw = moments
+    start, gv, gw, *_ = moments
     p = start.shape[0]
     m = gv.shape[0] + 1
     npairs = m * (m - 1) // 2
@@ -223,29 +231,17 @@ def _u_terms(moments: LagMoments, u, hessian: bool = False):
     return s * dparam, jac
 
 
-def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
-    """Damped Newton root of the mean pairwise score.
+def fit_cl_block(moments: LagMoments, key, tol: float = 1e-8, max_iter: int = 100):
+    """Damped Newton root of the mean pairwise score, from the block's lag
+    moments alone, started at their least-squares start and moment
+    estimates of (sigma^2, rho); ``key`` names the block (j, k) for the
+    errors.
 
-    Returns (theta, zeta, converged, iterations, rho_clamped, moments), the
-    last the block's lag moments, from which the Hessian at the solution
-    is taken without another pass over the data
-    (:func:`blockgmm.engines.block_means`).
+    Returns (theta, zeta, converged, iterations, rho_clamped), as
+    :func:`blockgmm.gee.fit_gee_block` does for a stack.
     """
-    if block.n <= block.p + 2:
-        raise SolverError(
-            f"block ({block.j}, {block.k}): n={block.n} too small for "
-            f"p+2={block.p + 2} parameters"
-        )
-    # start from OLS with moment estimates of (sigma^2, rho)
-    moments, resid = _lag_moments(block)
-    sigma2 = float(np.mean(resid**2))
-    if block.m > 1:
-        rho = float(np.mean(resid[:, :-1] * resid[:, 1:]) / sigma2)
-    else:
-        rho = 0.0
-    rho = min(max(rho, -RHO_LIMIT), RHO_LIMIT)
-
-    u = np.concatenate([moments.start, [0.5 * np.log(sigma2), np.arctanh(rho)]])
+    j, k = key
+    u = np.concatenate([moments.start, [0.5 * np.log(moments.sigma2), np.arctanh(moments.rho)]])
     score, _ = _u_terms(moments, u)
     converged = float(np.linalg.norm(score)) <= tol
     iterations = 0
@@ -255,15 +251,12 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
             _, jac = _u_terms(moments, u, hessian=True)
         if not np.isfinite(jac).all():  # (2 sigma^2)^2 overflows from |y| near 1e77
             raise NumericDomainError(
-                f"block ({block.j}, {block.k}): the score Jacobian overflows; "
-                "rescale the responses"
+                f"block ({j}, {k}): the score Jacobian overflows; rescale the responses"
             )
         try:
             step = np.linalg.solve(jac, -score)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"singular score Jacobian in block ({block.j}, {block.k})"
-            ) from exc
+            raise SolverError(f"singular score Jacobian in block ({j}, {k})") from exc
         lam = 1.0
         norm = float(np.linalg.norm(score))
         while lam > 1e-8:
@@ -277,16 +270,14 @@ def fit_cl_block(block, tol: float = 1e-8, max_iter: int = 100):
                 break
             lam *= 0.5
         else:
-            raise SolverError(
-                f"line search failed in block ({block.j}, {block.k})"
-            )
+            raise SolverError(f"line search failed in block ({j}, {k})")
         u, score = u_new, score_new
         converged = float(np.linalg.norm(score)) <= tol
 
-    p = block.p
+    p = moments.start.shape[0]
     sigma = float(np.exp(u[p]))
     rho = float(np.tanh(u[p + 1]))
     clamped = abs(rho) > RHO_LIMIT
     rho = min(max(rho, -RHO_LIMIT), RHO_LIMIT)
     zeta = np.array([sigma * sigma, rho])
-    return u[:p].copy(), zeta, bool(converged), iterations, clamped, moments
+    return u[:p].copy(), zeta, bool(converged), iterations, clamped

@@ -2,32 +2,32 @@
 
 Kernels: ``gee-ar1``, ``gee-exchangeable``, ``gee-independence`` (weighted
 least squares with residual-moment nuisance equations) and ``cl-ar1``
-(pairwise composite likelihood).  A kernel is three operations, and only
-these three functions dispatch on the kind.  :func:`block_moments`
-reduces a block to a few p-sized moments: for GEE the least-squares
-start, the design Grams and the cross sums and totals of the start
-residuals over the working-correlation basis; for CL the start and the
-per-lag Grams of [X, r0].  :func:`block_means` gives the mean estimating
+(pairwise composite likelihood), each named by its ``kind`` string.  A
+kernel is four operations, and only these four functions dispatch on the
+kind.  :func:`block_moments` reduces a list of blocks to a few p-sized
+moments each: for GEE the least-squares start, the design Grams and the
+cross sums and totals of the start residuals over the working-correlation
+basis, from one :func:`blockgmm.gee.gee_moments` call per bucket (the
+blocks of a subject group's run of equal-size response blocks, which
+:func:`blockgmm.partition.split` gathers into one array, a block alone
+being a bucket of one); for CL the start, the per-lag Grams of [X, r0]
+and the moment estimates of (sigma^2, rho) that start Newton.
+:func:`solve_blocks` checks the blocks' shapes, takes their moments and
+solves on the moments alone: GEE in one stacked alternation, CL by each
+block's damped Newton.  :func:`block_means` gives the mean estimating
 functions of a list of blocks and their exact Jacobians at any
 (theta, zeta) by closed-form algebra on the moments, so the solvers
 iterate, the sensitivity (the negative Jacobian) is formed and the
 over-identification test is taken without another pass over the data.
-:func:`eval_scores` makes the per-subject scores, which the weights of
-the combination need, in one residual pass.
+:func:`eval_scores` makes the per-subject scores, which the weights of the
+combination need, in one residual pass.
 
-:func:`solve_blocks` solves a list of blocks of one kind: GEE in one
-stacked alternation over their moments, taken by one
-:func:`blockgmm.gee.gee_moments` call per bucket (the blocks of a subject
-group's run of equal-size response blocks, which
-:func:`blockgmm.partition.split` gathers into one array, a block alone
-being a bucket of one), CL by each block's damped Newton on its lag
-moments, and the Jacobians at the solution in one :func:`block_means`
-call.  Each block's row of that solve
-(:class:`BlockSolution`) goes to :func:`fit_block`, which keeps the
-moments on its :class:`BlockFit`; its only pass over the data is
-:func:`eval_scores`.  Without a row, :func:`fit_block` solves its block as
-a stack of one, with the same bits.  Nothing is differentiated
-numerically and there is no step size to choose.
+Each block's row of a solve (:class:`BlockSolution`) goes to
+:func:`fit_block`, which keeps the moments on its :class:`BlockFit`; its
+only pass over the data is :func:`eval_scores`.  Without a row,
+:func:`fit_block` solves its block as a stack of one, with the same bits.
+Nothing is differentiated numerically and there is no step size to
+choose.
 """
 
 from __future__ import annotations
@@ -75,27 +75,16 @@ class SolverOptions:
             raise SolverError(f"max_iter = {max_iter!r} is not an integer >= 1")
 
 
-@dataclass(frozen=True)
-class NuisanceSpec:
-    """Estimation kernel and implied nuisance dimension."""
+def _structure(kind: str) -> str:
+    """The working structure of a kernel kind (CL's is ``ar1``)."""
+    if kind not in KINDS:
+        raise SolverError(f"unknown solver kind {kind!r}, expected one of {KINDS}")
+    return kind.split("-", 1)[1]
 
-    kind: str = "gee-ar1"
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SolverError(f"unknown solver kind {self.kind!r}")
-
-    @property
-    def d(self) -> int:
-        return gee.nuisance_dim(self.working)
-
-    @property
-    def method(self) -> str:
-        return "cl" if self.kind.startswith("cl") else "gee"
-
-    @property
-    def working(self) -> str:
-        return self.kind.split("-", 1)[1]
+def nuisance_dim(kind: str) -> int:
+    """The number d of nuisance parameters a block of this kind estimates."""
+    return gee.nuisance_dim(_structure(kind))
 
 
 @dataclass(frozen=True)
@@ -137,31 +126,36 @@ class BlockFit(BlockRecord):
         return self.scores.shape[0]
 
 
-def block_moments(block: BlockData, kind: str) -> tuple:
-    """The block's moments under ``kind``, as :func:`fit_block` keeps them."""
+def block_moments(blocks: list, kind: str) -> list:
+    """Each block's moments under ``kind``, in list order, as
+    :func:`fit_block` keeps them: a :class:`blockgmm.composite.LagMoments`
+    per CL block, and for GEE one :func:`blockgmm.gee.gee_moments` call per
+    bucket over the slots of it that the list holds (a slice of the bucket
+    when they run in order, as a chunk of sorted keys does).  Of several
+    blocks with a singular design, overflowing sums of squares or an
+    exact fit, the error names the first in list order, as alone."""
+    structure = _structure(kind)
     if kind == "cl-ar1":
-        return composite._lag_moments(block)[0]
-    return _gee_moments([block], NuisanceSpec(kind).working)[0]
-
-
-def _gee_moments(blocks: list, structure: str) -> list:
-    """Each block's :class:`blockgmm.gee.GeeMoments`, in list order, from
-    one :func:`blockgmm.gee.gee_moments` call per bucket over the slots of
-    it that the list holds (a slice of the bucket when they run in order,
-    as a chunk of sorted keys does)."""
+        return [composite._lag_moments(block) for block in blocks]
     members = {}
     for pos, block in enumerate(blocks):
         members.setdefault(id(block.bucket), (block.bucket, []))[1].append((pos, block.slot))
     moments = [None] * len(blocks)
-    for bucket, held in members.values():
-        positions, slots = zip(*held)
-        run = range(slots[0], slots[0] + len(slots))
-        index = slice(run.start, run.stop) if slots == tuple(run) else list(slots)
-        rows = gee.gee_moments(
-            bucket.y[index], bucket.X[index], structure, [bucket.keys[s] for s in slots]
-        )
-        for pos, row in zip(positions, rows):
-            moments[pos] = row
+    try:
+        for bucket, held in members.values():
+            positions, slots = zip(*held)
+            run = range(slots[0], slots[0] + len(slots))
+            index = slice(run.start, run.stop) if slots == tuple(run) else list(slots)
+            rows = gee.gee_moments(
+                bucket.y[index], bucket.X[index], structure, [bucket.keys[s] for s in slots]
+            )
+            for pos, row in zip(positions, rows):
+                moments[pos] = row
+    except (SolverError, NumericDomainError):
+        if len(blocks) > 1:
+            for block in blocks:
+                block_moments([block], kind)
+        raise
     return moments
 
 
@@ -172,6 +166,7 @@ def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
     their exact Jacobians on the natural (theta, sigma^2, rho) scale (else
     None).  GEE blocks take one stacked :func:`blockgmm.gee.mean_terms`
     call, CL blocks one call each."""
+    structure = _structure(kind)
     theta = np.asarray(theta, dtype=float)
     thetas = np.broadcast_to(theta, (len(moments), theta.shape[-1]))
     zetas = np.asarray(zetas, dtype=float)
@@ -181,19 +176,18 @@ def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
             for mom, th, zeta in zip(moments, thetas, zetas)
         ))
         return np.array(rows), np.array(jacs) if jacobian else None
-    return gee.mean_terms(
-        gee.stack_moments(moments), thetas, zetas, NuisanceSpec(kind).working, jacobian
-    )
+    return gee.mean_terms(gee.stack_moments(moments), thetas, zetas, structure, jacobian)
 
 
 def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     """Per-subject score matrix (n_k, p + d_jk) at arbitrary (theta, zeta),
     from one residual pass."""
+    structure = _structure(kind)
     theta = np.asarray(theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if kind == "cl-ar1":
         return composite.cl_scores(block, theta, zeta)
-    return gee.gee_scores(block, theta, zeta, NuisanceSpec(kind).working)
+    return gee.gee_scores(block, theta, zeta, structure)
 
 
 def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
@@ -206,7 +200,7 @@ def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
     (theta, sigma^2, rho) scale, and at a fit's estimates both have the
     bits of :func:`fit_block`'s sensitivity.
     """
-    _, jac = block_means([block_moments(block, kind)], theta, [zeta], kind, jacobian=True)
+    _, jac = block_means(block_moments([block], kind), theta, [zeta], kind, jacobian=True)
     return _finite(-jac[0])
 
 
@@ -231,39 +225,38 @@ class BlockSolution(NamedTuple):
     jacobian: np.ndarray
 
 
-def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = None) -> list:
+def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> list:
     """Solve blocks of one kind; returns one :class:`BlockSolution` per block.
 
-    GEE: the moments of the blocks that share a bucket in one batched
-    pass, over the slice of the bucket that the list holds, then one
-    stacked alternation over all of them.  CL: each block's damped Newton,
-    on its lag moments.  The Jacobians at the solution take one
-    :func:`block_means` call.  A block's row has the same bits in any
-    stack or bucket, a stack of one included.  Of several blocks with a
-    singular design or an exact fit, the error names the first in list
-    order.
+    Every block's shape is checked first: more subjects than its p + d
+    parameters, and at least two responses where d = 2 (a rho), the first
+    bad block in list order named.  Then one :func:`block_moments` pass,
+    the kernel's solve on the moments alone (GEE: one stacked alternation
+    over all the blocks; CL: each block's damped Newton), and the
+    Jacobians at the solution in one :func:`block_means` call.  A block's
+    row has the same bits in any stack or bucket, a stack of one included.
     """
     opts = opts or SolverOptions()
-    if spec.method == "cl":
-        solved = []
-        for block in blocks:
-            if block.m < 2:
-                raise SolverError(f"cl-ar1 needs m >= 2, block has m={block.m}")
-            solved.append(composite.fit_cl_block(block, tol=opts.tol, max_iter=opts.max_iter))
-        theta, zeta, converged, iterations, clamped, moments = zip(*solved)
+    d = nuisance_dim(kind)
+    for block in blocks:
+        where = f"block ({block.j}, {block.k})"
+        if block.n <= block.p + d:
+            raise SolverError(f"{where}: n={block.n} too small for p+d={block.p + d} parameters")
+        if d == 2 and block.m < 2:
+            raise SolverError(f"{where}: m={block.m} too small; {kind} needs m >= 2 for rho")
+    moments = block_moments(blocks, kind)
+    keys = [(block.j, block.k) for block in blocks]
+    if kind == "cl-ar1":
+        theta, zeta, converged, iterations, clamped = zip(*(
+            composite.fit_cl_block(mom, key, tol=opts.tol, max_iter=opts.max_iter)
+            for mom, key in zip(moments, keys)
+        ))
     else:
-        try:
-            moments = _gee_moments(blocks, spec.working)
-        except (SolverError, NumericDomainError):
-            # of several bad blocks, name the first in list order, as alone
-            for block in blocks:
-                _gee_moments([block], spec.working)
-            raise
         theta, zeta, converged, iterations, clamped = gee.fit_gee_block(
-            gee.stack_moments(moments), spec.working, [(block.j, block.k) for block in blocks],
+            gee.stack_moments(moments), _structure(kind), keys,
             tol=opts.tol, max_iter=opts.max_iter,
         )
-    _, jac = block_means(moments, theta, zeta, spec.kind, jacobian=True)
+    _, jac = block_means(moments, theta, zeta, kind, jacobian=True)
     return [
         BlockSolution(
             theta[b], zeta[b], bool(converged[b]), int(iterations[b]), bool(clamped[b]),
@@ -275,7 +268,7 @@ def solve_blocks(blocks: list, spec: NuisanceSpec, opts: SolverOptions | None = 
 
 def fit_block(
     block: BlockData,
-    spec: NuisanceSpec,
+    kind: str,
     opts: SolverOptions | None = None,
     solution: BlockSolution | None = None,
 ) -> BlockFit:
@@ -287,9 +280,9 @@ def fit_block(
     Jacobian.
     """
     if solution is None:
-        solution = solve_blocks([block], spec, opts)[0]
+        solution = solve_blocks([block], kind, opts)[0]
     theta, zeta, converged, iterations, clamped, moments, jac = solution
-    scores = eval_scores(block, theta, zeta, spec.kind)
+    scores = eval_scores(block, theta, zeta, kind)
     sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
@@ -299,7 +292,7 @@ def fit_block(
     return BlockFit(
         j=block.j,
         k=block.k,
-        kind=spec.kind,
+        kind=kind,
         theta_hat=theta,
         zeta_hat=zeta,
         scores=scores,

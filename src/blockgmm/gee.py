@@ -37,7 +37,9 @@ blocks not yet converged; :func:`mean_terms` takes the same stack.  The
 weighted sums over the basis are written out term by term and every
 other sum runs along a block's own row, so a block's bits, its iteration
 count and its flags do not depend on the stack it is in; a block fitted
-alone is a stack of one.
+alone is a stack of one.  :func:`blockgmm.engines.solve_blocks` checks
+every block's shape (n > p + d, and m >= 2 where there is a rho) before
+its moments are taken, so the solver meets no block too small to solve.
 
 The moments work from r0 rather than y to stay free of cancellation when
 the residuals are small next to X theta.  A quadratic form in the Grams
@@ -346,7 +348,7 @@ def gee_moments(y, X, structure: str, keys) -> list:
     naming the first such block, then a block whose sums of squares
     overflow a NumericDomainError, and then a block whose responses are an
     exact linear fit of its covariates a SolverError; one block at a time,
-    as :func:`blockgmm.engines.solve_blocks` retries a failed bucket,
+    as :func:`blockgmm.engines.block_moments` retries a failed bucket,
     names the first bad block of any kind.
     """
     B, n, m, p = X.shape
@@ -482,15 +484,7 @@ def fit_gee_block(moments: GeeMoments, structure: str, keys, tol: float = 1e-8,
     it would have alone, bit for bit.
     """
     start, grams, cross, base, n, m = moments
-    B, p = start.shape
-    d = nuisance_dim(structure)
-    small = n <= p + d
-    if small.any():
-        b = int(np.argmax(small))
-        j, k = keys[b]
-        raise SolverError(
-            f"block ({j}, {k}): n={n[b]} too small for p+d={p + d} parameters"
-        )
+    B = len(start)
     # each weighted step solves for a correction delta to the independence
     # start from its residuals r0, and the moment totals at start + delta
     # are quadratic forms in delta (see the module docstring)

@@ -39,7 +39,7 @@ import scipy.special
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataio import Dataset
-from .engines import NuisanceSpec, SolverOptions, fit_block, solve_blocks, solver_kind
+from .engines import SolverOptions, fit_block, solve_blocks, solver_kind
 from .errors import BlockGmmError, DataError
 from .combine import SummaryBundle
 from . import inference, partition
@@ -314,9 +314,8 @@ def _fit_chunk(args):
     """Fit a chunk of blocks: one stacked solve, then each block's fit from
     its row."""
     chunk, kind, opts = args
-    spec = NuisanceSpec(kind)
-    rows = solve_blocks(chunk, spec, opts)
-    return [fit_block(block, spec, opts, row) for block, row in zip(chunk, rows)]
+    rows = solve_blocks(chunk, kind, opts)
+    return [fit_block(block, kind, opts, row) for block, row in zip(chunk, rows)]
 
 
 def fit_dataset(

@@ -18,7 +18,7 @@ from blockgmm.combine import (
     invert_vhat,
     save_bundle,
 )
-from blockgmm.engines import NuisanceSpec, fit_block, sample_sensitivity
+from blockgmm.engines import fit_block, sample_sensitivity
 from blockgmm.inference import overid_test
 from blockgmm.partition import make_plan, split
 
@@ -201,7 +201,7 @@ def test_criterion_6_sensitivity_finite_difference_agreement():
         data = simstudy.generate(design, 0)
         plan = make_plan(data.M, data.N, 1, 1, strategy="contiguous")
         block = split(data, plan)[(0, 0)]
-        fit = fit_block(block, NuisanceSpec(f"gee-{structure}"))
+        fit = fit_block(block, f"gee-{structure}")
         analytic = oracles.gee_theta_sensitivity(block, fit.zeta_hat, structure)
 
         p = block.p

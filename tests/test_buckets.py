@@ -17,7 +17,6 @@ from blockgmm import partition, simstudy
 from blockgmm.dataio import Dataset
 from blockgmm.engines import (
     KINDS,
-    NuisanceSpec,
     block_moments,
     fit_block,
     sample_sensitivity,
@@ -68,19 +67,18 @@ class TestBucketBits:
     def test_alone_in_its_bucket_and_in_fit_dataset(self, case):
         kind, data, J, K, strategy, seed = case
         bundle, blocks = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
-        spec = NuisanceSpec(kind)
         in_bucket = {}
         for bucket in _buckets(blocks):
             members = [blocks[key] for key in bucket.keys]
-            rows = solve_blocks(members, spec)
+            rows = solve_blocks(members, kind)
             in_bucket.update(
-                ((block.j, block.k), fit_block(block, spec, None, row))
+                ((block.j, block.k), fit_block(block, kind, None, row))
                 for block, row in zip(members, rows)
             )
         assert in_bucket.keys() == bundle.fits.keys()
         for key, fit in bundle.fits.items():
             alone_block = _alone(blocks[key])
-            alone = fit_block(alone_block, spec)
+            alone = fit_block(alone_block, kind)
             for other in (in_bucket[key], alone):
                 for field in ("theta_hat", "zeta_hat", "scores", "sensitivity"):
                     assert _same_bits(getattr(fit, field), getattr(other, field)), (key, field)
@@ -90,7 +88,7 @@ class TestBucketBits:
                 assert (fit.iterations, fit.converged, fit.rho_clamped, fit.final_norm) == (
                     other.iterations, other.converged, other.rho_clamped, other.final_norm
                 )
-            for ours, theirs in zip(fit.moments, block_moments(alone_block, kind)):
+            for ours, theirs in zip(fit.moments, block_moments([alone_block], kind)[0]):
                 assert _same_bits(ours, theirs), key
             sens = sample_sensitivity(alone_block, fit.theta_hat, fit.zeta_hat, kind)
             assert _same_bits(sens, fit.sensitivity), key
@@ -106,11 +104,10 @@ class TestBucketBits:
         plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
         blocks = partition.split(data, plan)
         keys = sorted(blocks)
-        spec = NuisanceSpec(kind)
-        whole = dict(zip(keys, solve_blocks([blocks[key] for key in keys], spec)))
+        whole = dict(zip(keys, solve_blocks([blocks[key] for key in keys], kind)))
         cut = len(keys) // 2 + len(keys) % 2  # J >= 2, so both parts hold a block
         for part in (keys[:cut], keys[cut:]):
-            for key, row in zip(part, solve_blocks([blocks[key] for key in part], spec)):
+            for key, row in zip(part, solve_blocks([blocks[key] for key in part], kind)):
                 for ours, theirs in zip(row, whole[key]):
                     if isinstance(ours, tuple):
                         assert all(_same_bits(a, b) for a, b in zip(ours, theirs)), key
@@ -192,10 +189,9 @@ class TestBadBlockInABucket:
         assert blocks[(1, 1)].bucket is blocks[(0, 1)].bucket
         fitted = self._error(lambda: simstudy.fit_dataset(data, 3, 2, kind))
         assert fitted.startswith("block (1, 1): the responses are an exact linear fit")
-        spec = NuisanceSpec(kind)
-        assert fitted == self._error(lambda: fit_block(_alone(blocks[(1, 1)]), spec))
+        assert fitted == self._error(lambda: fit_block(_alone(blocks[(1, 1)]), kind))
         bucket = [blocks[key] for key in blocks[(1, 1)].bucket.keys]
-        assert fitted == self._error(lambda: solve_blocks(bucket, spec))
+        assert fitted == self._error(lambda: solve_blocks(bucket, kind))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_overflowing_sums_of_squares_are_named(self, kind):
@@ -204,11 +200,10 @@ class TestBadBlockInABucket:
         blocks = partition.split(data, plan)
         fitted = self._error(lambda: simstudy.fit_dataset(data, 3, 2, kind), NumericDomainError)
         assert fitted.startswith("block (1, 1): the sums of squares of the responses overflow")
-        spec = NuisanceSpec(kind)
-        alone = self._error(lambda: fit_block(_alone(blocks[(1, 1)]), spec), NumericDomainError)
+        alone = self._error(lambda: fit_block(_alone(blocks[(1, 1)]), kind), NumericDomainError)
         assert fitted == alone
         bucket = [blocks[key] for key in blocks[(1, 1)].bucket.keys]
-        assert fitted == self._error(lambda: solve_blocks(bucket, spec), NumericDomainError)
+        assert fitted == self._error(lambda: solve_blocks(bucket, kind), NumericDomainError)
 
     def test_an_overflow_in_an_earlier_bucket_names_the_first_bad_block(self):
         # group 0's bucket is passed first and overflows in block (1, 0), but
@@ -223,10 +218,9 @@ class TestBadBlockInABucket:
         blocks = partition.split(data, plan)
         fitted = self._error(lambda: simstudy.fit_dataset(data, 3, 2, kind))
         assert fitted == "singular weighted normal equations in block (2, 0)"
-        spec = NuisanceSpec(kind)
-        assert fitted == self._error(lambda: fit_block(_alone(blocks[(2, 0)]), spec))
+        assert fitted == self._error(lambda: fit_block(_alone(blocks[(2, 0)]), kind))
         bucket = [blocks[key] for key in blocks[(2, 0)].bucket.keys]
-        assert fitted == self._error(lambda: solve_blocks(bucket, spec))
+        assert fitted == self._error(lambda: solve_blocks(bucket, kind))
 
     @pytest.mark.parametrize(
         "exact, zero, named",

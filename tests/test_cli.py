@@ -1,9 +1,11 @@
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,13 +102,13 @@ class TestFitCommand:
             ["fit", "--input", data_csv, "--J", 1, "--K", 1, "--out", out]
         ) == 0
         from blockgmm.dataio import load_long_csv
-        from blockgmm.engines import NuisanceSpec, fit_block
+        from blockgmm.engines import fit_block
         from blockgmm.partition import make_plan, split
 
         data = load_long_csv(data_csv)
         plan = make_plan(data.M, data.N, 1, 1, strategy="seeded-random", seed=0)
         block = split(data, plan)[(0, 0)]
-        direct = fit_block(block, NuisanceSpec("gee-ar1"))
+        direct = fit_block(block, "gee-ar1")
         with open(out / "estimates.csv") as fh:
             rows = {r["name"]: float(r["estimate"]) for r in csv.DictReader(fh)}
         np.testing.assert_allclose(
@@ -444,6 +446,20 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "simulate: grid cell M=6, K=50: no successful replications to summarize" in err
         assert not out.exists()
+
+
+class TestReadmeLibraryExample:
+    def test_runs_unchanged(self, data_csv, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("\n## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("```", 1)[0]
+        shutil.copy(data_csv, tmp_path / "panel.csv")
+        monkeypatch.chdir(tmp_path)
+        scope = {}
+        exec(code, scope)
+        assert scope["fit"].theta.shape == (3,)
+        assert np.isfinite(scope["report"].ase).all()
+        assert scope["df"] > 0 and 0.0 <= scope["p"] <= 1.0
 
 
 class TestOneChain:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgmm import composite, partition, simstudy
-from blockgmm.engines import sample_sensitivity
+from blockgmm.engines import fit_block, sample_sensitivity
 from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
@@ -15,6 +15,12 @@ from conftest import column_subset, make_ar1_design, random_dataset
 def one_block(data):
     plan = partition.make_plan(data.M, data.N, 1, 1, strategy="contiguous")
     return partition.split(data, plan)[(0, 0)]
+
+
+def fit_cl(block):
+    """The CL solve of one block from its lag moments: (theta, zeta,
+    converged, iterations, rho_clamped)."""
+    return composite.fit_cl_block(composite._lag_moments(block), (block.j, block.k))
 
 
 def pairwise_loglik(block, theta, sigma2, rho):
@@ -131,7 +137,7 @@ def random_cl_blocks(count, seed):
             seed=seed + trial,
         )
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, *_ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = fit_cl(block)
         assert converged
         yield block, theta, zeta
 
@@ -139,7 +145,7 @@ def random_cl_blocks(count, seed):
 def mean_terms(block, theta, zeta):
     """Mean score row and exact Hessian at (theta, zeta) from the block's
     lag moments."""
-    return composite._mean_terms(composite._lag_moments(block)[0], theta, zeta, hessian=True)
+    return composite._mean_terms(composite._lag_moments(block), theta, zeta, hessian=True)
 
 
 def relative_error(actual, expected):
@@ -201,7 +207,7 @@ def cl_points(draw):
     )
     plan = partition.make_plan(M, N, 1, 1, strategy="contiguous")
     block = partition.split(column_subset(data, cols), plan)[(0, 0)]
-    moments, _ = composite._lag_moments(block)
+    moments = composite._lag_moments(block)
     offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=block.p, max_size=block.p))
     theta = moments.start + np.array(offset)
     rho = draw(st.just(0.0) | st.floats(-0.97, 0.97))
@@ -251,7 +257,7 @@ class TestAnalyticDerivatives:
             u = np.concatenate(
                 [theta, [0.5 * np.log(zeta[0]), np.arctanh(zeta[1])]]
             ) + rng.uniform(-0.3, 0.3, block.p + 2)
-            moments, _ = composite._lag_moments(block)
+            moments = composite._lag_moments(block)
             _, jac = composite._u_terms(moments, u, hessian=True)
             worst = max(worst, relative_error(jac, jacobian_fd(block, u)))
         assert worst <= 1e-5, worst
@@ -293,7 +299,7 @@ class TestFitClBlock:
     def test_m2_matches_exact_bivariate_mle(self):
         design = make_ar1_design(N=120, M=2, J=1, K=1, sigma=1.5, rho=0.4, seed=31)
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, *_ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = fit_cl(block)
         assert converged
 
         # oracle: direct maximization of the exact bivariate log-likelihood
@@ -314,7 +320,7 @@ class TestFitClBlock:
     def test_rho_zero_data_agrees_with_ols(self):
         design = make_ar1_design(N=400, M=6, J=1, K=1, sigma=2.0, rho=0.0, seed=32)
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, *_ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = fit_cl(block)
         assert converged
         x = block.X.reshape(-1, 3)
         y = block.y.reshape(-1)
@@ -327,7 +333,7 @@ class TestFitClBlock:
 
     def test_root_property_at_solution(self, ar1_dataset):
         block = one_block(ar1_dataset)
-        theta, zeta, converged, *_ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = fit_cl(block)
         assert converged
         scores = composite.cl_scores(block, theta, zeta)
         # the solver works on the rescaled (log sigma, atanh rho) score;
@@ -337,7 +343,7 @@ class TestFitClBlock:
     def test_recovers_true_parameters(self):
         design = make_ar1_design(N=300, M=8, J=1, K=1, sigma=2.0, rho=0.6, seed=33)
         block = one_block(simstudy.generate(design, 0))
-        theta, zeta, converged, *_ = composite.fit_cl_block(block)
+        theta, zeta, converged, *_ = fit_cl(block)
         assert converged
         np.testing.assert_allclose(theta, design.theta0, atol=0.15)
         assert abs(zeta[0] - 4.0) < 0.6
@@ -346,4 +352,4 @@ class TestFitClBlock:
     def test_too_few_subjects_raises(self):
         data, _ = random_dataset(N=4, M=4, p=3, seed=15)
         with pytest.raises(SolverError, match="too small"):
-            composite.fit_cl_block(one_block(data))
+            fit_block(one_block(data), "cl-ar1")

@@ -9,12 +9,12 @@ from blockgmm import composite, gee, partition, simstudy
 from blockgmm.dataio import Dataset
 from blockgmm.engines import (
     KINDS,
-    NuisanceSpec,
     SolverOptions,
     block_means,
     block_moments,
     eval_scores,
     fit_block,
+    nuisance_dim,
     sample_sensitivity,
     solve_blocks,
 )
@@ -50,16 +50,30 @@ def signal_block(data, theta0, noise, seed=2):
     )
 
 
-class TestNuisanceSpec:
+class TestKinds:
     def test_dimensions(self):
-        assert NuisanceSpec("gee-ar1").d == 2
-        assert NuisanceSpec("gee-exchangeable").d == 2
-        assert NuisanceSpec("cl-ar1").d == 2
-        assert NuisanceSpec("gee-independence").d == 1
+        assert nuisance_dim("gee-ar1") == 2
+        assert nuisance_dim("gee-exchangeable") == 2
+        assert nuisance_dim("cl-ar1") == 2
+        assert nuisance_dim("gee-independence") == 1
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SolverError):
-            NuisanceSpec("gee-toeplitz")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda block: nuisance_dim("gee-toeplitz"),
+            lambda block: solve_blocks([block], "gee-toeplitz"),
+            lambda block: fit_block(block, "gee-toeplitz"),
+            lambda block: block_moments([block], "gee-toeplitz"),
+            lambda block: eval_scores(block, np.zeros(3), np.ones(2), "gee-toeplitz"),
+            lambda block: sample_sensitivity(block, np.zeros(3), np.ones(2), "gee-toeplitz"),
+        ],
+        ids=["nuisance_dim", "solve_blocks", "fit_block", "block_moments", "eval_scores",
+             "sample_sensitivity"],
+    )
+    def test_unknown_kind_rejected(self, call):
+        block = one_block(random_dataset(N=20, M=4, p=3, seed=17)[0])
+        with pytest.raises(SolverError, match="unknown solver kind 'gee-toeplitz'"):
+            call(block)
 
 
 @pytest.mark.parametrize(
@@ -69,7 +83,7 @@ class TestFitBlock:
     def test_fit_block_contract(self, kind):
         data, _ = random_dataset(N=60, M=6, p=3, seed=17)
         block = one_block(data)
-        fit = fit_block(block, NuisanceSpec(kind))
+        fit = fit_block(block, kind)
         assert fit.converged
         assert fit.theta_hat.shape == (3,)
         assert fit.zeta_hat.shape == (fit.d,)
@@ -86,7 +100,7 @@ class TestFitBlock:
         # GEE: X' R^-1 X / (n sigma^2); CL: sum_pairs X' Sigma_pair^-1 X /
         # (n sigma^2 npairs); both analytic, exactly symmetric and PD
         data, _ = random_dataset(N=50, M=6, p=3, seed=18)
-        fit = fit_block(one_block(data), NuisanceSpec(kind))
+        fit = fit_block(one_block(data), kind)
         tt = fit.sensitivity[:3, :3]
         np.testing.assert_allclose(tt, tt.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(tt)) > 0
@@ -101,7 +115,7 @@ class TestFitBlock:
         data, _ = random_dataset(N=40, M=5, p=3, seed=20)
         block = one_block(data)
         calls = record_passes(monkeypatch)
-        fit = fit_block(block, NuisanceSpec(kind))
+        fit = fit_block(block, kind)
         assert kind != "cl-ar1" or fit.iterations > 1
         if kind == "cl-ar1":
             assert calls == ["lag moments", "residual pass"]
@@ -130,13 +144,13 @@ def kernel_points(draw):
     )
     plan = partition.make_plan(M, N, 1, 1, strategy="contiguous")
     block = partition.split(column_subset(data, cols), plan)[(0, 0)]
-    moments = block_moments(block, kind)
+    moments = block_moments([block], kind)[0]
     offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=block.p, max_size=block.p))
     theta = moments.start + np.array(offset)
     rho = draw(st.just(0.0) | st.floats(-0.97, 0.97))
     if kind == "gee-exchangeable":
         rho = max(rho, -0.9 / (M - 1))  # keeps 1 + (M - 1) rho >= 0.1
-    zeta = np.array([draw(st.floats(0.2, 5.0)), rho][: NuisanceSpec(kind).d])
+    zeta = np.array([draw(st.floats(0.2, 5.0)), rho][: nuisance_dim(kind)])
     return kind, block, moments, theta, zeta
 
 
@@ -173,7 +187,7 @@ class TestSampleSensitivity:
     def test_gee_theta_block_matches_finite_differences(self):
         data, _ = random_dataset(N=50, M=6, p=3, seed=19)
         block = one_block(data)
-        fit = fit_block(block, NuisanceSpec("gee-ar1"))
+        fit = fit_block(block, "gee-ar1")
         analytic = oracles.gee_theta_sensitivity(block, fit.zeta_hat, "ar1")
 
         h = 1e-6
@@ -194,7 +208,7 @@ class TestSampleSensitivity:
         # so the negative derivative is exactly +1
         data, _ = random_dataset(N=40, M=5, p=2, seed=20)
         block = one_block(data)
-        fit = fit_block(block, NuisanceSpec("gee-ar1"))
+        fit = fit_block(block, "gee-ar1")
         sens = sample_sensitivity(
             block, fit.theta_hat, fit.zeta_hat, "gee-ar1"
         )
@@ -205,7 +219,7 @@ class TestSampleSensitivity:
     def test_independence_theta_block_closed_form(self):
         data, _ = random_dataset(N=40, M=5, p=2, seed=22)
         block = one_block(data)
-        fit = fit_block(block, NuisanceSpec("gee-independence"))
+        fit = fit_block(block, "gee-independence")
         expected = np.einsum(
             "nmp,nmq->pq", block.X, block.X
         ) / (block.n * fit.zeta_hat[0])
@@ -242,7 +256,7 @@ class TestSampleSensitivity:
                 seed=610 + trial,
             )
             block = one_block(simstudy.generate(design, 0))
-            fit = fit_block(block, NuisanceSpec(kind))
+            fit = fit_block(block, kind)
             theta = fit.theta_hat + rng.normal(0.0, 0.3, p)
             zeta = fit.zeta_hat * rng.uniform(0.7, 1.3, fit.d)
             analytic = sample_sensitivity(block, theta, zeta, kind)
@@ -265,7 +279,7 @@ class TestExactFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=message):
-                fit_block(block, NuisanceSpec(kind))
+                fit_block(block, kind)
 
     def test_noisy_fit_is_accepted(self, kind):
         # noise at 1e-6 of the signal is far above the bound: every kind
@@ -274,13 +288,58 @@ class TestExactFit:
         # its 1 / sigma^2 terms keeps it from meeting at this sigma^2 (about
         # 3e-12), so CL is fitted at 1e-4
         data, theta0 = random_dataset(N=30, M=5, p=3, seed=1)
-        block_moments(signal_block(data, theta0, 1e-6), kind)
+        block_moments([signal_block(data, theta0, 1e-6)], kind)
         noise = 1e-4 if kind == "cl-ar1" else 1e-6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_block(signal_block(data, theta0, noise), NuisanceSpec(kind))
+            fit = fit_block(signal_block(data, theta0, noise), kind)
         assert fit.converged
         np.testing.assert_allclose(fit.theta_hat, theta0, atol=1e-3)
+
+
+def hand_block(j, k, n, m, seed, p=3):
+    """A hand-built block (j, k) of n subjects and m responses."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, m, p))
+    y = X @ np.array([0.3, 0.6, 0.8][:p]) + rng.standard_normal((n, m))
+    return partition.BlockData(j=j, k=k, y=y, X=X, subject_indices=np.arange(n))
+
+
+class TestBlockShape:
+    # solve_blocks checks every block's shape before any data pass, for
+    # every kind, and names the first bad block in list order
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_response_needs_no_rho(self, kind):
+        block = hand_block(0, 2, n=40, m=1, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if nuisance_dim(kind) == 1:
+                assert fit_block(block, kind).converged
+                return
+            with pytest.raises(SolverError) as info:
+                fit_block(block, kind)
+        assert str(info.value) == f"block (0, 2): m=1 too small; {kind} needs m >= 2 for rho"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_too_few_subjects_in_a_stack_names_the_first(self, kind):
+        # the second and third blocks have n = p + d and n = p + d - 1
+        d = nuisance_dim(kind)
+        blocks = [
+            hand_block(j, k, n, 4, seed=7 + n)
+            for (j, k), n in zip([(0, 0), (3, 1), (0, 2)], (30, 3 + d, 2 + d))
+        ]
+        with pytest.raises(SolverError) as info:
+            solve_blocks(blocks, kind)
+        assert str(info.value) == f"block (3, 1): n={3 + d} too small for p+d={3 + d} parameters"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shape_is_checked_before_the_moments(self, kind):
+        # an exact fit in the first block, too few subjects in the second
+        data, theta0 = random_dataset(N=30, M=5, p=3, seed=1)
+        exact = signal_block(data, theta0, 0.0)
+        small = hand_block(1, 0, n=3, m=5, seed=4)
+        with pytest.raises(SolverError, match=r"^block \(1, 0\): n=3 too small"):
+            solve_blocks([exact, small], kind)
 
 
 class TestFiniteSensitivity:
@@ -289,18 +348,17 @@ class TestFiniteSensitivity:
         # the solution row's Jacobian is poisoned at (3, 0) and at (1, 2); the
         # message names the first in row-major order
         block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
-        spec = NuisanceSpec(kind)
-        row = solve_blocks([block], spec)[0]
+        row = solve_blocks([block], kind)[0]
         jac = row.jacobian.copy()
         jac[3, 0], jac[1, 2] = np.inf, np.nan
         message = r"non-finite sensitivity entry at \(1, 2\)"
         with pytest.raises(NumericDomainError, match=message):
-            fit_block(block, spec, solution=row._replace(jacobian=jac))
+            fit_block(block, kind, solution=row._replace(jacobian=jac))
 
 
 class TestRhoClamp:
     def test_clamped_gee_fit_is_not_converged(self):
-        fit = fit_block(one_block(near_unit_root_dataset()), NuisanceSpec("gee-ar1"))
+        fit = fit_block(one_block(near_unit_root_dataset()), "gee-ar1")
         assert fit.rho_clamped
         assert fit.zeta_hat[1] == gee.RHO_LIMIT
         assert not fit.converged
@@ -308,14 +366,13 @@ class TestRhoClamp:
     def test_clamped_cl_fit_is_not_converged(self, monkeypatch):
         # Newton does not reach a root beyond the clamp on such data, so the
         # solver's clamped outcome is stubbed: (theta, zeta, converged,
-        # iterations, rho_clamped, moments)
-        def clamped_solution(block, tol, max_iter):
+        # iterations, rho_clamped)
+        def clamped_solution(moments, key, tol, max_iter):
             theta = np.array([0.5, 1.0, 1.5])
-            moments, _ = composite._lag_moments(block)
-            return theta, np.array([1.0, composite.RHO_LIMIT]), True, 4, True, moments
+            return theta, np.array([1.0, composite.RHO_LIMIT]), True, 4, True
 
         monkeypatch.setattr(composite, "fit_cl_block", clamped_solution)
-        fit = fit_block(one_block(near_unit_root_dataset()), NuisanceSpec("cl-ar1"))
+        fit = fit_block(one_block(near_unit_root_dataset()), "cl-ar1")
         assert fit.rho_clamped
         assert not fit.converged
 
@@ -325,7 +382,7 @@ class TestSolverOptions:
         data, _ = random_dataset(N=60, M=6, p=3, seed=24)
         block = one_block(data)
         fit = fit_block(
-            block, NuisanceSpec("gee-ar1"), SolverOptions(tol=1e-15, max_iter=1)
+            block, "gee-ar1", SolverOptions(tol=1e-15, max_iter=1)
         )
         assert not fit.converged
         assert fit.iterations == 1

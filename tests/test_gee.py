@@ -16,7 +16,7 @@ def one_block(data):
 def fit_alone(block, structure):
     """The stacked solver on a stack of one block: (theta, zeta, converged,
     iterations, rho_clamped)."""
-    moments = gee.stack_moments([engines.block_moments(block, f"gee-{structure}")])
+    moments = gee.stack_moments(engines.block_moments([block], f"gee-{structure}"))
     sol = gee.fit_gee_block(moments, structure, [(block.j, block.k)])
     return (sol.theta[0], sol.zeta[0], bool(sol.converged[0]), int(sol.iterations[0]),
             bool(sol.clamped[0]))
@@ -225,8 +225,8 @@ class TestFitGeeBlock:
 
     def test_fit_keeps_the_block_moments(self, ar1_dataset):
         block = one_block(ar1_dataset)
-        moments = engines.fit_block(block, engines.NuisanceSpec("gee-ar1")).moments
-        rebuilt = engines.block_moments(block, "gee-ar1")
+        moments = engines.fit_block(block, "gee-ar1").moments
+        [rebuilt] = engines.block_moments([block], "gee-ar1")
         for field in ("start", "grams", "cross", "totals"):
             assert getattr(moments, field).tobytes() == getattr(rebuilt, field).tobytes()
         assert moments.grams.tobytes() == gee._grams("ar1", block.X).tobytes()
@@ -236,23 +236,26 @@ class TestFitGeeBlock:
         data, _ = random_dataset(N=4, M=4, p=3, seed=7)
         block = one_block(data)
         with pytest.raises(SolverError, match="too small"):
-            fit_alone(block, "ar1")
+            engines.fit_block(block, "gee-ar1")
 
     def test_too_few_subjects_in_a_stack_names_the_block(self):
         # the second of three stacked blocks has n = 5 = p + d
         blocks = [
-            one_block(random_dataset(N=n, M=4, p=3, seed=7 + n)[0]) for n in (30, 5, 6)
+            partition.BlockData(j, k, b.y, b.X, b.subject_indices)
+            for (j, k), b in zip(
+                [(0, 0), (3, 1), (0, 2)],
+                (one_block(random_dataset(N=n, M=4, p=3, seed=7 + n)[0]) for n in (30, 5, 6)),
+            )
         ]
-        moments = gee.stack_moments([engines.block_moments(b, "gee-ar1") for b in blocks])
         with pytest.raises(SolverError) as info:
-            gee.fit_gee_block(moments, "ar1", [(0, 0), (3, 1), (0, 2)])
+            engines.solve_blocks(blocks, "gee-ar1")
         assert str(info.value) == "block (3, 1): n=5 too small for p+d=5 parameters"
 
     def test_singular_block_in_a_stack_names_the_block(self):
         # the second block's Gram loses its last row and column after its
         # start was taken, so the stacked solve, not the start, meets it
         blocks = [one_block(random_dataset(N=30, M=4, p=3, seed=s)[0]) for s in (1, 2)]
-        moments = [engines.block_moments(b, "gee-independence") for b in blocks]
+        moments = engines.block_moments(blocks, "gee-independence")
         grams = moments[1].grams.copy()
         grams[0, :, 2] = grams[0, 2, :] = 0.0
         moments[1] = moments[1]._replace(grams=grams)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from blockgmm import partition, simstudy
 from blockgmm.combine import combine, save_bundle
 from blockgmm.dataio import Dataset
-from blockgmm.engines import KINDS, NuisanceSpec, fit_block
+from blockgmm.engines import KINDS, fit_block, nuisance_dim
 from blockgmm.errors import BlockGmmError, DataError, SolverError
 
 import oracles
@@ -323,9 +323,8 @@ class TestStackedSolve:
     def test_a_block_fit_does_not_depend_on_its_stack(self, case):
         kind, data, J, K, strategy, seed = case
         bundle, blocks = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
-        spec = NuisanceSpec(kind)
         for key, fit in bundle.fits.items():
-            alone = fit_block(blocks[key], spec)
+            alone = fit_block(blocks[key], kind)
             for field in ("theta_hat", "zeta_hat", "scores", "sensitivity"):
                 assert _same_bits(getattr(fit, field), getattr(alone, field)), (key, field)
             assert len(fit.moments) == len(alone.moments)
@@ -347,10 +346,9 @@ class TestStackedSolve:
         responses[:, :m0], covariates[:, :m0] = near.responses, near.covariates
         data = Dataset(responses=responses, covariates=covariates, subject_ids=data.subject_ids)
         bundle, blocks = simstudy.fit_dataset(data, 2, 2, kind)
-        spec = NuisanceSpec(kind)
         records = set()
         for key, fit in bundle.fits.items():
-            alone = fit_block(blocks[key], spec)
+            alone = fit_block(blocks[key], kind)
             assert _same_bits(fit.theta_hat, alone.theta_hat)
             assert _same_bits(fit.zeta_hat, alone.zeta_hat)
             assert _same_bits(fit.sensitivity, alone.sensitivity)
@@ -369,7 +367,7 @@ class TestBadBlockInAStack:
     def _solo_error(data, J, K, key, kind):
         plan = partition.make_plan(data.M, data.N, J, K, strategy="contiguous")
         with pytest.raises(SolverError) as info:
-            fit_block(partition.split(data, plan)[key], NuisanceSpec(kind))
+            fit_block(partition.split(data, plan)[key], kind)
         return str(info.value)
 
     @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
@@ -389,11 +387,11 @@ class TestBadBlockInAStack:
     def test_too_few_subjects(self, kind):
         # groups of 6 and 5 subjects: group 1 has n = 5 <= p + d for d = 2,
         # and for d = 1 a third group of 4 = p + d does
-        K = 2 if NuisanceSpec(kind).d == 2 else 3
+        K = 2 if nuisance_dim(kind) == 2 else 3
         N = 11 if K == 2 else 14
         data = simstudy.generate(make_ar1_design(N=N, M=8, seed=4), 0)
         sizes = partition.make_plan(data.M, N, 2, K, strategy="contiguous").group_sizes
-        bad = max(k for k in range(K) if sizes[k] <= 3 + NuisanceSpec(kind).d)
+        bad = max(k for k in range(K) if sizes[k] <= 3 + nuisance_dim(kind))
         with pytest.raises(SolverError) as info:
             simstudy.fit_dataset(data, 2, K, kind)
         assert str(info.value).startswith(f"block (0, {bad}): n={sizes[bad]} too small")
