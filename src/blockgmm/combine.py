@@ -22,14 +22,14 @@ give bit-identical results.
 
 The combined information is block-arrowhead: a dense theta row and
 column plus one nuisance block D_k per group, with no cross-group
-nuisance terms.  Each D_k is eliminated by Cholesky, the p x p theta
-Schur complement is solved for theta, and each group's zeta is
-back-substituted.  The theta covariance is N times the inverse Schur
-complement; the nuisance variances come per group from the diagonal of
-D_k^{-1} + D_k^{-1} B_k' Schur^{-1} B_k D_k^{-1}.  No (p+d) x (p+d)
-matrix is formed, so the cost is linear in K.  All reductions run in a
-fixed (k-major, j-minor) order so results are bitwise reproducible
-regardless of how the block fits were scheduled.
+nuisance terms.  Each D_k is eliminated by its Cholesky inverse, the
+p x p theta Schur complement is inverted the same way for theta, and
+each group's zeta is back-substituted.  The theta covariance is N times
+the inverse Schur complement; the nuisance variances come per group from
+the diagonal of D_k^{-1} + D_k^{-1} B_k' Schur^{-1} B_k D_k^{-1}.  No
+(p+d) x (p+d) matrix is formed, so the cost is linear in K.  All
+reductions run in a fixed (k-major, j-minor) order so results are
+bitwise reproducible regardless of how the block fits were scheduled.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .engines import KINDS, BlockFit, BlockRecord, nuisance_dim
 from .errors import CombineError, ConvergenceError
@@ -194,23 +193,40 @@ def assemble_vhat(bundle: SummaryBundle) -> tuple:
     return tuple(out)
 
 
-def _cholesky_inverse(vk: np.ndarray) -> np.ndarray | None:
-    """V^{-1}, or None where V is not positive definite: V = R'R by
-    LAPACK's dpotrf on the upper triangle, then V^{-1} = R^{-1} R^{-T} from
-    dtrtri and one matmul, mirrored from its upper triangle so that it is
-    exactly symmetric.
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """R^{-1} of an upper-triangular R.  ``np.linalg.inv`` of an upper
+    triangle exchanges no rows, so it is a back substitution; it does the
+    LU work of a full matrix, though, so R is split in halves recursively
+    down to leaves of at most 32 rows, and each off-diagonal block of the
+    inverse is -A^{-1} R_12 C^{-1} from the inverses A^{-1} and C^{-1} of
+    the diagonal halves."""
+    dim = r.shape[0]
+    if dim <= 32:
+        return np.linalg.inv(r)
+    h = dim // 2
+    a, c = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
+    out = np.zeros_like(r)
+    out[:h, :h] = a
+    out[:h, h:] = -(a @ r[:h, h:]) @ c
+    out[h:, h:] = c
+    return out
 
-    dpotri forms the same product with LAPACK's lauum, which OpenBLAS runs
-    on its thread pool at any size: with its default threads, a 25 x 25
-    inverse took milliseconds and the test suite ran 60 % longer.
+
+def _cholesky_inverse(vk: np.ndarray) -> np.ndarray | None:
+    """V^{-1}, or None where V is not positive definite: V = R'R with R the
+    transpose of ``np.linalg.cholesky``'s lower factor, then
+    V^{-1} = R^{-1} R^{-T} from :func:`_upper_inverse` and one matmul,
+    mirrored from its upper triangle so that it is exactly symmetric.
+
+    This one inverse gives the weights W_k and, in :func:`combine`, each
+    nuisance block's D_k^{-1} and the inverse theta Schur complement.
     """
-    r, info = scipy.linalg.lapack.dpotrf(vk, lower=False, clean=True)
-    if info == 0:
-        # R^{-1} in R's place; clean=True zeroed the lower triangle, which dtrtri keeps
-        r, info = scipy.linalg.lapack.dtrtri(r, lower=False)
-    if info != 0:
+    try:
+        r = np.linalg.cholesky(vk).T
+    except np.linalg.LinAlgError:
         return None
-    w = r @ r.T
+    ri = _upper_inverse(r)
+    w = ri @ ri.T
     return np.triu(w) + np.triu(w, 1).T
 
 
@@ -230,7 +246,7 @@ def _invert_group(vk: np.ndarray, k: int):
     flag = False
     w = _cholesky_inverse(vk)
     if w is None:
-        eigmin = float(scipy.linalg.eigvalsh(vk, subset_by_index=(0, 0))[0])
+        eigmin = float(np.linalg.eigvalsh(vk)[0])
         scale = float(np.trace(vk)) / dim
         if eigmin <= -1e-10 * max(scale, 1.0):
             raise CombineError(
@@ -327,7 +343,7 @@ def _condition(sym: np.ndarray) -> float:
     """2-norm condition number of a symmetric positive definite matrix."""
     if sym.size == 0:
         return 1.0
-    eig = scipy.linalg.eigvalsh(sym)
+    eig = np.linalg.eigvalsh(sym)
     # round-off can put the smallest eigenvalue of a matrix that Cholesky
     # accepted at or below zero: the condition is then unbounded
     return float(eig[-1] / eig[0]) if eig[0] > 0 else float("inf")
@@ -352,38 +368,34 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
             if not (np.isfinite(info).all() and np.isfinite(r).all()):
                 raise CombineError(f"group {k} summary overflows once scaled by n_k^2")
             b, nuisance = info[:p, p:], info[p:, p:]
-            try:
-                cho = scipy.linalg.cho_factor(nuisance)
-            except scipy.linalg.LinAlgError:
+            dinv = _cholesky_inverse(nuisance)
+            if dinv is None:
                 raise CombineError(
                     f"combined information is singular: the nuisance block of "
                     f"group {k} is not positive definite (its block sensitivities "
                     "do not identify its nuisance parameters)"
-                ) from None
-            dinv_bt = scipy.linalg.cho_solve(cho, b.T)  # D_k^{-1} B_k'
-            dinv_r = scipy.linalg.cho_solve(cho, r[p:])
+                )
+            dinv_bt = dinv @ b.T  # D_k^{-1} B_k'
+            dinv_r = dinv @ r[p:]
             schur += info[:p, :p] - b @ dinv_bt
             rhs += r[:p] - b @ dinv_r
-            groups.append((nuisance, cho, dinv_bt, dinv_r))
+            groups.append((nuisance, dinv, dinv_bt, dinv_r))
 
         schur = 0.5 * (schur + schur.T)
         if not (np.isfinite(schur).all() and np.isfinite(rhs).all()):
             raise CombineError("the theta Schur complement overflows")
-        try:
-            cho = scipy.linalg.cho_factor(schur)
-        except scipy.linalg.LinAlgError:
+        schur_inv = _cholesky_inverse(schur)
+        if schur_inv is None:
             raise CombineError(
                 "combined information is singular: the theta Schur complement "
                 "is not positive definite (the block sensitivities do not "
                 "identify theta)"
-            ) from None
-        theta = scipy.linalg.cho_solve(cho, rhs)
-        schur_inv = scipy.linalg.cho_solve(cho, np.eye(p))
+            )
+        theta = schur_inv @ rhs
 
         zeta, variances = [], [np.diag(schur_inv)]
-        for nuisance, cho_k, dinv_bt, dinv_r in groups:
+        for _, dinv, dinv_bt, dinv_r in groups:
             zeta.append(dinv_r - dinv_bt @ theta)
-            dinv = scipy.linalg.cho_solve(cho_k, np.eye(nuisance.shape[0]))
             variances.append(
                 np.diag(dinv) + np.einsum("ia,ab,ib->i", dinv_bt, schur_inv, dinv_bt)
             )

@@ -262,7 +262,9 @@ def fit_cl_block(moments: LagMoments, key, tol: float = 1e-8, max_iter: int = 10
         while lam > 1e-8:
             u_new = u + lam * step
             try:
-                score_new, _ = _u_terms(moments, u_new)
+                # a trial sigma may overflow; the finiteness check below rejects it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    score_new, _ = _u_terms(moments, u_new)
             except (NumericDomainError, FloatingPointError):
                 lam *= 0.5
                 continue

@@ -126,6 +126,15 @@ class BlockFit(BlockRecord):
         return self.scores.shape[0]
 
 
+def _check_responses(block: BlockData, kind: str) -> None:
+    """A SolverError for a block of one response under a kind that
+    estimates a rho, which needs a pair of responses."""
+    if nuisance_dim(kind) == 2 and block.m < 2:
+        raise SolverError(
+            f"block ({block.j}, {block.k}): m={block.m} too small; {kind} needs m >= 2 for rho"
+        )
+
+
 def block_moments(blocks: list, kind: str) -> list:
     """Each block's moments under ``kind``, in list order, as
     :func:`fit_block` keeps them: a :class:`blockgmm.composite.LagMoments`
@@ -133,8 +142,11 @@ def block_moments(blocks: list, kind: str) -> list:
     bucket over the slots of it that the list holds (a slice of the bucket
     when they run in order, as a chunk of sorted keys does).  Of several
     blocks with a singular design, overflowing sums of squares or an
-    exact fit, the error names the first in list order, as alone."""
+    exact fit, the error names the first in list order, as alone; so
+    does the check that a kind with a rho has at least two responses."""
     structure = _structure(kind)
+    for block in blocks:
+        _check_responses(block, kind)
     if kind == "cl-ar1":
         return [composite._lag_moments(block) for block in blocks]
     members = {}
@@ -242,8 +254,7 @@ def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> 
         where = f"block ({block.j}, {block.k})"
         if block.n <= block.p + d:
             raise SolverError(f"{where}: n={block.n} too small for p+d={block.p + d} parameters")
-        if d == 2 and block.m < 2:
-            raise SolverError(f"{where}: m={block.m} too small; {kind} needs m >= 2 for rho")
+        _check_responses(block, kind)
     moments = block_moments(blocks, kind)
     keys = [(block.j, block.k) for block in blocks]
     if kind == "cl-ar1":

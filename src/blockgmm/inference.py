@@ -12,10 +12,11 @@ data: it costs at most O(J K m p^2), however many subjects there are.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .combine import CombinedFit, SummaryBundle, WeightBlocks, combine
 from .engines import block_means
@@ -57,11 +58,9 @@ def godambe_cov(fit: CombinedFit, names: tuple, alpha: float = 0.05) -> Inferenc
     est = np.concatenate([fit.theta, fit.zeta])
     ase = np.sqrt(variances)
     z = est / ase
-    # ndtr(-|z|) and ndtri are the normal survival function and quantile
-    # (chdtrc in overid_test is the chi-square one), taken from
-    # scipy.special, which imports in a fraction of the statistics package's time
-    p_values = 2.0 * scipy.special.ndtr(-np.abs(z))
-    q = scipy.special.ndtri(1.0 - alpha / 2.0)
+    # the two-sided normal tail 2 Phi(-|z|) = erfc(|z| / sqrt 2)
+    p_values = np.array([math.erfc(v) for v in (np.abs(z) * math.sqrt(0.5)).tolist()])
+    q = normal_quantile(alpha)
     return InferenceReport(
         names=tuple(names),
         estimates=est,
@@ -72,6 +71,74 @@ def godambe_cov(fit: CombinedFit, names: tuple, alpha: float = 0.05) -> Inferenc
         ci_upper=est + q * ase,
         alpha=alpha,
     )
+
+
+def normal_quantile(alpha: float) -> float:
+    """The two-sided normal critical value Phi^{-1}(1 - alpha / 2)."""
+    return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
+def _stirling(a: float) -> float:
+    """log Gamma(a + 1) - log(sqrt(2 pi a) (a / e)^a), the error of
+    Stirling's formula, for a > 0: below 16 the log of a ratio near 1, so
+    no two large logs are subtracted, and from 16 on its asymptotic series
+    to the a^-9 term (the next term is below 2e-16 there)."""
+    if a < 16.0:
+        return math.log(math.gamma(a + 1.0) / (math.sqrt(2.0 * math.pi * a) * a**a * math.exp(-a)))
+    r = 1.0 / (a * a)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / a
+
+
+def _log_poisson_term(a: float, y: float) -> float:
+    """log(e^-y y^a / Gamma(a + 1)) for y > 0 and a >= 0, with no
+    cancellation (Temme 1979): with t = (y - a) / a it is
+    -a (t - log1p t) - log sqrt(2 pi a) - :func:`_stirling` (a), and
+    a (t - log1p t) = y - a - a log(y / a) is formed from log1p t, so its
+    rounding error is of order eps |y - a| rather than eps y.  Where y < a / 2
+    (only a = 1/2 meets it) log(y / a) stands for log1p t, which loses
+    accuracy as t nears -1."""
+    if a == 0.0:
+        return -y
+    t = (y - a) / a
+    log_ratio = math.log1p(t) if t > -0.5 else math.log(y / a)
+    return -a * (t - log_ratio) - 0.5 * math.log(2.0 * math.pi * a) - _stirling(a)
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(chi-square with integer df > x), the regularised upper incomplete
+    gamma function Q(df / 2, x / 2).
+
+    With y = x / 2, Q is a sum of the terms e^-y y^a / Gamma(a + 1) over
+    a = 0, 1, .., df/2 - 1 for even df (a Poisson sum), and over
+    a = 1/2, 3/2, .., df/2 - 1 plus erfc(sqrt y) for odd df.  The sum starts
+    at its largest term, the a nearest below y, whose log comes from
+    :func:`_log_poisson_term`; the others follow by the ratio y / (a + 1)
+    upwards and a / y downwards until they fall below 1e-17 of it, and
+    ``math.fsum`` adds them."""
+    if math.isnan(x):
+        return x
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    low, high = (df % 2) / 2.0, df / 2.0 - 1.0
+    terms = [math.erfc(math.sqrt(y))] if df % 2 else []
+    if high >= low:
+        a0 = min(high, max(low, math.floor(y - low) + low))
+        t0 = math.exp(_log_poisson_term(a0, y))
+        terms.append(t0)
+        a, t = a0, t0
+        while a < high and t > 1e-17 * t0:
+            a += 1.0
+            t *= y / a
+            terms.append(t)
+        a, t = a0, t0
+        while a > low and t > 1e-17 * t0:
+            t *= a / y
+            a -= 1.0
+            terms.append(t)
+    return math.fsum(terms)
 
 
 def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
@@ -153,7 +220,7 @@ def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks
         stat += float(tk @ W.w[k] @ tk)
     stat *= fit.N
     df = (bundle.J * bundle.K - 1) * bundle.p
-    p_value = float(scipy.special.chdtrc(df, stat)) if df > 0 else None
+    p_value = _chi2_sf(df, stat) if df > 0 else None
     return stat, df, p_value
 
 

@@ -35,7 +35,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataio import Dataset
@@ -422,7 +421,7 @@ def summarize(rows, theta0, alpha: float = 0.05) -> SimSummary:
     bias = est.mean(axis=0) - theta0
     ese = est.std(axis=0, ddof=1) if reps > 1 else np.zeros_like(theta0)
     rmse = np.sqrt(np.mean((est - theta0) ** 2, axis=0))
-    q = scipy.special.ndtri(1.0 - alpha / 2.0)
+    q = inference.normal_quantile(alpha)
     covered = np.abs(est - theta0) <= q * ase
     return SimSummary(
         components=tuple(f"theta_{a + 1}" for a in range(theta0.size)),

@@ -9,7 +9,7 @@ from blockgmm.engines import fit_block, sample_sensitivity
 from blockgmm.errors import NumericDomainError, SolverError
 
 import oracles
-from conftest import column_subset, make_ar1_design, random_dataset
+from conftest import column_subset, make_ar1_design, near_unit_root_dataset, random_dataset
 
 
 def one_block(data):
@@ -296,6 +296,14 @@ class TestClScores:
 
 
 class TestFitClBlock:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_overflowing_trial_step_is_a_failed_line_search(self, seed):
+        # on these near-unit-root data a trial log sigma overflows exp; the
+        # step is rejected as non-finite, with no RuntimeWarning on the way
+        block = one_block(near_unit_root_dataset(seed=seed))
+        with pytest.raises(SolverError, match=r"^line search failed in block \(0, 0\)$"):
+            fit_cl(block)
+
     def test_m2_matches_exact_bivariate_mle(self):
         design = make_ar1_design(N=120, M=2, J=1, K=1, sigma=1.5, rho=0.4, seed=31)
         block = one_block(simstudy.generate(design, 0))

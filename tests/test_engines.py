@@ -320,6 +320,24 @@ class TestBlockShape:
                 fit_block(block, kind)
         assert str(info.value) == f"block (0, 2): m=1 too small; {kind} needs m >= 2 for rho"
 
+    @pytest.mark.parametrize("entry", ["block_moments", "block_means", "sample_sensitivity"])
+    @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "cl-ar1"])
+    def test_one_response_is_named_by_the_moments_too(self, kind, entry):
+        # the entry points that take a block without solve_blocks name an
+        # m = 1 block under a kind with a rho, with solve_blocks' error
+        block = hand_block(0, 2, n=40, m=1, seed=3)
+        theta, zeta = np.array([0.3, 0.6, 0.8]), np.array([1.0, 0.2])
+        call = {
+            "block_moments": lambda: block_moments([block], kind),
+            "block_means": lambda: block_means(block_moments([block], kind), theta, [zeta], kind),
+            "sample_sensitivity": lambda: sample_sensitivity(block, theta, zeta, kind),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as info:
+                call()
+        assert str(info.value) == f"block (0, 2): m=1 too small; {kind} needs m >= 2 for rho"
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_too_few_subjects_in_a_stack_names_the_first(self, kind):
         # the second and third blocks have n = p + d and n = p + d - 1

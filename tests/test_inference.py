@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -18,8 +19,10 @@ from blockgmm.combine import (
 from blockgmm.engines import KINDS
 from blockgmm.errors import CombineError, ConvergenceError
 from blockgmm.inference import (
+    _chi2_sf,
     _stacked_estfun,
     infer,
+    normal_quantile,
     overid_test,
     godambe_cov,
     parameter_names,
@@ -90,7 +93,8 @@ class TestGodambeCov:
         assert np.all(report.ci_lower <= report.estimates)
         assert np.all(report.estimates <= report.ci_upper)
         assert np.all((report.p_values >= 0) & (report.p_values <= 1))
-        q = scipy.stats.norm.ppf(0.975)
+        q = normal_quantile(0.05)
+        assert abs(q - scipy.stats.norm.ppf(0.975)) <= 1e-15 * q
         assert np.array_equal(report.ci_upper, report.estimates + q * report.ase)
         assert np.array_equal(report.ci_lower, report.estimates - q * report.ase)
 
@@ -305,9 +309,21 @@ class TestOveridCalibration:
         assert means == sorted(means)
 
 
+def assert_tail_close(got, expected):
+    """Within 1e-12 relative of scipy's tail value wherever it is at least
+    1e-300, and below 1e-300 where it is smaller (at |z| = 37.75 scipy's
+    normal tail reads 0, and erfc 8e-312)."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    big = expected >= 1e-300
+    assert np.all(np.abs(got - expected)[big] <= 1e-12 * expected[big])
+    assert np.all(got[~big] < 1e-300)
+
+
 class TestScipyStatsOracle:
-    """The package takes its normal and chi-square tail values from
-    scipy.special; they must equal scipy.stats' own to the bit."""
+    """The package's normal and chi-square tail values, from the standard
+    library and a chi-square sum of its own, against scipy.stats: p-values
+    to 1e-12 relative, the quantile to 1e-15 relative, and the CI bounds
+    exactly est -/+ q ase with the package's q."""
 
     @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
     def test_godambe_p_values_and_ci_bounds(self, alpha):
@@ -320,8 +336,9 @@ class TestScipyStatsOracle:
                           variances=ase**2, N=100, p=3)
         report = godambe_cov(fit, tuple(range(z.size)), alpha=alpha)
         norm = scipy.stats.norm
-        q = norm.ppf(1.0 - alpha / 2.0)
-        assert np.array_equal(report.p_values, 2.0 * norm.sf(np.abs(report.z)))
+        q = normal_quantile(alpha)
+        assert abs(q - norm.ppf(1.0 - alpha / 2.0)) <= 1e-15 * q
+        assert_tail_close(report.p_values, 2.0 * norm.sf(np.abs(report.z)))
         assert np.array_equal(report.ci_lower, report.estimates - q * report.ase)
         assert np.array_equal(report.ci_upper, report.estimates + q * report.ase)
         assert np.array_equal(report.p_values[4:6], [0.0, 0.0])  # |z| = 40 underflows
@@ -329,7 +346,7 @@ class TestScipyStatsOracle:
     def test_godambe_on_a_fitted_bundle(self, fitted_bundle):
         bundle, _ = fitted_bundle
         report = godambe_cov(combine(bundle), parameter_names(bundle))
-        assert np.array_equal(report.p_values, 2.0 * scipy.stats.norm.sf(np.abs(report.z)))
+        assert_tail_close(report.p_values, 2.0 * scipy.stats.norm.sf(np.abs(report.z)))
 
     # p-values from about 1 through 0.03, 8e-10 and 9e-35 to an underflowed 0
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 10.0, 30.0, 1e6])
@@ -339,16 +356,49 @@ class TestScipyStatsOracle:
         scaled = WeightBlocks(p=W.p, J=W.J, vhat=W.vhat, w=tuple(scale * w for w in W.w),
                               ridge_repaired=W.ridge_repaired)
         stat, df, p_value = overid_test(blocks, bundle, fit, scaled)
-        assert p_value == float(scipy.stats.chi2.sf(stat, df))
+        assert_tail_close(p_value, scipy.stats.chi2.sf(stat, df))
         if scale == 1e6:
             assert p_value == 0.0  # the statistic is far past the chi-square tail
 
     @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
     def test_summarize_coverage_quantile(self, alpha):
-        # replications just inside, on and just outside the oracle's interval:
-        # coverage is 2/3 only if the quantile is the oracle's to the bit
-        q = scipy.stats.norm.ppf(1.0 - alpha / 2.0)
+        # replications just inside, on and just outside the package's
+        # interval: coverage is 2/3 only if summarize uses that quantile to the bit
+        q = normal_quantile(alpha)
+        assert abs(q - scipy.stats.norm.ppf(1.0 - alpha / 2.0)) <= 1e-15 * q
         offsets = [np.nextafter(q, 0.0), q, np.nextafter(q, np.inf)]
         rows = [{"ok": 1, "theta": [d, -d], "ase": [1.0, 1.0]} for d in offsets]
         summ = simstudy.summarize(rows, (0.0, 0.0), alpha=alpha)
         assert np.array_equal(summ.coverage, [2 / 3, 2 / 3])
+
+
+class TestChiSquareTail:
+    """_chi2_sf against mpmath's regularised upper incomplete gamma
+    function: 1e-12 relative for p from about 1 down to 1e-300."""
+
+    # the x at which each df's upper tail falls to about 1e-300
+    X_MAX = {1: 1373.0, 2: 1381.0, 3: 1388.0, 33: 1528.0, 1197: 4018.0, 9594: 15677.0}
+
+    @pytest.mark.parametrize("df", sorted(X_MAX))
+    def test_matches_mpmath(self, df):
+        xs = np.concatenate([
+            np.geomspace(1e-6, self.X_MAX[df], 25),
+            np.linspace(0.0, self.X_MAX[df], 26)[1:],
+            df + np.sqrt(2.0 * df) * np.linspace(-3.0, 3.0, 13),
+        ])
+        xs = xs[xs > 0].tolist()
+        with mpmath.workdps(40):
+            expected = [float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                              regularized=True)) for x in xs]
+        got = [_chi2_sf(df, x) for x in xs]
+        assert max(expected) > 0.9 and 1e-300 <= min(expected) < 1e-290
+        rel = [abs(g - e) / e for g, e in zip(got, expected)]
+        assert max(rel) <= 1e-12, xs[int(np.argmax(rel))]
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 40])
+    def test_edges(self, df):
+        assert _chi2_sf(df, 0.0) == 1.0
+        assert _chi2_sf(df, -1.0) == 1.0
+        assert _chi2_sf(df, np.inf) == 0.0
+        assert np.isnan(_chi2_sf(df, np.nan))
+        assert _chi2_sf(df, 1e5) == 0.0
