@@ -19,15 +19,19 @@ functions of a list of blocks and their exact Jacobians at any
 (theta, zeta) by closed-form algebra on the moments, so the solvers
 iterate, the sensitivity (the negative Jacobian) is formed and the
 over-identification test is taken without another pass over the data.
-:func:`eval_scores` makes the per-subject scores, which the weights of the
-combination need, in one residual pass.
+:func:`eval_scores` makes the per-subject scores of a list of blocks,
+which the weights of the combination need, and their means: for GEE one
+:func:`blockgmm.gee.gee_scores` residual pass per slab of each bucket's
+share of the list (the grouping by bucket that :func:`block_moments`
+uses), for CL one pass per block.
 
-Each block's row of a solve (:class:`BlockSolution`) goes to
-:func:`fit_block`, which keeps the moments on its :class:`BlockFit`; its
-only pass over the data is :func:`eval_scores`.  Without a row,
-:func:`fit_block` solves its block as a stack of one, with the same bits.
-Nothing is differentiated numerically and there is no step size to
-choose.
+:func:`solve_blocks` ends with that scores pass, so each block's row of a
+solve (:class:`BlockSolution`) carries its scores and their mean, and
+:func:`fit_block` packages the row: it keeps the moments and the scores
+on its :class:`BlockFit` and makes no pass over the data.  Without a
+row, :func:`fit_block` solves its block as a stack of one, a slab of one
+for its scores, with the same bits.  Nothing is differentiated
+numerically and there is no step size to choose.
 """
 
 from __future__ import annotations
@@ -135,33 +139,44 @@ def _check_responses(block: BlockData, kind: str) -> None:
         )
 
 
+def _bucket_shares(blocks: list) -> list:
+    """The blocks of a list by bucket, in first-seen order: per bucket the
+    blocks' places in the list (an index array) and their share of the
+    bucket, y, X and keys in slot order.  When their slots run in order, as
+    a chunk of sorted keys holds them, the share is a slice of the bucket,
+    and so a view; otherwise it is a copy."""
+    members = {}
+    for pos, block in enumerate(blocks):
+        members.setdefault(id(block.bucket), (block.bucket, []))[1].append((pos, block.slot))
+    shares = []
+    for bucket, held in members.values():
+        positions, slots = zip(*held)
+        run = range(slots[0], slots[0] + len(slots))
+        index = slice(run.start, run.stop) if slots == tuple(run) else list(slots)
+        shares.append((
+            np.array(positions), bucket.y[index], bucket.X[index],
+            [bucket.keys[slot] for slot in slots],
+        ))
+    return shares
+
+
 def block_moments(blocks: list, kind: str) -> list:
     """Each block's moments under ``kind``, in list order, as
     :func:`fit_block` keeps them: a :class:`blockgmm.composite.LagMoments`
     per CL block, and for GEE one :func:`blockgmm.gee.gee_moments` call per
-    bucket over the slots of it that the list holds (a slice of the bucket
-    when they run in order, as a chunk of sorted keys does).  Of several
-    blocks with a singular design, overflowing sums of squares or an
-    exact fit, the error names the first in list order, as alone; so
-    does the check that a kind with a rho has at least two responses."""
+    bucket over its share of the list.  Of several blocks with a singular
+    design, overflowing sums of squares or an exact fit, the error names
+    the first in list order, as alone; so does the check that a kind with a
+    rho has at least two responses."""
     structure = _structure(kind)
     for block in blocks:
         _check_responses(block, kind)
     if kind == "cl-ar1":
         return [composite._lag_moments(block) for block in blocks]
-    members = {}
-    for pos, block in enumerate(blocks):
-        members.setdefault(id(block.bucket), (block.bucket, []))[1].append((pos, block.slot))
     moments = [None] * len(blocks)
     try:
-        for bucket, held in members.values():
-            positions, slots = zip(*held)
-            run = range(slots[0], slots[0] + len(slots))
-            index = slice(run.start, run.stop) if slots == tuple(run) else list(slots)
-            rows = gee.gee_moments(
-                bucket.y[index], bucket.X[index], structure, [bucket.keys[s] for s in slots]
-            )
-            for pos, row in zip(positions, rows):
+        for positions, y, X, keys in _bucket_shares(blocks):
+            for pos, row in zip(positions, gee.gee_moments(y, X, structure, keys)):
                 moments[pos] = row
     except (SolverError, NumericDomainError):
         if len(blocks) > 1:
@@ -191,15 +206,38 @@ def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
     return gee.mean_terms(gee.stack_moments(moments), thetas, zetas, structure, jacobian)
 
 
-def eval_scores(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
-    """Per-subject score matrix (n_k, p + d_jk) at arbitrary (theta, zeta),
-    from one residual pass."""
+def eval_scores(blocks: list, theta, zetas, kind: str) -> tuple:
+    """(scores, means) of B blocks of one kind: each block's per-subject
+    score matrix (n_k, p + d_jk), block b at zetas[b] and at theta, shared
+    (p,) or row b of (B, p), and their means over the subjects
+    (B, p + d_jk), from one residual pass.  GEE blocks take one
+    :func:`blockgmm.gee.gee_scores` call per slab of each bucket's share of
+    the list, CL blocks one :func:`blockgmm.composite.cl_scores` call each;
+    a block's rows have the same bits in any list.  A kind with a rho
+    needs at least two responses, as :func:`block_moments` checks."""
     structure = _structure(kind)
+    for block in blocks:
+        _check_responses(block, kind)
     theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
+    thetas = np.broadcast_to(theta, (len(blocks), theta.shape[-1]))
+    zetas = np.asarray(zetas, dtype=float)
+    means = np.empty((len(blocks), thetas.shape[1] + nuisance_dim(kind)))
     if kind == "cl-ar1":
-        return composite.cl_scores(block, theta, zeta)
-    return gee.gee_scores(block, theta, zeta, structure)
+        scores = [composite.cl_scores(block, th, zeta)
+                  for block, th, zeta in zip(blocks, thetas, zetas)]
+        # an overflowing mean reads inf, as the final norm records it
+        with np.errstate(over="ignore"):
+            for b, rows in enumerate(scores):
+                means[b] = rows.mean(axis=0)
+        return scores, means
+    scores = [None] * len(blocks)
+    for positions, y, X, _ in _bucket_shares(blocks):
+        for at in gee._slabs(X):
+            held = positions[at]
+            slab, means[held] = gee.gee_scores(y[at], X[at], thetas[held], zetas[held], structure)
+            for pos, rows in zip(held, slab):
+                scores[pos] = rows
+    return scores, means
 
 
 def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
@@ -225,8 +263,8 @@ def _finite(sens: np.ndarray) -> np.ndarray:
 
 class BlockSolution(NamedTuple):
     """A block's row of a solve: its estimates, convergence record and
-    moments, and the Jacobian of its mean estimating function at the
-    estimates."""
+    moments, the Jacobian of its mean estimating function at the estimates,
+    and its per-subject scores there with their mean."""
 
     theta: np.ndarray
     zeta: np.ndarray
@@ -235,6 +273,8 @@ class BlockSolution(NamedTuple):
     clamped: bool
     moments: tuple
     jacobian: np.ndarray
+    scores: np.ndarray
+    score_mean: np.ndarray
 
 
 def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> list:
@@ -245,8 +285,9 @@ def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> 
     bad block in list order named.  Then one :func:`block_moments` pass,
     the kernel's solve on the moments alone (GEE: one stacked alternation
     over all the blocks; CL: each block's damped Newton), and the
-    Jacobians at the solution in one :func:`block_means` call.  A block's
-    row has the same bits in any stack or bucket, a stack of one included.
+    Jacobians at the solution in one :func:`block_means` call, and the
+    scores there in one :func:`eval_scores` call.  A block's row has the
+    same bits in any stack or bucket, a stack of one included.
     """
     opts = opts or SolverOptions()
     d = nuisance_dim(kind)
@@ -268,10 +309,11 @@ def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> 
             tol=opts.tol, max_iter=opts.max_iter,
         )
     _, jac = block_means(moments, theta, zeta, kind, jacobian=True)
+    scores, means = eval_scores(blocks, theta, zeta, kind)
     return [
         BlockSolution(
             theta[b], zeta[b], bool(converged[b]), int(iterations[b]), bool(clamped[b]),
-            moments[b], jac[b],
+            moments[b], jac[b], scores[b], means[b],
         )
         for b in range(len(blocks))
     ]
@@ -286,20 +328,19 @@ def fit_block(
     """Fit one block and package estimates, scores, sensitivity and moments.
 
     ``solution`` is the block's row of :func:`solve_blocks`; without it the
-    block is solved alone, as a stack of one.  One residual pass at the
-    solution gives the scores, and the sensitivity is the row's negative
+    block is solved alone, as a stack of one and a slab of one.  The row
+    carries the scores and their mean, and the sensitivity is its negative
     Jacobian.
     """
     if solution is None:
         solution = solve_blocks([block], kind, opts)[0]
-    theta, zeta, converged, iterations, clamped, moments, jac = solution
-    scores = eval_scores(block, theta, zeta, kind)
+    theta, zeta, converged, iterations, clamped, moments, jac, scores, mean = solution
     sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
     # a norm that overflows is recorded as inf
     with np.errstate(over="ignore"):
-        final_norm = float(np.linalg.norm(scores.mean(axis=0)))
+        final_norm = float(np.linalg.norm(mean))
     return BlockFit(
         j=block.j,
         k=block.k,

@@ -50,11 +50,15 @@ small corrections to r0' B_k r0, not a difference of large numbers.
 Start residuals at round-off next to y, an exact linear fit, carry no
 variance, and :func:`gee_moments` rejects such a block.
 
-The per-subject scores, which the weights of the combination need, take
-one residual pass per block at the solution (:func:`gee_scores`); it
-builds R^-1 r from scalar weights as w_0 r plus the other operators,
-applied by shifted slices or a row sum, in place.  No m x m matrix is
-ever formed and nothing is differentiated numerically.
+The per-subject scores, which the weights of the combination need, and
+their means take one residual pass per slab of a bucket at the solution
+(:func:`gee_scores`), the slabs of :func:`gee_moments`: every block's
+weights, sigma^2 and rho broadcast along the slab's leading axis, R^-1 r
+is w_0 r plus the other operators, applied by shifted slices or a row
+sum, in place, and each per-subject sum over the m positions is one
+contraction along the subject's own row, so a block's scores have the
+same bits in any slab.  No m x m matrix is ever formed and nothing is
+differentiated numerically.
 """
 
 from __future__ import annotations
@@ -128,7 +132,9 @@ def _grams(structure: str, X: np.ndarray) -> np.ndarray:
     basis B_k, one block per leading index."""
     *lead, n, m, p = X.shape
     flat = X.reshape(*lead, n * m, p)
-    g0 = _t(flat) @ flat
+    # numpy sends X'X of one operand to BLAS syrk, which took 2.5 times a
+    # gemm on a transposed copy at n m = 25 000 (copy included)
+    g0 = np.ascontiguousarray(_t(flat)) @ flat
     if structure == "independence":
         return g0[..., None, :, :]
     if structure == "ar1":
@@ -165,16 +171,20 @@ def _shift(r: np.ndarray) -> np.ndarray:
 
 
 def _apply_inverse(structure: str, w, r: np.ndarray) -> np.ndarray:
-    """sum_k w_k B_k r for scalar coefficients w, every subject's row of r
-    (n, m) at once: w_0 r, then the other terms added in place, with the
-    bits of the sum of the applied operators of :func:`_apply_basis`."""
-    out = w[0] * r
+    """sum_k w_k B_k r for weights w (..., K), one row of them per block,
+    every subject's row of r (..., n, m) at once: w_0 r, then the other
+    terms added in place, with the bits of the sum of the applied operators
+    of :func:`_apply_basis`."""
+    w = np.asarray(w)[..., None, None, :]  # (..., 1, 1, K)
+    out = w[..., 0] * r
     if structure == "ar1":
-        out[:, 0] += w[1] * r[:, 0]
-        out[:, -1] += w[1] * r[:, -1]
-        out += w[2] * _shift(r)
+        out[..., 0] += w[..., 0, 1] * r[..., 0]
+        out[..., -1] += w[..., 0, 1] * r[..., -1]
+        shift = _shift(r)
+        shift *= w[..., 2]
+        out += shift
     elif structure == "exchangeable":
-        out += w[1] * r.sum(axis=1, keepdims=True)
+        out += w[..., 1] * r.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -325,13 +335,14 @@ class GeeMoments(NamedTuple):
     m: int
 
 
-# design bytes of the blocks that one batched pass of gee_moments takes.
-# A pass holds the start residuals and two applied operators of all its
-# blocks at once; slabs this size keep that memory at one large block's
-# (a 600 kB design is a slab of its own: one pass per 6-block bucket
-# raised an mc-gee replication's peak RSS by about 2 MB), while small
-# blocks, whose cost is per-call overhead, still go many to a pass (400
-# blocks of 24 kB took 20 ms one bucket per pass, 55 ms one block per pass)
+# design bytes of the blocks that one batched pass of gee_moments or
+# gee_scores takes.  A pass holds the residuals and the applied operators
+# of all its blocks at once; slabs this size keep that memory at one large
+# block's (a 600 kB design is a slab of its own: one pass per 6-block
+# bucket raised an mc-gee replication's peak RSS by about 2 MB), while
+# small blocks, whose cost is per-call overhead, still go many to a pass
+# (400 blocks of 24 kB took 20 ms one bucket per pass, 55 ms one block per
+# pass)
 _SLAB_BYTES = 1 << 20
 
 
@@ -352,12 +363,19 @@ def gee_moments(y, X, structure: str, keys) -> list:
     names the first bad block of any kind.
     """
     B, n, m, p = X.shape
-    step = max(1, _SLAB_BYTES // X[0].nbytes)
     rows = []
-    for a in range(0, B, step):
-        slab = _slab_moments(y[a : a + step], X[a : a + step], structure, keys[a : a + step])
+    for at in _slabs(X):
+        slab = _slab_moments(y[at], X[at], structure, keys[at])
         rows += [GeeMoments(*(part[b] for part in slab), n, m) for b in range(len(slab[0]))]
     return rows
+
+
+def _slabs(X) -> list:
+    """Slices of a bucket's leading axis, with X (B, n, m, p) its design,
+    that cut it into slabs of about ``_SLAB_BYTES`` of design each; a
+    block larger than that is a slab of its own."""
+    step = max(1, _SLAB_BYTES // X[0].nbytes)
+    return [slice(a, a + step) for a in range(0, len(X), step)]
 
 
 def _slab_moments(y, X, structure, keys) -> tuple:
@@ -437,27 +455,37 @@ def mean_terms(moments: GeeMoments, theta, zeta, structure: str, jacobian: bool 
     return row, jac
 
 
-def gee_scores(block, theta, zeta, structure) -> np.ndarray:
-    """The per-subject score rows (psi_i, g_i) at (theta, zeta), from one
-    residual pass over the block, with scalar weights."""
-    sigma2, rho = map(float, _nuisance(zeta, structure))
-    X = block.X
-    n, m, p = X.shape
-    resid = _residuals(block.y, X, theta)
-    w, _ = _weight_terms(structure, rho, m)
-    scores = np.empty((n, p + nuisance_dim(structure)))
-    psi = np.matmul(_apply_inverse(structure, w, resid)[:, None, :], X)[:, 0, :]
-    np.divide(psi, sigma2, out=scores[:, :p])
+def gee_scores(y, X, theta, zeta, structure: str) -> tuple:
+    """The per-subject score rows (psi_i, g_i) (B, n, p + d) of a slab of B
+    blocks of one shape, y (B, n, m) and covariates X (B, n, m, p), block b
+    at (theta[b], zeta[b]), and their means over the n subjects (B, p + d).
 
-    squares = (resid**2).sum(axis=1)
-    scores[:, p] = squares / m - sigma2
+    One residual pass over the slab, with every block's weights, sigma^2
+    and rho broadcast along the leading axis; each per-subject sum runs
+    over that subject's own row, so a block's scores and means have the
+    same bits in any slab, a slab of one included.
+    """
+    sigma2, rho = _nuisance(zeta, structure)
+    B, n, m, p = X.shape
+    resid = _residuals(y, X, theta)
+    w, _ = _weights(structure, rho, m)
+    scores = np.empty((B, n, p + nuisance_dim(structure)))
+    psi = np.matmul(_apply_inverse(structure, w, resid)[..., None, :], X)[..., 0, :]
+    np.divide(psi, sigma2[:, None, None], out=scores[..., :p])
+
+    # each per-subject sum over m is one contraction along the row
+    squares = np.einsum("...m,...m->...", resid, resid)
+    scores[..., p] = squares / m - sigma2[:, None]
     if structure == "ar1":
-        lag1 = (resid[:, :-1] * resid[:, 1:]).sum(axis=1)
-        scores[:, p + 1] = lag1 / (m - 1) - rho * sigma2
+        lag1 = np.einsum("...m,...m->...", resid[..., :-1], resid[..., 1:])
+        scores[..., p + 1] = lag1 / (m - 1) - (rho * sigma2)[:, None]
     elif structure == "exchangeable":
-        pairs = (resid.sum(axis=1) ** 2 - squares) / 2.0
-        scores[:, p + 1] = pairs / (m * (m - 1) / 2.0) - rho * sigma2
-    return scores
+        pairs = (resid.sum(axis=-1) ** 2 - squares) / 2.0
+        scores[..., p + 1] = pairs / (m * (m - 1) / 2.0) - (rho * sigma2)[:, None]
+    # an overflowing mean reads inf, as the final norm records it
+    with np.errstate(over="ignore"):
+        means = np.einsum("...nq->...q", scores) / n
+    return scores, means
 
 
 class GeeSolution(NamedTuple):

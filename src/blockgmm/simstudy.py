@@ -335,8 +335,9 @@ def fit_dataset(
     bucket, and every block's arrays are views of its bucket.  The blocks,
     in sorted (j, k) order, are solved as one stack
     (:func:`blockgmm.engines.solve_blocks`: the moments of each bucket's
-    blocks in one batched pass, then one alternation over all of them) and
-    each is then fitted from its row, with one scores pass per block.  With
+    blocks in one batched pass, one alternation over all of them, then the
+    scores of each bucket's blocks in one residual pass per slab) and each
+    block's fit is then packaged from its row.  With
     ``workers > 1`` the sorted keys are cut into ``workers`` contiguous
     chunks, and each worker process solves its chunk as one stack, taking
     the matching slice of each bucket; a pickled block carries its bucket

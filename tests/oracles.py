@@ -11,13 +11,14 @@ GEE kernel never forms an m x m working-correlation inverse and never
 differentiates numerically; the dense GEE fit and the central-difference
 sensitivity here do, and the residual-moment alternation takes the
 nuisance moments from a pass over the residuals of every iterate, where
-the kernel uses quadratic forms in the start residuals.  The GEE and
-pairwise-CL mean estimating functions and their Jacobians here come from
-a pass over the residuals at every point, where the kernels use their
-block moments; so does the data-pass T_N of the over-identification
-test.  The simulation generators with one numpy SeedSequence per
-subject, the numeric GMM minimizer and the plan/split helpers that only
-tests use live here too.
+the kernel uses quadratic forms in the start residuals.  The per-block
+GEE scores with scalar weights are the reference for the kernel's one
+pass over a slab of blocks.  The GEE and pairwise-CL mean estimating
+functions and their Jacobians here come from a pass over the residuals
+at every point, where the kernels use their block moments; so does the
+data-pass T_N of the over-identification test.  The simulation
+generators with one numpy SeedSequence per subject, the numeric GMM
+minimizer and the plan/split helpers that only tests use live here too.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ import scipy.optimize
 from blockgmm import composite, gee, simstudy
 from blockgmm.combine import assemble_vhat, invert_vhat
 from blockgmm.dataio import Dataset
-from blockgmm.engines import eval_scores
 from blockgmm.errors import NumericDomainError, SolverError
 from blockgmm.inference import _stacked_estfun
 from blockgmm.partition import format_plan, parse_plan
@@ -256,7 +256,7 @@ def stacked_estfun_pass(blocks, bundle, theta, zeta_list):
             fit = bundle.fits[(j, k)]
             zeta = zeta_list[off : off + fit.d]
             off += fit.d
-            mean = eval_scores(blocks[(j, k)], theta, zeta, fit.kind).mean(axis=0)
+            mean = scores_pass(blocks[(j, k)], theta, zeta, fit.kind).mean(axis=0)
             psi_means.append(mean[: bundle.p])
             g_means.append(mean[bundle.p :])
         parts.append(wk * np.concatenate(psi_means + g_means))
@@ -496,6 +496,47 @@ def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
 # GEE and pairwise-CL mean terms from a pass over the data
 
 
+def gee_scores(block, theta, zeta, structure):
+    """The per-subject GEE score rows (psi_i, g_i) of one block at
+    (theta, zeta), from one residual pass with scalar weights: the
+    per-block form that the slab kernel :func:`blockgmm.gee.gee_scores`
+    replaced, kept as its absolute reference."""
+    sigma2, rho = map(float, gee._nuisance(zeta, structure))
+    X = block.X
+    n, m, p = X.shape
+    resid = gee._residuals(block.y, X, theta)
+    w, _ = gee._weight_terms(structure, rho, m)
+    scores = np.empty((n, p + gee.nuisance_dim(structure)))
+    # R^-1 r as w_0 r plus the other operators, applied by slices
+    applied = w[0] * resid
+    if structure == "ar1":
+        applied[:, 0] += w[1] * resid[:, 0]
+        applied[:, -1] += w[1] * resid[:, -1]
+        applied += w[2] * gee._shift(resid)
+    elif structure == "exchangeable":
+        applied += w[1] * resid.sum(axis=1, keepdims=True)
+    psi = np.matmul(applied[:, None, :], X)[:, 0, :]
+    np.divide(psi, sigma2, out=scores[:, :p])
+
+    squares = (resid**2).sum(axis=1)
+    scores[:, p] = squares / m - sigma2
+    if structure == "ar1":
+        lag1 = (resid[:, :-1] * resid[:, 1:]).sum(axis=1)
+        scores[:, p + 1] = lag1 / (m - 1) - rho * sigma2
+    elif structure == "exchangeable":
+        pairs = (resid.sum(axis=1) ** 2 - squares) / 2.0
+        scores[:, p + 1] = pairs / (m * (m - 1) / 2.0) - rho * sigma2
+    return scores
+
+
+def scores_pass(block, theta, zeta, kind):
+    """One block's per-subject scores under a kind: the GEE oracle above, or
+    the CL kernel's pass."""
+    if kind == "cl-ar1":
+        return composite.cl_scores(block, theta, zeta)
+    return gee_scores(block, theta, zeta, kind.split("-", 1)[1])
+
+
 def gee_pass_terms(block, theta, zeta, structure):
     """Mean GEE estimating function row and its closed-form Jacobian at
     (theta, zeta), with the cross sums sum_i X_i' B_k r_i taken from the
@@ -507,7 +548,7 @@ def gee_pass_terms(block, theta, zeta, structure):
     n, m, p = X.shape
     basis = gee._apply_basis(structure, gee._residuals(block.y, X, theta))
     w, dw = gee._weights(structure, rho, m)
-    mean = gee.gee_scores(block, theta, zeta, structure).mean(axis=0)
+    mean = gee_scores(block, theta, zeta, structure).mean(axis=0)
     d = gee.nuisance_dim(structure)
     grams = gee._grams(structure, X)
     cross = gee._basis_cross(X, basis)
@@ -626,8 +667,8 @@ def fd_sensitivity(block, theta, zeta, kind, fd_step=1e-5):
         up, um = params.copy(), params.copy()
         up[a] += h
         um[a] -= h
-        fp = eval_scores(block, up[:p], up[p:], kind).mean(axis=0)
-        fm = eval_scores(block, um[:p], um[p:], kind).mean(axis=0)
+        fp = scores_pass(block, up[:p], up[p:], kind).mean(axis=0)
+        fm = scores_pass(block, um[:p], um[p:], kind).mean(axis=0)
         sens[:, a] = -(fp - fm) / (2.0 * h)
     return sens
 

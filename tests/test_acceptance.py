@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from blockgmm import gee, simstudy
+from blockgmm import simstudy
 from blockgmm.combine import (
     assemble_vhat,
     combine,
@@ -212,8 +212,8 @@ def test_criterion_6_sensitivity_finite_difference_agreement():
             up, um = params.copy(), params.copy()
             up[a] += h
             um[a] -= h
-            fp = gee.gee_scores(block, up[:p], up[p:], structure).mean(axis=0)
-            fm = gee.gee_scores(block, um[:p], um[p:], structure).mean(axis=0)
+            fp = oracles.gee_scores(block, up[:p], up[p:], structure).mean(axis=0)
+            fm = oracles.gee_scores(block, um[:p], um[p:], structure).mean(axis=0)
             fd[:, a] = -(fp[:p] - fm[:p]) / (2 * h)
         worst = max(
             worst, np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)

@@ -8,7 +8,11 @@ traced result line instead of reading 0.
 
 The declared residual-pass metrics (``engines.eval_scores`` and the
 kernels' ``gee.gee_scores`` and ``composite.cl_scores``) count the calls
-of the functions a fit really makes: once per block.
+of the functions a fit really makes: one ``eval_scores`` call per solve,
+and under it one ``gee_scores`` call per slab of a bucket (the blocks of
+a subject group's run of equal-size response blocks) or one
+``cl_scores`` call per block.  ``engines.fit_block`` still packages each
+block once.
 
 The benchmark's own self-test runs here too: it drives the package the
 way the benchmark does (``fit_dataset``, ``fit_block``, ``overid_test``
@@ -60,26 +64,38 @@ def test_every_timed_or_counted_metric_names_a_public_layer_function():
 
 
 @pytest.mark.parametrize("kind", engines.KINDS)
-def test_a_fit_makes_one_scores_pass_per_block_through_the_declared_names(kind, monkeypatch):
+def test_a_fit_makes_one_scores_pass_per_slab_through_the_declared_names(kind, monkeypatch):
     calls = []
     for module, name in (
         (engines, "eval_scores"),
+        (simstudy, "fit_block"),
         (gee, "gee_scores"),
         (composite, "cl_scores"),
     ):
         original = getattr(module, name)
         label = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
         monkeypatch.setattr(
-            module, name, lambda *args, _f=original, _l=label: calls.append(_l) or _f(*args)
+            module, name,
+            lambda *args, _f=original, _l=label, **kw: calls.append(_l) or _f(*args, **kw),
         )
-    data, _ = random_dataset(N=40, M=6, p=2, seed=3)
+    # M = 7 on J = 3: each group has a bucket of one 3-response block and one
+    # of two 2-response blocks
+    data, _ = random_dataset(N=40, M=7, p=2, seed=3)
     J, K = 3, 2
-    bundle, _ = simstudy.fit_dataset(data, J, K, kind)
+    bundle, blocks = simstudy.fit_dataset(data, J, K, kind)
     assert len(bundle.fits) == J * K
-    kernel = "composite.cl_scores" if kind == "cl-ar1" else "gee.gee_scores"
-    assert calls.count("engines.eval_scores") == J * K
-    assert calls.count(kernel) == J * K
-    assert len(calls) == 2 * J * K
+    buckets = {id(block.bucket): block.bucket for block in blocks.values()}.values()
+    assert len(buckets) == 2 * K
+    slabs = sum(len(gee._slabs(bucket.X)) for bucket in buckets)
+    assert slabs == 2 * K
+    if kind == "cl-ar1":
+        kernel, passes = "composite.cl_scores", J * K
+    else:
+        kernel, passes = "gee.gee_scores", slabs
+    assert calls.count("simstudy.fit_block") == J * K
+    assert calls.count("engines.eval_scores") == 1
+    assert calls.count(kernel) == passes
+    assert len(calls) == J * K + 1 + passes
 
 
 @pytest.mark.slow

@@ -64,7 +64,7 @@ class TestKinds:
             lambda block: solve_blocks([block], "gee-toeplitz"),
             lambda block: fit_block(block, "gee-toeplitz"),
             lambda block: block_moments([block], "gee-toeplitz"),
-            lambda block: eval_scores(block, np.zeros(3), np.ones(2), "gee-toeplitz"),
+            lambda block: eval_scores([block], np.zeros(3), [np.ones(2)], "gee-toeplitz"),
             lambda block: sample_sensitivity(block, np.zeros(3), np.ones(2), "gee-toeplitz"),
         ],
         ids=["nuisance_dim", "solve_blocks", "fit_block", "block_moments", "eval_scores",
@@ -197,8 +197,8 @@ class TestSampleSensitivity:
             up, um = params.copy(), params.copy()
             up[a] += h
             um[a] -= h
-            fp = eval_scores(block, up[:3], up[3:], "gee-ar1").mean(axis=0)
-            fm = eval_scores(block, um[:3], um[3:], "gee-ar1").mean(axis=0)
+            _, (fp,) = eval_scores([block], up[:3], [up[3:]], "gee-ar1")
+            _, (fm,) = eval_scores([block], um[:3], [um[3:]], "gee-ar1")
             fd[:, a] = -(fp - fm) / (2 * h)
         rel = np.linalg.norm(analytic - fd[:3, :]) / np.linalg.norm(analytic)
         assert rel <= 1e-5
@@ -320,7 +320,9 @@ class TestBlockShape:
                 fit_block(block, kind)
         assert str(info.value) == f"block (0, 2): m=1 too small; {kind} needs m >= 2 for rho"
 
-    @pytest.mark.parametrize("entry", ["block_moments", "block_means", "sample_sensitivity"])
+    @pytest.mark.parametrize(
+        "entry", ["block_moments", "block_means", "sample_sensitivity", "eval_scores"]
+    )
     @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "cl-ar1"])
     def test_one_response_is_named_by_the_moments_too(self, kind, entry):
         # the entry points that take a block without solve_blocks name an
@@ -331,6 +333,7 @@ class TestBlockShape:
             "block_moments": lambda: block_moments([block], kind),
             "block_means": lambda: block_means(block_moments([block], kind), theta, [zeta], kind),
             "sample_sensitivity": lambda: sample_sensitivity(block, theta, zeta, kind),
+            "eval_scores": lambda: eval_scores([block], theta, [zeta], kind),
         }[entry]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -22,6 +22,12 @@ def fit_alone(block, structure):
             bool(sol.clamped[0]))
 
 
+def slab_scores(block, theta, zeta, structure):
+    """The scores of one block from the slab kernel, as a slab of one."""
+    scores, _ = gee.gee_scores(block.y[None], block.X[None], theta[None], zeta[None], structure)
+    return scores[0]
+
+
 def rinv_matrix(structure, rho, m):
     """The production R(rho)^-1, applied by slices to the rows of I_m."""
     w, _ = gee._weights(structure, rho, m)
@@ -166,8 +172,8 @@ class TestFitGeeBlock:
         for structure in ("ar1", "exchangeable", "independence"):
             theta, zeta, converged, _, _ = fit_alone(block, structure)
             assert converged
-            scores = gee.gee_scores(block, theta, zeta, structure)
-            assert np.linalg.norm(scores.mean(axis=0)) <= 1e-7
+            _, means = engines.eval_scores([block], theta, [zeta], f"gee-{structure}")
+            assert np.linalg.norm(means[0]) <= 1e-7
 
     @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
     def test_matches_dense_oracle_fit(self, structure):
@@ -266,11 +272,35 @@ class TestFitGeeBlock:
 
 
 class TestGeeScores:
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_slab_kernel_matches_the_per_block_oracle(self, structure):
+        # M = 11 on J = 3 gives blocks of 4, 4 and 3 responses, so each group
+        # has two buckets, and the slab of 4-response blocks holds two blocks
+        # at their own theta, sigma^2 and rho, with rho of both signs
+        data = simstudy.generate(make_ar1_design(N=60, M=11, J=3, K=2, seed=41), 0)
+        blocks = partition.split(data, partition.make_plan(11, 60, 3, 2, strategy="contiguous"))
+        keys = sorted(blocks)
+        assert blocks[(0, 1)].bucket is blocks[(1, 1)].bucket
+        assert blocks[(1, 1)].bucket is not blocks[(2, 1)].bucket
+        rng = np.random.default_rng(41)
+        B = len(keys)
+        theta = rng.normal(0.5, 0.3, (B, 3))
+        rho = rng.uniform(0.1, 0.3, B) * np.where(np.arange(B) % 2, -1.0, 1.0)
+        zeta = np.column_stack([rng.uniform(0.5, 3.0, B), rho])[:, : gee.nuisance_dim(structure)]
+        scores, means = engines.eval_scores(
+            [blocks[key] for key in keys], theta, zeta, f"gee-{structure}"
+        )
+        for b, key in enumerate(keys):
+            expected = oracles.gee_scores(blocks[key], theta[b], zeta[b], structure)
+            scale = np.abs(expected).max()
+            assert np.abs(scores[b] - expected).max() <= 1e-13 * scale, key
+            assert np.abs(means[b] - expected.mean(axis=0)).max() <= 1e-13 * scale, key
+
     def test_independence_unit_variance_scores_are_xt_resid(self):
         data, _ = random_dataset(N=8, M=4, p=2, seed=8)
         block = one_block(data)
         theta = np.array([0.5, -0.2])
-        scores = gee.gee_scores(block, theta, np.array([1.0]), "independence")
+        scores = slab_scores(block, theta, np.array([1.0]), "independence")
         resid = block.y - block.X @ theta
         expected = np.einsum("nmp,nm->np", block.X, resid)
         np.testing.assert_allclose(scores[:, :2], expected, atol=1e-12)
@@ -279,7 +309,7 @@ class TestGeeScores:
         data, _ = random_dataset(N=8, M=4, p=2, seed=8)
         block = one_block(data)
         with pytest.raises(NumericDomainError):
-            gee.gee_scores(block, np.zeros(2), np.array([-1.0, 0.2]), "ar1")
+            slab_scores(block, np.zeros(2), np.array([-1.0, 0.2]), "ar1")
 
     def test_scores_unbiased_at_true_parameters(self):
         # mean of each score column at the truth is 0 within 4 SEs
@@ -304,9 +334,7 @@ class TestGeeScores:
                 subject_ids=tuple(range(N)),
             )
         )
-        scores = gee.gee_scores(
-            block, theta0, np.array([sigma**2, rho]), "ar1"
-        )
+        scores = slab_scores(block, theta0, np.array([sigma**2, rho]), "ar1")
         means = scores.mean(axis=0)
         ses = scores.std(axis=0, ddof=1) / np.sqrt(N)
         assert np.all(np.abs(means) <= 4 * ses)
@@ -314,7 +342,7 @@ class TestGeeScores:
     def test_permuting_subjects_permutes_score_rows(self, ar1_dataset):
         block = one_block(ar1_dataset)
         theta, zeta, *_ = fit_alone(block, "ar1")
-        scores = gee.gee_scores(block, theta, zeta, "ar1")
+        scores = slab_scores(block, theta, zeta, "ar1")
         perm = np.random.default_rng(3).permutation(block.n)
         permuted = partition.BlockData(
             j=0,
@@ -326,5 +354,5 @@ class TestGeeScores:
         theta2, zeta2, *_ = fit_alone(permuted, "ar1")
         np.testing.assert_allclose(theta2, theta, atol=1e-9)
         np.testing.assert_allclose(zeta2, zeta, atol=1e-9)
-        scores2 = gee.gee_scores(permuted, theta2, zeta2, "ar1")
+        scores2 = slab_scores(permuted, theta2, zeta2, "ar1")
         np.testing.assert_allclose(scores2, scores[perm], atol=1e-8)
