@@ -20,13 +20,13 @@ functions of a list of blocks and their exact Jacobians at any
 iterate, the sensitivity (the negative Jacobian) is formed and the
 over-identification test is taken without another pass over the data.
 :func:`eval_scores` makes the per-subject scores of a list of blocks,
-which the weights of the combination need, and their means: for GEE one
+which the weights of the combination need: for GEE one
 :func:`blockgmm.gee.gee_scores` residual pass per slab of each bucket's
 share of the list (the grouping by bucket that :func:`block_moments`
 uses), for CL one pass per block.
 
 :func:`solve_blocks` ends with that scores pass, so each block's row of a
-solve (:class:`BlockSolution`) carries its scores and their mean, and
+solve (:class:`BlockSolution`) carries its scores, and
 :func:`fit_block` packages the row: it keeps the moments and the scores
 on its :class:`BlockFit` and makes no pass over the data.  Without a
 row, :func:`fit_block` solves its block as a stack of one, a slab of one
@@ -206,11 +206,10 @@ def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
     return gee.mean_terms(gee.stack_moments(moments), thetas, zetas, structure, jacobian)
 
 
-def eval_scores(blocks: list, theta, zetas, kind: str) -> tuple:
-    """(scores, means) of B blocks of one kind: each block's per-subject
-    score matrix (n_k, p + d_jk), block b at zetas[b] and at theta, shared
-    (p,) or row b of (B, p), and their means over the subjects
-    (B, p + d_jk), from one residual pass.  GEE blocks take one
+def eval_scores(blocks: list, theta, zetas, kind: str) -> list:
+    """The per-subject score matrix (n_k, p + d_jk) of each of B blocks of
+    one kind, block b at zetas[b] and at theta, shared (p,) or row b of
+    (B, p), from one residual pass.  GEE blocks take one
     :func:`blockgmm.gee.gee_scores` call per slab of each bucket's share of
     the list, CL blocks one :func:`blockgmm.composite.cl_scores` call each;
     a block's rows have the same bits in any list.  A kind with a rho
@@ -221,23 +220,17 @@ def eval_scores(blocks: list, theta, zetas, kind: str) -> tuple:
     theta = np.asarray(theta, dtype=float)
     thetas = np.broadcast_to(theta, (len(blocks), theta.shape[-1]))
     zetas = np.asarray(zetas, dtype=float)
-    means = np.empty((len(blocks), thetas.shape[1] + nuisance_dim(kind)))
     if kind == "cl-ar1":
-        scores = [composite.cl_scores(block, th, zeta)
-                  for block, th, zeta in zip(blocks, thetas, zetas)]
-        # an overflowing mean reads inf, as the final norm records it
-        with np.errstate(over="ignore"):
-            for b, rows in enumerate(scores):
-                means[b] = rows.mean(axis=0)
-        return scores, means
+        return [composite.cl_scores(block, th, zeta)
+                for block, th, zeta in zip(blocks, thetas, zetas)]
     scores = [None] * len(blocks)
     for positions, y, X, _ in _bucket_shares(blocks):
         for at in gee._slabs(X):
             held = positions[at]
-            slab, means[held] = gee.gee_scores(y[at], X[at], thetas[held], zetas[held], structure)
+            slab = gee.gee_scores(y[at], X[at], thetas[held], zetas[held], structure)
             for pos, rows in zip(held, slab):
                 scores[pos] = rows
-    return scores, means
+    return scores
 
 
 def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
@@ -264,7 +257,7 @@ def _finite(sens: np.ndarray) -> np.ndarray:
 class BlockSolution(NamedTuple):
     """A block's row of a solve: its estimates, convergence record and
     moments, the Jacobian of its mean estimating function at the estimates,
-    and its per-subject scores there with their mean."""
+    and its per-subject scores there."""
 
     theta: np.ndarray
     zeta: np.ndarray
@@ -274,7 +267,6 @@ class BlockSolution(NamedTuple):
     moments: tuple
     jacobian: np.ndarray
     scores: np.ndarray
-    score_mean: np.ndarray
 
 
 def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> list:
@@ -309,11 +301,11 @@ def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> 
             tol=opts.tol, max_iter=opts.max_iter,
         )
     _, jac = block_means(moments, theta, zeta, kind, jacobian=True)
-    scores, means = eval_scores(blocks, theta, zeta, kind)
+    scores = eval_scores(blocks, theta, zeta, kind)
     return [
         BlockSolution(
             theta[b], zeta[b], bool(converged[b]), int(iterations[b]), bool(clamped[b]),
-            moments[b], jac[b], scores[b], means[b],
+            moments[b], jac[b], scores[b],
         )
         for b in range(len(blocks))
     ]
@@ -329,18 +321,17 @@ def fit_block(
 
     ``solution`` is the block's row of :func:`solve_blocks`; without it the
     block is solved alone, as a stack of one and a slab of one.  The row
-    carries the scores and their mean, and the sensitivity is its negative
-    Jacobian.
+    carries the scores, and the sensitivity is its negative Jacobian.
     """
     if solution is None:
         solution = solve_blocks([block], kind, opts)[0]
-    theta, zeta, converged, iterations, clamped, moments, jac, scores, mean = solution
+    theta, zeta, converged, iterations, clamped, moments, jac, scores = solution
     sens = _finite(-jac)
     # a rho held at the clamp leaves its moment equation unsolved
     converged = converged and not clamped
     # a norm that overflows is recorded as inf
     with np.errstate(over="ignore"):
-        final_norm = float(np.linalg.norm(mean))
+        final_norm = float(np.linalg.norm(scores.mean(axis=0)))
     return BlockFit(
         j=block.j,
         k=block.k,

@@ -50,8 +50,8 @@ small corrections to r0' B_k r0, not a difference of large numbers.
 Start residuals at round-off next to y, an exact linear fit, carry no
 variance, and :func:`gee_moments` rejects such a block.
 
-The per-subject scores, which the weights of the combination need, and
-their means take one residual pass per slab of a bucket at the solution
+The per-subject scores, which the weights of the combination need, take
+one residual pass per slab of a bucket at the solution
 (:func:`gee_scores`), the slabs of :func:`gee_moments`: every block's
 weights, sigma^2 and rho broadcast along the slab's leading axis, R^-1 r
 is w_0 r plus the other operators, applied by shifted slices or a row
@@ -455,15 +455,15 @@ def mean_terms(moments: GeeMoments, theta, zeta, structure: str, jacobian: bool 
     return row, jac
 
 
-def gee_scores(y, X, theta, zeta, structure: str) -> tuple:
+def gee_scores(y, X, theta, zeta, structure: str) -> np.ndarray:
     """The per-subject score rows (psi_i, g_i) (B, n, p + d) of a slab of B
     blocks of one shape, y (B, n, m) and covariates X (B, n, m, p), block b
-    at (theta[b], zeta[b]), and their means over the n subjects (B, p + d).
+    at (theta[b], zeta[b]).
 
     One residual pass over the slab, with every block's weights, sigma^2
     and rho broadcast along the leading axis; each per-subject sum runs
-    over that subject's own row, so a block's scores and means have the
-    same bits in any slab, a slab of one included.
+    over that subject's own row, so a block's scores have the same bits in
+    any slab, a slab of one included.
     """
     sigma2, rho = _nuisance(zeta, structure)
     B, n, m, p = X.shape
@@ -482,10 +482,7 @@ def gee_scores(y, X, theta, zeta, structure: str) -> tuple:
     elif structure == "exchangeable":
         pairs = (resid.sum(axis=-1) ** 2 - squares) / 2.0
         scores[..., p + 1] = pairs / (m * (m - 1) / 2.0) - (rho * sigma2)[:, None]
-    # an overflowing mean reads inf, as the final norm records it
-    with np.errstate(over="ignore"):
-        means = np.einsum("...nq->...q", scores) / n
-    return scores, means
+    return scores
 
 
 class GeeSolution(NamedTuple):

@@ -28,6 +28,7 @@ import scipy.optimize
 from blockgmm import composite, gee, simstudy
 from blockgmm.combine import assemble_vhat, invert_vhat
 from blockgmm.dataio import Dataset
+from blockgmm.engines import eval_scores
 from blockgmm.errors import NumericDomainError, SolverError
 from blockgmm.inference import _stacked_estfun
 from blockgmm.partition import format_plan, parse_plan
@@ -256,7 +257,7 @@ def stacked_estfun_pass(blocks, bundle, theta, zeta_list):
             fit = bundle.fits[(j, k)]
             zeta = zeta_list[off : off + fit.d]
             off += fit.d
-            mean = scores_pass(blocks[(j, k)], theta, zeta, fit.kind).mean(axis=0)
+            mean = eval_scores([blocks[(j, k)]], theta, [zeta], fit.kind)[0].mean(axis=0)
             psi_means.append(mean[: bundle.p])
             g_means.append(mean[bundle.p :])
         parts.append(wk * np.concatenate(psi_means + g_means))
@@ -529,14 +530,6 @@ def gee_scores(block, theta, zeta, structure):
     return scores
 
 
-def scores_pass(block, theta, zeta, kind):
-    """One block's per-subject scores under a kind: the GEE oracle above, or
-    the CL kernel's pass."""
-    if kind == "cl-ar1":
-        return composite.cl_scores(block, theta, zeta)
-    return gee_scores(block, theta, zeta, kind.split("-", 1)[1])
-
-
 def gee_pass_terms(block, theta, zeta, structure):
     """Mean GEE estimating function row and its closed-form Jacobian at
     (theta, zeta), with the cross sums sum_i X_i' B_k r_i taken from the
@@ -667,8 +660,8 @@ def fd_sensitivity(block, theta, zeta, kind, fd_step=1e-5):
         up, um = params.copy(), params.copy()
         up[a] += h
         um[a] -= h
-        fp = scores_pass(block, up[:p], up[p:], kind).mean(axis=0)
-        fm = scores_pass(block, um[:p], um[p:], kind).mean(axis=0)
+        fp = eval_scores([block], up[:p], [up[p:]], kind)[0].mean(axis=0)
+        fm = eval_scores([block], um[:p], [um[p:]], kind)[0].mean(axis=0)
         sens[:, a] = -(fp - fm) / (2.0 * h)
     return sens
 

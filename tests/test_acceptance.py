@@ -18,7 +18,7 @@ from blockgmm.combine import (
     invert_vhat,
     save_bundle,
 )
-from blockgmm.engines import fit_block, sample_sensitivity
+from blockgmm.engines import eval_scores, fit_block, sample_sensitivity
 from blockgmm.inference import overid_test
 from blockgmm.partition import make_plan, split
 
@@ -205,6 +205,7 @@ def test_criterion_6_sensitivity_finite_difference_agreement():
         analytic = oracles.gee_theta_sensitivity(block, fit.zeta_hat, structure)
 
         p = block.p
+        kind = f"gee-{structure}"
         params = np.concatenate([fit.theta_hat, fit.zeta_hat])
         fd = np.empty((p, p))
         for a in range(p):
@@ -212,8 +213,8 @@ def test_criterion_6_sensitivity_finite_difference_agreement():
             up, um = params.copy(), params.copy()
             up[a] += h
             um[a] -= h
-            fp = oracles.gee_scores(block, up[:p], up[p:], structure).mean(axis=0)
-            fm = oracles.gee_scores(block, um[:p], um[p:], structure).mean(axis=0)
+            fp = eval_scores([block], up[:p], [up[p:]], kind)[0].mean(axis=0)
+            fm = eval_scores([block], um[:p], [um[p:]], kind)[0].mean(axis=0)
             fd[:, a] = -(fp[:p] - fm[:p]) / (2 * h)
         worst = max(
             worst, np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)

@@ -197,8 +197,8 @@ class TestSampleSensitivity:
             up, um = params.copy(), params.copy()
             up[a] += h
             um[a] -= h
-            _, (fp,) = eval_scores([block], up[:3], [up[3:]], "gee-ar1")
-            _, (fm,) = eval_scores([block], um[:3], [um[3:]], "gee-ar1")
+            fp = eval_scores([block], up[:3], [up[3:]], "gee-ar1")[0].mean(axis=0)
+            fm = eval_scores([block], um[:3], [um[3:]], "gee-ar1")[0].mean(axis=0)
             fd[:, a] = -(fp - fm) / (2 * h)
         rel = np.linalg.norm(analytic - fd[:3, :]) / np.linalg.norm(analytic)
         assert rel <= 1e-5
