@@ -270,6 +270,16 @@ class TestFitGeeBlock:
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
+def assert_scores_match_the_oracle(blocks, keys, theta, zeta, structure):
+    """The slab kernel's scores of the blocks ``keys``, in that order and
+    each at its own row of theta and zeta, against the per-block oracle."""
+    scores = engines.eval_scores([blocks[key] for key in keys], theta, zeta, f"gee-{structure}")
+    for b, key in enumerate(keys):
+        expected = oracles.gee_scores(blocks[key], theta[b], zeta[b], structure)
+        scale = np.abs(expected).max()
+        assert np.abs(scores[b] - expected).max() <= 1e-13 * scale, key
+
+
 class TestGeeScores:
     @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
     def test_slab_kernel_matches_the_per_block_oracle(self, structure):
@@ -286,13 +296,23 @@ class TestGeeScores:
         theta = rng.normal(0.5, 0.3, (B, 3))
         rho = rng.uniform(0.1, 0.3, B) * np.where(np.arange(B) % 2, -1.0, 1.0)
         zeta = np.column_stack([rng.uniform(0.5, 3.0, B), rho])[:, : gee.nuisance_dim(structure)]
-        scores = engines.eval_scores(
-            [blocks[key] for key in keys], theta, zeta, f"gee-{structure}"
-        )
-        for b, key in enumerate(keys):
-            expected = oracles.gee_scores(blocks[key], theta[b], zeta[b], structure)
-            scale = np.abs(expected).max()
-            assert np.abs(scores[b] - expected).max() <= 1e-13 * scale, key
+        assert_scores_match_the_oracle(blocks, keys, theta, zeta, structure)
+
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_shuffled_list_of_a_random_plan_matches_the_per_block_oracle(self, structure):
+        # a seeded-random plan of M = 23 on J = 5 (blocks of 5 and 4
+        # responses) passed in shuffled order, so each bucket's share of the
+        # list is out of slot order and taken by an index, not a slice
+        data = simstudy.generate(make_ar1_design(N=150, M=23, J=5, K=3, rho=-0.3, seed=43), 0)
+        plan = partition.make_plan(23, 150, 5, 3, strategy="seeded-random", seed=43)
+        blocks = partition.split(data, plan)
+        rng = np.random.default_rng(43)
+        keys = [key for _, key in sorted(zip(rng.permutation(len(blocks)), sorted(blocks)))]
+        B = len(keys)
+        theta = rng.normal(0.5, 0.3, (B, 3))
+        rho = rng.uniform(-0.2, 0.6, B)
+        zeta = np.column_stack([rng.uniform(0.5, 3.0, B), rho])[:, : gee.nuisance_dim(structure)]
+        assert_scores_match_the_oracle(blocks, keys, theta, zeta, structure)
 
     def test_independence_unit_variance_scores_are_xt_resid(self):
         data, _ = random_dataset(N=8, M=4, p=2, seed=8)
