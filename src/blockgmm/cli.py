@@ -16,6 +16,7 @@ from that file.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import fields
@@ -47,17 +48,24 @@ def _write_csv(path, header, rows: list) -> None:
 
 
 def read_config(path) -> dict:
-    """Plain-text ``key = value`` pairs; blank lines and # comments skipped."""
+    """Plain-text ``key = value`` pairs in UTF-8; blank lines and # comments
+    skipped."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise BlockGmmError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
     cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise BlockGmmError(f"{path}: malformed config line {line!r}")
-            cfg[key.strip()] = value.strip()
+    for line in io.StringIO(text, newline=None):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise BlockGmmError(f"{path}: malformed config line {line!r}")
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -213,7 +221,7 @@ def _write_resolved_config(path, command: str, settings: dict) -> None:
         settings["input"] = os.path.abspath(settings["input"])
     if "bundles" in settings:
         settings["bundles"] = [os.path.abspath(p) for p in settings["bundles"]]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in sorted(settings.items()):
             if isinstance(value, (list, tuple)):
                 value = ",".join(_fmt(v) for v in value)

@@ -11,10 +11,26 @@ may hold commas and line breaks), no comment lines (``#`` is an ordinary
 character), blank lines skipped.  The column names are fixed
 (:data:`SUBJECT_ID`, :data:`RESPONSE_INDEX`, :data:`Y` and the covariate
 prefix :data:`X_PREFIX`); other columns are ignored.
+
+The file is UTF-8 in every locale; bytes that are not UTF-8 are a
+:class:`DataError` naming their line.  Subject ids of any length load as
+they are: each id is parsed as its bytes into a fixed-width field, and an
+id that fills the field makes the parse run again at four times the width
+(8 bytes first, then 32, 128, ...).  The one value such a field cannot
+hold is a trailing NUL, which is dropped.  Two ids that differ only by
+trailing NULs so become one subject, and since every subject holds all M
+response indices, their cells always meet the duplicate-cell check.
+
+The ingest holds about 88 bytes per row at its peak: the parsed body
+(48 bytes with q = 3), the panel (32) and one cell code (8); 9.6 MB of
+panel from a 20.9 MB file (N=1000, M=300, q=3) peaks at 26.5 MB under
+``tracemalloc``.  With one Python string per subject id and every code
+array alive at once it held 164 bytes per row (49.1 MB).
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import re
 import warnings
@@ -28,6 +44,9 @@ SUBJECT_ID = "subject_id"
 RESPONSE_INDEX = "response_index"
 Y = "y"
 X_PREFIX = "x_"
+
+# bytes per subject id in the first parse; a longer id reads the file again
+_ID_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -87,6 +106,21 @@ def _subject_order(ids) -> np.ndarray:
     return np.array(sorted(range(len(ids)), key=keys.__getitem__), dtype=np.intp)
 
 
+def _utf8_repr(quoted: str) -> str:
+    """numpy's repr of a field read as latin-1, quoted again as the file's
+    UTF-8 text (a byte that is not UTF-8 shows as U+FFFD).  numpy cuts its
+    repr at 100 characters, perhaps inside an escape; a cut field is quoted
+    up to its last whole escape, then ``...``."""
+    closed = [(quoted[: len(quoted) - k] + quoted[0], "...") for k in range(4)]
+    for literal, tail in [(quoted, ""), *closed]:
+        try:
+            text = ast.literal_eval(literal)
+        except (SyntaxError, ValueError):
+            continue
+        return repr(text.encode("latin-1").decode("utf-8", "replace")) + tail
+    return quoted
+
+
 def _bad_row(path, exc: ValueError, header: list) -> DataError:
     """A :class:`DataError` naming the line of the row ``np.loadtxt`` rejected.
 
@@ -98,7 +132,8 @@ def _bad_row(path, exc: ValueError, header: list) -> DataError:
     m = re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", text)
     if m:
         return DataError(
-            f"{path}:{int(m[2]) + 2}: non-numeric field {header[int(m[3]) - 1]} = {m[1]}"
+            f"{path}:{int(m[2]) + 2}: non-numeric field {header[int(m[3]) - 1]} = "
+            f"{_utf8_repr(m[1])}"
         )
     m = re.search(r"at row (\d+) with (\d+) columns", text)
     if m:
@@ -114,12 +149,19 @@ def load_long_csv(path) -> Dataset:
     The header is read with ``csv``; the body is parsed in one pass by
     ``np.loadtxt`` and scattered into the panel by (subject, response)
     codes.  Raises :class:`DataError` on missing cells (incomplete panel),
-    duplicate (subject, response_index) pairs, or non-numeric fields.
+    duplicate (subject, response_index) pairs, non-numeric fields, or
+    bytes that are not UTF-8.
     """
-    with open(path, newline="") as fh:
+    # latin-1 maps each byte to one character, so the bytes field of an id
+    # holds the file's own bytes; only the distinct ids are decoded as UTF-8
+    with open(path, encoding="latin-1", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        try:
+            header = [name.encode("latin-1").decode("utf-8") for name in header]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:1: header is not UTF-8 text ({exc.reason})") from None
         for col in (SUBJECT_ID, RESPONSE_INDEX, Y):
             if col not in header:
                 raise DataError(f"{path}: missing required column {col!r}")
@@ -134,24 +176,35 @@ def load_long_csv(path) -> Dataset:
 
         # a repeated column name reads its last occurrence, as csv.DictReader does
         position = {name: i for i, name in enumerate(header)}
+        usecols = [position[c] for c in (SUBJECT_ID, RESPONSE_INDEX, Y, *x_cols)]
         q = len(x_cols)
-        row_dtype = np.dtype(
-            [("sid", object), ("ridx", np.int64), ("y", np.float64), ("x", np.float64, (q,))]
-        )
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(
-                    fh,
-                    dtype=row_dtype,
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    usecols=[position[c] for c in (SUBJECT_ID, RESPONSE_INDEX, Y, *x_cols)],
-                    ndmin=1,
-                )
-        except ValueError as exc:
-            raise _bad_row(path, exc, header) from exc
+        width = _ID_BYTES
+        while True:
+            row_dtype = np.dtype(
+                [("sid", f"S{width}"), ("ridx", np.int64), ("y", np.float64),
+                 ("x", np.float64, (q,))]
+            )
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    body = np.loadtxt(
+                        fh,
+                        dtype=row_dtype,
+                        delimiter=",",
+                        comments=None,
+                        quotechar='"',
+                        usecols=usecols,
+                        ndmin=1,
+                    )
+            except ValueError as exc:
+                raise _bad_row(path, exc, header) from exc
+            # an id that fills its field may have been cut: read it again, wider
+            if body.size == 0 or np.char.str_len(body["sid"]).max() < width:
+                break
+            del body
+            width *= 4
+            fh.seek(0)
+            next(csv.reader(fh))
 
     if body.size == 0:
         raise DataError(f"{path}: no data rows")
@@ -161,21 +214,38 @@ def load_long_csv(path) -> Dataset:
     head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
     lex_ids, run_code = np.unique(sid[head], return_inverse=True)
     lex_code = np.repeat(run_code, np.diff(np.r_[head, sid.size]))
-    indices, resp_code = np.unique(body["ridx"], return_inverse=True)
-    order = _subject_order(lex_ids)
-    subjects = lex_ids[order]
+    # UTF-8 byte order is code-point order, so the decoded ids keep their sort
+    ids = []
+    for k, raw in enumerate(lex_ids.tolist()):
+        try:
+            ids.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            line = int(np.argmax(lex_code == k)) + 2
+            raise DataError(
+                f"{path}:{line}: subject_id {raw!r} is not UTF-8 text ({exc.reason})"
+            ) from None
+    # a search of the few distinct indices holds less than np.unique's inverse
+    indices = np.unique(body["ridx"])
+    resp_code = np.searchsorted(indices, body["ridx"])
+    order = _subject_order(ids)
+    subjects = [ids[i] for i in order]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    N, M = subjects.size, indices.size
+    N, M = len(subjects), indices.size
 
     cell = rank[lex_code] * M + resp_code
+    del lex_code, resp_code
     counts = np.bincount(cell, minlength=N * M)
-    if counts.max() > 1:
+    duplicated, missing = counts.max() > 1, np.flatnonzero(counts == 0)
+    del counts
+    if duplicated:
         by_cell = np.argsort(cell, kind="stable")
         r = int(by_cell[1:][np.diff(cell[by_cell]) == 0].min())
-        key = (sid[r], int(body["ridx"][r]))
-        raise DataError(f"{path}:{r + 2}: duplicate (subject, response_index) = {key}")
-    missing = np.flatnonzero(counts == 0)
+        i, t = divmod(int(cell[r]), M)
+        raise DataError(
+            f"{path}:{r + 2}: duplicate (subject, response_index) = "
+            f"{(subjects[i], int(indices[t]))}"
+        )
     if missing.size:
         i, t = divmod(int(missing[0]), M)
         raise DataError(
@@ -187,6 +257,4 @@ def load_long_csv(path) -> Dataset:
     covariates = np.empty((N, M, q))
     responses.reshape(-1)[cell] = body["y"]
     covariates.reshape(-1, q)[cell] = body["x"]
-    return Dataset(
-        responses=responses, covariates=covariates, subject_ids=tuple(subjects.tolist())
-    )
+    return Dataset(responses=responses, covariates=covariates, subject_ids=tuple(subjects))

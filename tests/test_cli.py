@@ -279,6 +279,24 @@ class TestUsageErrors:
         assert run(["combine", "--out", tmp_path / "out"]) == 1
         assert "combine: no bundle paths given" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8_is_exit_1_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes(
+            b"subject_id,response_index,y,x_1\n1,1,1.0,1.0\n\xff\xfe,1,1.0,1.0\n"
+        )
+        assert run(["fit", "--input", path, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"fit: {path}:3: subject_id b'\\xff\\xfe' is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_config_that_is_not_utf8_is_exit_1_naming_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"N = 60\n# \xff\xfe\nM = 8\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"simulate: {cfg}:2: not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 class TestAlpha:
     @pytest.mark.parametrize("raw", ["nan", "0", "1", "1.5"])

@@ -1,5 +1,6 @@
 import csv
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def _oracle_sort_key(ids):
 def oracle_load_long_csv(path):
     sid_col, ridx_col, y_col, x_prefix = "subject_id", "response_index", "y", "x_"
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
@@ -95,10 +96,11 @@ def assert_bit_identical(a, b):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# letters, digits and the characters csv must quote or numpy could mistake
-# for a comment, a delimiter or whitespace to strip
+# letters, digits, the characters csv must quote or numpy could mistake for a
+# comment, a delimiter or whitespace to strip, and characters of two and three
+# UTF-8 bytes; ids may be longer than the loader's first field width
 _ID_TEXT = st.text(
-    alphabet=string.ascii_letters + string.digits + ' #,"-_.\n\u00e9', max_size=40
+    alphabet=string.ascii_letters + string.digits + ' #,"-_.\n\u00e9\u65e5', max_size=40
 )
 
 
@@ -141,7 +143,7 @@ def long_panels(draw):
 
 
 def write_rows(path, header, rows, quoting=csv.QUOTE_MINIMAL):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=quoting)
         writer.writerow(header)
         writer.writerows(rows)
@@ -157,6 +159,11 @@ class TestMatchesReferenceLoader:
 
     def test_awkward_subject_ids(self, tmp_path):
         ids = ["a#1", 'say "hi"', "has,comma", "x" * 40, " lead", "trail ", "two\nlines"]
+        # long ids that differ only at their end; ids of more UTF-8 bytes than
+        # characters; ids that exactly fill the first field width (8 bytes)
+        # and the second (32 bytes)
+        ids += ["i" * 99 + "0", "i" * 99 + "1", "\u00e9\u65e5\u672c" * 3, "\u65e5", "w" * 8,
+                "w" * 32]
         rows = [
             [sid, str(t), repr(0.5 * i + t), "1.0", repr(-1.0 / (i + 1))]
             for i, sid in enumerate(ids)
@@ -201,6 +208,15 @@ class TestMatchesReferenceLoader:
         with pytest.raises(DataError, match=message):
             loader(path)
 
+    def test_ids_that_differ_by_a_trailing_nul_meet_the_duplicate_check(self, tmp_path):
+        # a bytes field drops an id's trailing NULs, so "a" and "a\0" are one
+        # subject; each holds every response index, so their cells collide
+        path = tmp_path / "data.csv"
+        write_csv(path, ["a,1,1.0,1.0,0.0", "a,2,2.0,1.0,0.0",
+                         "a\0,1,3.0,1.0,0.0", "a\0,2,4.0,1.0,0.0"])
+        with pytest.raises(DataError, match=r"data\.csv:4: duplicate .* \('a', 1\)"):
+            load_long_csv(path)
+
     @pytest.mark.parametrize("loader", [oracle_load_long_csv, load_long_csv])
     @pytest.mark.parametrize(
         "text, message",
@@ -215,6 +231,71 @@ class TestMatchesReferenceLoader:
         path.write_text(text)
         with pytest.raises(DataError, match=message):
             loader(path)
+
+
+class TestTextEncoding:
+    """The file is UTF-8 whatever the locale; bytes that are not are an error
+    naming their line, and a bad field is quoted as the file's text."""
+
+    def test_undecodable_subject_id_names_its_first_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(
+            b"subject_id,response_index,y,x_1\n"
+            b"1,1,1.0,1.0\n1,2,1.0,1.0\nx\xff\xfe,1,1.0,1.0\nx\xff\xfe,2,1.0,1.0\n"
+        )
+        with pytest.raises(DataError, match=r"data\.csv:4: subject_id b'x\\xff\\xfe' is not UTF-8"):
+            load_long_csv(path)
+
+    def test_undecodable_header_names_line_1(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"subject_id,response_index,y,x_1,z\xff\n1,1,1.0,1.0,0\n")
+        with pytest.raises(DataError, match=r"data\.csv:1: header is not UTF-8"):
+            load_long_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, quoted",
+        [
+            ("\u00e9\u65e5".encode(), "'\u00e9\u65e5'"),
+            (b"o\xffps", "'o\ufffdps'"),
+            # numpy quotes 100 characters of a field's repr: a cut is marked
+            ("\u65e5".encode() * 60, "'" + "\u65e5" * 8),
+        ],
+        ids=["two-and-three-byte", "not-utf8", "long"],
+    )
+    def test_non_numeric_field_is_quoted_as_text(self, tmp_path, field, quoted):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"subject_id,response_index,y,x_1\n1,1,1.0,1.0\n1,2," + field + b",1.0\n")
+        with pytest.raises(DataError) as info:
+            load_long_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:3: non-numeric field y = {quoted}")
+        assert message.endswith("...") == (len(field) > 100)
+
+
+class TestIngestMemory:
+    def test_working_set_is_at_most_3_5_panels(self, tmp_path):
+        # the parsed body, the panel and one code array: 3.0 panels measured,
+        # 5.2 when each subject id was a Python string
+        rng = np.random.default_rng(5)
+        N, M, q = 400, 50, 3
+        y = rng.standard_normal((N, M)).tolist()
+        X = rng.standard_normal((N, M, q)).tolist()
+        path = tmp_path / "data.csv"
+        with open(path, "w") as fh:
+            fh.write("subject_id,response_index,y,x_1,x_2,x_3\n")
+            for i in range(N):
+                fh.writelines(
+                    f"{i + 1},{t},{y[i][t]!r},{','.join(map(repr, X[i][t]))}\n" for t in range(M)
+                )
+        load_long_csv(path)  # first-call set-up is not the ingest's
+        tracemalloc.start()
+        try:
+            data = load_long_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        panel = data.responses.nbytes + data.covariates.nbytes
+        assert peak <= 3.5 * panel, f"{peak / panel:.2f} panels"
 
 
 class TestLoadLongCsv:
