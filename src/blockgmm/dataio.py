@@ -14,24 +14,26 @@ prefix :data:`X_PREFIX`); other columns are ignored.
 
 The file is UTF-8 in every locale; bytes that are not UTF-8 are a
 :class:`DataError` naming their line.  Subject ids of any length load as
-they are: each id is parsed as its bytes into a fixed-width field, and an
-id that fills the field makes the parse run again at four times the width
-(8 bytes first, then 32, 128, ...).  The one value such a field cannot
-hold is a trailing NUL, which is dropped.  Two ids that differ only by
-trailing NULs so become one subject, and since every subject holds all M
-response indices, their cells always meet the duplicate-cell check.
+they are: each id is parsed as its bytes into a fixed-width field, and
+when an id fills the field, the id column alone is parsed again at four
+times the width (8 bytes first, then 32, 128, ...).  The one value such a
+field cannot hold is a trailing NUL, which is dropped.  Two ids that
+differ only by trailing NULs so become one subject, and since every
+subject holds all M response indices, their cells always meet the
+duplicate-cell check.
 
 The ingest holds about 88 bytes per row at its peak: the parsed body
 (48 bytes with q = 3), the panel (32) and one cell code (8); 9.6 MB of
 panel from a 20.9 MB file (N=1000, M=300, q=3) peaks at 26.5 MB under
 ``tracemalloc``.  With one Python string per subject id and every code
-array alive at once it held 164 bytes per row (49.1 MB).
+array alive at once it held 167 bytes per row (50.0 MB).
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -178,42 +180,36 @@ def load_long_csv(path) -> Dataset:
         position = {name: i for i, name in enumerate(header)}
         usecols = [position[c] for c in (SUBJECT_ID, RESPONSE_INDEX, Y, *x_cols)]
         q = len(x_cols)
-        width = _ID_BYTES
-        while True:
-            row_dtype = np.dtype(
-                [("sid", f"S{width}"), ("ridx", np.int64), ("y", np.float64),
-                 ("x", np.float64, (q,))]
-            )
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    body = np.loadtxt(
-                        fh,
-                        dtype=row_dtype,
-                        delimiter=",",
-                        comments=None,
-                        quotechar='"',
-                        usecols=usecols,
-                        ndmin=1,
-                    )
-            except ValueError as exc:
-                raise _bad_row(path, exc, header) from exc
-            # an id that fills its field may have been cut: read it again, wider
-            if body.size == 0 or np.char.str_len(body["sid"]).max() < width:
-                break
-            del body
+        row_dtype = np.dtype(
+            [("sid", f"S{_ID_BYTES}"), ("ridx", np.int64), ("y", np.float64),
+             ("x", np.float64, (q,))]
+        )
+        read = functools.partial(
+            np.loadtxt, fh, delimiter=",", comments=None, quotechar='"', ndmin=1
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = read(dtype=row_dtype, usecols=usecols)
+        except ValueError as exc:
+            raise _bad_row(path, exc, header) from exc
+        if body.size == 0:
+            raise DataError(f"{path}: no data rows")
+        # an id that fills its field may have been cut: read the ids alone
+        # again, four times as wide, until none fills it
+        sid, width = body["sid"], _ID_BYTES
+        while np.char.str_len(sid).max() >= width:
             width *= 4
+            del sid
             fh.seek(0)
             next(csv.reader(fh))
-
-    if body.size == 0:
-        raise DataError(f"{path}: no data rows")
+            sid = read(dtype=f"S{width}", usecols=usecols[0])
 
     # a subject's rows usually arrive together: code each run of equal ids once
-    sid = body["sid"]
     head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
     lex_ids, run_code = np.unique(sid[head], return_inverse=True)
     lex_code = np.repeat(run_code, np.diff(np.r_[head, sid.size]))
+    del sid  # a wider id column read again is not needed past here
     # UTF-8 byte order is code-point order, so the decoded ids keep their sort
     ids = []
     for k, raw in enumerate(lex_ids.tolist()):
@@ -257,4 +253,5 @@ def load_long_csv(path) -> Dataset:
     covariates = np.empty((N, M, q))
     responses.reshape(-1)[cell] = body["y"]
     covariates.reshape(-1, q)[cell] = body["x"]
+    del body, cell
     return Dataset(responses=responses, covariates=covariates, subject_ids=tuple(subjects))
