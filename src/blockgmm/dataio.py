@@ -47,7 +47,8 @@ RESPONSE_INDEX = "response_index"
 Y = "y"
 X_PREFIX = "x_"
 
-# bytes per subject id in the first parse; a longer id reads the file again
+# bytes per subject id in the first parse; an id that fills them has the id
+# column parsed again, four times as wide
 _ID_BYTES = 8
 
 
@@ -149,10 +150,11 @@ def load_long_csv(path) -> Dataset:
     """Read a long-format CSV into a :class:`Dataset`.
 
     The header is read with ``csv``; the body is parsed in one pass by
-    ``np.loadtxt`` and scattered into the panel by (subject, response)
-    codes.  Raises :class:`DataError` on missing cells (incomplete panel),
-    duplicate (subject, response_index) pairs, non-numeric fields, or
-    bytes that are not UTF-8.
+    ``np.loadtxt`` (and the id column again while an id fills its field)
+    and scattered into the panel by (subject, response) codes.  Raises
+    :class:`DataError` on missing cells (incomplete panel), duplicate
+    (subject, response_index) pairs, non-numeric fields, or bytes that are
+    not UTF-8.
     """
     # latin-1 maps each byte to one character, so the bytes field of an id
     # holds the file's own bytes; only the distinct ids are decoded as UTF-8
