@@ -58,13 +58,13 @@ def read_config(path) -> dict:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise BlockGmmError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
     cfg = {}
-    for line in io.StringIO(text, newline=None):
+    for number, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise BlockGmmError(f"{path}: malformed config line {line!r}")
+            raise BlockGmmError(f"{path}:{number}: malformed config line {line!r}")
         cfg[key.strip()] = value.strip()
     return cfg
 

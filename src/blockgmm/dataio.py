@@ -14,13 +14,12 @@ prefix :data:`X_PREFIX`); other columns are ignored.
 
 The file is UTF-8 in every locale; bytes that are not UTF-8 are a
 :class:`DataError` naming their line.  Subject ids of any length load as
-they are: each id is parsed as its bytes into a fixed-width field, and
-when an id fills the field, the id column alone is parsed again at four
-times the width (8 bytes first, then 32, 128, ...).  The one value such a
-field cannot hold is a trailing NUL, which is dropped.  Two ids that
-differ only by trailing NULs so become one subject, and since every
-subject holds all M response indices, their cells always meet the
-duplicate-cell check.
+they are: each id is parsed as its bytes into an 8-byte field, and when
+an id fills the field, the id column alone is parsed once more, as wide
+as the longest id.  The one value such a field cannot hold is a trailing
+NUL, which is dropped.  Two ids that differ only by trailing NULs so
+become one subject, and since every subject holds all M response
+indices, their cells always meet the duplicate-cell check.
 
 The ingest holds about 88 bytes per row at its peak: the parsed body
 (48 bytes with q = 3), the panel (32) and one cell code (8); 9.6 MB of
@@ -48,7 +47,7 @@ Y = "y"
 X_PREFIX = "x_"
 
 # bytes per subject id in the first parse; an id that fills them has the id
-# column parsed again, four times as wide
+# column parsed again, as wide as the longest id
 _ID_BYTES = 8
 
 
@@ -150,7 +149,7 @@ def load_long_csv(path) -> Dataset:
     """Read a long-format CSV into a :class:`Dataset`.
 
     The header is read with ``csv``; the body is parsed in one pass by
-    ``np.loadtxt`` (and the id column again while an id fills its field)
+    ``np.loadtxt`` (and the id column once more when an id fills its field)
     and scattered into the panel by (subject, response) codes.  Raises
     :class:`DataError` on missing cells (incomplete panel), duplicate
     (subject, response_index) pairs, non-numeric fields, or bytes that are
@@ -198,14 +197,17 @@ def load_long_csv(path) -> Dataset:
         if body.size == 0:
             raise DataError(f"{path}: no data rows")
         # an id that fills its field may have been cut: read the ids alone
-        # again, four times as wide, until none fills it
-        sid, width = body["sid"], _ID_BYTES
-        while np.char.str_len(sid).max() >= width:
-            width *= 4
+        # once more, into a field as wide as the longest id
+        sid = body["sid"]
+        if np.char.str_len(sid).max() >= _ID_BYTES:
             del sid
             fh.seek(0)
             next(csv.reader(fh))
-            sid = read(dtype=f"S{width}", usecols=usecols[0])
+            with warnings.catch_warnings():
+                # an unsized field is read in chunks of rows, which blank
+                # lines do not count towards
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+                sid = read(dtype="S", usecols=usecols[0])
 
     # a subject's rows usually arrive together: code each run of equal ids once
     head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])

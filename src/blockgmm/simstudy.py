@@ -25,11 +25,18 @@ the generated data are bit-identical for any worker count or scheduling
 order.  The seed states of all subjects are hashed at once by
 ``subject_states``, numpy's SeedSequence algorithm run over the subject
 axis, so the streams are exactly those of per-subject SeedSequences;
-each subject then takes one draw of M*p standard normals.
+each subject then takes one draw of M*p standard normals into a buffer
+that every subject reuses, and its values are copied once into the
+covariates and the innovations.
+
+A replication's arrays are freed and the next replication's are the same
+size, so a study keeps its heap between replications (:func:`_keep_heap`,
+glibc only) instead of faulting fresh zero-filled pages in for each.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -209,15 +216,18 @@ class _PresetState(ISeedSequence):
         return self.row
 
 
-def _subject_draws(design: SimDesign, rep: int):
-    """Yield (i, draws): subject i's M*p standard normals from its stream,
-    which is ``default_rng(SeedSequence([seed, rep, i]))``.  The first
-    M*(p-1) are its non-intercept covariates (M x (p-1), row-major), the
-    last M its error innovations."""
-    size = design.M * design.p
+def _draw_subjects(design: SimDesign, rep: int, slopes: np.ndarray, z: np.ndarray):
+    """Draw each subject i's M*p standard normals from its stream,
+    ``default_rng(SeedSequence([seed, rep, i]))``, into one reused buffer:
+    the first M*(p-1) become ``slopes[i]`` (its non-intercept covariates,
+    M x (p-1), row-major), the last M ``z[i]`` (its error innovations)."""
+    M, p = design.M, design.p
+    buf = np.empty(M * p)
+    covs, innov = buf[: M * (p - 1)].reshape(M, p - 1), buf[M * (p - 1) :]
     for i, row in enumerate(subject_states(design.seed, rep, design.N)):
-        rng = np.random.Generator(np.random.PCG64(_PresetState(row)))
-        yield i, rng.standard_normal(size)
+        np.random.Generator(np.random.PCG64(_PresetState(row))).standard_normal(out=buf)
+        slopes[i] = covs
+        z[i] = innov
 
 
 def gen_kronecker_mvn(design: SimDesign, rep: int = 0) -> Dataset:
@@ -230,18 +240,15 @@ def gen_kronecker_mvn(design: SimDesign, rep: int = 0) -> Dataset:
     a_factor = design.sigma * _ar1_chol(m, design.rho)
     theta0 = np.asarray(design.theta0)
 
-    split = M * (p - 1)
     z = np.empty((N, J, m))
     covariates = np.empty((N, M, p))
     covariates[:, :, 0] = 1.0
-    slopes = covariates[:, :, 1:]
-    for i, draws in _subject_draws(design, rep):
-        slopes[i] = draws[:split].reshape(M, p - 1)
-        z[i] = draws[split:].reshape(J, m)
+    _draw_subjects(design, rep, covariates[:, :, 1:], z.reshape(N, M))
     # (L_S (x) L_A) z per subject, laid out with the J outer blocks
-    # contiguous; rebinding z keeps at most two N x M arrays alive
-    z = s_factor @ z
-    z = z @ a_factor.T
+    # contiguous; the two products take turns in two N x M arrays
+    left = np.matmul(s_factor, z)
+    np.matmul(left, a_factor.T, out=z)
+    del left
     responses = covariates @ theta0
     responses += z.reshape(N, M)
     return Dataset(
@@ -266,20 +273,23 @@ def gen_ar1_mvn(design: SimDesign, rep: int = 0) -> Dataset:
     innov = sigma * np.sqrt(1.0 - rho * rho)
     theta0 = np.asarray(design.theta0)
 
-    split = M * (p - 1)
-    z = np.empty((M, N))  # position-major, so each step reads one row
+    z = np.empty((N, M))
     covariates = np.empty((N, M, p))
     covariates[:, :, 0] = 1.0
-    slopes = covariates[:, :, 1:]
-    for i, draws in _subject_draws(design, rep):
-        slopes[i] = draws[:split].reshape(M, p - 1)
-        z[:, i] = draws[split:]
-    err = np.empty((M, N))
-    err[0] = sigma * z[0]
+    _draw_subjects(design, rep, covariates[:, :, 1:], z)
+    # position-major, so each step reads one row; each step sums
+    # innov z_t + rho e_{t-1}, bit-equal to the order above (IEEE addition
+    # commutes)
+    err = z.T.copy()
+    del z
+    err[0] *= sigma
+    err[1:] *= innov
     for t in range(1, M):
-        err[t] = rho * err[t - 1] + innov * z[t]
+        err[t] += rho * err[t - 1]
+    responses = covariates @ theta0
+    responses += err.T
     return Dataset(
-        responses=covariates @ theta0 + err.T,
+        responses=responses,
         covariates=covariates,
         subject_ids=tuple(range(1, N + 1)),
     )
@@ -355,13 +365,46 @@ def fit_dataset(
     return SummaryBundle(plan=plan, fits=dict(zip(keys, fitted))), blocks
 
 
+# glibc's mallopt parameters (malloc.h); 32 MiB is the ceiling glibc's own
+# dynamic mmap threshold reaches on 64-bit, and the dynamic rule sets the
+# trim threshold to twice the mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_BYTES = 32 << 20
+_heap_kept = False
+
+
+def _keep_heap() -> None:
+    """Fix glibc's malloc thresholds for the rest of the process, so that a
+    replication's freed arrays stay mapped for the next one instead of
+    going back to the kernel and being faulted in again, zero-filled.
+
+    The policy is process-wide and stays set once a study has run: such a
+    process keeps up to 64 MiB of freed heap resident.  Without glibc's
+    ``mallopt``, or where it rejects a value, it does nothing.  It runs
+    once per process.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_BYTES)
+
+
 def _one_rep(args):
     """One replication: generate the dataset once, then fit it and infer
     from it under each design of the list (the designs differ only in K).
 
     Returns one plain dict per design; a failure fails only its own row.
     A row's wall time is its fit's, the first row's including generation.
+    The process keeps its heap between replications (:func:`_keep_heap`).
     """
+    _keep_heap()
     designs, rep = args
     data, rows, nan = None, [], float("nan")
     start = time.perf_counter()

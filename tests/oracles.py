@@ -675,6 +675,18 @@ def subject_rng(seed, rep, i):
     return np.random.default_rng(np.random.SeedSequence([seed, rep, i]))
 
 
+def subject_draws(design, rep):
+    """Yield (i, draws): subject i's M*p standard normals from the stream
+    the generators seed from ``simstudy.subject_states``, which is
+    ``default_rng(SeedSequence([seed, rep, i]))``.  The first M*(p-1) are
+    its non-intercept covariates (M x (p-1), row-major), the last M its
+    error innovations."""
+    size = design.M * design.p
+    for i, row in enumerate(simstudy.subject_states(design.seed, rep, design.N)):
+        rng = np.random.Generator(np.random.PCG64(simstudy._PresetState(row)))
+        yield i, rng.standard_normal(size)
+
+
 def subject_covariates(rng, M, p):
     """Intercept plus p-1 independent M-dimensional standard-normal columns."""
     x = np.empty((M, p))

@@ -297,6 +297,15 @@ class TestUsageErrors:
         assert f"simulate: {cfg}:2: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_malformed_config_line_is_exit_1_naming_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("N = 60\n\n# comment\nthis line has no equals\nM = 8\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"simulate: {cfg}:4: malformed config line 'this line has no equals'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAlpha:
     @pytest.mark.parametrize("raw", ["nan", "0", "1", "1.5"])
@@ -843,6 +852,20 @@ class TestUnreadableInput:
         assert reads == [] and "Traceback" not in err
         assert out.read_text() == "not a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+
+def test_one_shot_commands_leave_the_heap_policy_unset(monkeypatch, data_csv, tmp_path):
+    # a warm heap pays only across a study's replications
+    calls = []
+    monkeypatch.setattr(simstudy, "_keep_heap", lambda: calls.append(1))
+    assert run(["fit", "--input", data_csv, "--J", 2, "--K", 2, "--out", tmp_path / "fit"]) == 0
+    assert run(["combine", tmp_path / "fit" / "bundle.zip", "--out", tmp_path / "comb"]) == 0
+    design = make_ar1_design(N=60, M=6, J=2, K=2, reps=2)
+    simstudy.fit_dataset(simstudy.generate(design), design.J, design.K, design.kind)
+    assert calls == []
+    assert run(["simulate", "--family", "global-ar1", "--N", 60, "--M", 6, "--J", 2, "--K", 2,
+                "--reps", 2, "--out", tmp_path / "sim"]) == 0
+    assert calls == [1, 1]
 
 
 class TestImportFootprint:

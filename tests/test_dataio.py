@@ -1,6 +1,8 @@
 import csv
 import string
 import tracemalloc
+import uuid
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +177,44 @@ class TestMatchesReferenceLoader:
         path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n"))
         data = load_long_csv(path)
         assert sorted(data.subject_ids) == sorted(ids)
+        assert_bit_identical(oracle_load_long_csv(path), data)
+
+    @staticmethod
+    def uuid_csv(path, blank_line=False):
+        rng = np.random.default_rng(5)
+        ids = [str(uuid.UUID(bytes=rng.bytes(16))) for _ in range(6)]
+        rows = [[sid, str(t), repr(float(i + t)), "1.0", repr(0.25 * t)]
+                for i, sid in enumerate(ids) for t in range(3)]
+        write_rows(path, ["subject_id", "response_index", "y", "x_1", "x_2"], rows)
+        if blank_line:
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n", 2))
+        return ids
+
+    def test_long_ids_parse_the_id_column_once_more(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        ids = self.uuid_csv(path)
+        assert {len(sid) for sid in ids} == {36}
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("dtype"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        data = load_long_csv(path)
+        monkeypatch.undo()
+        assert len(calls) == 2 and calls[1] == "S"
+        assert data.subject_ids == tuple(sorted(ids))
+        assert_bit_identical(oracle_load_long_csv(path), data)
+
+    def test_long_ids_with_a_blank_line_raise_no_warning(self, tmp_path):
+        path = tmp_path / "data.csv"
+        ids = self.uuid_csv(path, blank_line=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = load_long_csv(path)
+        assert data.subject_ids == tuple(sorted(ids))
         assert_bit_identical(oracle_load_long_csv(path), data)
 
     def test_paper_scale_csv(self, tmp_path):

@@ -1,5 +1,8 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +173,7 @@ class TestGenerators:
         # and the subject's stream is numpy's default_rng for that sequence
         design = make_ar1_design(N=n, M=3, theta0=(0.1, 0.2), seed=seed)
         expected = np.random.default_rng(np.random.SeedSequence([seed, rep, i])).standard_normal(6)
-        draws = dict(simstudy._subject_draws(design, rep))
+        draws = dict(oracles.subject_draws(design, rep))
         np.testing.assert_array_equal(draws[i], expected)
 
     def test_ar1_recursion_equals_dense_cholesky_construction(self):
@@ -457,6 +460,46 @@ class TestRunReplications:
         rows = simstudy.run_replications(design)
         assert all(r["ok"] for r in rows)
         assert [r["rep"] for r in rows] == [0, 1]
+
+
+def _glibc_version():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+@pytest.mark.skipif(_glibc_version() is None,
+                    reason="the heap policy sets glibc's malloc thresholds; this libc is not glibc")
+class TestHeapPolicy:
+    # a fresh interpreter, so that the process-wide policy does not leak
+    # into this one; prints each replication's minor page faults
+    SCRIPT = """
+import resource
+from blockgmm import simstudy
+assert not simstudy._heap_kept
+design = simstudy.SimDesign(family="global-ar1", N=1000, M=300, J=6, K=2, sigma=6.0,
+                            rho=0.8, reps=6, seed=3)
+faults = []
+for rep in range(design.reps):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rows = simstudy._one_rep(([design], rep))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert rows[0]["ok"] == 1, rows
+assert simstudy._heap_kept
+print(",".join(map(str, faults)))
+"""
+
+    def test_steady_replications_fault_in_no_fresh_pages(self):
+        src = os.path.dirname(os.path.dirname(simstudy.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        faults = [int(f) for f in done.stdout.split(",")]
+        # about 3 700 per replication when freed heap goes back to the kernel
+        assert max(faults[2:]) <= 100, faults
 
 
 class TestGridPlotData:
