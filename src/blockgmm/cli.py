@@ -232,17 +232,14 @@ def _write_resolved_config(path, command: str, settings: dict) -> None:
 def _write_inference_outputs(out_dir, report, overid) -> None:
     header = ["name", "estimate", "ase", "z", "p_value", "ci_lower", "ci_upper"]
     _write_csv(os.path.join(out_dir, "estimates.csv"), header, list(report.rows()))
+    stat, df, p_value = overid
     with open(os.path.join(out_dir, "overid.txt"), "w") as fh:
-        if overid is None:
-            fh.write("over-identification test: skipped (raw data unavailable)\n")
+        fh.write(f"statistic = {_fmt(stat)}\n")
+        fh.write(f"df = {df}\n")
+        if p_value is None:
+            fh.write("p_value = n/a (just-identified, df = 0)\n")
         else:
-            stat, df, p_value = overid
-            fh.write(f"statistic = {_fmt(stat)}\n")
-            fh.write(f"df = {df}\n")
-            if p_value is None:
-                fh.write("p_value = n/a (just-identified, df = 0)\n")
-            else:
-                fh.write(f"p_value = {_fmt(p_value)}\n")
+            fh.write(f"p_value = {_fmt(p_value)}\n")
 
 
 def cmd_fit(s: dict) -> int:

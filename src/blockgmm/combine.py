@@ -10,15 +10,17 @@ to its own estimates.  I_k is the sum over i of the combination matrices
 C_{k,i} with the columns of other groups' nuisance parameters, which are
 zero, dropped.
 
-Everything combination needs from group k is therefore its summary:
-(I_k, r_k), its size n_k and its blocks' estimates and convergence
-records.  :func:`group_summary` builds it once per group from the
-group's block fits; a bundle archive (format 3) stores exactly these
-summaries, (p + d_k)^2 + (p + d_k) numbers per group, and a plan of
-J + K + 1 integers and a strategy.  Nothing in it grows with the number
-of subjects: it holds no per-subject score or label.  Combining in memory
-and from archives runs the same arithmetic on the same summaries, so both
-give bit-identical results.
+Everything combination and the over-identification test need from group
+k is therefore its summary (:class:`GroupSummary`): n_k, V_k, W_k, I_k,
+r_k and its J blocks' records, each with its estimates, convergence
+record and moments.  :func:`group_summary` forms it once the group's
+blocks are fitted, and their per-subject scores and sensitivities are
+dropped then.  A bundle archive (format 4) stores exactly these
+summaries, V_k by its upper triangle and W_k rebuilt from it on reading,
+with a plan of J + K + 1 integers and a strategy.  Nothing in it grows
+with the number of subjects: it holds no per-subject score or label.
+Combining and testing in memory and from archives run the same
+arithmetic on the same summaries, so both give bit-identical results.
 
 The combined information is block-arrowhead: a dense theta row and
 column plus one nuisance block D_k per group, with no cross-group
@@ -34,60 +36,87 @@ bitwise reproducible regardless of how the block fits were scheduled.
 
 from __future__ import annotations
 
-import io
-import re
-import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import KINDS, BlockFit, BlockRecord, nuisance_dim
+from .engines import (
+    KINDS, BlockRecord, _flat_moments, _moments_size, _unflat_moments, nuisance_dim,
+)
 from .errors import CombineError, ConvergenceError
 from .partition import PartitionPlan, format_plan, parse_plan
 
 # fixed archive member timestamp so bundles are byte-identical across runs
 _EPOCH = (1980, 1, 1, 0, 0, 0)
-BUNDLE_FORMAT = 3  # the meta.txt format field; load_bundle reads no other
+BUNDLE_FORMAT = 4  # the meta.txt format field; load_bundle reads no other
 
 
 @dataclass(frozen=True)
 class GroupSummary:
-    """What combination needs from subject group k.
+    """What combination and the over-identification test need from subject
+    group k.
 
-    ``info`` = I_k = S_k' W_k S_k and ``rhs`` = r_k = S_k' W_k v_k, unscaled
-    (:func:`combine` multiplies both by n_k^2), with W_k the inverse of
-    V_k = tau_k' tau_k / N.  ``vhat`` and ``w`` are V_k and W_k; they are
-    kept in memory for the over-identification test and never saved.
+    ``vhat`` is V_k = tau_k' tau_k / N, exactly symmetric, and ``w`` its
+    inverse W_k (:func:`_invert_group`).  ``info`` = I_k = S_k' W_k S_k and
+    ``rhs`` = r_k = S_k' W_k v_k are unscaled (:func:`combine` multiplies
+    both by n_k^2).  ``blocks`` holds the group's J block records in j
+    order, each with its moments.
     """
 
     n: int  # n_k
+    vhat: np.ndarray  # (Jp + d_k, Jp + d_k)
+    w: np.ndarray  # (Jp + d_k, Jp + d_k)
     info: np.ndarray  # (p + d_k, p + d_k)
     rhs: np.ndarray  # (p + d_k,)
     ridge_repaired: bool
-    vhat: np.ndarray | None = None
-    w: np.ndarray | None = None
+    blocks: tuple  # J BlockRecords
+
+
+def _runs(ks: list) -> str:
+    """Sorted integers as comma-separated runs, e.g. '2..19, 25'."""
+    starts = [a for i, a in enumerate(ks) if i == 0 or ks[i - 1] != a - 1]
+    ends = [a for i, a in enumerate(ks) if i == len(ks) - 1 or ks[i + 1] != a + 1]
+    return ", ".join(str(a) if a == b else f"{a}..{b}" for a, b in zip(starts, ends))
 
 
 @dataclass(frozen=True)
 class SummaryBundle:
-    """The plan, every block's record and one summary per subject group:
-    the sufficient statistic for combination.
-
-    In memory ``fits`` holds each block's :class:`BlockFit`, and a group's
-    summary is built from them on first use and kept in ``groups``.  A
-    bundle read from an archive holds block records (:class:`BlockRecord`)
-    and the stored summaries.
-    """
+    """The plan and one summary per subject group (k -> GroupSummary): the
+    sufficient statistic for combination and the over-identification test,
+    whether the groups were fitted in memory or read from archives."""
 
     plan: PartitionPlan
-    fits: dict  # (j, k) -> BlockFit, or BlockRecord when loaded
-    groups: dict = field(default_factory=dict, compare=False)  # k -> GroupSummary
+    groups: dict  # k -> GroupSummary
+
+    @classmethod
+    def from_fits(cls, plan: PartitionPlan, fits: dict) -> SummaryBundle:
+        """The bundle of in-memory block fits ((j, k) -> BlockFit): the
+        summary of each group that has a fit, from its J fits.  A group
+        missing one of its blocks is a CombineError naming it."""
+        groups = {}
+        for k in sorted({k for _, k in fits}):
+            if not 0 <= k < plan.K:
+                raise CombineError(f"block fits of group {k}, the plan has {plan.K} groups")
+            missing = [j for j in range(plan.J) if (j, k) not in fits]
+            if missing:
+                raise CombineError(f"bundle has no block ({missing[0]}, {k}) for group {k}")
+            groups[k] = group_summary(plan, k, [fits[(j, k)] for j in range(plan.J)])
+        return cls(plan=plan, groups=groups)
+
+    @property
+    def fits(self) -> dict:
+        """Every block's record, (j, k) -> BlockRecord, in (k, j) order."""
+        return {
+            (j, k): record
+            for k in sorted(self.groups)
+            for j, record in enumerate(self.groups[k].blocks)
+        }
 
     @property
     def p(self) -> int:
-        return next(iter(self.fits.values())).p
+        return next(iter(self.groups.values())).blocks[0].p
 
     @property
     def J(self) -> int:
@@ -99,29 +128,24 @@ class SummaryBundle:
 
     @property
     def d(self) -> int:
-        return sum(fit.d for fit in self.fits.values())
-
-    def summary(self, k: int) -> GroupSummary:
-        """Group k's summary, built by :func:`group_summary` at most once."""
-        if k not in self.groups:
-            self.groups[k] = group_summary(self, k)
-        return self.groups[k]
+        return sum(record.d for group in self.groups.values() for record in group.blocks)
 
     def validate(self, allow_unconverged: bool = False) -> None:
-        """A CombineError for a missing block or a mismatched p, and the
+        """A CombineError for a missing group or a mismatched p, and the
         package's one convergence check: a ConvergenceError naming every
         unconverged block unless ``allow_unconverged``."""
-        expected = {(j, k) for k in range(self.K) for j in range(self.J)}
-        if set(self.fits) != expected:
+        missing = [k for k in range(self.K) if k not in self.groups]
+        if missing:
             raise CombineError(
-                f"bundle holds blocks {sorted(self.fits)} but plan needs "
-                f"{self.J}x{self.K}"
+                f"bundle holds {len(self.groups)} of the plan's {self.K} groups; "
+                f"missing groups {_runs(missing)} (first missing block (0, {missing[0]}))"
             )
+        fits = self.fits
         p = self.p
-        for (j, k), fit in self.fits.items():
-            if fit.p != p:
-                raise CombineError(f"block ({j}, {k}) has p={fit.p}, expected {p}")
-        unconverged = sorted(key for key, fit in self.fits.items() if not fit.converged)
+        for (j, k), record in fits.items():
+            if record.p != p:
+                raise CombineError(f"block ({j}, {k}) has p={record.p}, expected {p}")
+        unconverged = sorted(key for key, record in fits.items() if not record.converged)
         if unconverged and not allow_unconverged:
             raise ConvergenceError(
                 f"blocks {unconverged} did not converge (pass allow_unconverged, "
@@ -153,44 +177,15 @@ class CombinedFit:
     variances: np.ndarray  # (p + d,) variances of (theta, zeta)
     N: int
     p: int
-    W: WeightBlocks | None = None  # the weights of an in-memory combination
+    W: WeightBlocks  # the weights of the group summaries
     diagnostics: dict = field(default_factory=dict)
-
-
-def _group_fits(bundle: SummaryBundle, k: int) -> list:
-    """The J in-memory block fits of group k, each with n_k score rows."""
-    n = bundle.plan.group_sizes[k]
-    fits = []
-    for j in range(bundle.J):
-        fit = bundle.fits.get((j, k))
-        if fit is None:
-            raise CombineError(f"bundle has no block ({j}, {k}) for group {k}")
-        if not isinstance(fit, BlockFit):
-            raise CombineError(
-                f"block ({j}, {k}) carries no scores and the bundle has no "
-                f"summary of group {k}"
-            )
-        if fit.n != n:
-            raise CombineError(f"block ({j}, {k}) has n={fit.n}, plan says {n}")
-        fits.append(fit)
-    return fits
 
 
 def assemble_vhat(bundle: SummaryBundle) -> tuple:
     """Empirical score covariance (1/N) sum_i tau_i tau_i', one block per
-    group: each group summary's V_k (:func:`group_summary`).  A summary read
-    from a bundle archive keeps none, and is a CombineError."""
-    out = []
-    for k in range(bundle.K):
-        vhat = bundle.summary(k).vhat
-        if vhat is None:
-            raise CombineError(
-                f"the summary of group {k} keeps no score covariance V_k (a "
-                "summary read from a bundle archive has none); V_k needs the "
-                "block fits in memory"
-            )
-        out.append(vhat)
-    return tuple(out)
+    group: each group summary's V_k (:func:`group_summary`)."""
+    bundle.validate(allow_unconverged=True)
+    return tuple(bundle.groups[k].vhat for k in range(bundle.K))
 
 
 def _upper_inverse(r: np.ndarray) -> np.ndarray:
@@ -234,33 +229,37 @@ def _invert_group(vk: np.ndarray, k: int):
     """(W_k, ridge_repaired): the inverse of V_k from its Cholesky factor
     (:func:`_cholesky_inverse`), exactly symmetric, with minimal ridge repair.
 
-    A V_k with a non-finite entry (an overflowing score covariance) is a
-    CombineError naming the group."""
-    if not np.isfinite(vk).all():
-        raise CombineError(
-            f"group {k} score covariance is not finite (the block scores "
-            "overflow); cannot form weights"
-        )
-    vk = 0.5 * (vk + vk.T)
-    dim = vk.shape[0]
-    flag = False
-    w = _cholesky_inverse(vk)
-    if w is None:
-        eigmin = float(np.linalg.eigvalsh(vk)[0])
-        scale = float(np.trace(vk)) / dim
-        if eigmin <= -1e-10 * max(scale, 1.0):
+    A V_k or W_k with a non-finite entry (an overflowing score covariance,
+    or a damaged archive's) is a CombineError naming the group."""
+    # an overflow is caught by the finiteness checks, which name the group
+    with np.errstate(over="ignore", invalid="ignore"):
+        vk = 0.5 * (vk + vk.T)
+        if not np.isfinite(vk).all():
             raise CombineError(
-                f"group {k} score covariance is not positive definite "
-                f"(min eigenvalue {eigmin:.3e}); cannot form weights"
+                f"group {k} score covariance is not finite (the block scores "
+                "overflow); cannot form weights"
             )
-        flag = True
-        w = _cholesky_inverse(vk + (1e-8 * scale) * np.eye(dim))
+        dim = vk.shape[0]
+        flag = False
+        w = _cholesky_inverse(vk)
         if w is None:
-            raise CombineError(
-                f"group {k} score covariance is singular beyond ridge repair "
-                f"(min eigenvalue {eigmin:.3e}, ridge {1e-8 * scale:.3e}); "
-                "cannot form weights"
-            )
+            eigmin = float(np.linalg.eigvalsh(vk)[0])
+            scale = float(np.trace(vk)) / dim
+            if eigmin <= -1e-10 * max(scale, 1.0):
+                raise CombineError(
+                    f"group {k} score covariance is not positive definite "
+                    f"(min eigenvalue {eigmin:.3e}); cannot form weights"
+                )
+            flag = True
+            w = _cholesky_inverse(vk + (1e-8 * scale) * np.eye(dim))
+            if w is None:
+                raise CombineError(
+                    f"group {k} score covariance is singular beyond ridge repair "
+                    f"(min eigenvalue {eigmin:.3e}, ridge {1e-8 * scale:.3e}); "
+                    "cannot form weights"
+                )
+        if not np.isfinite(w).all():
+            raise CombineError(f"group {k} weights are not finite; V_k is too ill-conditioned")
     return w, flag
 
 
@@ -324,19 +323,23 @@ def build_C(fits: list, w: np.ndarray):
     return sw @ s, sw @ v
 
 
-def group_summary(bundle: SummaryBundle, k: int) -> GroupSummary:
-    """Group k's summary from its in-memory block fits: V_k, W_k, I_k, r_k."""
-    fits, p = _group_fits(bundle, k), bundle.p
+def group_summary(plan: PartitionPlan, k: int, fits: list) -> GroupSummary:
+    """Group k's summary from its J in-memory block fits, in j order: V_k
+    (exactly symmetric), W_k, I_k and r_k, and each block's record without
+    its scores and sensitivity."""
+    n, p = plan.group_sizes[k], fits[0].p
+    for fit in fits:
+        if fit.n != n:
+            raise CombineError(f"block ({fit.j}, {k}) has n={fit.n}, plan says {n}")
     tau = np.hstack([fit.scores[:, :p] for fit in fits] + [fit.scores[:, p:] for fit in fits])
     # an overflow is caught by _invert_group's finiteness check, which names the group
     with np.errstate(over="ignore", invalid="ignore"):
-        vhat = tau.T @ tau / bundle.plan.N
+        vhat = tau.T @ tau / plan.N
+        vhat = 0.5 * (vhat + vhat.T)
     w, repaired = _invert_group(vhat, k)
     info, rhs = build_C(fits, w)
-    return GroupSummary(
-        n=bundle.plan.group_sizes[k], info=info, rhs=rhs,
-        ridge_repaired=repaired, vhat=vhat, w=w,
-    )
+    records = tuple(fit.record() for fit in fits)
+    return GroupSummary(n, vhat, w, info, rhs, repaired, records)
 
 
 def _condition(sym: np.ndarray) -> float:
@@ -353,7 +356,7 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
     """Closed-form combined estimator and its covariance, by eliminating
     each group's nuisance block from the block-arrowhead information."""
     bundle.validate(allow_unconverged=allow_unconverged)
-    summaries = [bundle.summary(k) for k in range(bundle.K)]
+    summaries = [bundle.groups[k] for k in range(bundle.K)]
     p, N = bundle.p, bundle.plan.N
 
     # overflow is caught by the finiteness checks, which name where it happened
@@ -407,12 +410,10 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
             )
 
     repaired = tuple(s.ridge_repaired for s in summaries)
-    W = None
-    if all(s.w is not None for s in summaries):
-        W = WeightBlocks(
-            p=p, J=bundle.J, vhat=tuple(s.vhat for s in summaries),
-            w=tuple(s.w for s in summaries), ridge_repaired=repaired,
-        )
+    W = WeightBlocks(
+        p=p, J=bundle.J, vhat=tuple(s.vhat for s in summaries),
+        w=tuple(s.w for s in summaries), ridge_repaired=repaired,
+    )
     return CombinedFit(
         theta=theta,
         zeta=zeta,
@@ -426,30 +427,34 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
             "nuisance_condition": tuple(_condition(g[0]) for g in groups),
             "ridge_repaired": repaired,
             # dim_k / n_k: W_k is estimated in dim_k dimensions from n_k subjects
-            "weight_dim_ratio": tuple(
-                (bundle.J * p + s.info.shape[0] - p) / s.n for s in summaries
-            ),
+            "weight_dim_ratio": tuple(s.w.shape[0] / s.n for s in summaries),
             "plan_seed": bundle.plan.seed,
         },
     )
 
 
 # ---------------------------------------------------------------------------
-# bundle serialization: a deterministic zip of the plan, meta.txt and, per
-# subject group, four .npy arrays.  Every member is stored, not deflated:
-# deflate shrank the float64 summaries by 5-28 % but made a save two to
-# three times as slow, and a stored member's CRC-32 still catches a
-# damaged payload when it is read.
-#   group_k/information.npy  I_k, (p + d_k, p + d_k)
-#   group_k/rhs.npy          r_k, (p + d_k,)
-#   group_k/theta.npy        the J block theta estimates, (J, p)
-#   group_k/zeta.npy         the block zeta estimates, j order, (d_k,)
-# meta.txt holds "format = 3", one "group_k = n:.. ridge_repaired:.." line
-# per group and one "block_j_k = kind:.. converged:.. iterations:..
-# final_norm:.. rho_clamped:.." line per block.
+# bundle serialization: a deterministic zip of four members.  Every member
+# is stored, not deflated: deflate shrank the float64 summaries by 5-28 %
+# but made a save two to three times as slow, and a stored member's CRC-32
+# still catches a damaged payload when it is read.
+#   plan.txt     the plan (format_plan)
+#   meta.txt     "format = 4" and "p = <p>"
+#   blocks.bin   one packed _BLOCK_TABLE record per block, in (k, j) order
+#   numbers.bin  every float of the bundle as little-endian float64, group
+#                by group in k order: V_k's upper triangle (row-major), I_k,
+#                r_k, then per block in j order theta_hat, zeta_hat and the
+#                float fields of its moments (engines._moment_shapes)
+# The binary members have no header to parse: meta.txt and the plan give
+# their layout.  W_k and the ridge flag are rebuilt from V_k on reading,
+# with their bits.
 
-_ARRAYS = (("information", 2), ("rhs", 1), ("theta", 2), ("zeta", 1))
-_MEMBER = re.compile(r"group_(0|[1-9][0-9]*)/(information|rhs|theta|zeta)\.npy")
+_BLOCK_TABLE = np.dtype([
+    ("k", "<i8"), ("j", "<i8"), ("kind", "S16"), ("converged", "?"),
+    ("iterations", "<i8"), ("final_norm", "<f8"), ("rho_clamped", "?"),
+])
+_NUMBER = np.dtype("<f8")
+_MEMBERS = ("plan.txt", "meta.txt", "blocks.bin", "numbers.bin")
 
 
 def _write_member(zf: zipfile.ZipFile, name: str, payload: bytes) -> None:
@@ -458,44 +463,40 @@ def _write_member(zf: zipfile.ZipFile, name: str, payload: bytes) -> None:
     zf.writestr(info, payload)
 
 
-def _npy_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr, dtype=float))
-    return buf.getvalue()
+def _upper(dim: int) -> np.ndarray:
+    """The mask of a dim x dim upper triangle, diagonal included; it takes
+    the entries in row-major order, and on a transpose the mirror image."""
+    return ~np.tri(dim, k=-1, dtype=bool)
+
+
+def _group_numbers(summary: GroupSummary) -> list:
+    """Group k's share of numbers.bin, as a list of 1-d arrays."""
+    parts = [summary.vhat[_upper(len(summary.vhat))], summary.info.ravel(), summary.rhs]
+    for record in summary.blocks:
+        parts += [record.theta_hat, record.zeta_hat, _flat_moments(record.moments, record.kind)]
+    return parts
 
 
 def save_bundle(bundle: SummaryBundle, path) -> None:
-    """Write a format-3 archive, byte-reproducible: the plan and, for each
+    """Write a format-4 archive, byte-reproducible: the plan and, for each
     subject group the bundle holds, its summary and its blocks' records.
 
     Works for whole bundles, :func:`split_bundle` parts and loaded bundles
     alike, because each group's summary stands alone.
     """
-    meta_lines = [f"format = {BUNDLE_FORMAT}"]
+    if not bundle.groups:
+        raise CombineError("bundle holds no subject group to save")
+    ks = sorted(bundle.groups)
+    table = np.array([
+        (k, j, r.kind, r.converged, r.iterations, r.final_norm, r.rho_clamped)
+        for k in ks for j, r in enumerate(bundle.groups[k].blocks)
+    ], dtype=_BLOCK_TABLE)
+    numbers = np.concatenate([part for k in ks for part in _group_numbers(bundle.groups[k])])
     with zipfile.ZipFile(path, "w") as zf:
         _write_member(zf, "plan.txt", format_plan(bundle.plan).encode())
-        for k in sorted({k for _, k in bundle.fits}):
-            summary = bundle.summary(k)
-            fits = [bundle.fits[(j, k)] for j in range(bundle.J)]
-            stem = f"group_{k}"
-            meta_lines.append(
-                f"{stem} = n:{summary.n} ridge_repaired:{int(summary.ridge_repaired)}"
-            )
-            meta_lines.extend(
-                f"block_{j}_{k} = kind:{fit.kind} converged:{int(fit.converged)} "
-                f"iterations:{fit.iterations} final_norm:{fit.final_norm!r} "
-                f"rho_clamped:{int(fit.rho_clamped)}"
-                for j, fit in enumerate(fits)
-            )
-            arrays = (
-                summary.info,
-                summary.rhs,
-                np.stack([fit.theta_hat for fit in fits]),
-                np.concatenate([fit.zeta_hat for fit in fits]),
-            )
-            for (name, _), arr in zip(_ARRAYS, arrays):
-                _write_member(zf, f"{stem}/{name}.npy", _npy_bytes(arr))
-        _write_member(zf, "meta.txt", "\n".join(meta_lines).encode() + b"\n")
+        _write_member(zf, "meta.txt", f"format = {BUNDLE_FORMAT}\np = {bundle.p}\n".encode())
+        _write_member(zf, "blocks.bin", table.tobytes())
+        _write_member(zf, "numbers.bin", numbers.astype(_NUMBER).tobytes())
 
 
 # what zipfile raises on damaged headers, offsets, flags or deflate streams
@@ -513,156 +514,122 @@ def _read_member(zf: zipfile.ZipFile, path, name: str) -> bytes:
         raise CombineError(f"{path}: member {name} is corrupt ({exc!r})") from None
 
 
-def _read_array(zf: zipfile.ZipFile, path, name: str, ndim: int) -> np.ndarray:
-    """A finite float64 array of ``ndim`` dimensions from a .npy member."""
-    try:
-        arr = np.load(io.BytesIO(_read_member(zf, path, name)))
-    # a damaged header reaches np.load's Python tokenizer and literal parser
-    except (ValueError, EOFError, SyntaxError, tokenize.TokenError) as exc:
-        raise CombineError(f"{path}: member {name} is not a .npy array ({exc})") from None
-    if arr.dtype != np.float64 or arr.ndim != ndim:
+def _read_array(zf: zipfile.ZipFile, path, name: str, dtype) -> np.ndarray:
+    """The read-only 1-d array of ``dtype`` records that a binary member
+    packs."""
+    payload = _read_member(zf, path, name)
+    if len(payload) % dtype.itemsize:
         raise CombineError(
-            f"{path}: member {name} is a {arr.ndim}-d {arr.dtype} array, "
-            f"expected {ndim}-d float64"
+            f"{path}: member {name} holds {len(payload)} bytes, not a whole "
+            f"number of {dtype.itemsize}-byte records"
         )
-    if not np.isfinite(arr).all():
-        raise CombineError(f"{path}: member {name} holds non-finite values")
-    return arr
+    return np.frombuffer(payload, dtype)
 
 
-def _meta_entry(meta: dict, path, key: str, casts: dict) -> dict:
-    """The fields of meta.txt entry ``key``, each converted by its cast."""
-    where = f"{path}: meta.txt entry {key}"
-    entry = meta.get(key)
-    if entry is None:
-        raise CombineError(f"{where} is missing")
-    fields = {}
-    for item in entry.split(" "):
-        name, sep, value = item.partition(":")
-        if not sep:
-            raise CombineError(f"{where} has malformed field {item!r}")
-        fields[name] = value
-    try:
-        return {name: cast(fields[name]) for name, cast in casts.items()}
-    except KeyError as exc:
-        raise CombineError(f"{where} lacks field {exc}") from None
-    except ValueError as exc:
-        raise CombineError(f"{where}: {exc}") from None
-
-
-_GROUP_FIELDS = {"n": int, "ridge_repaired": int}
-_BLOCK_FIELDS = {
-    "kind": str, "converged": int, "iterations": int, "final_norm": float, "rho_clamped": int,
-}
-
-
-def _read_group(zf: zipfile.ZipFile, path, plan: PartitionPlan, meta: dict, k: int):
-    """Group k's summary and its J block records."""
-    stem = f"group_{k}"
-    if k >= plan.K:
-        raise CombineError(f"{path}: {stem} is outside the plan's {plan.K} groups")
-    group = _meta_entry(meta, path, stem, _GROUP_FIELDS)
-    if group["n"] != plan.group_sizes[k]:
+def _read_meta(zf: zipfile.ZipFile, path) -> int:
+    """p from meta.txt, once its format is checked."""
+    meta = {}
+    # undecodable bytes become U+FFFD and then fail the checks
+    for line in _read_member(zf, path, "meta.txt").decode(errors="replace").splitlines():
+        key, _, value = line.partition("=")
+        meta[key.strip()] = value.strip()
+    if "format" not in meta:
+        raise CombineError(f"{path}: meta.txt has no format field")
+    if meta["format"] != str(BUNDLE_FORMAT):
         raise CombineError(
-            f"{path}: meta.txt entry {stem} has n={group['n']}, plan says "
-            f"{plan.group_sizes[k]}"
+            f"{path}: meta.txt has format = {meta['format']!r}, this version "
+            f"reads format {BUNDLE_FORMAT} only (refit with blockgmm fit to "
+            "regenerate the bundle)"
         )
-    entries = []
-    for j in range(plan.J):
-        key = f"block_{j}_{k}"
-        entry = _meta_entry(meta, path, key, _BLOCK_FIELDS)
-        if entry["kind"] not in KINDS:
-            raise CombineError(
-                f"{path}: meta.txt entry {key} names unknown solver kind {entry['kind']!r}"
-            )
-        entries.append(entry)
-    info, rhs, theta, zeta = (
-        _read_array(zf, path, f"{stem}/{name}.npy", ndim) for name, ndim in _ARRAYS
-    )
-    ds = [nuisance_dim(entry["kind"]) for entry in entries]
-    p = theta.shape[1]
-    dim = p + sum(ds)
-    if p < 1 or theta.shape[0] != plan.J or zeta.shape != (sum(ds),) or (
-        info.shape != (dim, dim) or rhs.shape != (dim,)
+    p = meta.get("p", "")
+    if not (p.isascii() and p.isdigit() and int(p) >= 1):
+        raise CombineError(f"{path}: meta.txt has p = {p!r}, expected an integer >= 1")
+    return int(p)
+
+
+def _read_groups(path, plan: PartitionPlan, p: int, table: np.ndarray, numbers: np.ndarray):
+    """k -> GroupSummary of every group in the block table, from numbers."""
+    J, rows = plan.J, table.tolist()
+    ks = [row[0] for row in rows[::J]]
+    if not (
+        rows and len(rows) % J == 0 and ks == sorted(set(ks)) and 0 <= ks[0]
+        and ks[-1] < plan.K and all(row[:2] == (ks[i // J], i % J) for i, row in enumerate(rows))
     ):
         raise CombineError(
-            f"{path}: {stem} arrays do not fit its blocks' kinds: information "
-            f"{info.shape}, rhs {rhs.shape}, theta {theta.shape}, zeta {zeta.shape}"
+            f"{path}: blocks.bin does not list the J={J} blocks of each group "
+            f"it holds (of the plan's K={plan.K}) in (k, j) order"
         )
-    bounds = np.cumsum([0] + ds)
-    records = {
-        (j, k): BlockRecord(
-            j=j,
-            k=k,
-            kind=entry["kind"],
-            theta_hat=theta[j],
-            zeta_hat=zeta[bounds[j] : bounds[j + 1]],
-            converged=bool(entry["converged"]),
-            iterations=entry["iterations"],
-            final_norm=entry["final_norm"],
-            rho_clamped=bool(entry["rho_clamped"]),
-        )
-        for j, entry in enumerate(entries)
-    }
-    summary = GroupSummary(
-        n=group["n"], info=info, rhs=rhs, ridge_repaired=bool(group["ridge_repaired"])
-    )
-    return summary, records
+    kinds = [row[2].decode(errors="replace") for row in rows]
+    for kind in kinds:
+        if kind not in KINDS:
+            raise CombineError(f"{path}: blocks.bin names unknown solver kind {kind!r}")
+    ds = [nuisance_dim(kind) for kind in kinds]
+    sizes = [_moments_size(kind, p, plan.block_sizes[i % J]) for i, kind in enumerate(kinds)]
+    dims = [sum(ds[g * J : (g + 1) * J]) for g in range(len(ks))]  # d_k
+    need = sum((J * p + d) * (J * p + d + 1) // 2 + (p + d) * (p + d + 1) for d in dims)
+    need += sum(p + d + size for d, size in zip(ds, sizes))
+    if numbers.size != need:
+        raise CombineError(f"{path}: numbers.bin holds {numbers.size} numbers, its blocks need {need}")
+    if not np.isfinite(numbers).all():
+        raise CombineError(f"{path}: member numbers.bin holds non-finite values")
+    groups, at = {}, 0
+
+    def take(size):  # the next ``size`` numbers, a view
+        nonlocal at
+        at += size
+        return numbers[at - size : at]
+
+    for g, (k, d_k) in enumerate(zip(ks, dims)):
+        dim, q, n = J * p + d_k, p + d_k, plan.group_sizes[k]
+        upper = _upper(dim)
+        vhat = np.empty((dim, dim))
+        vhat[upper] = vhat.T[upper] = take(dim * (dim + 1) // 2)
+        info, rhs = take(q * q).reshape(q, q), take(q)
+        records = []
+        for j, i in enumerate(range(g * J, (g + 1) * J)):
+            converged, iterations, final_norm, clamped = rows[i][3:]
+            theta, zeta = take(p), take(ds[i])
+            flat = take(sizes[i])
+            records.append(BlockRecord(
+                j=j, k=k, kind=kinds[i], theta_hat=theta, zeta_hat=zeta,
+                converged=converged, iterations=iterations, final_norm=final_norm,
+                rho_clamped=clamped,
+                moments=_unflat_moments(flat, kinds[i], p, n, plan.block_sizes[j]),
+            ))
+        w, repaired = _invert_group(vhat, k)
+        groups[k] = GroupSummary(n, vhat, w, info, rhs, repaired, tuple(records))
+    return groups
 
 
 def load_bundle(path) -> SummaryBundle:
-    """Read a format-3 bundle archive written by :func:`save_bundle`.
+    """Read a format-4 bundle archive written by :func:`save_bundle`, with
+    each group's W_k rebuilt from its V_k.
 
-    Any other format, and a malformed archive, plan, metadata entry or
-    array, is a :class:`CombineError` or :class:`PlanError` naming the
-    member.
+    Any other format, and a malformed archive, plan, metadata entry,
+    block table or number array, is a :class:`CombineError` or
+    :class:`PlanError` naming the member.
     """
     try:
         zf = zipfile.ZipFile(path)
     except _ZIP_DAMAGE as exc:
         raise CombineError(f"{path}: not a bundle archive ({exc})") from None
     with zf:
-        # undecodable bytes become U+FFFD and then fail the field checks
-        meta = {}
-        for line in _read_member(zf, path, "meta.txt").decode(errors="replace").splitlines():
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-        if "format" not in meta:
-            raise CombineError(f"{path}: meta.txt has no format field")
-        if meta["format"] != str(BUNDLE_FORMAT):
-            raise CombineError(
-                f"{path}: meta.txt has format = {meta['format']!r}, this version "
-                f"reads format {BUNDLE_FORMAT} only (refit with blockgmm fit to "
-                "regenerate the bundle)"
-            )
+        p = _read_meta(zf, path)
         plan_text = _read_member(zf, path, "plan.txt").decode(errors="replace")
         plan = parse_plan(plan_text, f"{path}: plan.txt")
-        present = set()
         for name in zf.namelist():
-            if name in ("plan.txt", "meta.txt"):
-                continue
-            match = _MEMBER.fullmatch(name)
-            if match is None:
+            if name not in _MEMBERS:
                 raise CombineError(f"{path}: unexpected member {name}")
-            present.add(int(match[1]))
-        fits, groups = {}, {}
-        for k in sorted(present):
-            groups[k], records = _read_group(zf, path, plan, meta, k)
-            fits.update(records)
-    return SummaryBundle(plan=plan, fits=fits, groups=groups)
+        table = _read_array(zf, path, "blocks.bin", _BLOCK_TABLE)
+        numbers = _read_array(zf, path, "numbers.bin", _NUMBER)
+    return SummaryBundle(plan=plan, groups=_read_groups(path, plan, p, table, numbers))
 
 
 def split_bundle(bundle: SummaryBundle) -> list:
-    """One partial bundle per subject group (same plan, that group's fits
-    and, when built already, its summary)."""
-    return [
-        SummaryBundle(
-            plan=bundle.plan,
-            fits={(j, k): fit for (j, k), fit in bundle.fits.items() if k == g},
-            groups={k: s for k, s in bundle.groups.items() if k == g},
-        )
-        for g in range(bundle.K)
-    ]
+    """One partial bundle per subject group the bundle holds, in k order
+    (same plan, that group's summary)."""
+    return [SummaryBundle(plan=bundle.plan, groups={k: bundle.groups[k]})
+            for k in sorted(bundle.groups)]
 
 
 def merge_bundles(parts: list) -> SummaryBundle:
@@ -670,13 +637,12 @@ def merge_bundles(parts: list) -> SummaryBundle:
     if not parts:
         raise CombineError("no bundles to merge")
     plan = parts[0].plan
-    fits, groups = {}, {}
+    groups = {}
     for part in parts:
         if part.plan != plan:
             raise CombineError("cannot merge bundles with different plans")
-        overlap = set(fits) & set(part.fits)
+        overlap = groups.keys() & part.groups.keys()
         if overlap:
-            raise CombineError(f"duplicate blocks across bundles: {sorted(overlap)}")
-        fits.update(part.fits)
+            raise CombineError(f"duplicate groups across bundles: {sorted(overlap)}")
         groups.update(part.groups)
-    return SummaryBundle(plan=plan, fits=fits, groups=groups)
+    return SummaryBundle(plan=plan, groups=groups)

@@ -31,14 +31,17 @@ solve (:class:`BlockSolution`) carries its scores, and
 on its :class:`BlockFit` and makes no pass over the data.  Without a
 row, :func:`fit_block` solves its block as a stack of one, a slab of one
 for its scores, with the same bits.  Nothing is differentiated
-numerically and there is no step size to choose.
+numerically and there is no step size to choose.  Once its group's
+summary is formed, a block keeps only its :class:`BlockRecord`: its
+estimates, convergence record and moments, whose float fields
+(:func:`_moment_shapes`) a bundle archive stores.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -91,10 +94,12 @@ def nuisance_dim(kind: str) -> int:
     return gee.nuisance_dim(_structure(kind))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BlockRecord:
-    """A solved block's estimates and convergence record: all that a bundle
-    archive keeps of it."""
+    """A solved block's estimates, convergence record and moments: all that
+    its group summary, and so a bundle archive, keeps of it.  The moments
+    give the block's mean estimating function at any parameter, which the
+    over-identification test takes."""
 
     j: int
     k: int
@@ -105,6 +110,7 @@ class BlockRecord:
     iterations: int
     final_norm: float
     rho_clamped: bool = False
+    moments: tuple  # gee.GeeMoments or composite.LagMoments
 
     @property
     def p(self) -> int:
@@ -117,17 +123,55 @@ class BlockRecord:
 
 @dataclass(frozen=True, kw_only=True)
 class BlockFit(BlockRecord):
-    """Solved block in memory: its record plus per-subject scores, the
-    sample sensitivity and the block's moments, from which its group's
-    summary and its share of the over-identification test are built."""
+    """Solved block in memory: its record plus per-subject scores and the
+    sample sensitivity, from which its group's summary is formed."""
 
     scores: np.ndarray  # (n_k, p + d_jk), row i = (psi_i, g_i)
     sensitivity: np.ndarray  # (p + d_jk, p + d_jk)
-    moments: tuple | None = None  # gee.GeeMoments or composite.LagMoments
 
     @property
     def n(self) -> int:
         return self.scores.shape[0]
+
+    def record(self) -> BlockRecord:
+        """The block's record, without its scores and sensitivity."""
+        return BlockRecord(**{f.name: getattr(self, f.name) for f in fields(BlockRecord)})
+
+
+def _moment_shapes(kind: str, p: int, m: int) -> tuple:
+    """The shapes of the float fields of a block's moments under ``kind``
+    with p covariates and m responses, in field order: a GEE block's start,
+    Grams, cross sums and totals over its working-correlation basis (one,
+    two or three operators), a CL block's start, per-lag Grams and the two
+    starting moments."""
+    if kind == "cl-ar1":
+        return (p,), (m - 1, p + 1, p + 1), (m - 1, p + 1, p + 1), (), ()
+    basis = {"independence": 1, "exchangeable": 2, "ar1": 3}[_structure(kind)]
+    return (p,), (basis, p, p), (basis, p), (basis,)
+
+
+def _flat_moments(moments: tuple, kind: str) -> np.ndarray:
+    """The float fields of a block's moments, raveled and concatenated."""
+    fields_ = moments if kind == "cl-ar1" else moments[:4]
+    return np.concatenate([np.ravel(part) for part in fields_])
+
+
+def _moments_size(kind: str, p: int, m: int) -> int:
+    return sum(math.prod(shape) for shape in _moment_shapes(kind, p, m))
+
+
+def _unflat_moments(flat: np.ndarray, kind: str, p: int, n: int, m: int) -> tuple:
+    """The moments of a block of n subjects from :func:`_flat_moments`; the
+    arrays are views of ``flat``."""
+    parts, at = [], 0
+    for shape in _moment_shapes(kind, p, m):
+        size = math.prod(shape)
+        parts.append(flat[at : at + size].reshape(shape))
+        at += size
+    if kind == "cl-ar1":
+        start, gv, gw, sigma2, rho = parts
+        return composite.LagMoments(start, gv, gw, float(sigma2), float(rho))
+    return gee.GeeMoments(*parts, n, m)
 
 
 def _check_responses(block: BlockData, kind: str) -> None:

@@ -3,11 +3,10 @@ over-identifying restrictions chi-square test, chained after the
 combination by :func:`infer`, which the CLI and the simulation driver call.
 
 The test statistic N * T_N' W T_N needs each block's mean estimating
-function at the combined estimates.  Every in-memory block fit carries
-its moments, and the mean is closed-form algebra on them, taken for all
-blocks of a kind in one :func:`blockgmm.engines.block_means` call (the
-one that gives the block solvers their Jacobians), so the test reads no
-data: it costs at most O(J K m p^2), however many subjects there are.
+function at the combined estimates.  Every block record carries its
+moments, in memory and read from a bundle archive alike, and the mean
+is closed-form algebra on them, taken for all blocks of a kind in one :func:`blockgmm.engines.block_means` call (the one that gives the
+block solvers their Jacobians), so the test reads no data: it costs at most O(J K m p^2), however many subjects there are.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ class InferenceReport:
 def parameter_names(bundle: SummaryBundle) -> tuple:
     names = [f"theta_{a + 1}" for a in range(bundle.p)]
     for k in range(bundle.K):
-        for j in range(bundle.J):
-            fit = bundle.fits[(j, k)]
-            labels = ("sigma2", "rho")[: fit.d]
+        for j, record in enumerate(bundle.groups[k].blocks):
+            labels = ("sigma2", "rho")[: record.d]
             names.extend(f"{lbl}_b{j + 1}g{k + 1}" for lbl in labels)
     return tuple(names)
 
@@ -145,55 +143,41 @@ def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
     """T_N at arbitrary parameters: per-group (n_k/N)-weighted stacked means,
     each block's mean from its moments, all blocks of a kind in one
     stacked call."""
-    N, p = bundle.plan.N, bundle.p
-    zetas = {}
-    off = 0  # offset of zeta_jk in zeta_list, which runs j-fast, k-slow
+    N, p, J = bundle.plan.N, bundle.p, bundle.J
+    records = [record for k in range(bundle.K) for record in bundle.groups[k].blocks]
+    # zeta_list runs j-fast, k-slow, as the records do
+    bounds = np.cumsum([0] + [record.d for record in records]).tolist()
     by_kind = {}
-    for k in range(bundle.K):
-        for j in range(bundle.J):
-            fit = bundle.fits[(j, k)]
-            zetas[(j, k)] = zeta_list[off : off + fit.d]
-            off += fit.d
-            by_kind.setdefault(fit.kind, []).append((j, k))
-    means = {}
-    for kind, keys in by_kind.items():
+    for b, record in enumerate(records):
+        by_kind.setdefault(record.kind, []).append(b)
+    means = [None] * len(records)
+    for kind, held in by_kind.items():
         rows, _ = block_means(
-            [bundle.fits[key].moments for key in keys], theta, [zetas[key] for key in keys], kind
+            [records[b].moments for b in held], theta,
+            [zeta_list[bounds[b] : bounds[b + 1]] for b in held], kind,
         )
-        means.update(zip(keys, rows))
+        for b, row in zip(held, rows):
+            means[b] = row
     parts = []
     for k in range(bundle.K):
         wk = bundle.plan.group_sizes[k] / N
-        rows = [means[(j, k)] for j in range(bundle.J)]
+        rows = means[k * J : (k + 1) * J]
         parts.append(wk * np.concatenate([row[:p] for row in rows] + [row[p:] for row in rows]))
     return parts
 
 
 def _check_overid_input(bundle: SummaryBundle, fit: CombinedFit, W) -> None:
-    """A CombineError naming the first group or block whose input the test
-    cannot use."""
+    """A CombineError naming the first group whose input the test cannot
+    use."""
     if fit.theta.shape != (bundle.p,) or fit.zeta.shape != (bundle.d,):
         raise CombineError(
             f"combined fit has {fit.theta.size} + {fit.zeta.size} parameters, "
             f"the bundle needs {bundle.p} + {bundle.d}"
         )
-    if W is None:
-        raise CombineError(
-            f"no weights W_k for groups 0..{bundle.K - 1} (a combination from "
-            "bundle archives keeps none); the over-identification test needs them"
-        )
     if len(W.w) != bundle.K:
         raise CombineError(f"weights hold {len(W.w)} group(s), the bundle has {bundle.K}")
     for k in range(bundle.K):
-        fits = [bundle.fits[(j, k)] for j in range(bundle.J)]
-        for j, block_fit in enumerate(fits):
-            if getattr(block_fit, "moments", None) is None:
-                raise CombineError(
-                    f"block ({j}, {k}) carries no moments (a block record read "
-                    "from a bundle archive has none); the over-identification "
-                    "test needs the block fits in memory"
-                )
-        dim = bundle.J * bundle.p + sum(block_fit.d for block_fit in fits)
+        dim = bundle.groups[k].w.shape[0]
         if np.shape(W.w[k]) != (dim, dim):
             raise CombineError(
                 f"weights of group {k} are {np.shape(W.w[k])}, the group stacks "
@@ -205,20 +189,24 @@ def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks
     """Over-identifying restrictions test N * T_N' W T_N at the combined
     estimates, with W frozen at the block-estimate inverse covariance.
 
-    Each block's mean is taken from the moments on its in-memory fit, so
+    Each block's mean is taken from the moments on its record, so
     ``blocks`` is not read; it is accepted so that existing callers keep
-    working.  A bundle of block records (read from an archive), a missing
-    W or one that does not match the bundle raises a CombineError.
+    working.  A W that does not match the bundle, or a statistic that is
+    not finite, raises a CombineError.
 
     Returns (statistic, df, p_value); p_value is None when df = 0.
     """
     _check_overid_input(bundle, fit, W)
-    parts = _stacked_estfun(bundle, fit.theta, fit.zeta)
-    stat = 0.0
-    for k in range(bundle.K):
-        tk = parts[k]
-        stat += float(tk @ W.w[k] @ tk)
-    stat *= fit.N
+    # an overflow is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _stacked_estfun(bundle, fit.theta, fit.zeta)
+        stat = 0.0
+        for k in range(bundle.K):
+            tk = parts[k]
+            stat += float(tk @ W.w[k] @ tk)
+        stat *= fit.N
+    if not math.isfinite(stat):
+        raise CombineError(f"the over-identification statistic is not finite ({stat})")
     df = (bundle.J * bundle.K - 1) * bundle.p
     p_value = _chi2_sf(df, stat) if df > 0 else None
     return stat, df, p_value
@@ -226,9 +214,9 @@ def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks
 
 def infer(bundle: SummaryBundle, alpha: float = 0.05, allow_unconverged: bool = False):
     """(fit, report, overid): the combination (a ConvergenceError on
-    unconverged blocks unless ``allow_unconverged``), its Godambe report and,
-    when it kept its weights, the over-identification test; a bundle read
-    from archives keeps none, and ``overid`` is then None."""
+    unconverged blocks unless ``allow_unconverged``), its Godambe report
+    and the over-identification test, from the group summaries alone,
+    whether fitted in memory or read from archives."""
     fit = combine(bundle, allow_unconverged=allow_unconverged)
-    overid = None if fit.W is None else overid_test(None, bundle, fit, fit.W)
+    overid = overid_test(None, bundle, fit, fit.W)
     return fit, godambe_cov(fit, parameter_names(bundle), alpha=alpha), overid

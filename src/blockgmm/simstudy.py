@@ -352,7 +352,8 @@ def fit_dataset(
     chunks, and each worker process solves its chunk as one stack, taking
     the matching slice of each bucket; a pickled block carries its bucket
     once per chunk.  A block's fit has the same bits in any stack or
-    bucket, so the bundle is identical for any worker count.
+    bucket, so the bundle is identical for any worker count.  It holds
+    each group's summary of its J fits, without their scores.
     """
     check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
@@ -362,7 +363,7 @@ def fit_dataset(
     cuts = [len(keys) * c // chunks for c in range(chunks + 1)]
     jobs = [([blocks[key] for key in keys[a:b]], kind, opts) for a, b in zip(cuts, cuts[1:])]
     fitted = [fit for part in _fan_out(_fit_chunk, jobs, chunks) for fit in part]
-    return SummaryBundle(plan=plan, fits=dict(zip(keys, fitted))), blocks
+    return SummaryBundle.from_fits(plan, dict(zip(keys, fitted))), blocks
 
 
 # glibc's mallopt parameters (malloc.h); 32 MiB is the ceiling glibc's own

@@ -106,5 +106,8 @@ def ar1_dataset():
 
 @pytest.fixture(scope="session")
 def fitted_bundle(ar1_dataset):
-    """2x2 GEE-AR(1) bundle plus its blocks, fitted once per session."""
-    return simstudy.fit_dataset(ar1_dataset, 2, 2, "gee-ar1")
+    """2x2 GEE-AR(1) bundle plus its blocks, fitted once per session, as
+    the :class:`oracles.FitBundle` that also keeps the block fits."""
+    import oracles
+
+    return oracles.fit_bundle(ar1_dataset, 2, 2, "gee-ar1")

@@ -19,19 +19,53 @@ at every point, where the kernels use their block moments; so does the
 data-pass T_N of the over-identification test.  The simulation
 generators with one numpy SeedSequence per subject, the numeric GMM
 minimizer and the plan/split helpers that only tests use live here too.
+
+A production bundle keeps each group's summary and its blocks' records,
+not their per-subject scores and sensitivities; :class:`FitBundle` keeps
+the in-memory block fits as well, for the dense oracles that read them.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from blockgmm import composite, gee, simstudy
-from blockgmm.combine import assemble_vhat, invert_vhat
+from blockgmm import composite, gee, partition, simstudy
+from blockgmm.combine import SummaryBundle, assemble_vhat, invert_vhat
 from blockgmm.dataio import Dataset
 from blockgmm.engines import eval_scores
 from blockgmm.errors import NumericDomainError, SolverError
 from blockgmm.inference import _stacked_estfun
 from blockgmm.partition import format_plan, parse_plan
+
+
+# ---------------------------------------------------------------------------
+# a bundle with its blocks' in-memory fits
+
+
+@dataclasses.dataclass(frozen=True)
+class FitBundle(SummaryBundle):
+    """A SummaryBundle that also keeps its blocks' in-memory fits
+    ((j, k) -> BlockFit, with scores and sensitivities), which the
+    production bundle drops once its group summaries are formed."""
+
+    block_fits: dict = dataclasses.field(default_factory=dict)
+
+    @classmethod
+    def of(cls, plan, fits):
+        groups = SummaryBundle.from_fits(plan, fits).groups
+        return cls(plan=plan, groups=groups, block_fits=fits)
+
+
+def fit_bundle(data, J, K, kind, strategy="contiguous", seed=0, opts=None):
+    """(FitBundle, blocks) of the split and stacked solve that
+    :func:`blockgmm.simstudy.fit_dataset` makes, so with its bits."""
+    plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
+    blocks = partition.split(data, plan)
+    keys = sorted(blocks)
+    fits = simstudy._fit_chunk(([blocks[key] for key in keys], kind, opts))
+    return FitBundle.of(plan, dict(zip(keys, fits))), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +121,8 @@ def build_AB(bundle, W, k, i, j):
     """Sensitivity-weighted cross terms between blocks i and j of group k:
     (A_theta, A_zeta, B_theta, B_zeta) with shapes (p,p), (p,d_ik),
     (d_jk,p), (d_jk,d_ik)."""
-    s_psi_th_i, s_psi_ze_i, s_g_th_i, s_g_ze_i = sens_parts(bundle.fits[(i, k)])
-    s_psi_th_j, s_psi_ze_j, s_g_th_j, s_g_ze_j = sens_parts(bundle.fits[(j, k)])
+    s_psi_th_i, s_psi_ze_i, s_g_th_i, s_g_ze_i = sens_parts(bundle.block_fits[(i, k)])
+    s_psi_th_j, s_psi_ze_j, s_g_th_j, s_g_ze_j = sens_parts(bundle.block_fits[(j, k)])
 
     v_psi = subset_v(bundle, W, j, i, k, "psipsi")
     v_psig_T = subset_v(bundle, W, i, j, k, "psig").T
@@ -156,7 +190,7 @@ def stacked_sensitivity(bundle):
         wk = bundle.plan.group_sizes[k] / N
         g_row = row + J * p
         for j in range(J):
-            fit = bundle.fits[(j, k)]
+            fit = bundle.block_fits[(j, k)]
             s_psi_th, s_psi_ze, s_g_th, s_g_ze = sens_parts(fit)
             col = p + zeta_offset(bundle, j, k)
             r = row + j * p
@@ -211,7 +245,7 @@ def arrowhead_information(bundle):
     p, d, N = bundle.p, bundle.d, bundle.plan.N
     total = np.zeros((p + d, p + d))
     for k in range(bundle.K):
-        summary = bundle.summary(k)
+        summary = bundle.groups[k]
         idx = np.r_[0:p, p + group_offset(bundle, k) : p + group_offset(bundle, k + 1)]
         total[np.ix_(idx, idx)] += float(summary.n) ** 2 * summary.info
     return total / (N * N)

@@ -52,7 +52,7 @@ def test_criterion_1_combined_information_identity():
             N=cfg["N"], M=cfg["M"], J=cfg["J"], K=cfg["K"], seed=100 + idx
         )
         data = simstudy.generate(design, 0)
-        bundle, _ = simstudy.fit_dataset(
+        bundle, _ = oracles.fit_bundle(
             data, cfg["J"], cfg["K"], cfg["kind"], strategy="seeded-random",
             seed=idx,
         )

@@ -24,6 +24,7 @@ from blockgmm.engines import (
 )
 from blockgmm.errors import NumericDomainError, SolverError
 
+import oracles
 from conftest import column_subset, make_ar1_design
 
 
@@ -66,7 +67,7 @@ class TestBucketBits:
     @given(case=two_bucket_fits())
     def test_alone_in_its_bucket_and_in_fit_dataset(self, case):
         kind, data, J, K, strategy, seed = case
-        bundle, blocks = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
+        bundle, blocks = oracles.fit_bundle(data, J, K, kind, strategy=strategy, seed=seed)
         in_bucket = {}
         for bucket in _buckets(blocks):
             members = [blocks[key] for key in bucket.keys]
@@ -75,8 +76,8 @@ class TestBucketBits:
                 ((block.j, block.k), fit_block(block, kind, None, row))
                 for block, row in zip(members, rows)
             )
-        assert in_bucket.keys() == bundle.fits.keys()
-        for key, fit in bundle.fits.items():
+        assert in_bucket.keys() == bundle.block_fits.keys()
+        for key, fit in bundle.block_fits.items():
             alone_block = _alone(blocks[key])
             alone = fit_block(alone_block, kind)
             for other in (in_bucket[key], alone):

@@ -12,6 +12,7 @@ import pytest
 
 import blockgmm
 from blockgmm import cli, inference, simstudy
+from blockgmm.combine import _BLOCK_TABLE
 from blockgmm.dataio import Dataset
 
 from conftest import make_ar1_design, near_unit_root_dataset
@@ -487,6 +488,7 @@ class TestReadmeLibraryExample:
         assert scope["fit"].theta.shape == (3,)
         assert np.isfinite(scope["report"].ase).all()
         assert scope["df"] > 0 and 0.0 <= scope["p"] <= 1.0
+        assert scope["again"] == scope["overid"]
 
 
 class TestOneChain:
@@ -538,7 +540,7 @@ class TestEstimatesFile:
         for name, rep in (("real", report), ("odd", odd)):
             out = tmp_path / name
             out.mkdir()
-            cli._write_inference_outputs(out, rep, None)
+            cli._write_inference_outputs(out, rep, (1.5, 3, 0.68))
             assert (out / "estimates.csv").read_bytes() == self._csv_writer_bytes(rep)
 
 
@@ -561,10 +563,9 @@ class TestCombineCommand:
         whole, merged = tmp_path / "whole", tmp_path / "merged"
         assert run(["combine", out / "bundle.zip", "--out", whole]) == 0
         assert run(["combine", *paths, "--out", merged]) == 0
-        assert (whole / "estimates.csv").read_bytes() == (
-            merged / "estimates.csv"
-        ).read_bytes()
-        assert "skipped" in (merged / "overid.txt").read_text()
+        for name in ("estimates.csv", "overid.txt"):
+            assert (whole / name).read_bytes() == (merged / name).read_bytes()
+            assert (out / name).read_bytes() == (merged / name).read_bytes()
 
     def test_combined_estimates_match_fit_command(self, data_csv, tmp_path):
         out = tmp_path / "fit-out"
@@ -734,12 +735,23 @@ def rewrite_member(src, dst, name, edit):
             zout.writestr(info, edit(payload) if info.filename == name else payload)
 
 
-def nan_information(payload):
-    info = np.load(io.BytesIO(payload))
-    info[3, 1] = np.nan
-    buf = io.BytesIO()
-    np.save(buf, info)
-    return buf.getvalue()
+def edit_array(change, dtype):
+    """An edit of a binary member of ``dtype`` records: ``change(array)``
+    returns the new array."""
+    def edit(payload):
+        return change(np.frombuffer(payload, dtype).copy()).tobytes()
+
+    return edit
+
+
+def nan_number(numbers):
+    numbers[31] = np.nan
+    return numbers
+
+
+def unknown_kind(table):
+    table["kind"][2] = b"gee-ar2"
+    return table
 
 
 def replace_text(old, new):
@@ -755,12 +767,12 @@ class TestTamperedBundles:
     @pytest.mark.parametrize(
         "name, edit, message",
         [
-            ("group_0/information.npy", nan_information,
-             "member group_0/information.npy holds non-finite values"),
+            ("numbers.bin", edit_array(nan_number, "<f8"),
+             "member numbers.bin holds non-finite values"),
             ("plan.txt", replace_text("seed = 0", "seed = zero"),
              "plan.txt: plan field seed = 'zero' is not an integer"),
-            ("meta.txt", replace_text("kind:gee-ar1", "kind: gee-ar1"),
-             "meta.txt entry block_0_0 has malformed field 'gee-ar1'"),
+            ("blocks.bin", edit_array(unknown_kind, _BLOCK_TABLE),
+             "blocks.bin names unknown solver kind 'gee-ar2'"),
             ("plan.txt", replace_text("strategy = contiguous", "strategy = alphabetical"),
              "plan.txt: unknown group strategy 'alphabetical'"),
             ("plan.txt", replace_text("block_sizes = 4,4", "block_sizes = 7,1"),
@@ -769,17 +781,22 @@ class TestTamperedBundles:
              "plan.txt: every group needs >= 1 subject, sizes=(80, 0)"),
             ("plan.txt", replace_text("block_sizes = 4,4", "block_sizes = 4,4.0"),
              "plan.txt: plan field block_sizes = '4,4.0' is not a list of integers"),
-            ("meta.txt", replace_text("group_0 = n:40", "group_0 = n:41"),
-             "meta.txt entry group_0 has n=41, plan says 40"),
-            ("meta.txt", replace_text("format = 3\n", ""), "meta.txt has no format field"),
-            ("meta.txt", replace_text("format = 3", "format = 1"),
-             "meta.txt has format = '1', this version reads format 3 only"),
-            ("meta.txt", replace_text("format = 3", "format = 2"),
-             "meta.txt has format = '2', this version reads format 3 only"),
+            ("blocks.bin", edit_array(lambda table: table[:-1], _BLOCK_TABLE),
+             "blocks.bin does not list the J=2 blocks of each group it holds "
+             "(of the plan's K=2) in (k, j) order"),
+            ("numbers.bin", edit_array(lambda numbers: numbers[:-1], "<f8"),
+             "numbers.bin holds 409 numbers, its blocks need 410"),
+            ("meta.txt", replace_text("p = 3", "p = three"),
+             "meta.txt has p = 'three', expected an integer >= 1"),
+            ("meta.txt", replace_text("format = 4\n", ""), "meta.txt has no format field"),
+            *(("meta.txt", replace_text("format = 4", f"format = {old}"),
+               f"meta.txt has format = '{old}', this version reads format 4 only "
+               "(refit with blockgmm fit to regenerate the bundle)") for old in (1, 2, 3)),
         ],
-        ids=["nan-information", "non-integer-seed", "split-meta-field", "unknown-strategy",
-             "block-size-1", "group-size-0", "non-integer-size", "group-size", "no-format",
-             "format-1", "format-2"],
+        ids=["nan-number", "non-integer-seed", "unknown-kind", "unknown-strategy",
+             "block-size-1", "group-size-0", "non-integer-size", "short-block-table",
+             "short-numbers", "non-integer-p", "no-format", "format-1", "format-2",
+             "format-3"],
     )
     def test_combine_rejects_with_exit_1(self, fitted_bundle_zip, tmp_path, capsys,
                                          name, edit, message):
@@ -797,9 +814,9 @@ class TestTamperedBundles:
             f"group_of_subject = {','.join(['0'] * 40 + ['1'] * 40)}\n"
         ).encode())
         bad = tmp_path / "bad.zip"
-        rewrite_member(labels, bad, "meta.txt", replace_text("format = 3", "format = 2"))
+        rewrite_member(labels, bad, "meta.txt", replace_text("format = 4", "format = 2"))
         assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
-        assert "meta.txt has format = '2', this version reads format 3 only" in (
+        assert "meta.txt has format = '2', this version reads format 4 only" in (
             capsys.readouterr().err
         )
 

@@ -48,6 +48,7 @@ class TestGodambeCov:
             variances=np.full(dim, 1 / 100),
             N=100,
             p=2,
+            W=None,  # godambe_cov reads no weights
         )
         report = godambe_cov(fit, ("a", "b", "c", "d"))
         np.testing.assert_allclose(report.ase, 0.1)
@@ -179,19 +180,23 @@ class TestInfer:
         assert report.estimates[:p].tobytes() == fit.theta.tobytes()
         assert report.ase[:p].tobytes() == np.sqrt(fit.variances[:p]).tobytes()
 
-    def test_no_overid_for_a_bundle_from_an_archive(self, fitted_bundle, tmp_path):
+    def test_a_bundle_from_an_archive_gives_the_bits_of_memory(self, fitted_bundle, tmp_path):
         bundle, _ = fitted_bundle
         save_bundle(bundle, tmp_path / "bundle.zip")
         fit, report, overid = infer(load_bundle(tmp_path / "bundle.zip"))
-        assert fit.W is None and overid is None
-        np.testing.assert_array_equal(report.estimates, infer(bundle)[1].estimates)
+        in_memory, expected, expected_overid = infer(bundle)
+        assert overid == expected_overid
+        for mine, theirs in zip(fit.W.w, in_memory.W.w):
+            assert mine.tobytes() == theirs.tobytes()
+        for name in ("estimates", "ase", "p_values"):
+            assert getattr(report, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_unconverged_blocks_are_named_in_sorted_order(self, fitted_bundle):
         bundle, _ = fitted_bundle
-        fits = dict(bundle.fits)
+        fits = dict(bundle.block_fits)
         for key in ((1, 1), (0, 1)):
             fits[key] = dataclasses.replace(fits[key], converged=False)
-        broken = SummaryBundle(plan=bundle.plan, fits=fits)
+        broken = SummaryBundle.from_fits(bundle.plan, fits)
         with pytest.raises(ConvergenceError) as info:
             infer(broken)
         assert isinstance(info.value, CombineError)
@@ -210,12 +215,6 @@ class TestOveridRejectsBadInput:
         bundle, _ = fitted_bundle
         return bundle, combine(bundle)
 
-    def test_missing_weights(self, fitted):
-        # what a combination from bundle archives hands over
-        bundle, fit = fitted
-        with pytest.raises(CombineError, match=r"no weights W_k for groups 0\.\.1"):
-            overid_test(None, bundle, fit, None)
-
     def test_weights_for_too_few_groups(self, fitted):
         bundle, fit = fitted
         W = dataclasses.replace(fit.W, w=fit.W.w[:1])
@@ -229,17 +228,21 @@ class TestOveridRejectsBadInput:
             overid_test(None, bundle, fit, W)
 
     def test_block_records_from_an_archive(self, fitted, tmp_path):
+        # the records read back carry their moments, so a bundle of groups
+        # from memory and from an archive is tested with the same bits
         bundle, fit = fitted
         save_bundle(bundle, tmp_path / "bundle.zip")
         loaded = load_bundle(tmp_path / "bundle.zip")
-        with pytest.raises(CombineError, match=r"block \(0, 0\) carries no moments"):
-            overid_test(None, loaded, fit, fit.W)
-        # one record among in-memory fits is named by its own key
-        fits = dict(bundle.fits)
-        fits[(1, 1)] = loaded.fits[(1, 1)]
-        mixed = SummaryBundle(plan=bundle.plan, fits=fits)
-        with pytest.raises(CombineError, match=r"block \(1, 1\) carries no moments"):
-            overid_test(None, mixed, fit, fit.W)
+        expected = overid_test(None, bundle, fit, fit.W)
+        assert overid_test(None, loaded, fit, fit.W) == expected
+        mixed = SummaryBundle(plan=bundle.plan, groups={0: bundle.groups[0], 1: loaded.groups[1]})
+        assert overid_test(None, mixed, fit, fit.W) == expected
+
+    def test_non_finite_statistic(self, fitted):
+        bundle, fit = fitted
+        W = dataclasses.replace(fit.W, w=tuple(np.full_like(w, np.inf) for w in fit.W.w))
+        with pytest.raises(CombineError, match="over-identification statistic is not finite"):
+            overid_test(None, bundle, fit, W)
 
     def test_combined_fit_of_another_bundle(self, fitted):
         bundle, fit = fitted
@@ -333,7 +336,7 @@ class TestScipyStatsOracle:
         ase = np.full(z.size, 0.01)
         est = z * ase
         fit = CombinedFit(theta=est[:3], zeta=est[3:], cov_theta=np.diag(ase[:3] ** 2),
-                          variances=ase**2, N=100, p=3)
+                          variances=ase**2, N=100, p=3, W=None)
         report = godambe_cov(fit, tuple(range(z.size)), alpha=alpha)
         norm = scipy.stats.norm
         q = normal_quantile(alpha)

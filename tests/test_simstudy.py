@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from blockgmm import partition, simstudy
 from blockgmm.combine import combine, save_bundle
 from blockgmm.dataio import Dataset
-from blockgmm.engines import KINDS, fit_block, nuisance_dim
+from blockgmm.engines import KINDS, BlockRecord, fit_block, nuisance_dim
 from blockgmm.errors import BlockGmmError, DataError, SolverError
 
 import oracles
@@ -325,8 +325,8 @@ class TestStackedSolve:
     @given(case=stacked_fits())
     def test_a_block_fit_does_not_depend_on_its_stack(self, case):
         kind, data, J, K, strategy, seed = case
-        bundle, blocks = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
-        for key, fit in bundle.fits.items():
+        bundle, blocks = oracles.fit_bundle(data, J, K, kind, strategy=strategy, seed=seed)
+        for key, fit in bundle.block_fits.items():
             alone = fit_block(blocks[key], kind)
             for field in ("theta_hat", "zeta_hat", "scores", "sensitivity"):
                 assert _same_bits(getattr(fit, field), getattr(alone, field)), (key, field)
@@ -336,6 +336,27 @@ class TestStackedSolve:
             assert (fit.iterations, fit.converged, fit.rho_clamped) == (
                 alone.iterations, alone.converged, alone.rho_clamped
             )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_dataset_keeps_each_groups_summary_and_block_records(self, kind):
+        # the group summaries of the stacked solve's block fits, and each
+        # block's record without its scores and sensitivity
+        data = simstudy.generate(make_ar1_design(N=90, M=11, seed=8), 0)
+        bundle, _ = simstudy.fit_dataset(data, 3, 3, kind, strategy="seeded-random", seed=8)
+        fitted, _ = oracles.fit_bundle(data, 3, 3, kind, strategy="seeded-random", seed=8)
+        assert sorted(bundle.groups) == [0, 1, 2]
+        for k, summary in bundle.groups.items():
+            expected = fitted.groups[k]
+            for name in ("vhat", "w", "info", "rhs"):
+                assert _same_bits(getattr(summary, name), getattr(expected, name)), (k, name)
+            assert (summary.n, summary.ridge_repaired) == (expected.n, expected.ridge_repaired)
+            for j, record in enumerate(summary.blocks):
+                fit = fitted.block_fits[(j, k)]
+                assert type(record) is BlockRecord and (record.j, record.k) == (j, k)
+                for field in ("theta_hat", "zeta_hat"):
+                    assert _same_bits(getattr(record, field), getattr(fit, field))
+                for ours, theirs in zip(record.moments, fit.moments):
+                    assert _same_bits(ours, theirs)
 
     @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable"])
     def test_blocks_leave_the_stack_at_different_iterations(self, kind):
@@ -348,9 +369,9 @@ class TestStackedSolve:
         responses, covariates = data.responses.copy(), data.covariates.copy()
         responses[:, :m0], covariates[:, :m0] = near.responses, near.covariates
         data = Dataset(responses=responses, covariates=covariates, subject_ids=data.subject_ids)
-        bundle, blocks = simstudy.fit_dataset(data, 2, 2, kind)
+        bundle, blocks = oracles.fit_bundle(data, 2, 2, kind)
         records = set()
-        for key, fit in bundle.fits.items():
+        for key, fit in bundle.block_fits.items():
             alone = fit_block(blocks[key], kind)
             assert _same_bits(fit.theta_hat, alone.theta_hat)
             assert _same_bits(fit.zeta_hat, alone.zeta_hat)
