@@ -15,10 +15,12 @@ k is therefore its summary (:class:`GroupSummary`): n_k, V_k, W_k, I_k,
 r_k and its J blocks' records, each with its estimates, convergence
 record and moments.  :func:`group_summary` forms it once the group's
 blocks are fitted, and their per-subject scores and sensitivities are
-dropped then.  A bundle archive (format 4) stores exactly these
-summaries, V_k by its upper triangle and W_k rebuilt from it on reading,
-with a plan of J + K + 1 integers and a strategy.  Nothing in it grows
-with the number of subjects: it holds no per-subject score or label.
+dropped then.  W_k exists only for a group of more subjects than V_k has
+rows (:func:`check_group_size`).  A bundle archive (format 4) stores
+exactly these summaries, V_k by its upper triangle and W_k rebuilt from
+it on reading, with a plan of J + K + 1 integers and a strategy.  Nothing
+in it grows with the number of subjects: it holds no per-subject score
+or label.
 Combining and testing in memory and from archives run the same
 arithmetic on the same summaries, so both give bit-identical results.
 
@@ -59,10 +61,10 @@ class GroupSummary:
     group k.
 
     ``vhat`` is V_k = tau_k' tau_k / N, exactly symmetric, and ``w`` its
-    inverse W_k (:func:`_invert_group`).  ``info`` = I_k = S_k' W_k S_k and
-    ``rhs`` = r_k = S_k' W_k v_k are unscaled (:func:`combine` multiplies
-    both by n_k^2).  ``blocks`` holds the group's J block records in j
-    order, each with its moments.
+    Cholesky inverse W_k (:func:`_invert_group`), so n_k > dim_k.
+    ``info`` = I_k = S_k' W_k S_k and ``rhs`` = r_k = S_k' W_k v_k are
+    unscaled (:func:`combine` multiplies both by n_k^2).  ``blocks`` holds
+    the group's J block records in j order, each with its moments.
     """
 
     n: int  # n_k
@@ -70,7 +72,6 @@ class GroupSummary:
     w: np.ndarray  # (Jp + d_k, Jp + d_k)
     info: np.ndarray  # (p + d_k, p + d_k)
     rhs: np.ndarray  # (p + d_k,)
-    ridge_repaired: bool
     blocks: tuple  # J BlockRecords
 
 
@@ -155,18 +156,14 @@ class SummaryBundle:
 
 @dataclass(frozen=True)
 class WeightBlocks:
-    """Per-group inverse score-covariance blocks W_k = V_k^{-1}.
+    """Per-group inverse score-covariance blocks W_k = V_k^{-1}, in k order.
 
     Each group's stacked score layout is [psi_(1,k) .. psi_(J,k),
     g_(1,k) .. g_(J,k)]; cross-group covariance is exactly zero and never
-    materialized.
+    materialized.  V_k itself is each :class:`GroupSummary`'s ``vhat``.
     """
 
-    p: int
-    J: int
-    vhat: tuple  # per-group V_k, each (Jp + d_k, Jp + d_k)
-    w: tuple  # per-group W_k = V_k^{-1}
-    ridge_repaired: tuple  # per-group flag
+    w: tuple  # per-group W_k, each (Jp + d_k, Jp + d_k)
 
 
 @dataclass(frozen=True)
@@ -225,12 +222,30 @@ def _cholesky_inverse(vk: np.ndarray) -> np.ndarray | None:
     return np.triu(w) + np.triu(w, 1).T
 
 
-def _invert_group(vk: np.ndarray, k: int):
-    """(W_k, ridge_repaired): the inverse of V_k from its Cholesky factor
-    (:func:`_cholesky_inverse`), exactly symmetric, with minimal ridge repair.
+def check_group_size(k: int, n: int, dim: int) -> None:
+    """The admission rule of subject group k: its weights W_k exist only if
+    n_k > dim_k = J p + d_k, and otherwise it is a CombineError naming the
+    group.  V_k = tau_k' tau_k / N has rank at most n_k, and each block's
+    score columns average to about zero at the block's own estimate, which
+    leaves V_k singular, or nearly so, at n_k = dim_k."""
+    if n <= dim:
+        raise CombineError(
+            f"group {k} has n_k = {n} subjects, too few for its weights: W_k "
+            f"needs n_k > dim_k = J p + d_k = {dim}; use fewer response blocks J "
+            "or fewer subject groups K"
+        )
 
-    A V_k or W_k with a non-finite entry (an overflowing score covariance,
-    or a damaged archive's) is a CombineError naming the group."""
+
+def _invert_group(vk: np.ndarray, k: int, n: int) -> np.ndarray:
+    """W_k, the inverse of the V_k of group k's n subjects from its Cholesky
+    factor (:func:`_cholesky_inverse`), exactly symmetric.  It is the one
+    place W_k is formed.
+
+    A group too small for its weights (:func:`check_group_size`), a V_k or
+    W_k with a non-finite entry (an overflowing score covariance, or a
+    damaged archive's) and a V_k that is not positive definite are each a
+    CombineError naming the group."""
+    check_group_size(k, n, vk.shape[0])
     # an overflow is caught by the finiteness checks, which name the group
     with np.errstate(over="ignore", invalid="ignore"):
         vk = 0.5 * (vk + vk.T)
@@ -239,41 +254,21 @@ def _invert_group(vk: np.ndarray, k: int):
                 f"group {k} score covariance is not finite (the block scores "
                 "overflow); cannot form weights"
             )
-        dim = vk.shape[0]
-        flag = False
         w = _cholesky_inverse(vk)
         if w is None:
-            eigmin = float(np.linalg.eigvalsh(vk)[0])
-            scale = float(np.trace(vk)) / dim
-            if eigmin <= -1e-10 * max(scale, 1.0):
-                raise CombineError(
-                    f"group {k} score covariance is not positive definite "
-                    f"(min eigenvalue {eigmin:.3e}); cannot form weights"
-                )
-            flag = True
-            w = _cholesky_inverse(vk + (1e-8 * scale) * np.eye(dim))
-            if w is None:
-                raise CombineError(
-                    f"group {k} score covariance is singular beyond ridge repair "
-                    f"(min eigenvalue {eigmin:.3e}, ridge {1e-8 * scale:.3e}); "
-                    "cannot form weights"
-                )
+            raise CombineError(
+                f"group {k} score covariance is not positive definite; cannot form weights"
+            )
         if not np.isfinite(w).all():
             raise CombineError(f"group {k} weights are not finite; V_k is too ill-conditioned")
-    return w, flag
+    return w
 
 
 def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> WeightBlocks:
-    """Cholesky inverse of each group block, with minimal ridge repair.
-
-    A block whose smallest eigenvalue is barely negative (round-off) gets
-    lambda = 1e-8 * trace/dim added to the diagonal; anything genuinely
-    indefinite is a hard error.
-    """
-    w, repaired = zip(*(_invert_group(vk, k) for k, vk in enumerate(vhat)))
-    return WeightBlocks(
-        p=bundle.p, J=bundle.J, vhat=tuple(vhat), w=w, ridge_repaired=repaired
-    )
+    """The weights W_k of each group's V_k (:func:`_invert_group`), with
+    n_k from the bundle's plan."""
+    sizes = bundle.plan.group_sizes
+    return WeightBlocks(w=tuple(_invert_group(vk, k, sizes[k]) for k, vk in enumerate(vhat)))
 
 
 def _stack_sensitivities(fits: list):
@@ -336,10 +331,10 @@ def group_summary(plan: PartitionPlan, k: int, fits: list) -> GroupSummary:
     with np.errstate(over="ignore", invalid="ignore"):
         vhat = tau.T @ tau / plan.N
         vhat = 0.5 * (vhat + vhat.T)
-    w, repaired = _invert_group(vhat, k)
+    w = _invert_group(vhat, k, n)
     info, rhs = build_C(fits, w)
     records = tuple(fit.record() for fit in fits)
-    return GroupSummary(n, vhat, w, info, rhs, repaired, records)
+    return GroupSummary(n, vhat, w, info, rhs, records)
 
 
 def _condition(sym: np.ndarray) -> float:
@@ -409,11 +404,6 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
                 "combined estimates are not finite: the information is too ill-conditioned"
             )
 
-    repaired = tuple(s.ridge_repaired for s in summaries)
-    W = WeightBlocks(
-        p=p, J=bundle.J, vhat=tuple(s.vhat for s in summaries),
-        w=tuple(s.w for s in summaries), ridge_repaired=repaired,
-    )
     return CombinedFit(
         theta=theta,
         zeta=zeta,
@@ -421,11 +411,10 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
         variances=variances,
         N=N,
         p=p,
-        W=W,
+        W=WeightBlocks(w=tuple(s.w for s in summaries)),
         diagnostics={
             "theta_schur_condition": _condition(schur),
             "nuisance_condition": tuple(_condition(g[0]) for g in groups),
-            "ridge_repaired": repaired,
             # dim_k / n_k: W_k is estimated in dim_k dimensions from n_k subjects
             "weight_dim_ratio": tuple(s.w.shape[0] / s.n for s in summaries),
             "plan_seed": bundle.plan.seed,
@@ -446,8 +435,7 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
 #                r_k, then per block in j order theta_hat, zeta_hat and the
 #                float fields of its moments (engines._moment_shapes)
 # The binary members have no header to parse: meta.txt and the plan give
-# their layout.  W_k and the ridge flag are rebuilt from V_k on reading,
-# with their bits.
+# their layout.  W_k is rebuilt from V_k on reading, with its bits.
 
 _BLOCK_TABLE = np.dtype([
     ("k", "<i8"), ("j", "<i8"), ("kind", "S16"), ("converged", "?"),
@@ -596,8 +584,7 @@ def _read_groups(path, plan: PartitionPlan, p: int, table: np.ndarray, numbers: 
                 rho_clamped=clamped,
                 moments=_unflat_moments(flat, kinds[i], p, n, plan.block_sizes[j]),
             ))
-        w, repaired = _invert_group(vhat, k)
-        groups[k] = GroupSummary(n, vhat, w, info, rhs, repaired, tuple(records))
+        groups[k] = GroupSummary(n, vhat, _invert_group(vhat, k, n), info, rhs, tuple(records))
     return groups
 
 

@@ -45,9 +45,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .dataio import Dataset
-from .engines import SolverOptions, fit_block, solve_blocks, solver_kind
+from .engines import SolverOptions, fit_block, nuisance_dim, solve_blocks, solver_kind
 from .errors import BlockGmmError, DataError
-from .combine import SummaryBundle
+from .combine import SummaryBundle, check_group_size
 from . import inference, partition
 
 FAMILIES = ("kronecker-nested", "global-ar1")
@@ -90,7 +90,11 @@ class SimDesign:
             raise DataError("theta0 is empty: the shared parameter needs a component")
         if not all(np.isfinite(self.theta0)):
             raise DataError("theta0 must be finite")
-        solver_kind(self.method, self.working)
+        # self.kind checks the method and the working structure; the first
+        # of the smallest groups (N // K subjects) is group N % K
+        check_group_size(
+            self.N % self.K, self.N // self.K, self.J * (self.p + nuisance_dim(self.kind))
+        )
 
     @property
     def p(self) -> int:
@@ -353,10 +357,14 @@ def fit_dataset(
     the matching slice of each bucket; a pickled block carries its bucket
     once per chunk.  A block's fit has the same bits in any stack or
     bucket, so the bundle is identical for any worker count.  It holds
-    each group's summary of its J fits, without their scores.
+    each group's summary of its J fits, without their scores.  A plan
+    whose smallest group is too small for its weights is rejected
+    (:func:`blockgmm.combine.check_group_size`) before any block is fitted.
     """
     check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
+    n = min(plan.group_sizes)
+    check_group_size(plan.group_sizes.index(n), n, J * (data.q + nuisance_dim(kind)))
     blocks = partition.split(data, plan)
     keys = sorted(blocks)
     chunks = min(workers, len(keys))

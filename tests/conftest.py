@@ -46,6 +46,16 @@ def column_subset(data, cols=None):
     return Dataset(data.responses, data.covariates[:, :, list(cols)], data.subject_ids)
 
 
+def too_few_subjects(k, n, dim):
+    """The one message of a subject group k of n subjects too small for
+    its weights, whose V_k has dim rows."""
+    return (
+        f"group {k} has n_k = {n} subjects, too few for its weights: W_k needs "
+        f"n_k > dim_k = J p + d_k = {dim}; use fewer response blocks J or fewer "
+        "subject groups K"
+    )
+
+
 def random_dataset(N, M, p=3, seed=0, sigma=1.0):
     """Independent-error dataset with known coefficients (no correlation)."""
     rng = np.random.default_rng(seed)

@@ -58,14 +58,20 @@ class FitBundle(SummaryBundle):
         return cls(plan=plan, groups=groups, block_fits=fits)
 
 
+def stacked_fits(blocks, kind, opts=None):
+    """(j, k) -> BlockFit of a split's blocks from the one stacked solve
+    over them in sorted key order that :func:`blockgmm.simstudy.fit_dataset`
+    runs, so with its bits, and without group summaries."""
+    keys = sorted(blocks)
+    return dict(zip(keys, simstudy._fit_chunk(([blocks[key] for key in keys], kind, opts))))
+
+
 def fit_bundle(data, J, K, kind, strategy="contiguous", seed=0, opts=None):
     """(FitBundle, blocks) of the split and stacked solve that
     :func:`blockgmm.simstudy.fit_dataset` makes, so with its bits."""
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
     blocks = partition.split(data, plan)
-    keys = sorted(blocks)
-    fits = simstudy._fit_chunk(([blocks[key] for key in keys], kind, opts))
-    return FitBundle.of(plan, dict(zip(keys, fits))), blocks
+    return FitBundle.of(plan, stacked_fits(blocks, kind, opts)), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -709,14 +715,14 @@ def subject_rng(seed, rep, i):
     return np.random.default_rng(np.random.SeedSequence([seed, rep, i]))
 
 
-def subject_draws(design, rep):
-    """Yield (i, draws): subject i's M*p standard normals from the stream
-    the generators seed from ``simstudy.subject_states``, which is
+def subject_draws(seed, rep, N, size):
+    """Yield (i, draws) for each of N subjects: its ``size`` = M*p standard
+    normals from the stream the generators seed from
+    ``simstudy.subject_states``, which is
     ``default_rng(SeedSequence([seed, rep, i]))``.  The first M*(p-1) are
     its non-intercept covariates (M x (p-1), row-major), the last M its
     error innovations."""
-    size = design.M * design.p
-    for i, row in enumerate(simstudy.subject_states(design.seed, rep, design.N)):
+    for i, row in enumerate(simstudy.subject_states(seed, rep, N)):
         rng = np.random.Generator(np.random.PCG64(simstudy._PresetState(row)))
         yield i, rng.standard_normal(size)
 

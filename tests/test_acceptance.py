@@ -321,9 +321,11 @@ def test_criterion_9_generator_fidelity():
             data.responses[i], x @ theta0 + chol @ z, atol=1e-10
         )
 
-    # (b) nested design: factor-wise construction == dense Kronecker factor
+    # (b) nested design: factor-wise construction == dense Kronecker factor;
+    # the generator reads no working structure, and independence (d = 1)
+    # admits N = 20 subjects in one group (dim_k = J (p + d) = 16)
     kron = simstudy.SimDesign(
-        family="kronecker-nested", N=20, M=40, J=4, K=1,
+        family="kronecker-nested", N=20, M=40, J=4, K=1, working="independence",
         sigma=2.0, rho=0.6, reps=1, seed=901,
     )
     kdata = simstudy.generate(kron, 0)

@@ -58,7 +58,10 @@ def two_bucket_fits(draw):
     seed = draw(st.integers(0, 10**6))
     cols = draw(st.sampled_from([None, (0, 2), (2, 1, 0), (1, 0)]))
     strategy = draw(st.sampled_from(partition.GROUP_STRATEGIES))
-    data = simstudy.generate(make_ar1_design(N=N, M=M, J=J, K=K, seed=seed), 0)
+    # the global-ar1 generator reads neither J nor K, so the design takes
+    # J = K = 1: its groups may be too small for their weights, and the
+    # tests compare block fits only
+    data = simstudy.generate(make_ar1_design(N=N, M=M, J=1, K=1, seed=seed), 0)
     return kind, column_subset(data, cols), J, K, strategy, seed
 
 
@@ -67,7 +70,9 @@ class TestBucketBits:
     @given(case=two_bucket_fits())
     def test_alone_in_its_bucket_and_in_fit_dataset(self, case):
         kind, data, J, K, strategy, seed = case
-        bundle, blocks = oracles.fit_bundle(data, J, K, kind, strategy=strategy, seed=seed)
+        plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
+        blocks = partition.split(data, plan)
+        stacked = oracles.stacked_fits(blocks, kind)
         in_bucket = {}
         for bucket in _buckets(blocks):
             members = [blocks[key] for key in bucket.keys]
@@ -76,8 +81,8 @@ class TestBucketBits:
                 ((block.j, block.k), fit_block(block, kind, None, row))
                 for block, row in zip(members, rows)
             )
-        assert in_bucket.keys() == bundle.block_fits.keys()
-        for key, fit in bundle.block_fits.items():
+        assert in_bucket.keys() == stacked.keys()
+        for key, fit in stacked.items():
             alone_block = _alone(blocks[key])
             alone = fit_block(alone_block, kind)
             for other in (in_bucket[key], alone):

@@ -12,10 +12,11 @@ import pytest
 
 import blockgmm
 from blockgmm import cli, inference, simstudy
-from blockgmm.combine import _BLOCK_TABLE
+from blockgmm.combine import _BLOCK_TABLE, load_bundle
 from blockgmm.dataio import Dataset
+from blockgmm.errors import SolverError
 
-from conftest import make_ar1_design, near_unit_root_dataset
+from conftest import make_ar1_design, near_unit_root_dataset, too_few_subjects
 
 
 @pytest.fixture(scope="module")
@@ -465,14 +466,24 @@ class TestSimulateCommand:
         for name in ("reps.csv", "summary.csv", "plotdata.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_grid_cell_without_successes_is_exit_1_naming_it(self, tmp_path, capsys):
-        # K = 50 > N = 20 subjects fails every replication of that cell
+    def test_grid_cell_without_successes_is_exit_1_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every fit at K = 2 fails, so that cell has no successful replication
+        fit_dataset = simstudy.fit_dataset
+
+        def fit_failing_at_k2(data, J, K, kind):
+            if K == 2:
+                raise SolverError("no fit at K = 2")
+            return fit_dataset(data, J, K, kind)
+
+        monkeypatch.setattr(simstudy, "fit_dataset", fit_failing_at_k2)
         out = tmp_path / "out"
-        assert run(["simulate", "--family", "global-ar1", "--N", 20, "--M", 6, "--J", 2,
-                    "--K", 1, "--reps", 2, "--M-list", 6, "--K-list", "1,50",
+        assert run(["simulate", "--family", "global-ar1", "--N", 40, "--M", 6, "--J", 2,
+                    "--K", 1, "--reps", 2, "--M-list", 6, "--K-list", "1,2",
                     "--out", out]) == 1
         err = capsys.readouterr().err
-        assert "simulate: grid cell M=6, K=50: no successful replications to summarize" in err
+        assert "simulate: grid cell M=6, K=2: no successful replications to summarize" in err
         assert not out.exists()
 
 
@@ -825,6 +836,66 @@ class TestTamperedBundles:
         bad.write_text("not a zip archive\n")
         assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
         assert "not a bundle archive" in capsys.readouterr().err
+
+
+class TestGroupSizeRule:
+    """Each subject group needs more subjects than its weights have rows:
+    n_k > dim_k = J (p + d), here 2 (3 + 2) = 10 for gee-ar1 blocks, with
+    one message wherever a plan enters."""
+
+    DIM = 10
+    SIZES = pytest.mark.parametrize("n", [9, 10, 11], ids=["below", "equal", "above"])
+
+    @SIZES
+    def test_fit(self, tmp_path, capsys, n):
+        # K = 2 groups of n subjects
+        source = tmp_path / "panel.csv"
+        write_panel_csv(simstudy.generate(make_ar1_design(N=2 * n, M=8, K=1, seed=21), 0), source)
+        out = tmp_path / "out"
+        code = run(["fit", "--input", source, "--J", 2, "--K", 2, "--out", out])
+        if n > self.DIM:
+            assert code == 0 and (out / "estimates.csv").exists()
+            return
+        assert code == 1
+        assert capsys.readouterr().err == f"fit: {too_few_subjects(0, n, self.DIM)}\n"
+        assert not out.exists()
+
+    @SIZES
+    def test_simulate(self, tmp_path, capsys, n):
+        # rejected before any replication, not reported as failed replications
+        out = tmp_path / "out"
+        code = run(["simulate", "--family", "global-ar1", "--N", 2 * n, "--M", 8, "--J", 2,
+                    "--K", 2, "--reps", 1, "--out", out])
+        if n > self.DIM:
+            assert code == 0
+            with open(out / "reps.csv") as fh:
+                assert [row["ok"] for row in csv.DictReader(fh)] == ["1"]
+            return
+        assert code == 1
+        assert capsys.readouterr().err == f"simulate: {too_few_subjects(0, n, self.DIM)}\n"
+        assert not out.exists()
+
+    def test_simulate_grid_cell(self, tmp_path, capsys):
+        # the main design has one group of 20; the K = 3 cell has 7, 7 and 6
+        out = tmp_path / "out"
+        assert run(["simulate", "--family", "global-ar1", "--N", 20, "--M", 6, "--J", 2,
+                    "--K", 1, "--reps", 2, "--M-list", 6, "--K-list", "1,3",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"simulate: {too_few_subjects(2, 6, self.DIM)}\n"
+        assert not out.exists()
+
+    @SIZES
+    def test_archive_with_lowered_group_size(self, fitted_bundle_zip, tmp_path, capsys, n):
+        # the fitted plan holds two groups of 40; plan.txt is edited by hand
+        bad = tmp_path / "bad.zip"
+        rewrite_member(fitted_bundle_zip, bad, "plan.txt",
+                       replace_text("group_sizes = 40,40", f"group_sizes = 40,{n}"))
+        if n > self.DIM:
+            assert [group.n for group in load_bundle(bad).groups.values()] == [40, n]
+            return
+        assert run(["combine", bad, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"combine: {too_few_subjects(1, n, self.DIM)}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestUnreadableInput:

@@ -120,9 +120,9 @@ class TestAssembleVhat:
         vhat = assemble_vhat(bundle)
         np.testing.assert_allclose(vhat[0], [[1.0]])
 
-    def test_all_zero_scores_are_singular_beyond_ridge_repair(self):
+    def test_all_zero_scores_are_not_positive_definite(self):
         # V_k is the zero matrix, which its group summary cannot invert
-        with pytest.raises(CombineError, match="group 0 score covariance is singular beyond"):
+        with pytest.raises(CombineError, match="group 0 score covariance is not positive definite"):
             synthetic_bundle(
                 {(0, 0): np.zeros((3, 2))},
                 {(0, 0): np.eye(2)},
@@ -224,10 +224,10 @@ class TestInvertVhat:
     @pytest.mark.parametrize(
         "vk", [np.zeros((3, 3)), np.diag([1e-4, 1e-4, -1e-11])], ids=["zero", "tiny-negative"]
     )
-    def test_block_beyond_ridge_repair_names_its_group(self, fitted_bundle, vk):
+    def test_singular_block_names_its_group(self, fitted_bundle, vk):
         bundle, _ = fitted_bundle
         good = np.eye(3)
-        with pytest.raises(CombineError, match="group 1 score covariance is singular beyond"):
+        with pytest.raises(CombineError, match="group 1 score covariance is not positive definite"):
             invert_vhat((good, vk) + (good,) * (bundle.K - 2), bundle)
 
     def test_fitted_vhat_inverts_cleanly(self, fitted_bundle):
@@ -252,8 +252,7 @@ class TestInvertVhat:
         n = dim + extra
         tau = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-4, 4, dim)
         vk = tau.T @ tau / n
-        w, repaired = _invert_group(vk, 0)
-        assert not repaired
+        w = _invert_group(vk, 0, n)
         assert np.array_equal(w, w.T)
         factor = np.linalg.cholesky(0.5 * (vk + vk.T))
         expected = scipy.linalg.cho_solve((factor, True), np.eye(dim))
@@ -401,8 +400,7 @@ class TestCombine:
         bundle, _ = fitted_bundle
         rebuilt = invert_vhat(assemble_vhat(bundle), bundle)
         W = combine(bundle).W
-        assert W.ridge_repaired == rebuilt.ridge_repaired
-        for mine, theirs in zip(W.w + W.vhat, rebuilt.w + rebuilt.vhat):
+        for mine, theirs in zip(W.w, rebuilt.w, strict=True):
             np.testing.assert_array_equal(mine, theirs)
 
     def test_degenerate_single_block(self):
@@ -606,7 +604,6 @@ class TestBundleSerialization:
             assert summary.n == built.n == bundle.plan.group_sizes[k]
             for name in ("vhat", "w", "info", "rhs"):
                 assert getattr(summary, name).tobytes() == getattr(built, name).tobytes()
-            assert summary.ridge_repaired == built.ridge_repaired
         combined_a = combine(bundle)
         combined_b = combine(loaded)
         assert combined_a.theta.tobytes() == combined_b.theta.tobytes()
@@ -617,20 +614,15 @@ class TestBundleSerialization:
             inference.overid_test(None, bundle, combined_a, combined_a.W)
         )
 
-    def test_ridge_repair_flag_round_trips(self, fitted_bundle):
-        # a zero score column makes V_k singular, so its inverse is ridge-repaired
+    def test_zero_score_column_is_not_positive_definite(self, fitted_bundle):
+        # a zero score column makes V_k singular: its group has no weights
         bundle, _ = fitted_bundle
         fits = dict(bundle.block_fits)
         scores = fits[(1, 1)].scores.copy()
         scores[:, -1] = 0.0
         fits[(1, 1)] = dataclasses.replace(fits[(1, 1)], scores=scores)
-        bundle = SummaryBundle.from_fits(bundle.plan, fits)
-        assert combine(bundle).diagnostics["ridge_repaired"] == (False, True)
-        buf = io.BytesIO()
-        save_bundle(bundle, buf)
-        loaded = load_bundle(buf)
-        assert combine(loaded).diagnostics["ridge_repaired"] == (False, True)
-        assert loaded.groups[1].w.tobytes() == bundle.groups[1].w.tobytes()
+        with pytest.raises(CombineError, match="group 1 score covariance is not positive definite"):
+            SummaryBundle.from_fits(bundle.plan, fits)
 
     def test_archive_holds_group_summaries_and_no_scores(self, fitted_bundle):
         bundle, _ = fitted_bundle

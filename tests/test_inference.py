@@ -356,8 +356,7 @@ class TestScipyStatsOracle:
     def test_overid_p_value(self, fitted_bundle, scale):
         bundle, blocks = fitted_bundle
         fit, W = full_inference(bundle, blocks)
-        scaled = WeightBlocks(p=W.p, J=W.J, vhat=W.vhat, w=tuple(scale * w for w in W.w),
-                              ridge_repaired=W.ridge_repaired)
+        scaled = WeightBlocks(w=tuple(scale * w for w in W.w))
         stat, df, p_value = overid_test(blocks, bundle, fit, scaled)
         assert_tail_close(p_value, scipy.stats.chi2.sf(stat, df))
         if scale == 1e6:

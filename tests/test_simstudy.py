@@ -14,10 +14,10 @@ from blockgmm import partition, simstudy
 from blockgmm.combine import combine, save_bundle
 from blockgmm.dataio import Dataset
 from blockgmm.engines import KINDS, BlockRecord, fit_block, nuisance_dim
-from blockgmm.errors import BlockGmmError, DataError, SolverError
+from blockgmm.errors import BlockGmmError, CombineError, DataError, SolverError
 
 import oracles
-from conftest import column_subset, make_ar1_design, near_unit_root_dataset
+from conftest import column_subset, make_ar1_design, near_unit_root_dataset, too_few_subjects
 
 
 class TestRandomPdMatrix:
@@ -91,10 +91,31 @@ class TestSimDesignValidation:
     def test_kind(self, method, working, kind):
         assert simstudy.SimDesign(method=method, working=working).kind == kind
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "equal", "above"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_smallest_group_must_exceed_the_weight_dimension(self, kind, extra):
+        # J = 2 blocks of p = 3 on K = 2 groups of n: dim_k = 2 (3 + d)
+        method, _, working = kind.partition("-")
+        dim = 2 * (3 + nuisance_dim(kind))
+        n = dim + extra
+        fields = dict(N=2 * n, J=2, K=2, method=method, working=working)
+        if extra > 0:
+            assert simstudy.SimDesign(**fields).kind == kind
+            return
+        with pytest.raises(CombineError) as info:
+            simstudy.SimDesign(**fields)
+        assert str(info.value) == too_few_subjects(0, n, dim)
+
+    def test_the_first_smallest_group_is_named(self):
+        # N = 31 on K = 3 groups of 11, 10 and 10 subjects; dim_k = 10
+        with pytest.raises(CombineError) as info:
+            simstudy.SimDesign(N=31, J=2, K=3)
+        assert str(info.value) == too_few_subjects(1, 10, 10)
+
 
 class TestGenerators:
     def test_seed_stability(self):
-        design = make_ar1_design(N=20, M=6)
+        design = make_ar1_design(N=20, M=6, K=1)  # the generators read no K
         a = simstudy.generate(design, rep=2)
         b = simstudy.generate(design, rep=2)
         c = simstudy.generate(design, rep=3)
@@ -118,7 +139,7 @@ class TestGenerators:
             ("kronecker-nested", dict()),
             ("kronecker-nested", dict(theta0=(0.7,), M=20, J=4)),
             ("kronecker-nested", dict(theta0=(0.2, 0.4), M=9, J=3, rho=-0.3)),
-            ("kronecker-nested", dict(M=5, J=5)),
+            ("kronecker-nested", dict(M=5, J=5, K=1)),  # one group of 40 > J (p + d)
         ],
         ids=["ar1", "ar1-negative-rho", "ar1-zero-rho", "ar1-p1", "ar1-M2",
              "kron", "kron-p1", "kron-p2", "kron-m1"],
@@ -171,9 +192,8 @@ class TestGenerators:
             seq = np.random.SeedSequence([seed, rep, k])
             np.testing.assert_array_equal(states[k], seq.generate_state(4, np.uint64))
         # and the subject's stream is numpy's default_rng for that sequence
-        design = make_ar1_design(N=n, M=3, theta0=(0.1, 0.2), seed=seed)
         expected = np.random.default_rng(np.random.SeedSequence([seed, rep, i])).standard_normal(6)
-        draws = dict(oracles.subject_draws(design, rep))
+        draws = dict(oracles.subject_draws(seed, rep, n, 6))
         np.testing.assert_array_equal(draws[i], expected)
 
     def test_ar1_recursion_equals_dense_cholesky_construction(self):
@@ -199,9 +219,10 @@ class TestGenerators:
             np.testing.assert_allclose(data.responses[i], expected, atol=1e-10)
 
     def test_kronecker_equals_factorwise_construction(self):
-        # L_S Z L_A' flattened must equal the dense kron(L_S, L_A) @ vec(Z)
+        # L_S Z L_A' flattened must equal the dense kron(L_S, L_A) @ vec(Z);
+        # N = 16 > dim_k = J (p + d) = 15, the fewest subjects the design admits
         design = simstudy.SimDesign(
-            family="kronecker-nested", N=10, M=12, J=3, K=1,
+            family="kronecker-nested", N=16, M=12, J=3, K=1,
             sigma=2.0, rho=0.5, reps=1, seed=17,
         )
         data = simstudy.generate(design, rep=0)
@@ -255,6 +276,25 @@ class TestGenerators:
 
 
 class TestFitDataset:
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "equal", "above"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_smallest_group_must_exceed_the_weight_dimension(self, monkeypatch, kind, extra):
+        # J = 2 blocks of p = 3 on K = 2 groups of n: dim_k = 2 (3 + d); an
+        # undersized plan is rejected before any block is fitted
+        dim = 2 * (3 + nuisance_dim(kind))
+        n = dim + extra
+        data = simstudy.generate(make_ar1_design(N=2 * n, M=8, K=1, seed=21), 0)
+        chunks = []
+        fit_chunk = simstudy._fit_chunk
+        monkeypatch.setattr(simstudy, "_fit_chunk", lambda job: chunks.append(1) or fit_chunk(job))
+        if extra > 0:
+            bundle, _ = simstudy.fit_dataset(data, 2, 2, kind)
+            assert [group.n for group in bundle.groups.values()] == [n, n]
+            return
+        with pytest.raises(CombineError) as info:
+            simstudy.fit_dataset(data, 2, 2, kind)
+        assert str(info.value) == too_few_subjects(0, n, dim)
+        assert chunks == []
     @settings(max_examples=25, deadline=None)
     @given(
         J=st.integers(1, 3),
@@ -306,7 +346,10 @@ def stacked_fits(draw):
     M = J * draw(st.integers(2, 3)) + draw(st.integers(1, J - 1))
     N = K * draw(st.integers(12, 30))
     seed = draw(st.integers(0, 10**6))
-    data = simstudy.generate(make_ar1_design(N=N, M=M, J=J, K=K, seed=seed), 0)
+    # the global-ar1 generator reads neither J nor K, so the design takes
+    # J = K = 1: its groups may be too small for their weights, and the
+    # test compares block fits only
+    data = simstudy.generate(make_ar1_design(N=N, M=M, J=1, K=1, seed=seed), 0)
     if kind != "cl-ar1" and draw(st.booleans()):
         m0 = partition.make_plan(M, N, J, K).block_sizes[0]
         near = near_unit_root_dataset(N=N, M=m0, seed=seed % 1000)
@@ -324,9 +367,11 @@ class TestStackedSolve:
     @settings(max_examples=30, deadline=None)
     @given(case=stacked_fits())
     def test_a_block_fit_does_not_depend_on_its_stack(self, case):
+        # the rows of fit_dataset's stacked solve, without group summaries
         kind, data, J, K, strategy, seed = case
-        bundle, blocks = oracles.fit_bundle(data, J, K, kind, strategy=strategy, seed=seed)
-        for key, fit in bundle.block_fits.items():
+        plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
+        blocks = partition.split(data, plan)
+        for key, fit in oracles.stacked_fits(blocks, kind).items():
             alone = fit_block(blocks[key], kind)
             for field in ("theta_hat", "zeta_hat", "scores", "sensitivity"):
                 assert _same_bits(getattr(fit, field), getattr(alone, field)), (key, field)
@@ -349,7 +394,7 @@ class TestStackedSolve:
             expected = fitted.groups[k]
             for name in ("vhat", "w", "info", "rhs"):
                 assert _same_bits(getattr(summary, name), getattr(expected, name)), (k, name)
-            assert (summary.n, summary.ridge_repaired) == (expected.n, expected.ridge_repaired)
+            assert summary.n == expected.n
             for j, record in enumerate(summary.blocks):
                 fit = fitted.block_fits[(j, k)]
                 assert type(record) is BlockRecord and (record.j, record.k) == (j, k)
@@ -410,16 +455,22 @@ class TestBadBlockInAStack:
     @pytest.mark.parametrize("kind", ["gee-ar1", "gee-exchangeable", "gee-independence"])
     def test_too_few_subjects(self, kind):
         # groups of 6 and 5 subjects: group 1 has n = 5 <= p + d for d = 2,
-        # and for d = 1 a third group of 4 = p + d does
+        # and for d = 1 a third group of 4 = p + d does.  fit_dataset rejects
+        # that group before its stacked solve, which is run here directly
         K = 2 if nuisance_dim(kind) == 2 else 3
         N = 11 if K == 2 else 14
-        data = simstudy.generate(make_ar1_design(N=N, M=8, seed=4), 0)
-        sizes = partition.make_plan(data.M, N, 2, K, strategy="contiguous").group_sizes
+        data = simstudy.generate(make_ar1_design(N=N, M=8, K=1, seed=4), 0)
+        plan = partition.make_plan(data.M, N, 2, K, strategy="contiguous")
+        sizes = plan.group_sizes
         bad = max(k for k in range(K) if sizes[k] <= 3 + nuisance_dim(kind))
+        blocks = partition.split(data, plan)
         with pytest.raises(SolverError) as info:
-            simstudy.fit_dataset(data, 2, K, kind)
+            simstudy._fit_chunk(([blocks[key] for key in sorted(blocks)], kind, None))
         assert str(info.value).startswith(f"block (0, {bad}): n={sizes[bad]} too small")
         assert str(info.value) == self._solo_error(data, 2, K, (0, bad), kind)
+        with pytest.raises(CombineError) as info:
+            simstudy.fit_dataset(data, 2, K, kind)
+        assert str(info.value) == too_few_subjects(bad, sizes[bad], 2 * (3 + nuisance_dim(kind)))
 
 
 class TestWorkerInvariance:
@@ -433,7 +484,7 @@ class TestWorkerInvariance:
         cols=st.sampled_from([None, (2, 0), (1,)]),
     )
     def test_bundle_bytes_equal_for_one_and_two_workers(self, J, K, kind, strategy, seed, cols):
-        data = simstudy.generate(make_ar1_design(N=20 * K, M=3 * J + 1, seed=seed), 0)
+        data = simstudy.generate(make_ar1_design(N=20 * K, M=3 * J + 1, J=J, K=K, seed=seed), 0)
         data = column_subset(data, cols)
         serial, _ = simstudy.fit_dataset(data, J, K, kind, strategy=strategy, seed=seed)
         parallel, _ = simstudy.fit_dataset(
@@ -597,17 +648,37 @@ class TestGridPlotData:
                                 workers=2)
         assert opened == [2]
 
-    def test_a_failed_fit_fails_only_its_own_cell(self):
-        # K = 50 > N = 20 subjects: every replication of that cell fails
-        design = make_ar1_design(N=20, M=6, J=2, K=1, reps=2)
-        rows = simstudy._one_rep(([replace(design, K=1), replace(design, K=50)], 0))
+    def test_a_failed_fit_fails_only_its_own_cell(self, monkeypatch):
+        # every fit at K = 2 fails
+        fit_dataset = simstudy.fit_dataset
+
+        def fit_failing_at_k2(data, J, K, kind):
+            if K == 2:
+                raise SolverError("no fit at K = 2")
+            return fit_dataset(data, J, K, kind)
+
+        monkeypatch.setattr(simstudy, "fit_dataset", fit_failing_at_k2)
+        design = make_ar1_design(N=40, M=6, J=2, K=1, reps=2)
+        rows = simstudy._one_rep(([replace(design, K=1), replace(design, K=2)], 0))
         assert [r["ok"] for r in rows] == [1, 0]
-        assert rows[1]["error"].startswith("K=50")
+        assert rows[1]["error"] == "no fit at K = 2"
         with pytest.raises(DataError) as info:
-            simstudy.grid_plot_data(design, [6], [1, 50])
+            simstudy.grid_plot_data(design, [6], [1, 2])
         assert str(info.value) == (
-            "grid cell M=6, K=50: no successful replications to summarize"
+            "grid cell M=6, K=2: no successful replications to summarize"
         )
+
+    def test_an_undersized_cell_is_rejected_before_any_replication(self, monkeypatch):
+        # K = 3 groups of N = 20 subjects hold 7, 7 and 6 <= dim_k = 10
+        reps = []
+        monkeypatch.setattr(simstudy, "_one_rep", lambda job: reps.append(job))
+        design = make_ar1_design(N=20, M=6, J=2, K=1, reps=2)
+        with pytest.raises(CombineError) as info:
+            simstudy.grid_plot_data(design, [6], [1, 3])
+        assert str(info.value) == too_few_subjects(2, 6, 10)
+        with pytest.raises(CombineError):
+            simstudy.run_study(design, [6], [1, 3])
+        assert reps == []
 
 
 class TestWorkerCount:
