@@ -11,7 +11,6 @@ from .combine import (
     CombinedFit,
     GroupSummary,
     SummaryBundle,
-    WeightBlocks,
     assemble_vhat,
     combine,
     invert_vhat,
@@ -57,7 +56,6 @@ __all__ = [
     "SolverError",
     "SolverOptions",
     "SummaryBundle",
-    "WeightBlocks",
     "assemble_vhat",
     "combine",
     "eval_scores",

@@ -1,26 +1,24 @@
 """Closed-form combination of block fits.
 
 The per-subject scores of the JK blocks are stacked group-wise into an
-empirical covariance V_hat (exactly block-diagonal over subject groups)
-and inverted per group into the weights W_k.  Group k contributes the
-information I_k = S_k' W_k S_k and the right-hand side r_k = S_k' W_k v_k,
-where S_k stacks the group's block sensitivities over the parameter
-(theta, zeta_1k .. zeta_Jk) and v_k stacks each block's S_(j,k) applied
-to its own estimates.  I_k is the sum over i of the combination matrices
-C_{k,i} with the columns of other groups' nuisance parameters, which are
-zero, dropped.
+empirical covariance V_hat (exactly block-diagonal over subject groups).
+Group k contributes the information I_k = S_k' W_k S_k and the
+right-hand side r_k = S_k' W_k v_k, W_k = V_k^{-1}, where S_k stacks the
+group's block sensitivities over the parameter (theta, zeta_1k .. zeta_Jk)
+and v_k stacks each block's S_(j,k) applied to its own estimates.  I_k is
+the sum over i of the combination matrices C_{k,i} with the columns of
+other groups' nuisance parameters, which are zero, dropped.  W_k is only
+ever applied, by a solve with V_k, and never formed.
 
 Everything combination and the over-identification test need from group
-k is therefore its summary (:class:`GroupSummary`): n_k, V_k, W_k, I_k,
-r_k and its J blocks' records, each with its estimates, convergence
-record and moments.  :func:`group_summary` forms it once the group's
-blocks are fitted, and their per-subject scores and sensitivities are
-dropped then.  W_k exists only for a group of more subjects than V_k has
-rows (:func:`check_group_size`).  A bundle archive (format 4) stores
-exactly these summaries, V_k by its upper triangle and W_k rebuilt from
-it on reading, with a plan of J + K + 1 integers and a strategy.  Nothing
-in it grows with the number of subjects: it holds no per-subject score
-or label.
+k is therefore its summary (:class:`GroupSummary`): n_k, V_k, I_k, r_k
+and its J blocks' records, each with its estimates, convergence record
+and moments.  :func:`group_summary` forms it once the group's blocks are
+fitted, and their per-subject scores and sensitivities are dropped then.
+A bundle archive (format 4) stores exactly these summaries, V_k by its
+upper triangle, with a plan of J + K + 1 integers and a strategy; both
+admit each V_k (:func:`_admit_group`).  Nothing in it grows with the
+number of subjects: it holds no per-subject score or label.
 Combining and testing in memory and from archives run the same
 arithmetic on the same summaries, so both give bit-identical results.
 
@@ -60,16 +58,16 @@ class GroupSummary:
     """What combination and the over-identification test need from subject
     group k.
 
-    ``vhat`` is V_k = tau_k' tau_k / N, exactly symmetric, and ``w`` its
-    Cholesky inverse W_k (:func:`_invert_group`), so n_k > dim_k.
-    ``info`` = I_k = S_k' W_k S_k and ``rhs`` = r_k = S_k' W_k v_k are
-    unscaled (:func:`combine` multiplies both by n_k^2).  ``blocks`` holds
-    the group's J block records in j order, each with its moments.
+    Exactly the numbers a bundle archive stores.  ``vhat`` is
+    V_k = tau_k' tau_k / N, exactly symmetric and admitted
+    (:func:`_admit_group`).  ``info`` = I_k = S_k' W_k S_k and ``rhs`` =
+    r_k = S_k' W_k v_k (:func:`build_C`) are unscaled (:func:`combine`
+    multiplies both by n_k^2).  ``blocks`` holds the group's J block
+    records in j order, each with its moments.
     """
 
     n: int  # n_k
     vhat: np.ndarray  # (Jp + d_k, Jp + d_k)
-    w: np.ndarray  # (Jp + d_k, Jp + d_k)
     info: np.ndarray  # (p + d_k, p + d_k)
     rhs: np.ndarray  # (p + d_k,)
     blocks: tuple  # J BlockRecords
@@ -155,18 +153,6 @@ class SummaryBundle:
 
 
 @dataclass(frozen=True)
-class WeightBlocks:
-    """Per-group inverse score-covariance blocks W_k = V_k^{-1}, in k order.
-
-    Each group's stacked score layout is [psi_(1,k) .. psi_(J,k),
-    g_(1,k) .. g_(J,k)]; cross-group covariance is exactly zero and never
-    materialized.  V_k itself is each :class:`GroupSummary`'s ``vhat``.
-    """
-
-    w: tuple  # per-group W_k, each (Jp + d_k, Jp + d_k)
-
-
-@dataclass(frozen=True)
 class CombinedFit:
     theta: np.ndarray  # (p,)
     zeta: np.ndarray  # (d,) combined nuisance, j-fast k-slow block order
@@ -174,7 +160,6 @@ class CombinedFit:
     variances: np.ndarray  # (p + d,) variances of (theta, zeta)
     N: int
     p: int
-    W: WeightBlocks  # the weights of the group summaries
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -204,22 +189,24 @@ def _upper_inverse(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cholesky_inverse(vk: np.ndarray) -> np.ndarray | None:
-    """V^{-1}, or None where V is not positive definite: V = R'R with R the
-    transpose of ``np.linalg.cholesky``'s lower factor, then
-    V^{-1} = R^{-1} R^{-T} from :func:`_upper_inverse` and one matmul,
-    mirrored from its upper triangle so that it is exactly symmetric.
+def _factor_inverse(r: np.ndarray) -> np.ndarray:
+    """V^{-1} = R^{-1} R^{-T} from the upper Cholesky factor R of V
+    (V = R'R): R^{-1} from :func:`_upper_inverse` and one matmul, mirrored
+    from its upper triangle so that it is exactly symmetric."""
+    ri = _upper_inverse(r)
+    w = ri @ ri.T
+    return np.triu(w) + np.triu(w, 1).T
 
-    This one inverse gives the weights W_k and, in :func:`combine`, each
-    nuisance block's D_k^{-1} and the inverse theta Schur complement.
-    """
+
+def _cholesky_inverse(vk: np.ndarray) -> np.ndarray | None:
+    """V^{-1}, or None where V is not positive definite: each nuisance
+    block's D_k^{-1} and the inverse theta Schur complement of
+    :func:`combine`."""
     try:
         r = np.linalg.cholesky(vk).T
     except np.linalg.LinAlgError:
         return None
-    ri = _upper_inverse(r)
-    w = ri @ ri.T
-    return np.triu(w) + np.triu(w, 1).T
+    return _factor_inverse(r)
 
 
 def check_group_size(k: int, n: int, dim: int) -> None:
@@ -236,39 +223,43 @@ def check_group_size(k: int, n: int, dim: int) -> None:
         )
 
 
-def _invert_group(vk: np.ndarray, k: int, n: int) -> np.ndarray:
-    """W_k, the inverse of the V_k of group k's n subjects from its Cholesky
-    factor (:func:`_cholesky_inverse`), exactly symmetric.  It is the one
-    place W_k is formed.
+def _admit_group(vk: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The one admission check of the V_k of group k's n subjects, where a
+    summary is formed or read; it returns V_k's upper Cholesky factor R.
 
-    A group too small for its weights (:func:`check_group_size`), a V_k or
-    W_k with a non-finite entry (an overflowing score covariance, or a
-    damaged archive's) and a V_k that is not positive definite are each a
-    CombineError naming the group."""
+    A group too small for its weights (:func:`check_group_size`), a V_k
+    with a non-finite entry (an overflowing score covariance, or a damaged
+    archive's) and a V_k that Cholesky rejects, so not positive definite,
+    are each a CombineError naming the group."""
     check_group_size(k, n, vk.shape[0])
-    # an overflow is caught by the finiteness checks, which name the group
-    with np.errstate(over="ignore", invalid="ignore"):
-        vk = 0.5 * (vk + vk.T)
-        if not np.isfinite(vk).all():
-            raise CombineError(
-                f"group {k} score covariance is not finite (the block scores "
-                "overflow); cannot form weights"
-            )
-        w = _cholesky_inverse(vk)
-        if w is None:
-            raise CombineError(
-                f"group {k} score covariance is not positive definite; cannot form weights"
-            )
+    if not np.isfinite(vk).all():
+        raise CombineError(
+            f"group {k} score covariance is not finite (the block scores "
+            "overflow); cannot form weights"
+        )
+    try:
+        return np.linalg.cholesky(vk).T
+    except np.linalg.LinAlgError:
+        raise CombineError(
+            f"group {k} score covariance is not positive definite; cannot form weights"
+        ) from None
+
+
+def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> tuple:
+    """The explicit weights W_k = V_k^{-1} of each group's V_k, in k order,
+    from the Cholesky factor of its admission check (:func:`_admit_group`),
+    with n_k from the bundle's plan.  It is the one place a W_k is formed,
+    and no pipeline code calls it: it serves the benchmark and the tests'
+    explicit-inverse oracles, and ROADMAP item 2 moves it to the tests."""
+    sizes, out = bundle.plan.group_sizes, []
+    for k, vk in enumerate(vhat):
+        # an overflow is caught by the finiteness check below, which names the group
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _factor_inverse(_admit_group(vk, k, sizes[k]))
         if not np.isfinite(w).all():
             raise CombineError(f"group {k} weights are not finite; V_k is too ill-conditioned")
-    return w
-
-
-def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> WeightBlocks:
-    """The weights W_k of each group's V_k (:func:`_invert_group`), with
-    n_k from the bundle's plan."""
-    sizes = bundle.plan.group_sizes
-    return WeightBlocks(w=tuple(_invert_group(vk, k, sizes[k]) for k, vk in enumerate(vhat)))
+        out.append(w)
+    return tuple(out)
 
 
 def _stack_sensitivities(fits: list):
@@ -302,9 +293,10 @@ def _stack_sensitivities(fits: list):
     return s, v
 
 
-def build_C(fits: list, w: np.ndarray):
+def build_C(fits: list, vhat: np.ndarray):
     """Group information I_k = S_k' W_k S_k and right-hand side
-    r_k = S_k' W_k v_k from the group's J block fits and its weights W_k.
+    r_k = S_k' W_k v_k from the group's J block fits and its V_k, with
+    W_k = V_k^{-1} applied by one solve of V_k against [S_k v_k].
 
     S_k is (Jp + d_k) x (p + d_k): rows follow the layout of the group's
     stacked scores (the psi rows of blocks 1..J, then their g rows, as
@@ -314,27 +306,30 @@ def build_C(fits: list, w: np.ndarray):
     I_k equals sum_i C_{k,i} without the all-zero columns of other groups.
     """
     s, v = _stack_sensitivities(fits)
-    sw = s.T @ w
-    return sw @ s, sw @ v
+    wsv = np.linalg.solve(vhat, np.column_stack([s, v]))
+    swsv = s.T @ wsv
+    return swsv[:, :-1], swsv[:, -1]
 
 
 def group_summary(plan: PartitionPlan, k: int, fits: list) -> GroupSummary:
     """Group k's summary from its J in-memory block fits, in j order: V_k
-    (exactly symmetric), W_k, I_k and r_k, and each block's record without
-    its scores and sensitivity."""
+    (exactly symmetric and admitted), I_k and r_k, and each block's record
+    without its scores and sensitivity."""
     n, p = plan.group_sizes[k], fits[0].p
     for fit in fits:
         if fit.n != n:
             raise CombineError(f"block ({fit.j}, {k}) has n={fit.n}, plan says {n}")
     tau = np.hstack([fit.scores[:, :p] for fit in fits] + [fit.scores[:, p:] for fit in fits])
-    # an overflow is caught by _invert_group's finiteness check, which names the group
+    # an overflow is caught by the finiteness checks, which name the group
     with np.errstate(over="ignore", invalid="ignore"):
         vhat = tau.T @ tau / plan.N
         vhat = 0.5 * (vhat + vhat.T)
-    w = _invert_group(vhat, k, n)
-    info, rhs = build_C(fits, w)
+        _admit_group(vhat, k, n)
+        info, rhs = build_C(fits, vhat)
+    if not (np.isfinite(info).all() and np.isfinite(rhs).all()):
+        raise CombineError(f"group {k} weights are not finite; V_k is too ill-conditioned")
     records = tuple(fit.record() for fit in fits)
-    return GroupSummary(n, vhat, w, info, rhs, records)
+    return GroupSummary(n, vhat, info, rhs, records)
 
 
 def _condition(sym: np.ndarray) -> float:
@@ -411,12 +406,11 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
         variances=variances,
         N=N,
         p=p,
-        W=WeightBlocks(w=tuple(s.w for s in summaries)),
         diagnostics={
             "theta_schur_condition": _condition(schur),
             "nuisance_condition": tuple(_condition(g[0]) for g in groups),
             # dim_k / n_k: W_k is estimated in dim_k dimensions from n_k subjects
-            "weight_dim_ratio": tuple(s.w.shape[0] / s.n for s in summaries),
+            "weight_dim_ratio": tuple(s.vhat.shape[0] / s.n for s in summaries),
             "plan_seed": bundle.plan.seed,
         },
     )
@@ -435,7 +429,7 @@ def combine(bundle: SummaryBundle, allow_unconverged: bool = False) -> CombinedF
 #                r_k, then per block in j order theta_hat, zeta_hat and the
 #                float fields of its moments (engines._moment_shapes)
 # The binary members have no header to parse: meta.txt and the plan give
-# their layout.  W_k is rebuilt from V_k on reading, with its bits.
+# their layout.  Reading admits each V_k and derives nothing.
 
 _BLOCK_TABLE = np.dtype([
     ("k", "<i8"), ("j", "<i8"), ("kind", "S16"), ("converged", "?"),
@@ -584,13 +578,15 @@ def _read_groups(path, plan: PartitionPlan, p: int, table: np.ndarray, numbers: 
                 rho_clamped=clamped,
                 moments=_unflat_moments(flat, kinds[i], p, n, plan.block_sizes[j]),
             ))
-        groups[k] = GroupSummary(n, vhat, _invert_group(vhat, k, n), info, rhs, tuple(records))
+        _admit_group(vhat, k, n)
+        groups[k] = GroupSummary(n, vhat, info, rhs, tuple(records))
     return groups
 
 
 def load_bundle(path) -> SummaryBundle:
-    """Read a format-4 bundle archive written by :func:`save_bundle`, with
-    each group's W_k rebuilt from its V_k.
+    """Read a format-4 bundle archive written by :func:`save_bundle`: each
+    group's summary as stored, once its V_k is admitted
+    (:func:`_admit_group`).
 
     Any other format, and a malformed archive, plan, metadata entry,
     block table or number array, is a :class:`CombineError` or

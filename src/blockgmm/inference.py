@@ -5,8 +5,11 @@ combination by :func:`infer`, which the CLI and the simulation driver call.
 The test statistic N * T_N' W T_N needs each block's mean estimating
 function at the combined estimates.  Every block record carries its
 moments, in memory and read from a bundle archive alike, and the mean
-is closed-form algebra on them, taken for all blocks of a kind in one :func:`blockgmm.engines.block_means` call (the one that gives the
-block solvers their Jacobians), so the test reads no data: it costs at most O(J K m p^2), however many subjects there are.
+is closed-form algebra on them, taken for all blocks of a kind in one
+:func:`blockgmm.engines.block_means` call (the one that gives the block
+solvers their Jacobians), so the test reads no data: it costs at most
+O(J K m p^2), however many subjects there are.  Each group's share
+T_k' W_k T_k comes from a solve with its V_k, so no weights are formed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import CombinedFit, SummaryBundle, WeightBlocks, combine
+from .combine import CombinedFit, SummaryBundle, combine
 from .engines import block_means
 from .errors import CombineError
 
@@ -166,44 +169,36 @@ def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
     return parts
 
 
-def _check_overid_input(bundle: SummaryBundle, fit: CombinedFit, W) -> None:
-    """A CombineError naming the first group whose input the test cannot
-    use."""
+def _check_overid_input(bundle: SummaryBundle, fit: CombinedFit) -> None:
+    """A CombineError when the combined fit does not match the bundle."""
     if fit.theta.shape != (bundle.p,) or fit.zeta.shape != (bundle.d,):
         raise CombineError(
             f"combined fit has {fit.theta.size} + {fit.zeta.size} parameters, "
             f"the bundle needs {bundle.p} + {bundle.d}"
         )
-    if len(W.w) != bundle.K:
-        raise CombineError(f"weights hold {len(W.w)} group(s), the bundle has {bundle.K}")
-    for k in range(bundle.K):
-        dim = bundle.groups[k].w.shape[0]
-        if np.shape(W.w[k]) != (dim, dim):
-            raise CombineError(
-                f"weights of group {k} are {np.shape(W.w[k])}, the group stacks "
-                f"{dim} estimating functions"
-            )
 
 
-def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: WeightBlocks):
+def overid_test(blocks, bundle: SummaryBundle, fit: CombinedFit, W: tuple | None = None):
     """Over-identifying restrictions test N * T_N' W T_N at the combined
-    estimates, with W frozen at the block-estimate inverse covariance.
+    estimates, with W_k = V_k^{-1} of each group's summary, the weights the
+    combination used, applied by a solve with V_k.
 
-    Each block's mean is taken from the moments on its record, so
-    ``blocks`` is not read; it is accepted so that existing callers keep
-    working.  A W that does not match the bundle, or a statistic that is
-    not finite, raises a CombineError.
+    Each block's mean is taken from the moments on its record, and the
+    weights from the group summaries, so neither ``blocks`` nor ``W`` is
+    read; both are accepted so that existing callers keep working.  A
+    combined fit that does not match the bundle, or a statistic that is not
+    finite, raises a CombineError.
 
     Returns (statistic, df, p_value); p_value is None when df = 0.
     """
-    _check_overid_input(bundle, fit, W)
+    _check_overid_input(bundle, fit)
     # an overflow is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         parts = _stacked_estfun(bundle, fit.theta, fit.zeta)
         stat = 0.0
         for k in range(bundle.K):
             tk = parts[k]
-            stat += float(tk @ W.w[k] @ tk)
+            stat += float(tk @ np.linalg.solve(bundle.groups[k].vhat, tk))
         stat *= fit.N
     if not math.isfinite(stat):
         raise CombineError(f"the over-identification statistic is not finite ({stat})")
@@ -218,5 +213,5 @@ def infer(bundle: SummaryBundle, alpha: float = 0.05, allow_unconverged: bool = 
     and the over-identification test, from the group summaries alone,
     whether fitted in memory or read from archives."""
     fit = combine(bundle, allow_unconverged=allow_unconverged)
-    overid = overid_test(None, bundle, fit, fit.W)
+    overid = overid_test(None, bundle, fit, None)
     return fit, godambe_cov(fit, parameter_names(bundle), alpha=alpha), overid

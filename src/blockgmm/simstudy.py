@@ -53,6 +53,13 @@ from . import inference, partition
 FAMILIES = ("kronecker-nested", "global-ar1")
 
 
+def _check_plan(plan: partition.PartitionPlan, p: int, kind: str) -> None:
+    """The admission rule (:func:`blockgmm.combine.check_group_size`) for
+    the first of a plan's smallest groups, before any block is fitted."""
+    n = min(plan.group_sizes)
+    check_group_size(plan.group_sizes.index(n), n, plan.J * (p + nuisance_dim(kind)))
+
+
 @dataclass(frozen=True)
 class SimDesign:
     family: str = "kronecker-nested"
@@ -90,11 +97,8 @@ class SimDesign:
             raise DataError("theta0 is empty: the shared parameter needs a component")
         if not all(np.isfinite(self.theta0)):
             raise DataError("theta0 must be finite")
-        # self.kind checks the method and the working structure; the first
-        # of the smallest groups (N // K subjects) is group N % K
-        check_group_size(
-            self.N % self.K, self.N // self.K, self.J * (self.p + nuisance_dim(self.kind))
-        )
+        # self.kind checks the method and the working structure
+        _check_plan(partition.make_plan(self.M, self.N, self.J, self.K), self.p, self.kind)
 
     @property
     def p(self) -> int:
@@ -359,12 +363,11 @@ def fit_dataset(
     bucket, so the bundle is identical for any worker count.  It holds
     each group's summary of its J fits, without their scores.  A plan
     whose smallest group is too small for its weights is rejected
-    (:func:`blockgmm.combine.check_group_size`) before any block is fitted.
+    (:func:`_check_plan`) before any block is fitted.
     """
     check_workers(workers)
     plan = partition.make_plan(data.M, data.N, J, K, strategy=strategy, seed=seed)
-    n = min(plan.group_sizes)
-    check_group_size(plan.group_sizes.index(n), n, J * (data.q + nuisance_dim(kind)))
+    _check_plan(plan, data.q, kind)
     blocks = partition.split(data, plan)
     keys = sorted(blocks)
     chunks = min(workers, len(keys))

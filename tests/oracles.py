@@ -107,13 +107,13 @@ def subset_v(bundle, W, i, j, k, kind):
         return J * p + sum(bundle.fits[(l, k)].d for l in range(b))
 
     if kind == "psipsi":
-        return W.w[k][i * p : (i + 1) * p, j * p : (j + 1) * p]
+        return W[k][i * p : (i + 1) * p, j * p : (j + 1) * p]
     if kind == "psig":
         off = g_off(j)
-        return W.w[k][i * p : (i + 1) * p, off : off + bundle.fits[(j, k)].d]
+        return W[k][i * p : (i + 1) * p, off : off + bundle.fits[(j, k)].d]
     if kind == "gg":
         oi, oj = g_off(i), g_off(j)
-        return W.w[k][oi : oi + bundle.fits[(i, k)].d, oj : oj + bundle.fits[(j, k)].d]
+        return W[k][oi : oi + bundle.fits[(i, k)].d, oj : oj + bundle.fits[(j, k)].d]
     raise ValueError(f"unknown subset kind {kind!r}")
 
 
@@ -215,9 +215,9 @@ def godambe_direct(bundle, W):
     total = np.zeros((s.shape[1], s.shape[1]))
     row = 0
     for k in range(bundle.K):
-        dim = W.w[k].shape[0]
+        dim = W[k].shape[0]
         sk = s[row : row + dim, :]
-        total += sk.T @ W.w[k] @ sk
+        total += sk.T @ W[k] @ sk
         row += dim
     return total
 
@@ -259,9 +259,10 @@ def arrowhead_information(bundle):
 
 def group_information(fits, w):
     """(I_k, r_k, S_k, v_k) of one group by a loop over its blocks, six
-    slice assignments each: the reference for
-    :func:`blockgmm.combine.build_C`'s one-scatter assembly, which must
-    give the same bits."""
+    slice assignments each, with its explicit weights W_k: the reference
+    for :func:`blockgmm.combine.build_C`, whose one-scatter S_k and v_k
+    must have the same bits, and whose solve with V_k must give I_k and
+    r_k to round-off."""
     J, p = len(fits), fits[0].p
     d_k = sum(fit.d for fit in fits)
     s = np.zeros((J * p + d_k, p + d_k))
@@ -307,7 +308,7 @@ def stacked_estfun_pass(blocks, bundle, theta, zeta_list):
 def gmm_objective(bundle, W, theta, zeta_list):
     """Q_N = T_N' W T_N at arbitrary parameters, T_N from the block moments."""
     parts = _stacked_estfun(bundle, theta, zeta_list)
-    return sum(float(tk @ W.w[k] @ tk) for k, tk in enumerate(parts))
+    return sum(float(tk @ W[k] @ tk) for k, tk in enumerate(parts))
 
 
 def gmm_oracle(bundle, W, init_theta, init_zeta, gtol=1e-7):

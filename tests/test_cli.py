@@ -884,6 +884,20 @@ class TestGroupSizeRule:
         assert capsys.readouterr().err == f"simulate: {too_few_subjects(2, 6, self.DIM)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--K", 1, "--M-list", 6, "--K-list", 50], "K=50 groups need 1 <= K <= N, got N=20"),
+        (["--K", 50], "K=50 groups need 1 <= K <= N, got N=20"),
+        (["--K", 1, "--M", 5, "--J", 3],
+         "J=3 blocks of >= 2 responses need 1 <= J <= M/2, got M=5"),
+    ], ids=["grid-cell", "design", "blocks"])
+    def test_simulate_plan_rule(self, tmp_path, capsys, argv, message):
+        # named up front as fit names it, before any replication
+        out = tmp_path / "out"
+        assert run(["simulate", "--family", "global-ar1", "--N", 20, "--M", 6, "--J", 2,
+                    "--reps", 2, *argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not out.exists()
+
     @SIZES
     def test_archive_with_lowered_group_size(self, fitted_bundle_zip, tmp_path, capsys, n):
         # the fitted plan holds two groups of 40; plan.txt is edited by hand

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import io
 import zipfile
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from blockgmm import inference, simstudy
 from blockgmm.combine import (
+    GroupSummary,
     SummaryBundle,
     _condition,
-    _invert_group,
     _BLOCK_TABLE,
     _runs,
     _stack_sensitivities,
@@ -26,12 +27,15 @@ from blockgmm.combine import (
     split_bundle,
 )
 from blockgmm.dataio import Dataset
-from blockgmm.engines import BlockFit, BlockRecord
+from blockgmm.engines import KINDS, BlockFit, BlockRecord
 from blockgmm.errors import BlockGmmError, CombineError
 from blockgmm.partition import PartitionPlan, make_plan
 
 import oracles
 from conftest import make_ar1_design
+
+# the module; the package binds the name ``combine`` to the function
+combine_module = importlib.import_module("blockgmm.combine")
 
 
 def synthetic_bundle(scores_by_block, sens_by_block, theta_by_block,
@@ -192,14 +196,14 @@ class TestInvertVhat:
             K=1,
         )
         W = invert_vhat((np.eye(1),), bundle)
-        np.testing.assert_allclose(W.w[0], np.eye(1))
+        np.testing.assert_allclose(W[0], np.eye(1))
 
     def test_hand_inverse_2x2(self, fitted_bundle):
         bundle, _ = fitted_bundle
         vk = np.array([[2.0, 1.0], [1.0, 2.0]])
         W = invert_vhat((vk,) * bundle.K, bundle)
         np.testing.assert_allclose(
-            W.w[0], [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]], atol=1e-12
+            W[0], [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]], atol=1e-12
         )
 
     def test_w_times_v_is_identity_on_random_pd(self, fitted_bundle):
@@ -212,7 +216,7 @@ class TestInvertVhat:
         W = invert_vhat(tuple(vs), bundle)
         for k in range(bundle.K):
             np.testing.assert_allclose(
-                W.w[k] @ vs[k], np.eye(7), atol=1e-10
+                W[k] @ vs[k], np.eye(7), atol=1e-10
             )
 
     def test_indefinite_block_is_a_hard_error(self, fitted_bundle):
@@ -236,9 +240,9 @@ class TestInvertVhat:
         W = invert_vhat(vhat, bundle)
         for k in range(bundle.K):
             dim = vhat[k].shape[0]
-            resid = W.w[k] @ vhat[k] - np.eye(dim)
+            resid = W[k] @ vhat[k] - np.eye(dim)
             assert np.linalg.norm(resid) / np.sqrt(dim) <= 1e-8
-            np.testing.assert_allclose(W.w[k], W.w[k].T, atol=1e-10)
+            np.testing.assert_allclose(W[k], W[k].T, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 40), extra=st.integers(1, 60), seed=st.integers(0, 10**6))
@@ -247,14 +251,16 @@ class TestInvertVhat:
         # scipy's cho_solve on the package's own Cholesky factor is the
         # oracle, in the tests only.  Sharing the factor makes the bound
         # measure the inverse alone: scipy's and numpy's factors differ by
-        # up to 6e-12 where the scaled condition nears 1e6
+        # up to 6e-12 where the scaled condition nears 1e6.  V_k is exactly
+        # symmetric where it is formed, as here
         rng = np.random.default_rng(seed)
         n = dim + extra
         tau = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-4, 4, dim)
         vk = tau.T @ tau / n
-        w = _invert_group(vk, 0, n)
+        vk = 0.5 * (vk + vk.T)
+        (w,) = invert_vhat((vk,), SummaryBundle(plan=make_plan(2, n, 1, 1), groups={}))
         assert np.array_equal(w, w.T)
-        factor = np.linalg.cholesky(0.5 * (vk + vk.T))
+        factor = np.linalg.cholesky(vk)
         expected = scipy.linalg.cho_solve((factor, True), np.eye(dim))
         assert max_rel(w, expected) <= 3e-15
 
@@ -292,7 +298,7 @@ class TestSubsetV:
                 ]
             )
             np.testing.assert_array_equal(
-                tiled, W.w[k][: J * p, : J * p]
+                tiled, W[k][: J * p, : J * p]
             )
 
     def test_gg_diagonal_subset_is_principal_and_symmetric(self, fitted_bundle):
@@ -379,12 +385,16 @@ class TestBuildC:
         ]
         dim = len(ds) * p + sum(ds)
         g = rng.standard_normal((dim, dim))
-        w = g @ g.T + dim * np.eye(dim)
-        info, rhs, s, v = oracles.group_information(fits, w)
+        vhat = g @ g.T + dim * np.eye(dim)
+        info, rhs, s, v = oracles.group_information(fits, np.linalg.inv(vhat))
         mine_s, mine_v = _stack_sensitivities(fits)
-        mine_info, mine_rhs = build_C(fits, w)
-        for mine, theirs in ((mine_s, s), (mine_v, v), (mine_info, info), (mine_rhs, rhs)):
+        for mine, theirs in ((mine_s, s), (mine_v, v)):
             assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        # the solve with V_k against the explicit inverse: round-off only
+        mine_info, mine_rhs = build_C(fits, vhat)
+        assert mine_info.shape == info.shape and mine_rhs.shape == rhs.shape
+        if info.size:
+            assert max_rel(mine_info, info) <= 1e-12 and max_rel(mine_rhs, rhs) <= 1e-12
 
     def test_single_block_c_is_whole_information(self):
         design = make_ar1_design(N=80, M=6, J=1, K=1)
@@ -396,12 +406,17 @@ class TestBuildC:
 
 
 class TestCombine:
-    def test_fit_carries_its_weights(self, fitted_bundle):
+    def test_fit_carries_no_weights(self, fitted_bundle):
+        # W_k is applied by solves with V_k; neither the fit nor a group
+        # summary keeps an explicit inverse
         bundle, _ = fitted_bundle
-        rebuilt = invert_vhat(assemble_vhat(bundle), bundle)
-        W = combine(bundle).W
-        for mine, theirs in zip(W.w, rebuilt.w, strict=True):
-            np.testing.assert_array_equal(mine, theirs)
+        fit = combine(bundle)
+        assert [f.name for f in dataclasses.fields(fit)] == [
+            "theta", "zeta", "cov_theta", "variances", "N", "p", "diagnostics",
+        ]
+        assert [f.name for f in dataclasses.fields(GroupSummary)] == [
+            "n", "vhat", "info", "rhs", "blocks",
+        ]
 
     def test_degenerate_single_block(self):
         design = make_ar1_design(N=100, M=8, J=1, K=1)
@@ -477,7 +492,7 @@ class TestCombine:
         # the theta Schur complement is N * cov_theta^{-1}
         expected = np.linalg.cond(cov[:p, :p])
         assert abs(fit.diagnostics["theta_schur_condition"] / expected - 1) <= 1e-8
-        info = oracles.combined_information(bundle, fit.W)
+        info = oracles.combined_information(bundle, invert_vhat(assemble_vhat(bundle), bundle))
         conds = fit.diagnostics["nuisance_condition"]
         assert len(conds) == bundle.K
         for k in range(bundle.K):
@@ -493,7 +508,7 @@ class TestCombine:
         bundle, _ = simstudy.fit_dataset(ar1_dataset, 2, 3, "gee-independence")
         fit = combine(bundle)
         assert fit.diagnostics["weight_dim_ratio"] == (8 / 67, 8 / 67, 8 / 66)
-        assert [w.shape[0] for w in fit.W.w] == [8, 8, 8]
+        assert [bundle.groups[k].vhat.shape[0] for k in range(3)] == [8, 8, 8]
         buf = io.BytesIO()
         save_bundle(bundle, buf)
         loaded = combine(load_bundle(buf))
@@ -580,6 +595,68 @@ class TestCombine:
         assert _runs([0, 2, 3, 4, 7, 9, 10]) == "0, 2..4, 7, 9..10"
 
 
+def same_bits(a, b) -> bool:
+    """Whether two summary values hold the same bits, field by field."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, str):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOneWeightPath:
+    """W_k = V_k^{-1} is applied by solves with V_k and formed nowhere on
+    the fit, load or test path; a group summary is what its archive
+    stores."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls, inverse = [], combine_module._cholesky_inverse
+
+        def counted(vk):
+            calls.append(vk.shape)
+            return inverse(vk)
+
+        monkeypatch.setattr(combine_module, "_cholesky_inverse", counted)
+        return calls
+
+    def test_only_the_combination_inverts(self, inversions, tmp_path):
+        data = simstudy.generate(make_ar1_design(N=120, M=8, J=2, K=3, seed=4), 0)
+        bundle, _ = simstudy.fit_dataset(data, 2, 3, "gee-ar1")
+        assert inversions == []
+        save_bundle(bundle, tmp_path / "bundle.zip")
+        loaded = load_bundle(tmp_path / "bundle.zip")
+        assert inversions == []
+        inference.infer(loaded)
+        # each D_k, then the theta Schur complement
+        assert inversions == [(4, 4)] * 3 + [(3, 3)]
+        for k, summary in bundle.groups.items():
+            for f in dataclasses.fields(GroupSummary):
+                assert same_bits(getattr(loaded.groups[k], f.name), getattr(summary, f.name))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solves_match_the_explicit_inverse(self, kind):
+        # I_k, r_k and the over-id statistic against S_k' W_k S_k,
+        # S_k' W_k v_k and N T_N' W T_N with the explicit W_k
+        data = simstudy.generate(make_ar1_design(N=120, M=10, J=2, K=2, seed=8), 0)
+        bundle, _ = oracles.fit_bundle(data, 2, 2, kind)
+        W = invert_vhat(assemble_vhat(bundle), bundle)
+        for k, summary in bundle.groups.items():
+            fits = [bundle.block_fits[(j, k)] for j in range(bundle.J)]
+            info, rhs, _, _ = oracles.group_information(fits, W[k])
+            assert max_rel(summary.info, info) <= 1e-12
+            assert max_rel(summary.rhs, rhs) <= 1e-12
+        fit = combine(bundle)
+        stat = inference.overid_test(None, bundle, fit)[0]
+        expected = fit.N * oracles.gmm_objective(bundle, W, fit.theta, fit.zeta)
+        assert abs(stat - expected) <= 1e-12 * expected
+
+
 class TestBundleSerialization:
     def test_save_load_round_trip(self, fitted_bundle, tmp_path):
         bundle, _ = fitted_bundle
@@ -602,7 +679,7 @@ class TestBundleSerialization:
         for k, summary in loaded.groups.items():
             built = bundle.groups[k]
             assert summary.n == built.n == bundle.plan.group_sizes[k]
-            for name in ("vhat", "w", "info", "rhs"):
+            for name in ("vhat", "info", "rhs"):
                 assert getattr(summary, name).tobytes() == getattr(built, name).tobytes()
         combined_a = combine(bundle)
         combined_b = combine(loaded)
@@ -610,8 +687,8 @@ class TestBundleSerialization:
         assert combined_a.zeta.tobytes() == combined_b.zeta.tobytes()
         assert combined_a.cov_theta.tobytes() == combined_b.cov_theta.tobytes()
         assert combined_a.variances.tobytes() == combined_b.variances.tobytes()
-        assert inference.overid_test(None, loaded, combined_b, combined_b.W) == (
-            inference.overid_test(None, bundle, combined_a, combined_a.W)
+        assert inference.overid_test(None, loaded, combined_b) == (
+            inference.overid_test(None, bundle, combined_a, None)
         )
 
     def test_zero_score_column_is_not_positive_definite(self, fitted_bundle):
@@ -686,10 +763,10 @@ class TestBundleSerialization:
         in_memory = combine(bundle)
         for name in ("theta", "zeta", "cov_theta", "variances"):
             assert getattr(from_files, name).tobytes() == getattr(in_memory, name).tobytes()
-        for mine, theirs in zip(from_files.W.w, in_memory.W.w):
-            assert mine.tobytes() == theirs.tobytes()
-        assert inference.overid_test(None, merged, from_files, from_files.W) == (
-            inference.overid_test(None, bundle, in_memory, in_memory.W)
+        for k, summary in merged.groups.items():
+            assert summary.vhat.tobytes() == bundle.groups[k].vhat.tobytes()
+        assert inference.overid_test(None, merged, from_files, None) == (
+            inference.overid_test(None, bundle, in_memory, None)
         )
 
     def test_saved_archives_are_byte_identical(self, fitted_bundle, tmp_path):
@@ -761,7 +838,7 @@ class TestBundleSerialization:
         try:
             loaded = load_bundle(damaged)
             fit = combine(loaded, allow_unconverged=True)
-            inference.overid_test(None, loaded, fit, fit.W)
+            inference.overid_test(None, loaded, fit, None)
         except BlockGmmError:
             pass
 

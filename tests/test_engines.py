@@ -247,9 +247,11 @@ class TestSampleSensitivity:
         worst = 0.0
         for trial in range(20):
             p = int(rng.integers(1, 4))
+            # one block of the whole response (the generator reads no J)
             design = make_ar1_design(
                 N=int(rng.integers(40, 120)),
                 M=int(rng.integers(2, 12)),
+                J=1,
                 theta0=tuple(rng.uniform(-2.0, 2.0, p)),
                 sigma=float(rng.uniform(0.5, 3.0)),
                 rho=float(rng.uniform(-0.3, 0.7)),

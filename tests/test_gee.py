@@ -179,7 +179,7 @@ class TestFitGeeBlock:
         # rho of both signs, M = 2 and a single-covariate design
         for seed, (M, p, rho) in enumerate([(8, 3, 0.6), (2, 3, -0.4), (6, 1, 0.0), (11, 2, -0.7)]):
             design = make_ar1_design(
-                N=120, M=M, theta0=(0.3, 0.6, 0.8)[:p], rho=rho, seed=900 + seed
+                N=120, M=M, J=1, theta0=(0.3, 0.6, 0.8)[:p], rho=rho, seed=900 + seed
             )
             block = one_block(simstudy.generate(design, 0))
             theta, zeta, converged, iterations, clamped = fit_alone(block, structure)

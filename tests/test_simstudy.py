@@ -14,7 +14,7 @@ from blockgmm import partition, simstudy
 from blockgmm.combine import combine, save_bundle
 from blockgmm.dataio import Dataset
 from blockgmm.engines import KINDS, BlockRecord, fit_block, nuisance_dim
-from blockgmm.errors import BlockGmmError, CombineError, DataError, SolverError
+from blockgmm.errors import BlockGmmError, CombineError, DataError, PlanError, SolverError
 
 import oracles
 from conftest import column_subset, make_ar1_design, near_unit_root_dataset, too_few_subjects
@@ -112,6 +112,24 @@ class TestSimDesignValidation:
             simstudy.SimDesign(N=31, J=2, K=3)
         assert str(info.value) == too_few_subjects(1, 10, 10)
 
+    def test_more_groups_than_subjects_is_named_as_a_fit_names_it(self):
+        data = simstudy.generate(make_ar1_design(N=20, M=6, J=1, K=1), 0)
+        with pytest.raises(PlanError) as fitted:
+            simstudy.fit_dataset(data, 1, 50, "gee-ar1")
+        with pytest.raises(PlanError) as designed:
+            simstudy.SimDesign(N=20, M=6, J=1, K=50)
+        assert str(designed.value) == str(fitted.value) == "K=50 groups need 1 <= K <= N, got N=20"
+
+    def test_more_blocks_than_half_the_responses_is_named_up_front(self):
+        # global-ar1 takes any M, so J = 3 blocks of M = 5 responses passed
+        # the family check and failed every replication
+        with pytest.raises(PlanError, match=r"^J=3 blocks of >= 2 responses need 1 <= J <= M/2, "
+                                            r"got M=5$"):
+            simstudy.SimDesign(family="global-ar1", N=200, M=5, J=3, K=1)
+        # kronecker-nested with J = M: blocks of one response
+        with pytest.raises(PlanError, match=r"^J=4 blocks of >= 2 responses"):
+            simstudy.SimDesign(N=200, M=4, J=4, K=1)
+
 
 class TestGenerators:
     def test_seed_stability(self):
@@ -139,10 +157,11 @@ class TestGenerators:
             ("kronecker-nested", dict()),
             ("kronecker-nested", dict(theta0=(0.7,), M=20, J=4)),
             ("kronecker-nested", dict(theta0=(0.2, 0.4), M=9, J=3, rho=-0.3)),
-            ("kronecker-nested", dict(M=5, J=5, K=1)),  # one group of 40 > J (p + d)
+            # blocks of 2 responses, the fewest a plan admits; one group of 40 > J (p + d)
+            ("kronecker-nested", dict(M=10, J=5, K=1)),
         ],
         ids=["ar1", "ar1-negative-rho", "ar1-zero-rho", "ar1-p1", "ar1-M2",
-             "kron", "kron-p1", "kron-p2", "kron-m1"],
+             "kron", "kron-p1", "kron-p2", "kron-m2"],
     )
     def test_generator_is_bit_identical_to_subject_loop(self, family, overrides, seed, reps):
         design = make_ar1_design(N=40, family=family, seed=seed, **overrides)
@@ -392,7 +411,7 @@ class TestStackedSolve:
         assert sorted(bundle.groups) == [0, 1, 2]
         for k, summary in bundle.groups.items():
             expected = fitted.groups[k]
-            for name in ("vhat", "w", "info", "rhs"):
+            for name in ("vhat", "info", "rhs"):
                 assert _same_bits(getattr(summary, name), getattr(expected, name)), (k, name)
             assert summary.n == expected.n
             for j, record in enumerate(summary.blocks):
@@ -678,6 +697,9 @@ class TestGridPlotData:
         assert str(info.value) == too_few_subjects(2, 6, 10)
         with pytest.raises(CombineError):
             simstudy.run_study(design, [6], [1, 3])
+        # a cell of more groups than subjects
+        with pytest.raises(PlanError, match=r"^K=50 groups need 1 <= K <= N, got N=20$"):
+            simstudy.grid_plot_data(design, [6], [1, 50])
         assert reps == []
 
 
