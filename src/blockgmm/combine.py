@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engines import (
-    KINDS, BlockRecord, _flat_moments, _moments_size, _unflat_moments, nuisance_dim,
+    KINDS, BlockRecord, _moment_fields, _moments_size, _unflat_moments, nuisance_dim,
 )
 from .errors import CombineError, ConvergenceError
 from .partition import PartitionPlan, format_plan, parse_plan
@@ -262,32 +262,50 @@ def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> tuple:
     return tuple(out)
 
 
-def _stack_sensitivities(fits: list):
-    """(S_k, v_k) of :func:`build_C` from the group's J block fits.
+# (p, (d_1 .. d_J)) -> the scatter grid of _stack_sensitivities for a group
+# of that shape: a plain dict, so that no module attribute carries a wrapper
+_SCATTER = {}
 
-    Every block's entries land by one scatter.  Block j's local
-    coordinate t (t < p + d_j) is the stacked row j p + t and the
-    column t for t < p (theta), and the row Jp + off_j + t - p and the
-    column off_j + t for t >= p (its nuisance), with off_j the nuisance
+
+def _scatter_grid(p: int, ds: tuple) -> tuple:
+    """(entries, rows, d_k) of a group of J = len(ds) blocks with p
+    covariates and nuisance dimensions ds: the flat positions in S_k of
+    every block's sensitivity entries, in block then row-major order, and
+    the rows of v_k of every block's coordinates, built once per shape.
+
+    Block j's local coordinate t (t < p + d_j) is the stacked row j p + t
+    and the column t for t < p (theta), and the row Jp + off_j + t - p and
+    the column off_j + t for t >= p (its nuisance), with off_j the nuisance
     dimensions of the blocks before it.  A (J, max_j p + d_j) grid holds
     these for every block, and ``held`` marks the coordinates a block has.
     """
+    grid = _SCATTER.get((p, ds))
+    if grid is None:
+        J, d = len(ds), np.array(ds)
+        d_k = int(d.sum())
+        off = (np.cumsum(d) - d)[:, None]
+        t = np.arange(p + d.max())
+        held = t < p + d[:, None]
+        cols = np.where(t < p, t, off + t)
+        rows = np.where(t < p, np.arange(J)[:, None] * p + t, (J - 1) * p + cols)
+        # the flat index of every (row, column) pair of a block, in its row-major order
+        flat = (rows * (p + d_k))[:, :, None] + cols[:, None, :]
+        entries, rows = flat[held[:, :, None] & held[:, None, :]], rows[held]
+        entries.flags.writeable = rows.flags.writeable = False  # shared by every caller
+        grid = _SCATTER[(p, ds)] = (entries, rows, d_k)
+    return grid
+
+
+def _stack_sensitivities(fits: list):
+    """(S_k, v_k) of :func:`build_C` from the group's J block fits: every
+    block's entries land by one scatter on the grid of
+    :func:`_scatter_grid`."""
     J, p = len(fits), fits[0].p
-    ds = np.array([fit.d for fit in fits], dtype=int)
-    d_k = int(ds.sum())
-    off = (np.cumsum(ds) - ds)[:, None]
-    t = np.arange(p + ds.max())
-    held = t < p + ds[:, None]
-    cols = np.where(t < p, t, off + t)
-    rows = np.where(t < p, np.arange(J)[:, None] * p + t, (J - 1) * p + cols)
+    entries, rows, d_k = _scatter_grid(p, tuple(fit.d for fit in fits))
     s = np.zeros((J * p + d_k, p + d_k))
-    # the flat index of every (row, column) pair of a block, in its row-major order
-    flat = (rows * (p + d_k))[:, :, None] + cols[:, None, :]
-    s.reshape(-1)[flat[held[:, :, None] & held[:, None, :]]] = np.concatenate(
-        [fit.sensitivity.ravel() for fit in fits]
-    )
+    s.reshape(-1)[entries] = np.concatenate([fit.sensitivity for fit in fits], axis=None)
     v = np.empty(J * p + d_k)
-    v[rows[held]] = np.concatenate(
+    v[rows] = np.concatenate(
         [fit.sensitivity @ np.concatenate([fit.theta_hat, fit.zeta_hat]) for fit in fits]
     )
     return s, v
@@ -452,10 +470,11 @@ def _upper(dim: int) -> np.ndarray:
 
 
 def _group_numbers(summary: GroupSummary) -> list:
-    """Group k's share of numbers.bin, as a list of 1-d arrays."""
-    parts = [summary.vhat[_upper(len(summary.vhat))], summary.info.ravel(), summary.rhs]
+    """Group k's share of numbers.bin, as the arrays (of any shape) and
+    floats that :func:`save_bundle` ravels and concatenates."""
+    parts = [summary.vhat[_upper(len(summary.vhat))], summary.info, summary.rhs]
     for record in summary.blocks:
-        parts += [record.theta_hat, record.zeta_hat, _flat_moments(record.moments, record.kind)]
+        parts += [record.theta_hat, record.zeta_hat, *_moment_fields(record.moments, record.kind)]
     return parts
 
 
@@ -464,7 +483,8 @@ def save_bundle(bundle: SummaryBundle, path) -> None:
     subject group the bundle holds, its summary and its blocks' records.
 
     Works for whole bundles, :func:`split_bundle` parts and loaded bundles
-    alike, because each group's summary stands alone.
+    alike, because each group's summary stands alone.  numbers.bin is one
+    concatenation of every group's numbers.
     """
     if not bundle.groups:
         raise CombineError("bundle holds no subject group to save")
@@ -473,12 +493,14 @@ def save_bundle(bundle: SummaryBundle, path) -> None:
         (k, j, r.kind, r.converged, r.iterations, r.final_norm, r.rho_clamped)
         for k in ks for j, r in enumerate(bundle.groups[k].blocks)
     ], dtype=_BLOCK_TABLE)
-    numbers = np.concatenate([part for k in ks for part in _group_numbers(bundle.groups[k])])
+    numbers = np.concatenate(
+        [part for k in ks for part in _group_numbers(bundle.groups[k])], axis=None, dtype=_NUMBER
+    )
     with zipfile.ZipFile(path, "w") as zf:
         _write_member(zf, "plan.txt", format_plan(bundle.plan).encode())
         _write_member(zf, "meta.txt", f"format = {BUNDLE_FORMAT}\np = {bundle.p}\n".encode())
         _write_member(zf, "blocks.bin", table.tobytes())
-        _write_member(zf, "numbers.bin", numbers.astype(_NUMBER).tobytes())
+        _write_member(zf, "numbers.bin", numbers.tobytes())
 
 
 # what zipfile raises on damaged headers, offsets, flags or deflate streams
@@ -530,7 +552,13 @@ def _read_meta(zf: zipfile.ZipFile, path) -> int:
 
 
 def _read_groups(path, plan: PartitionPlan, p: int, table: np.ndarray, numbers: np.ndarray):
-    """k -> GroupSummary of every group in the block table, from numbers."""
+    """k -> GroupSummary of every group in the block table, from numbers.
+
+    One offset table over numbers.bin places every group's summary and
+    every block's numbers; the blocks of a group that share a layout (kind
+    and m) are read as one array of their numbers, one row per block, and
+    their moments are views of it (:func:`blockgmm.engines._unflat_moments`).
+    """
     J, rows = plan.J, table.tolist()
     ks = [row[0] for row in rows[::J]]
     if not (
@@ -545,39 +573,48 @@ def _read_groups(path, plan: PartitionPlan, p: int, table: np.ndarray, numbers: 
     for kind in kinds:
         if kind not in KINDS:
             raise CombineError(f"{path}: blocks.bin names unknown solver kind {kind!r}")
-    ds = [nuisance_dim(kind) for kind in kinds]
-    sizes = [_moments_size(kind, p, plan.block_sizes[i % J]) for i, kind in enumerate(kinds)]
-    dims = [sum(ds[g * J : (g + 1) * J]) for g in range(len(ks))]  # d_k
-    need = sum((J * p + d) * (J * p + d + 1) // 2 + (p + d) * (p + d + 1) for d in dims)
-    need += sum(p + d + size for d, size in zip(ds, sizes))
-    if numbers.size != need:
-        raise CombineError(f"{path}: numbers.bin holds {numbers.size} numbers, its blocks need {need}")
+    layouts = list(zip(kinds, plan.block_sizes * len(ks)))
+    # (kind, m) -> (d, moments size) of a block of that layout
+    sizes = {(kind, m): (nuisance_dim(kind), _moments_size(kind, p, m)) for kind, m in set(layouts)}
+    heads, starts, at = [], [], 0  # the offset table
+    for g in range(len(ks)):
+        d_k = sum(sizes[layout][0] for layout in layouts[g * J : (g + 1) * J])
+        dim, q = J * p + d_k, p + d_k
+        heads.append((at, dim, q))
+        at += dim * (dim + 1) // 2 + q * q + q
+        for layout in layouts[g * J : (g + 1) * J]:
+            starts.append(at)
+            at += p + sum(sizes[layout])
+    if numbers.size != at:
+        raise CombineError(f"{path}: numbers.bin holds {numbers.size} numbers, its blocks need {at}")
     if not np.isfinite(numbers).all():
         raise CombineError(f"{path}: member numbers.bin holds non-finite values")
-    groups, at = {}, 0
-
-    def take(size):  # the next ``size`` numbers, a view
-        nonlocal at
-        at += size
-        return numbers[at - size : at]
-
-    for g, (k, d_k) in enumerate(zip(ks, dims)):
-        dim, q, n = J * p + d_k, p + d_k, plan.group_sizes[k]
+    groups = {}
+    for g, (k, (at, dim, q)) in enumerate(zip(ks, heads)):
+        n, tri = plan.group_sizes[k], dim * (dim + 1) // 2
         upper = _upper(dim)
         vhat = np.empty((dim, dim))
-        vhat[upper] = vhat.T[upper] = take(dim * (dim + 1) // 2)
-        info, rhs = take(q * q).reshape(q, q), take(q)
-        records = []
-        for j, i in enumerate(range(g * J, (g + 1) * J)):
-            converged, iterations, final_norm, clamped = rows[i][3:]
-            theta, zeta = take(p), take(ds[i])
-            flat = take(sizes[i])
-            records.append(BlockRecord(
-                j=j, k=k, kind=kinds[i], theta_hat=theta, zeta_hat=zeta,
-                converged=converged, iterations=iterations, final_norm=final_norm,
-                rho_clamped=clamped,
-                moments=_unflat_moments(flat, kinds[i], p, n, plan.block_sizes[j]),
-            ))
+        vhat[upper] = vhat.T[upper] = numbers[at : at + tri]
+        info = numbers[at + tri : at + tri + q * q].reshape(q, q)
+        rhs = numbers[at + tri + q * q : at + tri + q * q + q]
+        held = {}
+        for j in range(J):
+            held.setdefault(layouts[g * J + j], []).append(j)
+        records = [None] * J
+        for (kind, m), js in held.items():
+            d, size = sizes[(kind, m)]
+            offsets = np.array([starts[g * J + j] for j in js])
+            block_numbers = numbers[offsets[:, None] + np.arange(p + d + size)]
+            moments = _unflat_moments(block_numbers[:, p + d :], kind, p, n, m)
+            for j, theta, zeta, mom in zip(
+                js, block_numbers[:, :p], block_numbers[:, p : p + d], moments
+            ):
+                converged, iterations, final_norm, clamped = rows[g * J + j][3:]
+                records[j] = BlockRecord(
+                    j=j, k=k, kind=kind, theta_hat=theta, zeta_hat=zeta,
+                    converged=converged, iterations=iterations, final_norm=final_norm,
+                    rho_clamped=clamped, moments=mom,
+                )
         _admit_group(vhat, k, n)
         groups[k] = GroupSummary(n, vhat, info, rhs, tuple(records))
     return groups

@@ -25,16 +25,23 @@ which the weights of the combination need: for GEE one
 share of the list (the grouping by bucket that :func:`block_moments`
 uses), for CL one pass per block.
 
-:func:`solve_blocks` ends with that scores pass, so each block's row of a
-solve (:class:`BlockSolution`) carries its scores, and
-:func:`fit_block` packages the row: it keeps the moments and the scores
-on its :class:`BlockFit` and makes no pass over the data.  Without a
-row, :func:`fit_block` solves its block as a stack of one, a slab of one
-for its scores, with the same bits.  Nothing is differentiated
-numerically and there is no step size to choose.  Once its group's
-summary is formed, a block keeps only its :class:`BlockRecord`: its
-estimates, convergence record and moments, whose float fields
-(:func:`_moment_shapes`) a bundle archive stores.
+:func:`solve_blocks` ends with that scores pass and forms every block's
+diagnostics there, an array operation per slab or per stack rather than
+per block: each block's mean score row comes from one reduction per slab
+(the ``means`` of :func:`eval_scores`), its ``final_norm`` is that row's
+2-norm, and the stacked sensitivities (the negative Jacobians) are checked
+for finiteness at once.  So each block's row of a solve
+(:class:`BlockSolution`) carries its scores, sensitivity and final norm,
+and :func:`fit_block` only packages the row on its :class:`BlockFit`,
+with no pass over the data and no arithmetic.  Without a row,
+:func:`fit_block` solves its block as a stack of one, a slab of one for
+its scores, with the same bits.  Nothing is differentiated numerically
+and there is no step size to choose.  Once its group's summary is formed,
+a block keeps only its :class:`BlockRecord`: its estimates, convergence
+record and moments, whose float fields (:func:`_moment_shapes`) a bundle
+archive stores; a loaded group's records take their moments from
+:func:`_unflat_moments`, as views of one array per run of blocks of one
+layout.
 """
 
 from __future__ import annotations
@@ -135,7 +142,10 @@ class BlockFit(BlockRecord):
 
     def record(self) -> BlockRecord:
         """The block's record, without its scores and sensitivity."""
-        return BlockRecord(**{f.name: getattr(self, f.name) for f in fields(BlockRecord)})
+        return BlockRecord(**{name: getattr(self, name) for name in _RECORD_FIELDS})
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(BlockRecord))
 
 
 def _moment_shapes(kind: str, p: int, m: int) -> tuple:
@@ -150,28 +160,30 @@ def _moment_shapes(kind: str, p: int, m: int) -> tuple:
     return (p,), (basis, p, p), (basis, p), (basis,)
 
 
-def _flat_moments(moments: tuple, kind: str) -> np.ndarray:
-    """The float fields of a block's moments, raveled and concatenated."""
-    fields_ = moments if kind == "cl-ar1" else moments[:4]
-    return np.concatenate([np.ravel(part) for part in fields_])
+def _moment_fields(moments: tuple, kind: str) -> tuple:
+    """The float fields of a block's moments, in :func:`_moment_shapes`
+    order."""
+    return moments if kind == "cl-ar1" else moments[:4]
 
 
 def _moments_size(kind: str, p: int, m: int) -> int:
     return sum(math.prod(shape) for shape in _moment_shapes(kind, p, m))
 
 
-def _unflat_moments(flat: np.ndarray, kind: str, p: int, n: int, m: int) -> tuple:
-    """The moments of a block of n subjects from :func:`_flat_moments`; the
-    arrays are views of ``flat``."""
+def _unflat_moments(flat: np.ndarray, kind: str, p: int, n: int, m: int) -> list:
+    """The moments of B blocks of one kind, each of n subjects and m
+    responses, from the float fields of each block's moments raveled and
+    concatenated, one row of ``flat`` (B, :func:`_moments_size`) per block;
+    the arrays are views of ``flat``."""
     parts, at = [], 0
     for shape in _moment_shapes(kind, p, m):
         size = math.prod(shape)
-        parts.append(flat[at : at + size].reshape(shape))
+        parts.append(flat[:, at : at + size].reshape(len(flat), *shape))
         at += size
     if kind == "cl-ar1":
         start, gv, gw, sigma2, rho = parts
-        return composite.LagMoments(start, gv, gw, float(sigma2), float(rho))
-    return gee.GeeMoments(*parts, n, m)
+        return list(map(composite.LagMoments, start, gv, gw, sigma2.tolist(), rho.tolist()))
+    return [gee.GeeMoments(*row, n, m) for row in zip(*parts)]
 
 
 def _check_responses(block: BlockData, kind: str) -> None:
@@ -250,14 +262,19 @@ def block_means(moments: list, theta, zetas, kind: str, jacobian: bool = False):
     return gee.mean_terms(gee.stack_moments(moments), thetas, zetas, structure, jacobian)
 
 
-def eval_scores(blocks: list, theta, zetas, kind: str) -> list:
+def eval_scores(blocks: list, theta, zetas, kind: str, means=None) -> list:
     """The per-subject score matrix (n_k, p + d_jk) of each of B blocks of
     one kind, block b at zetas[b] and at theta, shared (p,) or row b of
     (B, p), from one residual pass.  GEE blocks take one
     :func:`blockgmm.gee.gee_scores` call per slab of each bucket's share of
     the list, CL blocks one :func:`blockgmm.composite.cl_scores` call each;
     a block's rows have the same bits in any list.  A kind with a rho
-    needs at least two responses, as :func:`block_moments` checks."""
+    needs at least two responses, as :func:`block_moments` checks.
+
+    ``means``, a (B, p + d_jk) array if given, receives each block's mean
+    score row in row b, one reduction per slab, with the bits of that
+    block's ``scores.mean(axis=0)``; a mean that overflows reads inf.
+    """
     structure = _structure(kind)
     for block in blocks:
         _check_responses(block, kind)
@@ -265,15 +282,24 @@ def eval_scores(blocks: list, theta, zetas, kind: str) -> list:
     thetas = np.broadcast_to(theta, (len(blocks), theta.shape[-1]))
     zetas = np.asarray(zetas, dtype=float)
     if kind == "cl-ar1":
-        return [composite.cl_scores(block, th, zeta)
-                for block, th, zeta in zip(blocks, thetas, zetas)]
+        slabs = [
+            ([b], composite.cl_scores(block, th, zeta)[None])
+            for b, (block, th, zeta) in enumerate(zip(blocks, thetas, zetas))
+        ]
+    else:
+        slabs = [
+            (positions[at], gee.gee_scores(y[at], X[at], thetas[positions[at]],
+                                           zetas[positions[at]], structure))
+            for positions, y, X, _ in _bucket_shares(blocks)
+            for at in gee._slabs(X)
+        ]
     scores = [None] * len(blocks)
-    for positions, y, X, _ in _bucket_shares(blocks):
-        for at in gee._slabs(X):
-            held = positions[at]
-            slab = gee.gee_scores(y[at], X[at], thetas[held], zetas[held], structure)
-            for pos, rows in zip(held, slab):
-                scores[pos] = rows
+    for held, slab in slabs:
+        for pos, rows in zip(held, slab):
+            scores[pos] = rows
+        if means is not None:
+            with np.errstate(over="ignore"):
+                means[held] = slab.mean(axis=1)
     return scores
 
 
@@ -292,16 +318,20 @@ def sample_sensitivity(block: BlockData, theta, zeta, kind: str) -> np.ndarray:
 
 
 def _finite(sens: np.ndarray) -> np.ndarray:
+    """``sens``, one sensitivity (q, q) or a stack (B, q, q), if every entry
+    is finite; otherwise a NumericDomainError naming the first non-finite
+    entry of the first block that has one."""
     if not np.isfinite(sens).all():
-        r, c = np.argwhere(~np.isfinite(sens))[0]
+        *_, r, c = np.argwhere(~np.isfinite(sens))[0]
         raise NumericDomainError(f"non-finite sensitivity entry at ({r}, {c})")
     return sens
 
 
 class BlockSolution(NamedTuple):
     """A block's row of a solve: its estimates, convergence record and
-    moments, the Jacobian of its mean estimating function at the estimates,
-    and its per-subject scores there."""
+    moments, its sensitivity (the negative Jacobian of its mean estimating
+    function) at the estimates, its per-subject scores there and the norm
+    of their mean."""
 
     theta: np.ndarray
     zeta: np.ndarray
@@ -309,8 +339,9 @@ class BlockSolution(NamedTuple):
     iterations: int
     clamped: bool
     moments: tuple
-    jacobian: np.ndarray
+    sensitivity: np.ndarray
     scores: np.ndarray
+    final_norm: float
 
 
 def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> list:
@@ -320,9 +351,12 @@ def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> 
     parameters, and at least two responses where d = 2 (a rho), the first
     bad block in list order named.  Then one :func:`block_moments` pass,
     the kernel's solve on the moments alone (GEE: one stacked alternation
-    over all the blocks; CL: each block's damped Newton), and the
-    Jacobians at the solution in one :func:`block_means` call, and the
-    scores there in one :func:`eval_scores` call.  A block's row has the
+    over all the blocks; CL: each block's damped Newton), the Jacobians at
+    the solution in one :func:`block_means` call, and the scores there in
+    one :func:`eval_scores` call with their means, one reduction per slab.
+    The stacked sensitivities are checked for finiteness at once, the
+    first non-finite entry of the first such block named, and each block's
+    final norm is the 2-norm of its mean score row.  A block's row has the
     same bits in any stack or bucket, a stack of one included.
     """
     opts = opts or SolverOptions()
@@ -345,11 +379,17 @@ def solve_blocks(blocks: list, kind: str, opts: SolverOptions | None = None) -> 
             tol=opts.tol, max_iter=opts.max_iter,
         )
     _, jac = block_means(moments, theta, zeta, kind, jacobian=True)
-    scores = eval_scores(blocks, theta, zeta, kind)
+    means = np.empty((len(blocks), jac.shape[-1]))
+    scores = eval_scores(blocks, theta, zeta, kind, means)
+    sens = _finite(-jac)
+    # a norm that overflows is recorded as inf; v @ v is the dot product
+    # that np.linalg.norm takes, with its bits
+    with np.errstate(over="ignore"):
+        norms = [math.sqrt(v @ v) for v in means]
     return [
         BlockSolution(
             theta[b], zeta[b], bool(converged[b]), int(iterations[b]), bool(clamped[b]),
-            moments[b], jac[b], scores[b],
+            moments[b], sens[b], scores[b], norms[b],
         )
         for b in range(len(blocks))
     ]
@@ -365,17 +405,12 @@ def fit_block(
 
     ``solution`` is the block's row of :func:`solve_blocks`; without it the
     block is solved alone, as a stack of one and a slab of one.  The row
-    carries the scores, and the sensitivity is its negative Jacobian.
+    carries the scores, the sensitivity and the final score norm, so this
+    only packages it.
     """
     if solution is None:
         solution = solve_blocks([block], kind, opts)[0]
-    theta, zeta, converged, iterations, clamped, moments, jac, scores = solution
-    sens = _finite(-jac)
-    # a rho held at the clamp leaves its moment equation unsolved
-    converged = converged and not clamped
-    # a norm that overflows is recorded as inf
-    with np.errstate(over="ignore"):
-        final_norm = float(np.linalg.norm(scores.mean(axis=0)))
+    theta, zeta, converged, iterations, clamped, moments, sens, scores, final_norm = solution
     return BlockFit(
         j=block.j,
         k=block.k,
@@ -385,7 +420,8 @@ def fit_block(
         scores=scores,
         sensitivity=sens,
         moments=moments,
-        converged=converged,
+        # a rho held at the clamp leaves its moment equation unsolved
+        converged=converged and not clamped,
         iterations=iterations,
         final_norm=final_norm,
         rho_clamped=clamped,

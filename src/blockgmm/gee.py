@@ -162,11 +162,21 @@ def _apply_basis(structure: str, r: np.ndarray) -> tuple:
 
 
 def _shift(r: np.ndarray) -> np.ndarray:
-    """The lag-1 shift applied to every subject's row of r (..., n, m)."""
-    shift = np.empty_like(r)
-    shift[..., :-1] = r[..., 1:]
-    shift[..., -1] = 0.0
-    shift[..., 1:] += r[..., :-1]
+    """The lag-1 shift applied to every subject's row of r (..., n, m), m >= 2.
+
+    Position t takes r_{t+1} + r_{t-1}, the first position r_1 alone and the
+    last 0 + r_{m-2}.  The interior is taken on the rows laid end to end,
+    two slices of one flat array, and then the two end positions of every
+    subject, where the flat neighbours belong to another subject, are
+    rewritten; 0 + r_{m-2} keeps the sign rule of an addition (+0 for
+    -0)."""
+    flat = r.reshape(-1)
+    shift = np.empty_like(flat)
+    shift[:-1] = flat[1:]
+    shift[1:] += flat[:-1]
+    shift = shift.reshape(r.shape)
+    shift[..., 0] = r[..., 1]
+    np.add(r[..., -2], 0.0, out=shift[..., -1])
     return shift
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combine import CombinedFit, SummaryBundle, combine
-from .engines import block_means
+from .engines import block_means, nuisance_dim
 from .errors import CombineError
 
 
@@ -143,30 +143,35 @@ def _chi2_sf(df: int, x: float) -> float:
 
 
 def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
-    """T_N at arbitrary parameters: per-group (n_k/N)-weighted stacked means,
-    each block's mean from its moments, all blocks of a kind in one
-    stacked call."""
-    N, p, J = bundle.plan.N, bundle.p, bundle.J
-    records = [record for k in range(bundle.K) for record in bundle.groups[k].blocks]
+    """T_N at arbitrary parameters: per group the (n_k/N)-weighted stacked
+    means, the psi rows of its J blocks and then their g rows, as one
+    vector per group.  Each block's mean comes from its moments, all blocks
+    of a kind in one stacked call, and lands in its group's vector by one
+    scatter per kind."""
+    N, p, J, K = bundle.plan.N, bundle.p, bundle.J, bundle.K
+    records = [record for k in range(K) for record in bundle.groups[k].blocks]
+    ds = np.array([record.d for record in records])
     # zeta_list runs j-fast, k-slow, as the records do
-    bounds = np.cumsum([0] + [record.d for record in records]).tolist()
+    zeta_at = np.cumsum(ds) - ds
+    dims = J * p + ds.reshape(K, J).sum(axis=1)  # J p + d_k
+    group_at = np.cumsum(dims) - dims
+    b = np.arange(len(records))
+    psi_at = group_at[b // J] + b % J * p
+    g_at = group_at[b // J] + J * p + zeta_at - zeta_at[b // J * J]
     by_kind = {}
-    for b, record in enumerate(records):
-        by_kind.setdefault(record.kind, []).append(b)
-    means = [None] * len(records)
+    for i, record in enumerate(records):
+        by_kind.setdefault(record.kind, []).append(i)
+    stacked = np.empty(dims.sum())
     for kind, held in by_kind.items():
+        held, d = np.array(held), nuisance_dim(kind)
         rows, _ = block_means(
-            [records[b].moments for b in held], theta,
-            [zeta_list[bounds[b] : bounds[b + 1]] for b in held], kind,
+            [records[i].moments for i in held], theta,
+            zeta_list[zeta_at[held][:, None] + np.arange(d)], kind,
         )
-        for b, row in zip(held, rows):
-            means[b] = row
-    parts = []
-    for k in range(bundle.K):
-        wk = bundle.plan.group_sizes[k] / N
-        rows = means[k * J : (k + 1) * J]
-        parts.append(wk * np.concatenate([row[:p] for row in rows] + [row[p:] for row in rows]))
-    return parts
+        stacked[psi_at[held][:, None] + np.arange(p)] = rows[:, :p]
+        stacked[g_at[held][:, None] + np.arange(d)] = rows[:, p:]
+    stacked *= np.repeat(np.array(bundle.plan.group_sizes) / N, dims)
+    return np.split(stacked, group_at[1:])
 
 
 def _check_overid_input(bundle: SummaryBundle, fit: CombinedFit) -> None:

@@ -511,7 +511,9 @@ def run_study(design: SimDesign, m_values=(), k_values=(), workers: int = 1,
     :func:`grid_plot_data`, from one fan-out: the main design rides in the
     jobs of its M, so its datasets are generated once, and a grid cell equal
     to it reuses its rows.  Returns (rows, grid); the grid is None without
-    M or K values, or when every main replication failed."""
+    M and K values, or when every main replication failed.  M values
+    without K values, or the reverse, are rejected before any
+    replication."""
     cells = _cells(design, m_values, k_values)
     results = _run_designs([design, *cells], workers)
     rows = results[design]
@@ -520,6 +522,17 @@ def run_study(design: SimDesign, m_values=(), k_values=(), workers: int = 1,
 
 
 def _cells(design: SimDesign, m_values, k_values) -> list:
+    """The (M, K) grid's designs, M_list x K_list; one list given without
+    the other is a BlockGmmError naming the missing one, since the product
+    would be empty."""
+    given = {"M": list(m_values), "K": list(k_values)}
+    for name, other in (("M", "K"), ("K", "M")):
+        if given[name] and not given[other]:
+            raise BlockGmmError(
+                f"the (M, K) grid needs both lists: {name}_list = "
+                f"{','.join(map(str, given[name]))} is given without {other}_list "
+                f"(--{other}-list)"
+            )
     return [replace(design, M=int(m), K=int(k)) for m in m_values for k in k_values]
 
 

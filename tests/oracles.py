@@ -13,7 +13,9 @@ sensitivity here do, and the residual-moment alternation takes the
 nuisance moments from a pass over the residuals of every iterate, where
 the kernel uses quadratic forms in the start residuals.  The per-block
 GEE scores with scalar weights are the reference for the kernel's one
-pass over a slab of blocks.  The GEE and pairwise-CL mean estimating
+pass over a slab of blocks, and the working-correlation basis operators
+applied subject by subject and position by position are the reference
+for the kernel's flat, slab-wide application.  The GEE and pairwise-CL mean estimating
 functions and their Jacobians here come from a pass over the residuals
 at every point, where the kernels use their block moments; so does the
 data-pass T_N of the over-identification test.  The simulation
@@ -532,6 +534,71 @@ def dense_fit_gee_block(block, structure, tol=1e-8, max_iter=100):
             converged = True
             break
     return theta, zeta, converged, iterations, clamped
+
+
+# ---------------------------------------------------------------------------
+# the working-correlation basis operators, subject by subject
+
+
+def shift_loop(r):
+    """The lag-1 shift of every subject's row of r (..., n, m), one
+    position at a time: r_{t+1} + r_{t-1} inside, r_1 at the first position
+    and 0 + r_{m-2} at the last (the sum that a zero-initialised shift adds
+    to, so -0 becomes +0), in Python float arithmetic."""
+    out = np.empty_like(r)
+    m = r.shape[-1]
+    for lead in np.ndindex(r.shape[:-1]):
+        row = [float(v) for v in r[lead]]
+        for t in range(m):
+            if t == 0:
+                out[lead + (t,)] = row[1]
+            elif t == m - 1:
+                out[lead + (t,)] = 0.0 + row[m - 2]
+            else:
+                out[lead + (t,)] = row[t + 1] + row[t - 1]
+    return out
+
+
+def apply_basis_loop(structure, r):
+    """Each basis operator B_k applied to every subject's row of r
+    (..., n, m), subject by subject: I; for AR(1) the two end positions
+    and the lag-1 shift; for exchangeable 11' as the (..., n, 1) row sums,
+    each the numpy sum of that subject's own row."""
+    if structure == "independence":
+        return (r.copy(),)
+    if structure == "ar1":
+        ends = np.zeros_like(r)
+        for lead in np.ndindex(r.shape[:-1]):
+            ends[lead + (0,)] = r[lead + (0,)]
+            ends[lead + (-1,)] = r[lead + (-1,)]
+        return r.copy(), ends, shift_loop(r)
+    sums = np.empty(r.shape[:-1] + (1,))
+    for lead in np.ndindex(r.shape[:-1]):
+        sums[lead + (0,)] = np.sum(r[lead])
+    return r.copy(), sums
+
+
+def apply_inverse_loop(structure, w, r):
+    """sum_k w_k B_k r of every subject's row of r (B, n, m), weights w
+    (B, K) per block, position by position in the order the kernel adds
+    the terms: w_0 r_t, plus w_1 r_t at an end (AR(1)), plus w_2 times the
+    shift (AR(1)) or w_1 times the row sum (exchangeable)."""
+    basis = apply_basis_loop(structure, r)
+    B, n, m = r.shape
+    out = np.empty_like(r)
+    for b, i, t in np.ndindex(B, n, m):
+        wb = [float(v) for v in w[b]]
+        value = wb[0] * float(r[b, i, t])
+        if structure == "ar1":
+            if t == 0:
+                value = value + wb[1] * float(r[b, i, 0])
+            if t == m - 1:
+                value = value + wb[1] * float(r[b, i, m - 1])
+            value = value + float(basis[2][b, i, t]) * wb[2]
+        elif structure == "exchangeable":
+            value = value + wb[1] * float(basis[1][b, i, 0])
+        out[b, i, t] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -898,6 +898,20 @@ class TestGroupSizeRule:
         assert capsys.readouterr().err == f"simulate: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--K-list", 50], "", "K_list = 50 is given without M_list (--M-list)"),
+        (["--M-list", "6,8"], "", "M_list = 6,8 is given without K_list (--K-list)"),
+        ([], "K_list = 1,2\n", "K_list = 1,2 is given without M_list (--M-list)"),
+        ([], "M_list = 6\n", "M_list = 6 is given without K_list (--K-list)"),
+    ], ids=["K-flag", "M-flag", "K-config", "M-config"])
+    def test_simulate_grid_needs_both_lists(self, tmp_path, capsys, flags, config, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("family = global-ar1\nN = 20\nM = 6\nJ = 2\nK = 1\nreps = 2\n" + config)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, *flags, "--out", out]) == 1
+        assert capsys.readouterr().err == f"simulate: the (M, K) grid needs both lists: {message}\n"
+        assert not out.exists()
+
     @SIZES
     def test_archive_with_lowered_group_size(self, fitted_bundle_zip, tmp_path, capsys, n):
         # the fitted plan holds two groups of 40; plan.txt is edited by hand

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockgmm import inference, simstudy
+from blockgmm import engines, inference, simstudy
 from blockgmm.combine import (
     GroupSummary,
     SummaryBundle,
@@ -879,3 +879,106 @@ class TestBundleSerialization:
         loaded.groups[1] = dataclasses.replace(loaded.groups[1], info=loaded.groups[1].info * 1e305)
         with pytest.raises(CombineError, match="group 1 summary overflows"):
             combine(loaded)
+
+
+def archive_bytes(bundle) -> bytes:
+    buf = io.BytesIO()
+    save_bundle(bundle, buf)
+    return buf.getvalue()
+
+
+# M = 7 on J = 3: response blocks of 3, 2 and 2, so a CL group stores two
+# moment widths; N = 150 on K = 3 groups of 50
+UNEQUAL = dict(N=150, M=7, J=3, K=3)
+
+
+@pytest.fixture(scope="module")
+def unequal_fits():
+    """kind -> the bundle of one unequal-block dataset and plan, per kind."""
+    data = simstudy.generate(make_ar1_design(**UNEQUAL, seed=77), 0)
+    return {
+        kind: simstudy.fit_dataset(data, UNEQUAL["J"], UNEQUAL["K"], kind,
+                                   strategy="seeded-random", seed=5)[0]
+        for kind in KINDS
+    }
+
+
+def mixed_bundle(unequal_fits):
+    """Groups 0, 1 and 2 from the cl-ar1, gee-independence and gee-ar1 fits."""
+    kinds = ("cl-ar1", "gee-independence", "gee-ar1")
+    return merge_bundles(
+        [split_bundle(unequal_fits[kind])[k] for k, kind in enumerate(kinds)]
+    )
+
+
+class TestArchiveRoundTrip:
+    """A loaded group's records are read from one offset table over
+    numbers.bin, one array per run of blocks of one layout; saving what was
+    loaded gives the archive's bytes back."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_save_load_save_is_byte_identical(self, unequal_fits, kind):
+        bundle = unequal_fits[kind]
+        first = archive_bytes(bundle)
+        assert archive_bytes(load_bundle(io.BytesIO(first))) == first
+        for part in split_bundle(bundle):
+            saved = archive_bytes(part)
+            assert archive_bytes(load_bundle(io.BytesIO(saved))) == saved
+
+    def test_cl_group_with_two_moment_widths(self, unequal_fits):
+        bundle = unequal_fits["cl-ar1"]
+        p = bundle.p
+        assert bundle.plan.block_sizes == (3, 2, 2)
+        assert engines._moments_size("cl-ar1", p, 3) != engines._moments_size("cl-ar1", p, 2)
+        first = archive_bytes(bundle)
+        loaded = load_bundle(io.BytesIO(first))
+        assert archive_bytes(loaded) == first
+        for key, record in bundle.fits.items():
+            other = loaded.fits[key]
+            assert type(other.moments) is type(record.moments)
+            for mine, theirs in zip(other.moments, record.moments):
+                assert np.shape(mine) == np.shape(theirs)
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes()
+            assert other.moments.gv.shape[0] == bundle.plan.block_sizes[key[0]] - 1
+
+    def test_groups_fitted_with_different_kinds(self, unequal_fits):
+        merged = mixed_bundle(unequal_fits)
+        assert [merged.groups[k].blocks[0].kind for k in range(3)] == [
+            "cl-ar1", "gee-independence", "gee-ar1"
+        ]
+        first = archive_bytes(merged)
+        loaded = load_bundle(io.BytesIO(first))
+        assert archive_bytes(loaded) == first
+        in_memory, from_file = combine(merged), combine(loaded)
+        for name in ("theta", "zeta", "cov_theta", "variances"):
+            assert getattr(from_file, name).tobytes() == getattr(in_memory, name).tobytes()
+        assert inference.overid_test(None, loaded, from_file) == (
+            inference.overid_test(None, merged, in_memory)
+        )
+
+    def test_number_count_of_mixed_layouts_is_named(self, unequal_fits, tmp_path):
+        # the count the message states is each group's V_k triangle, I_k and
+        # r_k plus each block's theta, zeta and moments, here counted apart
+        merged = mixed_bundle(unequal_fits)
+        p, J = merged.p, merged.J
+        need = 0
+        for summary in merged.groups.values():
+            d_k = sum(record.d for record in summary.blocks)
+            dim, q = J * p + d_k, p + d_k
+            need += dim * (dim + 1) // 2 + q * q + q
+            for j, record in enumerate(summary.blocks):
+                need += p + record.d + engines._moments_size(
+                    record.kind, p, merged.plan.block_sizes[j]
+                )
+        with zipfile.ZipFile(io.BytesIO(archive_bytes(merged))) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        assert len(members["numbers.bin"]) == 8 * need
+        path = tmp_path / "short.zip"
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, payload in members.items():
+                zf.writestr(name, payload[:-8] if name == "numbers.bin" else payload)
+        with pytest.raises(CombineError) as info:
+            load_bundle(path)
+        assert str(info.value) == (
+            f"{path}: numbers.bin holds {need - 1} numbers, its blocks need {need}"
+        )

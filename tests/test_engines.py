@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockgmm import composite, gee, partition, simstudy
+from blockgmm import composite, engines, gee, partition, simstudy
 from blockgmm.dataio import Dataset
 from blockgmm.engines import (
     KINDS,
@@ -365,18 +365,75 @@ class TestBlockShape:
             solve_blocks([exact, small], kind)
 
 
-class TestFiniteSensitivity:
+def stack_of_blocks():
+    """Twelve blocks in sorted key order, as fit_dataset stacks them: M = 7
+    on J = 3 gives response blocks of 3, 2 and 2 (two buckets per group),
+    N = 130 on K = 4 groups of 33, 33, 32 and 32 subjects."""
+    data, _ = random_dataset(N=130, M=7, p=2, seed=23)
+    plan = partition.make_plan(data.M, data.N, 3, 4, strategy="seeded-random", seed=4)
+    blocks = partition.split(data, plan)
+    return [blocks[key] for key in sorted(blocks)]
+
+
+def poisoned_jacobians(monkeypatch, entries):
+    """Make the Jacobians of every solve non-finite at ``entries``, rows of
+    (block, r, c, value) in stack order."""
+    original = engines.block_means
+
+    def block_means(moments, theta, zetas, kind, jacobian=False):
+        rows, jac = original(moments, theta, zetas, kind, jacobian)
+        if jacobian:
+            jac = jac.copy()
+            for b, r, c, value in entries:
+                jac[b, r, c] = value
+        return rows, jac
+
+    monkeypatch.setattr(engines, "block_means", block_means)
+
+
+class TestBlockDiagnostics:
+    """solve_blocks forms every block's final norm from one reduction per
+    slab and checks the stacked sensitivities at once; fit_block packages."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_final_norm_is_the_norm_of_the_mean_score(self, kind):
+        blocks = stack_of_blocks()
+        rows = solve_blocks(blocks, kind)
+        stacked = [fit_block(block, kind, solution=row) for block, row in zip(blocks, rows)]
+        alone = [fit_block(block, kind) for block in blocks]  # stacks of one
+        for fit in stacked + alone:
+            expected = np.float64(np.linalg.norm(fit.scores.mean(axis=0)))
+            assert np.float64(fit.final_norm).tobytes() == expected.tobytes()
+            assert type(fit.final_norm) is float
+        assert [fit.final_norm for fit in stacked] == [fit.final_norm for fit in alone]
+        assert [row.final_norm for row in rows] == [fit.final_norm for fit in stacked]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_non_finite_block_is_named(self, kind, monkeypatch):
+        # blocks 5 and 9 of the stack are poisoned; block 5's first entry in
+        # row-major order, (1, 2), is named, as fit_block named it alone
+        blocks = stack_of_blocks()
+        poisoned_jacobians(monkeypatch, [(5, 2, 0, np.inf), (5, 1, 2, np.nan), (9, 0, 0, -np.inf)])
+        with pytest.raises(NumericDomainError, match=r"^non-finite sensitivity entry at \(1, 2\)$"):
+            solve_blocks(blocks, kind)
+
     @pytest.mark.parametrize("kind", ["gee-ar1", "cl-ar1"])
-    def test_first_non_finite_entry_is_named(self, kind):
-        # the solution row's Jacobian is poisoned at (3, 0) and at (1, 2); the
-        # message names the first in row-major order
+    def test_first_non_finite_entry_is_named(self, kind, monkeypatch):
+        # a stack of one poisoned at (3, 0) and at (1, 2): the message names
+        # the first in row-major order
         block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
-        row = solve_blocks([block], kind)[0]
-        jac = row.jacobian.copy()
-        jac[3, 0], jac[1, 2] = np.inf, np.nan
-        message = r"non-finite sensitivity entry at \(1, 2\)"
+        poisoned_jacobians(monkeypatch, [(0, 3, 0, np.inf), (0, 1, 2, np.nan)])
+        message = r"^non-finite sensitivity entry at \(1, 2\)$"
         with pytest.raises(NumericDomainError, match=message):
-            fit_block(block, kind, solution=row._replace(jacobian=jac))
+            fit_block(block, kind)
+
+    def test_a_row_is_only_packaged(self):
+        # the row's sensitivity and norm are taken as they are
+        block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
+        row = solve_blocks([block], "gee-ar1")[0]
+        row = row._replace(sensitivity=np.full_like(row.sensitivity, np.nan), final_norm=-1.0)
+        fit = fit_block(block, "gee-ar1", solution=row)
+        assert fit.sensitivity is row.sensitivity and fit.final_norm == -1.0
 
 
 class TestRhoClamp:

@@ -39,6 +39,56 @@ def drinv_matrix(structure, rho, m):
     return gee._apply_inverse(structure, dw, np.eye(m))
 
 
+def signed_zero_residuals(m, seed, B=3, n=7):
+    """(B, n, m) residuals, about a fifth of them +0 and a fifth -0, with a
+    -0 at the second and the next-to-last position of subject (0, 0), where
+    the shift's first and last positions read them."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((B, n, m))
+    r[rng.random(r.shape) < 0.2] = 0.0
+    r[rng.random(r.shape) < 0.2] = -0.0
+    r[0, 0, 1] = r[0, 0, m - 2] = -0.0
+    return r
+
+
+FLAT_M = pytest.mark.parametrize("m", [2, 3, 5, 50])  # at m = 2 every position is an end
+
+
+class TestFlatOperators:
+    """The basis operators run on a slab's rows laid end to end, with every
+    subject's two end positions rewritten; subject by subject, position by
+    position, bit for bit."""
+
+    @FLAT_M
+    def test_shift_matches_the_subject_loop(self, m):
+        r = signed_zero_residuals(m, seed=m)
+        for rows in (r, r[1]):  # a slab and one block
+            assert gee._shift(rows).tobytes() == oracles.shift_loop(rows).tobytes()
+        # -0 + 0 is +0 at the last position; the first position keeps -0
+        assert np.signbit(oracles.shift_loop(r)[0, 0, 0])
+        assert not np.signbit(oracles.shift_loop(r)[0, 0, m - 1])
+
+    @FLAT_M
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_apply_basis_matches_the_subject_loop(self, structure, m):
+        r = signed_zero_residuals(m, seed=10 + m)
+        mine, theirs = gee._apply_basis(structure, r), oracles.apply_basis_loop(structure, r)
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @FLAT_M
+    @pytest.mark.parametrize("structure", ["ar1", "exchangeable", "independence"])
+    def test_apply_inverse_matches_the_subject_loop(self, structure, m):
+        # each block at its own rho, of both signs; the weights and their
+        # derivatives in rho (which have negative terms) alike
+        r = signed_zero_residuals(m, seed=20 + m)
+        rho = np.array([0.4, -0.015, 0.0])  # exchangeable at m = 50 needs rho > -1/49
+        for w in gee._weights(structure, rho, np.full(3, m)):
+            mine = gee._apply_inverse(structure, w, r)
+            assert mine.tobytes() == oracles.apply_inverse_loop(structure, w, r).tobytes()
+
+
 class TestCorrInverse:
     @pytest.mark.parametrize("rho", [-0.7, 0.0, 0.3, 0.95])
     @pytest.mark.parametrize("m", [2, 3, 10])

@@ -652,7 +652,9 @@ class TestGridPlotData:
         assert [row for row in grid if (row["M"], row["K"]) == (4, 2)] == [
             {"M": 4, "K": 2, **row} for row in main
         ]
-        assert simstudy.run_study(design, self.M_VALUES, ())[1] is None
+        # no grid without lists; one list alone is rejected
+        # (test_one_list_without_the_other_is_rejected)
+        assert simstudy.run_study(design)[1] is None
 
     def test_one_pool_for_the_whole_grid(self, monkeypatch):
         opened = []
@@ -700,6 +702,22 @@ class TestGridPlotData:
         # a cell of more groups than subjects
         with pytest.raises(PlanError, match=r"^K=50 groups need 1 <= K <= N, got N=20$"):
             simstudy.grid_plot_data(design, [6], [1, 50])
+        assert reps == []
+
+    @pytest.mark.parametrize("m_values, k_values, message", [
+        ((), (1, 2), "K_list = 1,2 is given without M_list (--M-list)"),
+        ([6, 8], [], "M_list = 6,8 is given without K_list (--K-list)"),
+    ], ids=["K-without-M", "M-without-K"])
+    def test_one_list_without_the_other_is_rejected(self, monkeypatch, m_values, k_values,
+                                                    message):
+        # the grid is the product of the lists, so one alone would be empty
+        reps = []
+        monkeypatch.setattr(simstudy, "_one_rep", lambda job: reps.append(job))
+        design = make_ar1_design(N=20, M=6, J=2, K=1, reps=2)
+        for call in (simstudy.run_study, simstudy.grid_plot_data):
+            with pytest.raises(BlockGmmError) as info:
+                call(design, m_values, k_values)
+            assert str(info.value) == f"the (M, K) grid needs both lists: {message}"
         assert reps == []
 
 
