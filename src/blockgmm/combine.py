@@ -263,7 +263,8 @@ def invert_vhat(vhat: tuple, bundle: SummaryBundle) -> tuple:
 
 
 # (p, (d_1 .. d_J)) -> the scatter grid of _stack_sensitivities for a group
-# of that shape: a plain dict, so that no module attribute carries a wrapper
+# of that shape.  A plain dict, not functools.cache: perfbench's self-test
+# reads any module attribute with a __wrapped__ as a tracer wrapper left behind
 _SCATTER = {}
 
 

@@ -156,8 +156,8 @@ def _stacked_estfun(bundle: SummaryBundle, theta, zeta_list):
     dims = J * p + ds.reshape(K, J).sum(axis=1)  # J p + d_k
     group_at = np.cumsum(dims) - dims
     b = np.arange(len(records))
-    psi_at = group_at[b // J] + b % J * p
-    g_at = group_at[b // J] + J * p + zeta_at - zeta_at[b // J * J]
+    psi_at = group_at[b // J] + (b % J) * p
+    g_at = group_at[b // J] + J * p + zeta_at - zeta_at[(b // J) * J]
     by_kind = {}
     for i, record in enumerate(records):
         by_kind.setdefault(record.kind, []).append(i)

@@ -533,7 +533,7 @@ def _cells(design: SimDesign, m_values, k_values) -> list:
                 f"{','.join(map(str, given[name]))} is given without {other}_list "
                 f"(--{other}-list)"
             )
-    return [replace(design, M=int(m), K=int(k)) for m in m_values for k in k_values]
+    return [replace(design, M=int(m), K=int(k)) for m in given["M"] for k in given["K"]]
 
 
 def _grid(cells, results: dict, alpha: float) -> list:

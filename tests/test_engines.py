@@ -391,9 +391,9 @@ def poisoned_jacobians(monkeypatch, entries):
     monkeypatch.setattr(engines, "block_means", block_means)
 
 
-class TestBlockDiagnostics:
-    """solve_blocks forms every block's final norm from one reduction per
-    slab and checks the stacked sensitivities at once; fit_block packages."""
+class TestFinalNorm:
+    """solve_blocks forms every block's final norm from one mean per slab
+    of scores; fit_block only packages a row."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_final_norm_is_the_norm_of_the_mean_score(self, kind):
@@ -408,14 +408,18 @@ class TestBlockDiagnostics:
         assert [fit.final_norm for fit in stacked] == [fit.final_norm for fit in alone]
         assert [row.final_norm for row in rows] == [fit.final_norm for fit in stacked]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_first_non_finite_block_is_named(self, kind, monkeypatch):
-        # blocks 5 and 9 of the stack are poisoned; block 5's first entry in
-        # row-major order, (1, 2), is named, as fit_block named it alone
-        blocks = stack_of_blocks()
-        poisoned_jacobians(monkeypatch, [(5, 2, 0, np.inf), (5, 1, 2, np.nan), (9, 0, 0, -np.inf)])
-        with pytest.raises(NumericDomainError, match=r"^non-finite sensitivity entry at \(1, 2\)$"):
-            solve_blocks(blocks, kind)
+    def test_a_row_is_only_packaged(self):
+        # the row's sensitivity and norm are taken as they are
+        block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
+        row = solve_blocks([block], "gee-ar1")[0]
+        row = row._replace(sensitivity=np.full_like(row.sensitivity, np.nan), final_norm=-1.0)
+        fit = fit_block(block, "gee-ar1", solution=row)
+        assert fit.sensitivity is row.sensitivity and fit.final_norm == -1.0
+
+
+class TestFiniteSensitivity:
+    """solve_blocks checks the stacked sensitivities at once and names the
+    first non-finite entry of the first block that has one."""
 
     @pytest.mark.parametrize("kind", ["gee-ar1", "cl-ar1"])
     def test_first_non_finite_entry_is_named(self, kind, monkeypatch):
@@ -427,13 +431,14 @@ class TestBlockDiagnostics:
         with pytest.raises(NumericDomainError, match=message):
             fit_block(block, kind)
 
-    def test_a_row_is_only_packaged(self):
-        # the row's sensitivity and norm are taken as they are
-        block = one_block(random_dataset(N=60, M=6, p=3, seed=17)[0])
-        row = solve_blocks([block], "gee-ar1")[0]
-        row = row._replace(sensitivity=np.full_like(row.sensitivity, np.nan), final_norm=-1.0)
-        fit = fit_block(block, "gee-ar1", solution=row)
-        assert fit.sensitivity is row.sensitivity and fit.final_norm == -1.0
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_non_finite_block_is_named(self, kind, monkeypatch):
+        # blocks 5 and 9 of the stack are poisoned; block 5's first entry in
+        # row-major order, (1, 2), is named, as fit_block named it alone
+        blocks = stack_of_blocks()
+        poisoned_jacobians(monkeypatch, [(5, 2, 0, np.inf), (5, 1, 2, np.nan), (9, 0, 0, -np.inf)])
+        with pytest.raises(NumericDomainError, match=r"^non-finite sensitivity entry at \(1, 2\)$"):
+            solve_blocks(blocks, kind)
 
 
 class TestRhoClamp:
