@@ -37,6 +37,7 @@ glibc only) instead of faulting fresh zero-filled pages in for each.
 from __future__ import annotations
 
 import ctypes
+import mmap
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -380,9 +381,21 @@ def fit_dataset(
 # glibc's mallopt parameters (malloc.h); 32 MiB is the ceiling glibc's own
 # dynamic mmap threshold reaches on 64-bit, and the dynamic rule sets the
 # trim threshold to twice the mmap threshold
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_TOP_PAD, _M_MMAP_THRESHOLD = -1, -2, -3
 _MMAP_BYTES = 32 << 20
+# headroom above the first replication's heap: later replications place
+# the same arrays differently and reached up to 2.7 MB past it at paper
+# scale (global-ar1, N=1000, M=300, J=6, K=2)
+_TOP_PAD_BYTES = 4 << 20
+_MADV_POPULATE_WRITE = 23  # Linux 5.14
 _heap_kept = False
+_top_unfilled = None  # the C library, until the heap's top is made resident
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
 
 
 def _keep_heap() -> None:
@@ -390,22 +403,55 @@ def _keep_heap() -> None:
     replication's freed arrays stay mapped for the next one instead of
     going back to the kernel and being faulted in again, zero-filled.
 
-    The policy is process-wide and stays set once a study has run: such a
+    Called before each replication.  The first call sets the thresholds
+    and a 4 MiB top pad, so the heap grows past the first replication's
+    peak; the second makes that top resident (:func:`_fill_top`).  The
+    policy is process-wide and stays set once a study has run: such a
     process keeps up to 64 MiB of freed heap resident.  Without glibc's
-    ``mallopt``, or where it rejects a value, it does nothing.  It runs
-    once per process.
+    ``mallopt``, or where it rejects a value, it does nothing.
     """
-    global _heap_kept
+    global _heap_kept, _top_unfilled
+    if _top_unfilled is not None:
+        libc, _top_unfilled = _top_unfilled, None
+        _fill_top(libc)
     if _heap_kept:
         return
     _heap_kept = True
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt = libc.mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES):
         mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_BYTES)
+        mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+        _top_unfilled = libc
+
+
+def _fill_top(libc) -> None:
+    """Fault in the free top of glibc's heap, from the end of its top chunk
+    down, without changing its contents.
+
+    A replication frees all it allocates, but the small blocks that stay
+    allocated between replications (the allocator's caches among them)
+    sit elsewhere each time, so a later replication can need a few MB
+    past the first one's peak.  Resident, that top serves it with no
+    fresh page.  Without ``mallinfo2`` (glibc before 2.33) it does
+    nothing, and a kernel without MADV_POPULATE_WRITE refuses the advice.
+    """
+    try:
+        mallinfo2, sbrk, madvise = libc.mallinfo2, libc.sbrk, libc.madvise
+    except AttributeError:
+        return
+    mallinfo2.argtypes, mallinfo2.restype = (), _MallInfo2
+    sbrk.argtypes, sbrk.restype = (ctypes.c_ssize_t,), ctypes.c_void_p
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    madvise.restype = ctypes.c_int
+    end, page = sbrk(0), mmap.PAGESIZE
+    start = -(-(end - mallinfo2().keepcost) // page) * page
+    if start < end:
+        madvise(start, end - start, _MADV_POPULATE_WRITE)
 
 
 def _one_rep(args):

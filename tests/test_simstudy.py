@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -560,6 +561,11 @@ def _glibc_version():
         return None
 
 
+def _kernel_version():
+    release = os.uname().release if hasattr(os, "uname") else ""
+    return tuple(map(int, re.findall(r"\d+", release)[:2]))
+
+
 @pytest.mark.skipif(_glibc_version() is None,
                     reason="the heap policy sets glibc's malloc thresholds; this libc is not glibc")
 class TestHeapPolicy:
@@ -581,16 +587,54 @@ assert simstudy._heap_kept
 print(",".join(map(str, faults)))
 """
 
-    def test_steady_replications_fault_in_no_fresh_pages(self):
+    # after one replication and the next call of the policy: the resident
+    # and all pages of the heap's top chunk, before and after that call
+    TOP_SCRIPT = """
+import ctypes, mmap
+from blockgmm import simstudy
+libc = ctypes.CDLL(None)
+libc.sbrk.argtypes, libc.sbrk.restype = (ctypes.c_ssize_t,), ctypes.c_void_p
+libc.mallinfo2.restype = simstudy._MallInfo2
+libc.mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p)
+
+def top_pages():
+    end, page = libc.sbrk(0), mmap.PAGESIZE
+    start = -(-(end - libc.mallinfo2().keepcost) // page) * page
+    vec = ctypes.create_string_buffer((end - start + page - 1) // page)
+    assert libc.mincore(start, end - start, vec) == 0
+    return sum(b & 1 for b in vec.raw), len(vec.raw)
+
+design = simstudy.SimDesign(family="global-ar1", N=1000, M=300, J=6, K=2, sigma=6.0,
+                            rho=0.8, reps=1, seed=3)
+assert simstudy._one_rep(([design], 0))[0]["ok"] == 1
+before = top_pages()
+simstudy._keep_heap()
+print(*before, *top_pages())
+"""
+
+    @staticmethod
+    def _run(script):
         src = os.path.dirname(os.path.dirname(simstudy.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        faults = [int(f) for f in done.stdout.split(",")]
+        return done.stdout
+
+    def test_steady_replications_fault_in_no_fresh_pages(self):
+        faults = [int(f) for f in self._run(self.SCRIPT).split(",")]
         # about 3 700 per replication when freed heap goes back to the kernel
         assert max(faults[2:]) <= 100, faults
+
+    @pytest.mark.skipif(_kernel_version() < (5, 14),
+                        reason="the top of the heap is faulted in by MADV_POPULATE_WRITE, Linux 5.14")
+    def test_the_second_replication_starts_on_a_resident_top(self):
+        # later replications place the same arrays differently and can reach
+        # past the first one's peak into the top pad; without the fill those
+        # pages are faulted in fresh in whichever replication gets there
+        resident_before, pages_before, resident, pages = map(int, self._run(self.TOP_SCRIPT).split())
+        assert resident == pages > 0, (resident_before, pages_before, resident, pages)
 
 
 class TestGridPlotData:
